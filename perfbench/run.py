@@ -45,12 +45,16 @@ def load_spec():
 
 
 def build():
+    # The shared dune cache lives outside the checkout; the build stays in
+    # _build.
+    env = dict(os.environ, DUNE_CACHE="disabled")
     try:
         proc = subprocess.run(
             ["dune", "build", "--root", ".", "./perfbench/perfbench.exe"],
             stdout=sys.stderr,
             stderr=sys.stderr,
             timeout=880,
+            env=env,
         )
     except (OSError, subprocess.TimeoutExpired) as e:
         die("build failed: %s" % e)
