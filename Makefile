@@ -86,9 +86,10 @@ check: lint lint-mli lint-dsafe lint-dsafe-growth
 	-@if [ -f BENCH_baseline.json ]; then $(MAKE) --no-print-directory bench-gate; fi
 
 # The full suite under a multicore execution model: EXPFINDER_DOMAINS=2
-# flips every ?domains default (server pool size, evaluate_batch,
-# compute_batch, the refinement fixpoints), so the sequential oracles
-# and their parallel twins both run everywhere the suite reaches.
+# sizes the serving pool, so every server the suite starts without an
+# explicit ~domains runs a 2-worker pool plus the writer domain instead
+# of the single-threaded loop.  Query evaluation is sequential either
+# way.
 test-domains:
 	EXPFINDER_DOMAINS=2 dune runtest --force
 

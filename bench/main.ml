@@ -903,7 +903,7 @@ let exp_profile_cost ~full =
     (off_us < 10.0 && on_us < 10.0)
 
 (* ------------------------------------------------------------------ *)
-(* EXP-P1 / EXP-P2: multicore execution model                           *)
+(* EXP-P1: multicore execution model                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* EXP-P1: served QPS as the server domain pool grows.  An in-process
@@ -996,85 +996,6 @@ let exp_parallel_serve ~full =
       let speedup = match !base with None -> base := Some qps; 1.0 | Some b -> qps /. b in
       Printf.printf "  pool = %d domains: %8.1f req/s  (%.2fx vs 1 domain)\n" d qps speedup)
     pool_sizes
-
-(* EXP-P2: the evaluation-side [?domains] knobs — batched candidate
-   computation and the bounded-simulation refinement fixpoint — parallel
-   against their own sequential oracle.  Digest equality is gated here
-   too (the suite gates it more thoroughly), so the timing rows can
-   never drift away from a correct configuration. *)
-let exp_parallel_compute ~full =
-  header "EXP-P2: parallel vs sequential compute_batch / refinement fixpoint";
-  let n = if full then 20_000 else 5_000 in
-  let g = Twitter.generate (Prng.create 61) ~n in
-  let snap = Snapshot.of_digraph g in
-  let count = 12 in
-  let patterns =
-    Array.of_list (Queries.workload (Prng.create 67) ~count ~simulation:false g)
-  in
-  let domain_counts = if full then [ 1; 2; 4 ] else [ 1; 2 ] in
-  let params =
-    [ ("n", Telemetry.Json.Int n); ("queries", Telemetry.Json.Int count) ]
-  in
-  let base = Candidates.compute_batch ~domains:1 patterns snap in
-  let digests r = Array.map Match_relation.digest r in
-  List.iter
-    (fun d ->
-      check
-        (Printf.sprintf "compute_batch ~domains:%d digest-equal the sequential oracle" d)
-        (digests (Candidates.compute_batch ~domains:d patterns snap) = digests base);
-      check
-        (Printf.sprintf "refinement ~domains:%d digest-equal the sequential oracle" d)
-        (Array.for_all2
-           (fun q init ->
-             let refine dd =
-               Bounded_sim.run_constrained ~domains:dd q snap
-                 ~initial:(Match_relation.copy init) ~mutable_set:None
-             in
-             Match_relation.digest (refine d) = Match_relation.digest (refine 1))
-           patterns base))
-    domain_counts;
-  let medians_cand =
-    List.map
-      (fun d ->
-        let s =
-          time_stats (fun () ->
-              ignore (Candidates.compute_batch ~domains:d patterns snap : Match_relation.t array))
-        in
-        record_stats ~id:(Printf.sprintf "EXP-P2.candidates.domains%d" d) ~params s;
-        (d, s.Report.median))
-      domain_counts
-  in
-  let medians_refine =
-    List.map
-      (fun d ->
-        let s =
-          time_stats_prepared
-            ~prepare:(fun () -> Array.map Match_relation.copy base)
-            (fun inits ->
-              Array.iteri
-                (fun i q ->
-                  ignore
-                    (Bounded_sim.run_constrained ~domains:d q snap ~initial:inits.(i)
-                       ~mutable_set:None
-                      : Match_relation.t))
-                patterns)
-        in
-        record_stats ~id:(Printf.sprintf "EXP-P2.refine.domains%d" d) ~params s;
-        (d, s.Report.median))
-      domain_counts
-  in
-  let row label medians =
-    let seq = List.assoc 1 medians in
-    List.iter
-      (fun (d, m) ->
-        Printf.printf "  %-12s domains = %d: %8.2f ms median  (%.2fx vs sequential)\n" label d m
-          (seq /. max m 0.001))
-      medians
-  in
-  Printf.printf "  %d queries, |V| = %d, host cores = %d\n" count n
-    (Domain.recommended_domain_count ());
-  row "candidates" medians_cand;
-  row "refine" medians_refine
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per experiment              *)
@@ -1234,7 +1155,6 @@ let experiments =
     ("EXP-T1", exp_telemetry_cost);
     ("EXP-T2", exp_profile_cost);
     ("EXP-P1", exp_parallel_serve);
-    ("EXP-P2", exp_parallel_compute);
   ]
 
 let contains_substring haystack needle =

@@ -620,7 +620,8 @@ let serve_run verbose graph_file socket_spec max_connections =
      | () ->
        Telemetry.Qlog.close ();
        Ok ()
-     | exception Unix.Unix_error (e, fn, _) -> err "serve: %s: %s" fn (Unix.error_message e))
+     | exception Unix.Unix_error (e, fn, _) -> err "serve: %s: %s" fn (Unix.error_message e)
+     | exception Failure msg -> err "serve: %s" msg)
 
 let client_run verbose socket_spec ping query_files batch_file inserts deletes repeat shutdown
     trace concurrency =

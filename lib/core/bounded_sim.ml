@@ -1,7 +1,6 @@
 open Expfinder_graph
 open Expfinder_pattern
 open Expfinder_telemetry
-module Parallel = Expfinder_parallel
 
 let m_pops = Metrics.counter "bsim.worklist_pops"
 
@@ -26,7 +25,7 @@ let effective_bound g = function
 (* maintained under removals via reverse balls.                         *)
 (* ------------------------------------------------------------------ *)
 
-let run_counters ?(domains = 1) pattern g ~initial ~mutable_set =
+let run_counters pattern g ~initial ~mutable_set =
   let n = Snapshot.node_count g in
   let sim = Match_relation.copy initial in
   let edge_array = Array.of_list (Pattern.edges pattern) in
@@ -43,50 +42,17 @@ let run_counters ?(domains = 1) pattern g ~initial ~mutable_set =
   in
   let scratch = Distance.make_scratch g in
   let cnt = Array.init (max ne 1) (fun _ -> Array.make (max n 1) 0) in
-  (* Counter init: one reverse ball per (pattern edge, witness) pair.
-     A ball touches arbitrary rows, so chunks cannot share [cnt];
-     instead the pair list is range-partitioned and each chunk
-     accumulates into private rows, summed below — integer addition is
-     commutative, so the merged counters are exactly the sequential
-     ones. *)
-  let work = ref [] in
-  for e = ne - 1 downto 0 do
+  (* Counter init: one reverse ball per (pattern edge, witness) pair. *)
+  for e = 0 to ne - 1 do
     let _, u', b = edge_array.(e) in
     let k = effective_bound g b in
-    List.iter (fun w -> work := (e, k, w) :: !work) (Match_relation.matches sim u')
+    let row = cnt.(e) in
+    let witnesses = Match_relation.matches_set sim u' in
+    Counter.add m_balls (Bitset.cardinal witnesses);
+    Bitset.iter
+      (fun w -> Distance.reverse_ball scratch g w k (fun v _ -> row.(v) <- row.(v) + 1))
+      witnesses
   done;
-  let work = Array.of_list !work in
-  let nw = Array.length work in
-  let domains = max 1 (min domains (max 1 nw)) in
-  if domains = 1 then begin
-    Counter.add m_balls nw;
-    Array.iter
-      (fun (e, k, w) ->
-        let row = cnt.(e) in
-        Distance.reverse_ball scratch g w k (fun v _ -> row.(v) <- row.(v) + 1))
-      work
-  end
-  else begin
-    let ranges = Parallel.ranges ~domains nw in
-    Counter.add m_balls nw;
-    Parallel.run ~domains (fun i ->
-        let lo, hi = ranges.(i) in
-        let scratch = Distance.make_scratch g in
-        let local = Array.init (max ne 1) (fun _ -> Array.make (max n 1) 0) in
-        for j = lo to hi - 1 do
-          let e, k, w = work.(j) in
-          let row = local.(e) in
-          Distance.reverse_ball scratch g w k (fun v _ -> row.(v) <- row.(v) + 1)
-        done;
-        local)
-    |> Array.iter (fun local ->
-           for e = 0 to ne - 1 do
-             let dst = cnt.(e) and src = local.(e) in
-             for v = 0 to n - 1 do
-               dst.(v) <- dst.(v) + src.(v)
-             done
-           done)
-  end;
   let worklist = Vec.create ~dummy:(-1) () in
   let push u v = Vec.push worklist ((u * n) + v) in
   (* Counted locally and flushed once: the gated-counter check stays out
@@ -131,13 +97,13 @@ let run_counters ?(domains = 1) pattern g ~initial ~mutable_set =
 (* Unbounded edges consult an SCC-based reachability oracle.            *)
 (* ------------------------------------------------------------------ *)
 
-let run_naive ?(domains = 1) pattern g ~initial ~mutable_set =
+let run_naive pattern g ~initial ~mutable_set =
   let sim = Match_relation.copy initial in
   let scratch = Distance.make_scratch g in
   let reach =
     if Pattern.has_unbounded_edge pattern then Some (Reach.compute g) else None
   in
-  let satisfies scratch u v =
+  let satisfies u v =
     List.for_all
       (fun (u', b) ->
         let targets = Match_relation.matches_set sim u' in
@@ -171,49 +137,22 @@ let run_naive ?(domains = 1) pattern g ~initial ~mutable_set =
   while !changed do
     Counter.incr m_sweeps;
     changed := false;
-    (* Within a sweep [sim] is constant (victims are removed only after
-       the sweep), so the constraint checks are independent and can be
-       fanned out: materialise the pairs to check, partition, and
-       concatenate each chunk's victims in chunk order — the victim set
-       (and hence the fixpoint) is exactly the sequential one. *)
-    let victims =
-      if domains <= 1 then begin
-        let acc = ref [] in
-        sweep_nodes (fun u v ->
-            if not (satisfies scratch u v) then acc := (u, v) :: !acc);
-        List.rev !acc
-      end
-      else begin
-        let pairs = Vec.create ~dummy:(-1, -1) () in
-        sweep_nodes (fun u v -> Vec.push pairs (u, v));
-        let np = Vec.length pairs in
-        let domains = max 1 (min domains (max 1 np)) in
-        let ranges = Parallel.ranges ~domains np in
-        Parallel.run ~domains (fun i ->
-            let lo, hi = ranges.(i) in
-            let scratch = Distance.make_scratch g in
-            let acc = ref [] in
-            for j = hi - 1 downto lo do
-              let u, v = Vec.get pairs j in
-              if not (satisfies scratch u v) then acc := (u, v) :: !acc
-            done;
-            !acc)
-        |> Array.to_list |> List.concat
-      end
-    in
-    if victims <> [] then begin
+    (* Victims are removed only after the sweep, so every check in a
+       sweep sees the same relation. *)
+    let victims = ref [] in
+    sweep_nodes (fun u v -> if not (satisfies u v) then victims := (u, v) :: !victims);
+    if !victims <> [] then begin
       changed := true;
-      Counter.add m_removals (List.length victims);
-      List.iter (fun (u, v) -> Match_relation.remove sim u v) victims
+      Counter.add m_removals (List.length !victims);
+      List.iter (fun (u, v) -> Match_relation.remove sim u v) !victims
     end
   done;
   sim
 
-let run_constrained ?(strategy = default_strategy) ?(domains = 1) pattern g
-    ~initial ~mutable_set =
+let run_constrained ?(strategy = default_strategy) pattern g ~initial ~mutable_set =
   match strategy with
-  | Counters -> run_counters ~domains pattern g ~initial ~mutable_set
-  | Naive -> run_naive ~domains pattern g ~initial ~mutable_set
+  | Counters -> run_counters pattern g ~initial ~mutable_set
+  | Naive -> run_naive pattern g ~initial ~mutable_set
 
 let run ?(strategy = default_strategy) pattern g =
   let initial = Candidates.compute pattern g in

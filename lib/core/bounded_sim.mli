@@ -28,20 +28,13 @@ val run : ?strategy:strategy -> Pattern.t -> Snapshot.t -> Match_relation.t
 
 val run_constrained :
   ?strategy:strategy ->
-  ?domains:int ->
   Pattern.t ->
   Snapshot.t ->
   initial:Match_relation.t ->
   mutable_set:Bitset.t option ->
   Match_relation.t
 (** Greatest fixpoint below [initial] touching only nodes of
-    [mutable_set]; see {!Simulation.run_constrained}.
-
-    [?domains] (default 1, the sequential oracle) parallelises the
-    reverse-ball counter initialisation ([Counters]) or each sweep's
-    constraint checks ([Naive]); every chunk works on private scratch
-    and private tallies with a deterministic merge, so the result and
-    the counter totals are identical for any domain count. *)
+    [mutable_set]; see {!Simulation.run_constrained}. *)
 
 val consistent : Pattern.t -> Snapshot.t -> Match_relation.t -> bool
 (** Every pair satisfies its bound constraints w.r.t. the relation. *)

@@ -1,7 +1,6 @@
 open Expfinder_graph
 open Expfinder_pattern
 open Expfinder_telemetry
-module Parallel = Expfinder_parallel
 
 let m_considered = Metrics.counter "candidates.considered"
 
@@ -37,7 +36,7 @@ let compute pattern g =
   Counter.add m_scans !scans;
   m
 
-let compute_batch ?(domains = 1) patterns g =
+let compute_batch patterns g =
   let ms =
     Array.map
       (fun p ->
@@ -61,11 +60,8 @@ let compute_batch ?(domains = 1) patterns g =
         | None -> unlabelled := (q, u) :: !unlabelled
       done)
     patterns;
-  (* [consider] writes row (q, u) of ms.(q); every (q, u) spec sits in
-     exactly one label bucket (or in [unlabelled]), so two domains
-     working distinct buckets never touch the same relation row — the
-     partition below is write-disjoint by construction. *)
-  let consider ~considered ~kept specs v =
+  let considered = ref 0 and kept = ref 0 and scans = ref 0 in
+  let consider specs v =
     let a = Snapshot.attrs g v in
     List.iter
       (fun (q, u) ->
@@ -76,37 +72,14 @@ let compute_batch ?(domains = 1) patterns g =
         end)
       specs
   in
-  let buckets =
-    Array.of_list
-      (Hashtbl.fold (fun l specs acc -> (l, !specs) :: acc) by_label [])
-  in
-  let nb = Array.length buckets in
-  let domains = max 1 (min domains nb) in
-  (* Each chunk tallies privately and the caller flushes once, so the
-     registered counter totals are exactly the sequential ones whatever
-     the domain count. *)
-  let ranges = Parallel.ranges ~domains nb in
-  let tallies =
-    Parallel.run ~domains (fun i ->
-        let lo, hi = ranges.(i) in
-        let considered = ref 0 and kept = ref 0 and scans = ref 0 in
-        for b = lo to hi - 1 do
-          let l, specs = buckets.(b) in
-          incr scans;
-          List.iter (consider ~considered ~kept specs) (Snapshot.nodes_with_label g l)
-        done;
-        (!considered, !kept, !scans))
-  in
-  let considered = ref 0 and kept = ref 0 and scans = ref 0 in
-  Array.iter
-    (fun (c, k, s) ->
-      considered := !considered + c;
-      kept := !kept + k;
-      scans := !scans + s)
-    tallies;
+  Hashtbl.iter
+    (fun l specs ->
+      incr scans;
+      List.iter (consider !specs) (Snapshot.nodes_with_label g l))
+    by_label;
   if !unlabelled <> [] then begin
     incr scans;
-    Snapshot.iter_nodes g (consider ~considered ~kept !unlabelled)
+    Snapshot.iter_nodes g (consider !unlabelled)
   end;
   Counter.add m_considered !considered;
   Counter.add m_kept !kept;

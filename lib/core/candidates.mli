@@ -12,20 +12,13 @@ open Expfinder_pattern
 val compute : Pattern.t -> Snapshot.t -> Match_relation.t
 (** The full candidate relation (not yet refined by edge constraints). *)
 
-val compute_batch :
-  ?domains:int -> Pattern.t array -> Snapshot.t -> Match_relation.t array
+val compute_batch : Pattern.t array -> Snapshot.t -> Match_relation.t array
 (** Candidate relations for a whole batch of queries in one pass: the
     (query, pattern-node) specs of all queries are grouped by label, so
     each label bucket — and the full node table, when some spec is
     unlabelled — is traversed once for the batch instead of once per
     spec.  Result [i] equals [compute patterns.(i) g]; the saving shows
-    up in the [candidates.scans] counter.
-
-    [?domains] (default 1 — the sequential oracle) partitions the label
-    buckets across that many domains.  Every (query, pattern-node) spec
-    belongs to exactly one bucket, so the partition is write-disjoint
-    over relation rows; results and counter totals are identical to the
-    sequential run for any domain count. *)
+    up in the [candidates.scans] counter. *)
 
 val compute_for_nodes : Pattern.t -> Snapshot.t -> Bitset.t -> Match_relation.t
 (** Candidates restricted to data nodes in the given set; other nodes are

@@ -1,7 +1,6 @@
 open Expfinder_graph
 open Expfinder_pattern
 open Expfinder_telemetry
-module Parallel = Expfinder_parallel
 
 let m_pops = Metrics.counter "sim.worklist_pops"
 
@@ -29,31 +28,22 @@ let index_edges pattern =
 (* Dense path (batch): counters for every node, O(|Q|·|G|).             *)
 (* ------------------------------------------------------------------ *)
 
-let run_dense ?(domains = 1) pattern g ~initial =
+let run_dense pattern g ~initial =
   let n = Snapshot.node_count g in
   let sim = Match_relation.copy initial in
   let idx = index_edges pattern in
   let ne = Array.length idx.edge_array in
-  (* cnt.(e).(v) = |succ(v) ∩ sim(u')| for pattern edge e = (u,u').
-     The init scan is O(|Q|·|E|) and write-disjoint over v, so it is
-     range-partitioned across [?domains]; [sim] is read-only until the
-     (sequential) worklist phase, whose unique greatest fixpoint makes
-     the result identical for any domain count. *)
+  (* cnt.(e).(v) = |succ(v) ∩ sim(u')| for pattern edge e = (u,u'). *)
   let cnt = Array.init (max ne 1) (fun _ -> Array.make (max n 1) 0) in
-  let domains = max 1 (min domains (max 1 n)) in
-  let ranges = Parallel.ranges ~domains n in
-  ignore
-    (Parallel.run ~domains (fun i ->
-         let lo, hi = ranges.(i) in
-         for e = 0 to ne - 1 do
-           let _, u', _ = idx.edge_array.(e) in
-           let target = Match_relation.matches_set sim u' in
-           let row = cnt.(e) in
-           for v = lo to hi - 1 do
-             Snapshot.iter_succ g v (fun w ->
-                 if Bitset.mem target w then row.(v) <- row.(v) + 1)
-           done
-         done));
+  for e = 0 to ne - 1 do
+    let _, u', _ = idx.edge_array.(e) in
+    let target = Match_relation.matches_set sim u' in
+    let row = cnt.(e) in
+    for v = 0 to n - 1 do
+      Snapshot.iter_succ g v (fun w ->
+          if Bitset.mem target w then row.(v) <- row.(v) + 1)
+    done
+  done;
   let worklist = Vec.create ~dummy:(-1) () in
   (* Counted locally and flushed once: the gated-counter check stays out
      of the refinement hot path. *)
@@ -94,10 +84,10 @@ let run_dense ?(domains = 1) pattern g ~initial =
    instance. *)
 module Snap_refine = Sparse_refine.Make (Snapshot)
 
-let run_constrained ?(domains = 1) pattern g ~initial ~mutable_set =
+let run_constrained pattern g ~initial ~mutable_set =
   match mutable_set with
-  | None -> run_dense ~domains pattern g ~initial
-  | Some area -> Snap_refine.simulation ~domains pattern g ~initial ~area
+  | None -> run_dense pattern g ~initial
+  | Some area -> Snap_refine.simulation pattern g ~initial ~area
 
 let run pattern g =
   let initial = Candidates.compute pattern g in

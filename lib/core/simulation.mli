@@ -21,7 +21,6 @@ val run : Pattern.t -> Snapshot.t -> Match_relation.t
 (** Simulation kernel from scratch. *)
 
 val run_constrained :
-  ?domains:int ->
   Pattern.t ->
   Snapshot.t ->
   initial:Match_relation.t ->
@@ -31,12 +30,7 @@ val run_constrained :
     node lies in [mutable_set] ([None] = all nodes mutable).  Pairs on
     frozen nodes are kept even if their constraints fail — the caller
     guarantees they are consistent (see the incremental module).  The
-    input is not mutated.
-
-    [?domains] (default 1, the sequential oracle) range-partitions the
-    counter-initialisation scan across domains; the worklist phase is
-    sequential and the greatest fixpoint unique, so the result is
-    identical for any domain count. *)
+    input is not mutated. *)
 
 val consistent : Pattern.t -> Snapshot.t -> Match_relation.t -> bool
 (** Check (for tests) that every pair of the relation satisfies the

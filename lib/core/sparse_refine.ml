@@ -1,7 +1,6 @@
 open Expfinder_graph
 open Expfinder_pattern
 open Expfinder_telemetry
-module Parallel = Expfinder_parallel
 
 let m_pops = Metrics.counter "sparse.worklist_pops"
 
@@ -11,14 +10,6 @@ let m_balls = Metrics.counter "sparse.ball_expansions"
 
 module Make (G : Graph_intf.GRAPH) = struct
   module Dist = Distance.Make (G)
-
-  (* Materialise the area for range partitioning across domains.  The
-     array is in increasing node order (Bitset iteration order), so
-     chunking it is deterministic. *)
-  let area_array area =
-    let nodes = Vec.create ~dummy:(-1) () in
-    Bitset.iter (fun v -> Vec.push nodes v) area;
-    Array.init (Vec.length nodes) (Vec.get nodes)
 
   type edge_index = {
     edge_array : (int * int * Pattern.bound) array;
@@ -37,7 +28,7 @@ module Make (G : Graph_intf.GRAPH) = struct
       edge_array;
     { edge_array; out_of; in_of }
 
-  let simulation ?(domains = 1) pattern g ~initial ~area =
+  let simulation pattern g ~initial ~area =
     let n = G.node_count g in
     let sim = Match_relation.copy initial in
     let idx = index_edges pattern in
@@ -45,39 +36,17 @@ module Make (G : Graph_intf.GRAPH) = struct
     (* cnt: (pattern edge, area node) -> |succ(v) ∩ sim(u')|. *)
     let cnt : (int, int) Hashtbl.t = Hashtbl.create 256 in
     let key e v = (e * n) + v in
-    (* The init phase is the bulk of the work (one successor scan per
-       (edge, area node) pair) and is embarrassingly parallel: [sim] is
-       read-only until the worklist phase, and each area node owns its
-       cnt keys.  Chunks build private tables, merged below — the keys
-       are disjoint across chunks, so the merged table is the one the
-       sequential loop builds, and the worklist phase (sequential: the
-       fixpoint is unique, so it doesn't need to scale) proceeds
-       identically. *)
-    let init_counts v local =
-      for e = 0 to ne - 1 do
-        let _, u', _ = idx.edge_array.(e) in
-        let target = Match_relation.matches_set sim u' in
-        let c =
-          G.fold_succ g v (fun acc w -> if Bitset.mem target w then acc + 1 else acc) 0
-        in
-        Hashtbl.replace local (key e v) c
-      done
-    in
-    if domains <= 1 then Bitset.iter (fun v -> init_counts v cnt) area
-    else begin
-      let nodes = area_array area in
-      let nn = Array.length nodes in
-      let domains = max 1 (min domains nn) in
-      let ranges = Parallel.ranges ~domains nn in
-      Parallel.run ~domains (fun i ->
-          let lo, hi = ranges.(i) in
-          let local : (int, int) Hashtbl.t = Hashtbl.create (max 16 ((hi - lo) * ne)) in
-          for j = lo to hi - 1 do
-            init_counts nodes.(j) local
-          done;
-          local)
-      |> Array.iter (fun local -> Hashtbl.iter (Hashtbl.replace cnt) local)
-    end;
+    Bitset.iter
+      (fun v ->
+        for e = 0 to ne - 1 do
+          let _, u', _ = idx.edge_array.(e) in
+          let target = Match_relation.matches_set sim u' in
+          let c =
+            G.fold_succ g v (fun acc w -> if Bitset.mem target w then acc + 1 else acc) 0
+          in
+          Hashtbl.replace cnt (key e v) c
+        done)
+      area;
     let worklist = Vec.create ~dummy:(-1) () in
     (* Counted locally and flushed once, keeping the gated-counter check
        out of the refinement hot path. *)
@@ -115,7 +84,7 @@ module Make (G : Graph_intf.GRAPH) = struct
     Counter.add m_pops !n_pops;
     sim
 
-  let bounded ?(domains = 1) pattern g ~initial ~area =
+  let bounded pattern g ~initial ~area =
     if Pattern.has_unbounded_edge pattern then
       invalid_arg "Sparse_refine.bounded: unbounded pattern edge";
     let n = G.node_count g in
@@ -130,55 +99,27 @@ module Make (G : Graph_intf.GRAPH) = struct
     let kmax = Option.value ~default:1 (Pattern.max_bound pattern) in
     (* cnt: (pattern edge, area node) -> |ball(v,k) ∩ sim(u')|, built with
        one BFS of radius kmax per area node covering every pattern
-       edge.  The per-node BFS is the dominant cost, so this is the loop
-       the [?domains] partition spreads out: each chunk gets its own BFS
-       scratch and private table (keys are per-node, hence disjoint),
-       and ball expansions are tallied locally and flushed once so the
-       counter total matches the sequential run exactly. *)
+       edge. *)
     let cnt : (int, int) Hashtbl.t = Hashtbl.create 256 in
     let key e v = (e * n) + v in
-    let init_counts ~scratch ~counts v local =
-      Array.fill counts 0 ne 0;
-      Dist.ball scratch g v kmax (fun w d ->
-          for e = 0 to ne - 1 do
-            if d <= bound_of e then begin
-              let _, u', _ = idx.edge_array.(e) in
-              if Bitset.mem (Match_relation.matches_set sim u') w then
-                counts.(e) <- counts.(e) + 1
-            end
-          done);
-      for e = 0 to ne - 1 do
-        Hashtbl.replace local (key e v) counts.(e)
-      done
-    in
-    let nodes = area_array area in
-    let nn = Array.length nodes in
-    let domains = max 1 (min domains nn) in
-    let ranges = Parallel.ranges ~domains nn in
-    let chunk_tables =
-      Parallel.run ~domains (fun i ->
-          let lo, hi = ranges.(i) in
-          let scratch = Dist.make_scratch g in
-          let counts = Array.make (max ne 1) 0 in
-          let local =
-            if domains = 1 then cnt
-            else Hashtbl.create (max 16 ((hi - lo) * ne))
-          in
-          for j = lo to hi - 1 do
-            init_counts ~scratch ~counts nodes.(j) local
-          done;
-          (local, hi - lo))
-    in
-    let balls = ref 0 in
-    Array.iter
-      (fun (local, expanded) ->
-        balls := !balls + expanded;
-        if local != cnt then Hashtbl.iter (Hashtbl.replace cnt) local)
-      chunk_tables;
-    Counter.add m_balls !balls;
-    (* Fresh scratch for the (sequential) propagation phase; the chunk
-       scratches above are private to their domains. *)
     let scratch = Dist.make_scratch g in
+    let counts = Array.make (max ne 1) 0 in
+    Counter.add m_balls (Bitset.cardinal area);
+    Bitset.iter
+      (fun v ->
+        Array.fill counts 0 ne 0;
+        Dist.ball scratch g v kmax (fun w d ->
+            for e = 0 to ne - 1 do
+              if d <= bound_of e then begin
+                let _, u', _ = idx.edge_array.(e) in
+                if Bitset.mem (Match_relation.matches_set sim u') w then
+                  counts.(e) <- counts.(e) + 1
+              end
+            done);
+        for e = 0 to ne - 1 do
+          Hashtbl.replace cnt (key e v) counts.(e)
+        done)
+      area;
     let worklist = Vec.create ~dummy:(-1) () in
     let n_removals = ref 0 and n_pops = ref 0 in
     let remove u v =

@@ -13,31 +13,20 @@ open Expfinder_pattern
 
 module Make (G : Graph_intf.GRAPH) : sig
   val simulation :
-    ?domains:int ->
     Pattern.t ->
     G.t ->
     initial:Match_relation.t ->
     area:Bitset.t ->
     Match_relation.t
-  (** Simulation constraints (bounds ignored; caller dispatches).
-
-      [?domains] (default 1, the sequential oracle) partitions the
-      counter-initialisation scan over the area across that many
-      domains; per-node counter keys are disjoint across chunks and the
-      worklist phase stays sequential, so the greatest fixpoint — which
-      is unique — is identical for any domain count. *)
+  (** Simulation constraints (bounds ignored; caller dispatches). *)
 
   val bounded :
-    ?domains:int ->
     Pattern.t ->
     G.t ->
     initial:Match_relation.t ->
     area:Bitset.t ->
     Match_relation.t
   (** Bounded-simulation constraints via per-pair ball counters.
-      [?domains] parallelises the per-area-node BFS ball expansions of
-      the initialisation phase (each chunk gets its own scratch);
-      results and counter totals are identical to the sequential run.
       @raise Invalid_argument on a pattern with unbounded edges (callers
       fall back to recomputation for those). *)
 end

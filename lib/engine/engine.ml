@@ -5,7 +5,6 @@ open Expfinder_incremental
 open Expfinder_compression
 open Expfinder_storage
 open Expfinder_telemetry
-module Parallel = Expfinder_parallel
 
 let src = Logs.Src.create "expfinder.engine" ~doc:"ExpFinder query engine"
 
@@ -230,7 +229,7 @@ let run_direct pattern snap = Planner.run pattern snap
    candidate set of the incoming query from above.  Filter it by the
    pattern's own label/predicate specs and refine below it — the exact
    kernel, without scanning the data graph for candidates. *)
-let from_containment ?(domains = 1) t pattern ~snap =
+let from_containment t pattern ~snap =
   let sid = Snapshot.id snap in
   Cache.fold t.cache ~snapshot:sid ~init:None ~f:(fun acc sup relation ->
       match acc with
@@ -259,11 +258,10 @@ let from_containment ?(domains = 1) t pattern ~snap =
            ~attrs:[ ("seed_pairs", string_of_int (Match_relation.total initial)) ]
            (fun () ->
              if Pattern.is_simulation_pattern pattern then
-               Simulation.run_constrained ~domains pattern snap ~initial
-                 ~mutable_set:None
+               Simulation.run_constrained pattern snap ~initial ~mutable_set:None
              else
-               Bounded_sim.run_constrained ~strategy:Bounded_sim.Naive ~domains
-                 pattern snap ~initial ~mutable_set:None))
+               Bounded_sim.run_constrained ~strategy:Bounded_sim.Naive pattern snap
+                 ~initial ~mutable_set:None))
 
 (* The untraced core of [evaluate]: cache -> registered kernel ->
    compressed -> cached superset (containment) -> ball index -> planner,
@@ -493,14 +491,8 @@ let evaluate ?trace t pattern =
    Answers are identical to per-query {!evaluate}: candidate sets are
    supersets of the planner's (which additionally prunes sinks), and the
    maximal kernel below any initial superset of it is the same
-   fixpoint.
-
-   [?domains] (default [EXPFINDER_DOMAINS] or 1) fans the candidate
-   scan and each query's refinement across domains; every parallel
-   region merges deterministically, so answers (and counter totals) are
-   digest-equal to [~domains:1]. *)
-let evaluate_batch_unlabelled ?(trace = Trace.ambient)
-    ?(domains = Parallel.default_domains ()) t patterns =
+   fixpoint. *)
+let evaluate_batch_unlabelled ?(trace = Trace.ambient) t patterns =
   Counter.incr m_batches;
   let rec_before = Metrics.counters_snapshot () in
   let rec_start = now_us () in
@@ -548,10 +540,9 @@ let evaluate_batch_unlabelled ?(trace = Trace.ambient)
           arr;
         let reps = Array.of_list (List.rev !reps) in
         (* 3. One shared candidate scan for every distinct miss. *)
-        annotate_int "domains" domains;
         let initials =
           with_span "batch_candidates" (fun () ->
-              Candidates.compute_batch ~domains (Array.map (fun i -> arr.(i)) reps) snap)
+              Candidates.compute_batch (Array.map (fun i -> arr.(i)) reps) snap)
         in
         (* 4. Supersets first: [contains q1 q2] is transitive, so the
            count of batch members a query contains increases strictly
@@ -576,7 +567,7 @@ let evaluate_batch_unlabelled ?(trace = Trace.ambient)
               if Pattern_analysis.statically_empty pattern then
                 (empty_for pattern, Direct)
               else
-                match from_containment ~domains t pattern ~snap with
+                match from_containment t pattern ~snap with
                 | Some relation ->
                   Counter.incr m_containment;
                   incr containment_hits;
@@ -593,11 +584,11 @@ let evaluate_batch_unlabelled ?(trace = Trace.ambient)
                         ~attrs:[ ("query", Pattern.fingerprint pattern) ]
                         (fun () ->
                           if Pattern.is_simulation_pattern pattern then
-                            Simulation.run_constrained ~domains pattern snap
-                              ~initial ~mutable_set:None
+                            Simulation.run_constrained pattern snap ~initial
+                              ~mutable_set:None
                           else
-                            Bounded_sim.run_constrained ~domains pattern snap
-                              ~initial ~mutable_set:None)
+                            Bounded_sim.run_constrained pattern snap ~initial
+                              ~mutable_set:None)
                     in
                     (relation, Direct)
             in
@@ -660,9 +651,8 @@ let evaluate_batch_unlabelled ?(trace = Trace.ambient)
         | None -> assert false)
       patterns
 
-let evaluate_batch ?trace ?domains t patterns =
-  Alloc.with_label "batch" (fun () ->
-      evaluate_batch_unlabelled ?trace ?domains t patterns)
+let evaluate_batch ?trace t patterns =
+  Alloc.with_label "batch" (fun () -> evaluate_batch_unlabelled ?trace t patterns)
 
 let result_graph t pattern =
   let answer = evaluate t pattern in

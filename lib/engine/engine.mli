@@ -111,8 +111,7 @@ val evaluate : ?trace:Trace.ctx -> t -> Pattern.t -> answer
     The same contract applies to {!evaluate_batch} and
     {!apply_updates}. *)
 
-val evaluate_batch :
-  ?trace:Trace.ctx -> ?domains:int -> t -> Pattern.t list -> answer list
+val evaluate_batch : ?trace:Trace.ctx -> t -> Pattern.t list -> answer list
 (** Evaluate a batch of queries against {e one} pinned snapshot.
     Answers equal per-query {!evaluate} (same relations, same [total]),
     but the batch: serves exact cache hits first, dedupes repeated
@@ -123,15 +122,7 @@ val evaluate_batch :
     answered by seeded refinement without any scan.  Answers are
     returned in input order; [profile] is [None] on each answer — the
     whole batch's profile (root span ["evaluate_batch"]) is available
-    via {!last_profile}.
-
-    [?domains] (default [EXPFINDER_DOMAINS], or 1 — the sequential
-    oracle) fans the shared candidate scan and each query's refinement
-    across that many domains ({!Expfinder_core.Candidates.compute_batch},
-    {!Expfinder_core.Simulation.run_constrained},
-    {!Expfinder_core.Bounded_sim.run_constrained}).  Every parallel
-    region partitions its work with a deterministic merge, so answers
-    {e and} counter totals are digest-equal to [~domains:1]. *)
+    via {!last_profile}. *)
 
 val top_k : t -> Pattern.t -> k:int -> expert list
 (** Evaluate, build the result graph and rank the output node's matches

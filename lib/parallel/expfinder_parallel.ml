@@ -1,11 +1,9 @@
 (* Multicore primitives for the ExpFinder execution model.
 
-   Everything here is deliberately small: the engine's parallelism is
-   fork/join over an immutable snapshot (workers never communicate
-   mid-flight), the server's is a bounded work queue feeding a fixed
-   pool of domains, and writes are funnelled through one dedicated
-   writer domain.  Three shapes, three modules — no scheduler, no
-   effects, no task graph.
+   Everything here is deliberately small: the server's parallelism is a
+   bounded work queue feeding a fixed pool of domains, and writes are
+   funnelled through one dedicated writer domain.  Query evaluation is
+   sequential.  No scheduler, no effects, no task graph.
 
    Each shape is instrumented through the telemetry registry: channel
    depth gauges and wait histograms, per-worker busy/idle accounting,
@@ -25,8 +23,6 @@ let env_domains () =
       | Some n when n >= 1 -> Some n
       | Some _ | None -> None)
 
-let default_domains () = match env_domains () with Some n -> n | None -> 1
-
 let default_pool_domains () =
   match env_domains () with
   | Some n -> n
@@ -36,19 +32,10 @@ let default_pool_domains () =
 (* Fork/join                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let ranges ~domains n =
-  let domains = max 1 (min domains (max 1 n)) in
-  let base = n / domains and extra = n mod domains in
-  Array.init domains (fun i ->
-      let lo = (i * base) + min i extra in
-      let hi = lo + base + if i < extra then 1 else 0 in
-      (lo, hi))
-
 (* Chunk 0 runs on the calling domain, so [run ~domains:1 f] never
-   spawns and is byte-identical to a plain call — that is what keeps
-   the sequential path the oracle.  All workers are joined before the
-   first exception (in chunk order) is re-raised, so no domain leaks
-   even when a chunk fails. *)
+   spawns and is byte-identical to a plain call.  All workers are
+   joined before the first exception (in chunk order) is re-raised, so
+   no domain leaks even when a chunk fails. *)
 let run ~domains f =
   let domains = max 1 domains in
   if domains = 1 then [| f 0 |]
@@ -250,12 +237,20 @@ module Pool = struct
       in
       loop (T.now_us ())
     in
-    {
-      jobs;
-      workers = Array.init domains (fun i -> Domain.spawn (worker i));
-      on_error;
-      metrics;
-    }
+    (* A failed spawn leaves the workers already running blocked on
+       [jobs]: close it and join them before reporting the failure. *)
+    let spawned = ref [] in
+    (try
+       for i = 0 to domains - 1 do
+         spawned := Domain.spawn (worker i) :: !spawned
+       done
+     with e ->
+       Chan.close jobs;
+       List.iter Domain.join !spawned;
+       failwith
+         (Printf.sprintf "%s: cannot spawn %d worker domains (%s)" name domains
+            (Printexc.to_string e)));
+    { jobs; workers = Array.of_list (List.rev !spawned); on_error; metrics }
 
   let size t = Array.length t.workers
   let submit t job = Chan.push t.jobs job

@@ -1,11 +1,7 @@
 (** Multicore primitives for the ExpFinder execution model.
 
-    Three shapes cover every use of OCaml 5 domains in this codebase:
+    Two shapes cover every use of OCaml 5 domains in the server:
 
-    - {e fork/join} ({!run}): evaluation fans a pure chunk function out
-      across domains and joins before returning — used by the core
-      [?domains] parameters ([Candidates.compute_batch], the refinement
-      fixpoints).  Workers share nothing but the immutable snapshot.
     - {e worker pool} ({!Pool}): the server's accept loop dispatches
       connection handlers to a fixed set of domains over a bounded
       channel ({!Chan}).
@@ -13,11 +9,14 @@
       single dedicated writer domain, which serializes [apply_updates]
       and publishes new epochs; readers never block on it.
 
-    Domain counts come from the [EXPFINDER_DOMAINS] environment
-    variable so the whole test suite can be re-run parallel without
-    touching call sites (see {!default_domains}).
+    Query evaluation itself is sequential.  {!run} is a plain fork/join
+    helper for drivers that want several client domains (the soak
+    client, the pool-scaling bench).
 
-    All three shapes are instrumented through the telemetry registry
+    The [EXPFINDER_DOMAINS] environment variable sizes only the serving
+    pool (see {!default_pool_domains}).
+
+    Both shapes are instrumented through the telemetry registry
     (channel depth gauges, enqueue/dequeue wait histograms, per-worker
     busy/idle accounting, writer submit latency); metric names are
     documented on each module.  Depth gauges and pool/writer counters
@@ -33,31 +32,18 @@ val env_domains : unit -> int option
     (malformed values are ignored rather than fatal, matching the other
     [EXPFINDER_*] knobs). *)
 
-val default_domains : unit -> int
-(** Default domain count for {e evaluation} ([?domains] parameters):
-    [EXPFINDER_DOMAINS] when set, else [1] — the sequential oracle.
-    Parallel evaluation is strictly opt-in so that single-threaded
-    callers never pay spawn overhead. *)
-
 val default_pool_domains : unit -> int
 (** Default domain count for the {e serving} pool: [EXPFINDER_DOMAINS]
     when set, else [max 1 (Domain.recommended_domain_count () - 1)]
     (one domain is reserved for the accept loop / writer). *)
 
-val ranges : domains:int -> int -> (int * int) array
-(** [ranges ~domains n] partitions the index space [0..n-1] into at
-    most [domains] contiguous [(lo, hi)] half-open ranges of
-    near-equal size (earlier ranges get the remainder).  Deterministic
-    in [domains] and [n]; at least one (possibly empty) range is
-    always returned. *)
-
 val run : domains:int -> (int -> 'a) -> 'a array
 (** [run ~domains f] evaluates [f 0 .. f (domains-1)] concurrently and
     returns the results in chunk order.  Chunk [0] runs on the calling
     domain, so [run ~domains:1 f] spawns nothing and is equivalent to
-    [[| f 0 |]] — the sequential path stays the oracle.  All spawned
-    domains are joined before returning; if any chunk raised, the
-    exception of the lowest-numbered failing chunk is re-raised. *)
+    [[| f 0 |]].  All spawned domains are joined before returning; if
+    any chunk raised, the exception of the lowest-numbered failing
+    chunk is re-raised. *)
 
 (** Bounded multi-producer / multi-consumer channel (mutex +
     condition variables).  [push] blocks while the channel is at
@@ -118,7 +104,11 @@ module Pool : sig
       [<name>.tasks], per-worker counters
       [<name>.worker<i>.tasks|busy_us|idle_us] and gauge
       [<name>.worker<i>.domain_id], histogram [<name>.drain_ms], plus
-      the job channel's [chan.<name>.jobs.*] metrics. *)
+      the job channel's [chan.<name>.jobs.*] metrics.
+
+      @raise Failure when a worker domain cannot be spawned (for
+      instance [domains] above the runtime's domain limit); the workers
+      already spawned are joined first, so nothing leaks. *)
 
   val size : t -> int
   (** Number of worker domains. *)

@@ -452,6 +452,37 @@ let serve ?(max_connections = max_int) ?(sample_period = 1.0)
   | Tcp _ -> Unix.setsockopt sock Unix.SO_REUSEADDR true);
   Unix.bind sock (sockaddr endpoint);
   Unix.listen sock 16;
+  let release_socket () =
+    (try Unix.close sock with Unix.Unix_error _ -> ());
+    match endpoint with
+    | Unix_socket path -> ( try Sys.remove path with Sys_error _ -> ())
+    | Tcp _ -> ()
+  in
+  (* With one domain the server behaves exactly as the historical
+     single-threaded loop: connections handled in the accept loop,
+     updates applied in place.  With more, connections are dispatched to
+     a pool of worker domains over a bounded queue, and update batches
+     are routed to one dedicated writer domain — the only domain that
+     ever calls [Engine.apply_updates], publishing each new epoch
+     atomically while readers keep serving their pinned snapshots.  A
+     pool that cannot be spawned (more domains than the runtime allows)
+     fails the call before anything is served. *)
+  let writer, pool =
+    if domains <= 1 then (None, None)
+    else
+      let writer = Parallel.Serial.create () in
+      match
+        Parallel.Pool.create ~domains
+          ~on_error:(fun e ->
+            Log.err (fun m -> m "connection handler: %s" (Printexc.to_string e)))
+          ()
+      with
+      | pool -> (Some writer, Some pool)
+      | exception e ->
+        Parallel.Serial.shutdown writer;
+        release_socket ();
+        raise e
+  in
   (* The sampler thread drives long-horizon telemetry: one tick per
      period pulls windows, process gauges, counters and allocation
      attribution into the shared timeseries, then re-evaluates the SLO
@@ -491,23 +522,6 @@ let serve ?(max_connections = max_int) ?(sample_period = 1.0)
      connection. *)
   let stopping = Atomic.make false in
   let served = ref 0 in
-  (* With one domain the server behaves exactly as the historical
-     single-threaded loop: connections handled in the accept loop,
-     updates applied in place.  With more, connections are dispatched to
-     a pool of worker domains over a bounded queue, and update batches
-     are routed to one dedicated writer domain — the only domain that
-     ever calls [Engine.apply_updates], publishing each new epoch
-     atomically while readers keep serving their pinned snapshots. *)
-  let writer = if domains > 1 then Some (Parallel.Serial.create ()) else None in
-  let pool =
-    if domains > 1 then
-      Some
-        (Parallel.Pool.create ~domains
-           ~on_error:(fun e ->
-             Log.err (fun m -> m "connection handler: %s" (Printexc.to_string e)))
-           ())
-    else None
-  in
   let apply ctx ops =
     match writer with
     | Some w -> Parallel.Serial.submit w (fun () -> Engine.apply_updates ~trace:ctx engine ops)
@@ -538,10 +552,7 @@ let serve ?(max_connections = max_int) ?(sample_period = 1.0)
       (match writer with Some w -> Parallel.Serial.shutdown w | None -> ());
       Atomic.set stop_sampler true;
       (match sampler with Some th -> Thread.join th | None -> ());
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      match endpoint with
-      | Unix_socket path -> ( try Sys.remove path with Sys_error _ -> ())
-      | Tcp _ -> ())
+      release_socket ())
     (fun () ->
       try
         while (not (Atomic.get stopping)) && !served < max_connections do

@@ -104,6 +104,8 @@ val serve :
     evaluate on the snapshot epoch pinned at request start.  On
     shutdown the pool is drained (in-flight connections finish), then
     the writer domain and the sampler thread are joined.
+    @raise Failure when the pool cannot be spawned (see
+    {!Expfinder_parallel.Pool.create}); the socket is released first.
 
     A background sampler thread ticks every [sample_period] seconds
     (default 1.0; [<= 0.] disables it): each tick feeds the shared

@@ -1,10 +1,7 @@
-(* Multicore execution model: the parallel primitives, the ?domains
-   evaluation paths (digest-equal to the sequential oracle by
-   construction — verified here by property), and the epoch-pinning
-   contract under a concurrent writer. *)
+(* Multicore execution model: the parallel primitives and the
+   epoch-pinning contract under a concurrent writer. *)
 
 open Expfinder_graph
-open Expfinder_pattern
 open Expfinder_core
 open Expfinder_incremental
 open Expfinder_engine
@@ -13,34 +10,7 @@ module Parallel = Expfinder_parallel
 module Collab = Expfinder_workload.Collab
 module Queries = Expfinder_workload.Queries
 
-let labels = Array.map Label.of_string [| "A"; "B"; "C" |]
-
-let random_digraph ?(max_n = 25) rng =
-  let n = 2 + Prng.int rng max_n in
-  let m = Prng.int rng (3 * n) in
-  Generators.erdos_renyi rng ~n ~m (fun _ ->
-      (Prng.choose rng labels, Attrs.of_list [ Attrs.int "exp" (Prng.int rng 4) ]))
-
 (* --- primitives -------------------------------------------------------- *)
-
-let prop_ranges_partition seed =
-  let rng = Prng.create seed in
-  let n = Prng.int rng 50 in
-  let domains = 1 + Prng.int rng 8 in
-  let ranges = Parallel.ranges ~domains n in
-  let covered = Array.to_list ranges |> List.concat_map (fun (lo, hi) ->
-      List.init (hi - lo) (fun i -> lo + i))
-  in
-  (* Contiguous, disjoint, covering, clamped to at most one range per
-     item, and balanced to within one item. *)
-  let k = Array.length ranges in
-  covered = List.init n Fun.id
-  && k = (if n = 0 then 1 else min domains n)
-  && Array.for_all
-       (fun (lo, hi) ->
-         let size = hi - lo in
-         size >= n / k && size <= (n / k) + 1)
-       ranges
 
 let test_run_join_order () =
   let results = Parallel.run ~domains:4 (fun i -> i * i) in
@@ -94,6 +64,22 @@ let test_pool_runs_all_jobs () =
   Parallel.Pool.shutdown pool;
   Alcotest.(check int) "every job ran before shutdown returned" 50 (Atomic.get hits);
   Alcotest.(check int) "the failing job hit the error sink" 1 (Atomic.get errors)
+
+(* More workers than the runtime can host: the spawn fails partway.
+   The workers already running must be joined, not left blocked on the
+   job channel holding domain slots — which the second pool proves by
+   being able to spawn at all. *)
+let test_pool_spawn_failure_joins_workers () =
+  (match Parallel.Pool.create ~domains:200 () with
+  | pool ->
+    Parallel.Pool.shutdown pool;
+    Alcotest.fail "expected a 200-domain pool to fail"
+  | exception Failure _ -> ());
+  let pool = Parallel.Pool.create ~domains:2 () in
+  let hits = Atomic.make 0 in
+  Parallel.Pool.submit pool (fun () -> Atomic.incr hits);
+  Parallel.Pool.shutdown pool;
+  Alcotest.(check int) "a later pool still serves" 1 (Atomic.get hits)
 
 let test_serial_orders_and_propagates () =
   let w = Parallel.Serial.create () in
@@ -188,82 +174,6 @@ let test_pool_metrics_under_contention () =
       Alcotest.(check bool) "busy/idle accounting accumulated" true
         (counter "tpool.worker0.busy_us" + counter "tpool.worker1.busy_us" >= 0
         && counter "tpool.worker0.idle_us" + counter "tpool.worker1.idle_us" > 0))
-
-(* --- parallel evaluation is the sequential oracle ---------------------- *)
-
-let digests relations = List.map Match_relation.digest relations
-
-let prop_compute_batch_oracle seed =
-  let rng = Prng.create seed in
-  let g = random_digraph rng in
-  let snap = Snapshot.of_digraph g in
-  let queries =
-    Queries.workload rng ~count:(1 + Prng.int rng 5) ~simulation:(Prng.bool rng) g
-  in
-  let qs = Array.of_list queries in
-  let before = Telemetry.Metrics.counters_snapshot () in
-  let seq = Candidates.compute_batch ~domains:1 qs snap in
-  let mid = Telemetry.Metrics.counters_snapshot () in
-  let par = Candidates.compute_batch ~domains:(2 + Prng.int rng 3) qs snap in
-  let after = Telemetry.Metrics.counters_snapshot () in
-  let candidate_deltas b a =
-    Telemetry.Metrics.delta ~before:b ~after:a
-    |> List.filter (fun (name, _) -> String.length name >= 10 && String.sub name 0 10 = "candidates")
-    |> List.sort compare
-  in
-  (* Same relations *and* the same counter totals: parallel chunks tally
-     locally and flush once, so observability is domain-count-blind. *)
-  digests (Array.to_list seq) = digests (Array.to_list par)
-  && candidate_deltas before mid = candidate_deltas mid after
-
-let prop_refine_oracle seed =
-  let rng = Prng.create seed in
-  let g = random_digraph rng in
-  let snap = Snapshot.of_digraph g in
-  let simulation = Prng.bool rng in
-  let queries = Queries.workload rng ~count:2 ~simulation g in
-  let domains = 2 + Prng.int rng 3 in
-  List.for_all
-    (fun q ->
-      let initial = Candidates.compute q snap in
-      if Pattern.is_simulation_pattern q then
-        let seq = Simulation.run_constrained ~domains:1 q snap ~initial ~mutable_set:None in
-        let par = Simulation.run_constrained ~domains q snap ~initial ~mutable_set:None in
-        Match_relation.digest seq = Match_relation.digest par
-      else
-        List.for_all
-          (fun strategy ->
-            let seq =
-              Bounded_sim.run_constrained ~strategy ~domains:1 q snap ~initial
-                ~mutable_set:None
-            in
-            let par =
-              Bounded_sim.run_constrained ~strategy ~domains q snap ~initial
-                ~mutable_set:None
-            in
-            Match_relation.digest seq = Match_relation.digest par)
-          [ Bounded_sim.Counters; Bounded_sim.Naive ])
-    queries
-
-let prop_evaluate_batch_oracle seed =
-  let rng = Prng.create seed in
-  let g = random_digraph rng in
-  let queries =
-    Queries.workload rng ~count:(2 + Prng.int rng 6) ~simulation:(Prng.bool rng) g
-  in
-  (* Two fresh engines (digests ignore graph identity): one runs the
-     sequential oracle, the other fans out across domains. *)
-  let seq = Engine.evaluate_batch ~domains:1 (Engine.create g) queries in
-  let par =
-    Engine.evaluate_batch ~domains:(2 + Prng.int rng 3) (Engine.create (Digraph.copy g))
-      queries
-  in
-  List.length seq = List.length par
-  && List.for_all2
-       (fun (a : Engine.answer) (b : Engine.answer) ->
-         Match_relation.digest a.relation = Match_relation.digest b.relation
-         && a.total = b.total)
-       seq par
 
 (* --- epoch pinning under a concurrent writer --------------------------- *)
 
@@ -388,16 +298,11 @@ let test_domain_local_trace_roots () =
 
 (* ----------------------------------------------------------------------- *)
 
-let qtest name count prop =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count ~name QCheck.small_int (fun s -> prop (s + 1)))
-
 let () =
   Alcotest.run "parallel"
     [
       ( "primitives",
         [
-          qtest "ranges partition [0,n)" 120 prop_ranges_partition;
           Alcotest.test_case "run joins in chunk order" `Quick test_run_join_order;
           Alcotest.test_case "run propagates chunk errors" `Quick
             test_run_propagates_exception;
@@ -405,16 +310,12 @@ let () =
           Alcotest.test_case "chan capacity blocks" `Quick
             test_chan_bounded_blocks_until_popped;
           Alcotest.test_case "pool drains on shutdown" `Quick test_pool_runs_all_jobs;
+          Alcotest.test_case "pool spawn failure joins workers" `Quick
+            test_pool_spawn_failure_joins_workers;
           Alcotest.test_case "serial writer orders and propagates" `Quick
             test_serial_orders_and_propagates;
           Alcotest.test_case "pool metrics move under contention" `Quick
             test_pool_metrics_under_contention;
-        ] );
-      ( "oracle",
-        [
-          qtest "compute_batch ~domains = sequential" 40 prop_compute_batch_oracle;
-          qtest "refine ~domains = sequential" 30 prop_refine_oracle;
-          qtest "evaluate_batch ~domains digest-equal" 30 prop_evaluate_batch_oracle;
         ] );
       ( "interleaving",
         [
