@@ -1,4 +1,4 @@
-.PHONY: all build test lint lint-mli lint-dsafe lint-dsafe-growth check replay-smoke soak-smoke prof-smoke bench bench-full bench-json bench-gate examples demo clean
+.PHONY: all build test lint lint-mli lint-dsafe lint-dsafe-growth check replay-smoke soak-smoke prof-smoke topk-smoke bench bench-full bench-json bench-gate examples demo clean
 
 EXE := _build/default/bin/expfinder.exe
 
@@ -71,7 +71,8 @@ lint-dsafe-growth:
 # a 2-domain execution model forced through every ?domains default (the
 # pool serving path, parallel evaluation and the writer-domain routing
 # all switch on), then the serving-path smokes — including the
-# parallel-vs-sequential replay differential — and finally a soft
+# parallel-vs-sequential replay differential — then a short top-K
+# benchmark run as a correctness smoke, and finally a soft
 # perf-regression check against the committed baseline (warn-only here:
 # quick-mode medians are too noisy to block a merge on; run bench-gate
 # directly for a hard verdict).
@@ -83,6 +84,7 @@ check: lint lint-mli lint-dsafe lint-dsafe-growth
 	$(MAKE) --no-print-directory soak-smoke
 	$(MAKE) --no-print-directory par-diff-smoke
 	$(MAKE) --no-print-directory prof-smoke
+	$(MAKE) --no-print-directory topk-smoke
 	-@if [ -f BENCH_baseline.json ]; then $(MAKE) --no-print-directory bench-gate; fi
 
 # The full suite under a multicore execution model: EXPFINDER_DOMAINS=2
@@ -262,6 +264,14 @@ prof-smoke: build
 	  || { kill $$pid 2>/dev/null; echo "prof-smoke: shutdown failed"; exit 1; }; \
 	wait $$pid; \
 	echo "prof-smoke: ok ($$(grep -c . _build/prof_smoke/profile.folded) folded stacks)"
+
+# Top-K correctness smoke: a short untraced run of the topk-cold
+# benchmark workload.  The run fails unless the paper's Example 2 gives
+# Bob 9/5 then Walt 7/3, every pass returns the same top-K lists, and a
+# seeded sample of answers equals the direct Planner.run ->
+# Result_graph.build -> Ranking.top_k pipeline on a fresh graph copy.
+topk-smoke:
+	python3 perfbench/run.py --workload topk-cold --seed 1 --seconds 3 --trace 0
 
 bench:
 	dune exec bench/main.exe

@@ -25,9 +25,21 @@ val pp_rank : Format.formatter -> rank -> unit
 (** [9/5 (1.80)] style. *)
 
 val rank_of : Result_graph.t -> int -> rank
-(** [rank_of gr v] for a data node [v] of the result graph.
+(** [rank_of gr v] for a data node [v] of the result graph: the
+    single-match call of the {!top_k} kernel, with no cutoff.
     @raise Invalid_argument when [v] is not in Gr. *)
 
 val top_k : Result_graph.t -> output_matches:int list -> k:int -> (int * rank) list
 (** The [k] matches with minimum rank (all of them when [k] exceeds the
-    match count), sorted by ascending rank, ties broken by node id. *)
+    match count), sorted by ascending rank, ties broken by node id.
+
+    Cost: one Dial bucket-queue search per match over Gr's (node,
+    direction) states, O(|Vr| + |Er| + D) where D is the largest
+    distance settled, and scratch of O(|Vr| + max edge weight) allocated
+    once per call.  Once [k] matches are ranked, a match is dropped as
+    soon as the average of its settled distances — a lower bound on its
+    rank — passes the K-th best (rank, id); the answer is the same as
+    ranking every match.  Counts ranked and dropped matches in the
+    [ranking.ranked]/[ranking.pruned] counters and as [ranked]/[pruned]
+    annotations on the innermost open span.
+    @raise Invalid_argument when [k < 0] or a match is not in Gr. *)

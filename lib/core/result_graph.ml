@@ -1,12 +1,69 @@
 open Expfinder_graph
 open Expfinder_pattern
 
+type adjacency = { offsets : int array; targets : int array; weights : int array }
+
 type t = {
-  wg : Wgraph.t;
+  fwd : adjacency;
+  bwd : adjacency;
   node_of_index : int array;
   index_table : (int, int) Hashtbl.t;
   pnodes_of : int list array; (* per compact index *)
 }
+
+(* Stable counting sort of the edge list [(rows.(e), cols.(e), ws.(e))]
+   by row: row [i]'s edges keep their list order. *)
+let group n rows cols ws =
+  let offsets = Array.make (n + 1) 0 in
+  Array.iter (fun r -> offsets.(r + 1) <- offsets.(r + 1) + 1) rows;
+  for i = 1 to n do
+    offsets.(i) <- offsets.(i) + offsets.(i - 1)
+  done;
+  let fill = Array.sub offsets 0 n in
+  let m = Array.length rows in
+  let targets = Array.make m 0 and weights = Array.make m 0 in
+  for e = 0 to m - 1 do
+    let r = rows.(e) in
+    let p = fill.(r) in
+    targets.(p) <- cols.(e);
+    weights.(p) <- ws.(e);
+    fill.(r) <- p + 1
+  done;
+  { offsets; targets; weights }
+
+(* One edge per (row, target) pair, at its first position, with the
+   minimum weight.  Compacts in place: [slot.(j)] is where target [j]
+   was last written, which lies inside the current row iff it is at or
+   after the row's first output position. *)
+let dedup n a =
+  let slot = Array.make n (-1) in
+  let offsets = Array.make (n + 1) 0 in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    let row = !k in
+    for p = a.offsets.(i) to a.offsets.(i + 1) - 1 do
+      let j = a.targets.(p) and d = a.weights.(p) in
+      let q = slot.(j) in
+      if q >= row then begin
+        if d < a.weights.(q) then a.weights.(q) <- d
+      end
+      else begin
+        slot.(j) <- !k;
+        a.targets.(!k) <- j;
+        a.weights.(!k) <- d;
+        incr k
+      end
+    done;
+    offsets.(i + 1) <- !k
+  done;
+  { offsets; targets = Array.sub a.targets 0 !k; weights = Array.sub a.weights 0 !k }
+
+let transpose n a =
+  let rows = Array.make (Array.length a.targets) 0 in
+  for i = 0 to n - 1 do
+    Array.fill rows a.offsets.(i) (a.offsets.(i + 1) - a.offsets.(i)) i
+  done;
+  group n a.targets rows a.weights
 
 let build pattern g m =
   let psize = Pattern.size pattern in
@@ -32,7 +89,8 @@ let build pattern g m =
         pnodes_of.(i) <- u :: pnodes_of.(i))
       (Match_relation.matches m u)
   done;
-  let wg = Wgraph.create count in
+  let srcs = Vec.create ~dummy:0 () and dsts = Vec.create ~dummy:0 () in
+  let ws = Vec.create ~dummy:0 () in
   let scratch = Distance.make_scratch g in
   List.iter
     (fun (u, u', b) ->
@@ -42,15 +100,20 @@ let build pattern g m =
         (fun v ->
           let vi = Hashtbl.find index_table v in
           Distance.ball scratch g v k (fun w d ->
-              if Bitset.mem targets w then
-                Wgraph.add_edge wg vi (Hashtbl.find index_table w) d))
+              if Bitset.mem targets w then begin
+                Vec.push srcs vi;
+                Vec.push dsts (Hashtbl.find index_table w);
+                Vec.push ws d
+              end))
         (Match_relation.matches m u))
     (Pattern.edges pattern);
-  { wg; node_of_index; index_table; pnodes_of }
+  let fwd = dedup count (group count (Vec.to_array srcs) (Vec.to_array dsts) (Vec.to_array ws)) in
+  let bwd = transpose count fwd in
+  { fwd; bwd; node_of_index; index_table; pnodes_of }
 
 let node_count t = Array.length t.node_of_index
 
-let edge_count t = Wgraph.edge_count t.wg
+let edge_count t = Array.length t.fwd.targets
 
 let data_nodes t = List.sort compare (Array.to_list t.node_of_index)
 
@@ -67,14 +130,30 @@ let pattern_nodes_of t v =
   | None -> []
   | Some i -> t.pnodes_of.(i)
 
-let wgraph t = t.wg
+let forward t = t.fwd
+
+let backward t = t.bwd
+
+let iter_row a i f =
+  for p = a.offsets.(i) to a.offsets.(i + 1) - 1 do
+    f a.targets.(p) a.weights.(p)
+  done
+
+(* Over compact indices, row by row. *)
+let iter_index_edges t f =
+  for i = 0 to node_count t - 1 do
+    iter_row t.fwd i (f i)
+  done
 
 let iter_edges t f =
-  Wgraph.iter_edges t.wg (fun i j d -> f t.node_of_index.(i) t.node_of_index.(j) d)
+  iter_index_edges t (fun i j d -> f t.node_of_index.(i) t.node_of_index.(j) d)
 
 let weight t v v' =
   match (index_of t v, index_of t v') with
-  | Some i, Some j -> Wgraph.weight t.wg i j
+  | Some i, Some j ->
+    let w = ref None in
+    iter_row t.fwd i (fun j' d -> if j' = j then w := Some d);
+    !w
   | _ -> None
 
 let to_dot ?(name = "Gr") ?(highlight = []) pattern g t =
@@ -98,7 +177,7 @@ let to_dot ?(name = "Gr") ?(highlight = []) pattern g t =
         (Printf.sprintf "  r%d [label=\"%s\\n(%s:%s)\"%s];\n" i display roles
            (Label.to_string (Snapshot.label g v)) style))
     t.node_of_index;
-  Wgraph.iter_edges t.wg (fun i j d ->
+  iter_index_edges t (fun i j d ->
       Buffer.add_string buf (Printf.sprintf "  r%d -> r%d [label=\"%d\"];\n" i j d));
   Buffer.add_string buf "}\n";
   Buffer.contents buf
@@ -126,7 +205,7 @@ let roll_up pattern t =
           match b with Pattern.Bounded k -> k | Pattern.Unbounded -> max_int
         in
         let realised = ref 0 and total = ref 0 and min_dist = ref max_int in
-        Wgraph.iter_edges t.wg (fun i j d ->
+        iter_index_edges t (fun i j d ->
             if
               d <= bound
               && List.mem u t.pnodes_of.(i)
@@ -183,8 +262,8 @@ let drill_down pattern g t u =
           | Some _ | None -> Printf.sprintf "#%d" v
         in
         let out_edges = ref [] and in_edges = ref [] in
-        Wgraph.iter_succ t.wg i (fun j d -> out_edges := (t.node_of_index.(j), d) :: !out_edges);
-        Wgraph.iter_pred t.wg i (fun j d -> in_edges := (t.node_of_index.(j), d) :: !in_edges);
+        iter_row t.fwd i (fun j d -> out_edges := (t.node_of_index.(j), d) :: !out_edges);
+        iter_row t.bwd i (fun j d -> in_edges := (t.node_of_index.(j), d) :: !in_edges);
         details :=
           {
             data_node = v;

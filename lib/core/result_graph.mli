@@ -8,12 +8,26 @@ open Expfinder_pattern
     bound [k] and matches [v ∈ sim(u)], [v' ∈ sim(u')] with
     [0 < dist(v,v') <= k], an edge [(v,v')] weighted by the shortest-path
     length [dist(v,v')].  Gr is both what the GUI visualises and the
-    input of the social-impact ranking. *)
+    input of the social-impact ranking.
+
+    Gr is stored as forward and reverse compressed adjacency arrays over
+    compact node indices, written once by {!build}. *)
 
 type t
 
+type adjacency = private {
+  offsets : int array;  (** length [node_count + 1] *)
+  targets : int array;
+  weights : int array;
+}
+(** The edges of compact index [i] are positions
+    [offsets.(i) .. offsets.(i+1) - 1] of [targets] and [weights].
+    Shared with [t]: read-only. *)
+
 val build : Pattern.t -> Snapshot.t -> Match_relation.t -> t
-(** Builds Gr for a kernel relation (empty relation gives an empty Gr). *)
+(** Builds Gr for a kernel relation (empty relation gives an empty Gr).
+    A data pair witnessed by several pattern edges is one edge carrying
+    the minimum witness distance. *)
 
 val node_count : t -> int
 
@@ -33,8 +47,11 @@ val data_node_of : t -> int -> int
 val pattern_nodes_of : t -> int -> int list
 (** Which pattern nodes a data node matches. *)
 
-val wgraph : t -> Wgraph.t
-(** The underlying weighted graph over compact indices (shared). *)
+val forward : t -> adjacency
+(** Out-edges over compact indices. *)
+
+val backward : t -> adjacency
+(** In-edges over compact indices: [targets] holds the edge sources. *)
 
 val iter_edges : t -> (int -> int -> int -> unit) -> unit
 (** [f v v' d] over data-node ids and shortest-path weights. *)

@@ -163,17 +163,6 @@ let test_pattern_gen_unbounded_stats () =
     (List.for_all (fun (_, _, b) -> b = Pattern.Unbounded) (Pattern.edges p));
   Alcotest.(check bool) "max_bound none" true (Pattern.max_bound p = None)
 
-(* --- wgraph validation ---------------------------------------------------- *)
-
-let test_wgraph_validation () =
-  let w = Wgraph.create 3 in
-  Alcotest.check_raises "negative weight" (Invalid_argument "Wgraph.add_edge: negative weight")
-    (fun () -> Wgraph.add_edge w 0 1 (-1));
-  Alcotest.check_raises "unknown node" (Invalid_argument "Wgraph: unknown node") (fun () ->
-      Wgraph.add_edge w 0 7 1);
-  Alcotest.check_raises "negative size" (Invalid_argument "Wgraph.create") (fun () ->
-      ignore (Wgraph.create (-1)))
-
 let qcheck_cases =
   [
     QCheck.Test.make ~count:30 ~name:"maintained partition is a bisimulation"
@@ -187,7 +176,6 @@ let () =
         [
           Alcotest.test_case "scratch exception safety" `Quick
             test_scratch_survives_raising_callback;
-          Alcotest.test_case "wgraph validation" `Quick test_wgraph_validation;
         ] );
       ( "updates",
         [

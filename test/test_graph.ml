@@ -114,26 +114,6 @@ let test_bitset_setops () =
   Alcotest.(check bool) "subset" true (Bitset.subset i u);
   Alcotest.(check bool) "not subset" false (Bitset.subset u i)
 
-(* --- Pqueue ----------------------------------------------------------- *)
-
-let test_pqueue_order () =
-  let h = Pqueue.create () in
-  List.iter (fun p -> Pqueue.push h p p) [ 5; 1; 4; 1; 3; 9; 0 ];
-  let rec drain acc =
-    match Pqueue.pop_min h with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
-  in
-  Alcotest.(check (list int)) "sorted" [ 0; 1; 1; 3; 4; 5; 9 ] (drain [])
-
-let prop_pqueue_sorts seed =
-  let rng = Prng.create seed in
-  let xs = List.init (1 + Prng.int rng 100) (fun _ -> Prng.int rng 1000) in
-  let h = Pqueue.create () in
-  List.iter (fun x -> Pqueue.push h x x) xs;
-  let rec drain acc =
-    match Pqueue.pop_min h with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
-  in
-  drain [] = List.sort compare xs
-
 (* --- Label / Attr / Attrs --------------------------------------------- *)
 
 let test_label_interning () =
@@ -330,43 +310,6 @@ let prop_reach_equals_bfs seed =
   done;
   !ok
 
-(* --- Wgraph ------------------------------------------------------------ *)
-
-let test_wgraph_dijkstra () =
-  let w = Wgraph.create 5 in
-  Wgraph.add_edge w 0 1 2;
-  Wgraph.add_edge w 1 2 2;
-  Wgraph.add_edge w 0 2 10;
-  Wgraph.add_edge w 2 3 1;
-  let d = Wgraph.dijkstra w 0 in
-  Alcotest.(check int) "d(2) via 1" 4 d.(2);
-  Alcotest.(check int) "d(3)" 5 d.(3);
-  Alcotest.(check int) "unreachable" (-1) d.(4);
-  let dr = Wgraph.dijkstra_rev w 3 in
-  Alcotest.(check int) "rev d(0)" 5 dr.(0)
-
-let test_wgraph_min_weight_kept () =
-  let w = Wgraph.create 2 in
-  Wgraph.add_edge w 0 1 5;
-  Wgraph.add_edge w 0 1 3;
-  Wgraph.add_edge w 0 1 7;
-  Alcotest.(check (option int)) "min kept" (Some 3) (Wgraph.weight w 0 1);
-  Alcotest.(check int) "single edge" 1 (Wgraph.edge_count w)
-
-let prop_dijkstra_unit_weights_is_bfs seed =
-  let rng = Prng.create seed in
-  let labels = [| Label.of_string "A" |] in
-  let n = 1 + Prng.int rng 30 in
-  let g =
-    Snapshot.of_digraph
-      (Generators.erdos_renyi rng ~n ~m:(Prng.int rng (3 * n)) (fun _ ->
-           (labels.(0), Attrs.empty)))
-  in
-  let w = Wgraph.create n in
-  Snapshot.iter_edges g (fun u v -> Wgraph.add_edge w u v 1);
-  let src = Prng.int rng n in
-  Wgraph.dijkstra w src = Distance.distances_from g src
-
 (* --- Generators --------------------------------------------------------- *)
 
 let test_generator_sizes () =
@@ -481,14 +424,10 @@ let qcheck_cases =
   [
     QCheck.Test.make ~count:100 ~name:"bitset model" QCheck.small_int (fun s ->
         prop_bitset_model (s + 1));
-    QCheck.Test.make ~count:100 ~name:"pqueue sorts" QCheck.small_int (fun s ->
-        prop_pqueue_sorts (s + 1));
     QCheck.Test.make ~count:50 ~name:"csr roundtrip" QCheck.small_int (fun s ->
         prop_csr_roundtrip (s + 1));
     QCheck.Test.make ~count:30 ~name:"reach = bfs" QCheck.small_int (fun s ->
         prop_reach_equals_bfs (s + 1));
-    QCheck.Test.make ~count:50 ~name:"dijkstra(1) = bfs" QCheck.small_int (fun s ->
-        prop_dijkstra_unit_weights_is_bfs (s + 1));
     QCheck.Test.make ~count:50 ~name:"graph io roundtrip" QCheck.small_int (fun s ->
         prop_io_roundtrip (s + 1));
   ]
@@ -513,7 +452,6 @@ let () =
           Alcotest.test_case "basics" `Quick test_bitset_basics;
           Alcotest.test_case "set ops" `Quick test_bitset_setops;
         ] );
-      ("pqueue", [ Alcotest.test_case "ordering" `Quick test_pqueue_order ]);
       ( "attrs",
         [
           Alcotest.test_case "label interning" `Quick test_label_interning;
@@ -536,11 +474,6 @@ let () =
           Alcotest.test_case "reverse ball symmetry" `Quick test_reverse_ball_symmetry;
           Alcotest.test_case "scc" `Quick test_scc;
           Alcotest.test_case "reach" `Quick test_reach;
-        ] );
-      ( "wgraph",
-        [
-          Alcotest.test_case "dijkstra" `Quick test_wgraph_dijkstra;
-          Alcotest.test_case "min weight" `Quick test_wgraph_min_weight_kept;
         ] );
       ( "generators",
         [

@@ -87,49 +87,6 @@ let prop_bfs_layers_monotone seed =
   (* order is reversed, so distances must be non-increasing *)
   non_decreasing !order
 
-(* --- shortest paths ------------------------------------------------------ *)
-
-(* Bellman-Ford reference for Wgraph.dijkstra. *)
-let bellman_ford w src =
-  let n = Wgraph.node_count w in
-  let dist = Array.make n max_int in
-  dist.(src) <- 0;
-  for _ = 1 to n do
-    Wgraph.iter_edges w (fun u v weight ->
-        if dist.(u) < max_int && dist.(u) + weight < dist.(v) then
-          dist.(v) <- dist.(u) + weight)
-  done;
-  Array.map (fun d -> if d = max_int then -1 else d) dist
-
-let random_wgraph rng =
-  let n = 1 + Prng.int rng 20 in
-  let w = Wgraph.create n in
-  for _ = 1 to Prng.int rng (3 * n) do
-    let u = Prng.int rng n and v = Prng.int rng n in
-    if u <> v then Wgraph.add_edge w u v (1 + Prng.int rng 9)
-  done;
-  w
-
-let prop_dijkstra_reference seed =
-  let rng = Prng.create seed in
-  let w = random_wgraph rng in
-  let src = Prng.int rng (Wgraph.node_count w) in
-  Wgraph.dijkstra w src = bellman_ford w src
-
-let prop_dijkstra_rev_is_transpose seed =
-  let rng = Prng.create seed in
-  let w = random_wgraph rng in
-  let src = Prng.int rng (Wgraph.node_count w) in
-  Wgraph.dijkstra_rev w src = Wgraph.dijkstra (Wgraph.transpose w) src
-
-let test_transpose_involution () =
-  let rng = Prng.create 3 in
-  let w = random_wgraph rng in
-  let t2 = Wgraph.transpose (Wgraph.transpose w) in
-  Alcotest.(check int) "edge count" (Wgraph.edge_count w) (Wgraph.edge_count t2);
-  Wgraph.iter_edges w (fun u v d ->
-      Alcotest.(check (option int)) "weight preserved" (Some d) (Wgraph.weight t2 u v))
-
 (* --- Distance vs reference ----------------------------------------------- *)
 
 let prop_distances_from_reference seed =
@@ -251,10 +208,6 @@ let qcheck_cases =
         prop_topological_respects_edges (s + 1));
     QCheck.Test.make ~count:60 ~name:"bfs layers monotone" QCheck.small_int (fun s ->
         prop_bfs_layers_monotone (s + 1));
-    QCheck.Test.make ~count:60 ~name:"dijkstra = bellman-ford" QCheck.small_int (fun s ->
-        prop_dijkstra_reference (s + 1));
-    QCheck.Test.make ~count:60 ~name:"dijkstra_rev = transpose" QCheck.small_int (fun s ->
-        prop_dijkstra_rev_is_transpose (s + 1));
     QCheck.Test.make ~count:60 ~name:"distances_from = bfs" QCheck.small_int (fun s ->
         prop_distances_from_reference (s + 1));
     QCheck.Test.make ~count:30 ~name:"Digraph distance instance = Csr instance"
@@ -270,7 +223,6 @@ let () =
           Alcotest.test_case "prng split" `Quick test_prng_split_independence;
           Alcotest.test_case "prng shuffle" `Quick test_prng_shuffle_is_permutation;
           Alcotest.test_case "attrs union" `Quick test_attrs_union_bias;
-          Alcotest.test_case "wgraph transpose" `Quick test_transpose_involution;
         ] );
       ( "csr",
         [

@@ -131,6 +131,16 @@ let test_profile_stage_tree () =
           Alcotest.(check bool)
             "refine nested under evaluate" true
             (Span.find ev "refine" <> None));
+        (* The rank span says how much work the top-K cutoff saved. *)
+        (match Span.find p.Engine.span "rank" with
+        | None -> Alcotest.fail "no rank span"
+        | Some r ->
+          Alcotest.(check (option string))
+            "pruned count on the rank span" (Some "0")
+            (List.assoc_opt "pruned" (Span.attrs r)));
+        Alcotest.(check (option int))
+          "both matches ranked" (Some 2)
+          (List.assoc_opt "ranking.ranked" p.Engine.counters);
         Alcotest.(check bool)
           "root duration is measurable" true
           (Span.duration_ms p.Engine.span >= 0.0);
