@@ -1,4 +1,4 @@
-.PHONY: all build test lint lint-mli lint-dsafe lint-dsafe-growth check replay-smoke soak-smoke prof-smoke topk-smoke bench bench-full bench-json bench-gate examples demo clean
+.PHONY: all build test lint lint-mli lint-dsafe lint-dsafe-growth check replay-smoke soak-smoke prof-smoke topk-smoke churn-smoke bench bench-full bench-json bench-gate examples demo clean
 
 EXE := _build/default/bin/expfinder.exe
 
@@ -71,8 +71,8 @@ lint-dsafe-growth:
 # a 2-domain execution model forced through every ?domains default (the
 # pool serving path, parallel evaluation and the writer-domain routing
 # all switch on), then the serving-path smokes — including the
-# parallel-vs-sequential replay differential — then a short top-K
-# benchmark run as a correctness smoke, and finally a soft
+# parallel-vs-sequential replay differential — then short top-K and
+# update-churn benchmark runs as correctness smokes, and finally a soft
 # perf-regression check against the committed baseline (warn-only here:
 # quick-mode medians are too noisy to block a merge on; run bench-gate
 # directly for a hard verdict).
@@ -85,6 +85,7 @@ check: lint lint-mli lint-dsafe lint-dsafe-growth
 	$(MAKE) --no-print-directory par-diff-smoke
 	$(MAKE) --no-print-directory prof-smoke
 	$(MAKE) --no-print-directory topk-smoke
+	$(MAKE) --no-print-directory churn-smoke
 	-@if [ -f BENCH_baseline.json ]; then $(MAKE) --no-print-directory bench-gate; fi
 
 # The full suite under a multicore execution model: EXPFINDER_DOMAINS=2
@@ -272,6 +273,14 @@ prof-smoke: build
 # Result_graph.build -> Ranking.top_k pipeline on a fresh graph copy.
 topk-smoke:
 	python3 perfbench/run.py --workload topk-cold --seed 1 --seconds 3 --trace 0
+
+# Incremental-maintenance correctness smoke: a short traced run of the
+# update-churn benchmark workload.  The run fails unless, after every
+# pass, the engine's registered reads and the shadow Incremental
+# kernels (which recompute without a published snapshot) equal direct
+# evaluation on the final graph.
+churn-smoke:
+	python3 perfbench/run.py --workload update-churn --seed 1 --seconds 3 --trace 1
 
 bench:
 	dune exec bench/main.exe

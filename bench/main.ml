@@ -675,8 +675,8 @@ let exp_ablation_area ~full =
     [ ("ball-closure", Incremental.Ball_closure); ("ancestors", Incremental.Ancestors) ];
   print_endline
     "  ball-closure stays tiny unless the update can enable a group of new matches;\n\
-    \  a group search past |V|/3 bails out to one dense batch run (area = |V|).\n\
-    \  ancestors always floods the reverse-reachable set and refines all of it"
+    \  a sync whose work passes the price of one dense run stops and recomputes\n\
+    \  (area = |V|).  ancestors always floods the reverse-reachable set and refines all of it"
 
 let exp_ablation_ball_index ~full =
   header "EXP-A4 (ablation): precomputed distance index for query workloads";

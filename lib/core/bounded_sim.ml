@@ -25,7 +25,7 @@ let effective_bound g = function
 (* maintained under removals via reverse balls.                         *)
 (* ------------------------------------------------------------------ *)
 
-let run_counters pattern g ~initial ~mutable_set =
+let run_counters ~work pattern g ~initial ~mutable_set =
   let n = Snapshot.node_count g in
   let sim = Match_relation.copy initial in
   let edge_array = Array.of_list (Pattern.edges pattern) in
@@ -90,6 +90,7 @@ let run_counters pattern g ~initial ~mutable_set =
   done;
   Counter.add m_removals !n_removals;
   Counter.add m_pops !n_pops;
+  Work.charge work (Distance.visits scratch);
   sim
 
 (* ------------------------------------------------------------------ *)
@@ -97,7 +98,7 @@ let run_counters pattern g ~initial ~mutable_set =
 (* Unbounded edges consult an SCC-based reachability oracle.            *)
 (* ------------------------------------------------------------------ *)
 
-let run_naive pattern g ~initial ~mutable_set =
+let run_naive ~work pattern g ~initial ~mutable_set =
   let sim = Match_relation.copy initial in
   let scratch = Distance.make_scratch g in
   let reach =
@@ -147,16 +148,20 @@ let run_naive pattern g ~initial ~mutable_set =
       List.iter (fun (u, v) -> Match_relation.remove sim u v) !victims
     end
   done;
+  Work.charge work (Distance.visits scratch);
   sim
 
-let run_constrained ?(strategy = default_strategy) pattern g ~initial ~mutable_set =
+let refine ~strategy ~work pattern g ~initial ~mutable_set =
   match strategy with
-  | Counters -> run_counters pattern g ~initial ~mutable_set
-  | Naive -> run_naive pattern g ~initial ~mutable_set
+  | Counters -> run_counters ~work pattern g ~initial ~mutable_set
+  | Naive -> run_naive ~work pattern g ~initial ~mutable_set
 
-let run ?(strategy = default_strategy) pattern g =
+let run_constrained ?(strategy = default_strategy) pattern g ~initial ~mutable_set =
+  refine ~strategy ~work:(Work.create ()) pattern g ~initial ~mutable_set
+
+let run ?(strategy = default_strategy) ?(work = Work.create ()) pattern g =
   let initial = Candidates.compute pattern g in
-  run_constrained ~strategy pattern g ~initial ~mutable_set:None
+  refine ~strategy ~work pattern g ~initial ~mutable_set:None
 
 let consistent pattern g m =
   let scratch = Distance.make_scratch g in

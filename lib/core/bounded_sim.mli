@@ -24,7 +24,10 @@ type strategy = Naive | Counters
 
 val default_strategy : strategy
 
-val run : ?strategy:strategy -> Pattern.t -> Snapshot.t -> Match_relation.t
+val run :
+  ?strategy:strategy -> ?work:Work.t -> Pattern.t -> Snapshot.t -> Match_relation.t
+(** Bounded-simulation kernel from scratch.  [?work] is charged with the
+    BFS node visits of the refinement ({!Distance.visits}). *)
 
 val run_constrained :
   ?strategy:strategy ->

@@ -28,7 +28,7 @@ let index_edges pattern =
 (* Dense path (batch): counters for every node, O(|Q|·|G|).             *)
 (* ------------------------------------------------------------------ *)
 
-let run_dense pattern g ~initial =
+let run_dense ?(work = Work.create ()) pattern g ~initial =
   let n = Snapshot.node_count g in
   let sim = Match_relation.copy initial in
   let idx = index_edges pattern in
@@ -48,6 +48,8 @@ let run_dense pattern g ~initial =
   (* Counted locally and flushed once: the gated-counter check stays out
      of the refinement hot path. *)
   let n_removals = ref 0 and n_pops = ref 0 in
+  (* Work: every adjacency entry scanned, the counting pass included. *)
+  let scanned = ref (ne * Snapshot.edge_count g) in
   let remove u v =
     incr n_removals;
     Match_relation.remove sim u v;
@@ -70,6 +72,7 @@ let run_dense pattern g ~initial =
       (fun e ->
         let u, _, _ = idx.edge_array.(e) in
         let row = cnt.(e) in
+        scanned := !scanned + Snapshot.in_degree g w;
         Snapshot.iter_pred g w (fun p ->
             row.(p) <- row.(p) - 1;
             if row.(p) = 0 && Match_relation.mem sim u p then remove u p))
@@ -77,6 +80,7 @@ let run_dense pattern g ~initial =
   done;
   Counter.add m_removals !n_removals;
   Counter.add m_pops !n_pops;
+  Work.charge work !scanned;
   sim
 
 (* The sparse path (only nodes of [area] may be removed, counters exist
@@ -89,9 +93,9 @@ let run_constrained pattern g ~initial ~mutable_set =
   | None -> run_dense pattern g ~initial
   | Some area -> Snap_refine.simulation pattern g ~initial ~area
 
-let run pattern g =
+let run ?work pattern g =
   let initial = Candidates.compute pattern g in
-  run_dense pattern g ~initial
+  run_dense ?work pattern g ~initial
 
 let consistent pattern g m =
   let ok = ref true in

@@ -17,8 +17,9 @@ open Expfinder_pattern
     {!Match_relation.is_total}.  Edge bounds are ignored; callers
     dispatch on {!Pattern.is_simulation_pattern}. *)
 
-val run : Pattern.t -> Snapshot.t -> Match_relation.t
-(** Simulation kernel from scratch. *)
+val run : ?work:Work.t -> Pattern.t -> Snapshot.t -> Match_relation.t
+(** Simulation kernel from scratch.  [?work] is charged with every
+    adjacency entry the refinement scans. *)
 
 val run_constrained :
   Pattern.t ->

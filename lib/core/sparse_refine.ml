@@ -28,7 +28,7 @@ module Make (G : Graph_intf.GRAPH) = struct
       edge_array;
     { edge_array; out_of; in_of }
 
-  let simulation pattern g ~initial ~area =
+  let simulation ?(work = Work.create ()) pattern g ~initial ~area =
     let n = G.node_count g in
     let sim = Match_relation.copy initial in
     let idx = index_edges pattern in
@@ -38,6 +38,7 @@ module Make (G : Graph_intf.GRAPH) = struct
     let key e v = (e * n) + v in
     Bitset.iter
       (fun v ->
+        Work.charge work (ne * G.out_degree g v);
         for e = 0 to ne - 1 do
           let _, u', _ = idx.edge_array.(e) in
           let target = Match_relation.matches_set sim u' in
@@ -72,6 +73,7 @@ module Make (G : Graph_intf.GRAPH) = struct
       List.iter
         (fun e ->
           let u, _, _ = idx.edge_array.(e) in
+          Work.charge work (G.in_degree g w);
           G.iter_pred g w (fun p ->
               match Hashtbl.find_opt cnt (key e p) with
               | None -> () (* p outside the area: frozen *)
@@ -84,7 +86,7 @@ module Make (G : Graph_intf.GRAPH) = struct
     Counter.add m_pops !n_pops;
     sim
 
-  let bounded pattern g ~initial ~area =
+  let bounded ?(work = Work.create ()) pattern g ~initial ~area =
     if Pattern.has_unbounded_edge pattern then
       invalid_arg "Sparse_refine.bounded: unbounded pattern edge";
     let n = G.node_count g in
@@ -103,6 +105,13 @@ module Make (G : Graph_intf.GRAPH) = struct
     let cnt : (int, int) Hashtbl.t = Hashtbl.create 256 in
     let key e v = (e * n) + v in
     let scratch = Dist.make_scratch g in
+    (* Work: the BFS visits, charged after each ball. *)
+    let charged = ref 0 in
+    let charge_visits () =
+      let visits = Dist.visits scratch in
+      Work.charge work (visits - !charged);
+      charged := visits
+    in
     let counts = Array.make (max ne 1) 0 in
     Counter.add m_balls (Bitset.cardinal area);
     Bitset.iter
@@ -116,6 +125,7 @@ module Make (G : Graph_intf.GRAPH) = struct
                   counts.(e) <- counts.(e) + 1
               end
             done);
+        charge_visits ();
         for e = 0 to ne - 1 do
           Hashtbl.replace cnt (key e v) counts.(e)
         done)
@@ -156,7 +166,8 @@ module Make (G : Graph_intf.GRAPH) = struct
                     let u, _, _ = idx.edge_array.(e) in
                     Hashtbl.replace cnt (key e p) (c - 1);
                     if c - 1 = 0 && Match_relation.mem sim u p then remove u p)
-              incoming)
+              incoming);
+        charge_visits ()
     done;
     Counter.add m_removals !n_removals;
     Counter.add m_pops !n_pops;

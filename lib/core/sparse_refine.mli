@@ -9,10 +9,16 @@ open Expfinder_pattern
     for area nodes, so the cost is proportional to the area (and, for
     bounded patterns, to the dependency balls of its nodes), never to
     |G|.  Batch evaluation keeps its dense engines in {!Simulation} and
-    {!Bounded_sim}. *)
+    {!Bounded_sim}.
+
+    [?work] is charged as the refinement goes — adjacency entries
+    scanned by {!simulation}, BFS node visits by {!bounded}, the same
+    units as the dense engines — and a meter with a limit stops the
+    refinement with {!Work.Exhausted} once the limit is passed. *)
 
 module Make (G : Graph_intf.GRAPH) : sig
   val simulation :
+    ?work:Work.t ->
     Pattern.t ->
     G.t ->
     initial:Match_relation.t ->
@@ -21,6 +27,7 @@ module Make (G : Graph_intf.GRAPH) : sig
   (** Simulation constraints (bounds ignored; caller dispatches). *)
 
   val bounded :
+    ?work:Work.t ->
     Pattern.t ->
     G.t ->
     initial:Match_relation.t ->

@@ -776,7 +776,15 @@ let apply_updates_locked t updates =
   let t_apply = now_us () in
   let effective = Update.apply_batch_filtered t.g updates in
   Counter.add m_updates_effective (List.length effective);
-  if effective <> [] then begin
+  if effective = [] then
+    (* Nothing changed: the epoch, the cache and every maintained
+       structure stay as they are. *)
+    ( List.map
+        (fun _ ->
+          { Incremental.effective = 0; area = 0; iterations = 0; added = []; removed = [] })
+        (with_maint t (fun () -> t.registered)),
+      0 )
+  else begin
     let inserts_node =
       List.exists (function Update.Insert_node _ -> true | _ -> false) effective
     in
@@ -804,29 +812,32 @@ let apply_updates_locked t updates =
     (* Publication lag: how long readers were pinned to the stale
        snapshot, from ΔG application to the epoch store above. *)
     Histogram.observe t.cm.h_publish_lag ((now_us () -. t_apply) /. 1000.0);
-    Gauge.set t.cm.g_staleness 0
-  end;
-  (* Results for old epochs are unreachable (keys include the identity),
-     but drop them eagerly to keep the cache useful. *)
-  Cache.clear t.cache;
-  let published = Atomic.get t.snap in
-  (* Sync the maintained structures under the maintenance lock; readers
-     mid-fast-path are waited for, later readers skip the fast path
-     until the lock frees. *)
-  with_maint t (fun () ->
-      Option.iter
-        (fun inc ->
-          ignore
-            (Inc_compress.sync inc ~snapshot:published
-               ~effective:(List.length effective) effective
-              : Inc_compress.report))
-        t.compressed;
-      Log.debug (fun m ->
-          m "apply_updates: %d effective -> %a, %d registered queries, compression %s"
-            (List.length effective) Snapshot.pp_id published (List.length t.registered)
-            (if t.compressed = None then "off" else "maintained"));
-      ( List.map (fun (_, inc) -> Incremental.sync_applied inc ~effective) t.registered,
-        List.length effective ))
+    Gauge.set t.cm.g_staleness 0;
+    (* Results for old epochs are unreachable (keys include the
+       identity), but drop them eagerly to keep the cache useful. *)
+    Cache.clear t.cache;
+    let published = Atomic.get t.snap in
+    (* Sync the maintained structures under the maintenance lock;
+       readers mid-fast-path are waited for, later readers skip the fast
+       path until the lock frees.  A registered query that recomputes
+       evaluates on [published] rather than building its own CSR. *)
+    with_maint t (fun () ->
+        Option.iter
+          (fun inc ->
+            ignore
+              (Inc_compress.sync inc ~snapshot:published
+                 ~effective:(List.length effective) effective
+                : Inc_compress.report))
+          t.compressed;
+        Log.debug (fun m ->
+            m "apply_updates: %d effective -> %a, %d registered queries, compression %s"
+              (List.length effective) Snapshot.pp_id published (List.length t.registered)
+              (if t.compressed = None then "off" else "maintained"));
+        ( List.map
+            (fun (_, inc) -> Incremental.sync_applied ~published inc ~effective)
+            t.registered,
+          List.length effective ))
+  end
 
 let apply_updates_inner t updates =
   Mutex.lock t.writer;

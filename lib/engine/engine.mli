@@ -167,7 +167,12 @@ val apply_updates : ?trace:Trace.ctx -> t -> Update.t list -> Incremental.report
     [engine.snapshot_advances]), sharing the node tables physically.
     Batches that insert nodes, or whose net delta exceeds a quarter of
     the edge count, fall back to a full rebuild
-    ([engine.snapshot_rebuilds]). *)
+    ([engine.snapshot_rebuilds]).
+
+    A batch with no effective update (every insertion already present,
+    every deletion already absent) changes nothing: the epoch, the cache,
+    the compressed graph and the registered kernels are left as they
+    are, and every report says [effective = 0]. *)
 
 val last_profile : t -> profile option
 (** The profile of the most recent traced query ({!evaluate} or

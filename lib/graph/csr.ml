@@ -149,17 +149,14 @@ let patched t ~source_version ~added ~removed =
   in
   List.iter check_pair added;
   List.iter check_pair removed;
-  let removed_set = Hashtbl.create (max 1 (2 * List.length removed)) in
-  List.iter (fun e -> Hashtbl.replace removed_set e ()) removed;
-  let bucket tbl k x =
-    Hashtbl.replace tbl k (x :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
-  in
-  let count tbl k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
   (* Added/removed lists come from [Update.net_edge_changes]-style net
      deltas: each added edge must be absent from [t], each removed edge
      present, and no pair may appear twice.  Degrees are computed from
-     the delta counts, so a violated precondition is caught below when
-     the skip count disagrees. *)
+     the delta, so a violated precondition is caught below when a row's
+     skip count disagrees. *)
+  let bucket tbl k x =
+    Hashtbl.replace tbl k (x :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
+  in
   let add_out = Hashtbl.create 16 and add_in = Hashtbl.create 16 in
   List.iter
     (fun (u, v) ->
@@ -169,63 +166,65 @@ let patched t ~source_version ~added ~removed =
   let del_out = Hashtbl.create 16 and del_in = Hashtbl.create 16 in
   List.iter
     (fun (u, v) ->
-      count del_out u;
-      count del_in v)
+      bucket del_out u v;
+      bucket del_in v u)
     removed;
   let m = t.m + List.length added - List.length removed in
   if m < 0 then invalid_arg "Csr.patched: more removals than edges";
-  let deg tbl_add tbl_del old v =
-    let adds = match Hashtbl.find_opt tbl_add v with None -> 0 | Some l -> List.length l in
-    let dels = Option.value ~default:0 (Hashtbl.find_opt tbl_del v) in
-    let d = old + adds - dels in
-    if d < 0 then invalid_arg "Csr.patched: removed edge not present";
-    d
+  let delta tbl v = match Hashtbl.find_opt tbl v with None -> 0 | Some l -> List.length l in
+  (* One direction: rows without a deletion are copied whole, the few
+     with one are filtered against that row's deletions; insertions are
+     appended. *)
+  let patch_rows ~old_offsets ~old_cells ~adds ~dels =
+    let offsets = Array.make (n + 1) 0 in
+    for v = 0 to n - 1 do
+      let d = old_offsets.(v + 1) - old_offsets.(v) + delta adds v - delta dels v in
+      if d < 0 then invalid_arg "Csr.patched: removed edge not present";
+      offsets.(v + 1) <- offsets.(v) + d
+    done;
+    let cells = Array.make (max m 1) 0 in
+    for v = 0 to n - 1 do
+      let lo = old_offsets.(v) and hi = old_offsets.(v + 1) in
+      let pos =
+        match Hashtbl.find_opt dels v with
+        | None ->
+          Array.blit old_cells lo cells offsets.(v) (hi - lo);
+          offsets.(v) + hi - lo
+        | Some gone ->
+          let present = ref 0 in
+          for i = lo to hi - 1 do
+            if List.mem old_cells.(i) gone then incr present
+          done;
+          if !present <> List.length gone then
+            invalid_arg "Csr.patched: removed edge not present";
+          let pos = ref offsets.(v) in
+          for i = lo to hi - 1 do
+            let w = old_cells.(i) in
+            if not (List.mem w gone) then begin
+              cells.(!pos) <- w;
+              incr pos
+            end
+          done;
+          !pos
+      in
+      let pos =
+        List.fold_left
+          (fun pos w ->
+            cells.(pos) <- w;
+            pos + 1)
+          pos
+          (Option.value ~default:[] (Hashtbl.find_opt adds v))
+      in
+      if pos <> offsets.(v + 1) then invalid_arg "Csr.patched: inconsistent delta"
+    done;
+    (offsets, cells)
   in
-  let fwd_offsets = Array.make (n + 1) 0 in
-  let rev_offsets = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    fwd_offsets.(v + 1) <- fwd_offsets.(v) + deg add_out del_out (out_degree t v) v;
-    rev_offsets.(v + 1) <- rev_offsets.(v) + deg add_in del_in (in_degree t v) v
-  done;
-  let fwd_targets = Array.make (max m 1) 0 in
-  let rev_sources = Array.make (max m 1) 0 in
-  let skipped = ref 0 in
-  let pos = ref 0 in
-  for v = 0 to n - 1 do
-    if !pos <> fwd_offsets.(v) then invalid_arg "Csr.patched: inconsistent delta";
-    iter_succ t v (fun w ->
-        if Hashtbl.mem removed_set (v, w) then incr skipped
-        else begin
-          fwd_targets.(!pos) <- w;
-          incr pos
-        end);
-    match Hashtbl.find_opt add_out v with
-    | None -> ()
-    | Some ws ->
-      List.iter
-        (fun w ->
-          fwd_targets.(!pos) <- w;
-          incr pos)
-        ws
-  done;
-  if !skipped <> List.length removed then
-    invalid_arg "Csr.patched: removed edge not present";
-  pos := 0;
-  for v = 0 to n - 1 do
-    iter_pred t v (fun u ->
-        if not (Hashtbl.mem removed_set (u, v)) then begin
-          rev_sources.(!pos) <- u;
-          incr pos
-        end);
-    match Hashtbl.find_opt add_in v with
-    | None -> ()
-    | Some us ->
-      List.iter
-        (fun u ->
-          rev_sources.(!pos) <- u;
-          incr pos)
-        us
-  done;
+  let fwd_offsets, fwd_targets =
+    patch_rows ~old_offsets:t.fwd_offsets ~old_cells:t.fwd_targets ~adds:add_out ~dels:del_out
+  in
+  let rev_offsets, rev_sources =
+    patch_rows ~old_offsets:t.rev_offsets ~old_cells:t.rev_sources ~adds:add_in ~dels:del_in
+  in
   {
     n;
     m;

@@ -5,6 +5,7 @@ module Make (G : GRAPH) = struct
     dist : int array;
     queue : int array;
     mutable visited : int Vec.t;
+    mutable visits : int; (* nodes reached over the scratch's lifetime *)
   }
 
   let make_scratch g =
@@ -13,9 +14,15 @@ module Make (G : GRAPH) = struct
       dist = Array.make (max n 1) (-1);
       queue = Array.make (max n 1) 0;
       visited = Vec.create ~capacity:64 ~dummy:(-1) ();
+      visits = 0;
     }
 
+  let visits s = s.visits
+
+  (* Runs after every search, normal or not: the visited list doubles as
+     the visit count. *)
   let reset s =
+    s.visits <- s.visits + Vec.length s.visited;
     Vec.iter (fun v -> s.dist.(v) <- -1) s.visited;
     Vec.clear s.visited
 

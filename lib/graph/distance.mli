@@ -17,6 +17,11 @@ module Make (G : Graph_intf.GRAPH) : sig
 
   val make_scratch : G.t -> scratch
 
+  val visits : scratch -> int
+  (** Nodes reached by every search run on this scratch so far (each
+      search counts each node it reaches once) — the BFS unit of
+      {!Work}. *)
+
   val ball : scratch -> G.t -> int -> int -> (int -> int -> unit) -> unit
   (** [ball s g v k f] calls [f w d] for every [w] with a nonempty path of
       length [d <= k] from [v] ([v] itself is reported only when it lies
@@ -44,6 +49,8 @@ end
 type scratch
 
 val make_scratch : Snapshot.t -> scratch
+
+val visits : scratch -> int
 
 val ball : scratch -> Snapshot.t -> int -> int -> (int -> int -> unit) -> unit
 

@@ -5,6 +5,7 @@ open Expfinder_telemetry
 
 let m_syncs = Metrics.counter "incremental.syncs"
 
+(* Syncs that ended in a dense recomputation, by route or by abort. *)
 let m_floods = Metrics.counter "incremental.floods"
 
 let m_area = Metrics.counter "incremental.area_nodes"
@@ -24,6 +25,11 @@ module DRefine = Sparse_refine.Make (Digraph)
 
 type area_strategy = Ball_closure | Ancestors
 
+(* A sparse attempt: the work it spent after seeding, its seeded area,
+   and whether it reached the fixpoint (otherwise the work is a lower
+   bound). *)
+type attempt = { rest_work : int; seed_area : int; completed : bool }
+
 type t = {
   pattern : Pattern.t;
   strategy : area_strategy;
@@ -32,6 +38,8 @@ type t = {
   mutable kernel : Match_relation.t;
   mutable scratch : DDist.scratch;
   mutable scratch_n : int;
+  mutable price : int; (* work of the last dense evaluation, CSR build excluded *)
+  mutable recent : attempt list; (* the last two sparse attempts, newest first *)
 }
 
 type report = {
@@ -42,12 +50,39 @@ type report = {
   removed : (int * int) list;
 }
 
-let evaluate pattern csr =
-  if Pattern.is_simulation_pattern pattern then Simulation.run pattern csr
-  else Bounded_sim.run pattern csr
+(* The sparse engines pay more per unit of work than the dense ones:
+   hashtable counters instead of arrays, and adjacency read from the
+   live digraph instead of a CSR.  One sparse unit (a BFS visit or an
+   adjacency entry scanned on the digraph) costs this many dense units;
+   measured in DESIGN.md §Incremental. *)
+let sparse_unit_cost = 2
+
+(* A dense evaluation and its work. *)
+let evaluate_dense pattern snap =
+  let work = Work.create () in
+  let kernel =
+    if Pattern.is_simulation_pattern pattern then Simulation.run ~work pattern snap
+    else Bounded_sim.run ~work pattern snap
+  in
+  (kernel, Work.spent work)
+
+let refresh_scratch t =
+  if Digraph.node_count t.g > t.scratch_n then begin
+    t.scratch <- DDist.make_scratch t.g;
+    t.scratch_n <- Digraph.node_count t.g
+  end
+
+(* Recompute on [snap], a snapshot of the tracked graph at its current
+   version; the work becomes the price of the next recompute. *)
+let recompute_on t snap =
+  let kernel, price = evaluate_dense t.pattern snap in
+  t.kernel <- kernel;
+  t.price <- price;
+  t.expected_version <- Digraph.version t.g;
+  refresh_scratch t
 
 let create ?(area_strategy = Ball_closure) pattern g =
-  let kernel = evaluate pattern (Snapshot.of_digraph g) in
+  let kernel, price = evaluate_dense pattern (Snapshot.of_digraph g) in
   {
     pattern;
     strategy = area_strategy;
@@ -56,6 +91,8 @@ let create ?(area_strategy = Ball_closure) pattern g =
     kernel;
     scratch = DDist.make_scratch g;
     scratch_n = Digraph.node_count g;
+    price;
+    recent = [];
   }
 
 let pattern t = t.pattern
@@ -71,32 +108,27 @@ let version t = t.expected_version
 
 let snapshot t = Snapshot.of_digraph t.g
 
-let refresh_scratch t =
-  if Digraph.node_count t.g > t.scratch_n then begin
-    t.scratch <- DDist.make_scratch t.g;
-    t.scratch_n <- Digraph.node_count t.g
-  end
-
-let recompute t =
-  t.kernel <- evaluate t.pattern (Snapshot.of_digraph t.g);
-  t.expected_version <- Digraph.version t.g;
-  refresh_scratch t
+let recompute t = recompute_on t (Snapshot.of_digraph t.g)
 
 let resize_kernel kernel ~pattern_size ~new_n =
   if Match_relation.graph_size kernel = new_n then Match_relation.copy kernel
   else
     Match_relation.of_pairs ~pattern_size ~graph_size:new_n (Match_relation.pairs kernel)
 
-let diff_relations before after =
+(* The pairs [after] adds to and removes from [before], each list ordered
+   by pattern node, then data node.  [iter_nodes] must visit, in
+   ascending order, every data node whose pairs may differ. *)
+let diff_relations ~iter_nodes before after =
   let added = ref [] and removed = ref [] in
-  let psize = Match_relation.pattern_size after in
-  for u = psize - 1 downto 0 do
-    List.iter
-      (fun v -> if not (Match_relation.mem before u v) then added := (u, v) :: !added)
-      (List.rev (Match_relation.matches after u));
-    List.iter
-      (fun v -> if not (Match_relation.mem after u v) then removed := (u, v) :: !removed)
-      (List.rev (Match_relation.matches before u))
+  for u = Match_relation.pattern_size after - 1 downto 0 do
+    let a = ref [] and r = ref [] in
+    iter_nodes (fun v ->
+        match (Match_relation.mem before u v, Match_relation.mem after u v) with
+        | false, true -> a := (u, v) :: !a
+        | true, false -> r := (u, v) :: !r
+        | _ -> ());
+    added := List.rev_append !a !added;
+    removed := List.rev_append !r !removed
   done;
   (!added, !removed)
 
@@ -189,7 +221,7 @@ let new_ancestors g srcs f =
 (* Maintenance                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let refine_over_area pattern g old_kernel area =
+let refine_over_area ~work pattern g old_kernel area =
   let psize = Pattern.size pattern in
   let initial = Match_relation.copy old_kernel in
   Bitset.iter
@@ -201,8 +233,22 @@ let refine_over_area pattern g old_kernel area =
       done)
     area;
   if Pattern.is_simulation_pattern pattern then
-    DRefine.simulation pattern g ~initial ~area
-  else DRefine.bounded pattern g ~initial ~area
+    DRefine.simulation ~work pattern g ~initial ~area
+  else DRefine.bounded ~work pattern g ~initial ~area
+
+(* How a sync kept the kernel up to date. *)
+type route =
+  | Sparse (* the area refinement ran to its fixpoint *)
+  | Recompute (* predicted dearer than a dense run, so recomputed at once *)
+  | Aborted (* spent more than a dense run mid-way, then recomputed *)
+
+let route_name = function Sparse -> "sparse" | Recompute -> "recompute" | Aborted -> "aborted"
+
+(* How a ball-closure sync ended. *)
+type closure =
+  | Closed of { kernel : Match_relation.t; area : Bitset.t; rounds : int }
+  | Dearer (* the prediction passed the budget: no refinement ran *)
+  | Abandoned (* the work passed the budget during refinement *)
 
 (* Change-driven maintenance (the shape of the SIGMOD'11 algorithms):
 
@@ -217,26 +263,27 @@ let refine_over_area pattern g old_kernel area =
       membership change escapes the area.
 
    At the fixpoint every frozen pair is justified, so the result is
-   exactly M(Q, G ⊕ ΔG). *)
-exception Flood
+   exactly M(Q, G ⊕ ΔG).
 
-let sync_ball_closure t ~old_kernel ~old_n ~effective_count ~patch ~inserted ~deleted =
+   Incremental (bounded) simulation is unbounded in the worst case
+   (SIGMOD'11), so the whole sync runs on [work], whose limit is the
+   price of a dense recompute.  Seeding (step 1) is BFS only; its work
+   and area predict the rest.  A prediction above the limit ends the
+   sync before the group search and refinement start; otherwise they run
+   until the fixpoint or until the meter passes the limit.  Returns the
+   outcome and the prediction. *)
+let sync_ball_closure t ~old_kernel ~old_n ~patch ~inserted ~deleted ~work =
   let g = t.g in
   let pattern = t.pattern in
   let psize = Pattern.size pattern in
   let new_n = Digraph.node_count g in
   let kmax = Option.value ~default:1 (Pattern.max_bound pattern) in
   let area = Bitset.create new_n in
-  (* Incremental (bounded) simulation is unbounded in the worst case
-     (SIGMOD'11): the group search can flood a large unmatched-candidate
-     region, where the sparse engines cost more than one dense batch
-     run.  Cap the area and fall back to recomputation beyond it. *)
-  let flood_budget = max 64 (new_n / 3) in
-  let area_size = ref 0 in
-  let grow v =
-    Bitset.add area v;
-    incr area_size;
-    if !area_size > flood_budget then raise Flood
+  let charged = ref (DDist.visits t.scratch) in
+  let charge_visits () =
+    let visits = DDist.visits t.scratch in
+    Work.charge work (visits - !charged);
+    charged := visits
   in
   (* A node is "uncertain" when it could still join the kernel: it
      qualifies for some pattern node it does not yet match.  Uncertain
@@ -258,7 +305,7 @@ let sync_ball_closure t ~old_kernel ~old_n ~effective_count ~patch ~inserted ~de
   (* Plain inclusion: the node's membership will be re-derived, but no
      group search starts from it. *)
   let consider v =
-    if (not (Bitset.mem area v)) && is_candidate pattern g v then grow v
+    if (not (Bitset.mem area v)) && is_candidate pattern g v then Bitset.add area v
   in
   (* Inclusion with forward expansion: an uncertain node here may belong
      to an insertion-enabled mutual group, whose other members lie in its
@@ -266,87 +313,134 @@ let sync_ball_closure t ~old_kernel ~old_n ~effective_count ~patch ~inserted ~de
   let pending = Queue.create () in
   let consider_expanding v =
     if is_candidate pattern g v && not (Bitset.mem area v) then begin
-      grow v;
+      Bitset.add area v;
       Queue.add v pending
     end
   in
   let drain_forward () =
     while not (Queue.is_empty pending) do
       let v = Queue.pop pending in
-      if uncertain v then DDist.ball t.scratch g v kmax (fun w _ -> consider_expanding w)
+      if uncertain v then begin
+        DDist.ball t.scratch g v kmax (fun w _ -> consider_expanding w);
+        charge_visits ()
+      end
     done
   in
   (* Seeds: dependency balls that can contain a changed edge.  Insertions
      can create matches — including mutually supporting groups, which
      must contain either a seed (the inserted edge lies in its ball) or a
      node downstream of the edge's target — so insertion seeds expand
-     forward.  Deletions only remove matches; removal cascades are
-     well-founded and handled by the backward growth alone. *)
-  List.iter
-    (fun (a, b) ->
-      consider_expanding a;
-      consider_expanding b;
-      if kmax > 1 then
-        DDist.reverse_ball t.scratch g a (kmax - 1) (fun v _ -> consider_expanding v))
-    inserted;
-  List.iter
-    (fun (a, _) ->
-      consider a;
-      if kmax > 1 then old_reverse_ball g patch a (kmax - 1) (fun v _ -> consider v))
-    deleted;
-  for v = old_n to new_n - 1 do
-    consider_expanding v
-  done;
-  drain_forward ();
-  let iterations = ref 0 in
-  let result = ref old_kernel in
-  let continue = ref true in
-  while !continue do
-    incr iterations;
-    let refined = refine_over_area pattern g old_kernel area in
-    result := refined;
-    let before = Bitset.cardinal area in
-    (* Constraints are checked on the new graph, so a changed membership
-       (either direction) can only influence the candidates within kmax
-       hops upstream in the new graph: a lost witness matters to v only
-       while it still lies in v's current ball, and a gained witness only
-       through a current path. *)
-    let changed = Hashtbl.create 16 in
-    for u = 0 to psize - 1 do
-      List.iter
-        (fun v ->
-          if not (Match_relation.mem old_kernel u v) then Hashtbl.replace changed v ())
-        (Match_relation.matches refined u);
-      List.iter
-        (fun v -> if not (Match_relation.mem refined u v) then Hashtbl.replace changed v ())
-        (Match_relation.matches old_kernel u)
-    done;
-    (* Backward-pulled nodes are re-derived but need no group search: any
-       undiscovered group has its own seed or edge-target entry point. *)
-    Hashtbl.iter
-      (fun w () -> DDist.reverse_ball t.scratch g w kmax (fun p _ -> consider p))
-      changed;
-    continue := Bitset.cardinal area <> before
-  done;
-  let kernel = !result in
-  let added, removed = diff_relations old_kernel kernel in
-  t.kernel <- kernel;
-  t.expected_version <- Digraph.version g;
-  Log.debug (fun m ->
-      m "ball-closure sync: %d updates, area %d/%d, %d rounds, +%d/-%d pairs"
-        effective_count (Bitset.cardinal area) new_n !iterations (List.length added)
-        (List.length removed));
-  {
-    effective = effective_count;
-    area = Bitset.cardinal area;
-    iterations = !iterations;
-    added;
-    removed;
-  }
+     forward (in [drain_forward], the first step of the sparse path).
+     Deletions only remove matches; removal cascades are well-founded
+     and handled by the backward growth alone. *)
+  let seed () =
+    List.iter
+      (fun (a, b) ->
+        consider_expanding a;
+        consider_expanding b;
+        if kmax > 1 then begin
+          DDist.reverse_ball t.scratch g a (kmax - 1) (fun v _ -> consider_expanding v);
+          charge_visits ()
+        end)
+      inserted;
+    List.iter
+      (fun (a, _) ->
+        consider a;
+        if kmax > 1 then
+          old_reverse_ball g patch a (kmax - 1) (fun v _ ->
+              Work.charge work 1;
+              consider v))
+      deleted;
+    for v = old_n to new_n - 1 do
+      consider_expanding v
+    done
+  in
+  match seed () with
+  | exception Work.Exhausted -> (Dearer, Work.spent work)
+  | () ->
+    let seed_work = Work.spent work and seed_area = Bitset.cardinal area in
+    (* The rest is guessed from each of the query's last two sparse
+       attempts at its work per seeded node, which folds in both the
+       work per area node and the growth over rounds.  A completed
+       attempt gives an estimate, an abandoned one a lower bound; while
+       there are fewer than two attempts, the seeding's own work is an
+       estimate too.  The smallest estimate wins unless the largest
+       bound is smaller: one flood among ordinary updates does not
+       decide alone, two abandoned attempts do. *)
+    let guess a = seed_area * a.rest_work / a.seed_area in
+    let completed, abandoned = List.partition (fun a -> a.completed) t.recent in
+    let estimate =
+      List.fold_left
+        (fun best a -> min best (guess a))
+        (if List.compare_length_with t.recent 2 < 0 then seed_work else max_int)
+        completed
+    and bound =
+      match abandoned with
+      | [] -> max_int
+      | a :: rest -> List.fold_left (fun worst a -> max worst (guess a)) (guess a) rest
+    in
+    let predicted = seed_work + min estimate bound in
+    if predicted > Work.limit work then (Dearer, predicted)
+    else begin
+      let rounds = ref 0 in
+      let refine () =
+        drain_forward ();
+        let result = ref old_kernel and continue = ref true in
+        while !continue do
+          incr rounds;
+          let refined = refine_over_area ~work pattern g old_kernel area in
+          result := refined;
+          let before = Bitset.cardinal area in
+          (* Constraints are checked on the new graph, so a changed
+             membership (either direction) can only influence the
+             candidates within kmax hops upstream in the new graph: a
+             lost witness matters to v only while it still lies in v's
+             current ball, and a gained witness only through a current
+             path.  Only area nodes can have changed. *)
+          let changed = ref [] in
+          Bitset.iter
+            (fun v ->
+              let rec differs u =
+                u < psize
+                && (Match_relation.mem refined u v <> Match_relation.mem old_kernel u v
+                   || differs (u + 1))
+              in
+              if differs 0 then changed := v :: !changed)
+            area;
+          (* Backward-pulled nodes are re-derived but need no group
+             search: any undiscovered group has its own seed or
+             edge-target entry point. *)
+          List.iter
+            (fun w ->
+              DDist.reverse_ball t.scratch g w kmax (fun p _ -> consider p);
+              charge_visits ())
+            !changed;
+          continue := Bitset.cardinal area <> before
+        done;
+        !result
+      in
+      let outcome =
+        match refine () with
+        | kernel -> Closed { kernel; area; rounds = !rounds }
+        | exception Work.Exhausted -> Abandoned
+      in
+      (* An empty seed says nothing about the work per seeded node. *)
+      if seed_area > 0 then begin
+        let attempt =
+          {
+            rest_work = Work.spent work - seed_work;
+            seed_area;
+            completed = (match outcome with Closed _ -> true | _ -> false);
+          }
+        in
+        t.recent <- (match t.recent with last :: _ -> [ attempt; last ] | [] -> [ attempt ])
+      end;
+      (outcome, predicted)
+    end
 
 (* Conservative baseline (ablation EXP-A3): the affected area is the full
    ancestor set of every touched source, in the old and new graphs. *)
-let sync_ancestors t ~old_kernel ~old_n ~effective_count ~patch ~inserted ~deleted =
+let sync_ancestors t ~old_kernel ~old_n ~patch ~inserted ~deleted ~work =
   let g = t.g in
   let new_n = Digraph.node_count g in
   let area = Bitset.create new_n in
@@ -356,75 +450,123 @@ let sync_ancestors t ~old_kernel ~old_n ~effective_count ~patch ~inserted ~delet
   for v = old_n to new_n - 1 do
     Bitset.add area v
   done;
-  let kernel = refine_over_area t.pattern g old_kernel area in
-  let added, removed = diff_relations old_kernel kernel in
-  t.kernel <- kernel;
-  t.expected_version <- Digraph.version g;
-  {
-    effective = effective_count;
-    area = Bitset.cardinal area;
-    iterations = 1;
-    added;
-    removed;
-  }
+  (refine_over_area ~work t.pattern g old_kernel area, area)
+
+type outcome = {
+  report : report;
+  route : route;
+  price : int;
+  predicted : int;
+  spent : int; (* work of the sparse path, in dense units *)
+}
 
 (* Maintenance after [effective] was already applied to the tracked
    digraph. *)
-let sync_applied_untraced t ~effective =
+let sync_applied_untraced ?published t ~effective =
   let old_n = t.scratch_n in
   refresh_scratch t;
   let psize = Pattern.size t.pattern in
-  let old_kernel =
-    resize_kernel t.kernel ~pattern_size:psize ~new_n:(Digraph.node_count t.g)
+  let new_n = Digraph.node_count t.g in
+  let old_kernel = resize_kernel t.kernel ~pattern_size:psize ~new_n in
+  let effective_count = List.length effective in
+  (* A recompute evaluates on the published snapshot when it is this
+     version of the tracked graph; otherwise it first builds one, which
+     writes every node and edge once. *)
+  let published =
+    match published with
+    | Some s
+      when Snapshot.graph_id s = Digraph.graph_id t.g && Snapshot.epoch s = Digraph.version t.g
+      ->
+      Some s
+    | _ -> None
   in
-  if Pattern.has_unbounded_edge t.pattern then begin
+  let price =
+    match published with
+    | Some _ -> t.price
+    | None -> t.price + new_n + Digraph.edge_count t.g
+  in
+  (* [area] holds every node whose pairs may have changed; [None] is the
+     whole graph. *)
+  let finish ~kernel ~area ~iterations ~route ~predicted ~spent =
+    let iter_nodes f =
+      match area with
+      | Some bits -> Bitset.iter f bits
+      | None ->
+        for v = 0 to new_n - 1 do
+          f v
+        done
+    in
+    let added, removed = diff_relations ~iter_nodes old_kernel kernel in
+    let area = match area with Some bits -> Bitset.cardinal bits | None -> new_n in
+    t.kernel <- kernel;
+    t.expected_version <- Digraph.version t.g;
+    Log.debug (fun m ->
+        m "sync (%s): %d updates, area %d/%d, %d rounds, +%d/-%d pairs, work %d/%d"
+          (route_name route) effective_count area new_n iterations (List.length added)
+          (List.length removed) spent price);
+    {
+      report = { effective = effective_count; area; iterations; added; removed };
+      route;
+      price;
+      predicted;
+      spent;
+    }
+  in
+  let recompute_as route ~predicted ~spent =
+    let snap =
+      match published with Some s -> s | None -> Snapshot.of_digraph t.g
+    in
+    recompute_on t snap;
+    finish ~kernel:t.kernel ~area:None ~iterations:0 ~route ~predicted ~spent
+  in
+  if Pattern.has_unbounded_edge t.pattern then
     (* Unbounded edges have no dependency radius; maintain those queries
        by recomputation. *)
-    recompute t;
-    let added, removed = diff_relations old_kernel t.kernel in
-    {
-      effective = List.length effective;
-      area = Digraph.node_count t.g;
-      iterations = 1;
-      added;
-      removed;
-    }
-  end
+    recompute_as Recompute ~predicted:0 ~spent:0
   else begin
     let patch, inserted, deleted = make_patch t.g effective in
-    let effective_count = List.length effective in
     match t.strategy with
-    | Ball_closure -> (
-      try sync_ball_closure t ~old_kernel ~old_n ~effective_count ~patch ~inserted ~deleted
-      with Flood ->
-        (* The affected area exceeded its budget; a dense batch run is
-           cheaper than sparse refinement at that size. *)
-        recompute t;
-        let added, removed = diff_relations old_kernel t.kernel in
-        Log.debug (fun m ->
-            m "ball-closure flood: fell back to recomputation (%d updates)" effective_count);
-        {
-          effective = effective_count;
-          area = Digraph.node_count t.g;
-          iterations = 0;
-          added;
-          removed;
-        })
     | Ancestors ->
-      sync_ancestors t ~old_kernel ~old_n ~effective_count ~patch ~inserted ~deleted
+      let work = Work.create () in
+      let kernel, area =
+        sync_ancestors t ~old_kernel ~old_n ~patch ~inserted ~deleted ~work
+      in
+      finish ~kernel ~area:(Some area) ~iterations:1 ~route:Sparse ~predicted:0
+        ~spent:(sparse_unit_cost * Work.spent work)
+    | Ball_closure -> (
+      let work = Work.create ~limit:(price / sparse_unit_cost) () in
+      let closure, predicted =
+        sync_ball_closure t ~old_kernel ~old_n ~patch ~inserted ~deleted ~work
+      in
+      let predicted = sparse_unit_cost * predicted
+      and spent = sparse_unit_cost * Work.spent work in
+      match closure with
+      | Closed { kernel; area; rounds } ->
+        finish ~kernel ~area:(Some area) ~iterations:rounds ~route:Sparse ~predicted ~spent
+      | Dearer -> recompute_as Recompute ~predicted ~spent
+      | Abandoned -> recompute_as Aborted ~predicted ~spent)
   end
 
-let sync_applied t ~effective =
+let sync_applied ?published t ~effective =
   Counter.incr m_syncs;
   with_span "incremental.sync"
     ~attrs:[ ("query", Pattern.fingerprint t.pattern) ]
     (fun () ->
-      let report = sync_applied_untraced t ~effective in
+      let o = sync_applied_untraced ?published t ~effective in
+      let report = o.report in
       Counter.add m_area report.area;
       Counter.add m_rounds report.iterations;
       Counter.add m_added (List.length report.added);
       Counter.add m_removed (List.length report.removed);
-      if report.iterations = 0 then Counter.incr m_floods;
+      if o.route <> Sparse then Counter.incr m_floods;
+      (* Looked up per sync rather than bound at module level, which
+         keeps the shared-state allowlist from growing. *)
+      let aborts = Metrics.counter "incremental.aborts" in
+      if o.route = Aborted then Counter.incr aborts;
+      annotate "route" (route_name o.route);
+      annotate_int "price" o.price;
+      annotate_int "predicted" o.predicted;
+      annotate_int "spent" o.spent;
       annotate_int "area" report.area;
       annotate_int "rounds" report.iterations;
       annotate_int "added" (List.length report.added);

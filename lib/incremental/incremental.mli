@@ -23,11 +23,18 @@ open Expfinder_core
       frozen remainder is provably unchanged.
 
     Cost therefore tracks the size of the real change neighbourhood,
-    which yields the paper's behaviour: large wins for unit and small
-    batch updates, degrading to batch recomputation as |ΔG| grows (the
-    crossovers of §III).  A conservative {!Ancestors} strategy (freeze
+    which gives the paper's large wins for unit and small batch updates.
+    As |ΔG| grows the neighbourhood does too, and past some size a dense
+    batch run is cheaper (the crossovers of §III).  So each sync is
+    routed by cost, counted in deterministic {!Expfinder_graph.Work}
+    units: the price of a recompute is the work of the query's last
+    dense evaluation; the seeding BFS and the query's last two sparse
+    attempts predict the sparse work; a prediction above the price
+    recomputes at once, and a sparse sync that spends more than the
+    price mid-way stops and recomputes — at most about twice the
+    cheaper path.  A conservative {!Ancestors} strategy (freeze
     everything outside the full ancestor set of the touched sources) is
-    kept as the ablation baseline. *)
+    kept as the ablation baseline; it is never routed. *)
 
 type t
 
@@ -41,10 +48,10 @@ type report = {
   area : int;  (** size of the final affected area *)
   iterations : int;
       (** refinement rounds (Ball_closure growth steps); [0] when the
-          area exceeded its flood budget (|V|/3) and maintenance fell
-          back to a dense batch recomputation — incremental
-          (bounded) simulation is unbounded in the worst case, and
-          beyond that size a batch run is simply cheaper *)
+          sync ended in a dense recomputation — routed there because
+          the predicted sparse work was above the price of a recompute,
+          or stopped once the sparse work passed it (the area is then
+          |V|) — and for a batch with no effective update *)
   added : (int * int) list;  (** pairs added to the kernel *)
   removed : (int * int) list;  (** pairs removed from the kernel *)
 }
@@ -78,11 +85,18 @@ val apply_updates : t -> Digraph.t -> Update.t list -> report
     incrementally.  @raise Invalid_argument when [g] is not the tracked
     digraph or was mutated behind the module's back. *)
 
-val sync_applied : t -> effective:Update.t list -> report
+val sync_applied : ?published:Snapshot.t -> t -> effective:Update.t list -> report
 (** Maintenance after the {e effective} updates were already applied to
     the tracked digraph (e.g. by the engine, which fans one batch out to
     several trackers).  [effective] must not contain no-ops — use
-    {!Update.apply_batch_filtered}. *)
+    {!Update.apply_batch_filtered}.  A dense recomputation evaluates on
+    [published] when it is a snapshot of the tracked digraph at its
+    current version, and builds one otherwise.
+
+    The [incremental.sync] span carries the [route] taken ([sparse],
+    [recompute] or [aborted]), the [price] of a recompute, the
+    [predicted] and [spent] sparse work (all in dense work units), the
+    [area] and the [rounds]. *)
 
 val recompute : t -> unit
 (** Re-evaluate from scratch (the batch baseline) and resynchronise. *)

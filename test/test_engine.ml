@@ -78,6 +78,41 @@ let test_updates_invalidate_cache () =
   Alcotest.(check bool) "fresh answer" true (after.Engine.provenance <> Engine.From_cache);
   Alcotest.(check bool) "Fred matched now" true (Match_relation.mem after.Engine.relation 1 Collab.fred)
 
+(* A batch whose every update is a no-op leaves the engine as it was:
+   same epoch, warm cache, untouched compressed graph and kernels. *)
+let test_noop_batch_changes_nothing () =
+  let engine = Engine.create (Collab.graph ()) in
+  Engine.enable_compression ~atoms:Queries.atom_universe engine;
+  let q = Collab.query () in
+  Engine.register engine q;
+  ignore (Engine.evaluate engine q : Engine.answer);
+  let snap = Engine.snapshot engine in
+  let compressed = Engine.compression engine in
+  let existing =
+    let first = ref None in
+    Digraph.iter_edges (Engine.graph engine) (fun u v ->
+        if !first = None then first := Some (u, v));
+    Option.get !first
+  in
+  let absent = Collab.e1 in
+  Alcotest.(check bool) "e1 absent" false
+    (Digraph.has_edge (Engine.graph engine) (fst absent) (snd absent));
+  let reports =
+    Engine.apply_updates engine
+      [ Update.Insert_edge (fst existing, snd existing); Update.Delete_edge (fst absent, snd absent) ]
+  in
+  Alcotest.(check (list int)) "reports say effective = 0" [ 0 ]
+    (List.map (fun (r : Incremental.report) -> r.effective) reports);
+  Alcotest.(check bool) "same snapshot" true (Engine.snapshot engine == snap);
+  Alcotest.(check bool) "same identity" true
+    (Snapshot.identity_equal (Snapshot.id (Engine.snapshot engine)) (Snapshot.id snap));
+  Alcotest.(check bool) "compressed graph untouched" true
+    (match (compressed, Engine.compression engine) with
+    | Some before, Some after -> before == after
+    | _ -> false);
+  let answer = Engine.evaluate engine q in
+  Alcotest.(check bool) "still a cache hit" true (answer.Engine.provenance = Engine.From_cache)
+
 let test_registered_query_maintained () =
   let engine = Engine.create (Collab.graph ()) in
   let q = Collab.query () in
@@ -149,7 +184,10 @@ let test_ball_index_provenance () =
   Alcotest.(check bool) "unbounded falls back" true
     (fallback.Engine.provenance = Engine.Direct);
   Engine.disable_ball_index engine;
-  ignore (Engine.apply_updates engine [] : Incremental.report list);
+  (* An effective update empties the cache (a batch of no-ops would not). *)
+  ignore
+    (Engine.apply_updates engine [ Update.Delete_edge (fst Collab.e1, snd Collab.e1) ]
+      : Incremental.report list);
   let off = Engine.evaluate engine q in
   Alcotest.(check bool) "disabled -> direct" true (off.Engine.provenance = Engine.Direct)
 
@@ -297,6 +335,7 @@ let () =
       ( "updates",
         [
           Alcotest.test_case "cache invalidation" `Quick test_updates_invalidate_cache;
+          Alcotest.test_case "no-op batch changes nothing" `Quick test_noop_batch_changes_nothing;
           Alcotest.test_case "registered maintained" `Quick test_registered_query_maintained;
           Alcotest.test_case "consistency stream" `Quick test_engine_consistency_under_updates;
         ] );

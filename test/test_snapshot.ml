@@ -79,6 +79,48 @@ let prop_advance_equals_rebuild seed =
   Snapshot.identity_equal (Snapshot.id advanced) (Snapshot.id fresh)
   && same_structure advanced fresh
 
+(* One node takes several deletions and insertions in both directions
+   in the same batch: its forward and reverse rows are filtered, not
+   copied, and must still equal a rebuild. *)
+let test_advance_one_node_many_changes () =
+  let g = Digraph.create () in
+  for _ = 0 to 9 do
+    ignore (Digraph.add_node g (Label.of_string "A") : int)
+  done;
+  List.iter
+    (fun (u, v) -> ignore (Digraph.add_edge g u v : bool))
+    [ (0, 1); (0, 2); (0, 3); (0, 4); (0, 5); (6, 0); (7, 0); (8, 0); (3, 4); (9, 1) ];
+  let before = Snapshot.of_digraph g in
+  let updates =
+    Update.
+      [
+        Delete_edge (0, 1);
+        Delete_edge (0, 3);
+        Insert_edge (0, 6);
+        Delete_edge (0, 5);
+        Delete_edge (7, 0);
+        Insert_edge (2, 0);
+        Insert_edge (0, 9);
+        Delete_edge (6, 0);
+        Insert_edge (4, 0);
+        Delete_edge (9, 1);
+      ]
+  in
+  let effective = Update.apply_batch_filtered g updates in
+  Alcotest.(check int) "all effective" (List.length updates) (List.length effective);
+  let added, removed = Update.net_edge_changes g effective in
+  let advanced = Snapshot.advance before ~version:(Digraph.version g) ~added ~removed in
+  Alcotest.(check bool) "advance = rebuild" true
+    (same_structure advanced (Snapshot.of_digraph g));
+  Alcotest.(check (list int)) "pinned epoch keeps its rows" [ 1; 2; 3; 4; 5 ]
+    (sorted_succ before 0);
+  Alcotest.check_raises "absent removed edge rejected"
+    (Invalid_argument "Csr.patched: removed edge not present") (fun () ->
+      ignore
+        (Snapshot.advance before ~version:(Digraph.version g + 1) ~added:[]
+           ~removed:[ (0, 1); (0, 8) ]
+          : Snapshot.t))
+
 let edge_set s =
   let t = Hashtbl.create 64 in
   Snapshot.iter_edges s (fun u v -> Hashtbl.replace t (u, v) ());
@@ -282,6 +324,7 @@ let () =
         [
           Alcotest.test_case "toggle cancellation" `Quick test_toggle_cancellation;
           Alcotest.test_case "engine advances copy-on-write" `Quick test_engine_advances_cow;
+          Alcotest.test_case "one node, many changes" `Quick test_advance_one_node_many_changes;
         ] );
       ( "batch",
         [
