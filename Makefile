@@ -1,4 +1,4 @@
-.PHONY: all build test lint lint-mli lint-dsafe lint-dsafe-growth check replay-smoke soak-smoke prof-smoke topk-smoke churn-smoke bench bench-full bench-json bench-gate examples demo clean
+.PHONY: all build test lint lint-mli lint-dsafe lint-dsafe-growth check replay-smoke soak-smoke prof-smoke topk-smoke churn-smoke serve-smoke bench bench-full bench-json bench-gate examples demo clean
 
 EXE := _build/default/bin/expfinder.exe
 
@@ -71,11 +71,11 @@ lint-dsafe-growth:
 # a 2-domain execution model forced through every ?domains default (the
 # pool serving path, parallel evaluation and the writer-domain routing
 # all switch on), then the serving-path smokes — including the
-# parallel-vs-sequential replay differential — then short top-K and
-# update-churn benchmark runs as correctness smokes, and finally a soft
-# perf-regression check against the committed baseline (warn-only here:
-# quick-mode medians are too noisy to block a merge on; run bench-gate
-# directly for a hard verdict).
+# parallel-vs-sequential replay differential — then short top-K,
+# update-churn and serve-hot benchmark runs as correctness smokes, and
+# finally a soft perf-regression check against the committed baseline
+# (warn-only here: quick-mode medians are too noisy to block a merge on;
+# run bench-gate directly for a hard verdict).
 check: lint lint-mli lint-dsafe lint-dsafe-growth
 	dune runtest
 	EXPFINDER_CHECK=1 dune runtest --force
@@ -86,6 +86,7 @@ check: lint lint-mli lint-dsafe lint-dsafe-growth
 	$(MAKE) --no-print-directory prof-smoke
 	$(MAKE) --no-print-directory topk-smoke
 	$(MAKE) --no-print-directory churn-smoke
+	$(MAKE) --no-print-directory serve-smoke
 	-@if [ -f BENCH_baseline.json ]; then $(MAKE) --no-print-directory bench-gate; fi
 
 # The full suite under a multicore execution model: EXPFINDER_DOMAINS=2
@@ -281,6 +282,14 @@ topk-smoke:
 # evaluation on the final graph.
 churn-smoke:
 	python3 perfbench/run.py --workload update-churn --seed 1 --seconds 3 --trace 1
+
+# Served-digest correctness smoke: a short untraced run of the serve-hot
+# benchmark workload, where every answer is a cache hit whose digest
+# comes from the memo in the cache entry.  The run fails unless every
+# served total flag and digest equals direct evaluation on a fresh copy
+# of the graph.
+serve-smoke:
+	python3 perfbench/run.py --workload serve-hot --seed 1 --seconds 3 --trace 0
 
 bench:
 	dune exec bench/main.exe

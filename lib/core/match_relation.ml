@@ -55,24 +55,42 @@ let of_pairs ~pattern_size ~graph_size pair_list =
   List.iter (fun (u, v) -> add t u v) pair_list;
   t
 
+(* Decimal width of [n >= 0]. *)
+let digits n =
+  let rec go n d = if n < 10 then d else go (n / 10) (d + 1) in
+  go n 1
+
+(* Writes [n >= 0] in decimal at [pos]; returns the position after it. *)
+let put_int b pos n =
+  let len = digits n in
+  let n = ref n in
+  for i = pos + len - 1 downto pos do
+    Bytes.set b i (Char.unsafe_chr (48 + (!n mod 10)));
+    n := !n / 10
+  done;
+  pos + len
+
 (* Canonical content digest: pattern size plus every (u, v) pair in
    lexicographic order, hashed with MD5.  Two relations digest equally
    iff they hold the same pairs over the same pattern size, regardless
    of graph_size padding — the stability the qlog/replay loop needs
-   across processes. *)
+   across processes.  The text ("n|0,v,v|1,v...") is written into one
+   buffer sized for the widest possible id, straight from the bitsets. *)
 let digest t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (string_of_int (pattern_size t));
-  for u = 0 to pattern_size t - 1 do
-    Buffer.add_char buf '|';
-    Buffer.add_string buf (string_of_int u);
-    List.iter
+  let n = pattern_size t in
+  let width = 1 + digits (max 0 (t.graph_size - 1)) in
+  let b = Bytes.create (digits n + (n * (1 + digits n)) + (total t * width)) in
+  let pos = ref (put_int b 0 n) in
+  for u = 0 to n - 1 do
+    Bytes.set b !pos '|';
+    pos := put_int b (!pos + 1) u;
+    Bitset.iter
       (fun v ->
-        Buffer.add_char buf ',';
-        Buffer.add_string buf (string_of_int v))
-      (matches t u)
+        Bytes.set b !pos ',';
+        pos := put_int b (!pos + 1) v)
+      t.sets.(u)
   done;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  Digest.to_hex (Digest.subbytes b 0 !pos)
 
 let copy t = { sets = Array.map Bitset.copy t.sets; graph_size = t.graph_size }
 

@@ -53,7 +53,12 @@ val digest : t -> string
 (** Hex MD5 of the canonical content (pattern size plus all pairs in
     lexicographic order): stable across processes and independent of
     [graph_size] padding.  The answer digest recorded in the query log
-    and re-checked by [expfinder replay]. *)
+    and re-checked by [expfinder replay].  The text is written straight
+    from the bitsets into one buffer; O(pairs + pattern size).  The
+    serving path does not call this on a cache hit: the query-result
+    cache memoises it per entry
+    ({!Expfinder_storage.Cache.digest}), which is safe because a stored
+    relation is never mutated. *)
 
 val copy : t -> t
 

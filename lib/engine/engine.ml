@@ -76,6 +76,7 @@ type answer = {
   total : bool;
   provenance : provenance;
   profile : profile option;
+  digest : string Lazy.t;
 }
 
 type expert = { node : int; name : string option; rank : Ranking.rank }
@@ -265,17 +266,17 @@ let from_containment t pattern ~snap =
 
 (* The untraced core of [evaluate]: cache -> registered kernel ->
    compressed -> cached superset (containment) -> ball index -> planner,
-   returning the relation, where it came from, a strategy label for the
-   flight recorder, and whether this call just computed it via the
-   direct path (the differential checker re-verifies everything
-   else). *)
+   returning the snapshot identity it evaluated on, the relation, where
+   it came from, a strategy label for the flight recorder, and whether
+   this call just computed it via the direct path (the differential
+   checker re-verifies everything else). *)
 let evaluate_inner t pattern =
   let snap = snapshot t in
   let sid = Snapshot.id snap in
   match
     with_span "cache.lookup" (fun () -> Cache.find t.cache pattern ~snapshot:sid)
   with
-  | Some relation -> (relation, From_cache, "cache", false)
+  | Some relation -> (sid, relation, From_cache, "cache", false)
   | None ->
     let fast =
       with_maint_opt t ~skip:t.cm.m_maint_skip_fast (fun () ->
@@ -328,7 +329,7 @@ let evaluate_inner t pattern =
               true )))
     in
     Cache.store t.cache pattern ~snapshot:sid relation;
-    (relation, provenance, strategy, via_direct)
+    (sid, relation, provenance, strategy, via_direct)
 
 (* EXPFINDER_CHECK=1 sanitizer: any answer that did not just come out of
    the direct path is re-evaluated directly and compared (as a query
@@ -418,14 +419,22 @@ let batch_payload patterns =
 let update_payload updates =
   if Qlog.enabled () then Some (Json.Arr (List.map Update.to_json updates)) else None
 
-let relation_digest relation = if Qlog.enabled () then Match_relation.digest relation else ""
+(* An answer's digest, memoised in the cache entry it was served from
+   or just stored into: [sid] is that evaluation's snapshot, never a
+   later one.  When the entry has been evicted or cleared since, the
+   answer's own relation is digested. *)
+let answer_digest t pattern ~sid relation =
+  lazy
+    (match Cache.digest t.cache pattern ~snapshot:sid relation with
+    | Some d -> d
+    | None -> Match_relation.digest relation)
 
 (* The combined answer digest of a batch: MD5 over the per-answer
    digests in input order — replay recomputes the same fold, so one
    field verifies the whole batch. *)
-let batch_digest relations =
+let batch_digest answers =
   Digest.to_hex
-    (Digest.string (String.concat "" (List.map Match_relation.digest relations)))
+    (Digest.string (String.concat "" (List.map (fun a -> Lazy.force a.digest) answers)))
 
 let evaluate_unlabelled ?(trace = Trace.ambient) t pattern =
   (* Flight recorder bookkeeping is always on (unlike profiles): snapshot
@@ -437,12 +446,12 @@ let evaluate_unlabelled ?(trace = Trace.ambient) t pattern =
   let trace_id = trace.Trace.trace_id in
   match
     profiled ~trace t ~root:"evaluate" ~attrs:[ ("query", fp) ] ~query:fp (fun () ->
-        let relation, provenance, strategy, via_direct = evaluate_inner t pattern in
+        let sid, relation, provenance, strategy, via_direct = evaluate_inner t pattern in
         differential_check t pattern relation provenance ~via_direct;
         Counter.incr (provenance_counter provenance);
         annotate "provenance" (provenance_name provenance);
         annotate_int "pairs" (Match_relation.total relation);
-        ((relation, provenance, strategy), provenance))
+        ((sid, relation, provenance, strategy), provenance))
   with
   | exception e ->
     let duration_ms = (now_us () -. rec_start) /. 1000.0 in
@@ -452,8 +461,9 @@ let evaluate_unlabelled ?(trace = Trace.ambient) t pattern =
     qlog_emit t ~kind:Qlog.Query ~query:fp ~strategy:"error" ~duration_ms ~counters ~pairs:0
       ~digest:"" ~trace_id ~error:(Printexc.to_string e) ?payload:(pattern_payload pattern) ();
     raise e
-  | (relation, provenance, strategy), profile ->
+  | (sid, relation, provenance, strategy), profile ->
     let duration_ms = (now_us () -. rec_start) /. 1000.0 in
+    let digest = answer_digest t pattern ~sid relation in
     let counters = Metrics.delta ~before:rec_before ~after:(Metrics.counters_snapshot ()) in
     Recorder.record ~trace_id ~query:fp ~strategy ~duration_ms ~counters ();
     observe_traced ~trace ~window:w_query ~op:"query" ~query:fp ~duration_ms ~error:false
@@ -461,12 +471,12 @@ let evaluate_unlabelled ?(trace = Trace.ambient) t pattern =
       ();
     qlog_emit t ~kind:Qlog.Query ~query:fp ~strategy ~duration_ms ~counters
       ~pairs:(Match_relation.total relation)
-      ~digest:(relation_digest relation)
+      ~digest:(if Qlog.enabled () then Lazy.force digest else "")
       ~trace_id ?payload:(pattern_payload pattern) ();
     Log.debug (fun m ->
         m "evaluate %s: %d pairs via %s" fp (Match_relation.total relation)
           (provenance_name provenance));
-    { relation; total = Match_relation.is_total relation; provenance; profile }
+    { relation; total = Match_relation.is_total relation; provenance; profile; digest }
 
 (* Allocation attribution: while the memprof sampler is active, bytes
    allocated under each op class are charged to its label. *)
@@ -631,25 +641,30 @@ let evaluate_batch_unlabelled ?(trace = Trace.ambient) t patterns =
     observe_traced ~trace ~window:w_batch ~op:"batch" ~query:label ~duration_ms ~error:false
       ?root:(Option.map (fun p -> p.span) batch_profile)
       ();
-    let relations =
+    let answers =
       List.mapi
-        (fun i _ -> match results.(i) with Some (r, _) -> r | None -> assert false)
+        (fun i pattern ->
+          match results.(i) with
+          | Some (relation, provenance) ->
+            (* Per-answer profiles are not split out of the shared batch
+               run; the whole-batch profile is available via
+               [last_profile]. *)
+            {
+              relation;
+              total = Match_relation.is_total relation;
+              provenance;
+              profile = None;
+              digest = answer_digest t pattern ~sid relation;
+            }
+          | None -> assert false)
         patterns
     in
     qlog_emit t ~kind:Qlog.Batch ~query:label ~strategy:"batch" ~duration_ms ~counters
-      ~pairs:(List.fold_left (fun acc r -> acc + Match_relation.total r) 0 relations)
-      ~digest:(if Qlog.enabled () then batch_digest relations else "")
+      ~pairs:(List.fold_left (fun acc a -> acc + Match_relation.total a.relation) 0 answers)
+      ~digest:(if Qlog.enabled () then batch_digest answers else "")
       ~trace_id:trace.Trace.trace_id ?payload:(batch_payload patterns) ();
     Log.debug (fun m -> m "evaluate_batch: %d queries on %a" n Snapshot.pp_id snap);
-    List.mapi
-      (fun i _ ->
-        match results.(i) with
-        | Some (relation, provenance) ->
-          (* Per-answer profiles are not split out of the shared batch run;
-             the whole-batch profile is available via [last_profile]. *)
-          { relation; total = Match_relation.is_total relation; provenance; profile = None }
-        | None -> assert false)
-      patterns
+    answers
 
 let evaluate_batch ?trace t patterns =
   Alloc.with_label "batch" (fun () -> evaluate_batch_unlabelled ?trace t patterns)

@@ -70,6 +70,18 @@ type answer = {
   profile : profile option;
       (** present when telemetry is enabled and this call owned the
           trace (i.e. it was not nested under another traced call) *)
+  digest : string Lazy.t;
+      (** The answer digest of [relation] (the hex MD5 that
+          {!Expfinder_core.Match_relation} computes).  It is computed
+          only when forced, and at most once per cached relation: it is
+          memoised in the cache entry the answer was served from or
+          stored into ({!Expfinder_storage.Cache.digest}, keyed by the
+          snapshot this evaluation pinned), so the server reply, the
+          query log and the batch digest share one computation.  If that
+          entry has been evicted or cleared, forcing digests [relation]
+          itself.  An answer belongs to one request: force it only on
+          the domain that serves that request (a [Lazy.t] must not be
+          forced from two domains at once). *)
 }
 
 type expert = {

@@ -37,15 +37,24 @@ let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
+(* Index of the lowest set bit of a nonzero word: a binary search over
+   halves, so six steps whatever the bit (bit 62 is the sign bit, hence
+   the logical shifts). *)
+let lowest_bit x =
+  let x = ref x and n = ref 0 in
+  if !x land 0xFFFF_FFFF = 0 then begin n := 32; x := !x lsr 32 end;
+  if !x land 0xFFFF = 0 then begin n := !n + 16; x := !x lsr 16 end;
+  if !x land 0xFF = 0 then begin n := !n + 8; x := !x lsr 8 end;
+  if !x land 0xF = 0 then begin n := !n + 4; x := !x lsr 4 end;
+  if !x land 0x3 = 0 then begin n := !n + 2; x := !x lsr 2 end;
+  if !x land 0x1 = 0 then !n + 1 else !n
+
 let iter f t =
   for w = 0 to Array.length t.words - 1 do
     let word = ref t.words.(w) in
     while !word <> 0 do
-      let bit = !word land - !word in
-      (* index of lowest set bit *)
-      let rec log2 b acc = if b = 1 then acc else log2 (b lsr 1) (acc + 1) in
-      f ((w * bits_per_word) + log2 bit 0);
-      word := !word land lnot bit
+      f ((w * bits_per_word) + lowest_bit !word);
+      word := !word land (!word - 1)
     done
   done
 

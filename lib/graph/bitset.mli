@@ -25,7 +25,9 @@ val cardinal : t -> int
 val is_empty : t -> bool
 
 val iter : (int -> unit) -> t -> unit
-(** Iterate set bits in increasing order. *)
+(** Iterate set bits in increasing order.  Each bit's index costs a
+    fixed six-step search, whatever its position in the word; {!fold}
+    and {!to_list} are built on it. *)
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 

@@ -12,7 +12,36 @@ type t = {
   out_adj : (pnode * bound) list array;
   in_adj : (pnode * bound) list array;
   output : pnode;
+  fingerprint : string;  (* computed once, by [make] *)
 }
+
+let bound_to_string = function Bounded k -> string_of_int k | Unbounded -> "*"
+
+let describe_parts nodes edge_list output =
+  let buf = Buffer.create 256 in
+  Array.iteri
+    (fun u { name; label; pred } ->
+      Buffer.add_string buf
+        (Printf.sprintf "node %d %s %s [%s]\n" u name
+           (match label with None -> "*" | Some l -> Label.to_string l)
+           (Format.asprintf "%a" Predicate.pp pred)))
+    nodes;
+  List.iter
+    (fun (u, v, b) ->
+      Buffer.add_string buf (Printf.sprintf "edge %d %d %s\n" u v (bound_to_string b)))
+    (List.sort compare edge_list);
+  Buffer.add_string buf (Printf.sprintf "output %d\n" output);
+  Buffer.contents buf
+
+(* FNV-1a over the canonical description; stable across runs. *)
+let fnv1a text =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h 0x100000001b3L)
+    text;
+  Printf.sprintf "%016Lx" !h
 
 let make ~nodes ~edges ~output =
   let n = Array.length nodes in
@@ -46,7 +75,10 @@ let make ~nodes ~edges ~output =
           out_adj.(u) <- (v, b) :: out_adj.(u);
           in_adj.(v) <- (u, b) :: in_adj.(v))
         edges;
-      Ok { nodes; edge_list = edges; out_adj; in_adj; output }
+      (* Own the node array, so no caller can stale the fingerprint. *)
+      let nodes = Array.copy nodes in
+      let fingerprint = fnv1a (describe_parts nodes edges output) in
+      Ok { nodes; edge_list = edges; out_adj; in_adj; output; fingerprint }
   end
 
 let make_exn ~nodes ~edges ~output =
@@ -112,36 +144,14 @@ let pnode_of_name t wanted =
   in
   loop 0
 
-let bound_to_string = function Bounded k -> string_of_int k | Unbounded -> "*"
+let describe t = describe_parts t.nodes t.edge_list t.output
 
-let describe t =
-  let buf = Buffer.create 256 in
-  Array.iteri
-    (fun u { name; label; pred } ->
-      Buffer.add_string buf
-        (Printf.sprintf "node %d %s %s [%s]\n" u name
-           (match label with None -> "*" | Some l -> Label.to_string l)
-           (Format.asprintf "%a" Predicate.pp pred)))
-    t.nodes;
-  List.iter
-    (fun (u, v, b) ->
-      Buffer.add_string buf (Printf.sprintf "edge %d %d %s\n" u v (bound_to_string b)))
-    (List.sort compare t.edge_list);
-  Buffer.add_string buf (Printf.sprintf "output %d\n" t.output);
-  Buffer.contents buf
+(* Equal patterns share a fingerprint, so unequal fingerprints settle
+   most comparisons without rendering either pattern. *)
+let equal a b =
+  String.equal a.fingerprint b.fingerprint && String.equal (describe a) (describe b)
 
-let equal a b = String.equal (describe a) (describe b)
-
-let fingerprint t =
-  (* FNV-1a over the canonical description; stable across runs. *)
-  let text = describe t in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    text;
-  Printf.sprintf "%016Lx" !h
+let fingerprint t = t.fingerprint
 
 let pp ppf t =
   Format.fprintf ppf "pattern(%d nodes, %d edges, output=%s)@\n%s" (size t)

@@ -77,6 +77,8 @@ val pnode_of_name : t -> string -> pnode option
 val equal : t -> t -> bool
 
 val fingerprint : t -> string
-(** Stable digest of the full pattern structure, used as a cache key. *)
+(** Stable digest of the full pattern structure, used as a cache key.
+    Computed once when the pattern is built ({!make} is the only
+    constructor), so reading it is O(1). *)
 
 val pp : Format.formatter -> t -> unit

@@ -188,7 +188,7 @@ let answer_fields (a : Engine.answer) =
     ("pairs", Json.Int (Match_relation.total a.relation));
     ("total", Json.Bool a.total);
     ("provenance", Json.Str (provenance_name a.provenance));
-    ("digest", Json.Str (Match_relation.digest a.relation));
+    ("digest", Json.Str (Lazy.force a.digest));
   ]
 
 type reply = Reply of Json.t | Reply_and_stop of Json.t

@@ -27,8 +27,8 @@ open Expfinder_telemetry
     objects), [ping], [stats] and [shutdown].  Every response carries
     ["ok": bool]; failures carry ["error": string] and never kill the
     server.  Query/batch responses include the answer [digest]
-    ({!Expfinder_core.Match_relation.digest}), so clients can
-    cross-check replays.
+    (read from the answer's memo, {!Expfinder_engine.Engine.answer}),
+    so clients can cross-check replays.
 
     Request tracing: every [query]/[batch]/[update] request runs under
     an explicit {!Trace.ctx}.  A request may propagate one in a

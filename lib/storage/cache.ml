@@ -15,11 +15,17 @@ let m_evictions = Metrics.counter "cache.evictions"
 
 let m_stores = Metrics.counter "cache.stores"
 
+(* An entry's relation is never mutated: [store] copies it in, [find]
+   copies it out and [fold] hands it out read-only.  Together with the
+   key, which pins the snapshot, that makes [digest] a safe memo of
+   [Match_relation.digest relation]: it cannot go stale, and it leaves
+   with the entry on eviction, [clear] or [invalidate_snapshot]. *)
 type entry = {
   key : string * Snapshot.identity;
   pattern : Pattern.t;
   relation : Match_relation.t;
   mutable stamp : int;
+  mutable digest : string option;  (* guarded by [cm] *)
 }
 
 type t = {
@@ -105,7 +111,38 @@ let store t pattern ~snapshot relation =
       then evict_lru t;
       Counter.incr m_stores;
       Hashtbl.replace t.table key
-        { key; pattern; relation = Match_relation.copy relation; stamp = tick t })
+        {
+          key;
+          pattern;
+          relation = Match_relation.copy relation;
+          stamp = tick t;
+          digest = None;
+        })
+
+(* Digest the stored relation outside the lock (the relation is never
+   mutated), then publish under it.  Two domains racing on one entry
+   compute the same string; the later publish wins harmlessly.  Under
+   EXPFINDER_CHECK every use of a memo recomputes it. *)
+let digest t pattern ~snapshot relation =
+  let found =
+    locked t (fun () ->
+        match Hashtbl.find_opt t.table (key_of pattern snapshot) with
+        | Some entry when Match_relation.equal entry.relation relation ->
+          Some (entry, entry.digest)
+        | Some _ | None -> None)
+  in
+  match found with
+  | None -> None
+  | Some (_, Some d) ->
+    if Verify.differential () && Match_relation.digest relation <> d then
+      failwith
+        (Printf.sprintf "EXPFINDER_CHECK: memoised digest %s of query %s is stale" d
+           (Pattern.fingerprint pattern));
+    Some d
+  | Some (entry, None) ->
+    let d = Match_relation.digest entry.relation in
+    locked t (fun () -> entry.digest <- Some d);
+    Some d
 
 let fold t ~snapshot ~init ~f =
   locked t (fun () ->

@@ -23,7 +23,12 @@ open Expfinder_core
     domain-pool server, any worker domain probes and stores while the
     writer domain clears on update, and the LRU clock/stamp updates are
     read-modify-write.  Probes return defensive copies taken under the
-    lock, so callers never share a relation with the cache. *)
+    lock, so callers never share a relation with the cache.
+
+    Each entry also memoises the answer digest of its relation
+    ({!digest}).  Stored relations are never mutated and the key pins
+    the snapshot, so the memo cannot go stale; it is dropped with its
+    entry. *)
 
 type t
 
@@ -40,6 +45,19 @@ val find : t -> Pattern.t -> snapshot:Snapshot.identity -> Match_relation.t opti
 val store : t -> Pattern.t -> snapshot:Snapshot.identity -> Match_relation.t -> unit
 (** Insert (copying the relation), evicting the least recently used
     entry when full. *)
+
+val digest :
+  t -> Pattern.t -> snapshot:Snapshot.identity -> Match_relation.t -> string option
+(** [digest t p ~snapshot r] is [Some (Match_relation.digest r)] when
+    the entry for [(p, snapshot)] holds a relation equal to [r] (the
+    copy a {!find} returned, or the relation just passed to {!store}),
+    computed at most once per entry: the first call digests the stored
+    relation outside the lock and publishes the result, later calls
+    return that same string.  [None] when the entry has been evicted,
+    cleared or replaced by a different relation; the caller then
+    digests [r] itself.  Recency and the hit/miss counters are
+    untouched.  With [EXPFINDER_CHECK] on, every use of a memo
+    recomputes the digest and raises [Failure] if the two differ. *)
 
 val fold :
   t ->

@@ -523,6 +523,46 @@ let test_drill_down () =
   Alcotest.check_raises "bad pattern node" (Invalid_argument "Result_graph.drill_down")
     (fun () -> ignore (Result_graph.drill_down q g gr 9))
 
+(* --- answer digest ------------------------------------------------------- *)
+
+(* The list-based renderer [Match_relation.digest] used before it wrote
+   straight from the bitsets: the reference for its byte format. *)
+let reference_digest m =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf (string_of_int (Match_relation.pattern_size m));
+  for u = 0 to Match_relation.pattern_size m - 1 do
+    Buffer.add_char buf '|';
+    Buffer.add_string buf (string_of_int u);
+    List.iter
+      (fun v ->
+        Buffer.add_char buf ',';
+        Buffer.add_string buf (string_of_int v))
+      (Match_relation.matches m u)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Pattern sizes 1-8; graph sizes on both sides of a 63-bit word
+   boundary and past 10^4 (five-digit ids); rows that are empty, sparse,
+   dense, or hold the last id. *)
+let prop_digest_matches_reference seed =
+  let rng = Prng.create seed in
+  let pattern_size = Prng.int_in rng 1 8 in
+  let graph_size =
+    Prng.choose rng [| 1; 2; 62; 63; 64; 125; 126; 127; 189; 190; 9_999; 10_000; 10_064 |]
+  in
+  let m = Match_relation.create ~pattern_size ~graph_size in
+  for u = 0 to pattern_size - 1 do
+    match Prng.int rng 4 with
+    | 0 -> ()
+    | 1 -> Match_relation.add m u (graph_size - 1)
+    | k ->
+      let adds = if k = 2 then Prng.int rng 8 else Prng.int rng (2 * graph_size) in
+      for _ = 1 to adds do
+        Match_relation.add m u (Prng.int rng graph_size)
+      done
+  done;
+  Match_relation.digest m = reference_digest m
+
 let qcheck_cases =
   [
     QCheck.Test.make ~count:100 ~name:"simulation = reference" QCheck.small_int (fun s ->
@@ -549,6 +589,8 @@ let qcheck_cases =
       (fun s -> prop_ball_index_evaluate (s + 1));
     QCheck.Test.make ~count:60 ~name:"compute_batch = per-query compute" QCheck.small_int
       (fun s -> prop_compute_batch_equals_compute (s + 1));
+    QCheck.Test.make ~count:300 ~name:"digest = list-based reference renderer"
+      QCheck.(int_range 1 1_000_000) prop_digest_matches_reference;
   ]
 
 let () =

@@ -101,6 +101,28 @@ let prop_bitset_model seed =
   let expected = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) model []) in
   Bitset.to_list s = expected && Bitset.cardinal s = List.length expected
 
+(* [iter] (and [fold]/[to_list] on top of it) against a [mem] scan.
+   Capacities straddle the 63-bit word boundaries, and the last bit of
+   every word (index 62 mod 63, the sign bit of an OCaml int) is set
+   with high probability, since it is the step a bit-index search is
+   most likely to get wrong. *)
+let prop_bitset_iter_is_mem_scan seed =
+  let rng = Prng.create seed in
+  let words = 1 + Prng.int rng 4 in
+  let n = max 1 ((words * 63) + Prng.int_in rng (-2) 2) in
+  let s = Bitset.create n in
+  let density = Prng.int_in rng 1 10 in
+  for i = 0 to n - 1 do
+    if i mod 63 = 62 && Prng.int rng 4 > 0 then Bitset.add s i
+    else if Prng.int rng 10 < density then Bitset.add s i
+  done;
+  let scanned = List.filter (Bitset.mem s) (List.init n Fun.id) in
+  let iterated = ref [] in
+  Bitset.iter (fun i -> iterated := i :: !iterated) s;
+  List.rev !iterated = scanned
+  && Bitset.to_list s = scanned
+  && Bitset.fold (fun i acc -> acc + i) s 0 = List.fold_left ( + ) 0 scanned
+
 let test_bitset_setops () =
   let a = Bitset.create 100 and b = Bitset.create 100 in
   List.iter (Bitset.add a) [ 1; 2; 3 ];
@@ -424,6 +446,8 @@ let qcheck_cases =
   [
     QCheck.Test.make ~count:100 ~name:"bitset model" QCheck.small_int (fun s ->
         prop_bitset_model (s + 1));
+    QCheck.Test.make ~count:200 ~name:"bitset iter = mem scan" QCheck.small_int (fun s ->
+        prop_bitset_iter_is_mem_scan (s + 1));
     QCheck.Test.make ~count:50 ~name:"csr roundtrip" QCheck.small_int (fun s ->
         prop_csr_roundtrip (s + 1));
     QCheck.Test.make ~count:30 ~name:"reach = bfs" QCheck.small_int (fun s ->

@@ -132,6 +132,31 @@ let test_fingerprint () =
   Alcotest.(check bool) "equal" true (Pattern.equal p1 p2);
   Alcotest.(check bool) "not equal" false (Pattern.equal p1 p3)
 
+(* The fingerprint is computed once, when the pattern is built; it must
+   still be the one earlier builds wrote into query logs: every query
+   event of the v1 fixture records the fingerprint of its payload. *)
+let test_fingerprint_matches_fixture () =
+  let open Expfinder_telemetry in
+  let fixture =
+    if Sys.file_exists "fixtures/qlog_v1.jsonl" then "fixtures/qlog_v1.jsonl"
+    else Filename.concat (Filename.dirname Sys.executable_name) "fixtures/qlog_v1.jsonl"
+  in
+  let events = match Qlog.load fixture with Ok e -> e | Error e -> Alcotest.fail e in
+  let checked =
+    List.fold_left
+      (fun n (e : Qlog.event) ->
+        match (e.Qlog.kind, e.Qlog.payload) with
+        | Qlog.Query, Some (Json.Str text) -> (
+          match Pattern_io.of_string text with
+          | Ok p ->
+            Alcotest.(check string) "recorded fingerprint" e.Qlog.query (Pattern.fingerprint p);
+            n + 1
+          | Error err -> Alcotest.fail err)
+        | _ -> n)
+      0 events
+  in
+  Alcotest.(check bool) "fixture holds query events" true (checked > 0)
+
 (* --- Pattern I/O -------------------------------------------------------- *)
 
 let paper_query_text =
@@ -290,6 +315,7 @@ let () =
           Alcotest.test_case "accessors" `Quick test_pattern_accessors;
           Alcotest.test_case "matches_node" `Quick test_matches_node;
           Alcotest.test_case "fingerprint" `Quick test_fingerprint;
+          Alcotest.test_case "fingerprint = qlog fixture" `Quick test_fingerprint_matches_fixture;
         ] );
       ( "io",
         [

@@ -353,6 +353,115 @@ let serve_e2e exe () =
       Alcotest.(check bool) "tampered replay exits non-zero" true (code <> 0);
       Alcotest.(check bool) "mismatch reported" true (contains out "MISMATCH"))
 
+(* Served digests against direct evaluation.  Cached replies read the
+   digest memoised in the cache entry; each must equal
+   [Match_relation.digest] of [Planner.run] on a graph freshly loaded
+   from the same file, for [query] and [batch] alike, before and after
+   an update (a memo of the old epoch must never answer the new one).
+   The qlog line of each request must carry the reply's digest. *)
+let digest_e2e exe () =
+  let open Expfinder_graph in
+  let open Expfinder_pattern in
+  let open Expfinder_core in
+  let module Update = Expfinder_incremental.Update in
+  let module Collab = Expfinder_workload.Collab in
+  let sa_query = "expfinder-pattern 1\nnode 0 SA * exp>=int:5\noutput 0\n" in
+  with_tmpdir (fun dir ->
+      let graph = Filename.concat dir "collab.graph" in
+      let socket = Filename.concat dir "serve.sock" in
+      let qlog = Filename.concat dir "qlog.jsonl" in
+      let code, _ = run exe [ "gen"; "--kind"; "collab"; "-o"; graph ] in
+      Alcotest.(check int) "gen exits 0" 0 code;
+      let fresh = match Graph_io.load graph with Ok g -> g | Error e -> Alcotest.fail e in
+      let direct text =
+        match Pattern_io.of_string text with
+        | Ok p ->
+          let m = Planner.run p (Snapshot.of_digraph fresh) in
+          Alcotest.(check bool) "test pattern has a total answer" true (Match_relation.is_total m);
+          Match_relation.digest m
+        | Error e -> Alcotest.fail e
+      in
+      let digest_of resp =
+        match str_field "digest" resp with
+        | Some d -> d
+        | None -> Alcotest.fail "answer carries no digest"
+      in
+      (* Request kind and reply digest (the per-answer digests for a
+         batch), in the order the server logs them. *)
+      let served = ref [] in
+      let query fd text =
+        let resp =
+          request_exn fd (Json.Obj [ ("op", Json.Str "query"); ("pattern", Json.Str text) ])
+        in
+        Alcotest.(check bool) "query ok" true (ok_of resp);
+        Alcotest.(check string) "query digest = direct" (direct text) (digest_of resp);
+        served := ("query", [ digest_of resp ]) :: !served
+      in
+      let batch fd texts =
+        let resp =
+          request_exn fd
+            (Json.Obj
+               [
+                 ("op", Json.Str "batch");
+                 ("patterns", Json.Arr (List.map (fun t -> Json.Str t) texts));
+               ])
+        in
+        Alcotest.(check bool) "batch ok" true (ok_of resp);
+        let digests =
+          match Option.bind (Json.member "answers" resp) Json.list_opt with
+          | Some answers -> List.map digest_of answers
+          | None -> Alcotest.fail "batch response carries no answers"
+        in
+        Alcotest.(check (list string)) "batch digests = direct" (List.map direct texts) digests;
+        served := ("batch", digests) :: !served
+      in
+      let round fd =
+        (* The first query of an epoch stores its kernel; the rest are
+           cache hits served from the memo. *)
+        query fd paper_query;
+        query fd paper_query;
+        batch fd [ paper_query; sa_query; paper_query ];
+        query fd sa_query;
+        batch fd [ sa_query; paper_query ]
+      in
+      with_server exe ~graph ~socket ~qlog (fun endpoint ->
+          Server.with_connection endpoint (fun fd ->
+              round fd;
+              (* The paper's e1, which makes Fred an SD match. *)
+              let update = Update.Insert_edge (fst Collab.e1, snd Collab.e1) in
+              let resp =
+                request_exn fd
+                  (Json.Obj [ ("op", Json.Str "update"); ("ops", Json.Arr [ Update.to_json update ]) ])
+              in
+              Alcotest.(check bool) "update ok" true (ok_of resp);
+              let before = direct paper_query in
+              Alcotest.(check bool) "update applied to the fresh graph" true
+                (Update.apply fresh update);
+              Alcotest.(check bool) "the update changes the answer" true
+                (direct paper_query <> before);
+              round fd;
+              let resp = request_exn fd (Json.Obj [ ("op", Json.Str "shutdown") ]) in
+              Alcotest.(check bool) "shutdown acknowledged" true (ok_of resp)));
+      let events = match Qlog.load qlog with Ok e -> e | Error e -> Alcotest.fail e in
+      let logged =
+        List.filter_map
+          (fun (e : Qlog.event) ->
+            match e.Qlog.kind with
+            | Qlog.Query -> Some ("query", e.Qlog.digest)
+            | Qlog.Batch -> Some ("batch", e.Qlog.digest)
+            | _ -> None)
+          events
+      in
+      let expected =
+        List.rev_map
+          (fun (kind, digests) ->
+            match (kind, digests) with
+            | "query", [ d ] -> (kind, d)
+            | _ -> (kind, Digest.to_hex (Digest.string (String.concat "" digests))))
+          !served
+      in
+      Alcotest.(check (list (pair string string))) "qlog digests = reply digests" expected logged)
+
 (* `expfinder stats --server` over TCP: the satellite regression.  The
    spec "127.0.0.1:PORT" must resolve, fetch /stats.json and print the
    window/alert summary with exit 0. *)
@@ -657,6 +766,7 @@ let () =
           [
             Alcotest.test_case "serve/observe/replay" `Quick (serve_e2e exe);
             Alcotest.test_case "stats --server over TCP" `Quick (stats_tcp_e2e exe);
+            Alcotest.test_case "served digests = direct evaluation" `Quick (digest_e2e exe);
             Alcotest.test_case "trace propagation over unix socket" `Quick
               (trace_e2e ~tcp:false exe);
             Alcotest.test_case "trace propagation over TCP" `Quick

@@ -101,6 +101,64 @@ let test_cache_invalidation () =
   Alcotest.(check int) "cleared" 0 (Cache.length cache);
   Alcotest.(check (pair int int)) "stats reset" (0, 0) (Cache.hits cache, Cache.misses cache)
 
+(* --- Digest memo ---------------------------------------------------- *)
+
+let hit cache q sid =
+  match Cache.find cache q ~snapshot:sid with
+  | Some r -> r
+  | None -> Alcotest.fail "expected hit"
+
+let memo cache q sid r =
+  match Cache.digest cache q ~snapshot:sid r with
+  | Some d -> d
+  | None -> Alcotest.fail "expected a memoised digest"
+
+let test_digest_memo_reused () =
+  let cache = Cache.create () in
+  let q = Collab.query () in
+  let sid0, _ = sid_pair () in
+  Cache.store cache q ~snapshot:sid0 (sample_relation ());
+  let r1 = hit cache q sid0 in
+  let d1 = memo cache q sid0 r1 in
+  Alcotest.(check string) "memo is the relation's digest" (Match_relation.digest r1) d1;
+  (* The second hit gets the string already stored, not a recomputed
+     one. *)
+  let r2 = hit cache q sid0 in
+  Alcotest.(check bool) "second hit reuses the stored digest" true (memo cache q sid0 r2 == d1);
+  Alcotest.(check (pair int int)) "memo reads are not hits or misses" (2, 0)
+    (Cache.hits cache, Cache.misses cache);
+  (* Mutating a returned copy leaves the stored relation, and its memo,
+     as they were... *)
+  Match_relation.remove r2 0 1;
+  let r3 = hit cache q sid0 in
+  Alcotest.(check bool) "next hit's digest unchanged" true (memo cache q sid0 r3 == d1);
+  (* ...and the mutated copy no longer matches the entry, so it gets no
+     memo: its owner digests it. *)
+  Alcotest.(check bool) "mutated copy gets no memo" true
+    (Cache.digest cache q ~snapshot:sid0 r2 = None)
+
+let test_digest_memo_dropped () =
+  let cache = Cache.create () in
+  let q = Collab.query () in
+  let sid0, sid1 = sid_pair () in
+  let r = sample_relation () in
+  Cache.store cache q ~snapshot:sid0 r;
+  let d0 = memo cache q sid0 r in
+  Alcotest.(check bool) "no memo under another snapshot" true
+    (Cache.digest cache q ~snapshot:sid1 r = None);
+  Cache.clear cache;
+  Alcotest.(check bool) "cleared entry has no memo" true
+    (Cache.digest cache q ~snapshot:sid0 r = None);
+  Cache.store cache q ~snapshot:sid0 r;
+  let d1 = memo cache q sid0 r in
+  Alcotest.(check string) "same content, same digest" d0 d1;
+  Alcotest.(check bool) "recomputed after clear" true (d1 != d0);
+  Cache.invalidate_snapshot cache sid0;
+  Alcotest.(check bool) "invalidated entry has no memo" true
+    (Cache.digest cache q ~snapshot:sid0 r = None);
+  Cache.store cache q ~snapshot:sid0 r;
+  Alcotest.(check bool) "recomputed after invalidation" true (memo cache q sid0 r != d1)
+
 (* --- Graph store ------------------------------------------------------- *)
 
 let with_store f =
@@ -169,6 +227,8 @@ let () =
           Alcotest.test_case "defensive copies" `Quick test_cache_is_defensive;
           Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "invalidation" `Quick test_cache_invalidation;
+          Alcotest.test_case "digest memo reused" `Quick test_digest_memo_reused;
+          Alcotest.test_case "digest memo dropped" `Quick test_digest_memo_dropped;
         ] );
       ( "store",
         [
