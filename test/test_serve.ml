@@ -63,9 +63,22 @@ let paper_query =
    [f], and always reap the child. *)
 let with_server ?(extra_env = []) exe ~graph ~socket ~qlog f =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  (* [extra_env] overrides the inherited value of any variable it
+     sets. *)
+  let var_name binding =
+    match String.index_opt binding '=' with
+    | Some i -> String.sub binding 0 i
+    | None -> binding
+  in
+  let extra_env = Printf.sprintf "EXPFINDER_QLOG=%s" qlog :: extra_env in
+  let overridden = List.map var_name extra_env in
   let env =
-    Array.append (Unix.environment ())
-      (Array.of_list (Printf.sprintf "EXPFINDER_QLOG=%s" qlog :: extra_env))
+    Array.append
+      (Array.of_list
+         (List.filter
+            (fun b -> not (List.mem (var_name b) overridden))
+            (Array.to_list (Unix.environment ()))))
+      (Array.of_list extra_env)
   in
   let pid =
     Unix.create_process_env exe
@@ -628,6 +641,432 @@ let trace_e2e ~tcp exe () =
         Alcotest.(check bool) "qlog records the adopted trace id" true
           (List.exists (fun e -> e.Qlog.trace_id = ctx.Trace.trace_id) events))
 
+(* ------------------------------------------------------------------ *)
+(* Endpoint golden shapes *)
+
+(* [null] stands for a non-finite float (an empty histogram's
+   percentiles), so it counts as a number wherever values are data. *)
+let is_number = function Json.Int _ | Json.Float _ | Json.Null -> true | _ -> false
+
+let is_string = function Json.Str _ -> true | _ -> false
+
+(* Members whose keys are data rather than schema (registry names,
+   counter deltas, span attributes, timeseries names): only the kind of
+   each value is checked. *)
+let data_keyed =
+  [
+    ( "metrics",
+      function
+      | Json.Obj fields ->
+        List.for_all (fun (k, v) -> if k = "kind" then is_string v else is_number v) fields
+      | _ -> false );
+    ("counters", is_number);
+    ("attrs", is_string);
+    ("series_kinds", is_string);
+    ( "series",
+      function
+      | Json.Arr points ->
+        List.for_all (function Json.Arr xs -> List.for_all is_number xs | _ -> false) points
+      | _ -> false );
+  ]
+
+let json_kind = function
+  | Json.Null -> "null"
+  | Json.Bool _ -> "bool"
+  | Json.Int _ | Json.Float _ -> "number"
+  | Json.Str _ -> "string"
+  | Json.Arr _ -> "array"
+  | Json.Obj _ -> "object"
+
+(* Every key path of a document with the JSON kind found there, values
+   masked: one "path: kind" line per distinct pair, sorted.  Array
+   elements share the path "<array>[]"; a span's [children] share the
+   path of the span itself, so trees of any depth have one shape. *)
+let json_shape doc =
+  let lines = ref [] in
+  let add path kind = lines := (path ^ ": " ^ kind) :: !lines in
+  let rec walk path json =
+    add path (json_kind json);
+    match json with
+    | Json.Obj members ->
+      List.iter
+        (fun (k, v) ->
+          let p = path ^ "." ^ k in
+          match (List.assoc_opt k data_keyed, v) with
+          | Some ok, Json.Obj entries ->
+            add p (if List.for_all (fun (_, e) -> ok e) entries then "map" else "malformed map")
+          | _, Json.Arr spans when k = "children" ->
+            add p "array";
+            List.iter (walk path) spans
+          | _ -> walk p v)
+        members
+    | Json.Arr items -> List.iter (walk (path ^ "[]")) items
+    | _ -> ()
+  in
+  walk "$" doc;
+  List.sort_uniq compare !lines
+
+let golden_stats =
+  [
+    "$: object";
+    "$.alerts: object";
+    "$.alerts.alerts: array";
+    "$.alerts.alerts[]: object";
+    "$.alerts.alerts[].bad_fast: number";
+    "$.alerts.alerts[].bad_slow: number";
+    "$.alerts.alerts[].burn_fast: number";
+    "$.alerts.alerts[].burn_slow: number";
+    "$.alerts.alerts[].fast_burn_threshold: number";
+    "$.alerts.alerts[].fast_s: number";
+    "$.alerts.alerts[].firing: bool";
+    "$.alerts.alerts[].kind: string";
+    "$.alerts.alerts[].name: string";
+    "$.alerts.alerts[].op: string";
+    "$.alerts.alerts[].since_unix: number";
+    "$.alerts.alerts[].slow_burn_threshold: number";
+    "$.alerts.alerts[].slow_s: number";
+    "$.alerts.alerts[].state: string";
+    "$.alerts.alerts[].target: number";
+    "$.alerts.now_unix: number";
+    "$.alerts.v: number";
+    "$.epoch: number";
+    "$.graph_id: number";
+    "$.metrics: map";
+    "$.pool: object";
+    "$.pool.busy: number";
+    "$.pool.queue_capacity: number";
+    "$.pool.queue_depth: number";
+    "$.pool.tasks: number";
+    "$.pool.workers: number";
+    "$.pool.writer_backlog: number";
+    "$.pool.writer_submitted: number";
+    "$.process: object";
+    "$.process.process.gc_major_collections: number";
+    "$.process.process.gc_minor_collections: number";
+    "$.process.process.gc_pause_us_max: number";
+    "$.process.process.gc_pause_us_total: number";
+    "$.process.process.heap_words: number";
+    "$.process.process.major_words: number";
+    "$.process.process.minor_words: number";
+    "$.process.process.rss_bytes: number";
+    "$.process.process.start_time_unix: number";
+    "$.process.uptime.seconds: number";
+    "$.recorder: array";
+    "$.recorder[]: object";
+    "$.recorder[].counters: map";
+    "$.recorder[].duration_ms: number";
+    "$.recorder[].query: string";
+    "$.recorder[].seq: number";
+    "$.recorder[].slow: bool";
+    "$.recorder[].strategy: string";
+    "$.recorder[].trace_id: string";
+    "$.windows: object";
+    "$.windows.batch: object";
+    "$.windows.batch.count: number";
+    "$.windows.batch.error_rate: number";
+    "$.windows.batch.errors: number";
+    "$.windows.batch.exemplars: array";
+    "$.windows.batch.max_ms: number";
+    "$.windows.batch.mean_ms: number";
+    "$.windows.batch.p50_ms: number";
+    "$.windows.batch.p95_ms: number";
+    "$.windows.batch.p99_ms: number";
+    "$.windows.batch.qps: number";
+    "$.windows.batch.window_s: number";
+    "$.windows.query: object";
+    "$.windows.query.count: number";
+    "$.windows.query.error_rate: number";
+    "$.windows.query.errors: number";
+    "$.windows.query.exemplars: array";
+    "$.windows.query.exemplars[]: object";
+    "$.windows.query.exemplars[].le: number";
+    "$.windows.query.exemplars[].trace_id: string";
+    "$.windows.query.exemplars[].ts_unix: number";
+    "$.windows.query.exemplars[].value_ms: number";
+    "$.windows.query.max_ms: number";
+    "$.windows.query.mean_ms: number";
+    "$.windows.query.p50_ms: number";
+    "$.windows.query.p95_ms: number";
+    "$.windows.query.p99_ms: number";
+    "$.windows.query.qps: number";
+    "$.windows.query.window_s: number";
+    "$.windows.update: object";
+    "$.windows.update.count: number";
+    "$.windows.update.error_rate: number";
+    "$.windows.update.errors: number";
+    "$.windows.update.exemplars: array";
+    "$.windows.update.max_ms: number";
+    "$.windows.update.mean_ms: number";
+    "$.windows.update.p50_ms: number";
+    "$.windows.update.p95_ms: number";
+    "$.windows.update.p99_ms: number";
+    "$.windows.update.qps: number";
+    "$.windows.update.window_s: number";
+  ]
+
+let golden_traces =
+  [
+    "$: object";
+    "$.capacity: number";
+    "$.seen: number";
+    "$.traces: array";
+    "$.traces[]: object";
+    "$.traces[].duration_ms: number";
+    "$.traces[].error: bool";
+    "$.traces[].kept: string";
+    "$.traces[].op: string";
+    "$.traces[].query: string";
+    "$.traces[].root: object";
+    "$.traces[].root.attrs: map";
+    "$.traces[].root.children: array";
+    "$.traces[].root.duration_ms: number";
+    "$.traces[].root.name: string";
+    "$.traces[].span_id: string";
+    "$.traces[].trace_id: string";
+    "$.traces[].ts_unix: number";
+  ]
+
+let golden_timeseries =
+  [
+    "$: object";
+    "$.now_unix: number";
+    "$.point: string";
+    "$.resolutions: array";
+    "$.resolutions[]: object";
+    "$.resolutions[].res_s: number";
+    "$.resolutions[].series: map";
+    "$.resolutions[].slots: number";
+    "$.resolutions[].span_s: number";
+    "$.series_kinds: map";
+    "$.v: number";
+  ]
+
+let golden_alerts =
+  [
+    "$: object";
+    "$.alerts: array";
+    "$.alerts[]: object";
+    "$.alerts[].bad_fast: number";
+    "$.alerts[].bad_slow: number";
+    "$.alerts[].burn_fast: number";
+    "$.alerts[].burn_slow: number";
+    "$.alerts[].fast_burn_threshold: number";
+    "$.alerts[].fast_s: number";
+    "$.alerts[].firing: bool";
+    "$.alerts[].kind: string";
+    "$.alerts[].name: string";
+    "$.alerts[].op: string";
+    "$.alerts[].since_unix: number";
+    "$.alerts[].slow_burn_threshold: number";
+    "$.alerts[].slow_s: number";
+    "$.alerts[].state: string";
+    "$.alerts[].target: number";
+    "$.now_unix: number";
+    "$.v: number";
+  ]
+
+let golden_domains =
+  [
+    "$: object";
+    "$.engine: object";
+    "$.engine.maint_skips_ball_index: number";
+    "$.engine.maint_skips_fastpath: number";
+    "$.engine.stale_reads: number";
+    "$.engine.staleness: number";
+    "$.epoch: number";
+    "$.gc: object";
+    "$.gc.by_domain: array";
+    "$.gc.by_domain[]: object";
+    "$.gc.by_domain[].domain: number";
+    "$.gc.by_domain[].pause_us_max: number";
+    "$.gc.by_domain[].pause_us_total: number";
+    "$.gc.by_domain[].slices: number";
+    "$.gc.domain_spawns: number";
+    "$.gc.domain_stops: number";
+    "$.graph_id: number";
+    "$.pool: object";
+    "$.pool.busy: number";
+    "$.pool.queue_capacity: number";
+    "$.pool.queue_depth: number";
+    "$.pool.tasks: number";
+    "$.pool.workers: number";
+    "$.pool.writer_backlog: number";
+    "$.pool.writer_submitted: number";
+    "$.profile: object";
+    "$.profile.dropped: number";
+    "$.profile.folded: number";
+    "$.profile.max_stacks: number";
+    "$.profile.stacks: number";
+    "$.workers: array";
+    "$.workers[]: object";
+    "$.workers[].busy_us: number";
+    "$.workers[].domain_id: number";
+    "$.workers[].idle_us: number";
+    "$.workers[].tasks: number";
+    "$.workers[].utilization: number";
+    "$.workers[].worker: number";
+  ]
+
+(* Always-on /metrics families: the op-class windows, the alert gauges
+   and the always-on registry cells. *)
+let always_on_families =
+  [
+    "expfinder_window_seconds";
+    "expfinder_window_requests";
+    "expfinder_window_errors";
+    "expfinder_qps";
+    "expfinder_error_rate";
+    "expfinder_latency_ms";
+    "expfinder_alert_active";
+    "expfinder_alert_burn";
+    "expfinder_process_rss_bytes";
+    "expfinder_uptime_seconds";
+    "expfinder_engine_snapshot_stale_reads";
+    "expfinder_engine_epoch_publish_lag_ms";
+  ]
+
+(* Prometheus text format: every [# TYPE] family has a [# HELP] line
+   before it, every sample belongs to a typed family (a summary's
+   [_sum]/[_count] to the summary), and every sample value parses. *)
+let check_metrics_text body =
+  let helped = Hashtbl.create 64 and typed = Hashtbl.create 64 in
+  let family_of sample =
+    let stop =
+      match (String.index_opt sample '{', String.index_opt sample ' ') with
+      | Some i, Some j -> min i j
+      | Some i, None | None, Some i -> i
+      | None, None -> String.length sample
+    in
+    String.sub sample 0 stop
+  in
+  let strip_suffix name suffix =
+    let n = String.length name and k = String.length suffix in
+    if n > k && String.sub name (n - k) k = suffix then Some (String.sub name 0 (n - k))
+    else None
+  in
+  List.iter
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [] | [ "" ] -> ()
+      | "#" :: "HELP" :: name :: _ -> Hashtbl.replace helped name ()
+      | [ "#"; "TYPE"; name; kind ] ->
+        if not (Hashtbl.mem helped name) then
+          Alcotest.failf "/metrics: TYPE before HELP for %s" name;
+        Hashtbl.replace typed name kind
+      | "#" :: _ -> ()
+      | _ ->
+        let family = family_of line in
+        let owner =
+          if Hashtbl.mem typed family then Some family
+          else
+            List.find_map
+              (fun suffix ->
+                match strip_suffix family suffix with
+                | Some base when Hashtbl.find_opt typed base = Some "summary" -> Some base
+                | _ -> None)
+              [ "_sum"; "_count" ]
+        in
+        if owner = None then Alcotest.failf "/metrics: sample of an untyped family: %s" line;
+        let value = List.hd (List.rev (String.split_on_char ' ' line)) in
+        if not (List.mem value [ "NaN"; "+Inf"; "-Inf" ] || float_of_string_opt value <> None)
+        then Alcotest.failf "/metrics: unparsable sample value: %s" line)
+    (String.split_on_char '\n' body);
+  Hashtbl.iter
+    (fun name _ ->
+      if not (Hashtbl.mem typed name) then Alcotest.failf "/metrics: HELP without TYPE for %s" name)
+    helped;
+  List.iter
+    (fun family ->
+      Alcotest.(check bool) (Printf.sprintf "/metrics family %s" family) true
+        (Hashtbl.mem typed family))
+    always_on_families
+
+(* Collapsed stacks: one "stack count" line per stack, the stack
+   without spaces and the count an integer. *)
+let check_folded body =
+  let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' body) in
+  Alcotest.(check bool) "/profile.folded holds stacks" true (lines <> []);
+  List.iter
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ stack; count ] when stack <> "" && int_of_string_opt count <> None -> ()
+      | _ -> Alcotest.failf "/profile.folded: malformed line %S" line)
+    lines
+
+(* The shapes of all eight HTTP endpoints after one query, one batch
+   and one update on a two-domain pool, once the sampler has ticked.
+   The workload fixes which arrays are non-empty: the query is the
+   first request the trace store sees, so it alone is head-sampled and
+   becomes the query window's exemplar. *)
+let golden_e2e exe () =
+  with_tmpdir (fun dir ->
+      let graph = Filename.concat dir "collab.graph" in
+      let socket = Filename.concat dir "serve.sock" in
+      let qlog = Filename.concat dir "qlog.jsonl" in
+      let code, _ = run exe [ "gen"; "--kind"; "collab"; "-o"; graph ] in
+      Alcotest.(check int) "gen exits 0" 0 code;
+      with_server exe ~graph ~socket ~qlog
+        ~extra_env:[ "EXPFINDER_SAMPLE_PERIOD_S=0.2"; "EXPFINDER_DOMAINS=2" ]
+        (fun endpoint ->
+          Server.with_connection endpoint (fun fd ->
+              List.iter
+                (fun req -> Alcotest.(check bool) "request ok" true (ok_of (request_exn fd req)))
+                [
+                  Json.Obj [ ("op", Json.Str "query"); ("pattern", Json.Str paper_query) ];
+                  Json.Obj
+                    [
+                      ("op", Json.Str "batch");
+                      ("patterns", Json.Arr [ Json.Str paper_query; Json.Str paper_query ]);
+                    ];
+                  Json.Obj
+                    [
+                      ("op", Json.Str "update");
+                      ( "ops",
+                        Json.Arr
+                          [ Json.Obj [ ("op", Json.Str "+"); ("u", Json.Int 1); ("v", Json.Int 5) ] ]
+                      );
+                    ];
+                ]);
+          let get path =
+            match Server.http_get endpoint path with
+            | Ok (200, body) -> body
+            | Ok (status, _) -> Alcotest.failf "%s -> HTTP %d" path status
+            | Error e -> Alcotest.failf "%s: %s" path e
+          in
+          let doc path =
+            match Json.of_string (get path) with
+            | Ok doc -> doc
+            | Error e -> Alcotest.failf "%s does not parse: %s" path e
+          in
+          (* Wait for a sampler tick that saw the requests. *)
+          let rec wait_tick attempts =
+            if attempts = 0 then Alcotest.fail "sampler did not tick within 10s"
+            else if not (contains (get "/timeseries.json") "\"req.update\"") then begin
+              Unix.sleepf 0.1;
+              wait_tick (attempts - 1)
+            end
+          in
+          wait_tick 100;
+          Alcotest.(check string) "/healthz body" "ok\n" (get "/healthz");
+          check_metrics_text (get "/metrics");
+          check_folded (get "/profile.folded");
+          List.iter
+            (fun (path, expected) ->
+              Alcotest.(check (list string))
+                (path ^ " shape")
+                (List.sort_uniq compare expected)
+                (json_shape (doc path)))
+            [
+              ("/stats.json", golden_stats);
+              ("/traces.json", golden_traces);
+              ("/timeseries.json", golden_timeseries);
+              ("/alerts.json", golden_alerts);
+              ("/domains.json", golden_domains);
+            ];
+          Server.with_connection endpoint (fun fd ->
+              let resp = request_exn fd (Json.Obj [ ("op", Json.Str "shutdown") ]) in
+              Alcotest.(check bool) "shutdown acknowledged" true (ok_of resp))))
+
 (* Dashboard rendering from canned documents: the `expfinder top` frame
    is pure string building, so it is testable without a server. *)
 let canned_stats =
@@ -771,5 +1210,6 @@ let () =
               (trace_e2e ~tcp:false exe);
             Alcotest.test_case "trace propagation over TCP" `Quick
               (trace_e2e ~tcp:true exe);
+            Alcotest.test_case "endpoint golden shapes" `Quick (golden_e2e exe);
           ] );
       ]
