@@ -587,12 +587,10 @@ let serve_run verbose graph_file socket_spec max_connections =
         the write errors are handled per-connection instead. *)
      (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
      (* Long-horizon telemetry: GC pause attribution via the runtime's
-        own event ring (opt out with EXPFINDER_GC_EVENTS=0) and
-        statistical allocation attribution when EXPFINDER_MEMPROF_RATE
-        is set.  Both stay inert for every other subcommand. *)
+        own event ring (opt out with EXPFINDER_GC_EVENTS=0).  It stays
+        inert for every other subcommand. *)
      if Sys.getenv_opt "EXPFINDER_GC_EVENTS" <> Some "0" then
        ignore (Telemetry.Gcpause.start () : bool);
-     ignore (Telemetry.Alloc.start_from_env () : bool);
      let sample_period =
        match Option.bind (Sys.getenv_opt "EXPFINDER_SAMPLE_PERIOD_S") float_of_string_opt with
        | Some p -> p
@@ -1296,8 +1294,7 @@ let serve_cmd =
            `P
              "Set $(b,EXPFINDER_QLOG) to capture every served request in the structured query \
               log, ready for $(b,expfinder replay); $(b,EXPFINDER_TIMESERIES) to persist one \
-              JSONL telemetry tick per sampler period; $(b,EXPFINDER_MEMPROF_RATE) to enable \
-              statistical allocation attribution; $(b,EXPFINDER_POSTMORTEM_DIR) to write a \
+              JSONL telemetry tick per sampler period; $(b,EXPFINDER_POSTMORTEM_DIR) to write a \
               crash artifact on fatal signals and uncaught exceptions.  SLO objectives tune \
               via EXPFINDER_SLO_* (see $(b,expfinder top)).";
          ])

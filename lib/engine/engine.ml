@@ -48,15 +48,6 @@ let m_batch_queries = Metrics.counter "engine.batch_queries"
 
 let h_query_ms = Metrics.histogram "engine.query_ms"
 
-(* Serving-path SLO windows: always-on per-second rings feeding the
-   /metrics and /stats.json surfaces (QPS, error rate, latency
-   percentiles over the last minute), one per operation class. *)
-let w_query = Window.get "query"
-
-let w_batch = Window.get "batch"
-
-let w_update = Window.get "update"
-
 let provenance_counter = function
   | From_cache -> m_from_cache
   | From_compressed -> m_from_compressed
@@ -380,44 +371,18 @@ let profiled ?(trace = Trace.ambient) t ~root ~attrs ~query f =
   in
   (result, profile)
 
-(* Query-log plumbing.  The digest and the replayable payload are only
-   materialised when a sink is configured, so the unlogged serving path
-   pays nothing beyond the [Qlog.enabled] check. *)
-let qlog_emit t ~kind ~query ~strategy ~duration_ms ~counters ~pairs ~digest ?(trace_id = "")
-    ?error ?payload () =
-  if Qlog.enabled () then begin
-    let snap = Atomic.get t.snap in
-    Qlog.emit ~kind ~graph_id:(Snapshot.graph_id snap) ~epoch:(Snapshot.epoch snap)
-      ~query ~strategy ~duration_ms ~counters ~pairs ~digest ~trace_id ?error ?payload ()
-  end
-
-(* Finished-request bookkeeping shared by the three op classes: offer
-   the request to the trace store (head + tail sampling) and record the
-   op window observation, advertising the trace id as that latency
-   bucket's exemplar only when the store admitted it — an exemplar must
-   resolve to a stored trace. *)
-let observe_traced ~trace ~window ~op ~query ~duration_ms ~error ?root () =
-  let kept =
-    Tracestore.record ~trace_id:trace.Trace.trace_id ~span_id:trace.Trace.span_id ~op ~query
-      ~duration_ms ~error ?root ()
-  in
-  (* Every completed span tree also feeds the continuous folded-stack
-     profile — the single fold point for the query/batch/update ops. *)
-  Option.iter Profile.record root;
-  Window.observe window ~error
-    ?trace:(if kept then Some trace.Trace.trace_id else None)
-    duration_ms
-
-let pattern_payload pattern =
-  if Qlog.enabled () then Some (Json.Str (Pattern_io.to_string pattern)) else None
-
-let batch_payload patterns =
-  if Qlog.enabled () then
-    Some (Json.Arr (List.map (fun q -> Json.Str (Pattern_io.to_string q)) patterns))
-  else None
-
-let update_payload updates =
-  if Qlog.enabled () then Some (Json.Arr (List.map Update.to_json updates)) else None
+(* Finished-request bookkeeping, one call per exit path of the three
+   op classes: the duration since [start] and the counter delta since
+   [before], tagged with the engine's current snapshot, go to every
+   telemetry sink at once. *)
+let finished t ~kind ~trace ~start ~before ~query ~strategy ?(pairs = 0) ?digest ~payload
+    ?error ?root () =
+  let duration_ms = (now_us () -. start) /. 1000.0 in
+  let counters = Metrics.delta ~before ~after:(Metrics.counters_snapshot ()) in
+  let snap = Atomic.get t.snap in
+  Request.finish ~kind ~trace ~query ~strategy ~duration_ms ~counters ~pairs ?digest ~payload
+    ?error:(Option.map Printexc.to_string error)
+    ?root ~graph_id:(Snapshot.graph_id snap) ~epoch:(Snapshot.epoch snap) ()
 
 (* An answer's digest, memoised in the cache entry it was served from
    or just stored into: [sid] is that evaluation's snapshot, never a
@@ -436,14 +401,14 @@ let batch_digest answers =
   Digest.to_hex
     (Digest.string (String.concat "" (List.map (fun a -> Lazy.force a.digest) answers)))
 
-let evaluate_unlabelled ?(trace = Trace.ambient) t pattern =
-  (* Flight recorder bookkeeping is always on (unlike profiles): snapshot
-     the counter registry and the clock around the whole query. *)
-  let rec_before = Metrics.counters_snapshot () in
-  let rec_start = now_us () in
+let evaluate ?(trace = Trace.ambient) t pattern =
+  (* Request bookkeeping is always on (unlike profiles): snapshot the
+     counter registry and the clock around the whole query. *)
+  let before = Metrics.counters_snapshot () in
+  let start = now_us () in
   Counter.incr m_queries;
   let fp = Pattern.fingerprint pattern in
-  let trace_id = trace.Trace.trace_id in
+  let payload = lazy (Json.Str (Pattern_io.to_string pattern)) in
   match
     profiled ~trace t ~root:"evaluate" ~attrs:[ ("query", fp) ] ~query:fp (fun () ->
         let sid, relation, provenance, strategy, via_direct = evaluate_inner t pattern in
@@ -454,34 +419,19 @@ let evaluate_unlabelled ?(trace = Trace.ambient) t pattern =
         ((sid, relation, provenance, strategy), provenance))
   with
   | exception e ->
-    let duration_ms = (now_us () -. rec_start) /. 1000.0 in
-    let counters = Metrics.delta ~before:rec_before ~after:(Metrics.counters_snapshot ()) in
-    Recorder.record ~trace_id ~query:fp ~strategy:"error" ~duration_ms ~counters ();
-    observe_traced ~trace ~window:w_query ~op:"query" ~query:fp ~duration_ms ~error:true ();
-    qlog_emit t ~kind:Qlog.Query ~query:fp ~strategy:"error" ~duration_ms ~counters ~pairs:0
-      ~digest:"" ~trace_id ~error:(Printexc.to_string e) ?payload:(pattern_payload pattern) ();
+    finished t ~kind:Qlog.Query ~trace ~start ~before ~query:fp ~strategy:"error" ~payload
+      ~error:e ();
     raise e
   | (sid, relation, provenance, strategy), profile ->
-    let duration_ms = (now_us () -. rec_start) /. 1000.0 in
     let digest = answer_digest t pattern ~sid relation in
-    let counters = Metrics.delta ~before:rec_before ~after:(Metrics.counters_snapshot ()) in
-    Recorder.record ~trace_id ~query:fp ~strategy ~duration_ms ~counters ();
-    observe_traced ~trace ~window:w_query ~op:"query" ~query:fp ~duration_ms ~error:false
+    finished t ~kind:Qlog.Query ~trace ~start ~before ~query:fp ~strategy
+      ~pairs:(Match_relation.total relation) ~digest ~payload
       ?root:(Option.map (fun p -> p.span) profile)
       ();
-    qlog_emit t ~kind:Qlog.Query ~query:fp ~strategy ~duration_ms ~counters
-      ~pairs:(Match_relation.total relation)
-      ~digest:(if Qlog.enabled () then Lazy.force digest else "")
-      ~trace_id ?payload:(pattern_payload pattern) ();
     Log.debug (fun m ->
         m "evaluate %s: %d pairs via %s" fp (Match_relation.total relation)
           (provenance_name provenance));
     { relation; total = Match_relation.is_total relation; provenance; profile; digest }
-
-(* Allocation attribution: while the memprof sampler is active, bytes
-   allocated under each op class are charged to its label. *)
-let evaluate ?trace t pattern =
-  Alloc.with_label "query" (fun () -> evaluate_unlabelled ?trace t pattern)
 
 (* ------------------------------------------------------------------ *)
 (* Batched evaluation                                                   *)
@@ -502,10 +452,10 @@ let evaluate ?trace t pattern =
    supersets of the planner's (which additionally prunes sinks), and the
    maximal kernel below any initial superset of it is the same
    fixpoint. *)
-let evaluate_batch_unlabelled ?(trace = Trace.ambient) t patterns =
+let evaluate_batch ?(trace = Trace.ambient) t patterns =
   Counter.incr m_batches;
-  let rec_before = Metrics.counters_snapshot () in
-  let rec_start = now_us () in
+  let before = Metrics.counters_snapshot () in
+  let start = now_us () in
   let snap = snapshot t in
   let sid = Snapshot.id snap in
   let arr = Array.of_list patterns in
@@ -622,25 +572,16 @@ let evaluate_batch_unlabelled ?(trace = Trace.ambient) t patterns =
           arr;
         ((), Direct))
   in
+  (* The replayable payload is the input list, duplicates included. *)
+  let payload =
+    lazy (Json.Arr (List.map (fun q -> Json.Str (Pattern_io.to_string q)) patterns))
+  in
   match run_batch () with
   | exception e ->
-    let duration_ms = (now_us () -. rec_start) /. 1000.0 in
-    let counters = Metrics.delta ~before:rec_before ~after:(Metrics.counters_snapshot ()) in
-    Recorder.record ~trace_id:trace.Trace.trace_id ~query:label ~strategy:"batch/error"
-      ~duration_ms ~counters ();
-    observe_traced ~trace ~window:w_batch ~op:"batch" ~query:label ~duration_ms ~error:true ();
-    qlog_emit t ~kind:Qlog.Batch ~query:label ~strategy:"batch/error" ~duration_ms ~counters
-      ~pairs:0 ~digest:"" ~trace_id:trace.Trace.trace_id ~error:(Printexc.to_string e)
-      ?payload:(batch_payload patterns) ();
+    finished t ~kind:Qlog.Batch ~trace ~start ~before ~query:label ~strategy:"batch/error"
+      ~payload ~error:e ();
     raise e
   | (), batch_profile ->
-    let duration_ms = (now_us () -. rec_start) /. 1000.0 in
-    let counters = Metrics.delta ~before:rec_before ~after:(Metrics.counters_snapshot ()) in
-    Recorder.record ~trace_id:trace.Trace.trace_id ~query:label ~strategy:"batch" ~duration_ms
-      ~counters ();
-    observe_traced ~trace ~window:w_batch ~op:"batch" ~query:label ~duration_ms ~error:false
-      ?root:(Option.map (fun p -> p.span) batch_profile)
-      ();
     let answers =
       List.mapi
         (fun i pattern ->
@@ -659,15 +600,14 @@ let evaluate_batch_unlabelled ?(trace = Trace.ambient) t patterns =
           | None -> assert false)
         patterns
     in
-    qlog_emit t ~kind:Qlog.Batch ~query:label ~strategy:"batch" ~duration_ms ~counters
+    finished t ~kind:Qlog.Batch ~trace ~start ~before ~query:label ~strategy:"batch"
       ~pairs:(List.fold_left (fun acc a -> acc + Match_relation.total a.relation) 0 answers)
-      ~digest:(if Qlog.enabled () then batch_digest answers else "")
-      ~trace_id:trace.Trace.trace_id ?payload:(batch_payload patterns) ();
+      ~digest:(lazy (batch_digest answers))
+      ~payload
+      ?root:(Option.map (fun p -> p.span) batch_profile)
+      ();
     Log.debug (fun m -> m "evaluate_batch: %d queries on %a" n Snapshot.pp_id snap);
     answers
-
-let evaluate_batch ?trace t patterns =
-  Alloc.with_label "batch" (fun () -> evaluate_batch_unlabelled ?trace t patterns)
 
 let result_graph t pattern =
   let answer = evaluate t pattern in
@@ -864,12 +804,12 @@ let apply_updates_inner t updates =
     Mutex.unlock t.writer;
     raise e
 
-let apply_updates_unlabelled ?(trace = Trace.ambient) t updates =
-  let rec_before = Metrics.counters_snapshot () in
-  let rec_start = now_us () in
+let apply_updates ?(trace = Trace.ambient) t updates =
+  let before = Metrics.counters_snapshot () in
+  let start = now_us () in
   (* The replayable payload is the *input* batch: no-ops are dropped at
      apply time, so replay reproduces the same filtering. *)
-  let payload = update_payload updates in
+  let payload = lazy (Json.Arr (List.map Update.to_json updates)) in
   match
     Trace.collect trace
       ~attrs:[ ("updates", string_of_int (List.length updates)) ]
@@ -877,25 +817,13 @@ let apply_updates_unlabelled ?(trace = Trace.ambient) t updates =
       (fun () -> apply_updates_inner t updates)
   with
   | exception e ->
-    let duration_ms = (now_us () -. rec_start) /. 1000.0 in
-    let counters = Metrics.delta ~before:rec_before ~after:(Metrics.counters_snapshot ()) in
-    observe_traced ~trace ~window:w_update ~op:"update" ~query:"update" ~duration_ms
-      ~error:true ();
-    qlog_emit t ~kind:Qlog.Update ~query:"update" ~strategy:"update/error" ~duration_ms
-      ~counters ~pairs:0 ~digest:"" ~trace_id:trace.Trace.trace_id
-      ~error:(Printexc.to_string e) ?payload ();
+    finished t ~kind:Qlog.Update ~trace ~start ~before ~query:"update" ~strategy:"update/error"
+      ~payload ~error:e ();
     raise e
   | (reports, effective_n), root ->
-    let duration_ms = (now_us () -. rec_start) /. 1000.0 in
-    let counters = Metrics.delta ~before:rec_before ~after:(Metrics.counters_snapshot ()) in
-    observe_traced ~trace ~window:w_update ~op:"update" ~query:"update" ~duration_ms
-      ~error:false ?root ();
-    qlog_emit t ~kind:Qlog.Update ~query:"update" ~strategy:"update" ~duration_ms ~counters
-      ~pairs:effective_n ~digest:"" ~trace_id:trace.Trace.trace_id ?payload ();
+    finished t ~kind:Qlog.Update ~trace ~start ~before ~query:"update" ~strategy:"update"
+      ~pairs:effective_n ~payload ?root ();
     reports
-
-let apply_updates ?trace t updates =
-  Alloc.with_label "update" (fun () -> apply_updates_unlabelled ?trace t updates)
 
 let cache_stats t = (Cache.hits t.cache, Cache.misses t.cache)
 

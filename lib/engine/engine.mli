@@ -33,14 +33,17 @@ open Expfinder_telemetry
     {!Expfinder_core.Verify} checker; a divergence raises [Failure].
 
     Serving-path observability: every {!evaluate}, {!evaluate_batch}
-    and {!apply_updates} call feeds the always-on flight recorder and
-    the per-operation-class sliding windows
+    and {!apply_updates} call, answered or failed, ends in one
+    {!Expfinder_telemetry.Request.finish}.  That one request record
+    feeds the trace store, the continuous profile, the
+    per-operation-class sliding window
     ({!Expfinder_telemetry.Window} classes [query]/[batch]/[update],
-    with errors flagged), and — when a query-log sink is configured
-    ({!Expfinder_telemetry.Qlog}, [EXPFINDER_QLOG]) — appends one
-    schema-versioned JSONL event carrying the snapshot identity,
-    strategy, duration, counter deltas, answer size and digest, and a
-    replayable payload consumed by [expfinder replay]. *)
+    with errors flagged), the always-on flight recorder and — when a
+    query-log sink is configured ({!Expfinder_telemetry.Qlog},
+    [EXPFINDER_QLOG]) — one schema-versioned JSONL event carrying the
+    snapshot identity, strategy, duration, counter deltas, answer size
+    and digest, and a replayable payload consumed by
+    [expfinder replay]. *)
 
 type t
 

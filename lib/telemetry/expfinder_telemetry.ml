@@ -1294,115 +1294,6 @@ module Report = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Flight recorder                                                      *)
-(* ------------------------------------------------------------------ *)
-
-module Recorder = struct
-  type event = {
-    seq : int;
-    query : string;
-    strategy : string;
-    duration_ms : float;
-    slow : bool;
-    trace_id : string;  (** "" when the request carried no trace context *)
-    counters : (string * int) list;
-  }
-
-  let default_capacity = 64
-
-  (* The ring size is sized once at startup from EXPFINDER_RECORDER_CAP
-     (floor 1) and resizable at runtime; resizing drops the buffered
-     history, which is the honest semantics for a ring that just changed
-     shape. *)
-  let initial_capacity =
-    match Option.bind (Sys.getenv_opt "EXPFINDER_RECORDER_CAP") int_of_string_opt with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> default_capacity
-
-  (* Unlike the metrics/span machinery the recorder is always on: one
-     array store per query, so there is always a tail of recent history
-     to dump when something goes wrong. *)
-  let slow_ms = ref (Option.bind (Sys.getenv_opt "EXPFINDER_SLOW_MS") float_of_string_opt)
-
-  let set_slow_threshold_ms v = slow_ms := v
-
-  let slow_threshold_ms () = !slow_ms
-
-  (* The ring is swapped wholesale on resize/clear and the sequence
-     counter claims slots, so both live in [Atomic]s: a reader (the
-     /stats handler, the postmortem writer) always sees a coherent
-     array even while another thread is recording, and two recorders
-     never claim the same slot.  Slot stores stay plain writes — an
-     event is one immutable boxed record, so a racing reader sees
-     either the old event or the new one, never a torn one. *)
-  let buf : event option array Atomic.t = Atomic.make (Array.make initial_capacity None)
-
-  let next_seq = Atomic.make 0
-
-  let capacity () = Array.length (Atomic.get buf)
-
-  let set_capacity n =
-    let n = Stdlib.max 1 n in
-    if n <> Array.length (Atomic.get buf) then Atomic.set buf (Array.make n None)
-
-  let record ?(trace_id = "") ~query ~strategy ~duration_ms ~counters () =
-    let seq = Atomic.fetch_and_add next_seq 1 in
-    let slow = match !slow_ms with Some t -> duration_ms >= t | None -> false in
-    let b = Atomic.get buf in
-    b.(seq mod Array.length b) <-
-      Some { seq; query; strategy; duration_ms; slow; trace_id; counters }
-
-  let recent () =
-    Array.to_list (Atomic.get buf)
-    |> List.filter_map Fun.id
-    |> List.sort (fun a b -> compare a.seq b.seq)
-
-  let slow_events () = List.filter (fun e -> e.slow) (recent ())
-
-  (* Swap in a fresh array rather than filling in place: a concurrent
-     [record] keeps writing its old array, which is then unreachable —
-     losing that one event is fine, corrupting a shared one is not. *)
-  let clear () =
-    Atomic.set buf (Array.make (capacity ()) None);
-    Atomic.set next_seq 0
-
-  let event_json e =
-    Json.Obj
-      [
-        ("seq", Json.Int e.seq);
-        ("query", Json.Str e.query);
-        ("strategy", Json.Str e.strategy);
-        ("duration_ms", Json.Float e.duration_ms);
-        ("slow", Json.Bool e.slow);
-        ("trace_id", Json.Str e.trace_id);
-        ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) e.counters));
-      ]
-
-  let to_json () = Json.Arr (List.map event_json (recent ()))
-
-  let pp ppf () =
-    match recent () with
-    | [] -> Format.fprintf ppf "flight recorder: empty@."
-    | events ->
-      Format.fprintf ppf "flight recorder: %d event(s), capacity %d%s@." (List.length events)
-        (capacity ())
-        (match !slow_ms with
-        | Some t -> Printf.sprintf ", slow >= %g ms" t
-        | None -> ", no slow threshold (EXPFINDER_SLOW_MS unset)");
-      List.iter
-        (fun e ->
-          Format.fprintf ppf "  #%-4d %s %9.3f ms  %-18s %s@." e.seq
-            (if e.slow then "SLOW" else "    ")
-            e.duration_ms e.strategy e.query;
-          match e.counters with
-          | [] -> ()
-          | counters ->
-            Format.fprintf ppf "        %s@."
-              (String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%+d" k v) counters)))
-        events
-end
-
-(* ------------------------------------------------------------------ *)
 (* GC pause observation                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -1589,102 +1480,6 @@ module Gcpause = struct
             :: acc)
           stats.per_domain [])
     |> List.sort (fun a b -> compare a.domain b.domain)
-end
-
-(* ------------------------------------------------------------------ *)
-(* Allocation attribution                                               *)
-(* ------------------------------------------------------------------ *)
-
-module Alloc = struct
-  (* Statistical allocation attribution via [Gc.Memprof]: every sampled
-     block is scaled by 1/rate words and charged to the innermost active
-     label ("query", "batch", "update", or "other").  The estimate's
-     relative error shrinks as allocation volume grows, which is exactly
-     when attribution matters. *)
-  let labels : string list ref = ref []
-
-  let current_label () = match !labels with l :: _ -> l | [] -> "other"
-
-  let pop () = labels := (match !labels with _ :: t -> t | [] -> [])
-
-  let with_label label f =
-    labels := label :: !labels;
-    match f () with
-    | v ->
-      pop ();
-      v
-    | exception e ->
-      pop ();
-      raise e
-
-  let table : (string, int ref) Hashtbl.t = Hashtbl.create 8
-
-  (* The whole profiling session is one value: [Some rate] while
-     memprof is attached, [None] otherwise.  One cell instead of a
-     rate ref plus an on/off flag means a reader can never observe the
-     flag and the rate out of sync. *)
-  let session : float option ref = ref None
-
-  let word_bytes = Sys.word_size / 8
-
-  let charge (alloc : Gc.Memprof.allocation) =
-    (match !session with
-    | None -> ()
-    | Some rate ->
-      let words = float_of_int alloc.Gc.Memprof.n_samples /. rate in
-      let bytes = int_of_float (words *. float_of_int word_bytes) in
-      (match Hashtbl.find_opt table (current_label ()) with
-      | Some cell -> cell := !cell + bytes
-      | None -> Hashtbl.replace table (current_label ()) (ref bytes)));
-    None
-
-  let start ~rate () =
-    if !session <> None || rate <= 0.0 || rate > 1.0 then false
-    else begin
-      let tracker =
-        { Gc.Memprof.null_tracker with Gc.Memprof.alloc_minor = charge; alloc_major = charge }
-      in
-      session := Some rate;
-      (* Some runtimes ship the [Gc.Memprof] interface but refuse to
-         start it (OCaml 5.0/5.1 raise ["not implemented in multicore"];
-         statmemprof returns in 5.2).  Attribution is an opt-in extra,
-         so degrade to inert rather than failing the process that asked
-         for it. *)
-      match Gc.Memprof.start ~sampling_rate:rate ~callstack_size:0 tracker with
-      | () -> true
-      | exception _ ->
-        session := None;
-        false
-    end
-
-  let stop () =
-    if !session <> None then begin
-      Gc.Memprof.stop ();
-      session := None
-    end
-
-  let active () = !session <> None
-
-  let rate () = !session
-
-  let start_from_env () =
-    match Option.bind (Sys.getenv_opt "EXPFINDER_MEMPROF_RATE") float_of_string_opt with
-    | Some r when r > 0.0 -> start ~rate:(Float.min 1.0 r) ()
-    | Some _ | None -> false
-
-  let bytes_by_label () =
-    Hashtbl.fold (fun label cell acc -> (label, !cell) :: acc) table [] |> List.sort compare
-
-  let reset () = Hashtbl.reset table
-
-  let to_json () =
-    Json.Obj
-      [
-        ("active", Json.Bool (active ()));
-        ("rate", match !session with Some r -> Json.Float r | None -> Json.Null);
-        ( "bytes_by_label",
-          Json.Obj (List.map (fun (label, b) -> (label, Json.Int b)) (bytes_by_label ())) );
-      ]
 end
 
 (* ------------------------------------------------------------------ *)
@@ -2402,6 +2197,16 @@ module Qlog = struct
     payload : Json.t option;
   }
 
+  (* The slow threshold is set once at startup (env/CLI), before
+     serving threads exist. *)
+  let slow_ms = ref (Option.bind (Sys.getenv_opt "EXPFINDER_SLOW_MS") float_of_string_opt)
+
+  let set_slow_threshold_ms v = slow_ms := v
+
+  let slow_threshold_ms () = !slow_ms
+
+  let is_slow duration_ms = match !slow_ms with Some t -> duration_ms >= t | None -> false
+
   (* Sink configuration (env-seeded path, size ceiling, one archived
      generation) lives in a {!Jsonl_sink}; this module only builds the
      event lines. *)
@@ -2489,34 +2294,12 @@ module Qlog = struct
     | Some (Json.Int v) -> Error (Printf.sprintf "unsupported qlog schema version %d" v)
     | Some _ | None -> Error "not a qlog event (no integer \"v\" field)"
 
-  let emit ~kind ~graph_id ~epoch ~query ~strategy ~duration_ms ~counters ~pairs ~digest
-      ?(trace_id = "") ?error ?payload () =
-    if Jsonl_sink.enabled sink_t then begin
-      let seq = Atomic.fetch_and_add next_seq 1 in
-      let slow =
-        match Recorder.slow_threshold_ms () with Some t -> duration_ms >= t | None -> false
-      in
-      let e =
-        {
-          seq;
-          ts_unix = Unix.gettimeofday ();
-          kind;
-          graph_id;
-          epoch;
-          query;
-          strategy;
-          duration_ms;
-          counters;
-          pairs;
-          digest;
-          slow;
-          trace_id;
-          error;
-          payload;
-        }
-      in
-      Jsonl_sink.emit sink_t (Json.to_string (event_json e))
-    end
+  (* Append one record under the log's own sequence number: alert
+     events (sampler thread) and request records share its space. *)
+  let write e =
+    if Jsonl_sink.enabled sink_t then
+      Jsonl_sink.emit sink_t
+        (Json.to_string (event_json { e with seq = Atomic.fetch_and_add next_seq 1 }))
 
   let load path =
     match
@@ -2540,6 +2323,155 @@ module Qlog = struct
               | Ok ev -> parse (ev :: acc) (lineno + 1) rest))
       in
       parse [] 1 (String.split_on_char '\n' text)
+end
+
+(* ------------------------------------------------------------------ *)
+(* Flight recorder                                                      *)
+(* ------------------------------------------------------------------ *)
+
+module Recorder = struct
+  let default_capacity = 64
+
+  (* The ring is sized once at startup from EXPFINDER_RECORDER_CAP
+     (floor 1). *)
+  let initial_capacity =
+    match Option.bind (Sys.getenv_opt "EXPFINDER_RECORDER_CAP") int_of_string_opt with
+    | Some n when n >= 1 -> n
+    | Some _ | None -> default_capacity
+
+  (* Unlike the metrics/span machinery the recorder is always on: one
+     array store per request, so there is always a tail of recent history
+     to dump when something goes wrong.  The ring holds the very record
+     the query log writes, under the ring's own sequence numbers.
+
+     The ring is swapped wholesale on clear and the sequence
+     counter claims slots, so both live in [Atomic]s: a reader (the
+     /stats handler, the postmortem writer) always sees a coherent
+     array even while another thread is recording, and two recorders
+     never claim the same slot.  Slot stores stay plain writes — a
+     record is immutable and boxed, so a racing reader sees either the
+     old record or the new one, never a torn one. *)
+  let buf : Qlog.event option array Atomic.t = Atomic.make (Array.make initial_capacity None)
+
+  let next_seq = Atomic.make 0
+
+  let capacity () = Array.length (Atomic.get buf)
+
+  let claim () = Atomic.fetch_and_add next_seq 1
+
+  (* [e.seq] came from [claim]. *)
+  let push (e : Qlog.event) =
+    let b = Atomic.get buf in
+    b.(e.seq mod Array.length b) <- Some e
+
+  let recent () =
+    Array.to_list (Atomic.get buf)
+    |> List.filter_map Fun.id
+    |> List.sort (fun (a : Qlog.event) b -> compare a.seq b.seq)
+
+  let slow_events () = List.filter (fun (e : Qlog.event) -> e.slow) (recent ())
+
+  (* Swap in a fresh array rather than filling in place: a concurrent
+     [push] keeps writing its old array, which is then unreachable —
+     losing that one record is fine, corrupting a shared one is not. *)
+  let clear () =
+    Atomic.set buf (Array.make (capacity ()) None);
+    Atomic.set next_seq 0
+
+  let event_json (e : Qlog.event) =
+    Json.Obj
+      [
+        ("seq", Json.Int e.seq);
+        ("query", Json.Str e.query);
+        ("strategy", Json.Str e.strategy);
+        ("duration_ms", Json.Float e.duration_ms);
+        ("slow", Json.Bool e.slow);
+        ("trace_id", Json.Str e.trace_id);
+        ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) e.counters));
+      ]
+
+  let to_json () = Json.Arr (List.map event_json (recent ()))
+
+  let pp ppf () =
+    match recent () with
+    | [] -> Format.fprintf ppf "flight recorder: empty@."
+    | events ->
+      Format.fprintf ppf "flight recorder: %d event(s), capacity %d%s@." (List.length events)
+        (capacity ())
+        (match Qlog.slow_threshold_ms () with
+        | Some t -> Printf.sprintf ", slow >= %g ms" t
+        | None -> ", no slow threshold (EXPFINDER_SLOW_MS unset)");
+      List.iter
+        (fun (e : Qlog.event) ->
+          Format.fprintf ppf "  #%-4d %s %9.3f ms  %-18s %s@." e.seq
+            (if e.slow then "SLOW" else "    ")
+            e.duration_ms e.strategy e.query;
+          match e.counters with
+          | [] -> ()
+          | counters ->
+            Format.fprintf ppf "        %s@."
+              (String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%+d" k v) counters)))
+        events
+end
+
+(* ------------------------------------------------------------------ *)
+(* Finished requests                                                    *)
+(* ------------------------------------------------------------------ *)
+
+module Request = struct
+  (* The op-class windows exist from startup, so the exporters list all
+     three before the first request. *)
+  let w_query = Window.get "query"
+
+  let w_batch = Window.get "batch"
+
+  let w_update = Window.get "update"
+
+  let window = function
+    | Qlog.Query -> w_query
+    | Qlog.Batch -> w_batch
+    | Qlog.Update -> w_update
+    | Qlog.Alert -> invalid_arg "Request.finish: an alert is not a request"
+
+  let finish ~kind ~(trace : Trace.ctx) ~query ~strategy ~duration_ms ~counters ~pairs ?digest
+      ?payload ?error ?root ~graph_id ~epoch () =
+    let w = window kind in
+    let failed = error <> None in
+    let ts_unix = Unix.gettimeofday () in
+    (* The trace store's admission verdict decides the exemplar: an
+       advertised trace id must resolve to a stored trace. *)
+    let kept =
+      Tracestore.record ~trace_id:trace.trace_id ~span_id:trace.span_id
+        ~op:(Qlog.kind_name kind) ~query ~duration_ms ~error:failed ?root ()
+    in
+    Option.iter Profile.record root;
+    Window.observe w ~error:failed ~now:ts_unix
+      ?trace:(if kept then Some trace.trace_id else None)
+      duration_ms;
+    (* The digest and the payload are only materialised for a log sink:
+       the unlogged serving path never renders either. *)
+    let logged = Qlog.enabled () in
+    let e =
+      {
+        Qlog.seq = Recorder.claim ();
+        ts_unix;
+        kind;
+        graph_id;
+        epoch;
+        query;
+        strategy;
+        duration_ms;
+        counters;
+        pairs;
+        digest = (match digest with Some d when logged -> Lazy.force d | _ -> "");
+        slow = Qlog.is_slow duration_ms;
+        trace_id = trace.trace_id;
+        error;
+        payload = (if logged then Option.map Lazy.force payload else None);
+      }
+    in
+    Recorder.push e;
+    if logged then Qlog.write e
 end
 
 (* ------------------------------------------------------------------ *)
@@ -2787,7 +2719,7 @@ module Timeseries = struct
   let sink () = Jsonl_sink.path sink_t
 
   (* One sampler tick: pull every live source (op-class windows, process
-     gauges, registry counters, allocation attribution) into [t] and
+     gauges, registry counters) into [t] and
      append the tick to the JSONL sink.  Returns what was recorded so
      callers (tests, the sink line) see one consistent snapshot. *)
   let sample ?now ?(persist = true) t =
@@ -2856,9 +2788,6 @@ module Timeseries = struct
                if v <> 0.0 || Hashtbl.mem t.kinds key then put Level key v
              end
            | Metrics.M_histogram _ -> ());
-    List.iter
-      (fun (label, bytes) -> cum ("alloc." ^ label) (float_of_int bytes))
-      (Alloc.bytes_by_label ());
     let fields = List.rev !out in
     if persist && Jsonl_sink.enabled sink_t then
       Jsonl_sink.emit sink_t
@@ -3141,9 +3070,24 @@ module Slo = struct
       a.since_unix <- now;
       (* Transitions land in the query log so a workload capture carries
          its own alert history. *)
-      Qlog.emit ~kind:Qlog.Alert ~graph_id:0 ~epoch:0 ~query:o.oname
-        ~strategy:(match next with Firing -> "firing" | Passing -> "resolved")
-        ~duration_ms:0.0 ~counters:[] ~pairs:0 ~digest:"" ~payload:(alert_json a) ()
+      Qlog.write
+        {
+          seq = 0;
+          ts_unix = Unix.gettimeofday ();
+          kind = Alert;
+          graph_id = 0;
+          epoch = 0;
+          query = o.oname;
+          strategy = (match next with Firing -> "firing" | Passing -> "resolved");
+          duration_ms = 0.0;
+          counters = [];
+          pairs = 0;
+          digest = "";
+          slow = false;
+          trace_id = "";
+          error = None;
+          payload = Some (alert_json a);
+        }
     end
 
   let evaluate ?now ?(ts = Timeseries.shared) () =
@@ -3376,7 +3320,7 @@ module Postmortem = struct
   (* Everything a 3am debugging session wants in one artifact: identity
      and configuration, the op-class windows, active alerts, the full
      metrics registry, the flight-recorder tail, the last two minutes of
-     every timeseries, GC totals and allocation attribution. *)
+     every timeseries and GC totals. *)
   let document ?(reason = "unspecified") () =
     let now = Unix.gettimeofday () in
     let gc = Gc.quick_stat () in
@@ -3403,7 +3347,6 @@ module Postmortem = struct
               ("pause_us_total", Json.Int (Gcpause.pause_us_total ()));
               ("pause_us_max", Json.Int (Gcpause.pause_us_max ()));
             ] );
-        ("alloc", Alloc.to_json ());
         ( "windows",
           Json.Obj
             (List.map

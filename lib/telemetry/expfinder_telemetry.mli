@@ -111,7 +111,7 @@ module Histogram : sig
 
   val observe : t -> float -> unit
   (** Record a sample (non-positive samples land in the lowest bucket).
-      Allocation-free. *)
+      Does not allocate. *)
 
   val count : t -> int
 
@@ -466,62 +466,6 @@ module Report : sig
   (** One line per non-[Unchanged] comparison plus a summary line. *)
 end
 
-(** {1 Flight recorder}
-
-    An always-on, fixed-size ring buffer of recent query events (the
-    last {!Recorder.capacity} queries): pattern digest, strategy,
-    duration and per-query counter deltas.  Queries at least
-    [EXPFINDER_SLOW_MS] milliseconds long are flagged as slow.  Dumped
-    by [expfinder stats --recent] and automatically when the
-    differential self-check fails. *)
-
-module Recorder : sig
-  type event = {
-    seq : int;  (** monotonic sequence number of the query *)
-    query : string;  (** pattern fingerprint *)
-    strategy : string;  (** provenance / refinement strategy *)
-    duration_ms : float;
-    slow : bool;  (** duration reached the slow threshold *)
-    trace_id : string;  (** "" when the request carried no trace context *)
-    counters : (string * int) list;  (** nonzero counter deltas *)
-  }
-
-  val capacity : unit -> int
-  (** Current ring size; older events are overwritten.  Defaults to 64,
-      overridable at startup via [EXPFINDER_RECORDER_CAP]. *)
-
-  val set_capacity : int -> unit
-  (** Resize the ring at runtime (floor 1).  Resizing to a different
-      size drops the buffered history. *)
-
-  val slow_threshold_ms : unit -> float option
-  (** The slow-query threshold; initialised from [EXPFINDER_SLOW_MS],
-      [None] when unset (nothing is flagged). *)
-
-  val set_slow_threshold_ms : float option -> unit
-
-  val record :
-    ?trace_id:string ->
-    query:string -> strategy:string -> duration_ms:float -> counters:(string * int) list ->
-    unit -> unit
-  (** Push an event (the engine calls this on every query).  Slots are
-      claimed with an atomic sequence counter and the ring array itself
-      is swapped atomically on resize/clear, so concurrent recorders
-      never collide and a concurrent reader always sees a coherent
-      (if momentarily stale) ring. *)
-
-  val recent : unit -> event list
-  (** Buffered events, oldest first. *)
-
-  val slow_events : unit -> event list
-
-  val clear : unit -> unit
-
-  val pp : Format.formatter -> unit -> unit
-
-  val to_json : unit -> Json.t
-end
-
 (** {1 GC pause observation}
 
     Best-effort self-monitoring of GC pause time through
@@ -579,50 +523,6 @@ module Gcpause : sig
       [gc.domain<i>.pause_us]. *)
 end
 
-(** {1 Allocation attribution}
-
-    A [Gc.Memprof]-based statistical allocation profiler: while active,
-    sampled allocations are scaled by [1/rate] and charged (in bytes) to
-    the innermost {!Alloc.with_label} label — the engine labels its op
-    classes ("query" / "batch" / "update"), everything else lands under
-    "other".  Enabled in the server and bench via
-    [EXPFINDER_MEMPROF_RATE]. *)
-
-module Alloc : sig
-  val with_label : string -> (unit -> 'a) -> 'a
-  (** Run [f] with [label] as the current attribution label (labels
-      nest; exception-safe). *)
-
-  val current_label : unit -> string
-  (** The innermost active label, or ["other"]. *)
-
-  val start : rate:float -> unit -> bool
-  (** Start sampling at [rate] samples per allocated word (0 < rate <=
-      1; typical: 1e-4).  Returns [false] if already active, the rate
-      is out of range, or the runtime ships the [Gc.Memprof] interface
-      without implementing it (OCaml 5.0/5.1 multicore) — attribution
-      then stays inert instead of failing the caller. *)
-
-  val start_from_env : unit -> bool
-  (** {!start} with [EXPFINDER_MEMPROF_RATE] (clamped to 1.0); [false]
-      when unset or unparsable. *)
-
-  val stop : unit -> unit
-  (** Stop and discard the active profile (idempotent). *)
-
-  val active : unit -> bool
-
-  val rate : unit -> float option
-
-  val bytes_by_label : unit -> (string * int) list
-  (** Estimated bytes allocated per label since the last {!reset},
-      sorted by label. *)
-
-  val reset : unit -> unit
-
-  val to_json : unit -> Json.t
-end
-
 (** {1 Process gauges} *)
 
 val process_stats : unit -> (string * int) list
@@ -667,7 +567,7 @@ module Window : sig
       installs the request as the exemplar of its latency bucket —
       callers should only pass ids of traces admitted to the
       {!Tracestore}, so every advertised exemplar resolves.
-      Allocation-free without [?trace].
+      Does not allocate without [?trace].
 
       Writers are serialized by a per-window mutex, so any worker
       domain of the serving pool may observe into any op-class window;
@@ -857,7 +757,7 @@ module Qlog : sig
 
   type event = {
     seq : int;  (** request id, monotonic within the process *)
-    ts_unix : float;  (** wall-clock seconds at emission *)
+    ts_unix : float;  (** wall-clock seconds when the request finished or the alert changed *)
     kind : kind;
     graph_id : int;  (** snapshot identity the request ran against *)
     epoch : int;
@@ -873,10 +773,16 @@ module Qlog : sig
     payload : Json.t option;  (** replayable request body *)
   }
 
+  val slow_threshold_ms : unit -> float option
+  (** The slow-request threshold; initialised from [EXPFINDER_SLOW_MS],
+      [None] when unset (nothing is flagged). *)
+
+  val set_slow_threshold_ms : float option -> unit
+
   val set_sink : string option -> unit
   (** Point the log at a path ([None] and [Some ""] disable).
       Initialised from
-      [EXPFINDER_QLOG]; the file opens lazily on the first {!emit} and
+      [EXPFINDER_QLOG]; the file opens lazily on the first {!write} and
       is appended to. *)
 
   val sink : unit -> string option
@@ -892,27 +798,15 @@ module Qlog : sig
       exceed it, the sink is renamed to [<sink>.1] (replacing any
       previous archive) and a fresh file is started. *)
 
-  val emit :
-    kind:kind ->
-    graph_id:int ->
-    epoch:int ->
-    query:string ->
-    strategy:string ->
-    duration_ms:float ->
-    counters:(string * int) list ->
-    pairs:int ->
-    digest:string ->
-    ?trace_id:string ->
-    ?error:string ->
-    ?payload:Json.t ->
-    unit ->
-    unit
-  (** Append one event (no-op without a sink).  The sequence number,
-      timestamp and slow flag are assigned here; every event is flushed
-      so a crash loses at most the event being written.  Sink I/O
-      failures (unwritable path, full disk) never raise into the
-      caller: the sink is disabled with one stderr warning, and
-      {!set_sink} re-arms it. *)
+  val write : event -> unit
+  (** Append one event (no-op without a sink) under the log's own
+      sequence number, which replaces [seq]; the other fields are
+      written as given.  Finished requests reach the log through
+      {!Request.finish}, alert transitions through {!Slo.evaluate}.
+      Every event is flushed so a crash loses at most the event being
+      written.  Sink I/O failures (unwritable path, full disk) never
+      raise into the caller: the sink is disabled with one stderr
+      warning, and {!set_sink} re-arms it. *)
 
   val close : unit -> unit
   (** Flush and close the sink channel (the path stays configured). *)
@@ -926,6 +820,75 @@ module Qlog : sig
       error names the offending line. *)
 end
 
+(** {1 Flight recorder}
+
+    An always-on, fixed-size ring buffer of the last {!Recorder.capacity}
+    finished requests (queries, batches and update batches).  It holds
+    the same {!Qlog.event} record the query log writes, numbered by the
+    ring's own sequence; requests at least [EXPFINDER_SLOW_MS]
+    milliseconds long are flagged as slow.  Filled by
+    {!Request.finish}; dumped by [expfinder stats --recent], in the
+    postmortem artifact and automatically when the differential
+    self-check fails. *)
+
+module Recorder : sig
+  val capacity : unit -> int
+  (** The ring size, fixed at startup: 64, or [EXPFINDER_RECORDER_CAP];
+      older records are overwritten. *)
+
+  val recent : unit -> Qlog.event list
+  (** Buffered records, oldest first.  [seq] is the ring's sequence
+      number; [digest] and [payload] are only filled while a query-log
+      sink is set. *)
+
+  val slow_events : unit -> Qlog.event list
+
+  val clear : unit -> unit
+
+  val pp : Format.formatter -> unit -> unit
+
+  val to_json : unit -> Json.t
+  (** One object per record with seven fields: [seq], [query],
+      [strategy], [duration_ms], [slow], [trace_id], [counters]. *)
+end
+
+(** {1 Finished requests}
+
+    The one entry point through which the engine reports a finished
+    query, batch or update batch.  Each request is taken once and fanned
+    out in order to the {!Tracestore}, the continuous {!Profile}, its
+    op-class {!Window}, the flight {!Recorder} and the {!Qlog}. *)
+
+module Request : sig
+  val finish :
+    kind:Qlog.kind ->
+    trace:Trace.ctx ->
+    query:string ->
+    strategy:string ->
+    duration_ms:float ->
+    counters:(string * int) list ->
+    pairs:int ->
+    ?digest:string Lazy.t ->
+    ?payload:Json.t Lazy.t ->
+    ?error:string ->
+    ?root:Span.t ->
+    graph_id:int ->
+    epoch:int ->
+    unit ->
+    unit
+  (** Report one finished request of op class [kind] ([Query], [Batch]
+      or [Update]; [Alert] raises [Invalid_argument]).  [query] is the
+      pattern fingerprint, batch label or ["update"]; [counters] the
+      counter deltas over the request; [pairs] the answer size (for an
+      update, the effective updates); [error] the failure, if any;
+      [root] the request's span tree; [graph_id]/[epoch] the snapshot
+      identity.  The slow flag is computed once here.  The trace store
+      sees the request first, and its admission verdict decides whether
+      the trace id becomes the window's latency exemplar.  [digest]
+      (default [""]) and [payload] are forced only when a query-log
+      sink is set.  Safe from any domain. *)
+end
+
 (** {1 Time series retention}
 
     Bounded-memory, multi-resolution retention: every recorded value
@@ -934,8 +897,8 @@ end
     rings are exact downsamples of the fine one and reads never
     allocate beyond the returned points.  {!Timeseries.sample} is the
     periodic collector driven by the server's sampler thread; it pulls
-    the op-class windows, {!process_stats}, the counter registry and
-    {!Alloc} into the shared instance and appends one JSONL tick to the
+    the op-class windows, {!process_stats} and the counter registry
+    into the shared instance and appends one JSONL tick to the
     [EXPFINDER_TIMESERIES] sink (rotation as in {!Qlog}, via
     [EXPFINDER_TIMESERIES_MAX_BYTES]). *)
 

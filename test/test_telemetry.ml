@@ -495,38 +495,47 @@ let test_report_diff_iqr_noise_rule () =
 
 let test_recorder_ring () =
   Recorder.clear ();
-  Recorder.set_slow_threshold_ms (Some 1.0);
+  Qlog.set_slow_threshold_ms (Some 1.0);
+  (* The fan-out also feeds the query window; leave it as it was. *)
+  let query_window = Window.get "query" in
   Fun.protect
     ~finally:(fun () ->
-      Recorder.set_slow_threshold_ms None;
+      Qlog.set_slow_threshold_ms None;
+      Window.reset query_window;
       Recorder.clear ())
     (fun () ->
       for i = 1 to Recorder.capacity () + 5 do
-        Recorder.record
+        Request.finish ~kind:Qlog.Query ~trace:Trace.ambient
           ~query:(Printf.sprintf "q%d" i)
           ~strategy:"direct/simulation"
           ~duration_ms:(if i mod 10 = 0 then 2.0 else 0.1)
           ~counters:[ ("engine.queries", 1) ]
-          ()
+          ~pairs:0 ~graph_id:0 ~epoch:0 ()
       done;
       let events = Recorder.recent () in
       Alcotest.(check int) "ring keeps the last capacity events" (Recorder.capacity ())
         (List.length events);
       (match (events, List.rev events) with
       | oldest :: _, newest :: _ ->
-        Alcotest.(check string) "oldest survivor" "q6" oldest.Recorder.query;
+        Alcotest.(check string) "oldest survivor" "q6" oldest.Qlog.query;
         Alcotest.(check string) "newest event" (Printf.sprintf "q%d" (Recorder.capacity () + 5))
-          newest.Recorder.query;
+          newest.Qlog.query;
         Alcotest.(check bool) "sequence numbers increase" true
-          (newest.Recorder.seq > oldest.Recorder.seq)
+          (newest.Qlog.seq > oldest.Qlog.seq)
       | _ -> Alcotest.fail "empty recorder");
       Alcotest.(check bool)
         "slow events flagged by the threshold" true
         (Recorder.slow_events () <> []
-        && List.for_all (fun e -> e.Recorder.duration_ms >= 1.0) (Recorder.slow_events ()));
-      (* The dump is valid JSON with the counter deltas attached. *)
+        && List.for_all (fun e -> e.Qlog.duration_ms >= 1.0) (Recorder.slow_events ()));
+      (* The dump is valid JSON with the counter deltas attached, seven
+         fields per event. *)
       (match Json.of_string (Json.to_string (Recorder.to_json ())) with
-      | Ok _ -> ()
+      | Ok (Json.Arr (Json.Obj fields :: _)) ->
+        Alcotest.(check (list string))
+          "recorder JSON fields"
+          [ "seq"; "query"; "strategy"; "duration_ms"; "slow"; "trace_id"; "counters" ]
+          (List.map fst fields)
+      | Ok _ -> Alcotest.fail "recorder JSON is not an array of objects"
       | Error e -> Alcotest.fail ("recorder JSON invalid: " ^ e));
       Recorder.clear ();
       Alcotest.(check (list reject)) "clear empties" [] (Recorder.recent ()))
@@ -547,16 +556,16 @@ let test_recorder_captures_engine_queries () =
       match Recorder.recent () with
       | [ first; second ] ->
         Alcotest.(check string)
-          "query digest recorded" (Pattern.fingerprint q) first.Recorder.query;
+          "query digest recorded" (Pattern.fingerprint q) first.Qlog.query;
         Alcotest.(check bool)
           "cold query went direct" true
-          (String.length first.Recorder.strategy >= 7
-          && String.sub first.Recorder.strategy 0 7 = "direct/");
-        Alcotest.(check string) "warm query hit the cache" "cache" second.Recorder.strategy;
+          (String.length first.Qlog.strategy >= 7
+          && String.sub first.Qlog.strategy 0 7 = "direct/");
+        Alcotest.(check string) "warm query hit the cache" "cache" second.Qlog.strategy;
         Alcotest.(check bool)
           "per-query counter deltas captured" true
-          (List.assoc_opt "engine.queries" first.Recorder.counters = Some 1
-          && List.mem_assoc "engine.answers.direct" first.Recorder.counters)
+          (List.assoc_opt "engine.queries" first.Qlog.counters = Some 1
+          && List.mem_assoc "engine.answers.direct" first.Qlog.counters)
       | events ->
         Alcotest.fail
           (Printf.sprintf "expected 2 recorded events, got %d" (List.length events)))
@@ -657,16 +666,55 @@ let with_qlog_sink path f =
       if Sys.file_exists (path ^ ".1") then Sys.remove (path ^ ".1"))
     f
 
+(* A query-log record for the sink tests; each test overrides the
+   fields it looks at. *)
+let qlog_event =
+  {
+    Qlog.seq = 0;
+    ts_unix = 0.0;
+    kind = Qlog.Query;
+    graph_id = 1;
+    epoch = 0;
+    query = "fp";
+    strategy = "direct";
+    duration_ms = 0.1;
+    counters = [];
+    pairs = 0;
+    digest = "d";
+    slow = false;
+    trace_id = "";
+    error = None;
+    payload = None;
+  }
+
 let test_qlog_emit_load_roundtrip () =
   let path = Filename.temp_file "expfinder-qlog" ".jsonl" in
   with_qlog_sink path (fun () ->
       Alcotest.(check bool) "sink configured" true (Qlog.enabled ());
-      Qlog.emit ~kind:Qlog.Query ~graph_id:7 ~epoch:3 ~query:"fp1" ~strategy:"direct"
-        ~duration_ms:1.25
-        ~counters:[ ("bsim.sweeps", 2) ]
-        ~pairs:9 ~digest:"abc123" ~payload:(Json.Str "pattern-text") ();
-      Qlog.emit ~kind:Qlog.Update ~graph_id:7 ~epoch:4 ~query:"update" ~strategy:"updates"
-        ~duration_ms:0.5 ~counters:[] ~pairs:2 ~digest:"" ~error:"boom" ();
+      Qlog.write
+        {
+          qlog_event with
+          graph_id = 7;
+          epoch = 3;
+          query = "fp1";
+          duration_ms = 1.25;
+          counters = [ ("bsim.sweeps", 2) ];
+          pairs = 9;
+          digest = "abc123";
+          payload = Some (Json.Str "pattern-text");
+        };
+      Qlog.write
+        {
+          qlog_event with
+          kind = Qlog.Update;
+          graph_id = 7;
+          epoch = 4;
+          query = "update";
+          strategy = "updates";
+          pairs = 2;
+          digest = "";
+          error = Some "boom";
+        };
       Qlog.close ();
       match Qlog.load path with
       | Error e -> Alcotest.fail e
@@ -705,8 +753,7 @@ let test_qlog_rotation () =
           (* Each event is ~150 bytes; 100 of them must cross the 4 KiB
              ceiling and rotate at least once. *)
           for i = 0 to 99 do
-            Qlog.emit ~kind:Qlog.Query ~graph_id:1 ~epoch:i ~query:"fp-rotation"
-              ~strategy:"direct" ~duration_ms:0.1 ~counters:[] ~pairs:1 ~digest:"d" ()
+            Qlog.write { qlog_event with epoch = i; query = "fp-rotation"; pairs = 1 }
           done;
           Qlog.close ();
           Alcotest.(check bool) "archived generation exists" true
@@ -726,7 +773,7 @@ let test_qlog_rotation () =
           | Error e, _ | _, Error e -> Alcotest.fail e))
 
 (* Sink I/O failures disable the log instead of raising into the
-   serving path: emitting to a path whose directory does not exist must
+   serving path: writing to a path whose directory does not exist must
    return normally and leave the sink off. *)
 let test_qlog_unwritable_sink_disables () =
   Qlog.set_sink (Some "/nonexistent-expfinder-dir/qlog.jsonl");
@@ -734,12 +781,10 @@ let test_qlog_unwritable_sink_disables () =
     ~finally:(fun () -> Qlog.set_sink None)
     (fun () ->
       Alcotest.(check bool) "sink configured" true (Qlog.enabled ());
-      Qlog.emit ~kind:Qlog.Query ~graph_id:1 ~epoch:0 ~query:"fp" ~strategy:"direct"
-        ~duration_ms:0.1 ~counters:[] ~pairs:0 ~digest:"d" ();
+      Qlog.write qlog_event;
       Alcotest.(check bool) "sink disabled after the failure" false (Qlog.enabled ());
-      (* Further emits are no-ops, not repeated failures. *)
-      Qlog.emit ~kind:Qlog.Query ~graph_id:1 ~epoch:1 ~query:"fp" ~strategy:"direct"
-        ~duration_ms:0.1 ~counters:[] ~pairs:0 ~digest:"d" ())
+      (* Further writes are no-ops, not repeated failures. *)
+      Qlog.write { qlog_event with epoch = 1 })
 
 (* Replay must verify across a rotation boundary: capture enough served
    queries to rotate the log, then replay the concatenation of the
@@ -1124,25 +1169,7 @@ let test_postmortem_without_dir_is_inert () =
       Alcotest.(check bool) "write without a dir returns None" true
         (Postmortem.write ~reason:"x" () = None))
 
-(* --- allocation attribution & window totals ------------------------------ *)
-
-let test_alloc_labels () =
-  Alcotest.(check string) "default label" "other" (Alloc.current_label ());
-  Alloc.with_label "query" (fun () ->
-      Alcotest.(check string) "label applies" "query" (Alloc.current_label ());
-      Alloc.with_label "batch" (fun () ->
-          Alcotest.(check string) "labels nest" "batch" (Alloc.current_label ())));
-  Alcotest.(check string) "label restored" "other" (Alloc.current_label ());
-  (try Alloc.with_label "boom" (fun () -> failwith "escape") with Failure _ -> ());
-  Alcotest.(check string) "label restored after an exception" "other" (Alloc.current_label ());
-  Alcotest.(check bool) "rate 0 rejected" false (Alloc.start ~rate:0.0 ());
-  Alcotest.(check bool) "rate > 1 rejected" false (Alloc.start ~rate:2.0 ());
-  (* On runtimes without statmemprof (OCaml 5.0/5.1) start degrades to
-     inert; either way stop must be safe to call. *)
-  let started = Alloc.start ~rate:0.01 () in
-  Alloc.stop ();
-  Alcotest.(check bool) "inactive after stop" false (Alloc.active ());
-  ignore (started : bool)
+(* --- window totals --------------------------------------------------------- *)
 
 let test_window_totals () =
   with_telemetry true (fun () ->
@@ -1536,9 +1563,7 @@ let test_engine_trace_threading () =
           p.Engine.trace_id
       | None -> Alcotest.fail "no profile");
       let recorded =
-        List.exists
-          (fun (e : Recorder.event) -> e.Recorder.trace_id = ctx.Trace.trace_id)
-          (Recorder.recent ())
+        List.exists (fun e -> e.Qlog.trace_id = ctx.Trace.trace_id) (Recorder.recent ())
       in
       Alcotest.(check bool) "recorder event carries the trace id" true recorded;
       match Tracestore.find ctx.Trace.trace_id with
@@ -1546,6 +1571,47 @@ let test_engine_trace_threading () =
         Alcotest.(check string) "stored under op query" "query" s.Tracestore.sop;
         Alcotest.(check bool) "span tree stored" true (s.Tracestore.sroot <> None)
       | None -> Alcotest.fail "trace not stored");
+  (* Every sink sees the same requests: one traced query, one batch and
+     one update batch each reach the recorder, the query log, their op
+     window and the trace store, under their own trace ids. *)
+  let path = Filename.temp_file "expfinder-sinks" ".jsonl" in
+  let window_requests () =
+    List.fold_left (fun acc (_, w) -> acc + fst (Window.totals w)) 0 (Window.all ())
+  in
+  let request_lines () =
+    Qlog.close ();
+    match Qlog.load path with
+    | Ok events -> List.filter (fun e -> e.Qlog.kind <> Qlog.Alert) events
+    | Error e -> Alcotest.fail e
+  in
+  with_qlog_sink path (fun () ->
+      let engine = Engine.create (Collab.graph ()) in
+      let recorded = List.length (Recorder.recent ()) in
+      let logged = List.length (request_lines ()) in
+      let observed = window_requests () in
+      let seen = Tracestore.seen () in
+      let ctxs = List.init 3 (fun _ -> Trace.make ~sampled:true ()) in
+      let q, b, u = match ctxs with [ q; b; u ] -> (q, b, u) | _ -> assert false in
+      ignore (Engine.evaluate ~trace:q engine (Collab.q1 ()) : Engine.answer);
+      ignore
+        (Engine.evaluate_batch ~trace:b engine [ Collab.q1 (); Collab.query () ]
+          : Engine.answer list);
+      ignore
+        (Engine.apply_updates ~trace:u engine
+           [ Expfinder_incremental.Update.Insert_edge (fst Collab.e1, snd Collab.e1) ]
+          : Expfinder_incremental.Incremental.report list);
+      let lines = request_lines () in
+      Alcotest.(check int) "recorder grew by 3" (recorded + 3) (List.length (Recorder.recent ()));
+      Alcotest.(check int) "query log grew by 3" (logged + 3) (List.length lines);
+      Alcotest.(check int) "windows grew by 3" (observed + 3) (window_requests ());
+      Alcotest.(check int) "trace store saw 3 more" (seen + 3) (Tracestore.seen ());
+      List.iter
+        (fun (ctx : Trace.ctx) ->
+          Alcotest.(check bool) "trace id in the recorder" true
+            (List.exists (fun e -> e.Qlog.trace_id = ctx.trace_id) (Recorder.recent ()));
+          Alcotest.(check bool) "trace id in the query log" true
+            (List.exists (fun e -> e.Qlog.trace_id = ctx.trace_id) lines))
+        ctxs);
   Tracestore.clear ();
   Recorder.clear ()
 
@@ -1625,8 +1691,6 @@ let () =
           Alcotest.test_case "inert without a directory" `Quick
             test_postmortem_without_dir_is_inert;
         ] );
-      ( "alloc",
-        [ Alcotest.test_case "label nesting and guards" `Quick test_alloc_labels ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest qcheck_histogram_percentile_bound ] );
       ( "recorder",
