@@ -1,4 +1,4 @@
-.PHONY: all build test lint lint-mli lint-dsafe lint-dsafe-growth check replay-smoke soak-smoke prof-smoke topk-smoke churn-smoke serve-smoke bench bench-full bench-json bench-gate examples demo clean
+.PHONY: all build test lint lint-mli lint-dsafe lint-dsafe-growth lint-knobs check replay-smoke soak-smoke prof-smoke topk-smoke churn-smoke serve-smoke bench bench-full bench-json bench-gate examples demo clean
 
 EXE := _build/default/bin/expfinder.exe
 
@@ -65,6 +65,22 @@ lint-dsafe-growth:
 	  echo "lint-dsafe-growth: ok ($$n entries <= baseline $(DSAFE_ALLOW_BASELINE))"; \
 	fi
 
+# Knob ratchet: every distinct "EXPFINDER_*" environment name that the
+# code in lib/ and bin/ reads must be documented in README.md, and their
+# number may only fall.  A new knob must displace an old one; lower the
+# baseline whenever a knob goes.
+KNOB_BASELINE := 11
+lint-knobs:
+	@knobs=$$(grep -rhoE '"EXPFINDER_[A-Z0-9_]+"' lib bin --include='*.ml' | tr -d '"' | sort -u); \
+	n=$$(printf '%s\n' "$$knobs" | grep -c .); missing=0; \
+	for k in $$knobs; do \
+	  grep -qw "$$k" README.md || { echo "lint-knobs: $$k is not documented in README.md"; missing=1; }; \
+	done; \
+	if [ "$$n" -gt $(KNOB_BASELINE) ]; then \
+	  echo "lint-knobs: $$n env knobs, baseline is $(KNOB_BASELINE) — knobs only go"; exit 1; \
+	fi; \
+	[ $$missing -eq 0 ] && echo "lint-knobs: ok ($$n knobs <= baseline $(KNOB_BASELINE))"
+
 # Pre-merge gate: lint + tests, then the whole suite again with the
 # differential self-checker on (every cached/compressed/indexed answer
 # re-verified against direct evaluation; <1s overhead), then again with
@@ -76,7 +92,7 @@ lint-dsafe-growth:
 # finally a soft perf-regression check against the committed baseline
 # (warn-only here: quick-mode medians are too noisy to block a merge on;
 # run bench-gate directly for a hard verdict).
-check: lint lint-mli lint-dsafe lint-dsafe-growth
+check: lint lint-mli lint-dsafe lint-dsafe-growth lint-knobs
 	dune runtest
 	EXPFINDER_CHECK=1 dune runtest --force
 	$(MAKE) --no-print-directory test-domains

@@ -587,10 +587,9 @@ let serve_run verbose graph_file socket_spec max_connections =
         the write errors are handled per-connection instead. *)
      (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
      (* Long-horizon telemetry: GC pause attribution via the runtime's
-        own event ring (opt out with EXPFINDER_GC_EVENTS=0).  It stays
-        inert for every other subcommand. *)
-     if Sys.getenv_opt "EXPFINDER_GC_EVENTS" <> Some "0" then
-       ignore (Telemetry.Gcpause.start () : bool);
+        own event ring, best-effort (false when the ring cannot be
+        opened).  It stays inert for every other subcommand. *)
+     ignore (Telemetry.Gcpause.start () : bool);
      let sample_period =
        match Option.bind (Sys.getenv_opt "EXPFINDER_SAMPLE_PERIOD_S") float_of_string_opt with
        | Some p -> p
@@ -1295,8 +1294,11 @@ let serve_cmd =
              "Set $(b,EXPFINDER_QLOG) to capture every served request in the structured query \
               log, ready for $(b,expfinder replay); $(b,EXPFINDER_TIMESERIES) to persist one \
               JSONL telemetry tick per sampler period; $(b,EXPFINDER_POSTMORTEM_DIR) to write a \
-              crash artifact on fatal signals and uncaught exceptions.  SLO objectives tune \
-              via EXPFINDER_SLO_* (see $(b,expfinder top)).";
+              crash artifact on fatal signals and uncaught exceptions.  The SLO objectives are \
+              99% availability per op class with burn thresholds 14.4 (fast) and 6.0 (slow); \
+              $(b,EXPFINDER_SLO_FAST_S) and $(b,EXPFINDER_SLO_SLOW_S) set the window lengths \
+              (default 300 and 3600 s), and $(b,EXPFINDER_SLO_P99_MS) adds a 95% p99-latency \
+              objective (see $(b,expfinder top)).";
          ])
     Term.(const serve_run $ verbose_arg $ graph_arg $ socket_arg $ max_connections)
 
@@ -1380,10 +1382,9 @@ let trace_cmd =
            `S Manpage.s_description;
            `P
              "Fetches /traces.json — the server's bounded in-process trace store (errors and \
-              p99-exceeding requests always kept, the rest head-sampled; capacity via \
-              EXPFINDER_TRACE_CAP) — and either tabulates the stored traces ($(b,list)) or \
-              renders one trace's span tree with per-span self times and the critical path \
-              marked ($(b,show) $(i,ID)).  Trace ids come from $(b,expfinder client --trace) \
+              p99-exceeding requests always kept, the rest head-sampled; 128 traces) — and \
+              either tabulates the stored traces ($(b,list)) or renders one trace's span tree \
+              with per-span self times and the critical path marked ($(b,show) $(i,ID)).  Trace ids come from $(b,expfinder client --trace) \
               responses, /stats.json exemplars, or the qlog.";
          ])
     Term.(const trace_explorer $ verbose_arg $ socket_arg $ action $ id)

@@ -352,29 +352,19 @@ let differential_check t pattern relation provenance ~via_direct =
       raise e
   end
 
-(* Profile plumbing shared by [evaluate] and [top_k]: snapshot the
-   counter registry, run the traced body under the request's context,
-   and turn the root span (when this call owns the trace) plus the
-   counter deltas into a profile. *)
-let profiled ?(trace = Trace.ambient) t ~root ~attrs ~query f =
-  let before = if enabled () then Metrics.counters_snapshot () else [] in
-  let (result, provenance), span = Trace.collect trace ~attrs root f in
-  let profile =
-    match span with
-    | None -> None
-    | Some span ->
-      Histogram.observe h_query_ms (Span.duration_ms span);
-      let counters = Metrics.delta ~before ~after:(Metrics.counters_snapshot ()) in
-      let p = { query; provenance; span; counters; trace_id = trace.Trace.trace_id } in
-      Atomic.set t.last_profile (Some p);
-      Some p
-  in
-  (result, profile)
+(* The profile of a call that owned its trace: its root span and the
+   counter deltas the caller measured over it. *)
+let record_profile t ~trace ~query ~provenance ~counters span =
+  Histogram.observe h_query_ms (Span.duration_ms span);
+  let p = { query; provenance; span; counters; trace_id = trace.Trace.trace_id } in
+  Atomic.set t.last_profile (Some p);
+  p
 
 (* Finished-request bookkeeping, one call per exit path of the three
    op classes: the duration since [start] and the counter delta since
    [before], tagged with the engine's current snapshot, go to every
-   telemetry sink at once. *)
+   telemetry sink at once.  Returns that delta, which is also the
+   request's profile counters. *)
 let finished t ~kind ~trace ~start ~before ~query ~strategy ?(pairs = 0) ?digest ~payload
     ?error ?root () =
   let duration_ms = (now_us () -. start) /. 1000.0 in
@@ -382,7 +372,8 @@ let finished t ~kind ~trace ~start ~before ~query ~strategy ?(pairs = 0) ?digest
   let snap = Atomic.get t.snap in
   Request.finish ~kind ~trace ~query ~strategy ~duration_ms ~counters ~pairs ?digest ~payload
     ?error:(Option.map Printexc.to_string error)
-    ?root ~graph_id:(Snapshot.graph_id snap) ~epoch:(Snapshot.epoch snap) ()
+    ?root ~graph_id:(Snapshot.graph_id snap) ~epoch:(Snapshot.epoch snap) ();
+  counters
 
 (* An answer's digest, memoised in the cache entry it was served from
    or just stored into: [sid] is that evaluation's snapshot, never a
@@ -410,24 +401,26 @@ let evaluate ?(trace = Trace.ambient) t pattern =
   let fp = Pattern.fingerprint pattern in
   let payload = lazy (Json.Str (Pattern_io.to_string pattern)) in
   match
-    profiled ~trace t ~root:"evaluate" ~attrs:[ ("query", fp) ] ~query:fp (fun () ->
+    Trace.collect trace ~attrs:[ ("query", fp) ] "evaluate" (fun () ->
         let sid, relation, provenance, strategy, via_direct = evaluate_inner t pattern in
         differential_check t pattern relation provenance ~via_direct;
         Counter.incr (provenance_counter provenance);
         annotate "provenance" (provenance_name provenance);
         annotate_int "pairs" (Match_relation.total relation);
-        ((sid, relation, provenance, strategy), provenance))
+        (sid, relation, provenance, strategy))
   with
   | exception e ->
-    finished t ~kind:Qlog.Query ~trace ~start ~before ~query:fp ~strategy:"error" ~payload
-      ~error:e ();
+    ignore
+      (finished t ~kind:Qlog.Query ~trace ~start ~before ~query:fp ~strategy:"error" ~payload
+         ~error:e ());
     raise e
-  | (sid, relation, provenance, strategy), profile ->
+  | (sid, relation, provenance, strategy), root ->
     let digest = answer_digest t pattern ~sid relation in
-    finished t ~kind:Qlog.Query ~trace ~start ~before ~query:fp ~strategy
-      ~pairs:(Match_relation.total relation) ~digest ~payload
-      ?root:(Option.map (fun p -> p.span) profile)
-      ();
+    let counters =
+      finished t ~kind:Qlog.Query ~trace ~start ~before ~query:fp ~strategy
+        ~pairs:(Match_relation.total relation) ~digest ~payload ?root ()
+    in
+    let profile = Option.map (record_profile t ~trace ~query:fp ~provenance ~counters) root in
     Log.debug (fun m ->
         m "evaluate %s: %d pairs via %s" fp (Match_relation.total relation)
           (provenance_name provenance));
@@ -468,9 +461,9 @@ let evaluate_batch ?(trace = Trace.ambient) t patterns =
       ~graph_size:(Snapshot.node_count snap)
   in
   let run_batch () =
-    profiled ~trace t ~root:"evaluate_batch"
+    Trace.collect trace
       ~attrs:[ ("queries", string_of_int n) ]
-      ~query:label
+      "evaluate_batch"
       (fun () ->
         (* 1. Exact cache hits. *)
         let hits = ref 0 in
@@ -569,8 +562,7 @@ let evaluate_batch ?(trace = Trace.ambient) t patterns =
                 results.(i) <- Some (Match_relation.copy relation, From_cache)
               | None -> assert false
             end)
-          arr;
-        ((), Direct))
+          arr)
   in
   (* The replayable payload is the input list, duplicates included. *)
   let payload =
@@ -578,10 +570,11 @@ let evaluate_batch ?(trace = Trace.ambient) t patterns =
   in
   match run_batch () with
   | exception e ->
-    finished t ~kind:Qlog.Batch ~trace ~start ~before ~query:label ~strategy:"batch/error"
-      ~payload ~error:e ();
+    ignore
+      (finished t ~kind:Qlog.Batch ~trace ~start ~before ~query:label ~strategy:"batch/error"
+         ~payload ~error:e ());
     raise e
-  | (), batch_profile ->
+  | (), root ->
     let answers =
       List.mapi
         (fun i pattern ->
@@ -600,12 +593,15 @@ let evaluate_batch ?(trace = Trace.ambient) t patterns =
           | None -> assert false)
         patterns
     in
-    finished t ~kind:Qlog.Batch ~trace ~start ~before ~query:label ~strategy:"batch"
-      ~pairs:(List.fold_left (fun acc a -> acc + Match_relation.total a.relation) 0 answers)
-      ~digest:(lazy (batch_digest answers))
-      ~payload
-      ?root:(Option.map (fun p -> p.span) batch_profile)
-      ();
+    let counters =
+      finished t ~kind:Qlog.Batch ~trace ~start ~before ~query:label ~strategy:"batch"
+        ~pairs:(List.fold_left (fun acc a -> acc + Match_relation.total a.relation) 0 answers)
+        ~digest:(lazy (batch_digest answers))
+        ~payload ?root ()
+    in
+    ignore
+      (Option.map (record_profile t ~trace ~query:label ~provenance:Direct ~counters) root
+        : profile option);
     Log.debug (fun m -> m "evaluate_batch: %d queries on %a" n Snapshot.pp_id snap);
     answers
 
@@ -619,38 +615,49 @@ let result_graph t pattern =
   in
   Result_graph.build pattern (snapshot t) relation
 
+(* A top-K call is not a finished request of its own (its [evaluate]
+   is), so its profile takes its own counter snapshots, and only when
+   telemetry is on: the ambient context records nothing otherwise. *)
 let top_k t pattern ~k =
   Counter.incr m_topk;
   let fp = Pattern.fingerprint pattern in
-  fst
-  @@ profiled t ~root:"topk"
-    ~attrs:[ ("query", fp); ("k", string_of_int k) ]
-    ~query:fp
-    (fun () ->
-      let answer = evaluate t pattern in
-      if not answer.total then ([], answer.provenance)
-      else begin
-        let snap = snapshot t in
-        let gr =
-          with_span "result_graph" (fun () ->
-              Result_graph.build pattern snap answer.relation)
-        in
-        let output_matches = Match_relation.matches answer.relation (Pattern.output pattern) in
-        let experts =
-          with_span "rank"
-            ~attrs:[ ("output_matches", string_of_int (List.length output_matches)) ]
-            (fun () ->
-              Ranking.top_k gr ~output_matches ~k
-              |> List.map (fun (node, rank) ->
-                     let name =
-                       match Attrs.find (Snapshot.attrs snap node) "name" with
-                       | Some (Attr.String s) -> Some s
-                       | Some _ | None -> None
-                     in
-                     { node; name; rank }))
-        in
-        (experts, answer.provenance)
-      end)
+  let before = if enabled () then Metrics.counters_snapshot () else [] in
+  let (experts, provenance), root =
+    Trace.collect Trace.ambient
+      ~attrs:[ ("query", fp); ("k", string_of_int k) ]
+      "topk"
+      (fun () ->
+        let answer = evaluate t pattern in
+        if not answer.total then ([], answer.provenance)
+        else begin
+          let snap = snapshot t in
+          let gr =
+            with_span "result_graph" (fun () ->
+                Result_graph.build pattern snap answer.relation)
+          in
+          let output_matches = Match_relation.matches answer.relation (Pattern.output pattern) in
+          let experts =
+            with_span "rank"
+              ~attrs:[ ("output_matches", string_of_int (List.length output_matches)) ]
+              (fun () ->
+                Ranking.top_k gr ~output_matches ~k
+                |> List.map (fun (node, rank) ->
+                       let name =
+                         match Attrs.find (Snapshot.attrs snap node) "name" with
+                         | Some (Attr.String s) -> Some s
+                         | Some _ | None -> None
+                       in
+                       { node; name; rank }))
+          in
+          (experts, answer.provenance)
+        end)
+  in
+  Option.iter
+    (fun span ->
+      let counters = Metrics.delta ~before ~after:(Metrics.counters_snapshot ()) in
+      ignore (record_profile t ~trace:Trace.ambient ~query:fp ~provenance ~counters span : profile))
+    root;
+  experts
 
 let last_profile t = Atomic.get t.last_profile
 
@@ -817,12 +824,14 @@ let apply_updates ?(trace = Trace.ambient) t updates =
       (fun () -> apply_updates_inner t updates)
   with
   | exception e ->
-    finished t ~kind:Qlog.Update ~trace ~start ~before ~query:"update" ~strategy:"update/error"
-      ~payload ~error:e ();
+    ignore
+      (finished t ~kind:Qlog.Update ~trace ~start ~before ~query:"update"
+         ~strategy:"update/error" ~payload ~error:e ());
     raise e
   | (reports, effective_n), root ->
-    finished t ~kind:Qlog.Update ~trace ~start ~before ~query:"update" ~strategy:"update"
-      ~pairs:effective_n ~payload ?root ();
+    ignore
+      (finished t ~kind:Qlog.Update ~trace ~start ~before ~query:"update" ~strategy:"update"
+         ~pairs:effective_n ~payload ?root ());
     reports
 
 let cache_stats t = (Cache.hits t.cache, Cache.misses t.cache)

@@ -50,17 +50,19 @@ type t
 (** Where an answer came from (exposed for tests and experiments). *)
 type provenance = From_cache | From_compressed | From_index | Direct
 
-(** Per-query profile, populated when telemetry is enabled
-    ({!Expfinder_telemetry.set_enabled}): the stage tree (plan →
-    candidates → refine → rank for direct evaluation), the provenance,
-    and the per-query deltas of every registered counter (candidate
-    sizes, worklist pops, ball expansions, cache hits, compression
-    expand cost, ...). *)
+(** Per-query profile, populated when the call recorded its own trace
+    (telemetry enabled ({!Expfinder_telemetry.set_enabled}), or a
+    sampled trace context): the stage tree (plan → candidates → refine
+    → rank for direct evaluation), the provenance, and the per-query
+    deltas of every registered counter (candidate sizes, worklist pops,
+    ball expansions, cache hits, compression expand cost, ...).  For
+    {!evaluate} and {!evaluate_batch} the deltas are the finished
+    request's own, the same list its flight-recorder record carries. *)
 type profile = {
   query : string;  (** the pattern fingerprint *)
   provenance : provenance;
   span : Span.t;  (** the stage tree; export with {!Span.to_chrome_json} *)
-  counters : (string * int) list;  (** nonzero per-query counter deltas *)
+  counters : (string * int) list;  (** nonzero per-request counter deltas *)
   trace_id : string;
       (** the request's trace id ([""] when it ran under the ambient
           context) *)
@@ -71,8 +73,9 @@ type answer = {
   total : bool;  (** whether M(Q,G) is nonempty (kernel is total) *)
   provenance : provenance;
   profile : profile option;
-      (** present when telemetry is enabled and this call owned the
-          trace (i.e. it was not nested under another traced call) *)
+      (** present when this call owned a recorded trace: telemetry
+          was enabled or the context was sampled, and the call was not
+          nested under another traced call *)
   digest : string Lazy.t;
       (** The answer digest of [relation] (the hex MD5 that
           {!Expfinder_core.Match_relation} computes).  It is computed

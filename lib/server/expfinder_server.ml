@@ -484,10 +484,9 @@ let serve ?(max_connections = max_int) ?(sample_period = 1.0)
         raise e
   in
   (* The sampler thread drives long-horizon telemetry: one tick per
-     period pulls windows, process gauges, counters and allocation
-     attribution into the shared timeseries, then re-evaluates the SLO
-     burn rates.  A tick must never take the serving loop down, so it
-     swallows everything.  It is joined on shutdown (the stop flag is
+     period pulls windows, process gauges and counters into the shared
+     timeseries, then re-evaluates the SLO burn rates.  A tick must
+     never take the serving loop down, so it swallows everything.  It is joined on shutdown (the stop flag is
      polled in <= 0.1s slices so the join is prompt even with long
      sample periods). *)
   let stop_sampler = Atomic.make false in

@@ -8,9 +8,10 @@
       accounting); registered metrics are otherwise gated by the global
       flag.  Recording never allocates: counters and gauges are single
       mutable ints, histogram state lives in pre-allocated arrays.
-    - {e spans} ({!with_span}, {!collect}) are fully disabled unless the
-      runtime flag is on ({!set_enabled}); a disabled [with_span] is one
-      branch around the wrapped function.
+    - {e spans} ({!Trace.collect}, {!with_span}) are fully disabled
+      unless the runtime flag is on ({!set_enabled}) or the request's
+      context is sampled; a disabled [with_span] is one branch around
+      the wrapped function.
 
     Naming scheme (see DESIGN.md): metric and span names are dotted
     lowercase paths, [<module>.<event>] — e.g. [bsim.worklist_pops],
@@ -246,9 +247,8 @@ module Trace : sig
   }
 
   val ambient : ctx
-  (** The default root context: identity-free, never sampled.  The
-      top-level [with_span]/[collect] shims use it, giving pre-context
-      call sites their historical behaviour. *)
+  (** The default root context: identity-free, never sampled, so a
+      {!collect} under it records only while the global flag is on. *)
 
   val make : ?sampled:bool -> ?trace_id:string -> unit -> ctx
   (** Mint a fresh context (fresh span id always; fresh trace id unless
@@ -274,17 +274,6 @@ module Trace : sig
       and minting a fresh local span id.  [None] on anything malformed
       — the caller mints a fresh context instead of erroring. *)
 
-  val with_span : ctx -> ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-  (** Run the function inside a child span of the innermost open span
-      of the current domain.  When no {!collect} is recording, this is
-      just the function call. *)
-
-  val annotate : string -> string -> unit
-  (** Attach a key/value annotation to the innermost open span (dropped
-      when none is open). *)
-
-  val annotate_int : string -> int -> unit
-
   val collect :
     ctx -> ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a * Span.t option
   (** Run the function inside a {e root} span and return the completed
@@ -295,22 +284,15 @@ module Trace : sig
 end
 
 val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** [Trace.with_span Trace.ambient]: run the function inside a child
-    span of the innermost open span.  When telemetry is disabled or no
-    {!collect} is active, this is just the function call. *)
+(** Run the function inside a child span of the innermost open span of
+    the current domain.  When no {!Trace.collect} is recording on this
+    domain, this is just the function call. *)
 
 val annotate : string -> string -> unit
 (** Attach a key/value annotation to the innermost open span (dropped
     when none is open). *)
 
 val annotate_int : string -> int -> unit
-
-val collect :
-  ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a * Span.t option
-(** [Trace.collect Trace.ambient]: run the function inside a {e root}
-    span and return the completed tree.  Returns [None] (plain nested
-    span) when telemetry is disabled or another collection is already
-    active — so the outermost caller owns the trace. *)
 
 (** {1 Clock} *)
 
@@ -358,7 +340,7 @@ module Profile : sig
       inclusive time — the contract flamegraph renderers expect. *)
 
   val reset : unit -> unit
-  (** Drop all accumulated stacks and counters (the bound is kept). *)
+  (** Drop all accumulated stacks and counters. *)
 
   val folds : unit -> int
   (** Root span trees folded since start/reset. *)
@@ -367,13 +349,8 @@ module Profile : sig
   (** Stacks discarded because the table was at [max_stacks]; a nonzero
       value means the profile under-reports tail stacks. *)
 
-  val max_stacks : unit -> int
-  (** Current bound on distinct stacks (default 4096, or
-      [EXPFINDER_PROFILE_STACKS]). *)
-
-  val set_max_stacks : int -> unit
-  (** Raise or lower the bound (ignored unless positive); existing
-      entries are kept even if now over the bound. *)
+  val max_stacks : int
+  (** Bound on distinct stacks: 4096. *)
 
   val to_json : unit -> Json.t
   (** Profiler health: [{stacks; max_stacks; folded; dropped}] — the
@@ -672,13 +649,8 @@ module Tracestore : sig
     sroot : Span.t option;  (** span tree, when one was recorded *)
   }
 
-  val default_capacity : int
-  (** 128; overridable at startup via [EXPFINDER_TRACE_CAP]. *)
-
-  val capacity : unit -> int
-
-  val set_capacity : int -> unit
-  (** Resize the ring (floor 1); resizing drops the stored traces. *)
+  val capacity : int
+  (** The ring size: 128 traces. *)
 
   val record :
     trace_id:string ->
@@ -725,9 +697,8 @@ end
 
     An append-only JSONL log of serving-path events — one line per
     query, batch or update batch — with an env-configurable sink
-    ([EXPFINDER_QLOG]) and size-based rotation
-    ([EXPFINDER_QLOG_MAX_BYTES], one archived generation at
-    [<sink>.1]).  Events carry the request id, the snapshot identity
+    ([EXPFINDER_QLOG]) and size-based rotation (at 64 MiB, one
+    archived generation at [<sink>.1]).  Events carry the request id, the snapshot identity
     [(graph_id, epoch)] the request ran against, the pattern digest,
     strategy, duration, per-request counter deltas, answer size and
     digest, slow/error flags, and (when available) a replayable payload
@@ -793,8 +764,8 @@ module Qlog : sig
   val max_bytes : unit -> int
 
   val set_max_bytes : int -> unit
-  (** Rotation threshold (floor 4096; default 64 MiB, or
-      [EXPFINDER_QLOG_MAX_BYTES]).  When appending the next event would
+  (** Rotation threshold (floor 4096; 64 MiB unless set here, which
+      only the rotation tests do).  When appending the next event would
       exceed it, the sink is renamed to [<sink>.1] (replacing any
       previous archive) and a fresh file is started. *)
 
@@ -832,9 +803,8 @@ end
     self-check fails. *)
 
 module Recorder : sig
-  val capacity : unit -> int
-  (** The ring size, fixed at startup: 64, or [EXPFINDER_RECORDER_CAP];
-      older records are overwritten. *)
+  val capacity : int
+  (** The ring size: 64 records; older records are overwritten. *)
 
   val recent : unit -> Qlog.event list
   (** Buffered records, oldest first.  [seq] is the ring's sequence
@@ -899,8 +869,7 @@ end
     periodic collector driven by the server's sampler thread; it pulls
     the op-class windows, {!process_stats} and the counter registry
     into the shared instance and appends one JSONL tick to the
-    [EXPFINDER_TIMESERIES] sink (rotation as in {!Qlog}, via
-    [EXPFINDER_TIMESERIES_MAX_BYTES]). *)
+    [EXPFINDER_TIMESERIES] sink (rotated at 64 MiB as in {!Qlog}). *)
 
 module Timeseries : sig
   val schema_version : int
@@ -994,13 +963,11 @@ end
     multi-window burn-rate rules (SRE-workbook shape): an alert fires
     only while {e both} the fast window (default 5 m) and the slow
     window (default 1 h) burn error budget faster than their
-    thresholds (defaults 14.4 / 6.0), and clears as soon as either
-    recovers.  The default objective set — availability per op class,
-    plus p99 latency when [EXPFINDER_SLO_P99_MS] is set — comes from
-    the environment ([EXPFINDER_SLO_AVAILABILITY],
-    [EXPFINDER_SLO_FAST_S], [EXPFINDER_SLO_SLOW_S],
-    [EXPFINDER_SLO_FAST_BURN], [EXPFINDER_SLO_SLOW_BURN],
-    [EXPFINDER_SLO_LATENCY_TARGET]). *)
+    thresholds (14.4 / 6.0), and clears as soon as either recovers.
+    The default objective set is 99% availability per op class, plus
+    95% p99 latency under the threshold [EXPFINDER_SLO_P99_MS] names,
+    when it is set; [EXPFINDER_SLO_FAST_S] and [EXPFINDER_SLO_SLOW_S]
+    set the two window lengths in seconds. *)
 
 module Slo : sig
   type target =
@@ -1048,7 +1015,7 @@ module Slo : sig
   (** Replace the active objective set (resets all alert state). *)
 
   val objectives_from_env : unit -> objective list
-  (** The env-derived default set (used on first access when
+  (** The default set (used on first access when
       {!set_objectives} was never called). *)
 
   val alerts : unit -> alert list
@@ -1090,8 +1057,7 @@ end
 (** {1 Postmortem dumps}
 
     One self-contained crash artifact: reason, identity and
-    [EXPFINDER_*] configuration, GC totals and allocation attribution,
-    op-class window summaries, alert state, the metrics registry, the
+    [EXPFINDER_*] configuration, GC totals, op-class window summaries, alert state, the metrics registry, the
     flight-recorder tail and the recent timeseries — written atomically
     (dot-tmp then rename) to [EXPFINDER_POSTMORTEM_DIR] on fatal signal
     or uncaught server exception, and pretty-printed by [expfinder

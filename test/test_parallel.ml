@@ -273,7 +273,7 @@ let test_domain_local_trace_roots () =
     let ctx = Telemetry.Trace.make ~sampled:true () in
     Telemetry.Trace.collect ctx ("root-" ^ tag) (fun () ->
         for i = 1 to 40 do
-          Telemetry.Trace.with_span ctx
+          Telemetry.with_span
             (Printf.sprintf "child-%s-%d" tag i)
             (fun () -> ignore (Sys.opaque_identity i))
         done)

@@ -168,6 +168,23 @@ let test_same_answers_when_disabled () =
   let on = with_telemetry true run in
   Alcotest.(check bool) "telemetry does not change answers" true (off = on)
 
+let test_sampled_profile_counters () =
+  (* With the flag off, a sampled request still records a span tree and
+     so a profile.  Its counters are the request's own delta — the one
+     its flight-recorder record carries — not lifetime totals. *)
+  set_enabled false;
+  let engine = Engine.create (Collab.graph ()) in
+  List.iter
+    (fun q ->
+      let answer = Engine.evaluate ~trace:(Trace.make ~sampled:true ()) engine q in
+      match (answer.Engine.profile, List.rev (Recorder.recent ())) with
+      | Some p, last :: _ ->
+        Alcotest.(check (list (pair string int)))
+          "profile counters are the request's delta" last.Qlog.counters p.Engine.counters
+      | None, _ -> Alcotest.fail "a sampled evaluation must produce a profile"
+      | Some _, [] -> Alcotest.fail "the request reached no recorder record")
+    [ Collab.q1 (); Collab.query () ]
+
 (* --- Chrome trace export ------------------------------------------------ *)
 
 (* A small JSON reader, enough to round-trip the exporter's output
@@ -308,7 +325,7 @@ let parse_json text =
 let test_chrome_trace_roundtrip () =
   with_telemetry true (fun () ->
       let (), span =
-        collect "root" ~attrs:[ ("who", "test") ] (fun () ->
+        Trace.collect Trace.ambient "root" ~attrs:[ ("who", "test") ] (fun () ->
             with_span "child-a" (fun () -> annotate_int "items" 3);
             with_span "child-b" (fun () ->
                 with_span "grandchild" (fun () -> ())))
@@ -504,7 +521,7 @@ let test_recorder_ring () =
       Window.reset query_window;
       Recorder.clear ())
     (fun () ->
-      for i = 1 to Recorder.capacity () + 5 do
+      for i = 1 to Recorder.capacity + 5 do
         Request.finish ~kind:Qlog.Query ~trace:Trace.ambient
           ~query:(Printf.sprintf "q%d" i)
           ~strategy:"direct/simulation"
@@ -513,12 +530,12 @@ let test_recorder_ring () =
           ~pairs:0 ~graph_id:0 ~epoch:0 ()
       done;
       let events = Recorder.recent () in
-      Alcotest.(check int) "ring keeps the last capacity events" (Recorder.capacity ())
+      Alcotest.(check int) "ring keeps the last capacity events" Recorder.capacity
         (List.length events);
       (match (events, List.rev events) with
       | oldest :: _, newest :: _ ->
         Alcotest.(check string) "oldest survivor" "q6" oldest.Qlog.query;
-        Alcotest.(check string) "newest event" (Printf.sprintf "q%d" (Recorder.capacity () + 5))
+        Alcotest.(check string) "newest event" (Printf.sprintf "q%d" (Recorder.capacity + 5))
           newest.Qlog.query;
         Alcotest.(check bool) "sequence numbers increase" true
           (newest.Qlog.seq > oldest.Qlog.seq)
@@ -898,6 +915,24 @@ let test_timeseries_to_json_shape () =
   match Option.bind (Json.member "series_kinds" doc) (fun k -> Json.member "b" k) with
   | Some (Json.Str "rate") -> ()
   | _ -> Alcotest.fail "series_kinds must carry the rate kind"
+
+let test_timeseries_max_points () =
+  let module T = Timeseries in
+  let ts = T.create ~resolutions:[ (1, 10) ] () in
+  let base = 3_000_000.0 in
+  for i = 0 to 4 do
+    T.record ~now:(base +. float_of_int i) ts T.Level "x" (float_of_int i)
+  done;
+  let doc = T.to_json ~now:(base +. 4.0) ~max_points:2 ts in
+  let last_of = function Json.Arr (_ :: last :: _) -> Json.float_opt last | _ -> None in
+  match Option.bind (Json.member "resolutions" doc) Json.list_opt with
+  | Some [ ring ] -> (
+    match Option.bind (Json.member "series" ring) (Json.member "x") with
+    | Some (Json.Arr pts) ->
+      Alcotest.(check (list (option (float 1e-9))))
+        "the newest two points, oldest first" [ Some 3.0; Some 4.0 ] (List.map last_of pts)
+    | _ -> Alcotest.fail "series 'x' missing")
+  | _ -> Alcotest.fail "expected one resolution"
 
 let test_timeseries_capture_load_report () =
   let module T = Timeseries in
@@ -1326,7 +1361,7 @@ let test_trace_collect_sampled () =
   set_enabled false;
   let ctx = Trace.make ~sampled:true () in
   let v, span =
-    Trace.collect ctx "root" (fun () -> Trace.with_span ctx "child" (fun () -> 41) + 1)
+    Trace.collect ctx "root" (fun () -> with_span "child" (fun () -> 41) + 1)
   in
   Alcotest.(check int) "body ran" 42 v;
   (match span with
@@ -1342,9 +1377,9 @@ let test_span_self_time_and_critical_path () =
   let ctx = Trace.make ~sampled:true () in
   let (), span =
     Trace.collect ctx "root" (fun () ->
-        Trace.with_span ctx "fast" (fun () -> ());
-        Trace.with_span ctx "slow" (fun () ->
-            Trace.with_span ctx "leaf" (fun () -> Unix.sleepf 0.002)))
+        with_span "fast" (fun () -> ());
+        with_span "slow" (fun () ->
+            with_span "leaf" (fun () -> Unix.sleepf 0.002)))
   in
   let s = match span with Some s -> s | None -> Alcotest.fail "no span tree" in
   (* self time never exceeds the span's own duration, and the root's
@@ -1667,6 +1702,7 @@ let () =
         [
           Alcotest.test_case "ring math and wrap-around expiry" `Quick
             test_timeseries_ring_math;
+          Alcotest.test_case "max_points keeps the newest" `Quick test_timeseries_max_points;
           Alcotest.test_case "/timeseries.json document shape" `Quick
             test_timeseries_to_json_shape;
           Alcotest.test_case "capture load and report" `Quick
@@ -1705,6 +1741,8 @@ let () =
           Alcotest.test_case "disabled produces no profile" `Quick test_disabled_no_profile;
           Alcotest.test_case "answers invariant under the flag" `Quick
             test_same_answers_when_disabled;
+          Alcotest.test_case "sampled profile counters are the request's" `Quick
+            test_sampled_profile_counters;
         ] );
       ( "tracing",
         [
