@@ -467,7 +467,16 @@ module Metrics = struct
     | M_gauge of Gauge.t
     | M_histogram of Histogram.t
 
-  let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
+  (* [cells] holds every counter and gauge cell in name order, so a
+     snapshot is one pass of [Atomic.get] instead of a fold and a sort.
+     It is a fresh array, never mutated once published, rebuilt under
+     the lock only when a counter or gauge is first registered. *)
+  type registry = {
+    table : (string, metric) Hashtbl.t;
+    mutable cells : (string * int Atomic.t) array;
+  }
+
+  let registry = { table = Hashtbl.create 64; cells = [||] }
 
   (* The sampler thread enumerates the registry on every tick while the
      connection handler registers gauges lazily; Hashtbl offers no
@@ -484,60 +493,74 @@ module Metrics = struct
      caller's rendering does not. *)
   let rows () =
     with_registry (fun () ->
-        Hashtbl.fold (fun name m acc -> (name, m) :: acc) registry [])
+        Hashtbl.fold (fun name m acc -> (name, m) :: acc) registry.table [])
     |> List.sort compare
+
+  (* Called under the lock. *)
+  let rebuild_cells () =
+    registry.cells <-
+      Hashtbl.fold
+        (fun name m acc ->
+          match m with
+          | M_counter c -> (name, c.Counter.v) :: acc
+          | M_gauge g -> (name, g.Gauge.v) :: acc
+          | M_histogram _ -> acc)
+        registry.table []
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+      |> Array.of_list
 
   let counter ?always name =
     with_registry (fun () ->
-        match Hashtbl.find_opt registry name with
+        match Hashtbl.find_opt registry.table name with
         | Some (M_counter c) -> c
         | Some _ ->
           invalid_arg ("Telemetry.Metrics.counter: " ^ name ^ " is not a counter")
         | None ->
           let c = Counter.create ?always name in
-          Hashtbl.replace registry name (M_counter c);
+          Hashtbl.replace registry.table name (M_counter c);
+          rebuild_cells ();
           c)
 
   let gauge ?always name =
     with_registry (fun () ->
-        match Hashtbl.find_opt registry name with
+        match Hashtbl.find_opt registry.table name with
         | Some (M_gauge g) -> g
         | Some _ -> invalid_arg ("Telemetry.Metrics.gauge: " ^ name ^ " is not a gauge")
         | None ->
           let g = Gauge.create ?always name in
-          Hashtbl.replace registry name (M_gauge g);
+          Hashtbl.replace registry.table name (M_gauge g);
+          rebuild_cells ();
           g)
 
   let histogram ?always name =
     with_registry (fun () ->
-        match Hashtbl.find_opt registry name with
+        match Hashtbl.find_opt registry.table name with
         | Some (M_histogram h) -> h
         | Some _ ->
           invalid_arg ("Telemetry.Metrics.histogram: " ^ name ^ " is not a histogram")
         | None ->
           let h = Histogram.create ?always name in
-          Hashtbl.replace registry name (M_histogram h);
+          Hashtbl.replace registry.table name (M_histogram h);
           h)
 
   let counters_snapshot () =
-    with_registry (fun () ->
-        Hashtbl.fold
-          (fun name m acc ->
-            match m with
-            | M_counter c -> (name, Counter.value c) :: acc
-            | M_gauge g -> (name, Gauge.value g) :: acc
-            | M_histogram _ -> acc)
-          registry [])
-    |> List.sort compare
+    let cells = with_registry (fun () -> registry.cells) in
+    Array.fold_right (fun (name, v) acc -> (name, Atomic.get v) :: acc) cells []
 
-  let delta ~before ~after =
-    let base = Hashtbl.create 16 in
-    List.iter (fun (name, v) -> Hashtbl.replace base name v) before;
-    List.filter_map
-      (fun (name, v) ->
-        let d = v - Option.value ~default:0 (Hashtbl.find_opt base name) in
-        if d = 0 then None else Some (name, d))
-      after
+  (* A merge walk over two name-sorted lists: names only in [before]
+     are skipped, names only in [after] count from zero. *)
+  let rec delta ~before ~after =
+    match (before, after) with
+    | _, [] -> []
+    | [], (name, v) :: after ->
+      if v = 0 then delta ~before ~after else (name, v) :: delta ~before ~after
+    | (bname, bv) :: brest, (name, v) :: arest ->
+      let c = String.compare bname name in
+      if c < 0 then delta ~before:brest ~after
+      else
+        let d = if c = 0 then v - bv else v in
+        let before = if c = 0 then brest else before in
+        if d = 0 then delta ~before ~after:arest else (name, d) :: delta ~before ~after:arest
 
   let reset_all () =
     with_registry (fun () ->
@@ -546,7 +569,7 @@ module Metrics = struct
             | M_counter c -> Counter.reset c
             | M_gauge g -> Gauge.reset g
             | M_histogram h -> Histogram.reset h)
-          registry)
+          registry.table)
 
   let to_json () =
     let rows = rows () in
@@ -1536,6 +1559,13 @@ module Window = struct
     bhist : int array;
   }
 
+  (* The window's in-window count and p99 as of [at_sec], taken when the
+     lifetime count was [at_total]: what tail admission compares a
+     finished request against. *)
+  type memo = { at_sec : int; at_total : int; m_count : int; m_p99 : float }
+
+  let no_memo = { at_sec = min_int; at_total = 0; m_count = 0; m_p99 = nan }
+
   type t = {
     wname : string;
     wseconds : int;
@@ -1554,6 +1584,9 @@ module Window = struct
     ex_trace : string array;
     ex_ms : float array;
     ex_unix : float array;
+    (* An immutable record swapped whole, so readers never see a count
+       from one refresh paired with another's p99. *)
+    memo : memo Atomic.t;
     (* Serializes writers ({!observe}/{!reset}).  Readers stay
        lock-free, synchronised only through the bucket stamps. *)
     wm : Mutex.t;
@@ -1581,6 +1614,7 @@ module Window = struct
       ex_trace = Array.make Histogram.nbuckets "";
       ex_ms = Array.make Histogram.nbuckets 0.0;
       ex_unix = Array.make Histogram.nbuckets 0.0;
+      memo = Atomic.make no_memo;
       wm = Mutex.create ();
     }
 
@@ -1605,6 +1639,7 @@ module Window = struct
         b.bmax <- 0.0;
         Array.fill b.bhist 0 Histogram.nbuckets 0)
       t.ring;
+    Atomic.set t.memo no_memo;
     Mutex.unlock t.wm
 
   let wall_seconds () = now_us () /. 1e6
@@ -1731,6 +1766,27 @@ module Window = struct
       max_ms = (if n = 0 then nan else !mx);
     }
 
+  (* Refreshed once per wall-clock second, or sooner once the lifetime
+     count has at least doubled since the memo was taken, so a window
+     that fills up within one second does not keep its empty verdict.
+     Concurrent refreshes race harmlessly: each stores a whole memo. *)
+  let memo ?now t =
+    let now = match now with Some n -> n | None -> wall_seconds () in
+    let sec = int_of_float now in
+    let m = Atomic.get t.memo in
+    let total = Atomic.get t.total_count in
+    if m.at_sec = sec && (total <= m.at_total || total < 2 * m.at_total) then m
+    else begin
+      let s = summary ~now t in
+      let m = { at_sec = sec; at_total = total; m_count = s.count; m_p99 = s.p99 } in
+      Atomic.set t.memo m;
+      m
+    end
+
+  let recent_p99 ?now t =
+    let m = memo ?now t in
+    (m.m_count, m.m_p99)
+
   let summary_json s =
     Json.Obj
       [
@@ -1826,8 +1882,9 @@ module Tracestore = struct
   (* A bounded ring of recently finished request traces, the backing
      store for GET /traces.json and the [expfinder trace] explorer.
      Admission is head + tail sampling: errored requests and requests
-     at or beyond the op window's p99 are always kept (tail — decided
-     from the outcome), and of the unremarkable rest one in
+     at or beyond the op window's p99 as of the current second
+     ({!Window.memo}) are always kept (tail — decided from the
+     outcome), and of the unremarkable rest one in
      [head_rate] is kept (head — decided by arrival count), so the
      store holds the interesting traces plus a thin representative
      sample without growing with traffic. *)
@@ -1884,10 +1941,10 @@ module Tracestore = struct
     if trace_id = "" then false
     else begin
       let slow =
-        let s = Window.summary (Window.get op) in
-        s.Window.count >= min_count_for_p99
-        && (not (Float.is_nan s.Window.p99))
-        && duration_ms >= s.Window.p99
+        let m = Window.memo (Window.get op) in
+        m.Window.m_count >= min_count_for_p99
+        && (not (Float.is_nan m.Window.m_p99))
+        && duration_ms >= m.Window.m_p99
       in
       Mutex.protect lock (fun () ->
           state.seen <- state.seen + 1;

@@ -151,11 +151,17 @@ module Metrics : sig
 
   val counters_snapshot : unit -> (string * int) list
   (** Current value of every registered counter and gauge, sorted by
-      name (the per-query profile diff base). *)
+      name (the per-query profile diff base).  The registry keeps these
+      cells in a name-ordered array, rebuilt only when a counter or
+      gauge is first registered, so a snapshot is one pass of atomic
+      reads with no sort. *)
 
   val delta :
     before:(string * int) list -> after:(string * int) list -> (string * int) list
-  (** Nonzero differences [after - before], sorted by name. *)
+  (** Nonzero differences [after - before], sorted by name: a merge
+      walk, so both lists must be sorted by name with each name once,
+      as {!counters_snapshot} returns them.  A name only in [after]
+      counts from zero; a name only in [before] is left out. *)
 
   val reset_all : unit -> unit
   (** Reset every registered metric to zero (tests, [expfinder stats]). *)
@@ -559,6 +565,8 @@ module Window : sig
       timeseries sampler into per-tick rates. *)
 
   val reset : t -> unit
+  (** Zero the ring, the lifetime totals and the exemplars, and drop
+      the memoised {!recent_p99}. *)
 
   (** A merged view of the buckets still inside the window. *)
   type summary = {
@@ -575,6 +583,16 @@ module Window : sig
   }
 
   val summary : ?now:float -> t -> summary
+
+  val recent_p99 : ?now:float -> t -> int * float
+  (** [(count, p99)] of {!summary} as of the current second: a memo
+      taken at most once per wall-clock second ([?now] pins the clock),
+      and again sooner once the lifetime request count has at least
+      doubled since it was taken, so a window that fills up within one
+      second gets a fresh figure.  Right after a refresh it equals
+      [(summary w).count] and [(summary w).p99].  This is what the
+      {!Tracestore} compares a finished request against, so admission
+      costs one atomic read instead of merging the whole ring. *)
 
   val summary_json : summary -> Json.t
   (** As a flat object ([qps], [p95_ms], ...); [nan] fields serialize as
@@ -634,7 +652,9 @@ end
     requests at or beyond their op window's p99 are always kept) with
     head sampling (one in ten of the unremarkable rest), so the store
     holds the interesting traces plus a thin representative sample at
-    bounded memory. *)
+    bounded memory.  "Slow" compares against the op's p99 as of the
+    current second ({!Window.recent_p99}, refreshed early when the op's
+    count doubles), once the window holds at least 20 requests. *)
 
 module Tracestore : sig
   type stored = {

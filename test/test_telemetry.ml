@@ -603,6 +603,76 @@ let test_registry_snapshot_delta () =
     "unmoved counters are dropped from the delta" true
     (List.for_all (fun (_, v) -> v <> 0) delta)
 
+(* The hashtable diff [Metrics.delta] used before it became a merge
+   walk: the oracle the merge must agree with on name-sorted input. *)
+let delta_oracle ~before ~after =
+  let base = Hashtbl.create 16 in
+  List.iter (fun (name, v) -> Hashtbl.replace base name v) before;
+  List.filter_map
+    (fun (name, v) ->
+      let d = v - Option.value ~default:0 (Hashtbl.find_opt base name) in
+      if d = 0 then None else Some (name, d))
+    after
+
+(* Per name (in sorted order): where it appears — 0 nowhere, 1 only in
+   [before], 2 only in [after], 3 in both — and its two values.  Values
+   in 0..3 make equal pairs (zero deltas) and falling pairs (a reset
+   between snapshots) common. *)
+let snapshot_pair =
+  let names = [ "a"; "a.b"; "b"; "ba"; "c"; "d.x"; "e"; "z" ] in
+  let build cells =
+    let side keep =
+      List.filter_map
+        (fun (name, (where, bv, av)) -> keep name where bv av)
+        (List.combine names cells)
+    in
+    ( side (fun name where bv _ -> if where = 1 || where = 3 then Some (name, bv) else None),
+      side (fun name where _ av -> if where = 2 || where = 3 then Some (name, av) else None) )
+  in
+  let show (before, after) =
+    let l xs = String.concat "; " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) xs) in
+    Printf.sprintf "before [%s] after [%s]" (l before) (l after)
+  in
+  QCheck.make ~print:show
+    QCheck.Gen.(
+      map build
+        (list_repeat (List.length names) (triple (int_bound 3) (int_bound 3) (int_bound 3))))
+
+let prop_delta_matches_oracle =
+  QCheck.Test.make ~count:500 ~name:"merge delta equals the hashtable oracle" snapshot_pair
+    (fun (before, after) -> Metrics.delta ~before ~after = delta_oracle ~before ~after)
+
+(* Registered at run time, after every module-level metric: the
+   name-ordered cells must be rebuilt, and histograms stay out. *)
+let test_snapshot_matches_registry () =
+  let c = Metrics.counter ~always:true "t.reg.late.counter" in
+  let g = Metrics.gauge ~always:true "t.reg.late.gauge" in
+  ignore (Metrics.histogram ~always:true "t.reg.late.histogram" : Histogram.t);
+  Counter.add c 3;
+  Gauge.set g 11;
+  let folded =
+    match Metrics.to_json () with
+    | Json.Obj rows ->
+      List.filter_map
+        (fun (name, row) ->
+          match (Json.member "kind" row, Json.member "value" row) with
+          | Some (Json.Str ("counter" | "gauge")), Some (Json.Int v) -> Some (name, v)
+          | _ -> None)
+        rows
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    | _ -> Alcotest.fail "registry JSON is not an object"
+  in
+  let snap = Metrics.counters_snapshot () in
+  Alcotest.(check (list (pair string int))) "snapshot = sorted registry fold" folded snap;
+  Alcotest.(check bool) "late counter present" true
+    (List.assoc_opt "t.reg.late.counter" snap = Some 3);
+  Alcotest.(check bool) "late gauge present" true
+    (List.assoc_opt "t.reg.late.gauge" snap = Some 11);
+  Alcotest.(check bool) "histograms excluded" false
+    (List.mem_assoc "t.reg.late.histogram" snap);
+  Counter.reset c;
+  Gauge.set g 0
+
 (* --- sliding windows ---------------------------------------------------- *)
 
 let test_window_sliding () =
@@ -1464,6 +1534,79 @@ let test_tracestore_admission () =
   Window.reset w;
   Tracestore.clear ()
 
+(* The admission memo: [Window.recent_p99] with the clock pinned. *)
+let test_memo_reset_drops_verdict () =
+  let w = Window.create ~seconds:60 "t.memo.reset" in
+  let now = 7000.0 in
+  for _ = 1 to 30 do
+    Window.observe w ~now 1.0
+  done;
+  let count, _ = Window.recent_p99 ~now w in
+  Alcotest.(check int) "memo taken over 30 requests" 30 count;
+  Window.reset w;
+  let count, p99 = Window.recent_p99 ~now w in
+  Alcotest.(check int) "reset drops the memo within the same second" 0 count;
+  Alcotest.(check bool) "empty again: no p99" true (Float.is_nan p99);
+  (* Through the trace store: a slow verdict does not outlive a reset. *)
+  Tracestore.clear ();
+  let op = "tstore-memo-reset" in
+  let w = Window.get op in
+  for _ = 1 to 30 do
+    Window.observe w 1.0
+  done;
+  let offer () =
+    let ctx = Trace.make () in
+    ignore
+      (Tracestore.record ~trace_id:ctx.Trace.trace_id ~span_id:ctx.Trace.span_id ~op
+         ~query:"q" ~duration_ms:500.0 ~error:false ()
+        : bool);
+    Option.map (fun s -> s.Tracestore.skept) (Tracestore.find ctx.Trace.trace_id)
+  in
+  Alcotest.(check (option string)) "slow before the reset" (Some "slow") (offer ());
+  Window.reset w;
+  Alcotest.(check bool) "not slow after the reset" true (offer () <> Some "slow");
+  Window.reset w;
+  Tracestore.clear ()
+
+let test_memo_refreshes_when_count_doubles () =
+  let w = Window.create ~seconds:60 "t.memo.double" in
+  let now = 8000.5 in
+  let count, p99 = Window.recent_p99 ~now w in
+  Alcotest.(check int) "empty window" 0 count;
+  Alcotest.(check bool) "empty window has no p99" true (Float.is_nan p99);
+  (* Grow past the admission minimum (20) within the same second. *)
+  for _ = 1 to 30 do
+    Window.observe w ~now 2.0
+  done;
+  let count, p99 = Window.recent_p99 ~now w in
+  Alcotest.(check int) "grown from empty: fresh count" 30 count;
+  Alcotest.(check bool) "grown from empty: a p99" false (Float.is_nan p99);
+  for _ = 1 to 29 do
+    Window.observe w ~now 2.0
+  done;
+  Alcotest.(check int) "59 < 2 x 30: memo kept within the second" 30
+    (fst (Window.recent_p99 ~now w));
+  Window.observe w ~now 2.0;
+  Alcotest.(check int) "60 = 2 x 30: refreshed" 60 (fst (Window.recent_p99 ~now w));
+  Window.observe w ~now 2.0;
+  Alcotest.(check int) "kept again" 60 (fst (Window.recent_p99 ~now w));
+  Alcotest.(check int) "next second: refreshed" 61
+    (fst (Window.recent_p99 ~now:(now +. 1.0) w))
+
+let test_memo_equals_summary_after_refresh () =
+  let w = Window.create ~seconds:60 "t.memo.summary" in
+  let t0 = 9000.0 in
+  for i = 1 to 100 do
+    Window.observe w ~now:(t0 +. float_of_int (i mod 7)) (float_of_int i)
+  done;
+  List.iter
+    (fun now ->
+      let count, p99 = Window.recent_p99 ~now w in
+      let s = Window.summary ~now w in
+      Alcotest.(check int) (Printf.sprintf "count at %.0f" now) s.Window.count count;
+      Alcotest.(check (float 0.0)) (Printf.sprintf "p99 at %.0f" now) s.Window.p99 p99)
+    [ t0 +. 6.0; t0 +. 30.0; t0 +. 62.0 ]
+
 let test_tracestore_find_and_roundtrip () =
   Tracestore.clear ();
   let ctx = Trace.make ~sampled:true () in
@@ -1661,6 +1804,9 @@ let () =
           Alcotest.test_case "counter gating" `Quick test_counter_gating;
           Alcotest.test_case "registry snapshot delta" `Quick test_registry_snapshot_delta;
           Alcotest.test_case "delta across reset_all" `Quick test_delta_across_reset_all;
+          QCheck_alcotest.to_alcotest prop_delta_matches_oracle;
+          Alcotest.test_case "snapshot matches the registry" `Quick
+            test_snapshot_matches_registry;
         ] );
       ( "json",
         [
@@ -1761,6 +1907,11 @@ let () =
       ( "tracestore",
         [
           Alcotest.test_case "head/tail admission" `Quick test_tracestore_admission;
+          Alcotest.test_case "reset drops the p99 memo" `Quick test_memo_reset_drops_verdict;
+          Alcotest.test_case "p99 memo refreshes when the count doubles" `Quick
+            test_memo_refreshes_when_count_doubles;
+          Alcotest.test_case "p99 memo equals the summary" `Quick
+            test_memo_equals_summary_after_refresh;
           Alcotest.test_case "prefix find and JSON roundtrip" `Quick
             test_tracestore_find_and_roundtrip;
         ] );
