@@ -25,7 +25,7 @@ let effective_bound g = function
 (* maintained under removals via reverse balls.                         *)
 (* ------------------------------------------------------------------ *)
 
-let run_counters ~work pattern g ~initial ~mutable_set =
+let refine ~work pattern g ~initial ~mutable_set =
   let n = Snapshot.node_count g in
   let sim = Match_relation.copy initial in
   let edge_array = Array.of_list (Pattern.edges pattern) in
@@ -41,6 +41,13 @@ let run_counters ~work pattern g ~initial ~mutable_set =
     match mutable_set with None -> true | Some s -> Bitset.mem s v
   in
   let scratch = Distance.make_scratch g in
+  (* Work: the BFS visits, charged after each reverse ball. *)
+  let charged = ref 0 in
+  let charge_visits () =
+    let visits = Distance.visits scratch in
+    Work.charge work (visits - !charged);
+    charged := visits
+  in
   let cnt = Array.init (max ne 1) (fun _ -> Array.make (max n 1) 0) in
   (* Counter init: one reverse ball per (pattern edge, witness) pair. *)
   for e = 0 to ne - 1 do
@@ -50,7 +57,9 @@ let run_counters ~work pattern g ~initial ~mutable_set =
     let witnesses = Match_relation.matches_set sim u' in
     Counter.add m_balls (Bitset.cardinal witnesses);
     Bitset.iter
-      (fun w -> Distance.reverse_ball scratch g w k (fun v _ -> row.(v) <- row.(v) + 1))
+      (fun w ->
+        Distance.reverse_ball scratch g w k (fun v _ -> row.(v) <- row.(v) + 1);
+        charge_visits ())
       witnesses
   done;
   let worklist = Vec.create ~dummy:(-1) () in
@@ -85,12 +94,12 @@ let run_counters ~work pattern g ~initial ~mutable_set =
         Distance.reverse_ball scratch g w k (fun p _ ->
             row.(p) <- row.(p) - 1;
             if row.(p) = 0 && is_mutable p && Match_relation.mem sim u p then
-              remove u p))
+              remove u p);
+        charge_visits ())
       in_of.(u')
   done;
   Counter.add m_removals !n_removals;
   Counter.add m_pops !n_pops;
-  Work.charge work (Distance.visits scratch);
   sim
 
 (* ------------------------------------------------------------------ *)
@@ -98,7 +107,7 @@ let run_counters ~work pattern g ~initial ~mutable_set =
 (* Unbounded edges consult an SCC-based reachability oracle.            *)
 (* ------------------------------------------------------------------ *)
 
-let run_naive ~work pattern g ~initial ~mutable_set =
+let run_naive ~work pattern g ~initial =
   let sim = Match_relation.copy initial in
   let scratch = Distance.make_scratch g in
   let reach =
@@ -117,23 +126,6 @@ let run_naive ~work pattern g ~initial ~mutable_set =
           Distance.exists_within scratch g v k (fun w -> Bitset.mem targets w))
       (Pattern.out_edges pattern u)
   in
-  (* Sweep only the removable nodes: the whole relation in batch mode, the
-     affected area in constrained mode — the latter keeps each sweep
-     proportional to the area size. *)
-  let sweep_nodes f =
-    match mutable_set with
-    | None ->
-      for u = 0 to Pattern.size pattern - 1 do
-        Bitset.iter (fun v -> f u v) (Match_relation.matches_set sim u)
-      done
-    | Some area ->
-      Bitset.iter
-        (fun v ->
-          for u = 0 to Pattern.size pattern - 1 do
-            if Match_relation.mem sim u v then f u v
-          done)
-        area
-  in
   let changed = ref true in
   while !changed do
     Counter.incr m_sweeps;
@@ -141,7 +133,11 @@ let run_naive ~work pattern g ~initial ~mutable_set =
     (* Victims are removed only after the sweep, so every check in a
        sweep sees the same relation. *)
     let victims = ref [] in
-    sweep_nodes (fun u v -> if not (satisfies u v) then victims := (u, v) :: !victims);
+    for u = 0 to Pattern.size pattern - 1 do
+      Bitset.iter
+        (fun v -> if not (satisfies u v) then victims := (u, v) :: !victims)
+        (Match_relation.matches_set sim u)
+    done;
     if !victims <> [] then begin
       changed := true;
       Counter.add m_removals (List.length !victims);
@@ -151,17 +147,18 @@ let run_naive ~work pattern g ~initial ~mutable_set =
   Work.charge work (Distance.visits scratch);
   sim
 
-let refine ~strategy ~work pattern g ~initial ~mutable_set =
-  match strategy with
-  | Counters -> run_counters ~work pattern g ~initial ~mutable_set
-  | Naive -> run_naive ~work pattern g ~initial ~mutable_set
+let refine_with ~strategy ~work pattern g ~initial ~mutable_set =
+  match (strategy, mutable_set) with
+  | Counters, _ -> refine ~work pattern g ~initial ~mutable_set
+  | Naive, None -> run_naive ~work pattern g ~initial
+  | Naive, Some _ -> invalid_arg "Bounded_sim: the naive strategy has no frozen nodes"
 
 let run_constrained ?(strategy = default_strategy) pattern g ~initial ~mutable_set =
-  refine ~strategy ~work:(Work.create ()) pattern g ~initial ~mutable_set
+  refine_with ~strategy ~work:(Work.create ()) pattern g ~initial ~mutable_set
 
 let run ?(strategy = default_strategy) ?(work = Work.create ()) pattern g =
   let initial = Candidates.compute pattern g in
-  refine ~strategy ~work pattern g ~initial ~mutable_set:None
+  refine_with ~strategy ~work pattern g ~initial ~mutable_set:None
 
 let consistent pattern g m =
   let scratch = Distance.make_scratch g in

@@ -16,9 +16,9 @@ open Expfinder_pattern
       [k] and maintain "witnesses within reach" counters; removals
       propagate like Henzinger–Henzinger–Kopke.  Fastest from scratch.
     - [Naive]: sweep candidates re-checking each constraint with a
-      bounded BFS until a sweep removes nothing.  Slower from scratch but
-      its cost is proportional to the candidate area, which makes it the
-      right engine for incremental recomputation over small areas. *)
+      bounded BFS until a sweep removes nothing.  Slower from scratch,
+      but its cost follows the candidate sets rather than the graph, so
+      the planner picks it when candidates are few. *)
 
 type strategy = Naive | Counters
 
@@ -37,7 +37,21 @@ val run_constrained :
   mutable_set:Bitset.t option ->
   Match_relation.t
 (** Greatest fixpoint below [initial] touching only nodes of
-    [mutable_set]; see {!Simulation.run_constrained}. *)
+    [mutable_set]; see {!Simulation.run_constrained}.
+    @raise Invalid_argument for [Naive] with a [mutable_set]: the naive
+    sweep has no frozen nodes. *)
+
+val refine :
+  work:Work.t ->
+  Pattern.t ->
+  Snapshot.t ->
+  initial:Match_relation.t ->
+  mutable_set:Bitset.t option ->
+  Match_relation.t
+(** The [Counters] kernel behind {!run} and {!run_constrained},
+    charging [work] with the visits of each reverse ball as it ends, so
+    a meter with a limit stops it with {!Work.Exhausted} part-way, at
+    most one ball past the limit. *)
 
 val consistent : Pattern.t -> Snapshot.t -> Match_relation.t -> bool
 (** Every pair satisfies its bound constraints w.r.t. the relation. *)

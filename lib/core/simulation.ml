@@ -6,15 +6,13 @@ let m_pops = Metrics.counter "sim.worklist_pops"
 
 let m_removals = Metrics.counter "sim.removals"
 
-(* Pattern-edge indexing shared by both refinement paths. *)
-type edge_index = {
-  edge_array : (int * int * Pattern.bound) array;
-  out_of : int list array; (* pattern node -> outgoing pattern-edge ids *)
-  in_of : int list array; (* pattern node -> incoming pattern-edge ids *)
-}
-
-let index_edges pattern =
+(* Counters for every node, O(|Q|·|G|); only nodes of [mutable_set]
+   may lose pairs. *)
+let refine ~work pattern g ~initial ~mutable_set =
+  let n = Snapshot.node_count g in
+  let sim = Match_relation.copy initial in
   let edge_array = Array.of_list (Pattern.edges pattern) in
+  let ne = Array.length edge_array in
   let out_of = Array.make (Pattern.size pattern) [] in
   let in_of = Array.make (Pattern.size pattern) [] in
   Array.iteri
@@ -22,34 +20,26 @@ let index_edges pattern =
       out_of.(u) <- e :: out_of.(u);
       in_of.(u') <- e :: in_of.(u'))
     edge_array;
-  { edge_array; out_of; in_of }
-
-(* ------------------------------------------------------------------ *)
-(* Dense path (batch): counters for every node, O(|Q|·|G|).             *)
-(* ------------------------------------------------------------------ *)
-
-let run_dense ?(work = Work.create ()) pattern g ~initial =
-  let n = Snapshot.node_count g in
-  let sim = Match_relation.copy initial in
-  let idx = index_edges pattern in
-  let ne = Array.length idx.edge_array in
+  let is_mutable v =
+    match mutable_set with None -> true | Some s -> Bitset.mem s v
+  in
   (* cnt.(e).(v) = |succ(v) ∩ sim(u')| for pattern edge e = (u,u'). *)
   let cnt = Array.init (max ne 1) (fun _ -> Array.make (max n 1) 0) in
+  (* Work: every adjacency entry scanned, charged as the scan goes. *)
   for e = 0 to ne - 1 do
-    let _, u', _ = idx.edge_array.(e) in
+    let _, u', _ = edge_array.(e) in
     let target = Match_relation.matches_set sim u' in
     let row = cnt.(e) in
     for v = 0 to n - 1 do
       Snapshot.iter_succ g v (fun w ->
           if Bitset.mem target w then row.(v) <- row.(v) + 1)
-    done
+    done;
+    Work.charge work (Snapshot.edge_count g)
   done;
   let worklist = Vec.create ~dummy:(-1) () in
   (* Counted locally and flushed once: the gated-counter check stays out
      of the refinement hot path. *)
   let n_removals = ref 0 and n_pops = ref 0 in
-  (* Work: every adjacency entry scanned, the counting pass included. *)
-  let scanned = ref (ne * Snapshot.edge_count g) in
   let remove u v =
     incr n_removals;
     Match_relation.remove sim u v;
@@ -59,7 +49,7 @@ let run_dense ?(work = Work.create ()) pattern g ~initial =
     let victims = ref [] in
     Bitset.iter
       (fun v ->
-        if List.exists (fun e -> cnt.(e).(v) = 0) idx.out_of.(u) then
+        if is_mutable v && List.exists (fun e -> cnt.(e).(v) = 0) out_of.(u) then
           victims := v :: !victims)
       (Match_relation.matches_set sim u);
     List.iter (fun v -> remove u v) !victims
@@ -70,32 +60,24 @@ let run_dense ?(work = Work.create ()) pattern g ~initial =
     let u' = code / n and w = code mod n in
     List.iter
       (fun e ->
-        let u, _, _ = idx.edge_array.(e) in
+        let u, _, _ = edge_array.(e) in
         let row = cnt.(e) in
-        scanned := !scanned + Snapshot.in_degree g w;
+        Work.charge work (Snapshot.in_degree g w);
         Snapshot.iter_pred g w (fun p ->
             row.(p) <- row.(p) - 1;
-            if row.(p) = 0 && Match_relation.mem sim u p then remove u p))
-      idx.in_of.(u')
+            if row.(p) = 0 && is_mutable p && Match_relation.mem sim u p then remove u p))
+      in_of.(u')
   done;
   Counter.add m_removals !n_removals;
   Counter.add m_pops !n_pops;
-  Work.charge work !scanned;
   sim
 
-(* The sparse path (only nodes of [area] may be removed, counters exist
-   only for them) is shared with the incremental module's Digraph
-   instance. *)
-module Snap_refine = Sparse_refine.Make (Snapshot)
-
 let run_constrained pattern g ~initial ~mutable_set =
-  match mutable_set with
-  | None -> run_dense pattern g ~initial
-  | Some area -> Snap_refine.simulation pattern g ~initial ~area
+  refine ~work:(Work.create ()) pattern g ~initial ~mutable_set
 
-let run ?work pattern g =
+let run ?(work = Work.create ()) pattern g =
   let initial = Candidates.compute pattern g in
-  run_dense ?work pattern g ~initial
+  refine ~work pattern g ~initial ~mutable_set:None
 
 let consistent pattern g m =
   let ok = ref true in

@@ -33,6 +33,18 @@ val run_constrained :
     guarantees they are consistent (see the incremental module).  The
     input is not mutated. *)
 
+val refine :
+  work:Work.t ->
+  Pattern.t ->
+  Snapshot.t ->
+  initial:Match_relation.t ->
+  mutable_set:Bitset.t option ->
+  Match_relation.t
+(** The kernel behind {!run} and {!run_constrained}, charging [work] as
+    it scans — the counting pass one pattern edge at a time, then every
+    worklist pop — so a meter with a limit stops it with
+    {!Work.Exhausted} part-way, at most one charge past the limit. *)
+
 val consistent : Pattern.t -> Snapshot.t -> Match_relation.t -> bool
 (** Check (for tests) that every pair of the relation satisfies the
     simulation conditions w.r.t. the relation itself. *)

@@ -18,26 +18,36 @@ type t = {
   by_label : (Label.t, node list) Hashtbl.t option Atomic.t;
 }
 
-let of_digraph g =
-  let n = Digraph.node_count g in
+(* The CSR over nodes [0 .. n-1] whose out-edges [iter_succ] lists, in
+   that order, [out_degree] of them per node; reverse slices list
+   sources in increasing order. *)
+let build ~n ~out_degree ~iter_succ ~label ~attrs ~source_version =
   let fwd_offsets = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    fwd_offsets.(v + 1) <- fwd_offsets.(v) + out_degree v
+  done;
+  let m = fwd_offsets.(n) in
+  let fwd_targets = Array.make (max m 1) 0 in
   let rev_offsets = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
-    fwd_offsets.(v + 1) <- fwd_offsets.(v) + Digraph.out_degree g v;
-    rev_offsets.(v + 1) <- rev_offsets.(v) + Digraph.in_degree g v
+    let pos = ref fwd_offsets.(v) in
+    iter_succ v (fun w ->
+        fwd_targets.(!pos) <- w;
+        incr pos;
+        rev_offsets.(w + 1) <- rev_offsets.(w + 1) + 1)
   done;
-  let m = Digraph.edge_count g in
-  let fwd_targets = Array.make (max m 1) 0 in
+  for v = 0 to n - 1 do
+    rev_offsets.(v + 1) <- rev_offsets.(v + 1) + rev_offsets.(v)
+  done;
   let rev_sources = Array.make (max m 1) 0 in
-  let fwd_pos = Array.copy fwd_offsets in
-  let rev_pos = Array.copy rev_offsets in
-  Digraph.iter_edges g (fun u v ->
-      fwd_targets.(fwd_pos.(u)) <- v;
-      fwd_pos.(u) <- fwd_pos.(u) + 1;
-      rev_sources.(rev_pos.(v)) <- u;
-      rev_pos.(v) <- rev_pos.(v) + 1);
-  let labels = Array.init n (Digraph.label g) in
-  let attr_table = Array.init n (Digraph.attrs g) in
+  let rev_pos = Array.sub rev_offsets 0 n in
+  for v = 0 to n - 1 do
+    for i = fwd_offsets.(v) to fwd_offsets.(v + 1) - 1 do
+      let w = fwd_targets.(i) in
+      rev_sources.(rev_pos.(w)) <- v;
+      rev_pos.(w) <- rev_pos.(w) + 1
+    done
+  done;
   {
     n;
     m;
@@ -45,11 +55,31 @@ let of_digraph g =
     fwd_targets;
     rev_offsets;
     rev_sources;
-    labels;
-    attr_table;
-    source_version = Digraph.version g;
+    labels = Array.init n label;
+    attr_table = Array.init n attrs;
+    source_version;
     by_label = Atomic.make None;
   }
+
+let of_digraph g =
+  build ~n:(Digraph.node_count g) ~out_degree:(Digraph.out_degree g)
+    ~iter_succ:(Digraph.iter_succ g) ~label:(Digraph.label g) ~attrs:(Digraph.attrs g)
+    ~source_version:(Digraph.version g)
+
+let induced g ~nodes ~inner ~local =
+  let n = Array.length nodes in
+  if inner < 0 || inner > n then invalid_arg "Csr.induced: inner outside the node set";
+  let local w =
+    let j = local w in
+    if j < 0 || j >= n then invalid_arg "Csr.induced: successor outside the node set";
+    j
+  in
+  build ~n
+    ~out_degree:(fun i -> if i < inner then Digraph.out_degree g nodes.(i) else 0)
+    ~iter_succ:(fun i f -> if i < inner then Digraph.iter_succ g nodes.(i) (fun w -> f (local w)))
+    ~label:(fun i -> Digraph.label g nodes.(i))
+    ~attrs:(fun i -> Digraph.attrs g nodes.(i))
+    ~source_version:(Digraph.version g)
 
 let node_count t = t.n
 

@@ -12,6 +12,16 @@ type node = int
 
 val of_digraph : Digraph.t -> t
 
+val induced : Digraph.t -> nodes:node array -> inner:int -> local:(node -> node) -> t
+(** [induced g ~nodes ~inner ~local] renumbers part of [g]: local node
+    [i] is [nodes.(i)] of [g], with its label and attributes, and
+    [local] maps each node of [nodes] back to its local number.  Only
+    the first [inner] nodes keep their out-edges, all of them, so every
+    successor of an inner node must be in [nodes]; the other nodes have
+    none.  The source version is [g]'s.
+    @raise Invalid_argument when [inner] is outside [0 .. length nodes]
+    or a successor of an inner node has no local number. *)
+
 val node_count : t -> int
 
 val edge_count : t -> int

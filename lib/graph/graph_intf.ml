@@ -1,35 +1,20 @@
-(** The one read interface shared by every graph representation.
+(** The read interface the bounded BFS of {!Distance} runs on.
 
-    {!Snapshot} (immutable epoch snapshots, the home of all batch
-    evaluation), {!Csr} (the raw compressed-sparse-row storage a snapshot
-    wraps) and {!Digraph} (live mutable graphs, used by incremental
-    maintenance so that small updates do not pay a full snapshot rebuild)
-    all satisfy it.  Algorithms that must run on more than one
-    representation are functorised over this signature; everything else
-    takes a {!Snapshot.t} directly. *)
+    {!Snapshot} (immutable epoch snapshots, the home of all evaluation),
+    {!Csr} (the raw compressed-sparse-row storage a snapshot wraps) and
+    {!Digraph} (live mutable graphs) all satisfy it.  Only {!Distance}
+    is functorised over it: incremental maintenance seeds and grows its
+    affected area by walking the live digraph, so a small update pays no
+    snapshot rebuild, and then refines that area with the dense kernels
+    on an area-local snapshot ({!Csr.induced}).  Everything else takes a
+    {!Snapshot.t} directly. *)
 
 module type GRAPH = sig
   type t
 
   val node_count : t -> int
 
-  val label : t -> int -> Label.t
-
-  val attrs : t -> int -> Attrs.t
-
-  val out_degree : t -> int -> int
-
-  val in_degree : t -> int -> int
-
-  val iter_nodes : t -> (int -> unit) -> unit
-
   val iter_succ : t -> int -> (int -> unit) -> unit
 
   val iter_pred : t -> int -> (int -> unit) -> unit
-
-  val fold_succ : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
-
-  val fold_pred : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
-
-  val exists_succ : t -> int -> (int -> bool) -> bool
 end

@@ -75,8 +75,6 @@ let iter_nodes t f = Csr.iter_nodes t.csr f
 
 let iter_edges t f = Csr.iter_edges t.csr f
 
-let succ_array t v = Csr.succ_array t.csr v
-
 let nodes_with_label t l = Csr.nodes_with_label t.csr l
 
 let label_count t l =

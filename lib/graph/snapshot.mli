@@ -91,8 +91,6 @@ val iter_nodes : t -> (node -> unit) -> unit
 
 val iter_edges : t -> (node -> node -> unit) -> unit
 
-val succ_array : t -> node -> int array
-
 val nodes_with_label : t -> Label.t -> node list
 (** Memoised label buckets (shared across COW epochs via the CSR). *)
 

@@ -21,7 +21,6 @@ let src = Logs.Src.create "expfinder.incremental" ~doc:"incremental match mainte
 module Log = (val Logs.src_log src : Logs.LOG)
 
 module DDist = Distance.Make (Digraph)
-module DRefine = Sparse_refine.Make (Digraph)
 
 type area_strategy = Ball_closure | Ancestors
 
@@ -38,6 +37,7 @@ type t = {
   mutable kernel : Match_relation.t;
   mutable scratch : DDist.scratch;
   mutable scratch_n : int;
+  mutable index : int array; (* node -> area-local number, -1 between builds *)
   mutable price : int; (* work of the last dense evaluation, CSR build excluded *)
   mutable recent : attempt list; (* the last two sparse attempts, newest first *)
 }
@@ -50,11 +50,12 @@ type report = {
   removed : (int * int) list;
 }
 
-(* The sparse engines pay more per unit of work than the dense ones:
-   hashtable counters instead of arrays, and adjacency read from the
-   live digraph instead of a CSR.  One sparse unit (a BFS visit or an
-   adjacency entry scanned on the digraph) costs this many dense units;
-   measured in DESIGN.md §Incremental. *)
+(* The sparse path pays more per unit of work than a dense run: its
+   seeding and group search walk the live digraph instead of a CSR, and
+   each refinement round first builds its area-local CSR, which is not
+   charged.  One sparse unit (a BFS visit or an adjacency entry scanned)
+   costs about this many dense units; measured in DESIGN.md
+   §Incremental. *)
 let sparse_unit_cost = 2
 
 (* A dense evaluation and its work. *)
@@ -69,7 +70,8 @@ let evaluate_dense pattern snap =
 let refresh_scratch t =
   if Digraph.node_count t.g > t.scratch_n then begin
     t.scratch <- DDist.make_scratch t.g;
-    t.scratch_n <- Digraph.node_count t.g
+    t.scratch_n <- Digraph.node_count t.g;
+    t.index <- Array.make t.scratch_n (-1)
   end
 
 (* Recompute on [snap], a snapshot of the tracked graph at its current
@@ -91,6 +93,7 @@ let create ?(area_strategy = Ball_closure) pattern g =
     kernel;
     scratch = DDist.make_scratch g;
     scratch_n = Digraph.node_count g;
+    index = Array.make (Digraph.node_count g) (-1);
     price;
     recent = [];
   }
@@ -163,46 +166,34 @@ let iter_pred_old g patch x f =
   Digraph.iter_pred g x (fun p -> if not (Hashtbl.mem patch.net_inserted (p, x)) then f p);
   List.iter f (Hashtbl.find_all patch.deleted_into x)
 
-(* Bounded reverse BFS on the patched old graph.  Areas are small, so a
-   hashtable-based visited set is fine. *)
+(* Bounded reverse BFS on the patched old graph, one level at a time. *)
 let old_reverse_ball g patch src k f =
   if k > 0 then begin
-    let dist = Hashtbl.create 64 in
-    let queue = Queue.create () in
-    let push w d =
-      if not (Hashtbl.mem dist w) then begin
-        Hashtbl.replace dist w d;
-        Queue.add w queue
+    let seen = Bitset.create (Digraph.node_count g) in
+    let next = ref [] in
+    let push w =
+      if not (Bitset.mem seen w) then begin
+        Bitset.add seen w;
+        next := w :: !next
       end
     in
-    iter_pred_old g patch src (fun p -> push p 1);
-    while not (Queue.is_empty queue) do
-      let w = Queue.pop queue in
-      let d = Hashtbl.find dist w in
-      f w d;
-      if d < k then iter_pred_old g patch w (fun p -> push p (d + 1))
+    iter_pred_old g patch src push;
+    let d = ref 1 in
+    while !next <> [] do
+      let level = List.rev !next in
+      next := [];
+      List.iter
+        (fun w ->
+          f w !d;
+          if !d < k then iter_pred_old g patch w push)
+        level;
+      incr d
     done
   end
 
-let old_ancestors g patch srcs f =
-  let seen = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  let push w =
-    if not (Hashtbl.mem seen w) then begin
-      Hashtbl.replace seen w ();
-      Queue.add w queue
-    end
-  in
-  List.iter push srcs;
-  while not (Queue.is_empty queue) do
-    let w = Queue.pop queue in
-    f w;
-    iter_pred_old g patch w push
-  done
-
-let new_ancestors g srcs f =
-  let n = Digraph.node_count g in
-  let seen = Bitset.create n in
+(* Every node reaching one of [srcs], through [iter_pred]. *)
+let ancestors g ~iter_pred srcs f =
+  let seen = Bitset.create (Digraph.node_count g) in
   let queue = Queue.create () in
   let push w =
     if not (Bitset.mem seen w) then begin
@@ -214,27 +205,89 @@ let new_ancestors g srcs f =
   while not (Queue.is_empty queue) do
     let w = Queue.pop queue in
     f w;
-    Digraph.iter_pred g w push
+    iter_pred w push
   done
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let refine_over_area ~work pattern g old_kernel area =
-  let psize = Pattern.size pattern in
-  let initial = Match_relation.copy old_kernel in
-  Bitset.iter
-    (fun v ->
+(* The graph a refinement round runs on: the area, then every node
+   within [kmax] hops downstream of it, numbered in that BFS order; only
+   the nodes within [kmax - 1] hops keep their out-edges.  Every path of
+   length <= kmax from an area node survives, so each distance an area
+   node's constraints read is exact, and the frozen nodes past the area
+   cost nothing.  [index] maps graph nodes to local numbers during the
+   build and is all -1 again on return. *)
+let area_graph ~index g area ~kmax =
+  let nodes = Vec.create ~dummy:(-1) () in
+  let visit v =
+    if index.(v) < 0 then begin
+      index.(v) <- Vec.length nodes;
+      Vec.push nodes v
+    end
+  in
+  Bitset.iter visit area;
+  let level = ref 0 in
+  for _ = 1 to kmax do
+    let next = Vec.length nodes in
+    for i = !level to next - 1 do
+      Digraph.iter_succ g (Vec.get nodes i) visit
+    done;
+    level := next
+  done;
+  let nodes = Vec.to_array nodes in
+  let csr = Csr.induced g ~nodes ~inner:!level ~local:(Array.get index) in
+  Array.iter (fun v -> index.(v) <- -1) nodes;
+  (Snapshot.of_csr csr, nodes)
+
+(* The dense kernels on the area-local graph, with the area as the
+   mutable set, mapped back onto [initial]. *)
+let refine_local ~work ~index pattern g ~initial ~area =
+  if Pattern.has_unbounded_edge pattern then
+    invalid_arg "Incremental.refine_over_area: unbounded pattern edge";
+  let kmax = Option.value ~default:1 (Pattern.max_bound pattern) in
+  let local, nodes = area_graph ~index g area ~kmax in
+  let psize = Pattern.size pattern and n = Array.length nodes in
+  let local_initial = Match_relation.create ~pattern_size:psize ~graph_size:n in
+  Array.iteri
+    (fun i v ->
       for u = 0 to psize - 1 do
-        if Pattern.matches_node pattern u (Digraph.label g v) (Digraph.attrs g v) then
-          Match_relation.add initial u v
-        else Match_relation.remove initial u v
+        if Match_relation.mem initial u v then Match_relation.add local_initial u i
       done)
-    area;
-  if Pattern.is_simulation_pattern pattern then
-    DRefine.simulation ~work pattern g ~initial ~area
-  else DRefine.bounded ~work pattern g ~initial ~area
+    nodes;
+  (* The area holds the first local numbers. *)
+  let area_n = Bitset.cardinal area in
+  let mutable_set = Bitset.create n in
+  for i = 0 to area_n - 1 do
+    Bitset.add mutable_set i
+  done;
+  let kernel =
+    if Pattern.is_simulation_pattern pattern then Simulation.refine else Bounded_sim.refine
+  in
+  let refined =
+    kernel ~work pattern local ~initial:local_initial ~mutable_set:(Some mutable_set)
+  in
+  let result = Match_relation.copy initial in
+  for i = 0 to area_n - 1 do
+    for u = 0 to psize - 1 do
+      if not (Match_relation.mem refined u i) then Match_relation.remove result u nodes.(i)
+    done
+  done;
+  result
+
+let refine_over_area pattern g ~initial ~area =
+  let index = Array.make (Digraph.node_count g) (-1) in
+  refine_local ~work:(Work.create ()) ~index pattern g ~initial ~area
+
+(* Sets [v]'s pairs in [rel] to the pattern nodes whose predicates it
+   satisfies. *)
+let rederive pattern g rel v =
+  let label = Digraph.label g v and attrs = Digraph.attrs g v in
+  for u = 0 to Pattern.size pattern - 1 do
+    if Pattern.matches_node pattern u label attrs then Match_relation.add rel u v
+    else Match_relation.remove rel u v
+  done
 
 (* How a sync kept the kernel up to date. *)
 type route =
@@ -279,6 +332,24 @@ let sync_ball_closure t ~old_kernel ~old_n ~patch ~inserted ~deleted ~work =
   let new_n = Digraph.node_count g in
   let kmax = Option.value ~default:1 (Pattern.max_bound pattern) in
   let area = Bitset.create new_n in
+  (* [base]: the old kernel with the area's pairs re-derived, where each
+     refinement round starts; [rejected]: nodes that match no pattern
+     node, so never join the area. *)
+  let base = Match_relation.copy old_kernel and rejected = Bitset.create new_n in
+  let join v =
+    (not (Bitset.mem area v))
+    && (not (Bitset.mem rejected v))
+    &&
+    if is_candidate pattern g v then begin
+      Bitset.add area v;
+      rederive pattern g base v;
+      true
+    end
+    else begin
+      Bitset.add rejected v;
+      false
+    end
+  in
   let charged = ref (DDist.visits t.scratch) in
   let charge_visits () =
     let visits = DDist.visits t.scratch in
@@ -293,30 +364,21 @@ let sync_ball_closure t ~old_kernel ~old_n ~patch ~inserted ~deleted ~work =
      discovered, since no member can join while the others are frozen
      out. *)
   let uncertain v =
-    let label = Digraph.label g v and attrs = Digraph.attrs g v in
     let rec loop u =
       u < psize
-      && ((Pattern.matches_node pattern u label attrs
-          && not (Match_relation.mem old_kernel u v))
+      && ((Match_relation.mem base u v && not (Match_relation.mem old_kernel u v))
          || loop (u + 1))
     in
     loop 0
   in
   (* Plain inclusion: the node's membership will be re-derived, but no
      group search starts from it. *)
-  let consider v =
-    if (not (Bitset.mem area v)) && is_candidate pattern g v then Bitset.add area v
-  in
+  let consider v = ignore (join v : bool) in
   (* Inclusion with forward expansion: an uncertain node here may belong
      to an insertion-enabled mutual group, whose other members lie in its
      forward dependency balls. *)
   let pending = Queue.create () in
-  let consider_expanding v =
-    if is_candidate pattern g v && not (Bitset.mem area v) then begin
-      Bitset.add area v;
-      Queue.add v pending
-    end
-  in
+  let consider_expanding v = if join v then Queue.add v pending in
   let drain_forward () =
     while not (Queue.is_empty pending) do
       let v = Queue.pop pending in
@@ -388,7 +450,9 @@ let sync_ball_closure t ~old_kernel ~old_n ~patch ~inserted ~deleted ~work =
         let result = ref old_kernel and continue = ref true in
         while !continue do
           incr rounds;
-          let refined = refine_over_area ~work pattern g old_kernel area in
+          let refined =
+            refine_local ~work ~index:t.index pattern g ~initial:base ~area
+          in
           result := refined;
           let before = Bitset.cardinal area in
           (* Constraints are checked on the new graph, so a changed
@@ -445,12 +509,15 @@ let sync_ancestors t ~old_kernel ~old_n ~patch ~inserted ~deleted ~work =
   let new_n = Digraph.node_count g in
   let area = Bitset.create new_n in
   let sources = List.map fst (inserted @ deleted) in
-  new_ancestors g sources (fun v -> Bitset.add area v);
-  old_ancestors g patch (List.map fst deleted) (fun v -> Bitset.add area v);
+  ancestors g ~iter_pred:(Digraph.iter_pred g) sources (fun v -> Bitset.add area v);
+  ancestors g ~iter_pred:(iter_pred_old g patch) (List.map fst deleted) (fun v ->
+      Bitset.add area v);
   for v = old_n to new_n - 1 do
     Bitset.add area v
   done;
-  (refine_over_area ~work t.pattern g old_kernel area, area)
+  let initial = Match_relation.copy old_kernel in
+  Bitset.iter (rederive t.pattern g initial) area;
+  (refine_local ~work ~index:t.index t.pattern g ~initial ~area, area)
 
 type outcome = {
   report : report;

@@ -98,5 +98,19 @@ val sync_applied : ?published:Snapshot.t -> t -> effective:Update.t list -> repo
     [predicted] and [spent] sparse work (all in dense work units), the
     [area] and the [rounds]. *)
 
+val refine_over_area :
+  Pattern.t -> Digraph.t -> initial:Match_relation.t -> area:Bitset.t -> Match_relation.t
+(** The refinement step of a sync: the greatest fixpoint below
+    [initial] that removes only pairs on nodes of [area], the rest being
+    frozen and trusted.  It runs the dense {!Simulation} or
+    {!Bounded_sim} kernel on an area-local CSR — the area and every node
+    within [kmax] hops downstream of it, with the out-edges of the nodes
+    within [kmax - 1] hops — which keeps every distance an area node's
+    constraints read exact.  Equal to
+    [run_constrained ~mutable_set:(Some area)] on a snapshot of [g]; the
+    input is not mutated.
+    @raise Invalid_argument on a pattern with unbounded edges, which
+    have no dependency radius. *)
+
 val recompute : t -> unit
 (** Re-evaluate from scratch (the batch baseline) and resynchronise. *)

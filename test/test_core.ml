@@ -563,6 +563,42 @@ let prop_digest_matches_reference seed =
   done;
   Match_relation.digest m = reference_digest m
 
+(* A meter with a limit stops a kernel part-way: the charge that passes
+   the limit raises, so the meter ends at most one charge past it.  On a
+   chain under the self-loop pattern A -[k]-> A, the matches empty from
+   the chain's end, one pop per node, and no charge exceeds [k]. *)
+let test_work_limit_stops_kernel () =
+  let n = 200 and a = Label.of_string "A" in
+  let g =
+    Snapshot.of_digraph
+      (Digraph.of_edges ~labels:(Array.make n a) (List.init (n - 1) (fun i -> (i, i + 1))))
+  in
+  let pattern k =
+    let spec name = { Pattern.name; label = Some a; pred = Predicate.always } in
+    Pattern.make_exn
+      ~nodes:[| spec "A0"; spec "A1" |]
+      ~edges:[ (0, 1, Pattern.Bounded k); (1, 0, Pattern.Bounded k) ]
+      ~output:0
+  in
+  List.iter
+    (fun (name, k, run) ->
+      let full = Work.create () in
+      let kernel = run ~work:full (pattern k) g in
+      Alcotest.(check bool) (name ^ ": chain empties") true (Match_relation.total kernel = 0);
+      let limit = Work.spent full - (n / 2) in
+      let work = Work.create ~limit () in
+      (match run ~work (pattern k) g with
+      | _ -> Alcotest.fail (name ^ ": reached its fixpoint past the limit")
+      | exception Work.Exhausted -> ());
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: spent %d within one charge of limit %d" name (Work.spent work) limit)
+        true
+        (Work.spent work > limit && Work.spent work <= limit + k))
+    [
+      ("simulation", 1, fun ~work p g -> Simulation.run ~work p g);
+      ("bounded", 2, fun ~work p g -> Bounded_sim.run ~work p g);
+    ]
+
 let qcheck_cases =
   [
     QCheck.Test.make ~count:100 ~name:"simulation = reference" QCheck.small_int (fun s ->
@@ -625,6 +661,7 @@ let () =
           Alcotest.test_case "roll up" `Quick test_roll_up;
           Alcotest.test_case "drill down" `Quick test_drill_down;
         ] );
+      ("work", [ Alcotest.test_case "limit stops a kernel" `Quick test_work_limit_stops_kernel ]);
       ( "ball_index",
         [
           Alcotest.test_case "contents = BFS" `Quick test_ball_index_contents;

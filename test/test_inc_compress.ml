@@ -1,5 +1,6 @@
 (* Incremental compressed-graph maintenance: reports, the hybrid
-   recompute fallback, drift bounds, and Sparse_refine unit behaviour. *)
+   recompute fallback and drift bounds; and the frozen-node refinement
+   of incremental maintenance ([Incremental.refine_over_area]). *)
 
 open Expfinder_graph
 open Expfinder_pattern
@@ -70,14 +71,12 @@ let test_rebuild_resyncs () =
   let report = Inc_compress.apply_updates inc g [ Update.Delete_edge (0, 5) ] in
   Alcotest.(check int) "works after rebuild" 1 report.Inc_compress.effective
 
-(* --- Sparse_refine direct unit tests ----------------------------------- *)
-
-module CsrRefine = Sparse_refine.Make (Csr)
+(* --- Area refinement unit tests -------------------------------------- *)
 
 let chain_graph () =
   (* A -> B -> C chain *)
   let a = Label.of_string "A" and b = Label.of_string "B" and c = Label.of_string "C" in
-  Csr.of_digraph (Digraph.of_edges ~labels:[| a; b; c |] [ (0, 1); (1, 2) ])
+  Digraph.of_edges ~labels:[| a; b; c |] [ (0, 1); (1, 2) ]
 
 let chain_pattern () =
   Pattern.make_exn
@@ -89,7 +88,7 @@ let chain_pattern () =
     ~edges:[ (0, 1, Pattern.Bounded 1) ]
     ~output:0
 
-let test_sparse_refine_respects_frozen () =
+let test_area_refine_respects_frozen () =
   let g = chain_graph () in
   let p = chain_pattern () in
   (* Initial relation wrongly claims (B-pattern-node, node 2); with node 2
@@ -98,11 +97,11 @@ let test_sparse_refine_respects_frozen () =
   let initial = Match_relation.of_pairs ~pattern_size:2 ~graph_size:3 [ (0, 0); (1, 1); (1, 2) ] in
   let area = Bitset.create 3 in
   Bitset.add area 0;
-  let refined = CsrRefine.simulation p g ~initial ~area in
+  let refined = Incremental.refine_over_area p g ~initial ~area in
   Alcotest.(check bool) "frozen pair kept" true (Match_relation.mem refined 1 2);
   Alcotest.(check bool) "area pair justified and kept" true (Match_relation.mem refined 0 0)
 
-let test_sparse_refine_removes_unjustified () =
+let test_area_refine_removes_unjustified () =
   let g = chain_graph () in
   let p = chain_pattern () in
   (* Node 2 has no successors: as an area member claiming the A-role it
@@ -110,10 +109,10 @@ let test_sparse_refine_removes_unjustified () =
   let initial = Match_relation.of_pairs ~pattern_size:2 ~graph_size:3 [ (0, 2); (1, 1) ] in
   let area = Bitset.create 3 in
   Bitset.add area 2;
-  let refined = CsrRefine.simulation p g ~initial ~area in
+  let refined = Incremental.refine_over_area p g ~initial ~area in
   Alcotest.(check bool) "unjustified removed" false (Match_relation.mem refined 0 2)
 
-let test_sparse_bounded_rejects_unbounded () =
+let test_area_refine_rejects_unbounded () =
   let g = chain_graph () in
   let p =
     Pattern.make_exn
@@ -128,10 +127,10 @@ let test_sparse_bounded_rejects_unbounded () =
   let initial = Match_relation.create ~pattern_size:2 ~graph_size:3 in
   let area = Bitset.create 3 in
   Alcotest.check_raises "unbounded rejected"
-    (Invalid_argument "Sparse_refine.bounded: unbounded pattern edge")
-    (fun () -> ignore (CsrRefine.bounded p g ~initial ~area))
+    (Invalid_argument "Incremental.refine_over_area: unbounded pattern edge")
+    (fun () -> ignore (Incremental.refine_over_area p g ~initial ~area))
 
-let test_sparse_bounded_distance_two () =
+let test_area_refine_distance_two () =
   let g = chain_graph () in
   let p =
     Pattern.make_exn
@@ -147,7 +146,7 @@ let test_sparse_bounded_distance_two () =
   let area = Bitset.create 3 in
   Bitset.add area 0;
   Bitset.add area 2;
-  let refined = CsrRefine.bounded p g ~initial ~area in
+  let refined = Incremental.refine_over_area p g ~initial ~area in
   Alcotest.(check bool) "A reaches C within 2" true (Match_relation.mem refined 0 0);
   Alcotest.(check bool) "C kept" true (Match_relation.mem refined 1 2)
 
@@ -162,11 +161,11 @@ let () =
           Alcotest.test_case "hybrid fallback" `Quick test_hybrid_fallback_restores_optimality;
           Alcotest.test_case "rebuild resyncs" `Quick test_rebuild_resyncs;
         ] );
-      ( "sparse_refine",
+      ( "area_refine",
         [
-          Alcotest.test_case "respects frozen" `Quick test_sparse_refine_respects_frozen;
-          Alcotest.test_case "removes unjustified" `Quick test_sparse_refine_removes_unjustified;
-          Alcotest.test_case "rejects unbounded" `Quick test_sparse_bounded_rejects_unbounded;
-          Alcotest.test_case "bounded distance 2" `Quick test_sparse_bounded_distance_two;
+          Alcotest.test_case "respects frozen" `Quick test_area_refine_respects_frozen;
+          Alcotest.test_case "removes unjustified" `Quick test_area_refine_removes_unjustified;
+          Alcotest.test_case "rejects unbounded" `Quick test_area_refine_rejects_unbounded;
+          Alcotest.test_case "bounded distance 2" `Quick test_area_refine_distance_two;
         ] );
     ]

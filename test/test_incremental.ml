@@ -188,8 +188,34 @@ let stress_property seed =
   done;
   !ok
 
+(* Area refinement on the area-local CSR, mapped back, equals the
+   frozen-node fixpoint on the whole snapshot.  A third of the candidate
+   pairs is dropped from the start, so a pair often has its only witness
+   exactly [kmax] hops away. *)
+let area_refine_property seed =
+  let rng = Prng.create seed in
+  let g = random_graph rng in
+  let pattern = random_pattern rng ~simulation:(Prng.int rng 4 = 0) in
+  let snap = Snapshot.of_digraph g in
+  let area = Bitset.create (Digraph.node_count g) in
+  for v = 0 to Digraph.node_count g - 1 do
+    if Prng.int rng 3 = 0 then Bitset.add area v
+  done;
+  let initial = Candidates.compute pattern snap in
+  List.iter
+    (fun (u, v) -> if Prng.int rng 3 = 0 then Match_relation.remove initial u v)
+    (Match_relation.pairs initial);
+  let expected =
+    if Pattern.is_simulation_pattern pattern then
+      Simulation.run_constrained pattern snap ~initial ~mutable_set:(Some area)
+    else Bounded_sim.run_constrained pattern snap ~initial ~mutable_set:(Some area)
+  in
+  Match_relation.equal (Incremental.refine_over_area pattern g ~initial ~area) expected
+
 let qcheck_cases =
   [
+    QCheck.Test.make ~count:300 ~name:"area-local refinement = constrained refinement"
+      QCheck.small_int (fun seed -> area_refine_property (seed + 1));
     QCheck.Test.make ~count:60 ~name:"incremental sim = batch sim"
       QCheck.small_int (fun seed -> equivalence_property ~simulation:true (seed + 1));
     QCheck.Test.make ~count:40 ~name:"incremental bsim = batch bsim"
@@ -322,7 +348,7 @@ let test_wide_batch_recomputes_at_once () =
       in
       let engine = Engine.create g in
       Engine.register engine pattern;
-      let refinements = counter "sparse.ball_expansions" in
+      let refinements = counter "incremental.rounds" in
       let reports, routes =
         routes_during (fun () ->
             Engine.apply_updates engine (Update.random_mixed rng g (Digraph.edge_count g)))
@@ -330,7 +356,7 @@ let test_wide_batch_recomputes_at_once () =
       Alcotest.(check int) "recomputed at once" 1 routes.recompute;
       Alcotest.(check int) "no abort" 0 routes.aborted;
       Alcotest.(check int) "no refinement started" refinements
-        (counter "sparse.ball_expansions");
+        (counter "incremental.rounds");
       (match reports with
       | [ r ] -> Alcotest.(check int) "area = |V|" 200 r.Incremental.area
       | _ -> Alcotest.fail "expected one report");
