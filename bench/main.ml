@@ -484,7 +484,7 @@ let exp_compression_ratio ~full =
   Printf.printf "  %-12s %9s %9s %9s %9s %8s %8s %10s\n" "dataset" "|V|" "|E|" "|Vc|" "|Ec|"
     "nodes%" "edges%" "t_comp ms";
   let ratios = ref [] in
-  let run ?(count = true) (name, g) =
+  let run ?(count = true) ?(decision = []) (name, g) =
     let csr = Snapshot.of_digraph g in
     let compressed, t =
       time_once (fun () -> Compress.compress ~atoms:Queries.atom_universe csr)
@@ -494,7 +494,7 @@ let exp_compression_ratio ~full =
     if count then ratios := nr :: !ratios;
     record
       ~id:(Printf.sprintf "EXP-C1.%s" name)
-      ~params:[ ("nodes", Telemetry.Json.Int (Snapshot.node_count csr)) ]
+      ~params:(("nodes", Telemetry.Json.Int (Snapshot.node_count csr)) :: decision)
       [ t ];
     Printf.printf "  %-12s %9d %9d %9d %9d %7.1f%% %7.1f%% %10.1f\n" name (Snapshot.node_count csr)
       (Snapshot.edge_count csr) (Snapshot.node_count gc) (Snapshot.edge_count gc) (100.0 *. nr)
@@ -506,7 +506,33 @@ let exp_compression_ratio ~full =
   (* Uniform-random graphs carry almost no behavioural redundancy; shown
      for contrast, excluded from the average (the paper's datasets are
      social graphs). *)
-  run ~count:false ("flat-8k", flat_graph ~n:8_000)
+  let flat = flat_graph ~n:8_000 in
+  let snap = Snapshot.of_digraph flat in
+  let limit = Compress.block_limit (Snapshot.node_count snap) in
+  (* The engine's decision on the control: the refinement pass it stops
+     at and that pass's block count, a lower bound on the final one. *)
+  let stopped =
+    match
+      Bisimulation.compute_within (Snapshot.csr snap)
+        ~key:(Compress.signature_key Queries.atom_universe snap)
+        ~limit
+    with
+    | Bisimulation.Partition _ -> None
+    | Over_limit { pass; blocks } -> Some (pass, blocks)
+  in
+  let decision =
+    match stopped with
+    | None -> []
+    | Some (pass, blocks) ->
+      [ ("declined_pass", Telemetry.Json.Int pass); ("block_lower_bound", Telemetry.Json.Int blocks) ]
+  in
+  run ~count:false ~decision ("flat-8k", flat);
+  match stopped with
+  | Some (pass, blocks) ->
+    Printf.printf
+      "  engine declines flat-8k: refinement stops at pass %d with >= %d blocks (limit %d)\n"
+      pass blocks limit
+  | None -> print_endline "  engine keeps a compressed flat-8k"
 
 (* ------------------------------------------------------------------ *)
 (* EXP-C2: querying compressed graphs (the 70% claim)                   *)

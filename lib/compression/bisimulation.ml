@@ -15,10 +15,12 @@ module Sig_table = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-let compute g ~key =
+type outcome = Partition of int array | Over_limit of { pass : int; blocks : int }
+
+let compute_within g ~key ~limit =
   let n = Csr.node_count g in
   let block_of = Array.make (max n 1) 0 in
-  (* Initial partition: intern the key. *)
+  (* Initial partition (pass 0): intern the key. *)
   let key_ids = Hashtbl.create 64 in
   let nblocks = ref 0 in
   for v = 0 to n - 1 do
@@ -32,9 +34,11 @@ let compute g ~key =
   done;
   (* Signature refinement to the fixpoint: each pass re-keys every node by
      (block, successor blocks); the block count is strictly increasing, so
-     at most n passes. *)
-  let changed = ref true in
-  while !changed do
+     at most n passes.  Blocks only ever split, so a count over [limit]
+     after any pass rules out a final count within it. *)
+  let pass = ref 0 and changed = ref true in
+  while !changed && !nblocks <= limit do
+    incr pass;
     let table = Sig_table.create (2 * !nblocks) in
     let next = Array.make (max n 1) 0 in
     let count = ref 0 in
@@ -51,7 +55,13 @@ let compute g ~key =
     nblocks := !count;
     Array.blit next 0 block_of 0 n
   done;
-  block_of
+  if !nblocks > limit then Over_limit { pass = !pass; blocks = !nblocks }
+  else Partition block_of
+
+let compute g ~key =
+  match compute_within g ~key ~limit:max_int with
+  | Partition block_of -> block_of
+  | Over_limit _ -> assert false (* no count exceeds [max_int] *)
 
 let normalise block_of =
   let remap = Hashtbl.create 64 in

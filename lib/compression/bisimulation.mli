@@ -16,6 +16,20 @@ val compute : Csr.t -> key:(int -> int) -> int array
     block id in [0 .. max+1).  Nodes with different [key] values are
     never merged. *)
 
+type outcome =
+  | Partition of int array  (** the coarsest partition, as {!compute} returns it *)
+  | Over_limit of { pass : int; blocks : int }
+      (** refinement stopped after pass [pass] (0 is the initial key
+          partition) with [blocks] blocks, over the limit; since
+          refinement only ever splits blocks, [blocks] is a lower bound
+          on the final count *)
+
+val compute_within : Csr.t -> key:(int -> int) -> limit:int -> outcome
+(** {!compute} with a block limit: the same refinement loop, stopped at
+    the first pass whose block count exceeds [limit].  [Partition p]
+    means the final count is within the limit, and [p] equals
+    [compute g ~key]. *)
+
 val refine_local : Csr.t -> key:(int -> int) -> prev:int array -> area:Bitset.t -> int array
 (** Locally re-refine after an update: nodes outside [area] keep their
     [prev] block (and are guaranteed not to have successors inside

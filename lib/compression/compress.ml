@@ -30,6 +30,10 @@ let signature_key atoms g v =
   in
   (label * 1048576) + bits
 
+let min_node_reduction = 0.25
+
+let block_limit n = n - int_of_float (Float.ceil (min_node_reduction *. float_of_int n))
+
 let of_partition ?(atoms = []) g block_of =
   let nblocks = Bisimulation.block_count block_of in
   let members = Array.make (max nblocks 1) [] in

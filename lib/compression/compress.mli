@@ -29,6 +29,16 @@ val signature_key : Predicate.atom list -> Snapshot.t -> int -> int
 (** The partition key: label plus one satisfaction bit per atom.  Nodes
     merged by any partition used with {!of_partition} must agree on it. *)
 
+val min_node_reduction : float
+(** A compressed graph is kept only where it pays: where it removes at
+    least this share (a quarter) of the nodes.  Below that, building Gc
+    and keeping it in step with every update costs more than evaluating
+    on it saves (DESIGN.md, "Compression only where it pays"). *)
+
+val block_limit : int -> int
+(** [block_limit n]: the most blocks a partition of [n] nodes may keep
+    and still remove {!min_node_reduction} of them. *)
+
 val of_partition : ?atoms:Predicate.atom list -> Snapshot.t -> int array -> t
 (** Build the compressed graph from an externally computed partition
     (used by incremental maintenance).  The partition must respect

@@ -18,10 +18,20 @@ type report = {
 
 let key_of = Compress.signature_key
 
+let of_snapshot atoms snap partition =
+  { atoms; snap; partition; compress = Compress.of_partition ~atoms snap partition }
+
 let create ?(atoms = []) g =
   let snap = Snapshot.of_digraph g in
-  let partition = Bisimulation.compute (Snapshot.csr snap) ~key:(key_of atoms snap) in
-  { atoms; snap; partition; compress = Compress.of_partition ~atoms snap partition }
+  of_snapshot atoms snap (Bisimulation.compute (Snapshot.csr snap) ~key:(key_of atoms snap))
+
+let create_if_pays ?(atoms = []) snap =
+  match
+    Bisimulation.compute_within (Snapshot.csr snap) ~key:(key_of atoms snap)
+      ~limit:(Compress.block_limit (Snapshot.node_count snap))
+  with
+  | Bisimulation.Partition partition -> Some (of_snapshot atoms snap partition)
+  | Over_limit _ -> None
 
 let current t = t.compress
 
@@ -32,7 +42,7 @@ let rebuild t g =
   t.partition <- Bisimulation.compute (Snapshot.csr t.snap) ~key:(key_of t.atoms t.snap);
   t.compress <- Compress.of_partition ~atoms:t.atoms t.snap t.partition
 
-let sync t ~snapshot ~effective updates =
+let maintain t ~limit ~snapshot ~effective updates =
   let old_snap = t.snap in
   let old_n = Snapshot.node_count old_snap in
   let blocks_before = Bisimulation.block_count t.partition in
@@ -48,26 +58,39 @@ let sync t ~snapshot ~effective updates =
   for v = old_n to new_n - 1 do
     Bitset.add area v
   done;
+  let csr = Snapshot.csr snapshot and key = key_of t.atoms snapshot in
   (* Local re-refinement pays off while the affected area is a minority
      of the graph; beyond that a fresh coarsest partition is both faster
      and optimal, so fall back (this also resets any accumulated
-     drift). *)
-  let partition =
-    if 2 * Bitset.cardinal area > new_n then
-      Bisimulation.compute (Snapshot.csr snapshot) ~key:(key_of t.atoms snapshot)
+     drift).  A local result over [limit] may only be finer than the
+     coarsest partition, so a fresh refinement decides it too. *)
+  let outcome =
+    if 2 * Bitset.cardinal area > new_n then Bisimulation.compute_within csr ~key ~limit
     else
-      Bisimulation.refine_local (Snapshot.csr snapshot) ~key:(key_of t.atoms snapshot)
-        ~prev:t.partition ~area
+      let local = Bisimulation.refine_local csr ~key ~prev:t.partition ~area in
+      if Bisimulation.block_count local <= limit then Bisimulation.Partition local
+      else Bisimulation.compute_within csr ~key ~limit
   in
-  t.snap <- snapshot;
-  t.partition <- partition;
-  t.compress <- Compress.of_partition ~atoms:t.atoms snapshot partition;
-  {
-    effective;
-    area = Bitset.cardinal area;
-    blocks_before;
-    blocks_after = Bisimulation.block_count partition;
-  }
+  match outcome with
+  | Bisimulation.Over_limit _ -> None
+  | Partition partition ->
+    t.snap <- snapshot;
+    t.partition <- partition;
+    t.compress <- Compress.of_partition ~atoms:t.atoms snapshot partition;
+    Some
+      {
+        effective;
+        area = Bitset.cardinal area;
+        blocks_before;
+        blocks_after = Bisimulation.block_count partition;
+      }
+
+let sync t ~snapshot ~effective updates =
+  Option.get (maintain t ~limit:max_int ~snapshot ~effective updates)
+
+let sync_if_pays t ~snapshot ~effective updates =
+  maintain t ~limit:(Compress.block_limit (Snapshot.node_count snapshot)) ~snapshot ~effective
+    updates
 
 let apply_updates t g updates =
   if

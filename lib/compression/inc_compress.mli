@@ -29,6 +29,12 @@ type report = {
 val create : ?atoms:Predicate.atom list -> Digraph.t -> t
 (** Compress from scratch and start tracking. *)
 
+val create_if_pays : ?atoms:Predicate.atom list -> Snapshot.t -> t option
+(** Compress [snapshot] and start tracking it, only where it pays: the
+    refinement stops at the first pass whose block count exceeds
+    {!Compress.block_limit}, and then [None] is returned with no
+    compressed graph built. *)
+
 val current : t -> Compress.t
 (** The maintained compressed graph. *)
 
@@ -45,6 +51,14 @@ val apply_updates : t -> Digraph.t -> Update.t list -> report
 val sync : t -> snapshot:Snapshot.t -> effective:int -> Update.t list -> report
 (** Maintenance against an externally applied ΔG, landing on the given
     post-update snapshot (see {!Expfinder_incremental.Incremental.sync}). *)
+
+val sync_if_pays :
+  t -> snapshot:Snapshot.t -> effective:int -> Update.t list -> report option
+(** {!sync} held to {!Compress.block_limit}.  When the maintained
+    partition is over the limit, a limited from-scratch refinement
+    decides: within it, its coarsest partition is adopted; past it,
+    [None] is returned, nothing is built, and the tracker is left at its
+    previous snapshot, to be dropped. *)
 
 val rebuild : t -> Digraph.t -> unit
 (** From-scratch recompression (the baseline, also restores coarsest-

@@ -693,9 +693,12 @@ let enable_ball_index ?(radius = 3) t =
 
 let disable_ball_index t = with_maint t (fun () -> t.ball_index <- None)
 
+(* Under the writer, so no update batch lands between the epoch the
+   decision reads and the tracker's publication. *)
 let enable_compression ?atoms t =
-  let inc = Inc_compress.create ?atoms t.g in
-  with_maint t (fun () -> t.compressed <- Some inc)
+  Mutex.protect t.writer (fun () ->
+      let inc = Inc_compress.create_if_pays ?atoms (snapshot_locked t) in
+      with_maint t (fun () -> t.compressed <- inc))
 
 let disable_compression t = with_maint t (fun () -> t.compressed <- None)
 
@@ -784,12 +787,15 @@ let apply_updates_locked t updates =
        path until the lock frees.  A registered query that recomputes
        evaluates on [published] rather than building its own CSR. *)
     with_maint t (fun () ->
+        (* A compressed graph that no longer pays is dropped. *)
         Option.iter
           (fun inc ->
-            ignore
-              (Inc_compress.sync inc ~snapshot:published
-                 ~effective:(List.length effective) effective
-                : Inc_compress.report))
+            match
+              Inc_compress.sync_if_pays inc ~snapshot:published
+                ~effective:(List.length effective) effective
+            with
+            | Some _ -> ()
+            | None -> t.compressed <- None)
           t.compressed;
         Log.debug (fun m ->
             m "apply_updates: %d effective -> %a, %d registered queries, compression %s"

@@ -158,12 +158,19 @@ val disable_ball_index : t -> unit
 
 val enable_compression : ?atoms:Predicate.atom list -> t -> unit
 (** Build and maintain a compressed graph with the given atom universe
-    (replacing any previous one). *)
+    (replacing any previous one), built only where it pays: when it
+    removes at least {!Expfinder_compression.Compress.min_node_reduction}
+    of the nodes.  The bisimulation refinement stops at the first pass
+    whose block count rules that out, and then no compressed graph is
+    built or kept: queries take the other routes and updates skip its
+    maintenance.  During maintenance the graph is dropped once it has
+    decayed past the same threshold. *)
 
 val disable_compression : t -> unit
 
 val compression : t -> Compress.t option
-(** The current compressed graph, when enabled. *)
+(** The current compressed graph: [None] when compression is off, was
+    declined as not paying, or was dropped during maintenance. *)
 
 val register : t -> Pattern.t -> unit
 (** Mark a query as frequently issued: its result is kept incrementally

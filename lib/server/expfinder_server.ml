@@ -193,11 +193,66 @@ let answer_fields (a : Engine.answer) =
 
 type reply = Reply of Json.t | Reply_and_stop of Json.t
 
+(* Exact pattern text -> its parse, one memo per server.  It pays only
+   where clients resend the exact same text, as a client replaying a
+   fixed pool of patterns does: a parse costs tens of microseconds
+   against a few for the cached answer it leads to.  A text is admitted
+   on its second sighting, recorded by its hash in [seen], so traffic
+   of distinct texts never fills the memo and keeps nothing alive.
+   Only texts up to [parse_memo_text_limit] bytes are kept, at most
+   [parse_memo_capacity] of them; a full memo is emptied and refilled
+   rather than tracking recency.  Pool workers share it under its
+   mutex. *)
+let parse_memo_capacity = 256
+
+let parse_memo_seen_slots = 1024
+
+let parse_memo_text_limit = 4096
+
+type parse_memo = {
+  parses : (string, (Pattern.t, string) result) Hashtbl.t;
+  seen : int array;  (** hash of the last missed text, by hash mod slots *)
+  parses_lock : Mutex.t;
+}
+
+let parse_memo () =
+  {
+    parses = Hashtbl.create 64;
+    seen = Array.make parse_memo_seen_slots (-1);
+    parses_lock = Mutex.create ();
+  }
+
+type memo_lookup = Hit of (Pattern.t, string) result | Miss of { admit : bool }
+
+let parse_pattern memo text =
+  if String.length text > parse_memo_text_limit then Pattern_io.of_string text
+  else
+    let lookup =
+      Mutex.protect memo.parses_lock (fun () ->
+          match Hashtbl.find_opt memo.parses text with
+          | Some parsed -> Hit parsed
+          | None ->
+            let h = Hashtbl.hash text in
+            let slot = h mod parse_memo_seen_slots in
+            let seen_before = memo.seen.(slot) = h in
+            memo.seen.(slot) <- h;
+            Miss { admit = seen_before })
+    in
+    match lookup with
+    | Hit parsed -> parsed
+    | Miss { admit } ->
+      let parsed = Pattern_io.of_string text in
+      if admit then
+        Mutex.protect memo.parses_lock (fun () ->
+            if Hashtbl.length memo.parses >= parse_memo_capacity then Hashtbl.reset memo.parses;
+            Hashtbl.replace memo.parses text parsed);
+      parsed
+
 (* [apply] is how update batches reach the engine: the sequential server
    calls [Engine.apply_updates] in place, the domain-pool server routes
    them through the dedicated writer domain so exactly one domain ever
    advances the epoch. *)
-let handle_request engine ~apply line =
+let handle_request engine ~memo ~apply line =
   match Json.of_string line with
   | Error e -> Reply (error_response ("bad request: " ^ e))
   | Ok req -> (
@@ -215,7 +270,7 @@ let handle_request engine ~apply line =
       match Option.bind (Json.member "pattern" req) Json.str_opt with
       | None -> Reply (error_response "query: missing string field \"pattern\"")
       | Some text -> (
-        match Pattern_io.of_string text with
+        match parse_pattern memo text with
         | Error e -> Reply (error_response ("query: " ^ e))
         | Ok pattern -> (
           let ctx = ctx_of_request req in
@@ -240,7 +295,7 @@ let handle_request engine ~apply line =
               | Error e, _ -> Error e
               | Ok _, None -> Error "batch: patterns must be strings"
               | Ok l, Some text -> (
-                match Pattern_io.of_string text with
+                match parse_pattern memo text with
                 | Ok p -> Ok (p :: l)
                 | Error e -> Error ("batch: " ^ e)))
             (Ok []) items
@@ -377,7 +432,7 @@ let write_all fd s =
    anything else starts a JSONL request loop that runs until the client
    closes or sends {"op": "shutdown"}.  Returns [false] when the server
    should stop accepting. *)
-let handle_connection engine ~apply fd =
+let handle_connection engine ~memo ~apply fd =
   let ic = Unix.in_channel_of_descr fd in
   let continue = ref true in
   Fun.protect
@@ -421,7 +476,7 @@ let handle_connection engine ~apply fd =
           | _ ->
             let rec loop line =
               if String.trim line <> "" then begin
-                match handle_request engine ~apply line with
+                match handle_request engine ~memo ~apply line with
                 | Reply json -> write_all fd (Json.to_string json ^ "\n")
                 | Reply_and_stop json ->
                   write_all fd (Json.to_string json ^ "\n");
@@ -537,8 +592,9 @@ let serve ?(max_connections = max_int) ?(sample_period = 1.0)
     | () -> ()
     | exception _ -> ()
   in
+  let memo = parse_memo () in
   let handle client =
-    if not (handle_connection engine ~apply client) then begin
+    if not (handle_connection engine ~memo ~apply client) then begin
       Atomic.set stopping true;
       if pool <> None then wake ()
     end

@@ -1549,6 +1549,16 @@ module Window = struct
      are serialized by the per-window mutex below.  Readers still skip
      the lock: a read torn against an in-flight observation moves a
      count by at most one, which the scrape path tolerates. *)
+  (* A second's latency counts over the {!Histogram} layout, kept only
+     for the run of bucket indices the second has seen: [counts.(i - lo)]
+     is bucket [i].  A second's latencies span a few dozen of the 560
+     buckets, so a full row per second would be mostly zeros.  Grown by
+     swapping the record whole, so a lock-free reader that loads it once
+     sees an offset that fits its array. *)
+  type hist = { lo : int; counts : int array }
+
+  let no_hist = { lo = 0; counts = [||] }
+
   type bucket = {
     sec : int Atomic.t;  (* unix second this bucket holds; -1 = empty *)
     mutable bcount : int;
@@ -1556,7 +1566,7 @@ module Window = struct
     mutable bsum : float;
     mutable bmin : float;
     mutable bmax : float;
-    bhist : int array;
+    mutable bhist : hist;
   }
 
   (* The window's in-window count and p99 as of [at_sec], taken when the
@@ -1600,7 +1610,7 @@ module Window = struct
       bsum = 0.0;
       bmin = 0.0;
       bmax = 0.0;
-      bhist = Array.make Histogram.nbuckets 0;
+      bhist = no_hist;
     }
 
   let create ?(seconds = default_seconds) wname =
@@ -1637,7 +1647,7 @@ module Window = struct
         b.bsum <- 0.0;
         b.bmin <- 0.0;
         b.bmax <- 0.0;
-        Array.fill b.bhist 0 Histogram.nbuckets 0)
+        b.bhist <- no_hist)
       t.ring;
     Atomic.set t.memo no_memo;
     Mutex.unlock t.wm
@@ -1660,7 +1670,7 @@ module Window = struct
       b.bsum <- 0.0;
       b.bmin <- 0.0;
       b.bmax <- 0.0;
-      Array.fill b.bhist 0 Histogram.nbuckets 0;
+      Array.fill b.bhist.counts 0 (Array.length b.bhist.counts) 0;
       Atomic.set b.sec sec
     end;
     if b.bcount = 0 || ms < b.bmin then b.bmin <- ms;
@@ -1671,7 +1681,21 @@ module Window = struct
     Atomic.incr t.total_count;
     if error then Atomic.incr t.total_errors;
     let i = Histogram.bucket_of ms in
-    b.bhist.(i) <- b.bhist.(i) + 1;
+    let h = b.bhist in
+    let len = Array.length h.counts in
+    let h =
+      if i >= h.lo && i < h.lo + len then h
+      else begin
+        let lo = if len = 0 then i else Stdlib.min i h.lo in
+        let hi = if len = 0 then i + 1 else Stdlib.max (i + 1) (h.lo + len) in
+        let counts = Array.make (hi - lo) 0 in
+        if len > 0 then Array.blit h.counts 0 counts (h.lo - lo) len;
+        let h = { lo; counts } in
+        b.bhist <- h;
+        h
+      end
+    in
+    h.counts.(i - h.lo) <- h.counts.(i - h.lo) + 1;
     (match trace with
     | Some tid when tid <> "" ->
       t.ex_trace.(i) <- tid;
@@ -1741,7 +1765,8 @@ module Window = struct
           count := !count + b.bcount;
           errors := !errors + b.berrors;
           sum := !sum +. b.bsum;
-          Array.iteri (fun i c -> merged.(i) <- merged.(i) + c) b.bhist
+          let h = b.bhist in
+          Array.iteri (fun j c -> merged.(h.lo + j) <- merged.(h.lo + j) + c) h.counts
         end)
       t.ring;
     let n = !count in

@@ -70,6 +70,20 @@ let prop_partition_stable seed =
   let key v = Label.to_int (Csr.label g v) in
   Bisimulation.is_stable g ~key (Bisimulation.compute g ~key)
 
+(* The limited refinement is the unlimited one cut short: a partition it
+   returns is [compute]'s, and a count it stops at is a lower bound on
+   [compute]'s, over the limit. *)
+let prop_limited_compute seed =
+  let rng = Prng.create seed in
+  let g = Csr.of_digraph (random_graph rng) in
+  let key v = Label.to_int (Csr.label g v) in
+  let full = Bisimulation.compute g ~key in
+  let limit = Prng.int rng (Csr.node_count g + 2) in
+  match Bisimulation.compute_within g ~key ~limit with
+  | Bisimulation.Partition p -> p = full && Bisimulation.block_count p <= limit
+  | Over_limit { blocks; _ } ->
+    blocks > limit && Bisimulation.block_count full >= blocks
+
 (* --- query preservation --------------------------------------------- *)
 
 let prop_query_preserved ~simulation seed =
@@ -255,6 +269,8 @@ let qcheck_cases =
   [
     QCheck.Test.make ~count:50 ~name:"partition is stable" QCheck.small_int (fun s ->
         prop_partition_stable (s + 1));
+    QCheck.Test.make ~count:300 ~name:"limited compute = compute, or stops over the limit"
+      QCheck.small_int (fun s -> prop_limited_compute (s + 1));
     QCheck.Test.make ~count:50 ~name:"sim query preserved" QCheck.small_int (fun s ->
         prop_query_preserved ~simulation:true (s + 1));
     QCheck.Test.make ~count:40 ~name:"bsim query preserved" QCheck.small_int (fun s ->

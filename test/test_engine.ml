@@ -7,6 +7,7 @@ open Expfinder_core
 open Expfinder_incremental
 open Expfinder_engine
 module Collab = Expfinder_workload.Collab
+module Compress = Expfinder_compression.Compress
 module Queries = Expfinder_workload.Queries
 module Synthetic = Expfinder_workload.Synthetic
 
@@ -21,20 +22,27 @@ let test_provenance_cache () =
     (Match_relation.equal first.Engine.relation second.Engine.relation);
   Alcotest.(check bool) "total" true first.Engine.total
 
+(* The org graph compresses (8 teams of 5 keep 32 of 49 nodes); Collab
+   does not (9 nodes, 9 blocks under every universe), so it only shows the
+   decline. *)
+let org_graph () = Synthetic.org (Prng.create 99) ~teams:8 ~team_size:5
+
+let org_query () =
+  let spec name label k =
+    { Pattern.name; label = Some (Label.of_string label); pred = Predicate.ge_int "exp" k }
+  in
+  Pattern.make_exn
+    ~nodes:[| spec "PM" "PM" 5; spec "SA" "SA" 5; spec "SD" "SD" 2 |]
+    ~edges:[ (0, 1, Pattern.Bounded 1); (2, 0, Pattern.Bounded 2) ]
+    ~output:0
+
 let test_provenance_compressed () =
-  let engine = Engine.create (Collab.graph ()) in
-  let q = Collab.query () in
+  let collab = Engine.create (Collab.graph ()) in
+  Engine.enable_compression ~atoms:Queries.atom_universe collab;
+  Alcotest.(check bool) "collab declined" true (Engine.compression collab = None);
+  let engine = Engine.create (org_graph ()) in
+  let q = org_query () in
   Engine.enable_compression ~atoms:Queries.atom_universe engine;
-  (* Q's conditions are exp>=2/3/5; 5 is not in the workload universe, so
-     use a dedicated universe that covers Q. *)
-  Engine.enable_compression
-    ~atoms:
-      [
-        { Predicate.attr = "exp"; op = Predicate.Ge; value = Attr.Int 2 };
-        { Predicate.attr = "exp"; op = Predicate.Ge; value = Attr.Int 3 };
-        { Predicate.attr = "exp"; op = Predicate.Ge; value = Attr.Int 5 };
-      ]
-    engine;
   let answer = Engine.evaluate engine q in
   Alcotest.(check bool) "from compressed" true (answer.Engine.provenance = Engine.From_compressed);
   let direct = Bounded_sim.run q (Engine.snapshot engine) in
@@ -42,13 +50,82 @@ let test_provenance_compressed () =
   Engine.disable_compression engine;
   Alcotest.(check bool) "compression off" true (Engine.compression engine = None)
 
+(* A flat random graph barely compresses: the engine declines after the
+   first refinement pass and every answer goes direct. *)
+let test_flat_graph_declined () =
+  let rng = Prng.create 7 in
+  let engine = Engine.create (Synthetic.flat rng ~n:1_000 ~avg_degree:4) in
+  Engine.enable_compression ~atoms:Queries.atom_universe engine;
+  Alcotest.(check bool) "declined" true (Engine.compression engine = None);
+  List.iter
+    (fun q ->
+      let answer = Engine.evaluate engine q in
+      Alcotest.(check bool) "direct" true (answer.Engine.provenance = Engine.Direct);
+      Alcotest.(check bool) "= direct evaluation" true
+        (Match_relation.equal answer.Engine.relation (Planner.run q (Engine.snapshot engine))))
+    (Queries.workload rng ~count:4 ~simulation:false (Engine.graph engine));
+  ignore
+    (Engine.apply_updates engine (Update.random_mixed rng (Engine.graph engine) 8)
+      : Incremental.report list);
+  Alcotest.(check bool) "still none after an update" true (Engine.compression engine = None)
+
+(* Updates that break the org graph's redundancy decay the maintained
+   partition past the threshold: the engine drops the compressed graph,
+   and answers stay equal to direct evaluation before and after. *)
+let test_decayed_compression_dropped () =
+  let rng = Prng.create 5 in
+  let engine = Engine.create (org_graph ()) in
+  Engine.enable_compression ~atoms:Queries.atom_universe engine;
+  Alcotest.(check bool) "org graph compressed" true (Engine.compression engine <> None);
+  let q = org_query () in
+  let rounds = ref 0 in
+  while Engine.compression engine <> None && !rounds < 40 do
+    incr rounds;
+    (match Engine.compression engine with
+    | Some c ->
+      Alcotest.(check bool) "kept only while it pays" true
+        (Compress.node_ratio c >= Compress.min_node_reduction)
+    | None -> ());
+    ignore
+      (Engine.apply_updates engine (Update.random_mixed rng (Engine.graph engine) 4)
+        : Incremental.report list);
+    let answer = Engine.evaluate engine q in
+    Alcotest.(check bool) "= direct evaluation" true
+      (Match_relation.equal answer.Engine.relation (Bounded_sim.run q (Engine.snapshot engine)))
+  done;
+  Alcotest.(check bool) "dropped" true (Engine.compression engine = None);
+  let fresh =
+    Compress.compress ~atoms:Queries.atom_universe (Engine.snapshot engine)
+  in
+  Alcotest.(check bool) "the coarsest partition no longer pays" true
+    (Compress.node_ratio fresh < Compress.min_node_reduction);
+  let ux_lead =
+    Pattern.make_exn
+      ~nodes:
+        [|
+          { Pattern.name = "UX"; label = Some (Label.of_string "UX"); pred = Predicate.ge_int "exp" 3 };
+          { Pattern.name = "PM"; label = Some (Label.of_string "PM"); pred = Predicate.ge_int "exp" 2 };
+        |]
+      ~edges:[ (0, 1, Pattern.Bounded 1) ]
+      ~output:0
+  in
+  let answer = Engine.evaluate engine ux_lead in
+  Alcotest.(check bool) "direct after the drop" true (answer.Engine.provenance = Engine.Direct)
+
 let test_unsupported_pattern_falls_back () =
-  let engine = Engine.create (Collab.graph ()) in
+  let engine = Engine.create (org_graph ()) in
   Engine.enable_compression engine;
-  (* empty universe: Q unsupported *)
-  let answer = Engine.evaluate engine (Collab.query ()) in
+  (* The empty universe only merges more nodes, so the org graph keeps its
+     compressed graph, but the query's exp conditions are outside it. *)
+  let q = org_query () in
+  (match Engine.compression engine with
+  | Some c -> Alcotest.(check bool) "q unsupported" false (Compress.supports c q)
+  | None -> Alcotest.fail "the org graph is compressed under the empty universe");
+  let answer = Engine.evaluate engine q in
   Alcotest.(check bool) "direct fallback" true (answer.Engine.provenance = Engine.Direct);
-  Alcotest.(check bool) "still total" true answer.Engine.total
+  Alcotest.(check bool) "still total" true answer.Engine.total;
+  Alcotest.(check bool) "= direct evaluation" true
+    (Match_relation.equal answer.Engine.relation (Bounded_sim.run q (Engine.snapshot engine)))
 
 let test_top_k_names () =
   let engine = Engine.create (Collab.graph ()) in
@@ -81,9 +158,9 @@ let test_updates_invalidate_cache () =
 (* A batch whose every update is a no-op leaves the engine as it was:
    same epoch, warm cache, untouched compressed graph and kernels. *)
 let test_noop_batch_changes_nothing () =
-  let engine = Engine.create (Collab.graph ()) in
+  let engine = Engine.create (org_graph ()) in
   Engine.enable_compression ~atoms:Queries.atom_universe engine;
-  let q = Collab.query () in
+  let q = org_query () in
   Engine.register engine q;
   ignore (Engine.evaluate engine q : Engine.answer);
   let snap = Engine.snapshot engine in
@@ -94,8 +171,8 @@ let test_noop_batch_changes_nothing () =
         if !first = None then first := Some (u, v));
     Option.get !first
   in
-  let absent = Collab.e1 in
-  Alcotest.(check bool) "e1 absent" false
+  let absent = (snd existing, snd existing) in
+  Alcotest.(check bool) "self-loop absent" false
     (Digraph.has_edge (Engine.graph engine) (fst absent) (snd absent));
   let reports =
     Engine.apply_updates engine
@@ -134,9 +211,11 @@ let test_registered_query_maintained () =
 
 let test_engine_consistency_under_updates () =
   (* Everything stays consistent across a stream of random update batches:
-     registered kernel = compressed answer = direct recomputation. *)
+     registered kernel = compressed answer = direct recomputation.  16
+     teams keep the compressed graph through all five batches (8 teams
+     decay past the threshold after two). *)
   let rng = Prng.create 99 in
-  let g = Synthetic.org rng ~teams:8 ~team_size:5 in
+  let g = Synthetic.org rng ~teams:16 ~team_size:5 in
   let engine = Engine.create g in
   Engine.enable_compression ~atoms:Queries.atom_universe engine;
   let q =
@@ -145,6 +224,7 @@ let test_engine_consistency_under_updates () =
     | _ -> Alcotest.fail "workload"
   in
   Engine.register engine q;
+  let compressed_checks = ref 0 in
   for _round = 1 to 5 do
     let updates = Update.random_mixed rng (Engine.graph engine) 4 in
     ignore (Engine.apply_updates engine updates : Incremental.report list);
@@ -153,11 +233,13 @@ let test_engine_consistency_under_updates () =
     Alcotest.(check bool) "engine = direct" true
       (Match_relation.equal answer.Engine.relation direct);
     match Engine.compression engine with
-    | Some compressed when Expfinder_compression.Compress.supports compressed q ->
+    | Some compressed when Compress.supports compressed q ->
+      incr compressed_checks;
       Alcotest.(check bool) "compressed = direct" true
-        (Match_relation.equal (Expfinder_compression.Compress.evaluate compressed q) direct)
+        (Match_relation.equal (Compress.evaluate compressed q) direct)
     | _ -> ()
-  done
+  done;
+  Alcotest.(check int) "compressed answer checked every round" 5 !compressed_checks
 
 let test_ball_index_provenance () =
   let engine = Engine.create (Collab.graph ()) in
@@ -221,10 +303,13 @@ let test_all_features_agree () =
   Engine.enable_ball_index ~radius:3 engine;
   let queries = Queries.workload rng ~count:6 ~simulation:false (Engine.graph engine) in
   List.iter (Engine.register engine) [ List.hd queries ];
+  let compressed_answers = ref 0 in
   for _round = 1 to 3 do
+    Alcotest.(check bool) "compression still on" true (Engine.compression engine <> None);
     List.iter
       (fun q ->
         let answer = Engine.evaluate engine q in
+        if answer.Engine.provenance = Engine.From_compressed then incr compressed_answers;
         let direct = Bounded_sim.run q (Engine.snapshot engine) in
         Alcotest.(check bool)
           (Printf.sprintf "answer (%s) = direct"
@@ -238,7 +323,9 @@ let test_all_features_agree () =
       queries;
     let updates = Update.random_mixed rng (Engine.graph engine) 5 in
     ignore (Engine.apply_updates engine updates : Incremental.report list)
-  done
+  done;
+  Alcotest.(check bool) "some answers came from the compressed graph" true
+    (!compressed_answers > 0)
 
 let test_cache_stats () =
   let engine = Engine.create (Collab.graph ()) in
@@ -315,6 +402,9 @@ let () =
         [
           Alcotest.test_case "cache provenance" `Quick test_provenance_cache;
           Alcotest.test_case "compressed provenance" `Quick test_provenance_compressed;
+          Alcotest.test_case "flat graph declined" `Quick test_flat_graph_declined;
+          Alcotest.test_case "decayed compression dropped" `Quick
+            test_decayed_compression_dropped;
           Alcotest.test_case "unsupported falls back" `Quick test_unsupported_pattern_falls_back;
           Alcotest.test_case "ball index" `Quick test_ball_index_provenance;
           Alcotest.test_case "cache stats" `Quick test_cache_stats;

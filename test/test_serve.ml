@@ -453,6 +453,18 @@ let digest_e2e exe () =
               Alcotest.(check bool) "the update changes the answer" true
                 (direct paper_query <> before);
               round fd;
+              (* Parses are memoised by pattern text from its second
+                 sighting on: a malformed pattern is refused before it
+                 is admitted, when it is admitted and when it is read
+                 back from the memo. *)
+              List.iter
+                (fun attempt ->
+                  let resp =
+                    request_exn fd
+                      (Json.Obj [ ("op", Json.Str "query"); ("pattern", Json.Str "no pattern") ])
+                  in
+                  Alcotest.(check bool) (attempt ^ " malformed pattern refused") false (ok_of resp))
+                [ "first"; "second"; "third" ];
               let resp = request_exn fd (Json.Obj [ ("op", Json.Str "shutdown") ]) in
               Alcotest.(check bool) "shutdown acknowledged" true (ok_of resp)));
       let events = match Qlog.load qlog with Ok e -> e | Error e -> Alcotest.fail e in

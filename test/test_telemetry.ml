@@ -722,6 +722,25 @@ let test_window_percentiles_and_errors () =
   Alcotest.(check (float 1e-9)) "max clamps exactly" 100.0 s.Window.max_ms;
   Alcotest.(check (float 1e-6)) "mean" 50.5 s.Window.mean_ms
 
+(* A second keeps counts only over the bucket range it has seen, grown
+   downwards and upwards as latencies arrive: the merged window must give
+   the percentiles a full histogram of the same samples gives. *)
+let test_window_ranges_match_histogram () =
+  let w = Window.create ~seconds:60 "t.win.range" in
+  let h = Histogram.create ~always:true "t.win.range.ref" in
+  let r = Random.State.make [| 17 |] in
+  for i = 0 to 599 do
+    let ms = Float.exp (Random.State.float r 12.0 -. 6.0) in
+    Window.observe w ~now:(7000.0 +. float_of_int (i / 200)) ms;
+    Histogram.observe h ms
+  done;
+  let s = Window.summary ~now:7002.0 w in
+  Alcotest.(check int) "count" 600 s.Window.count;
+  List.iter
+    (fun (name, p, got) ->
+      Alcotest.(check (float 1e-9)) name (Histogram.percentile h p) got)
+    [ ("p50", 0.5, s.Window.p50); ("p95", 0.95, s.Window.p95); ("p99", 0.99, s.Window.p99) ]
+
 let test_window_summary_json_roundtrip () =
   let w = Window.create ~seconds:60 "t.win.json" in
   let now = 6000.0 in
@@ -1828,6 +1847,8 @@ let () =
       ( "windows",
         [
           Alcotest.test_case "sliding expiry" `Quick test_window_sliding;
+          Alcotest.test_case "bucket ranges match a histogram" `Quick
+            test_window_ranges_match_histogram;
           Alcotest.test_case "percentiles and error rate" `Quick
             test_window_percentiles_and_errors;
           Alcotest.test_case "summary JSON roundtrip" `Quick test_window_summary_json_roundtrip;
