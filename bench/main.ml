@@ -652,6 +652,54 @@ let exp_ablation_bsim_strategy ~full =
       Printf.printf "  %8d %14.2f %14.2f\n" n s_counters.Report.median s_naive.Report.median)
     sizes
 
+(* The price of one BFS visit on each instance of [Distance]: the CSR
+   snapshot that dense evaluation reads, and the live digraph that
+   incremental seeding and the group search walk (their ratio is part of
+   [Incremental]'s [sparse_unit_cost]).  A sample is one reverse ball of
+   radius 2 (the counter kernel's commonest bound) from every node of a
+   graph of [update-churn]'s shape (flat, n = 3000, average degree 4),
+   recorded in ms per million visits, which reads as ns per visit; one
+   warm-up, then 7 samples. *)
+let exp_ball_cost ~full:_ =
+  header "EXP-A6: bounded-ball cost per visit, CSR snapshot vs live digraph";
+  let n = 3_000 and k = 2 in
+  let g = flat_graph ~n in
+  let snap = Snapshot.of_digraph g in
+  let module DDist = Distance.Make (Digraph) in
+  let s_snap = Distance.make_scratch snap and s_dg = DDist.make_scratch g in
+  let sink = ref 0 in
+  let report w _ = sink := !sink + w in
+  let per_visit ~visits sweep =
+    let before = visits () in
+    let (), ms =
+      time_once (fun () ->
+          for v = 0 to n - 1 do
+            sweep v
+          done)
+    in
+    ms *. 1e6 /. float_of_int (visits () - before)
+  in
+  let stats ~visits sweep =
+    ignore (per_visit ~visits sweep : float);
+    Report.stats_of_samples (List.init 7 (fun _ -> per_visit ~visits sweep))
+  in
+  let on_snap =
+    stats
+      ~visits:(fun () -> Distance.visits s_snap)
+      (fun v -> Distance.reverse_ball s_snap snap v k report)
+  and on_dg =
+    stats ~visits:(fun () -> DDist.visits s_dg) (fun v -> DDist.reverse_ball s_dg g v k report)
+  in
+  let params =
+    [ ("n", Telemetry.Json.Int n); ("radius", Telemetry.Json.Int k);
+      ("unit", Telemetry.Json.Str "ms per 1e6 visits = ns/visit") ]
+  in
+  record_stats ~id:"EXP-A6.ball.snapshot" ~params on_snap;
+  record_stats ~id:"EXP-A6.ball.digraph" ~params on_dg;
+  Printf.printf "  radius-%d reverse balls from all %d nodes: snapshot %.1f ns/visit (IQR %.1f), \
+                 digraph %.1f ns/visit (IQR %.1f)\n"
+    k n on_snap.Report.median on_snap.Report.iqr on_dg.Report.median on_dg.Report.iqr
+
 let exp_ablation_equivalence ~full:_ =
   header "EXP-A2 (ablation): bisimulation vs simulation-equivalence merging";
   Printf.printf "  %-10s %7s %12s %12s %14s %14s\n" "dataset" "|V|" "bisim |Vc|" "simeq |Vc|"
@@ -1217,6 +1265,7 @@ let experiments =
     ("EXP-A3", exp_ablation_area);
     ("EXP-A4", exp_ablation_ball_index);
     ("EXP-A5", exp_ablation_minimise);
+    ("EXP-A6", exp_ball_cost);
     ("EXP-T1", exp_telemetry_cost);
     ("EXP-T2", exp_profile_cost);
     ("EXP-P1", exp_parallel_serve);

@@ -49,13 +49,26 @@ let lowest_bit x =
   if !x land 0x3 = 0 then begin n := !n + 2; x := !x lsr 2 end;
   if !x land 0x1 = 0 then !n + 1 else !n
 
+(* [f] on the index of each set bit of [word], the [w]-th word. *)
+let iter_word f w word =
+  let word = ref word in
+  while !word <> 0 do
+    f ((w * bits_per_word) + lowest_bit !word);
+    word := !word land (!word - 1)
+  done
+
 let iter f t =
   for w = 0 to Array.length t.words - 1 do
-    let word = ref t.words.(w) in
-    while !word <> 0 do
-      f ((w * bits_per_word) + lowest_bit !word);
-      word := !word land (!word - 1)
-    done
+    iter_word f w t.words.(w)
+  done
+
+let same_capacity a b =
+  if a.capacity <> b.capacity then invalid_arg "Bitset: capacity mismatch"
+
+let iter_xor f a b =
+  same_capacity a b;
+  for w = 0 to Array.length a.words - 1 do
+    iter_word f w (a.words.(w) lxor b.words.(w))
   done
 
 let fold f t acc =
@@ -66,9 +79,6 @@ let fold f t acc =
 let to_list t = List.rev (fold (fun i acc -> i :: acc) t [])
 
 let copy t = { words = Array.copy t.words; capacity = t.capacity }
-
-let same_capacity a b =
-  if a.capacity <> b.capacity then invalid_arg "Bitset: capacity mismatch"
 
 let union_into dst src =
   same_capacity dst src;

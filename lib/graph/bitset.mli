@@ -29,6 +29,12 @@ val iter : (int -> unit) -> t -> unit
     fixed six-step search, whatever its position in the word; {!fold}
     and {!to_list} are built on it. *)
 
+val iter_xor : (int -> unit) -> t -> t -> unit
+(** [iter_xor f a b] calls [f] on every element of exactly one of [a]
+    and [b], in increasing order: one pass over the XOR of their words,
+    so the cost is the word count plus the size of the difference.
+    Capacities must match. *)
+
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 
 val to_list : t -> int list

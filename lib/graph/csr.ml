@@ -117,6 +117,28 @@ let iter_pred t v f =
     f t.rev_sources.(i)
   done
 
+(* One BFS step over a slice: unmarked cells are marked and queued.  The
+   int annotations matter: left polymorphic, [<>] would be a call to the
+   generic compare and each store would go through [caml_modify]. *)
+let enqueue offsets cells t v ~(mark : int array) ~(stamp : int) ~(queue : int array) tail =
+  check t v;
+  let tail = ref tail in
+  for i = offsets.(v) to offsets.(v + 1) - 1 do
+    let w = cells.(i) in
+    if mark.(w) <> stamp then begin
+      mark.(w) <- stamp;
+      queue.(!tail) <- w;
+      incr tail
+    end
+  done;
+  !tail
+
+let enqueue_succ t v ~mark ~stamp ~queue tail =
+  enqueue t.fwd_offsets t.fwd_targets t v ~mark ~stamp ~queue tail
+
+let enqueue_pred t v ~mark ~stamp ~queue tail =
+  enqueue t.rev_offsets t.rev_sources t v ~mark ~stamp ~queue tail
+
 let succ_array t v =
   check t v;
   Array.sub t.fwd_targets t.fwd_offsets.(v) (out_degree t v)

@@ -40,6 +40,18 @@ val iter_succ : t -> node -> (node -> unit) -> unit
 
 val iter_pred : t -> node -> (node -> unit) -> unit
 
+val enqueue_succ :
+  t -> node -> mark:int array -> stamp:int -> queue:int array -> int -> int
+(** [enqueue_succ t v ~mark ~stamp ~queue tail] is one expansion step of
+    the bounded BFS in {!Distance}: every successor [w] of [v] with
+    [mark.(w) <> stamp] is marked with [stamp] and written to [queue]
+    from index [tail] on, in slice order.  Returns the new tail.  Reads
+    the CSR arrays directly, with no closure per edge. *)
+
+val enqueue_pred :
+  t -> node -> mark:int array -> stamp:int -> queue:int array -> int -> int
+(** {!enqueue_succ} over predecessors. *)
+
 val succ_array : t -> node -> int array
 (** Fresh array of successors (for tests and pretty-printing). *)
 

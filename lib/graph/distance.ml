@@ -1,64 +1,64 @@
 module type GRAPH = Graph_intf.GRAPH
 
-module Make (G : GRAPH) = struct
+(* A graph with the one step of the BFS: queue every unmarked neighbour
+   of a node, marking it. *)
+module type EXPAND = sig
+  include GRAPH
+
+  val enqueue_succ : t -> int -> mark:int array -> stamp:int -> queue:int array -> int -> int
+
+  val enqueue_pred : t -> int -> mark:int array -> stamp:int -> queue:int array -> int -> int
+end
+
+module Over (G : EXPAND) = struct
   type scratch = {
-    dist : int array;
-    queue : int array;
-    mutable visited : int Vec.t;
+    mark : int array; (* [mark.(w) = stamp]: the current search reached [w] *)
+    queue : int array; (* the nodes reached, in BFS order: frontier and visited list *)
+    mutable stamp : int; (* one per search, so no reset walk *)
     mutable visits : int; (* nodes reached over the scratch's lifetime *)
   }
 
   let make_scratch g =
-    let n = G.node_count g in
-    {
-      dist = Array.make (max n 1) (-1);
-      queue = Array.make (max n 1) 0;
-      visited = Vec.create ~capacity:64 ~dummy:(-1) ();
-      visits = 0;
-    }
+    let n = max (G.node_count g) 1 in
+    { mark = Array.make n 0; queue = Array.make n 0; stamp = 0; visits = 0 }
 
   let visits s = s.visits
 
-  (* Runs after every search, normal or not: the visited list doubles as
-     the visit count. *)
-  let reset s =
-    s.visits <- s.visits + Vec.length s.visited;
-    Vec.iter (fun v -> s.dist.(v) <- -1) s.visited;
-    Vec.clear s.visited
-
   (* Core bounded BFS with nonempty-path semantics: the source is *not*
-     marked visited up front, so it is reported iff it lies on a short
-     cycle.  [iter_next] selects forward or reverse edges. *)
-  let bounded_bfs ~iter_next s g v k f =
+     marked up front, so it is reported iff it lies on a short cycle.
+     Each node is queued at most once per search, so the queue never
+     overflows; the distance of [queue.(i)] is its level, tracked by the
+     level's end in the queue.  [enqueue] selects forward or reverse
+     edges.  Every node queued counts as visited, also when [f] raises. *)
+  let bounded_bfs ~enqueue s g v k f =
     if k < 0 then invalid_arg "Distance: negative bound";
-    if Array.length s.dist < G.node_count g then
-      invalid_arg "Distance: scratch too small";
+    if Array.length s.mark < G.node_count g then invalid_arg "Distance: scratch too small";
     if k > 0 then begin
-      let head = ref 0 and tail = ref 0 in
-      let push w d =
-        s.dist.(w) <- d;
-        Vec.push s.visited w;
-        s.queue.(!tail) <- w;
-        incr tail
-      in
-      iter_next g v (fun w -> if s.dist.(w) < 0 then push w 1);
-      (try
-         while !head < !tail do
-           let w = s.queue.(!head) in
-           incr head;
-           let d = s.dist.(w) in
-           f w d;
-           if d < k then iter_next g w (fun x -> if s.dist.(x) < 0 then push x (d + 1))
-         done
-       with e ->
-         reset s;
-         raise e);
-      reset s
+      s.stamp <- s.stamp + 1;
+      let mark = s.mark and stamp = s.stamp and queue = s.queue in
+      let tail = ref (enqueue g v ~mark ~stamp ~queue 0) in
+      let head = ref 0 and d = ref 1 and level_end = ref !tail in
+      match
+        while !head < !tail do
+          if !head = !level_end then begin
+            incr d;
+            level_end := !tail
+          end;
+          let w = queue.(!head) in
+          incr head;
+          f w !d;
+          if !d < k then tail := enqueue g w ~mark ~stamp ~queue !tail
+        done
+      with
+      | () -> s.visits <- s.visits + !tail
+      | exception e ->
+        s.visits <- s.visits + !tail;
+        raise e
     end
 
-  let ball s g v k f = bounded_bfs ~iter_next:G.iter_succ s g v k f
+  let ball s g v k f = bounded_bfs ~enqueue:G.enqueue_succ s g v k f
 
-  let reverse_ball s g v k f = bounded_bfs ~iter_next:G.iter_pred s g v k f
+  let reverse_ball s g v k f = bounded_bfs ~enqueue:G.enqueue_pred s g v k f
 
   exception Found
 
@@ -87,5 +87,37 @@ module Make (G : GRAPH) = struct
   let eccentricity_bound g = G.node_count g
 end
 
-(* The snapshot instance, used pervasively by batch evaluation. *)
-include Make (Snapshot)
+(* Any [GRAPH] expands through its iterators, one closure per step; the
+   int annotations keep the test and the stores monomorphic, as in
+   [Csr]. *)
+module Make (G : GRAPH) = Over (struct
+  include G
+
+  let enqueue iter g v ~(mark : int array) ~(stamp : int) ~(queue : int array) tail =
+    let tail = ref tail in
+    iter g v (fun w ->
+        if mark.(w) <> stamp then begin
+          mark.(w) <- stamp;
+          queue.(!tail) <- w;
+          incr tail
+        end);
+    !tail
+
+  let enqueue_succ g v ~mark ~stamp ~queue tail =
+    enqueue G.iter_succ g v ~mark ~stamp ~queue tail
+
+  let enqueue_pred g v ~mark ~stamp ~queue tail =
+    enqueue G.iter_pred g v ~mark ~stamp ~queue tail
+end)
+
+(* The snapshot instance, used pervasively by batch evaluation: it
+   expands straight from the CSR slices. *)
+include Over (struct
+  include Snapshot
+
+  let enqueue_succ g v ~mark ~stamp ~queue tail =
+    Csr.enqueue_succ (Snapshot.csr g) v ~mark ~stamp ~queue tail
+
+  let enqueue_pred g v ~mark ~stamp ~queue tail =
+    Csr.enqueue_pred (Snapshot.csr g) v ~mark ~stamp ~queue tail
+end)

@@ -2,25 +2,32 @@
 
     Bounded simulation repeatedly asks "which nodes lie within [k] hops of
     [v]?" (forward balls) and "which nodes reach [w] within [k] hops?"
-    (reverse balls).  These run in O(ball size), not O(|G|): the scratch
-    distance array is reset after each call by re-walking the visited
-    list, so a [scratch] can be reused across millions of calls.
+    (reverse balls).  These run in O(ball size), not O(|G|), over two
+    flat int arrays per [scratch]: a mark array, where each search
+    writes its own stamp (so nothing is reset between searches), and a
+    queue that is both the frontier and the list of nodes reached.
+    Distances are the levels of that queue, told apart by where each
+    level ends.  A [scratch] can be reused across millions of calls,
+    also after a callback raised out of a search.
 
-    The implementation is a functor over {!Graph_intf.GRAPH}: batch
-    evaluation uses the {!Snapshot} instance included at the top level,
-    while incremental maintenance instantiates {!Make} with {!Digraph}
-    to avoid snapshot rebuilds. *)
+    There is one BFS, over a neighbour-expansion step.  The {!Snapshot}
+    instance included at the top level, which batch evaluation uses,
+    expands straight from the CSR offset and target arrays
+    ({!Csr.enqueue_succ}); {!Make} expands any {!Graph_intf.GRAPH}
+    through its iterators, and incremental maintenance instantiates it
+    with {!Digraph} to avoid snapshot rebuilds. *)
 
 module Make (G : Graph_intf.GRAPH) : sig
   type scratch
-  (** Reusable per-graph working memory (distance array + queue). *)
+  (** Reusable per-graph working memory (mark array + queue). *)
 
   val make_scratch : G.t -> scratch
 
   val visits : scratch -> int
-  (** Nodes reached by every search run on this scratch so far (each
-      search counts each node it reaches once) — the BFS unit of
-      {!Work}. *)
+  (** Nodes reached by every search run on this scratch so far — the
+      BFS unit of {!Work}.  A search counts each node it puts in its
+      queue once: every node it reports, and also, when a callback
+      raises, the nodes already queued but not yet reported. *)
 
   val ball : scratch -> G.t -> int -> int -> (int -> int -> unit) -> unit
   (** [ball s g v k f] calls [f w d] for every [w] with a nonempty path of

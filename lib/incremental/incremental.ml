@@ -119,17 +119,17 @@ let resize_kernel kernel ~pattern_size ~new_n =
     Match_relation.of_pairs ~pattern_size ~graph_size:new_n (Match_relation.pairs kernel)
 
 (* The pairs [after] adds to and removes from [before], each list ordered
-   by pattern node, then data node.  [iter_nodes] must visit, in
-   ascending order, every data node whose pairs may differ. *)
-let diff_relations ~iter_nodes before after =
+   by pattern node, then data node: a walk over the XOR of each pattern
+   node's two bitsets. *)
+let diff_relations before after =
   let added = ref [] and removed = ref [] in
   for u = Match_relation.pattern_size after - 1 downto 0 do
     let a = ref [] and r = ref [] in
-    iter_nodes (fun v ->
-        match (Match_relation.mem before u v, Match_relation.mem after u v) with
-        | false, true -> a := (u, v) :: !a
-        | true, false -> r := (u, v) :: !r
-        | _ -> ());
+    let now = Match_relation.matches_set after u in
+    Bitset.iter_xor
+      (fun v -> if Bitset.mem now v then a := (u, v) :: !a else r := (u, v) :: !r)
+      (Match_relation.matches_set before u)
+      now;
     added := List.rev_append !a !added;
     removed := List.rev_append !r !removed
   done;
@@ -555,15 +555,7 @@ let sync_applied_untraced ?published t ~effective =
   (* [area] holds every node whose pairs may have changed; [None] is the
      whole graph. *)
   let finish ~kernel ~area ~iterations ~route ~predicted ~spent =
-    let iter_nodes f =
-      match area with
-      | Some bits -> Bitset.iter f bits
-      | None ->
-        for v = 0 to new_n - 1 do
-          f v
-        done
-    in
-    let added, removed = diff_relations ~iter_nodes old_kernel kernel in
+    let added, removed = diff_relations old_kernel kernel in
     let area = match area with Some bits -> Bitset.cardinal bits | None -> new_n in
     t.kernel <- kernel;
     t.expected_version <- Digraph.version t.g;

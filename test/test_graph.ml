@@ -123,6 +123,37 @@ let prop_bitset_iter_is_mem_scan seed =
   && Bitset.to_list s = scanned
   && Bitset.fold (fun i acc -> acc + i) s 0 = List.fold_left ( + ) 0 scanned
 
+(* [iter_xor] against a list symmetric difference, on capacities that
+   straddle the 63-bit word boundaries (so most are not a multiple of
+   63) and on the last bit of each word. *)
+let prop_bitset_iter_xor seed =
+  let rng = Prng.create seed in
+  let words = 1 + Prng.int rng 4 in
+  let n = max 1 ((words * 63) + Prng.int_in rng (-2) 2) in
+  let fill () =
+    let s = Bitset.create n in
+    let density = Prng.int_in rng 0 10 in
+    for i = 0 to n - 1 do
+      if (i mod 63 = 62 && Prng.bool rng) || Prng.int rng 10 < density then Bitset.add s i
+    done;
+    s
+  in
+  let a = fill () and b = fill () in
+  let la = Bitset.to_list a and lb = Bitset.to_list b in
+  let expected =
+    List.sort compare
+      (List.filter (fun i -> not (List.mem i lb)) la
+      @ List.filter (fun i -> not (List.mem i la)) lb)
+  in
+  let seen = ref [] in
+  Bitset.iter_xor (fun i -> seen := i :: !seen) a b;
+  let mismatch =
+    match Bitset.iter_xor ignore a (Bitset.create (n + 1)) with
+    | () -> false
+    | exception Invalid_argument _ -> true
+  in
+  List.rev !seen = expected && mismatch
+
 let test_bitset_setops () =
   let a = Bitset.create 100 and b = Bitset.create 100 in
   List.iter (Bitset.add a) [ 1; 2; 3 ];
@@ -448,6 +479,8 @@ let qcheck_cases =
         prop_bitset_model (s + 1));
     QCheck.Test.make ~count:200 ~name:"bitset iter = mem scan" QCheck.small_int (fun s ->
         prop_bitset_iter_is_mem_scan (s + 1));
+    QCheck.Test.make ~count:200 ~name:"bitset iter_xor = symmetric difference"
+      QCheck.small_int (fun s -> prop_bitset_iter_xor (s + 1));
     QCheck.Test.make ~count:50 ~name:"csr roundtrip" QCheck.small_int (fun s ->
         prop_csr_roundtrip (s + 1));
     QCheck.Test.make ~count:30 ~name:"reach = bfs" QCheck.small_int (fun s ->
