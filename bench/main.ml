@@ -700,6 +700,57 @@ let exp_ball_cost ~full:_ =
                  digraph %.1f ns/visit (IQR %.1f)\n"
     k n on_snap.Report.median on_snap.Report.iqr on_dg.Report.median on_dg.Report.iqr
 
+(* The two ways to publish the epoch after an update batch: patch the
+   previous snapshot with the batch's net edge delta ([Snapshot.advance],
+   the delta included) or rebuild it from the digraph
+   ([Snapshot.of_digraph], what [Engine.apply_updates] does).  Both
+   publish every batch of the same stream of 8-edge mixed batches on a
+   flat graph, in alternating order; a sample is the mean ms per batch
+   over 20 batches; one warm-up, then 7 samples. *)
+let exp_publish_cost ~full:_ =
+  header "EXP-A7: publishing an epoch, copy-on-write advance vs rebuild";
+  let batches = 20 and size = 8 in
+  List.iter
+    (fun n ->
+      let g = flat_graph ~n in
+      let rng = Prng.create n in
+      let snap = ref (Snapshot.of_digraph g) in
+      let sample () =
+        let adv = ref 0.0 and reb = ref 0.0 in
+        for b = 1 to batches do
+          let effective = Update.apply_batch_filtered g (Update.random_mixed rng g size) in
+          let advance () =
+            let s, ms =
+              Telemetry.time (fun () ->
+                  let added, removed = Update.net_edge_changes g effective in
+                  Snapshot.advance !snap ~version:(Digraph.version g) ~added ~removed)
+            in
+            snap := s;
+            adv := !adv +. ms
+          and rebuild () =
+            let _, ms = Telemetry.time (fun () -> Snapshot.of_digraph g) in
+            reb := !reb +. ms
+          in
+          if b land 1 = 0 then (advance (); rebuild ()) else (rebuild (); advance ())
+        done;
+        (!adv /. float_of_int batches, !reb /. float_of_int batches)
+      in
+      ignore (sample () : float * float);
+      let samples = List.init 7 (fun _ -> sample ()) in
+      let on_advance = Report.stats_of_samples (List.map fst samples)
+      and on_rebuild = Report.stats_of_samples (List.map snd samples) in
+      let params =
+        [ ("n", Telemetry.Json.Int n); ("batch", Telemetry.Json.Int size);
+          ("unit", Telemetry.Json.Str "ms per batch") ]
+      in
+      record_stats ~id:(Printf.sprintf "EXP-A7.publish.advance.n=%d" n) ~params on_advance;
+      record_stats ~id:(Printf.sprintf "EXP-A7.publish.rebuild.n=%d" n) ~params on_rebuild;
+      Printf.printf "  n=%-6d %d-edge batches: advance %.3f ms (IQR %.3f), rebuild %.3f ms \
+                     (IQR %.3f)\n"
+        n size on_advance.Report.median on_advance.Report.iqr on_rebuild.Report.median
+        on_rebuild.Report.iqr)
+    [ 3_000; 16_000 ]
+
 let exp_ablation_equivalence ~full:_ =
   header "EXP-A2 (ablation): bisimulation vs simulation-equivalence merging";
   Printf.printf "  %-10s %7s %12s %12s %14s %14s\n" "dataset" "|V|" "bisim |Vc|" "simeq |Vc|"
@@ -1266,6 +1317,7 @@ let experiments =
     ("EXP-A4", exp_ablation_ball_index);
     ("EXP-A5", exp_ablation_minimise);
     ("EXP-A6", exp_ball_cost);
+    ("EXP-A7", exp_publish_cost);
     ("EXP-T1", exp_telemetry_cost);
     ("EXP-T2", exp_profile_cost);
     ("EXP-P1", exp_parallel_serve);

@@ -38,8 +38,6 @@ let m_update_batches = Metrics.counter "engine.update_batches"
 
 let m_updates_effective = Metrics.counter "engine.updates_effective"
 
-let m_snapshot_advances = Metrics.counter "engine.snapshot_advances"
-
 let m_snapshot_rebuilds = Metrics.counter "engine.snapshot_rebuilds"
 
 let m_batches = Metrics.counter "engine.batches"
@@ -175,8 +173,8 @@ let with_maint_opt t ~skip f =
 
 (* The one place snapshot/digraph agreement is checked: the memoised
    snapshot is current unless the digraph was mutated behind the
-   engine's back (all updates through [apply_updates] keep it in sync
-   copy-on-write), in which case we pay one full rebuild here.
+   engine's back ([apply_updates] publishes a rebuilt snapshot with
+   every effective batch), in which case we pay one full rebuild here.
    Requires [t.writer] held (rebuilding from a digraph another domain is
    mutating would tear). *)
 let snapshot_locked t =
@@ -257,7 +255,7 @@ let from_containment t pattern ~snap =
 
 (* The untraced core of [evaluate]: cache -> registered kernel ->
    compressed -> cached superset (containment) -> ball index -> planner,
-   returning the snapshot identity it evaluated on, the relation, where
+   returning the snapshot it evaluated on, the relation, where
    it came from, a strategy label for the flight recorder, and whether
    this call just computed it via the direct path (the differential
    checker re-verifies everything else). *)
@@ -267,7 +265,7 @@ let evaluate_inner t pattern =
   match
     with_span "cache.lookup" (fun () -> Cache.find t.cache pattern ~snapshot:sid)
   with
-  | Some relation -> (sid, relation, From_cache, "cache", false)
+  | Some relation -> (snap, relation, From_cache, "cache", false)
   | None ->
     let fast =
       with_maint_opt t ~skip:t.cm.m_maint_skip_fast (fun () ->
@@ -320,19 +318,19 @@ let evaluate_inner t pattern =
               true )))
     in
     Cache.store t.cache pattern ~snapshot:sid relation;
-    (sid, relation, provenance, strategy, via_direct)
+    (snap, relation, provenance, strategy, via_direct)
 
 (* EXPFINDER_CHECK=1 sanitizer: any answer that did not just come out of
    the direct path is re-evaluated directly and compared (as a query
    answer: non-total kernels all denote the empty M(Q,G)), and the
    served relation is run through the {!Verify} pair-validity and
-   maximality spot checks.  Raises on divergence — the point is to fail
-   tests and benches loudly. *)
-let differential_check t pattern relation provenance ~via_direct =
+   maximality spot checks, both on [snap], the snapshot the answer was
+   evaluated on.  Raises on divergence — the point is to fail tests and
+   benches loudly. *)
+let differential_check ~snap pattern relation provenance ~via_direct =
   if Verify.differential () then begin
     Counter.incr m_differential;
     try
-      let snap = snapshot t in
       if not via_direct then begin
         let direct = with_span "verify.differential" (fun () -> run_direct pattern snap) in
         if not (Verify.semantically_equal relation direct) then
@@ -392,7 +390,10 @@ let batch_digest answers =
   Digest.to_hex
     (Digest.string (String.concat "" (List.map (fun a -> Lazy.force a.digest) answers)))
 
-let evaluate ?(trace = Trace.ambient) t pattern =
+(* [evaluate], also returning the snapshot the answer was evaluated on:
+   a caller that reads the graph again for the same answer ([top_k],
+   [result_graph]) must read this one, not a later epoch. *)
+let evaluate_pinned ?(trace = Trace.ambient) t pattern =
   (* Request bookkeeping is always on (unlike profiles): snapshot the
      counter registry and the clock around the whole query. *)
   let before = Metrics.counters_snapshot () in
@@ -402,20 +403,20 @@ let evaluate ?(trace = Trace.ambient) t pattern =
   let payload = lazy (Json.Str (Pattern_io.to_string pattern)) in
   match
     Trace.collect trace ~attrs:[ ("query", fp) ] "evaluate" (fun () ->
-        let sid, relation, provenance, strategy, via_direct = evaluate_inner t pattern in
-        differential_check t pattern relation provenance ~via_direct;
+        let snap, relation, provenance, strategy, via_direct = evaluate_inner t pattern in
+        differential_check ~snap pattern relation provenance ~via_direct;
         Counter.incr (provenance_counter provenance);
         annotate "provenance" (provenance_name provenance);
         annotate_int "pairs" (Match_relation.total relation);
-        (sid, relation, provenance, strategy))
+        (snap, relation, provenance, strategy))
   with
   | exception e ->
     ignore
       (finished t ~kind:Qlog.Query ~trace ~start ~before ~query:fp ~strategy:"error" ~payload
          ~error:e ());
     raise e
-  | (sid, relation, provenance, strategy), root ->
-    let digest = answer_digest t pattern ~sid relation in
+  | (snap, relation, provenance, strategy), root ->
+    let digest = answer_digest t pattern ~sid:(Snapshot.id snap) relation in
     let counters =
       finished t ~kind:Qlog.Query ~trace ~start ~before ~query:fp ~strategy
         ~pairs:(Match_relation.total relation) ~digest ~payload ?root ()
@@ -424,7 +425,9 @@ let evaluate ?(trace = Trace.ambient) t pattern =
     Log.debug (fun m ->
         m "evaluate %s: %d pairs via %s" fp (Match_relation.total relation)
           (provenance_name provenance));
-    { relation; total = Match_relation.is_total relation; provenance; profile; digest }
+    ({ relation; total = Match_relation.is_total relation; provenance; profile; digest }, snap)
+
+let evaluate ?trace t pattern = fst (evaluate_pinned ?trace t pattern)
 
 (* ------------------------------------------------------------------ *)
 (* Batched evaluation                                                   *)
@@ -546,7 +549,7 @@ let evaluate_batch ?(trace = Trace.ambient) t patterns =
                     (relation, Direct)
             in
             Cache.store t.cache pattern ~snapshot:sid relation;
-            differential_check t pattern relation provenance ~via_direct:false;
+            differential_check ~snap pattern relation provenance ~via_direct:false;
             Counter.incr (provenance_counter provenance);
             results.(i) <- Some (relation, provenance))
           order;
@@ -606,14 +609,14 @@ let evaluate_batch ?(trace = Trace.ambient) t patterns =
     answers
 
 let result_graph t pattern =
-  let answer = evaluate t pattern in
+  let answer, snap = evaluate_pinned t pattern in
   let relation =
     if answer.total then answer.relation
     else
       Match_relation.create ~pattern_size:(Pattern.size pattern)
-        ~graph_size:(Digraph.node_count t.g)
+        ~graph_size:(Snapshot.node_count snap)
   in
-  Result_graph.build pattern (snapshot t) relation
+  Result_graph.build pattern snap relation
 
 (* A top-K call is not a finished request of its own (its [evaluate]
    is), so its profile takes its own counter snapshots, and only when
@@ -627,10 +630,9 @@ let top_k t pattern ~k =
       ~attrs:[ ("query", fp); ("k", string_of_int k) ]
       "topk"
       (fun () ->
-        let answer = evaluate t pattern in
+        let answer, snap = evaluate_pinned t pattern in
         if not answer.total then ([], answer.provenance)
         else begin
-          let snap = snapshot t in
           let gr =
             with_span "result_graph" (fun () ->
                 Result_graph.build pattern snap answer.relation)
@@ -724,20 +726,12 @@ let registered t =
   with_maint t (fun () ->
       List.map (fun (_, inc) -> Incremental.pattern inc) t.registered)
 
-(* Beyond this fraction of the edge count, rebuilding adjacency from the
-   digraph beats patching it (and [Insert_node] changes the node table,
-   which the COW advance shares by design). *)
-let cow_delta_limit snap = 16 + (Snapshot.edge_count snap / 4)
-
 (* Runs with [t.writer] held: one update batch at a time mutates the
-   digraph and publishes the next epoch; concurrent readers keep serving
-   their pinned snapshots throughout. *)
+   digraph and publishes the next epoch, rebuilt from the digraph with
+   [Snapshot.of_digraph] like every other epoch; concurrent readers keep
+   serving their pinned snapshots throughout. *)
 let apply_updates_locked t updates =
   Counter.incr m_update_batches;
-  (* Pin (and, if the digraph was mutated externally, resync) the
-     pre-update epoch before applying ΔG: readers holding it keep a
-     coherent view, and the COW advance patches it. *)
-  let before = snapshot_locked t in
   let t_apply = now_us () in
   let effective = Update.apply_batch_filtered t.g updates in
   Counter.add m_updates_effective (List.length effective);
@@ -750,30 +744,12 @@ let apply_updates_locked t updates =
         (with_maint t (fun () -> t.registered)),
       0 )
   else begin
-    let inserts_node =
-      List.exists (function Update.Insert_node _ -> true | _ -> false) effective
-    in
-    let next =
-      if inserts_node then None
-      else begin
-        let added, removed = Update.net_edge_changes t.g effective in
-        if List.length added + List.length removed > cow_delta_limit before then None
-        else
-          Some
-            (with_span "snapshot.advance" (fun () ->
-                 Snapshot.advance before ~version:(Digraph.version t.g) ~added ~removed))
-      end
-    in
     (* The epoch publication point: the new snapshot is complete before
        this store, so any reader that picks it up sees a coherent
        post-update view. *)
-    (match next with
-    | Some snap ->
-      Counter.incr m_snapshot_advances;
-      Atomic.set t.snap snap
-    | None ->
-      Counter.incr m_snapshot_rebuilds;
-      Atomic.set t.snap (Snapshot.of_digraph t.g));
+    let published = Snapshot.of_digraph t.g in
+    Counter.incr m_snapshot_rebuilds;
+    Atomic.set t.snap published;
     (* Publication lag: how long readers were pinned to the stale
        snapshot, from ΔG application to the epoch store above. *)
     Histogram.observe t.cm.h_publish_lag ((now_us () -. t_apply) /. 1000.0);
@@ -781,7 +757,6 @@ let apply_updates_locked t updates =
     (* Results for old epochs are unreachable (keys include the
        identity), but drop them eagerly to keep the cache useful. *)
     Cache.clear t.cache;
-    let published = Atomic.get t.snap in
     (* Sync the maintained structures under the maintenance lock;
        readers mid-fast-path are waited for, later readers skip the fast
        path until the lock frees.  A registered query that recomputes

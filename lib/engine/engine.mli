@@ -186,13 +186,9 @@ val apply_updates : ?trace:Trace.ctx -> t -> Update.t list -> Incremental.report
     every registered query; returns one maintenance report per
     registered query (in registration order).
 
-    The epoch advance is copy-on-write for small pure-edge batches: the
-    next snapshot is produced by patching the pinned one with the net
-    edge delta ({!Expfinder_graph.Snapshot.advance}, counted by
-    [engine.snapshot_advances]), sharing the node tables physically.
-    Batches that insert nodes, or whose net delta exceeds a quarter of
-    the edge count, fall back to a full rebuild
-    ([engine.snapshot_rebuilds]).
+    Every batch with an effective update publishes a snapshot rebuilt
+    from the digraph ({!Expfinder_graph.Snapshot.of_digraph}, counted by
+    [engine.snapshot_rebuilds]), the same build {!create} uses.
 
     A batch with no effective update (every insertion already present,
     every deletion already absent) changes nothing: the epoch, the cache,

@@ -77,8 +77,9 @@ val patched : t -> source_version:int -> added:(node * node) list -> removed:(no
     the net edge delta applied: all edges of [t] except [removed], plus
     [added].  The node tables (labels, attributes, label buckets) are
     shared physically with [t] — this is the copy-on-write epoch advance
-    for small update batches, O(|V| + |E| + |Δ|) without re-reading the
-    digraph.  Preconditions (checked where cheap): added edges are
+    behind {!Snapshot.advance}, O(|V| + |E| + |Δ|) without re-reading the
+    digraph (yet slower than {!of_digraph} on small batches: bench
+    EXP-A7).  Preconditions (checked where cheap): added edges are
     absent from [t], removed edges present, no duplicates, endpoints in
     range, and the delta must not create a new node.
     @raise Invalid_argument when a precondition is violated. *)

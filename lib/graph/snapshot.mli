@@ -13,10 +13,11 @@
     - [epoch] is the digraph version the snapshot was taken at.
 
     Snapshots are immutable, so an in-flight reader simply keeps the
-    epoch it pinned while the engine advances to the next one.  The
-    advance is copy-on-write: {!advance} applies a small net edge delta
-    to the adjacency arrays while sharing the node tables (labels,
-    attributes, label buckets, label histogram) with the previous epoch.
+    epoch it pinned while the engine publishes the next one, which it
+    builds with {!of_digraph}.  {!advance} is a copy-on-write
+    alternative that patches the adjacency with a net edge delta; it is
+    slower than a rebuild on the update batches measured so far (bench
+    EXP-A7), and no library code calls it.
 
     Caches and derived indexes key off the {!identity} value, not a bare
     version int. *)

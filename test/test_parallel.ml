@@ -263,6 +263,48 @@ let test_concurrent_readers_during_updates () =
   let bad = Domain.join reader in
   Alcotest.(check int) "every answer matched some published epoch" 0 bad
 
+let test_top_k_during_node_inserts () =
+  (* [top_k] ranks on the snapshot its answer was evaluated on.  The
+     writer grows the graph under the reader: each batch inserts a node
+     and an edge to it from Bob, an output match, so a result graph
+     built on a later epoch than the answer's would walk onto a node the
+     answer's relation has no room for.  The differential checker is on,
+     so each answer is also re-checked, on that same snapshot.  Both
+     loops are bounded; a start flag lines them up. *)
+  Verify.set_differential true;
+  Fun.protect ~finally:(fun () -> Verify.set_differential false) @@ fun () ->
+  let g = Collab.graph () in
+  let engine = Engine.create g in
+  let q = Collab.query () in
+  let go = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        while not (Atomic.get go) do
+          Domain.cpu_relax ()
+        done;
+        for _ = 1 to 60 do
+          let fresh = Digraph.node_count g in
+          ignore
+            (Engine.apply_updates engine
+               [
+                 Update.Insert_node (Label.of_string "SA", Attrs.empty);
+                 Update.Insert_edge (Collab.bob, fresh);
+               ]
+              : Incremental.report list)
+        done)
+  in
+  Atomic.set go true;
+  let raised = ref 0 and empty = ref 0 in
+  for _ = 1 to 400 do
+    match Engine.top_k engine q ~k:2 with
+    | [] -> incr empty
+    | _ -> ()
+    | exception _ -> incr raised
+  done;
+  Domain.join writer;
+  Alcotest.(check int) "no top_k call raised" 0 !raised;
+  Alcotest.(check int) "every call ranked experts" 0 !empty
+
 (* --- per-domain trace roots -------------------------------------------- *)
 
 let test_domain_local_trace_roots () =
@@ -323,6 +365,8 @@ let () =
             test_pinned_snapshot_under_writer;
           Alcotest.test_case "engine readers during updates" `Quick
             test_concurrent_readers_during_updates;
+          Alcotest.test_case "top_k during node inserts" `Quick
+            test_top_k_during_node_inserts;
           Alcotest.test_case "per-domain trace roots" `Quick
             test_domain_local_trace_roots;
         ] );

@@ -1,5 +1,5 @@
-(* Snapshot identity, copy-on-write epoch advance, and the batched
-   query service: the engine-facing contract that every answer is
+(* Snapshot identity, epoch publication, the copy-on-write
+   [Snapshot.advance], and the batched query service: the engine-facing contract that every answer is
    computed against one immutable, identity-keyed view of the graph. *)
 
 open Expfinder_graph
@@ -174,35 +174,45 @@ let counter name =
   | Some v -> v
   | None -> 0
 
-let test_engine_advances_cow () =
+(* Every effective batch publishes a snapshot rebuilt from the digraph,
+   whatever it changes; a batch that changes nothing publishes nothing. *)
+let test_engine_publishes_rebuilds () =
   Telemetry.set_enabled true;
   Fun.protect
     ~finally:(fun () -> Telemetry.set_enabled false)
     (fun () ->
       let g = Synthetic.flat (Prng.create 5) ~n:300 ~avg_degree:4 in
       let engine = Engine.create g in
-      let sid0 = Snapshot.id (Engine.snapshot engine) in
-      let advances0 = counter "engine.snapshot_advances" in
-      (* A small pure-edge batch must advance copy-on-write... *)
-      let updates = Update.random_mixed (Prng.create 6) g 4 in
-      ignore (Engine.apply_updates engine updates : Incremental.report list);
-      let sid1 = Snapshot.id (Engine.snapshot engine) in
-      Alcotest.(check bool) "epoch advanced" true (sid1.Snapshot.epoch > sid0.Snapshot.epoch);
-      Alcotest.(check int) "same graph id" sid0.Snapshot.graph_id sid1.Snapshot.graph_id;
-      Alcotest.(check int) "served by Snapshot.advance" (advances0 + 1)
-        (counter "engine.snapshot_advances");
-      Alcotest.(check bool) "snapshot matches digraph" true
-        (same_structure (Engine.snapshot engine) (Snapshot.of_digraph g));
-      (* ...while a node insertion forces a rebuild. *)
+      let published label updates =
+        let rebuilds0 = counter "engine.snapshot_rebuilds" in
+        ignore (Engine.apply_updates engine updates : Incremental.report list);
+        let s = Engine.snapshot engine in
+        let sid = Snapshot.id s in
+        Alcotest.(check (pair int int))
+          (label ^ ": identity is (graph_id, version)")
+          (Digraph.graph_id g, Digraph.version g)
+          (sid.Snapshot.graph_id, sid.Snapshot.epoch);
+        Alcotest.(check bool) (label ^ ": equals a fresh build") true
+          (same_structure s (Snapshot.of_digraph g));
+        Alcotest.(check int) (label ^ ": one rebuild") (rebuilds0 + 1)
+          (counter "engine.snapshot_rebuilds")
+      in
+      published "pure-edge batch" (Update.random_mixed (Prng.create 6) g 4);
+      let fresh = Digraph.node_count g in
+      published "node-inserting batch"
+        [ Update.Insert_node (Label.of_string "SA", Attrs.empty); Update.Insert_edge (0, fresh) ];
+      Alcotest.(check int) "the new node is published" (fresh + 1)
+        (Snapshot.node_count (Engine.snapshot engine));
+      (* Inserting an edge that is present is a no-op. *)
+      let sid = Snapshot.id (Engine.snapshot engine) in
       let rebuilds0 = counter "engine.snapshot_rebuilds" in
       ignore
-        (Engine.apply_updates engine
-           [ Update.Insert_node (Label.of_string "SA", Attrs.empty) ]
+        (Engine.apply_updates engine [ Update.Insert_edge (0, fresh) ]
           : Incremental.report list);
-      Alcotest.(check int) "node insert rebuilds" (rebuilds0 + 1)
-        (counter "engine.snapshot_rebuilds");
-      Alcotest.(check int) "rebuilt view sees the node" (Digraph.node_count g)
-        (Snapshot.node_count (Engine.snapshot engine)))
+      Alcotest.(check bool) "no-op batch keeps the identity" true
+        (Snapshot.identity_equal sid (Snapshot.id (Engine.snapshot engine)));
+      Alcotest.(check int) "no-op batch rebuilds nothing" rebuilds0
+        (counter "engine.snapshot_rebuilds"))
 
 let random_edge_updates rng g k = Update.random_mixed rng g k
 
@@ -323,7 +333,8 @@ let () =
       ( "epochs",
         [
           Alcotest.test_case "toggle cancellation" `Quick test_toggle_cancellation;
-          Alcotest.test_case "engine advances copy-on-write" `Quick test_engine_advances_cow;
+          Alcotest.test_case "engine publishes every batch by rebuild" `Quick
+            test_engine_publishes_rebuilds;
           Alcotest.test_case "one node, many changes" `Quick test_advance_one_node_many_changes;
         ] );
       ( "batch",
