@@ -337,54 +337,65 @@ let exp_topk_scaling ~full =
 (* EXP-I1: incremental vs batch, unit updates                           *)
 (* ------------------------------------------------------------------ *)
 
+(* An update batch the way [Engine.apply_updates] runs it: apply it to
+   the tracked digraph, publish the new epoch, and sync the tracker on
+   the published snapshot.  Returns the ms of the publish and of the
+   apply and sync. *)
+let publish_and_sync inc g updates =
+  let effective, t_apply = time_once (fun () -> Update.apply_batch_filtered g updates) in
+  let published, t_publish = time_once (fun () -> Snapshot.of_digraph g) in
+  let _, t_sync = time_once (fun () -> Incremental.sync_applied ~published inc ~effective) in
+  (t_publish, t_apply +. t_sync)
+
 let unit_update_times pattern n =
   let g = flat_graph ~n in
   let rng = Prng.create (77 + n) in
   let inc = Incremental.create pattern g in
   (* Alternate insert/delete of fresh random edges through the tracker;
-     median over the individual maintenance calls. *)
+     medians over the individual updates. *)
   let samples = ref [] in
   for _ = 1 to 5 do
     match Update.random_insertions rng g 1 with
     | [ Update.Insert_edge (a, b) ] ->
-      let _, t_ins =
-        time_once (fun () -> Incremental.apply_updates inc g [ Update.Insert_edge (a, b) ])
-      in
-      let _, t_del =
-        time_once (fun () -> Incremental.apply_updates inc g [ Update.Delete_edge (a, b) ])
-      in
-      samples := t_ins :: t_del :: !samples
+      let ins = publish_and_sync inc g [ Update.Insert_edge (a, b) ] in
+      let del = publish_and_sync inc g [ Update.Delete_edge (a, b) ] in
+      samples := ins :: del :: !samples
     | _ -> ()
   done;
-  let t_inc = (Report.stats_of_samples !samples).Report.median in
+  let median xs = (Report.stats_of_samples xs).Report.median in
+  let t_publish = median (List.map fst !samples) and t_inc = median (List.map snd !samples) in
   let t_batch =
     time_median (fun () ->
         let csr = Snapshot.of_digraph g in
         if Pattern.is_simulation_pattern pattern then ignore (Simulation.run pattern csr)
         else ignore (Bounded_sim.run pattern csr))
   in
-  (t_inc, t_batch)
+  (t_publish, t_inc, t_batch)
 
 let exp_incremental_unit ~full =
   header "EXP-I1: incremental vs batch, unit updates (single edge)";
   let sizes =
     if full then [ 2_000; 4_000; 8_000; 16_000; 32_000 ] else [ 2_000; 4_000; 8_000; 16_000 ]
   in
-  Printf.printf "  %-6s %8s %12s %12s %9s\n" "query" "|V|" "t_inc ms" "t_batch ms" "speedup";
+  Printf.printf "  %-6s %8s %12s %12s %12s %9s\n" "query" "|V|" "t_inc ms" "t_batch ms"
+    "t_publish ms" "speedup";
   List.iter
     (fun (name, pattern) ->
       List.iter
         (fun n ->
-          let t_inc, t_batch = unit_update_times pattern n in
+          let t_publish, t_inc, t_batch = unit_update_times pattern n in
           let params =
             [ ("n", Telemetry.Json.Int n); ("query", Telemetry.Json.Str name) ]
           in
           record ~id:(Printf.sprintf "EXP-I1.%s.inc.n=%d" name n) ~params [ t_inc ];
           record ~id:(Printf.sprintf "EXP-I1.%s.batch.n=%d" name n) ~params [ t_batch ];
-          Printf.printf "  %-6s %8d %12.3f %12.3f %8.1fx\n" name n t_inc t_batch
+          record ~id:(Printf.sprintf "EXP-I1.%s.publish.n=%d" name n) ~params [ t_publish ];
+          Printf.printf "  %-6s %8d %12.3f %12.3f %12.3f %8.1fx\n" name n t_inc t_batch t_publish
             (t_batch /. max t_inc 0.001))
         sizes)
     [ ("sim", bench_query_sim ()); ("bsim", bench_query ()) ];
+  print_endline
+    "  t_inc: apply + sync on the published epoch; t_publish: that epoch's snapshot build";
   print_endline "  shape check: speedup grows with |G| (unit-update cost is local)"
 
 (* ------------------------------------------------------------------ *)
@@ -393,21 +404,21 @@ let exp_incremental_unit ~full =
 
 let batch_sweep ~tag pattern percentages base =
   let m = Digraph.edge_count base in
-  Printf.printf "  %7s %9s %12s %12s %10s\n" "|dG|/|E|" "|dG|" "t_inc ms" "t_batch ms" "winner";
+  Printf.printf "  %7s %9s %12s %12s %12s %10s\n" "|dG|/|E|" "|dG|" "t_inc ms" "t_batch ms"
+    "t_publish ms" "winner";
   let crossover = ref None in
   List.iter
     (fun pct ->
       let count = max 1 (m * pct / 100) in
-      let s_inc =
-        time_stats_prepared ~reps:5
-          ~prepare:(fun () ->
+      let inc_samples =
+        List.init 5 (fun _ ->
             let g = Digraph.copy base in
             let rng = Prng.create (pct * 131) in
             let updates = Update.random_mixed rng g count in
-            let inc = Incremental.create pattern g in
-            (g, inc, updates))
-          (fun (g, inc, updates) -> ignore (Incremental.apply_updates inc g updates))
+            publish_and_sync (Incremental.create pattern g) g updates)
       in
+      let s_publish = Report.stats_of_samples (List.map fst inc_samples)
+      and s_inc = Report.stats_of_samples (List.map snd inc_samples) in
       let s_batch =
         time_stats_prepared ~reps:5
           ~prepare:(fun () ->
@@ -426,11 +437,15 @@ let batch_sweep ~tag pattern percentages base =
       in
       record_stats ~id:(Printf.sprintf "EXP-I2.%s.inc.pct=%d" tag pct) ~params s_inc;
       record_stats ~id:(Printf.sprintf "EXP-I2.%s.batch.pct=%d" tag pct) ~params s_batch;
+      record_stats ~id:(Printf.sprintf "EXP-I2.%s.publish.pct=%d" tag pct) ~params s_publish;
       let t_inc = s_inc.Report.median and t_batch = s_batch.Report.median in
       let winner = if t_inc <= t_batch then "inc" else "batch" in
       if t_inc > t_batch && !crossover = None then crossover := Some pct;
-      Printf.printf "  %6d%% %9d %12.2f %12.2f %10s\n" pct count t_inc t_batch winner)
+      Printf.printf "  %6d%% %9d %12.2f %12.2f %12.2f %10s\n" pct count t_inc t_batch
+        s_publish.Report.median winner)
     percentages;
+  print_endline
+    "  t_inc: apply + sync on the published epoch; t_publish: that epoch's snapshot build";
   match !crossover with
   | Some pct -> Printf.printf "  crossover: batch wins from ~%d%% of |E| changed\n" pct
   | None -> Printf.printf "  crossover: not reached in this sweep (incremental wins throughout)\n"
@@ -652,53 +667,38 @@ let exp_ablation_bsim_strategy ~full =
       Printf.printf "  %8d %14.2f %14.2f\n" n s_counters.Report.median s_naive.Report.median)
     sizes
 
-(* The price of one BFS visit on each instance of [Distance]: the CSR
-   snapshot that dense evaluation reads, and the live digraph that
-   incremental seeding and the group search walk (their ratio is part of
-   [Incremental]'s [sparse_unit_cost]).  A sample is one reverse ball of
-   radius 2 (the counter kernel's commonest bound) from every node of a
-   graph of [update-churn]'s shape (flat, n = 3000, average degree 4),
-   recorded in ms per million visits, which reads as ns per visit; one
-   warm-up, then 7 samples. *)
+(* The price of one BFS visit of [Distance], which dense evaluation and
+   incremental maintenance both run on CSR snapshots.  A sample is one
+   reverse ball of radius 2 (the counter kernel's commonest bound) from
+   every node of a graph of [update-churn]'s shape (flat, n = 3000,
+   average degree 4), recorded in ms per million visits, which reads as
+   ns per visit; one warm-up, then 7 samples. *)
 let exp_ball_cost ~full:_ =
-  header "EXP-A6: bounded-ball cost per visit, CSR snapshot vs live digraph";
+  header "EXP-A6: bounded-ball cost per visit on a CSR snapshot";
   let n = 3_000 and k = 2 in
-  let g = flat_graph ~n in
-  let snap = Snapshot.of_digraph g in
-  let module DDist = Distance.Make (Digraph) in
-  let s_snap = Distance.make_scratch snap and s_dg = DDist.make_scratch g in
+  let snap = Snapshot.of_digraph (flat_graph ~n) in
+  let scratch = Distance.make_scratch snap in
   let sink = ref 0 in
   let report w _ = sink := !sink + w in
-  let per_visit ~visits sweep =
-    let before = visits () in
+  let per_visit () =
+    let before = Distance.visits scratch in
     let (), ms =
       time_once (fun () ->
           for v = 0 to n - 1 do
-            sweep v
+            Distance.reverse_ball scratch snap v k report
           done)
     in
-    ms *. 1e6 /. float_of_int (visits () - before)
+    ms *. 1e6 /. float_of_int (Distance.visits scratch - before)
   in
-  let stats ~visits sweep =
-    ignore (per_visit ~visits sweep : float);
-    Report.stats_of_samples (List.init 7 (fun _ -> per_visit ~visits sweep))
-  in
-  let on_snap =
-    stats
-      ~visits:(fun () -> Distance.visits s_snap)
-      (fun v -> Distance.reverse_ball s_snap snap v k report)
-  and on_dg =
-    stats ~visits:(fun () -> DDist.visits s_dg) (fun v -> DDist.reverse_ball s_dg g v k report)
-  in
+  ignore (per_visit () : float);
+  let on_snap = Report.stats_of_samples (List.init 7 (fun _ -> per_visit ())) in
   let params =
     [ ("n", Telemetry.Json.Int n); ("radius", Telemetry.Json.Int k);
       ("unit", Telemetry.Json.Str "ms per 1e6 visits = ns/visit") ]
   in
   record_stats ~id:"EXP-A6.ball.snapshot" ~params on_snap;
-  record_stats ~id:"EXP-A6.ball.digraph" ~params on_dg;
-  Printf.printf "  radius-%d reverse balls from all %d nodes: snapshot %.1f ns/visit (IQR %.1f), \
-                 digraph %.1f ns/visit (IQR %.1f)\n"
-    k n on_snap.Report.median on_snap.Report.iqr on_dg.Report.median on_dg.Report.iqr
+  Printf.printf "  radius-%d reverse balls from all %d nodes: %.1f ns/visit (IQR %.1f)\n" k n
+    on_snap.Report.median on_snap.Report.iqr
 
 (* The two ways to publish the epoch after an update batch: patch the
    previous snapshot with the batch's net edge delta ([Snapshot.advance],

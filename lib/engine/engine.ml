@@ -270,7 +270,7 @@ let evaluate_inner t pattern =
     let fast =
       with_maint_opt t ~skip:t.cm.m_maint_skip_fast (fun () ->
           match List.assoc_opt (Pattern.fingerprint pattern) t.registered with
-          | Some inc when Incremental.version inc = Snapshot.epoch snap ->
+          | Some inc when Snapshot.identity_equal (Snapshot.id (Incremental.snapshot inc)) sid ->
             Some (Match_relation.copy (Incremental.kernel inc), Direct, "registered")
           | _ -> (
             match t.compressed with
@@ -707,15 +707,16 @@ let disable_compression t = with_maint t (fun () -> t.compressed <- None)
 let compression t =
   with_maint t (fun () -> Option.map Inc_compress.current t.compressed)
 
+(* Under the writer, like [enable_compression]: the query is evaluated
+   on the current epoch, and no update batch lands before the tracker is
+   registered to sync from it. *)
 let register t pattern =
   let fp = Pattern.fingerprint pattern in
-  if not (with_maint t (fun () -> List.mem_assoc fp t.registered)) then begin
-    (* Evaluate the query outside the lock; publish under it. *)
-    let inc = Incremental.create pattern t.g in
-    with_maint t (fun () ->
-        if not (List.mem_assoc fp t.registered) then
-          t.registered <- t.registered @ [ (fp, inc) ])
-  end
+  Mutex.protect t.writer (fun () ->
+      if not (with_maint t (fun () -> List.mem_assoc fp t.registered)) then begin
+        let inc = Incremental.create ~published:(snapshot_locked t) pattern t.g in
+        with_maint t (fun () -> t.registered <- t.registered @ [ (fp, inc) ])
+      end)
 
 let unregister t pattern =
   let fp = Pattern.fingerprint pattern in

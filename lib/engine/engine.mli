@@ -174,7 +174,10 @@ val compression : t -> Compress.t option
 
 val register : t -> Pattern.t -> unit
 (** Mark a query as frequently issued: its result is kept incrementally
-    maintained across updates (§II Incremental Computation Module). *)
+    maintained across updates (§II Incremental Computation Module).  It
+    is evaluated on the current epoch under the writer lock, so it waits
+    for an update batch in flight and syncs from the epoch it was
+    evaluated on. *)
 
 val unregister : t -> Pattern.t -> unit
 

@@ -74,12 +74,18 @@ let induced g ~nodes ~inner ~local =
     if j < 0 || j >= n then invalid_arg "Csr.induced: successor outside the node set";
     j
   in
+  let offsets = g.fwd_offsets and targets = g.fwd_targets in
   build ~n
-    ~out_degree:(fun i -> if i < inner then Digraph.out_degree g nodes.(i) else 0)
-    ~iter_succ:(fun i f -> if i < inner then Digraph.iter_succ g nodes.(i) (fun w -> f (local w)))
-    ~label:(fun i -> Digraph.label g nodes.(i))
-    ~attrs:(fun i -> Digraph.attrs g nodes.(i))
-    ~source_version:(Digraph.version g)
+    ~out_degree:(fun i ->
+      if i < inner then offsets.(nodes.(i) + 1) - offsets.(nodes.(i)) else 0)
+    ~iter_succ:(fun i f ->
+      if i < inner then
+        for j = offsets.(nodes.(i)) to offsets.(nodes.(i) + 1) - 1 do
+          f (local targets.(j))
+        done)
+    ~label:(fun i -> g.labels.(nodes.(i)))
+    ~attrs:(fun i -> g.attr_table.(nodes.(i)))
+    ~source_version:g.source_version
 
 let node_count t = t.n
 

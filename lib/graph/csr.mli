@@ -12,10 +12,11 @@ type node = int
 
 val of_digraph : Digraph.t -> t
 
-val induced : Digraph.t -> nodes:node array -> inner:int -> local:(node -> node) -> t
-(** [induced g ~nodes ~inner ~local] renumbers part of [g]: local node
-    [i] is [nodes.(i)] of [g], with its label and attributes, and
-    [local] maps each node of [nodes] back to its local number.  Only
+val induced : t -> nodes:node array -> inner:int -> local:(node -> node) -> t
+(** [induced g ~nodes ~inner ~local] renumbers part of [g], copying
+    straight from its arrays: local node [i] is [nodes.(i)] of [g],
+    with its label and attributes, and [local] maps each node of
+    [nodes] back to its local number.  Only
     the first [inner] nodes keep their out-edges, all of them, so every
     successor of an inner node must be in [nodes]; the other nodes have
     none.  The source version is [g]'s.

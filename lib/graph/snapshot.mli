@@ -62,7 +62,7 @@ val csr : t -> Csr.t
 (** The underlying storage, for Csr-level helpers ({!Scc}, {!Traversal},
     {!Bisimulation}) that do not need the identity. *)
 
-(** {2 Read interface} (satisfies {!Graph_intf.GRAPH}) *)
+(** {2 Read interface} *)
 
 val node_count : t -> int
 

@@ -3,7 +3,7 @@
     Incremental maintenance chooses, per query and per update batch,
     between a sparse sync and a dense recomputation by comparing the work
     each would do.  Work is counted in the loops the engines already run
-    — BFS node visits ({!Distance.Make.visits}) and adjacency entries
+    — BFS node visits ({!Distance.visits}) and adjacency entries
     scanned by the simulation engines — never in wall-clock time, so the
     choice, and everything that depends on it, is reproducible.
 

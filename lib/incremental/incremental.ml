@@ -20,8 +20,6 @@ let src = Logs.Src.create "expfinder.incremental" ~doc:"incremental match mainte
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-module DDist = Distance.Make (Digraph)
-
 type area_strategy = Ball_closure | Ancestors
 
 (* A sparse attempt: the work it spent after seeding, its seeded area,
@@ -33,10 +31,9 @@ type t = {
   pattern : Pattern.t;
   strategy : area_strategy;
   g : Digraph.t;
-  mutable expected_version : int;
+  mutable snap : Snapshot.t; (* the epoch [kernel] was computed on *)
   mutable kernel : Match_relation.t;
-  mutable scratch : DDist.scratch;
-  mutable scratch_n : int;
+  mutable scratch : Distance.scratch;
   mutable index : int array; (* node -> area-local number, -1 between builds *)
   mutable price : int; (* work of the last dense evaluation, CSR build excluded *)
   mutable recent : attempt list; (* the last two sparse attempts, newest first *)
@@ -50,12 +47,12 @@ type report = {
   removed : (int * int) list;
 }
 
-(* The sparse path pays more per unit of work than a dense run: its
-   seeding and group search walk the live digraph instead of a CSR, and
-   each refinement round first builds its area-local CSR, which is not
-   charged.  One sparse unit (a BFS visit or an adjacency entry scanned)
-   costs about this many dense units; measured in DESIGN.md
-   §Incremental. *)
+(* The sparse path pays more per unit of work than a dense run: each
+   BFS visit of its seeding and group search also tests and re-derives
+   candidacy and queues the node, and each refinement round first builds
+   its area-local CSR, which is not charged.  One sparse unit (a BFS
+   visit or an adjacency entry scanned) costs about this many dense
+   units; measured in DESIGN.md §Incremental. *)
 let sparse_unit_cost = 2
 
 (* A dense evaluation and its work. *)
@@ -67,33 +64,33 @@ let evaluate_dense pattern snap =
   in
   (kernel, Work.spent work)
 
-let refresh_scratch t =
-  if Digraph.node_count t.g > t.scratch_n then begin
-    t.scratch <- DDist.make_scratch t.g;
-    t.scratch_n <- Digraph.node_count t.g;
-    t.index <- Array.make t.scratch_n (-1)
+(* [published] when it is a snapshot of [g] at its current version. *)
+let current ?published g =
+  match published with
+  | Some s when Snapshot.graph_id s = Digraph.graph_id g && Snapshot.epoch s = Digraph.version g
+    ->
+    Some s
+  | _ -> None
+
+(* BFS scratch and area-local numbering sized for [snap]; they only
+   grow, since updates never remove a node. *)
+let fit_scratch t snap =
+  if Snapshot.node_count snap > Array.length t.index then begin
+    t.scratch <- Distance.make_scratch snap;
+    t.index <- Array.make (Snapshot.node_count snap) (-1)
   end
 
-(* Recompute on [snap], a snapshot of the tracked graph at its current
-   version; the work becomes the price of the next recompute. *)
-let recompute_on t snap =
-  let kernel, price = evaluate_dense t.pattern snap in
-  t.kernel <- kernel;
-  t.price <- price;
-  t.expected_version <- Digraph.version t.g;
-  refresh_scratch t
-
-let create ?(area_strategy = Ball_closure) pattern g =
-  let kernel, price = evaluate_dense pattern (Snapshot.of_digraph g) in
+let create ?(area_strategy = Ball_closure) ?published pattern g =
+  let snap = match current ?published g with Some s -> s | None -> Snapshot.of_digraph g in
+  let kernel, price = evaluate_dense pattern snap in
   {
     pattern;
     strategy = area_strategy;
     g;
-    expected_version = Digraph.version g;
+    snap;
     kernel;
-    scratch = DDist.make_scratch g;
-    scratch_n = Digraph.node_count g;
-    index = Array.make (Digraph.node_count g) (-1);
+    scratch = Distance.make_scratch snap;
+    index = Array.make (Snapshot.node_count snap) (-1);
     price;
     recent = [];
   }
@@ -102,16 +99,7 @@ let pattern t = t.pattern
 
 let kernel t = t.kernel
 
-let result_pairs t =
-  if Match_relation.is_total t.kernel then Match_relation.pairs t.kernel else []
-
-let digraph t = t.g
-
-let version t = t.expected_version
-
-let snapshot t = Snapshot.of_digraph t.g
-
-let recompute t = recompute_on t (Snapshot.of_digraph t.g)
+let snapshot t = t.snap
 
 let resize_kernel kernel ~pattern_size ~new_n =
   if Match_relation.graph_size kernel = new_n then Match_relation.copy kernel
@@ -135,65 +123,16 @@ let diff_relations before after =
   done;
   (!added, !removed)
 
-let is_candidate pattern g v =
-  let label = Digraph.label g v and attrs = Digraph.attrs g v in
+let is_candidate pattern snap v =
+  let label = Snapshot.label snap v and attrs = Snapshot.attrs snap v in
   let rec loop u =
     u < Pattern.size pattern && (Pattern.matches_node pattern u label attrs || loop (u + 1))
   in
   loop 0
 
-(* ------------------------------------------------------------------ *)
-(* Old-graph traversal without an old-graph snapshot: the pre-batch     *)
-(* graph is the live graph minus the net-inserted edges plus the        *)
-(* net-deleted ones, so a reverse walk can patch predecessor lists on   *)
-(* the fly.                                                             *)
-(* ------------------------------------------------------------------ *)
-
-type patch = {
-  net_inserted : (int * int, unit) Hashtbl.t;
-  deleted_into : (int, int) Hashtbl.t; (* target -> each net-deleted source *)
-}
-
-let make_patch g effective =
-  let inserted, deleted = Update.net_edge_changes g effective in
-  let net_inserted = Hashtbl.create 16 in
-  List.iter (fun (a, b) -> Hashtbl.replace net_inserted (a, b) ()) inserted;
-  let deleted_into = Hashtbl.create 16 in
-  List.iter (fun (a, b) -> Hashtbl.add deleted_into b a) deleted;
-  ({ net_inserted; deleted_into }, inserted, deleted)
-
-let iter_pred_old g patch x f =
-  Digraph.iter_pred g x (fun p -> if not (Hashtbl.mem patch.net_inserted (p, x)) then f p);
-  List.iter f (Hashtbl.find_all patch.deleted_into x)
-
-(* Bounded reverse BFS on the patched old graph, one level at a time. *)
-let old_reverse_ball g patch src k f =
-  if k > 0 then begin
-    let seen = Bitset.create (Digraph.node_count g) in
-    let next = ref [] in
-    let push w =
-      if not (Bitset.mem seen w) then begin
-        Bitset.add seen w;
-        next := w :: !next
-      end
-    in
-    iter_pred_old g patch src push;
-    let d = ref 1 in
-    while !next <> [] do
-      let level = List.rev !next in
-      next := [];
-      List.iter
-        (fun w ->
-          f w !d;
-          if !d < k then iter_pred_old g patch w push)
-        level;
-      incr d
-    done
-  end
-
-(* Every node reaching one of [srcs], through [iter_pred]. *)
-let ancestors g ~iter_pred srcs f =
-  let seen = Bitset.create (Digraph.node_count g) in
+(* Every node of [snap] reaching one of [srcs]. *)
+let ancestors snap srcs f =
+  let seen = Bitset.create (Snapshot.node_count snap) in
   let queue = Queue.create () in
   let push w =
     if not (Bitset.mem seen w) then begin
@@ -205,7 +144,7 @@ let ancestors g ~iter_pred srcs f =
   while not (Queue.is_empty queue) do
     let w = Queue.pop queue in
     f w;
-    iter_pred w push
+    Snapshot.iter_pred snap w push
   done
 
 (* ------------------------------------------------------------------ *)
@@ -219,7 +158,8 @@ let ancestors g ~iter_pred srcs f =
    node's constraints read is exact, and the frozen nodes past the area
    cost nothing.  [index] maps graph nodes to local numbers during the
    build and is all -1 again on return. *)
-let area_graph ~index g area ~kmax =
+let area_graph ~index snap area ~kmax =
+  let csr = Snapshot.csr snap in
   let nodes = Vec.create ~dummy:(-1) () in
   let visit v =
     if index.(v) < 0 then begin
@@ -232,22 +172,22 @@ let area_graph ~index g area ~kmax =
   for _ = 1 to kmax do
     let next = Vec.length nodes in
     for i = !level to next - 1 do
-      Digraph.iter_succ g (Vec.get nodes i) visit
+      Csr.iter_succ csr (Vec.get nodes i) visit
     done;
     level := next
   done;
   let nodes = Vec.to_array nodes in
-  let csr = Csr.induced g ~nodes ~inner:!level ~local:(Array.get index) in
+  let local = Csr.induced csr ~nodes ~inner:!level ~local:(Array.get index) in
   Array.iter (fun v -> index.(v) <- -1) nodes;
-  (Snapshot.of_csr csr, nodes)
+  (Snapshot.of_csr local, nodes)
 
 (* The dense kernels on the area-local graph, with the area as the
    mutable set, mapped back onto [initial]. *)
-let refine_local ~work ~index pattern g ~initial ~area =
+let refine_local ~work ~index pattern snap ~initial ~area =
   if Pattern.has_unbounded_edge pattern then
     invalid_arg "Incremental.refine_over_area: unbounded pattern edge";
   let kmax = Option.value ~default:1 (Pattern.max_bound pattern) in
-  let local, nodes = area_graph ~index g area ~kmax in
+  let local, nodes = area_graph ~index snap area ~kmax in
   let psize = Pattern.size pattern and n = Array.length nodes in
   let local_initial = Match_relation.create ~pattern_size:psize ~graph_size:n in
   Array.iteri
@@ -277,13 +217,14 @@ let refine_local ~work ~index pattern g ~initial ~area =
   result
 
 let refine_over_area pattern g ~initial ~area =
-  let index = Array.make (Digraph.node_count g) (-1) in
-  refine_local ~work:(Work.create ()) ~index pattern g ~initial ~area
+  let snap = Snapshot.of_digraph g in
+  let index = Array.make (Snapshot.node_count snap) (-1) in
+  refine_local ~work:(Work.create ()) ~index pattern snap ~initial ~area
 
 (* Sets [v]'s pairs in [rel] to the pattern nodes whose predicates it
    satisfies. *)
-let rederive pattern g rel v =
-  let label = Digraph.label g v and attrs = Digraph.attrs g v in
+let rederive pattern snap rel v =
+  let label = Snapshot.label snap v and attrs = Snapshot.attrs snap v in
   for u = 0 to Pattern.size pattern - 1 do
     if Pattern.matches_node pattern u label attrs then Match_relation.add rel u v
     else Match_relation.remove rel u v
@@ -307,8 +248,8 @@ type closure =
 
    1. seed the area with the candidates whose dependency ball could have
       changed — within [kmax - 1] hops upstream of a net-inserted edge's
-      source in the new graph, or of a net-deleted edge's source in the
-      (patched) old graph;
+      source in the new snapshot [snap], or of a net-deleted edge's
+      source in the old one [old_snap];
    2. refine over the area with the rest frozen;
    3. a node whose membership actually changed can influence candidates
       within [kmax] upstream of it — in the new graph for additions, in
@@ -325,11 +266,10 @@ type closure =
    sync before the group search and refinement start; otherwise they run
    until the fixpoint or until the meter passes the limit.  Returns the
    outcome and the prediction. *)
-let sync_ball_closure t ~old_kernel ~old_n ~patch ~inserted ~deleted ~work =
-  let g = t.g in
+let sync_ball_closure t ~old_snap ~snap ~old_kernel ~inserted ~deleted ~work =
   let pattern = t.pattern in
   let psize = Pattern.size pattern in
-  let new_n = Digraph.node_count g in
+  let old_n = Snapshot.node_count old_snap and new_n = Snapshot.node_count snap in
   let kmax = Option.value ~default:1 (Pattern.max_bound pattern) in
   let area = Bitset.create new_n in
   (* [base]: the old kernel with the area's pairs re-derived, where each
@@ -340,9 +280,9 @@ let sync_ball_closure t ~old_kernel ~old_n ~patch ~inserted ~deleted ~work =
     (not (Bitset.mem area v))
     && (not (Bitset.mem rejected v))
     &&
-    if is_candidate pattern g v then begin
+    if is_candidate pattern snap v then begin
       Bitset.add area v;
-      rederive pattern g base v;
+      rederive pattern snap base v;
       true
     end
     else begin
@@ -350,9 +290,9 @@ let sync_ball_closure t ~old_kernel ~old_n ~patch ~inserted ~deleted ~work =
       false
     end
   in
-  let charged = ref (DDist.visits t.scratch) in
+  let charged = ref (Distance.visits t.scratch) in
   let charge_visits () =
-    let visits = DDist.visits t.scratch in
+    let visits = Distance.visits t.scratch in
     Work.charge work (visits - !charged);
     charged := visits
   in
@@ -383,7 +323,7 @@ let sync_ball_closure t ~old_kernel ~old_n ~patch ~inserted ~deleted ~work =
     while not (Queue.is_empty pending) do
       let v = Queue.pop pending in
       if uncertain v then begin
-        DDist.ball t.scratch g v kmax (fun w _ -> consider_expanding w);
+        Distance.ball t.scratch snap v kmax (fun w _ -> consider_expanding w);
         charge_visits ()
       end
     done
@@ -401,17 +341,17 @@ let sync_ball_closure t ~old_kernel ~old_n ~patch ~inserted ~deleted ~work =
         consider_expanding a;
         consider_expanding b;
         if kmax > 1 then begin
-          DDist.reverse_ball t.scratch g a (kmax - 1) (fun v _ -> consider_expanding v);
+          Distance.reverse_ball t.scratch snap a (kmax - 1) (fun v _ -> consider_expanding v);
           charge_visits ()
         end)
       inserted;
     List.iter
       (fun (a, _) ->
         consider a;
-        if kmax > 1 then
-          old_reverse_ball g patch a (kmax - 1) (fun v _ ->
-              Work.charge work 1;
-              consider v))
+        if kmax > 1 then begin
+          Distance.reverse_ball t.scratch old_snap a (kmax - 1) (fun v _ -> consider v);
+          charge_visits ()
+        end)
       deleted;
     for v = old_n to new_n - 1 do
       consider_expanding v
@@ -451,7 +391,7 @@ let sync_ball_closure t ~old_kernel ~old_n ~patch ~inserted ~deleted ~work =
         while !continue do
           incr rounds;
           let refined =
-            refine_local ~work ~index:t.index pattern g ~initial:base ~area
+            refine_local ~work ~index:t.index pattern snap ~initial:base ~area
           in
           result := refined;
           let before = Bitset.cardinal area in
@@ -476,7 +416,7 @@ let sync_ball_closure t ~old_kernel ~old_n ~patch ~inserted ~deleted ~work =
              edge-target entry point. *)
           List.iter
             (fun w ->
-              DDist.reverse_ball t.scratch g w kmax (fun p _ -> consider p);
+              Distance.reverse_ball t.scratch snap w kmax (fun p _ -> consider p);
               charge_visits ())
             !changed;
           continue := Bitset.cardinal area <> before
@@ -504,20 +444,18 @@ let sync_ball_closure t ~old_kernel ~old_n ~patch ~inserted ~deleted ~work =
 
 (* Conservative baseline (ablation EXP-A3): the affected area is the full
    ancestor set of every touched source, in the old and new graphs. *)
-let sync_ancestors t ~old_kernel ~old_n ~patch ~inserted ~deleted ~work =
-  let g = t.g in
-  let new_n = Digraph.node_count g in
+let sync_ancestors t ~old_snap ~snap ~old_kernel ~inserted ~deleted ~work =
+  let new_n = Snapshot.node_count snap in
   let area = Bitset.create new_n in
   let sources = List.map fst (inserted @ deleted) in
-  ancestors g ~iter_pred:(Digraph.iter_pred g) sources (fun v -> Bitset.add area v);
-  ancestors g ~iter_pred:(iter_pred_old g patch) (List.map fst deleted) (fun v ->
-      Bitset.add area v);
-  for v = old_n to new_n - 1 do
+  ancestors snap sources (fun v -> Bitset.add area v);
+  ancestors old_snap (List.map fst deleted) (fun v -> Bitset.add area v);
+  for v = Snapshot.node_count old_snap to new_n - 1 do
     Bitset.add area v
   done;
   let initial = Match_relation.copy old_kernel in
-  Bitset.iter (rederive t.pattern g initial) area;
-  (refine_local ~work ~index:t.index t.pattern g ~initial ~area, area)
+  Bitset.iter (rederive t.pattern snap initial) area;
+  (refine_local ~work ~index:t.index t.pattern snap ~initial ~area, area)
 
 type outcome = {
   report : report;
@@ -528,37 +466,36 @@ type outcome = {
 }
 
 (* Maintenance after [effective] was already applied to the tracked
-   digraph. *)
+   digraph: from the snapshot the kernel was computed on to one of the
+   current version. *)
 let sync_applied_untraced ?published t ~effective =
-  let old_n = t.scratch_n in
-  refresh_scratch t;
+  let old_snap = t.snap in
+  (* Without a published snapshot the tracker builds its own, before
+     seeding and on either route, and the price adds that build's n + m
+     to the dense work.  The term prices no recompute; it keeps these
+     standalone syncs routed as the sparse unit cost was calibrated for:
+     without it Example 3's unit update (42 sparse units against a dense
+     price of 27) aborts to a recompute.  Re-pricing the sparse path is
+     left open. *)
+  let snap, price =
+    match current ?published t.g with
+    | Some s -> (s, t.price)
+    | None ->
+      let s = Snapshot.of_digraph t.g in
+      (s, t.price + Snapshot.node_count s + Snapshot.edge_count s)
+  in
+  fit_scratch t snap;
   let psize = Pattern.size t.pattern in
-  let new_n = Digraph.node_count t.g in
+  let new_n = Snapshot.node_count snap in
   let old_kernel = resize_kernel t.kernel ~pattern_size:psize ~new_n in
   let effective_count = List.length effective in
-  (* A recompute evaluates on the published snapshot when it is this
-     version of the tracked graph; otherwise it first builds one, which
-     writes every node and edge once. *)
-  let published =
-    match published with
-    | Some s
-      when Snapshot.graph_id s = Digraph.graph_id t.g && Snapshot.epoch s = Digraph.version t.g
-      ->
-      Some s
-    | _ -> None
-  in
-  let price =
-    match published with
-    | Some _ -> t.price
-    | None -> t.price + new_n + Digraph.edge_count t.g
-  in
   (* [area] holds every node whose pairs may have changed; [None] is the
      whole graph. *)
   let finish ~kernel ~area ~iterations ~route ~predicted ~spent =
     let added, removed = diff_relations old_kernel kernel in
     let area = match area with Some bits -> Bitset.cardinal bits | None -> new_n in
     t.kernel <- kernel;
-    t.expected_version <- Digraph.version t.g;
+    t.snap <- snap;
     Log.debug (fun m ->
         m "sync (%s): %d updates, area %d/%d, %d rounds, +%d/-%d pairs, work %d/%d"
           (route_name route) effective_count area new_n iterations (List.length added)
@@ -571,31 +508,30 @@ let sync_applied_untraced ?published t ~effective =
       spent;
     }
   in
+  (* The recompute's work becomes the price of the next one. *)
   let recompute_as route ~predicted ~spent =
-    let snap =
-      match published with Some s -> s | None -> Snapshot.of_digraph t.g
-    in
-    recompute_on t snap;
-    finish ~kernel:t.kernel ~area:None ~iterations:0 ~route ~predicted ~spent
+    let kernel, dense = evaluate_dense t.pattern snap in
+    t.price <- dense;
+    finish ~kernel ~area:None ~iterations:0 ~route ~predicted ~spent
   in
   if Pattern.has_unbounded_edge t.pattern then
     (* Unbounded edges have no dependency radius; maintain those queries
        by recomputation. *)
     recompute_as Recompute ~predicted:0 ~spent:0
   else begin
-    let patch, inserted, deleted = make_patch t.g effective in
+    let inserted, deleted = Update.net_edge_changes t.g effective in
     match t.strategy with
     | Ancestors ->
       let work = Work.create () in
       let kernel, area =
-        sync_ancestors t ~old_kernel ~old_n ~patch ~inserted ~deleted ~work
+        sync_ancestors t ~old_snap ~snap ~old_kernel ~inserted ~deleted ~work
       in
       finish ~kernel ~area:(Some area) ~iterations:1 ~route:Sparse ~predicted:0
         ~spent:(sparse_unit_cost * Work.spent work)
     | Ball_closure -> (
       let work = Work.create ~limit:(price / sparse_unit_cost) () in
       let closure, predicted =
-        sync_ball_closure t ~old_kernel ~old_n ~patch ~inserted ~deleted ~work
+        sync_ball_closure t ~old_snap ~snap ~old_kernel ~inserted ~deleted ~work
       in
       let predicted = sparse_unit_cost * predicted
       and spent = sparse_unit_cost * Work.spent work in
@@ -635,7 +571,7 @@ let sync_applied ?published t ~effective =
 let apply_updates t g updates =
   if not (g == t.g) then
     invalid_arg "Incremental.apply_updates: different digraph than the tracked one";
-  if Digraph.version g <> t.expected_version then
+  if Digraph.version g <> Snapshot.epoch t.snap then
     invalid_arg "Incremental.apply_updates: digraph out of sync with tracked snapshot";
   let effective = Update.apply_batch_filtered g updates in
   sync_applied t ~effective

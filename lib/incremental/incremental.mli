@@ -34,7 +34,11 @@ open Expfinder_core
     price mid-way stops and recomputes — at most about twice the
     cheaper path.  A conservative {!Ancestors} strategy (freeze
     everything outside the full ancestor set of the touched sources) is
-    kept as the ablation baseline; it is never routed. *)
+    kept as the ablation baseline; it is never routed.
+
+    Every read goes through {!Snapshot}s: a tracker keeps the snapshot
+    its kernel was computed on, and a sync walks it for the old graph
+    and a snapshot of the current version for the new one. *)
 
 type t
 
@@ -56,29 +60,23 @@ type report = {
   removed : (int * int) list;  (** pairs removed from the kernel *)
 }
 
-val create : ?area_strategy:area_strategy -> Pattern.t -> Digraph.t -> t
-(** Evaluate the query from scratch and start tracking the given live
-    digraph.  Maintenance runs directly on it (no snapshot rebuilds), so
+val create :
+  ?area_strategy:area_strategy -> ?published:Snapshot.t -> Pattern.t -> Digraph.t -> t
+(** Evaluate the query from scratch on a snapshot of the given live
+    digraph at its current version, and start tracking the digraph:
     apply later updates through {!apply_updates} or — after mutating it
-    elsewhere — {!sync_applied}. *)
+    elsewhere — {!sync_applied}.  The snapshot is [published] when that
+    is one of this digraph at its current version (same graph id and
+    epoch); otherwise it is built with {!Snapshot.of_digraph}. *)
 
 val pattern : t -> Pattern.t
 
 val kernel : t -> Match_relation.t
 (** Current kernel relation (see {!Simulation} on kernels). *)
 
-val result_pairs : t -> (int * int) list
-(** The paper's M(Q,G): the kernel's pairs when it is total, [[]]
-    otherwise. *)
-
-val digraph : t -> Digraph.t
-(** The tracked graph. *)
-
-val version : t -> int
-(** The graph version the kernel is synchronised with. *)
-
 val snapshot : t -> Snapshot.t
-(** Fresh CSR snapshot of the tracked graph (test/debug convenience). *)
+(** The snapshot the kernel was computed on: its identity says which
+    epoch of the tracked digraph the kernel describes. *)
 
 val apply_updates : t -> Digraph.t -> Update.t list -> report
 (** Apply ΔG to the tracked digraph and maintain the kernel
@@ -89,9 +87,12 @@ val sync_applied : ?published:Snapshot.t -> t -> effective:Update.t list -> repo
 (** Maintenance after the {e effective} updates were already applied to
     the tracked digraph (e.g. by the engine, which fans one batch out to
     several trackers).  [effective] must not contain no-ops — use
-    {!Update.apply_batch_filtered}.  A dense recomputation evaluates on
-    [published] when it is a snapshot of the tracked digraph at its
-    current version, and builds one otherwise.
+    {!Update.apply_batch_filtered} — and must be every change since the
+    tracker's {!snapshot}.  The sync reads the old graph from that
+    snapshot and the new one from a snapshot of the current version:
+    [published] when it is one (same graph id and epoch), else one built
+    with {!Snapshot.of_digraph}, which becomes the tracker's
+    {!snapshot}.  Any other [published] is ignored.
 
     The [incremental.sync] span carries the [route] taken ([sparse],
     [recompute] or [aborted]), the [price] of a recompute, the
@@ -107,10 +108,8 @@ val refine_over_area :
     within [kmax] hops downstream of it, with the out-edges of the nodes
     within [kmax - 1] hops — which keeps every distance an area node's
     constraints read exact.  Equal to
-    [run_constrained ~mutable_set:(Some area)] on a snapshot of [g]; the
-    input is not mutated.
+    [run_constrained ~mutable_set:(Some area)] on a snapshot of [g],
+    which it builds; the input is not mutated.
     @raise Invalid_argument on a pattern with unbounded edges, which
     have no dependency radius. *)
 
-val recompute : t -> unit
-(** Re-evaluate from scratch (the batch baseline) and resynchronise. *)

@@ -97,47 +97,7 @@ let prop_distances_from_reference seed =
   Traversal.bfs g [ src ] (fun v d -> expected.(v) <- d);
   Distance.distances_from (Snapshot.of_csr g) src = expected
 
-let prop_digraph_distance_instance_agrees seed =
-  (* The functor instance over Digraph must agree with the Snapshot one. *)
-  let rng = Prng.create seed in
-  let n = 1 + Prng.int rng 20 in
-  let dg =
-    Generators.erdos_renyi rng ~n ~m:(Prng.int rng (3 * n)) (fun _ -> (label_a, Attrs.empty))
-  in
-  let csr = Snapshot.of_digraph dg in
-  let module DD = Distance.Make (Digraph) in
-  let s_csr = Distance.make_scratch csr in
-  let s_dg = DD.make_scratch dg in
-  let ok = ref true in
-  for v = 0 to n - 1 do
-    for k = 1 to 3 do
-      let a = Hashtbl.create 8 and b = Hashtbl.create 8 in
-      Distance.ball s_csr csr v k (fun w d -> Hashtbl.replace a w d);
-      DD.ball s_dg dg v k (fun w d -> Hashtbl.replace b w d);
-      if Hashtbl.length a <> Hashtbl.length b then ok := false;
-      Hashtbl.iter (fun w d -> if Hashtbl.find_opt b w <> Some d then ok := false) a
-    done
-  done;
-  !ok
-
 (* --- bounded BFS against distances_from ------------------------------------ *)
-
-(* The searches both instances share, over their own graph type. *)
-module type BFS = sig
-  type graph
-
-  type scratch
-
-  val make_scratch : graph -> scratch
-
-  val visits : scratch -> int
-
-  val ball : scratch -> graph -> int -> int -> (int -> int -> unit) -> unit
-
-  val reverse_ball : scratch -> graph -> int -> int -> (int -> int -> unit) -> unit
-
-  val exists_within : scratch -> graph -> int -> int -> (int -> bool) -> bool
-end
 
 (* A random digraph of up to 12 nodes with self-loops and cycles of
    length 1 to 3 mixed into its random edges. *)
@@ -157,107 +117,92 @@ let random_cyclic_digraph rng =
   done;
   g
 
-module Bfs_property (B : BFS) = struct
-  (* Every search from every node, for k = 0..4, forward and reverse:
-     the reported (w, d) pairs are the nonempty-path ball built from
-     [distances_from], in nondecreasing d, and [visits] grows by their
-     number.  Between them run searches whose callback raises part-way,
-     which must still count every node reached, and [exists_within],
-     which stops with its own exception; each next search must still be
-     exact. *)
-  let run ~(instance : Digraph.t -> B.graph) seed =
-    let rng = Prng.create seed in
-    let g = random_cyclic_digraph rng in
-    let n = Digraph.node_count g in
-    let snap = Snapshot.of_digraph g in
-    let dist = Array.init n (Distance.distances_from snap) in
-    (* Shortest nonempty path from [v] to [w]: one edge, then a path. *)
-    let nonempty v w =
-      Digraph.fold_succ g v
-        (fun best x ->
-          let d = dist.(x).(w) in
-          if d >= 0 && (best < 0 || d + 1 < best) then d + 1 else best)
-        (-1)
+(* Every search from every node, for k = 0..4, forward and reverse:
+   the reported (w, d) pairs are the nonempty-path ball built from
+   [distances_from], in nondecreasing d, and [visits] grows by their
+   number.  Between them run searches whose callback raises part-way,
+   which must still count every node reached, and [exists_within],
+   which stops with its own exception; each next search must still be
+   exact. *)
+let prop_bounded_bfs seed =
+  let rng = Prng.create seed in
+  let g = random_cyclic_digraph rng in
+  let n = Digraph.node_count g in
+  let snap = Snapshot.of_digraph g in
+  let dist = Array.init n (Distance.distances_from snap) in
+  (* Shortest nonempty path from [v] to [w]: one edge, then a path. *)
+  let nonempty v w =
+    Digraph.fold_succ g v
+      (fun best x ->
+        let d = dist.(x).(w) in
+        if d >= 0 && (best < 0 || d + 1 < best) then d + 1 else best)
+      (-1)
+  in
+  let expected ~reverse v k =
+    List.filter_map
+      (fun w ->
+        let d = if reverse then nonempty w v else nonempty v w in
+        if d > 0 && d <= k then Some (w, d) else None)
+      (List.init n Fun.id)
+  in
+  let s = Distance.make_scratch snap in
+  let ok = ref true in
+  let check ~reverse v k =
+    let search = if reverse then Distance.reverse_ball else Distance.ball in
+    let before = Distance.visits s and seen = ref [] in
+    search s snap v k (fun w d -> seen := (w, d) :: !seen);
+    let order = List.rev !seen in
+    let rec nondecreasing = function
+      | (_, a) :: ((_, b) :: _ as rest) -> a <= b && nondecreasing rest
+      | _ -> true
     in
-    let expected ~reverse v k =
-      List.filter_map
-        (fun w ->
-          let d = if reverse then nonempty w v else nonempty v w in
-          if d > 0 && d <= k then Some (w, d) else None)
-        (List.init n Fun.id)
-    in
-    let gi = instance g in
-    let s = B.make_scratch gi in
-    let ok = ref true in
-    let check ~reverse v k =
-      let search = if reverse then B.reverse_ball else B.ball in
-      let before = B.visits s and seen = ref [] in
-      search s gi v k (fun w d -> seen := (w, d) :: !seen);
-      let order = List.rev !seen in
-      let rec nondecreasing = function
-        | (_, a) :: ((_, b) :: _ as rest) -> a <= b && nondecreasing rest
-        | _ -> true
-      in
-      if
-        List.sort compare order <> expected ~reverse v k
-        || (not (nondecreasing order))
-        || B.visits s - before <> List.length order
-      then ok := false;
-      order
-    in
-    (* The nodes a search has reached when it reports [order]'s [i]-th
-       node, at distance [d]: every node up to distance [d], and those at
-       [d + 1] that the nodes at [d] reported before it lead to. *)
-    let reached ~reverse order i k =
-      let d = snd (List.nth order i) in
-      let edge x w = if reverse then Digraph.has_edge g w x else Digraph.has_edge g x w in
-      let expanded = List.filteri (fun j (_, e) -> j < i && e = d) order in
-      List.length
-        (List.filter
-           (fun (w, e) ->
-             e <= d || (e = d + 1 && d < k && List.exists (fun (x, _) -> edge x w) expanded))
-           order)
-    in
-    let interrupt ~reverse v k order =
-      let search = if reverse then B.reverse_ball else B.ball in
-      let full = List.length order in
-      let stop = Prng.int rng (full + 1) and reported = ref 0 in
-      let before = B.visits s in
-      (match
-         search s gi v k (fun _ _ ->
-             if !reported = stop then raise Exit;
-             incr reported)
-       with
-      | () -> if stop < full then ok := false
-      | exception Exit ->
-        if B.visits s - before <> reached ~reverse order stop k then ok := false);
-      let target = Prng.int rng n in
-      let within = List.mem_assoc target (expected ~reverse:false v k) in
-      if B.exists_within s gi v k (Int.equal target) <> within then ok := false
-    in
-    for v = 0 to n - 1 do
-      for k = 0 to 4 do
-        List.iter
-          (fun reverse ->
-            interrupt ~reverse v k (check ~reverse v k);
-            ignore (check ~reverse v k : (int * int) list))
-          [ false; true ]
-      done
-    done;
-    !ok
-end
-
-module Snapshot_bfs = Bfs_property (struct
-  type graph = Snapshot.t
-
-  include Distance
-end)
-
-module Digraph_bfs = Bfs_property (struct
-  type graph = Digraph.t
-
-  include Distance.Make (Digraph)
-end)
+    if
+      List.sort compare order <> expected ~reverse v k
+      || (not (nondecreasing order))
+      || Distance.visits s - before <> List.length order
+    then ok := false;
+    order
+  in
+  (* The nodes a search has reached when it reports [order]'s [i]-th
+     node, at distance [d]: every node up to distance [d], and those at
+     [d + 1] that the nodes at [d] reported before it lead to. *)
+  let reached ~reverse order i k =
+    let d = snd (List.nth order i) in
+    let edge x w = if reverse then Digraph.has_edge g w x else Digraph.has_edge g x w in
+    let expanded = List.filteri (fun j (_, e) -> j < i && e = d) order in
+    List.length
+      (List.filter
+         (fun (w, e) ->
+           e <= d || (e = d + 1 && d < k && List.exists (fun (x, _) -> edge x w) expanded))
+         order)
+  in
+  let interrupt ~reverse v k order =
+    let search = if reverse then Distance.reverse_ball else Distance.ball in
+    let full = List.length order in
+    let stop = Prng.int rng (full + 1) and reported = ref 0 in
+    let before = Distance.visits s in
+    (match
+       search s snap v k (fun _ _ ->
+           if !reported = stop then raise Exit;
+           incr reported)
+     with
+    | () -> if stop < full then ok := false
+    | exception Exit ->
+      if Distance.visits s - before <> reached ~reverse order stop k then ok := false);
+    let target = Prng.int rng n in
+    let within = List.mem_assoc target (expected ~reverse:false v k) in
+    if Distance.exists_within s snap v k (Int.equal target) <> within then ok := false
+  in
+  for v = 0 to n - 1 do
+    for k = 0 to 4 do
+      List.iter
+        (fun reverse ->
+          interrupt ~reverse v k (check ~reverse v k);
+          ignore (check ~reverse v k : (int * int) list))
+        [ false; true ]
+    done
+  done;
+  !ok
 
 (* --- utility modules ------------------------------------------------------ *)
 
@@ -349,12 +294,8 @@ let qcheck_cases =
         prop_bfs_layers_monotone (s + 1));
     QCheck.Test.make ~count:60 ~name:"distances_from = bfs" QCheck.small_int (fun s ->
         prop_distances_from_reference (s + 1));
-    QCheck.Test.make ~count:30 ~name:"Digraph distance instance = Csr instance"
-      QCheck.small_int (fun s -> prop_digraph_distance_instance_agrees (s + 1));
     QCheck.Test.make ~count:80 ~name:"Snapshot bounded BFS = nonempty-path balls"
-      QCheck.small_int (fun s -> Snapshot_bfs.run ~instance:Snapshot.of_digraph (s + 1));
-    QCheck.Test.make ~count:80 ~name:"Digraph bounded BFS = nonempty-path balls"
-      QCheck.small_int (fun s -> Digraph_bfs.run ~instance:Fun.id (s + 1));
+      QCheck.small_int (fun s -> prop_bounded_bfs (s + 1));
   ]
 
 let () =

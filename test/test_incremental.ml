@@ -248,6 +248,60 @@ let same_answer a b =
   | true, true -> Match_relation.equal a b
   | _ -> false
 
+(* --- The snapshot a sync reads ---------------------------------------- *)
+
+(* A sync reads the new graph from [published] only when that is the
+   tracked digraph at its current version.  A snapshot of another graph
+   at the same epoch, or of an earlier epoch of this one, is ignored and
+   the tracker builds its own; so is no snapshot at all.  Every batch
+   deletes edges and inserts a node with edges to and from it, so the
+   old snapshot has fewer nodes than the new one, whose size the BFS
+   scratch takes. *)
+let published_property seed =
+  let rng = Prng.create seed in
+  let g = random_graph rng in
+  let pattern = random_pattern rng ~simulation:(Prng.bool rng) in
+  let inc = Incremental.create pattern g in
+  let other = Digraph.copy g in
+  let ok = ref true in
+  for round = 0 to 3 do
+    let stale = Snapshot.of_digraph g in
+    let fresh = Digraph.node_count g in
+    let updates =
+      Update.random_deletions rng g (1 + Prng.int rng 4)
+      @ [
+          Update.Insert_node
+            (Prng.choose rng labels, Attrs.of_list [ Attrs.int "exp" (Prng.int rng 6) ]);
+          Update.Insert_edge (fresh, Prng.int rng fresh);
+          Update.Insert_edge (Prng.int rng fresh, fresh);
+        ]
+      @ Update.random_insertions rng g (Prng.int rng 3)
+    in
+    let effective = Update.apply_batch_filtered g updates in
+    (* [other] catches up with [g]'s version by toggling a self-loop. *)
+    while Digraph.version other < Digraph.version g do
+      let toggle =
+        if Digraph.has_edge other 0 0 then Update.Delete_edge (0, 0) else Update.Insert_edge (0, 0)
+      in
+      ignore (Update.apply_batch other [ toggle ] : int)
+    done;
+    let published =
+      match round with
+      | 0 -> Some stale
+      | 1 -> Some (Snapshot.of_digraph other)
+      | 2 -> Some (Snapshot.of_digraph g)
+      | _ -> None
+    in
+    ignore (Incremental.sync_applied ?published inc ~effective : Incremental.report);
+    let snap = Snapshot.of_digraph g in
+    if
+      not
+        (Match_relation.equal (Incremental.kernel inc) (kernel_of pattern snap)
+        && Snapshot.identity_equal (Snapshot.id (Incremental.snapshot inc)) (Snapshot.id snap))
+    then ok := false
+  done;
+  !ok
+
 (* Routes seen across every case of the oracle property. *)
 let oracle_routes = ref { sparse = 0; recompute = 0; aborted = 0 }
 
@@ -456,6 +510,13 @@ let () =
           Alcotest.test_case "touched sources" `Quick test_touched_sources_dedup;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
+      ( "published",
+        [
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~count:100
+               ~name:"a foreign or stale published snapshot is ignored" QCheck.small_int
+               (fun seed -> published_property (seed + 1)));
+        ] );
       ( "routes",
         [
           QCheck_alcotest.to_alcotest

@@ -9,6 +9,7 @@ module Telemetry = Expfinder_telemetry
 module Parallel = Expfinder_parallel
 module Collab = Expfinder_workload.Collab
 module Queries = Expfinder_workload.Queries
+module Synthetic = Expfinder_workload.Synthetic
 
 (* --- primitives -------------------------------------------------------- *)
 
@@ -305,6 +306,50 @@ let test_top_k_during_node_inserts () =
   Alcotest.(check int) "no top_k call raised" 0 !raised;
   Alcotest.(check int) "every call ranked experts" 0 !empty
 
+let same_answer a b =
+  match (Match_relation.is_total a, Match_relation.is_total b) with
+  | false, false -> true
+  | true, true -> Match_relation.equal a b
+  | _ -> false
+
+let test_register_during_updates () =
+  (* [Engine.register] evaluates a query while another domain streams
+     update batches.  Each query must be evaluated on one epoch and then
+     synced by every later batch: a tracker evaluated on a digraph in
+     mid-mutation, or registered one batch behind, would serve a wrong
+     kernel through the registered fast path.  The writer stops three
+     batches after the last registration; every registered read must
+     then equal direct evaluation on the final graph.  Four rounds, each
+     on a fresh engine; every loop is bounded. *)
+  let wrong = ref 0 in
+  for round = 1 to 4 do
+    let g = Synthetic.flat (Prng.create (30 + round)) ~n:600 ~avg_degree:4 in
+    let engine = Engine.create g in
+    let patterns = Queries.workload (Prng.create round) ~count:12 ~simulation:false g in
+    let registered = Atomic.make false in
+    let writer =
+      Domain.spawn (fun () ->
+          let rng = Prng.create (40 + round) in
+          let after = ref 0 and batches = ref 0 in
+          while !after < 3 && !batches < 2_000 do
+            if Atomic.get registered then incr after;
+            incr batches;
+            ignore
+              (Engine.apply_updates engine (Update.random_mixed rng g 6) : Incremental.report list)
+          done)
+    in
+    List.iter (Engine.register engine) patterns;
+    Atomic.set registered true;
+    Domain.join writer;
+    let snap = Snapshot.of_digraph g in
+    List.iter
+      (fun p ->
+        if not (same_answer (Engine.evaluate engine p).relation (Planner.run p snap)) then
+          incr wrong)
+      patterns
+  done;
+  Alcotest.(check int) "registered reads = direct evaluation" 0 !wrong
+
 (* --- per-domain trace roots -------------------------------------------- *)
 
 let test_domain_local_trace_roots () =
@@ -369,5 +414,6 @@ let () =
             test_top_k_during_node_inserts;
           Alcotest.test_case "per-domain trace roots" `Quick
             test_domain_local_trace_roots;
+          Alcotest.test_case "register during updates" `Quick test_register_during_updates;
         ] );
     ]
