@@ -330,8 +330,8 @@ let exp_topk_scaling ~full =
       Printf.printf "  %6d %12.2f %20s\n" k st.Report.median best)
     [ 1; 5; 10; 25; 50 ];
   print_endline
-    "  note: once K matches are ranked, a match stops as soon as its average settled \
-     distance passes the K-th best rank, so smaller K prunes earlier"
+    "  note: matches are ranked 63 to a pass; once K are ranked, a match in a later pass \
+     stops as soon as its average settled distance passes the K-th best rank"
 
 (* ------------------------------------------------------------------ *)
 (* EXP-I1: incremental vs batch, unit updates                           *)
@@ -750,30 +750,6 @@ let exp_publish_cost ~full:_ =
         n size on_advance.Report.median on_advance.Report.iqr on_rebuild.Report.median
         on_rebuild.Report.iqr)
     [ 3_000; 16_000 ]
-
-let exp_ablation_equivalence ~full:_ =
-  header "EXP-A2 (ablation): bisimulation vs simulation-equivalence merging";
-  Printf.printf "  %-10s %7s %12s %12s %14s %14s\n" "dataset" "|V|" "bisim |Vc|" "simeq |Vc|"
-    "t_bisim ms" "t_simeq ms";
-  let rng = Prng.create 3 in
-  let datasets =
-    [
-      ("org", Synthetic.org rng ~teams:60 ~team_size:7);
-      ("flat", Synthetic.flat rng ~n:600 ~avg_degree:3);
-      ("twitter", Twitter.generate rng ~n:600);
-    ]
-  in
-  List.iter
-    (fun (name, g) ->
-      let snap = Snapshot.of_digraph g in
-      let csr = Snapshot.csr snap in
-      let key v = Label.to_int (Snapshot.label snap v) in
-      let bisim, t_b = time_once (fun () -> Bisimulation.compute csr ~key) in
-      let simeq, t_s = time_once (fun () -> Sim_equivalence.compute csr ~key) in
-      Printf.printf "  %-10s %7d %12d %12d %14.1f %14.1f\n" name (Snapshot.node_count snap)
-        (Bisimulation.block_count bisim) (Bisimulation.block_count simeq) t_b t_s)
-    datasets;
-  print_endline "  simeq merges at least as much but only preserves plain-simulation queries"
 
 let exp_ablation_area ~full =
   header "EXP-A3 (ablation): incremental affected-area strategy";
@@ -1258,12 +1234,6 @@ let bechamel_tests () =
       Test.make ~name:"A1-bsim-naive-flat1k"
         (Staged.stage (fun () ->
              ignore (Bounded_sim.run ~strategy:Bounded_sim.Naive qb flat1k : Match_relation.t)));
-      Test.make ~name:"A2-simeq-org500"
-        (Staged.stage (fun () ->
-             ignore
-               (Sim_equivalence.compute (Snapshot.csr org_csr) ~key:(fun v ->
-                    Label.to_int (Snapshot.label org_csr v))
-                 : int array)));
     ]
 
 let run_bechamel () =
@@ -1312,7 +1282,6 @@ let experiments =
     ("EXP-C3", exp_compression_maintain);
     ("EXP-K1", exp_cache);
     ("EXP-A1", exp_ablation_bsim_strategy);
-    ("EXP-A2", exp_ablation_equivalence);
     ("EXP-A3", exp_ablation_area);
     ("EXP-A4", exp_ablation_ball_index);
     ("EXP-A5", exp_ablation_minimise);

@@ -12,8 +12,8 @@
    - hazardous constructs that are banned outright ([Obj.magic],
      [Marshal.from_*] on wire input, [Random.self_init]);
    - mutable types leaking through the interfaces of the read path
-     ({!Snapshot}, {!Csr}, and every module functorised over [GRAPH]),
-     whose deep immutability the snapshot/epoch model depends on.
+     ({!Snapshot} and {!Csr}), whose deep immutability the
+     snapshot/epoch model depends on.
 
    Findings are keyed by a stable id ("<source-file>:<Module.binding>")
    and gated against a checked-in allowlist: the ratchet.  A finding
@@ -405,24 +405,8 @@ let scan_banned ~file (str : Typedtree.structure) =
 
 (* The read path must stay deeply immutable: every value reachable
    through these interfaces is handed to concurrent readers once domains
-   land.  A module is on the read path when it is {!Snapshot} or {!Csr},
-   or when its interface contains a functor over the shared [GRAPH]
-   signature. *)
+   land.  The read path is {!Snapshot} and {!Csr}. *)
 let read_path_basenames = [ "snapshot.mli"; "csr.mli" ]
-
-let rec functor_over_graph (mty : Types.module_type) =
-  match mty with
-  | Types.Mty_functor (Types.Named (_, Types.Mty_ident path), _) ->
-    path_has_suffix (Path.name path) "GRAPH"
-  | Types.Mty_functor (_, result) -> functor_over_graph result
-  | _ -> false
-
-let signature_has_graph_functor (sg : Types.signature) =
-  List.exists
-    (function
-      | Types.Sig_module (_, _, md, _, _) -> functor_over_graph md.Types.md_type
-      | _ -> false)
-    sg
 
 let scan_signature ~file (mt : mutable_types) (sg : Types.signature) =
   let findings = ref [] in
@@ -559,9 +543,7 @@ let scan ?(mli_exempt = []) ~roots () =
     List.concat_map
       (fun u ->
         match u.u_signature with
-        | Some sg
-          when List.mem (Filename.basename u.u_file) read_path_basenames
-               || signature_has_graph_functor sg ->
+        | Some sg when List.mem (Filename.basename u.u_file) read_path_basenames ->
           scan_signature ~file:u.u_file mt sg
         | _ -> [])
       units

@@ -11,9 +11,8 @@
     - {e banned constructs} ([Obj.magic], [Marshal.from_*] on wire
       input, [Random.self_init]);
     - {e read-path signature leaks}: mutable types reachable through
-      the interfaces of [Snapshot], [Csr], and every module functorised
-      over [GRAPH], whose deep immutability the snapshot/epoch model
-      depends on.
+      the interfaces of [Snapshot] and [Csr], whose deep immutability
+      the snapshot/epoch model depends on.
 
     Findings carry a stable id ("<source-file>:<Module.binding>") and
     are gated against a checked-in allowlist — the {e ratchet}: a

@@ -15,115 +15,154 @@ let pp_rank ppf r =
   if r.den = 0 then Format.pp_print_string ppf "inf"
   else Format.fprintf ppf "%d/%d (%.2f)" r.num r.den (rank_to_float r)
 
-(* Working memory for one ranking call, reused across matches.  A state
+(* Working memory for one ranking call, reused across batches.  A state
    is a (node, direction) pair numbered [2i] (descendants of the source,
-   forward edges) or [2i + 1] (ancestors, reverse edges).  The Dial
-   bucket queue keeps one doubly-linked list per distance modulo C + 1,
-   C the largest edge weight: every queued distance lies within C of
-   the one being settled, so each bucket holds a single distance.
-   [mark.(s)] is [2 * epoch] while [s] is queued and [2 * epoch + 1] once
-   settled; [head_mark.(b)] says whether [head.(b)] belongs to the
-   current epoch.  Starting a match bumps the epoch, which empties every
-   list and unsettles every state in O(1). *)
+   forward edges) or [2i + 1] (ancestors, reverse edges).  Up to
+   [Sys.int_size] matches share one level-synchronous search, each
+   owning one bit (lane) of every word.  Every state has a [seen] word
+   and a ring of C + 1 pending words, C the largest edge weight: at
+   level d every pending distance lies in d .. d + C, so ring slot
+   [d mod (C+1)] holds exactly the lanes that reach the state at
+   distance d.  [queue] lists, per slot, the states whose pending word
+   in that slot is non-zero ([len] of them, [queued] over all slots);
+   [touched] lists the [settled] states whose [seen] word is non-zero,
+   so ending a batch costs its own work, not |Vr|.  [slices] is a
+   bit-sliced counter: bit l of [slices.(j)] is bit j of the number of
+   states lane l settles at the current level. *)
 type workspace = {
   fwd : Result_graph.adjacency;
   bwd : Result_graph.adjacency;
-  dist : int array;
-  mark : int array;
-  next : int array;
-  prev : int array;
-  head : int array;
-  head_mark : int array;
-  mutable epoch : int;
+  slots : int;
+  seen : int array;
+  touched : int array;
+  mutable settled : int;
+  pending : int array;
+  queue : int array;
+  len : int array;
+  mutable queued : int;
+  slices : int array;
 }
 
 let make_workspace gr =
   let fwd = Result_graph.forward gr in
   let states = 2 * Result_graph.node_count gr in
-  let buckets = Array.fold_left max 0 fwd.weights + 1 in
+  let slots = Array.fold_left max 0 fwd.weights + 1 in
   {
     fwd;
     bwd = Result_graph.backward gr;
-    dist = Array.make states 0;
-    mark = Array.make states 0;
-    next = Array.make states (-1);
-    prev = Array.make states (-1);
-    head = Array.make buckets (-1);
-    head_mark = Array.make buckets 0;
-    epoch = 0;
+    slots;
+    seen = Array.make states 0;
+    touched = Array.make states 0;
+    settled = 0;
+    pending = Array.make (slots * states) 0;
+    queue = Array.make (slots * states) 0;
+    len = Array.make slots 0;
+    queued = 0;
+    slices = Array.make Sys.int_size 0;
   }
 
-let push s st d =
-  let b = d mod Array.length s.head in
-  if s.head_mark.(b) <> s.epoch then begin
-    s.head_mark.(b) <- s.epoch;
-    s.head.(b) <- -1
+let enqueue s slot st bits =
+  let i = (st * s.slots) + slot in
+  let old = s.pending.(i) in
+  if old = 0 then begin
+    let n = s.len.(slot) in
+    s.queue.((slot * Array.length s.seen) + n) <- st;
+    s.len.(slot) <- n + 1;
+    s.queued <- s.queued + 1
   end;
-  let h = s.head.(b) in
-  s.next.(st) <- h;
-  s.prev.(st) <- -1;
-  if h >= 0 then s.prev.(h) <- st;
-  s.head.(b) <- st;
-  s.dist.(st) <- d;
-  s.mark.(st) <- 2 * s.epoch
+  s.pending.(i) <- old lor bits
 
-let unlink s st =
-  let p = s.prev.(st) and n = s.next.(st) in
-  if p >= 0 then s.next.(p) <- n else s.head.(s.dist.(st) mod Array.length s.head) <- n;
-  if n >= 0 then s.prev.(n) <- p
-
-(* The ranking kernel: settle the states of compact index [src] (data
-   node [v]) in one ascending order and sum the distances of every
-   state but the source's own two.  Distances settle in ascending
-   order, so the running average S/N never decreases and bounds the
-   final rank from below; the match is dropped ([None]) as soon as S/N
-   exceeds the bound [bnum/bden], or equals it while [v > bid].
-   [bden = 0] disables the cutoff. *)
-let settle s ~src ~v ~bnum ~bden ~bid =
-  s.epoch <- s.epoch + 1;
-  let buckets = Array.length s.head in
-  let queued = 2 * s.epoch in
-  push s (2 * src) 0;
-  push s ((2 * src) + 1) 0;
-  let pending = ref 2 and cur = ref 0 and sum = ref 0 and count = ref 0 in
-  let pruned = ref false in
-  while !pending > 0 && not !pruned do
-    let b = ref (!cur mod buckets) in
-    while s.head_mark.(!b) <> s.epoch || s.head.(!b) < 0 do
-      incr cur;
-      b := if !b + 1 = buckets then 0 else !b + 1
-    done;
-    let st = s.head.(!b) and d = !cur in
-    unlink s st;
-    s.mark.(st) <- queued + 1;
-    decr pending;
-    let node = st lsr 1 in
-    if node <> src then begin
-      sum := !sum + d;
-      incr count;
-      if bden > 0 then begin
-        let lhs = !sum * bden and rhs = bnum * !count in
-        if lhs > rhs || (lhs = rhs && v > bid) then pruned := true
+(* The ranking kernel.  Lane [l] ranks [batch.(l)], a (data node,
+   compact index) pair: it settles the states reachable from that
+   node's two in ascending distance, one level per distance, and sums
+   the distances of all but those two (settled at level 0, which is
+   never counted).  Its running average S/N therefore never decreases
+   and bounds its final rank from below.  At the end of each level a
+   lane that has settled something ([cnt > 0]: 0/0 is no bound) is
+   dropped once S/N exceeds the bound [bnum/bden], or equals it while
+   its data node exceeds [bid]; [bden = 0] disables the cutoff.
+   Returns each lane's rank, [None] when dropped. *)
+let settle s ~batch ~bnum ~bden ~bid =
+  let lanes = Array.length batch and states = Array.length s.seen and slots = s.slots in
+  let sum = Array.make lanes 0 and cnt = Array.make lanes 0 in
+  let active = ref (if lanes = Sys.int_size then -1 else (1 lsl lanes) - 1) in
+  Array.iteri
+    (fun l (_, i) ->
+      enqueue s 0 (2 * i) (1 lsl l);
+      enqueue s 0 ((2 * i) + 1) (1 lsl l))
+    batch;
+  let d = ref 0 in
+  while s.queued > 0 && !active <> 0 do
+    let slot = !d mod slots in
+    let base = slot * states and n = s.len.(slot) in
+    let level = ref 0 and top = ref 0 in
+    for j = 0 to n - 1 do
+      let st = s.queue.(base + j) in
+      let i = (st * slots) + slot in
+      let f = s.pending.(i) land lnot s.seen.(st) land !active in
+      s.pending.(i) <- 0;
+      if f <> 0 then begin
+        if s.seen.(st) = 0 then begin
+          s.touched.(s.settled) <- st;
+          s.settled <- s.settled + 1
+        end;
+        s.seen.(st) <- s.seen.(st) lor f;
+        level := !level lor f;
+        let carry = ref f and b = ref 0 in
+        while !carry <> 0 do
+          let c = s.slices.(!b) in
+          s.slices.(!b) <- c lxor !carry;
+          carry := c land !carry;
+          incr b
+        done;
+        if !b > !top then top := !b;
+        let node = st lsr 1 and dir = st land 1 in
+        let adj = if dir = 0 then s.fwd else s.bwd in
+        for p = adj.offsets.(node) to adj.offsets.(node + 1) - 1 do
+          let t = (2 * adj.targets.(p)) + dir in
+          let g = f land lnot s.seen.(t) in
+          if g <> 0 then begin
+            let q = slot + adj.weights.(p) in
+            let q = if q >= slots then q - slots else q in
+            enqueue s q t g
+          end
+        done
       end
-    end;
-    if not !pruned then begin
-      let dir = st land 1 in
-      let adj = if dir = 0 then s.fwd else s.bwd in
-      for p = adj.offsets.(node) to adj.offsets.(node + 1) - 1 do
-        let t = (2 * adj.targets.(p)) + dir and nd = d + adj.weights.(p) in
-        let mt = s.mark.(t) in
-        if mt < queued then begin
-          push s t nd;
-          incr pending
+    done;
+    s.len.(slot) <- 0;
+    s.queued <- s.queued - n;
+    if !d > 0 then
+      for l = 0 to lanes - 1 do
+        if (!level lsr l) land 1 = 1 then begin
+          let c = ref 0 in
+          for b = !top - 1 downto 0 do
+            c := (!c lsl 1) lor ((s.slices.(b) lsr l) land 1)
+          done;
+          sum.(l) <- sum.(l) + (!d * !c);
+          cnt.(l) <- cnt.(l) + !c
+        end;
+        if bden > 0 && cnt.(l) > 0 && (!active lsr l) land 1 = 1 then begin
+          let lhs = sum.(l) * bden and rhs = bnum * cnt.(l) in
+          if lhs > rhs || (lhs = rhs && fst batch.(l) > bid) then
+            active := !active land lnot (1 lsl l)
         end
-        else if mt = queued && nd < s.dist.(t) then begin
-          unlink s t;
-          push s t nd
-        end
-      done
-    end
+      done;
+    Array.fill s.slices 0 !top 0;
+    incr d
   done;
-  if !pruned then None else Some { num = !sum; den = !count }
+  for slot = 0 to slots - 1 do
+    for j = 0 to s.len.(slot) - 1 do
+      s.pending.((s.queue.((slot * states) + j) * slots) + slot) <- 0
+    done;
+    s.len.(slot) <- 0
+  done;
+  s.queued <- 0;
+  for j = 0 to s.settled - 1 do
+    s.seen.(s.touched.(j)) <- 0
+  done;
+  s.settled <- 0;
+  Array.init lanes (fun l ->
+      if (!active lsr l) land 1 = 1 then Some { num = sum.(l); den = cnt.(l) } else None)
 
 let index gr name v =
   match Result_graph.index_of gr v with
@@ -132,7 +171,7 @@ let index gr name v =
 
 let rank_of gr v =
   let i = index gr "Ranking.rank_of" v in
-  match settle (make_workspace gr) ~src:i ~v ~bnum:0 ~bden:0 ~bid:0 with
+  match (settle (make_workspace gr) ~batch:[| (v, i) |] ~bnum:0 ~bden:0 ~bid:0).(0) with
   | Some r -> r
   | None -> assert false
 
@@ -149,32 +188,35 @@ end)
 
 let top_k gr ~output_matches ~k =
   if k < 0 then invalid_arg "Ranking.top_k";
-  let matches = List.map (fun v -> (v, index gr "Ranking.top_k" v)) output_matches in
-  let cap = min k (List.length matches) in
+  let matches =
+    Array.of_list (List.map (fun v -> (v, index gr "Ranking.top_k" v)) output_matches)
+  in
+  let total = Array.length matches in
+  let cap = min k total in
   if cap = 0 then []
   else begin
     let s = make_workspace gr in
     (* The best [cap] entries so far; once full, its maximum is the
-       K-th best, the bound every later match must beat. *)
+       K-th best, the bound every later batch must beat. *)
     let best = ref Entries.empty and size = ref 0 in
     let ranked = ref 0 and pruned = ref 0 in
-    List.iter
-      (fun (v, i) ->
-        let worst = if !size < cap then None else Some (Entries.max_elt !best) in
-        let bid, { num = bnum; den = bden } =
-          Option.value worst ~default:(0, { num = 0; den = 0 })
-        in
-        match settle s ~src:i ~v ~bnum ~bden ~bid with
-        | None -> incr pruned
-        | Some r -> (
-          incr ranked;
-          match worst with
-          | None ->
-            best := Entries.add (v, r) !best;
-            incr size
-          | Some w ->
-            if compare_entry (v, r) w < 0 then best := Entries.add (v, r) (Entries.remove w !best)))
-      matches;
+    let start = ref 0 in
+    while !start < total do
+      let batch = Array.sub matches !start (min Sys.int_size (total - !start)) in
+      let bid, { num = bnum; den = bden } =
+        if !size < cap then (0, { num = 0; den = 0 }) else Entries.max_elt !best
+      in
+      Array.iteri
+        (fun l r ->
+          match r with
+          | None -> incr pruned
+          | Some r ->
+            incr ranked;
+            best := Entries.add (fst batch.(l), r) !best;
+            if !size < cap then incr size else best := Entries.remove (Entries.max_elt !best) !best)
+        (settle s ~batch ~bnum ~bden ~bid);
+      start := !start + Array.length batch
+    done;
     Counter.add (Metrics.counter "ranking.ranked") !ranked;
     Counter.add (Metrics.counter "ranking.pruned") !pruned;
     annotate_int "ranked" !ranked;

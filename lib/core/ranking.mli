@@ -33,13 +33,17 @@ val top_k : Result_graph.t -> output_matches:int list -> k:int -> (int * rank) l
 (** The [k] matches with minimum rank (all of them when [k] exceeds the
     match count), sorted by ascending rank, ties broken by node id.
 
-    Cost: one Dial bucket-queue search per match over Gr's (node,
-    direction) states, O(|Vr| + |Er| + D) where D is the largest
-    distance settled, and scratch of O(|Vr| + max edge weight) allocated
-    once per call.  Once [k] matches are ranked, a match is dropped as
-    soon as the average of its settled distances — a lower bound on its
-    rank — passes the K-th best (rank, id); the answer is the same as
-    ranking every match.  Counts ranked and dropped matches in the
-    [ranking.ranked]/[ranking.pruned] counters and as [ranked]/[pruned]
-    annotations on the innermost open span.
+    Cost: the matches are ranked in [output_matches] order, in batches
+    of up to [Sys.int_size] (63) that share one level-synchronous search
+    over Gr's (node, direction) states, each match owning one bit of
+    every word.  A batch visits a state once per distinct distance at
+    which its matches reach it and relaxes its edges once for all of
+    them.  Working memory is O((C + 1)·|Vr|) words, C the largest edge
+    weight, allocated once per call.  Each batch after the first is
+    bounded by the K-th best (rank, id) of the matches ranked before it:
+    at the end of a level, a match is dropped once the average of its
+    settled distances — a lower bound on its rank — passes that bound;
+    the answer is the same as ranking every match.  Counts ranked and
+    dropped matches in the [ranking.ranked]/[ranking.pruned] counters
+    and as [ranked]/[pruned] annotations on the innermost open span.
     @raise Invalid_argument when [k < 0] or a match is not in Gr. *)

@@ -169,34 +169,6 @@ let prop_maintained_no_coarser seed =
   let report = Inc_compress.apply_updates inc g updates in
   report.blocks_after >= Inc_compress.fresh_block_count inc
 
-(* --- simulation-equivalence ablation -------------------------------- *)
-
-let prop_sim_equiv_preserves_sim seed =
-  let rng = Prng.create seed in
-  let g = Snapshot.of_digraph (random_graph ~max_n:20 rng) in
-  let key v = Label.to_int (Snapshot.label g v) in
-  let partition = Sim_equivalence.compute (Snapshot.csr g) ~key in
-  let compressed = Compress.of_partition g partition in
-  let pattern =
-    random_pattern rng ~simulation:true
-  in
-  (* Label-only pattern: strip conditions so the empty universe applies. *)
-  let nodes =
-    Array.init (Pattern.size pattern) (fun u ->
-        { (Pattern.node_spec pattern u) with Pattern.pred = Predicate.always })
-  in
-  let pattern = Pattern.make_exn ~nodes ~edges:(Pattern.edges pattern) ~output:0 in
-  let direct = Simulation.run pattern g in
-  Match_relation.equal direct (Compress.evaluate compressed pattern)
-
-let prop_sim_equiv_at_least_as_coarse seed =
-  let rng = Prng.create seed in
-  let g = Csr.of_digraph (random_graph ~max_n:20 rng) in
-  let key v = Label.to_int (Csr.label g v) in
-  let bisim = Bisimulation.block_count (Bisimulation.compute g ~key) in
-  let simeq = Bisimulation.block_count (Sim_equivalence.compute g ~key) in
-  simeq <= bisim
-
 (* --- persistence ------------------------------------------------------ *)
 
 let test_compress_io_roundtrip () =
@@ -279,10 +251,6 @@ let qcheck_cases =
       (fun s -> prop_maintained_gc_preserves (s + 1));
     QCheck.Test.make ~count:30 ~name:"maintained partition never coarser" QCheck.small_int
       (fun s -> prop_maintained_no_coarser (s + 1));
-    QCheck.Test.make ~count:30 ~name:"sim-equivalence preserves sim queries"
-      QCheck.small_int (fun s -> prop_sim_equiv_preserves_sim (s + 1));
-    QCheck.Test.make ~count:30 ~name:"sim-equivalence merges at least as much"
-      QCheck.small_int (fun s -> prop_sim_equiv_at_least_as_coarse (s + 1));
   ]
 
 let () =

@@ -312,14 +312,20 @@ let test_result_graph_duplicate_pair () =
 (* --- ranking oracle ------------------------------------------------------ *)
 
 (* Bellman-Ford over an explicit weighted edge list: shortest distances
-   from [src] on nodes [0 .. n-1], [-1] when unreachable. *)
+   from [src] on nodes [0 .. n-1], [-1] when unreachable.  Rounds stop
+   once one changes nothing. *)
 let bellman_ford n edges src =
   let dist = Array.make n max_int in
   dist.(src) <- 0;
-  for _ = 1 to n do
+  let changed = ref true in
+  while !changed do
+    changed := false;
     List.iter
       (fun (u, v, w) ->
-        if dist.(u) < max_int && dist.(u) + w < dist.(v) then dist.(v) <- dist.(u) + w)
+        if dist.(u) < max_int && dist.(u) + w < dist.(v) then begin
+          dist.(v) <- dist.(u) + w;
+          changed := true
+        end)
       edges
   done;
   Array.map (fun d -> if d = max_int then -1 else d) dist
@@ -388,6 +394,99 @@ let prop_ranking_matches_reference seed =
   && List.for_all
        (fun v -> Ranking.rank_of gr v = Hashtbl.find ranks v)
        (Result_graph.data_nodes gr)
+
+(* More output matches than two lane words hold (Sys.int_size each), so
+   later batches are ranked against the bound the earlier ones leave.
+   The pattern is A -[2..3]-> B -[2..3]-> A, output A; a random core of
+   A and B nodes is joined directly and through unlabelled X nodes.
+   Planted beside it: [pairs] two-cycles a <-> b (rank 2/2, so the K-th
+   rank is a tie decided by id at k = 1) and [far] cycles
+   a -> x -> b -> y -> a (rank 4/2, the tie at k = 10).  A far match
+   settles nothing at distance 1, so after level 1 its lane reads 0/0,
+   which must not count as reaching the bound; one of them is moved past
+   the first word of the shuffled matches. *)
+let prop_ranking_many_lanes seed =
+  let rng = Prng.create seed in
+  let core = 130 + Prng.int rng 40 and bs = 30 + Prng.int rng 20 and xs = 30 + Prng.int rng 20 in
+  let pairs = 4 + Prng.int rng 5 and far = 6 + Prng.int rng 5 in
+  let random = core + bs + xs in
+  let n = random + (2 * pairs) + (4 * far) in
+  (* Roles by position; node ids are a random permutation of positions. *)
+  let id = Array.init n Fun.id in
+  Prng.shuffle rng id;
+  let la = Label.of_string "A" and lb = Label.of_string "B" and lx = Label.of_string "X" in
+  let labels = Array.make n lx in
+  let edges = ref [] in
+  let edge p q = edges := (id.(p), id.(q)) :: !edges in
+  for p = 0 to core - 1 do
+    labels.(id.(p)) <- la;
+    edge p (core + Prng.int rng bs);
+    edge p (Prng.int rng random)
+  done;
+  for p = core to core + bs - 1 do
+    labels.(id.(p)) <- lb;
+    edge p (Prng.int rng core);
+    edge p (Prng.int rng random)
+  done;
+  for p = core + bs to random - 1 do
+    edge p (Prng.int rng random)
+  done;
+  for i = 0 to pairs - 1 do
+    let a = random + (2 * i) in
+    labels.(id.(a)) <- la;
+    labels.(id.(a + 1)) <- lb;
+    edge a (a + 1);
+    edge (a + 1) a
+  done;
+  let far_a = List.init far (fun i -> random + (2 * pairs) + (4 * i)) in
+  List.iter
+    (fun a ->
+      labels.(id.(a)) <- la;
+      labels.(id.(a + 2)) <- lb;
+      edge a (a + 1);
+      edge (a + 1) (a + 2);
+      edge (a + 2) (a + 3);
+      edge (a + 3) a)
+    far_a;
+  let g = Snapshot.of_digraph (Digraph.of_edges ~labels !edges) in
+  let node name label = { Pattern.name; label = Some label; pred = Predicate.always } in
+  let pattern =
+    Pattern.make_exn
+      ~nodes:[| node "A" la; node "B" lb |]
+      ~edges:
+        [
+          (0, 1, Pattern.Bounded (2 + Prng.int rng 2));
+          (1, 0, Pattern.Bounded (2 + Prng.int rng 2));
+        ]
+      ~output:0
+  in
+  let m = Bounded_sim.run pattern g in
+  let gr = Result_graph.build pattern g m in
+  let ranks = reference_ranks gr in
+  let shuffled = Array.of_list (Match_relation.matches m 0) in
+  Prng.shuffle rng shuffled;
+  let size = Array.length shuffled in
+  let far_id = id.(List.hd far_a) in
+  Array.iteri
+    (fun i v ->
+      if v = far_id && i < Sys.int_size then begin
+        shuffled.(i) <- shuffled.(size - 1);
+        shuffled.(size - 1) <- v
+      end)
+    (Array.copy shuffled);
+  let output_matches = Array.to_list shuffled in
+  let sorted =
+    List.sort
+      (fun (v1, r1) (v2, r2) ->
+        let c = Ranking.compare_rank r1 r2 in
+        if c <> 0 then c else compare v1 v2)
+      (List.map (fun v -> (v, Hashtbl.find ranks v)) output_matches)
+  in
+  size > 2 * Sys.int_size
+  && List.for_all (fun a -> Hashtbl.find ranks id.(a) = { Ranking.num = 4; den = 2 }) far_a
+  && List.for_all
+       (fun k -> Ranking.top_k gr ~output_matches ~k = List.filteri (fun i _ -> i < k) sorted)
+       [ 0; 1; 10; 62; 63; 64; size ]
 
 (* --- ball index ---------------------------------------------------------- *)
 
@@ -621,6 +720,8 @@ let qcheck_cases =
        about one instance in forty. *)
     QCheck.Test.make ~count:500 ~name:"top_k/rank_of = Bellman-Ford reference"
       QCheck.(int_range 1 1_000_000) prop_ranking_matches_reference;
+    QCheck.Test.make ~count:50 ~name:"top_k over three lane words = reference"
+      QCheck.(int_range 1 1_000_000) prop_ranking_many_lanes;
     QCheck.Test.make ~count:60 ~name:"ball-index evaluate = bsim" QCheck.small_int
       (fun s -> prop_ball_index_evaluate (s + 1));
     QCheck.Test.make ~count:60 ~name:"compute_batch = per-query compute" QCheck.small_int
