@@ -24,9 +24,13 @@ lint:
 # for `dune build @doc`): every library module must ship an explicit
 # .mli, and every .mli must carry at least one (** ... *) doc comment.
 # Sanctioned exceptions (signature-only modules) live in lint/mli.allow,
-# shared with the dsafe gate below.
+# shared with the dsafe gate below.  An entry naming a file that no
+# longer exists fails the gate, so the list only holds live exemptions.
 lint-mli:
 	@missing=0; \
+	for f in $$(grep -v '^[[:space:]]*\#' lint/mli.allow | awk 'NF { print $$1 }'); do \
+	  if [ ! -f "$$f" ]; then echo "lint-mli: stale entry in lint/mli.allow: $$f"; missing=1; fi; \
+	done; \
 	for f in lib/*/*.ml; do \
 	  if grep -q "^$$f\([[:space:]]\|$$\)" lint/mli.allow; then continue; fi; \
 	  if [ ! -f "$${f}i" ]; then echo "lint-mli: missing interface $${f}i"; missing=1; fi; \
@@ -55,7 +59,7 @@ lint-dsafe: build
 # shared mutable state must displace old entries (or genuinely new
 # infrastructure must lower the baseline elsewhere first) — never grow
 # the total.  Lower the baseline whenever entries are paid off.
-DSAFE_ALLOW_BASELINE := 99
+DSAFE_ALLOW_BASELINE := 98
 lint-dsafe-growth:
 	@n=$$(grep -cv '^[[:space:]]*\#\|^[[:space:]]*$$' lint/dsafe.allow); \
 	if [ "$$n" -gt $(DSAFE_ALLOW_BASELINE) ]; then \
@@ -82,7 +86,7 @@ lint-knobs:
 	[ $$missing -eq 0 ] && echo "lint-knobs: ok ($$n knobs <= baseline $(KNOB_BASELINE))"
 
 # Pre-merge gate: lint + tests, then the whole suite again with the
-# differential self-checker on (every cached/compressed/indexed answer
+# differential self-checker on (every cached/registered/compressed answer
 # re-verified against direct evaluation; <1s overhead), then again with
 # a 2-domain execution model forced through every ?domains default (the
 # pool serving path, parallel evaluation and the writer-domain routing

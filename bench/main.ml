@@ -635,7 +635,7 @@ let exp_cache ~full:_ =
   let (), t_warm =
     time_once (fun () -> List.iter (fun q -> ignore (Engine.evaluate engine q)) queries)
   in
-  let hits, misses = Engine.cache_stats engine in
+  let hits, misses, _evictions = Engine.cache_counters engine in
   record ~id:"EXP-K1.cold" [ t_cold ];
   record ~id:"EXP-K1.warm" [ t_warm ];
   Printf.printf "  10 queries cold: %8.1f ms\n" t_cold;

@@ -477,7 +477,6 @@ let batch verbose graph_file batch_file profile trace check =
            match a.Engine.provenance with
            | Engine.From_cache -> "cache"
            | Engine.From_compressed -> "compressed"
-           | Engine.From_index -> "ball-index"
            | Engine.Direct -> "direct"
          in
          Printf.printf "[%d] %s: %s (via %s)\n" i (Pattern.fingerprint q)
@@ -1098,8 +1097,8 @@ let check_arg =
     value & flag
     & info [ "check" ]
         ~doc:
-          "Differential self-check: re-evaluate cached/compressed/indexed answers via the \
-           direct path and verify the served relation (same as EXPFINDER_CHECK=1).")
+          "Differential self-check: re-evaluate cached/registered/compressed answers via \
+           the direct path and verify the served relation (same as EXPFINDER_CHECK=1).")
 
 let gen_cmd =
   let kind = Arg.(value & opt string "flat" & info [ "kind" ] ~docv:"KIND" ~doc:"flat|org|twitter|collab") in

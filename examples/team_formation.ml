@@ -61,7 +61,6 @@ let () =
     (match answer.Engine.provenance with
     | Engine.From_compressed -> "compressed graph"
     | Engine.From_cache -> "cache"
-    | Engine.From_index -> "ball index"
     | Engine.Direct -> "direct evaluation");
   Printf.printf "candidate leads: %d\n"
     (Match_relation.count answer.Engine.relation (Pattern.output lead_query));
@@ -76,5 +75,5 @@ let () =
   (* Asking again is free: the cache answers. *)
   let again = Engine.evaluate engine lead_query in
   assert (again.Engine.provenance = Engine.From_cache);
-  let hits, misses = Engine.cache_stats engine in
+  let hits, misses, _evictions = Engine.cache_counters engine in
   Printf.printf "\ncache: %d hits, %d misses\n" hits misses

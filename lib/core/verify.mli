@@ -19,8 +19,8 @@ open Expfinder_pattern
       different (all semantically empty) non-total relations.
 
     {!differential} gates the engine's differential mode: every answer
-    served from the cache, the compressed graph, the ball index, a
-    registered query or containment reuse is re-evaluated via the
+    served from the cache, the compressed graph, a registered query or
+    containment reuse is re-evaluated via the
     direct path and compared with {!semantically_equal}; a mismatch
     raises.  Enabled by [EXPFINDER_CHECK=1] in the environment (read at
     startup) or {!set_differential} (tests, the CLI's [--check]). *)

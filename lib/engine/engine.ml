@@ -10,12 +10,11 @@ let src = Logs.Src.create "expfinder.engine" ~doc:"ExpFinder query engine"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type provenance = From_cache | From_compressed | From_index | Direct
+type provenance = From_cache | From_compressed | Direct
 
 let provenance_name = function
   | From_cache -> "cache"
   | From_compressed -> "compressed"
-  | From_index -> "ball-index"
   | Direct -> "direct"
 
 let m_queries = Metrics.counter "engine.queries"
@@ -23,8 +22,6 @@ let m_queries = Metrics.counter "engine.queries"
 let m_from_cache = Metrics.counter "engine.answers.cache"
 
 let m_from_compressed = Metrics.counter "engine.answers.compressed"
-
-let m_from_index = Metrics.counter "engine.answers.ball_index"
 
 let m_direct = Metrics.counter "engine.answers.direct"
 
@@ -49,7 +46,6 @@ let h_query_ms = Metrics.histogram "engine.query_ms"
 let provenance_counter = function
   | From_cache -> m_from_cache
   | From_compressed -> m_from_compressed
-  | From_index -> m_from_index
   | Direct -> m_direct
 
 type profile = {
@@ -72,47 +68,53 @@ type expert = { node : int; name : string option; rank : Ranking.rank }
 
 (* Concurrency model (multicore serving):
 
-   - [snap] is the epoch-publication cell.  Readers pin one coherent
-     snapshot with a single [Atomic.get] and never block on writers; the
-     writer publishes the post-update epoch with [Atomic.set] once the
-     new snapshot is fully built.
-   - [writer] serializes everything that advances the epoch:
-     [apply_updates] and the rebuild-on-external-mutation path of
-     [snapshot].
-   - [maint] guards the optional structures ([registered] kernels, the
-     [compressed] graph, the [ball_index]).  Readers take it with
-     [Mutex.try_lock] only: under contention they skip the fast path and
-     fall through to containment/planner — every path computes the same
-     kernel (EXPFINDER_CHECK enforces it), only provenance and latency
-     differ. *)
+   - [epoch] is the one publication cell.  It holds an immutable record:
+     the snapshot, the registered patterns, the registered kernels
+     computed on that snapshot and the compressed graph built on it.
+     Readers pin all of it with a single [Atomic.get] and never block on
+     writers; a record's kernels and compressed graph are on its own
+     snapshot by construction, so readers check no identity.
+   - [writer] serializes everything that advances or republishes the
+     epoch: [apply_updates], [register]/[unregister], the compression
+     switches and the rebuild-on-external-mutation path of [snapshot].
+     The trackers behind the record ([trackers], [inc_compress]) are
+     read and written only under it.
+   - A tracker never mutates a kernel it has returned
+     ([Incremental.kernel]), and a sync builds a fresh [Compress.t], so
+     a published record stays valid while the writer syncs the next
+     one.  Readers copy the kernel they serve: answers are mutable
+     relations handed to callers. *)
 (* Contention observability for the model above, always-on (registry
    cells are internally atomic/guarded):
-     [engine.maint_skips.*]          try-lock losses per structure
      [engine.snapshot.stale_reads]   reads served the pinned pre-update
-                                     snapshot because a write was in
+                                     epoch because a write was in
                                      flight
      [engine.snapshot.staleness]     epochs behind (version - epoch) at
                                      the last stale read; 0 once the
                                      writer publishes
-     [engine.epoch.publish_lag_ms]   apply-to-publication latency *)
+     [engine.epoch.publish_lag_ms]   apply-to-publication latency, the
+                                     maintenance sync included *)
 type contention_metrics = {
-  m_maint_skip_fast : Counter.t;
-  m_maint_skip_ball : Counter.t;
   m_stale_reads : Counter.t;
   g_staleness : Gauge.t;
   h_publish_lag : Histogram.t;
 }
 
+(* One published epoch: the snapshot and everything maintained on it. *)
+type epoch = {
+  snap : Snapshot.t;
+  registered : Pattern.t list;  (* in registration order *)
+  kernels : (string * Match_relation.t) list;  (* fingerprint -> kernel on [snap] *)
+  compressed : Compress.t option;  (* built on [snap] *)
+}
+
 type t = {
   g : Digraph.t;
-  snap : Snapshot.t Atomic.t;
+  epoch : epoch Atomic.t;
   cache : Cache.t;
   writer : Mutex.t;
-  maint : Mutex.t;
-  mutable compressed : Inc_compress.t option;
-  mutable ball_index : Ball_index.t option;
-  mutable ball_radius : int;
-  mutable registered : (string * Incremental.t) list; (* fingerprint-keyed, in order *)
+  mutable trackers : (string * Incremental.t) list; (* fingerprint-keyed, in order *)
+  mutable inc_compress : Inc_compress.t option;
   last_profile : profile option Atomic.t;
   cm : contention_metrics;
 }
@@ -120,21 +122,16 @@ type t = {
 let create ?cache_capacity g =
   {
     g;
-    snap = Atomic.make (Snapshot.of_digraph g);
+    epoch =
+      Atomic.make
+        { snap = Snapshot.of_digraph g; registered = []; kernels = []; compressed = None };
     cache = Cache.create ?capacity:cache_capacity ();
     writer = Mutex.create ();
-    maint = Mutex.create ();
-    compressed = None;
-    ball_index = None;
-    ball_radius = 0;
-    registered = [];
+    trackers = [];
+    inc_compress = None;
     last_profile = Atomic.make None;
     cm =
       {
-        m_maint_skip_fast =
-          Metrics.counter ~always:true "engine.maint_skips.fastpath";
-        m_maint_skip_ball =
-          Metrics.counter ~always:true "engine.maint_skips.ball_index";
         m_stale_reads = Metrics.counter ~always:true "engine.snapshot.stale_reads";
         g_staleness = Metrics.gauge ~always:true "engine.snapshot.staleness";
         h_publish_lag =
@@ -144,68 +141,63 @@ let create ?cache_capacity g =
 
 let graph t = t.g
 
-(* Maintenance-lock helpers.  [with_maint] blocks (maintenance ops and
-   the writer's sync phase); [with_maint_opt] is the readers' variant:
-   it never blocks, answering [None] when the lock is contended. *)
-let with_maint t f =
-  Mutex.lock t.maint;
-  match f () with
-  | v ->
-    Mutex.unlock t.maint;
-    v
-  | exception e ->
-    Mutex.unlock t.maint;
-    raise e
+(* Publish [snap] with what the trackers hold on it.  Requires
+   [t.writer] held.  A tracker still on an older snapshot (the digraph
+   was mutated behind the engine's back) publishes nothing. *)
+let publish t snap =
+  let on_snap s = Snapshot.identity_equal (Snapshot.id s) (Snapshot.id snap) in
+  Atomic.set t.epoch
+    {
+      snap;
+      registered = List.map (fun (_, inc) -> Incremental.pattern inc) t.trackers;
+      kernels =
+        List.filter_map
+          (fun (fp, inc) ->
+            if on_snap (Incremental.snapshot inc) then Some (fp, Incremental.kernel inc)
+            else None)
+          t.trackers;
+      compressed =
+        Option.bind t.inc_compress (fun inc ->
+            if on_snap (Inc_compress.snapshot inc) then Some (Inc_compress.current inc)
+            else None);
+    }
 
-let with_maint_opt t ~skip f =
-  if not (Mutex.try_lock t.maint) then begin
-    Counter.incr skip;
-    None
-  end
-  else
-    match f () with
-    | v ->
-      Mutex.unlock t.maint;
-      v
-    | exception e ->
-      Mutex.unlock t.maint;
-      raise e
-
-(* The one place snapshot/digraph agreement is checked: the memoised
-   snapshot is current unless the digraph was mutated behind the
-   engine's back ([apply_updates] publishes a rebuilt snapshot with
-   every effective batch), in which case we pay one full rebuild here.
+(* The one place snapshot/digraph agreement is checked: the published
+   epoch is current unless the digraph was mutated behind the engine's
+   back ([apply_updates] publishes a rebuilt snapshot with every
+   effective batch), in which case we pay one full rebuild here.
    Requires [t.writer] held (rebuilding from a digraph another domain is
    mutating would tear). *)
-let snapshot_locked t =
-  let s = Atomic.get t.snap in
-  if Snapshot.epoch s = Digraph.version t.g then s
+let epoch_locked t =
+  let e = Atomic.get t.epoch in
+  if Snapshot.epoch e.snap = Digraph.version t.g then e
   else begin
     Counter.incr m_snapshot_rebuilds;
-    let s = Snapshot.of_digraph t.g in
-    Atomic.set t.snap s;
-    s
+    publish t (Snapshot.of_digraph t.g);
+    Atomic.get t.epoch
   end
 
-let snapshot t =
-  let s = Atomic.get t.snap in
-  if Snapshot.epoch s = Digraph.version t.g then s
+let current_epoch t =
+  let e = Atomic.get t.epoch in
+  if Snapshot.epoch e.snap = Digraph.version t.g then e
   else if Mutex.try_lock t.writer then (
-    match snapshot_locked t with
-    | s ->
+    match epoch_locked t with
+    | e ->
       Mutex.unlock t.writer;
-      s
+      e
     | exception e ->
       Mutex.unlock t.writer;
       raise e)
   else begin
     (* An update is in flight (version already bumped, new epoch not yet
-       published): serve the pinned pre-update snapshot rather than
-       block — the update is not "done" from this reader's viewpoint. *)
+       published): serve the pinned pre-update epoch rather than block —
+       the update is not "done" from this reader's viewpoint. *)
     Counter.incr t.cm.m_stale_reads;
-    Gauge.set t.cm.g_staleness (max 0 (Digraph.version t.g - Snapshot.epoch s));
-    s
+    Gauge.set t.cm.g_staleness (max 0 (Digraph.version t.g - Snapshot.epoch e.snap));
+    e
   end
+
+let snapshot t = (current_epoch t).snap
 
 (* Direct evaluation goes through the planner: candidate ordering with
    early exit, sink pruning, and strategy selection (§III "optimized
@@ -254,62 +246,33 @@ let from_containment t pattern ~snap =
                  ~initial ~mutable_set:None))
 
 (* The untraced core of [evaluate]: cache -> registered kernel ->
-   compressed -> cached superset (containment) -> ball index -> planner,
-   returning the snapshot it evaluated on, the relation, where
-   it came from, a strategy label for the flight recorder, and whether
-   this call just computed it via the direct path (the differential
-   checker re-verifies everything else). *)
+   compressed -> cached superset (containment) -> planner, returning the
+   snapshot it evaluated on, the relation, where it came from, a
+   strategy label for the flight recorder, and whether this call just
+   computed it via the direct path (the differential checker re-verifies
+   everything else).  The kernel and the compressed graph come from the
+   same pinned epoch as the snapshot. *)
 let evaluate_inner t pattern =
-  let snap = snapshot t in
+  let e = current_epoch t in
+  let snap = e.snap in
   let sid = Snapshot.id snap in
   match
     with_span "cache.lookup" (fun () -> Cache.find t.cache pattern ~snapshot:sid)
   with
   | Some relation -> (snap, relation, From_cache, "cache", false)
   | None ->
-    let fast =
-      with_maint_opt t ~skip:t.cm.m_maint_skip_fast (fun () ->
-          match List.assoc_opt (Pattern.fingerprint pattern) t.registered with
-          | Some inc when Snapshot.identity_equal (Snapshot.id (Incremental.snapshot inc)) sid ->
-            Some (Match_relation.copy (Incremental.kernel inc), Direct, "registered")
-          | _ -> (
-            match t.compressed with
-            | Some inc
-              when Snapshot.identity_equal (Snapshot.id (Inc_compress.snapshot inc)) sid
-                   && Compress.supports (Inc_compress.current inc) pattern ->
-              Some
-                ( Compress.evaluate (Inc_compress.current inc) pattern,
-                  From_compressed,
-                  "compressed" )
-            | _ -> None))
-    in
     let relation, provenance, strategy, via_direct =
-      match fast with
-      | Some (relation, provenance, strategy) -> (relation, provenance, strategy, false)
+      match List.assoc_opt (Pattern.fingerprint pattern) e.kernels with
+      | Some kernel -> (Match_relation.copy kernel, Direct, "registered", false)
       | None -> (
-        match from_containment t pattern ~snap with
-        | Some relation ->
-          Counter.incr m_containment;
-          (relation, From_cache, "containment", false)
-        | None -> (
-          let indexed =
-            with_maint_opt t ~skip:t.cm.m_maint_skip_ball (fun () ->
-                (* Rebuild the opt-in ball index lazily after updates. *)
-                (match t.ball_index with
-                | Some idx
-                  when not (Snapshot.identity_equal (Ball_index.source idx) sid) ->
-                  t.ball_index <-
-                    Some
-                      (with_span "ball_index.rebuild" (fun () ->
-                           Ball_index.build snap ~radius:t.ball_radius))
-                | _ -> ());
-                match t.ball_index with
-                | Some idx when Ball_index.supports idx pattern ->
-                  Some (Ball_index.evaluate idx pattern snap)
-                | _ -> None)
-          in
-          match indexed with
-          | Some relation -> (relation, From_index, "ball-index", false)
+        match e.compressed with
+        | Some c when Compress.supports c pattern ->
+          (Compress.evaluate c pattern, From_compressed, "compressed", false)
+        | _ -> (
+          match from_containment t pattern ~snap with
+          | Some relation ->
+            Counter.incr m_containment;
+            (relation, From_cache, "containment", false)
           | None ->
             let relation, plan = Planner.run_with_plan pattern snap in
             ( relation,
@@ -367,7 +330,7 @@ let finished t ~kind ~trace ~start ~before ~query ~strategy ?(pairs = 0) ?digest
     ?error ?root () =
   let duration_ms = (now_us () -. start) /. 1000.0 in
   let counters = Metrics.delta ~before ~after:(Metrics.counters_snapshot ()) in
-  let snap = Atomic.get t.snap in
+  let snap = (Atomic.get t.epoch).snap in
   Request.finish ~kind ~trace ~query ~strategy ~duration_ms ~counters ~pairs ?digest ~payload
     ?error:(Option.map Printexc.to_string error)
     ?root ~graph_id:(Snapshot.graph_id snap) ~epoch:(Snapshot.epoch snap) ();
@@ -687,50 +650,46 @@ let profile_json (p : profile) =
       ("recorder", Recorder.to_json ());
     ]
 
-let enable_ball_index ?(radius = 3) t =
-  let idx = Ball_index.build (snapshot t) ~radius in
-  with_maint t (fun () ->
-      t.ball_radius <- radius;
-      t.ball_index <- Some idx)
+(* The switches below run under the writer, so no update batch lands
+   between the epoch they read and the record they publish on it. *)
+let republish t = publish t (Atomic.get t.epoch).snap
 
-let disable_ball_index t = with_maint t (fun () -> t.ball_index <- None)
-
-(* Under the writer, so no update batch lands between the epoch the
-   decision reads and the tracker's publication. *)
 let enable_compression ?atoms t =
   Mutex.protect t.writer (fun () ->
-      let inc = Inc_compress.create_if_pays ?atoms (snapshot_locked t) in
-      with_maint t (fun () -> t.compressed <- inc))
+      t.inc_compress <- Inc_compress.create_if_pays ?atoms (epoch_locked t).snap;
+      republish t)
 
-let disable_compression t = with_maint t (fun () -> t.compressed <- None)
+let disable_compression t =
+  Mutex.protect t.writer (fun () ->
+      t.inc_compress <- None;
+      republish t)
 
-let compression t =
-  with_maint t (fun () -> Option.map Inc_compress.current t.compressed)
+let compression t = (Atomic.get t.epoch).compressed
 
-(* Under the writer, like [enable_compression]: the query is evaluated
-   on the current epoch, and no update batch lands before the tracker is
-   registered to sync from it. *)
+(* The query is evaluated on the current epoch, and no update batch
+   lands before the tracker is registered to sync from it. *)
 let register t pattern =
   let fp = Pattern.fingerprint pattern in
   Mutex.protect t.writer (fun () ->
-      if not (with_maint t (fun () -> List.mem_assoc fp t.registered)) then begin
-        let inc = Incremental.create ~published:(snapshot_locked t) pattern t.g in
-        with_maint t (fun () -> t.registered <- t.registered @ [ (fp, inc) ])
+      if not (List.mem_assoc fp t.trackers) then begin
+        let inc = Incremental.create ~published:(epoch_locked t).snap pattern t.g in
+        t.trackers <- t.trackers @ [ (fp, inc) ];
+        republish t
       end)
 
 let unregister t pattern =
   let fp = Pattern.fingerprint pattern in
-  with_maint t (fun () ->
-      t.registered <- List.filter (fun (fp', _) -> fp' <> fp) t.registered)
+  Mutex.protect t.writer (fun () ->
+      t.trackers <- List.filter (fun (fp', _) -> fp' <> fp) t.trackers;
+      republish t)
 
-let registered t =
-  with_maint t (fun () ->
-      List.map (fun (_, inc) -> Incremental.pattern inc) t.registered)
+let registered t = (Atomic.get t.epoch).registered
 
 (* Runs with [t.writer] held: one update batch at a time mutates the
-   digraph and publishes the next epoch, rebuilt from the digraph with
-   [Snapshot.of_digraph] like every other epoch; concurrent readers keep
-   serving their pinned snapshots throughout. *)
+   digraph, rebuilds the snapshot from it with [Snapshot.of_digraph]
+   like every other epoch, syncs the compressed graph and every tracker
+   on that snapshot, and only then publishes the whole record;
+   concurrent readers keep serving their pinned epoch throughout. *)
 let apply_updates_locked t updates =
   Counter.incr m_update_batches;
   let t_apply = now_us () in
@@ -742,45 +701,42 @@ let apply_updates_locked t updates =
     ( List.map
         (fun _ ->
           { Incremental.effective = 0; area = 0; iterations = 0; added = []; removed = [] })
-        (with_maint t (fun () -> t.registered)),
+        t.trackers,
       0 )
   else begin
-    (* The epoch publication point: the new snapshot is complete before
-       this store, so any reader that picks it up sees a coherent
-       post-update view. *)
     let published = Snapshot.of_digraph t.g in
     Counter.incr m_snapshot_rebuilds;
-    Atomic.set t.snap published;
-    (* Publication lag: how long readers were pinned to the stale
-       snapshot, from ΔG application to the epoch store above. *)
+    (* A compressed graph that no longer pays is dropped.  A registered
+       query that recomputes evaluates on [published] rather than
+       building its own CSR. *)
+    Option.iter
+      (fun inc ->
+        match
+          Inc_compress.sync_if_pays inc ~snapshot:published ~effective:(List.length effective)
+            effective
+        with
+        | Some _ -> ()
+        | None -> t.inc_compress <- None)
+      t.inc_compress;
+    let reports =
+      List.map (fun (_, inc) -> Incremental.sync_applied ~published inc ~effective) t.trackers
+    in
+    Log.debug (fun m ->
+        m "apply_updates: %d effective -> %a, %d registered queries, compression %s"
+          (List.length effective) Snapshot.pp_id published (List.length t.trackers)
+          (if t.inc_compress = None then "off" else "maintained"));
+    (* The epoch publication point: the record is complete before this
+       store, so any reader that picks it up sees a coherent post-update
+       view. *)
+    publish t published;
+    (* Publication lag: how long readers were pinned to the previous
+       epoch, from ΔG application to the store above. *)
     Histogram.observe t.cm.h_publish_lag ((now_us () -. t_apply) /. 1000.0);
     Gauge.set t.cm.g_staleness 0;
     (* Results for old epochs are unreachable (keys include the
        identity), but drop them eagerly to keep the cache useful. *)
     Cache.clear t.cache;
-    (* Sync the maintained structures under the maintenance lock;
-       readers mid-fast-path are waited for, later readers skip the fast
-       path until the lock frees.  A registered query that recomputes
-       evaluates on [published] rather than building its own CSR. *)
-    with_maint t (fun () ->
-        (* A compressed graph that no longer pays is dropped. *)
-        Option.iter
-          (fun inc ->
-            match
-              Inc_compress.sync_if_pays inc ~snapshot:published
-                ~effective:(List.length effective) effective
-            with
-            | Some _ -> ()
-            | None -> t.compressed <- None)
-          t.compressed;
-        Log.debug (fun m ->
-            m "apply_updates: %d effective -> %a, %d registered queries, compression %s"
-              (List.length effective) Snapshot.pp_id published (List.length t.registered)
-              (if t.compressed = None then "off" else "maintained"));
-        ( List.map
-            (fun (_, inc) -> Incremental.sync_applied ~published inc ~effective)
-            t.registered,
-          List.length effective ))
+    (reports, List.length effective)
   end
 
 let apply_updates_inner t updates =
@@ -816,13 +772,11 @@ let apply_updates ?(trace = Trace.ambient) t updates =
          ~pairs:effective_n ~payload ?root ());
     reports
 
-let cache_stats t = (Cache.hits t.cache, Cache.misses t.cache)
-
 let cache_counters t = (Cache.hits t.cache, Cache.misses t.cache, Cache.evictions t.cache)
 
 let explain t pattern = Planner.explain pattern (Planner.plan pattern (snapshot t))
 
-(* EXPLAIN ANALYZE bypasses the cache/compression/index fast paths on
+(* EXPLAIN ANALYZE bypasses the cache/registered/compressed fast paths on
    purpose: the point is to execute the plan and confront its estimates
    with the candidate sets it actually materialised. *)
 let explain_analyze t pattern =

@@ -10,6 +10,8 @@ open Expfinder_telemetry
     One engine owns one data graph and coordinates the four modules:
 
     + on a query, return the cached M(Q,G) when fresh;
+    + otherwise, for a registered query, return its incrementally
+      maintained kernel;
     + otherwise evaluate on the maintained compressed graph when one is
       enabled and supports the query (expanding the result);
     + otherwise, when the cache holds the total kernel of a {e superset}
@@ -25,6 +27,15 @@ open Expfinder_telemetry
 
     All updates must flow through {!apply_updates} so that the cache,
     the compressed graph and the registered queries stay consistent.
+
+    Concurrency: the engine publishes one epoch at a time, through one
+    atomic cell holding an immutable record of the snapshot, the
+    registered kernels computed on it and the compressed graph built on
+    it.  Readers pin a whole epoch with one atomic load and never take a
+    lock for it; every mutation ({!apply_updates}, {!register},
+    {!unregister}, the compression switches) runs under one writer lock
+    and publishes a complete record, so a read during an update is
+    served the previous epoch, maintained answers included.
 
     With [EXPFINDER_CHECK=1] in the environment (or
     {!Expfinder_core.Verify.set_differential}), every answer that did
@@ -48,7 +59,7 @@ open Expfinder_telemetry
 type t
 
 (** Where an answer came from (exposed for tests and experiments). *)
-type provenance = From_cache | From_compressed | From_index | Direct
+type provenance = From_cache | From_compressed | Direct
 
 (** Per-query profile, populated when the call recorded its own trace
     (telemetry enabled ({!Expfinder_telemetry.set_enabled}), or a
@@ -109,15 +120,18 @@ val snapshot : t -> Snapshot.t
     evaluation paths read this snapshot — queries in flight on an older
     epoch keep their pinned value untouched.
 
-    The snapshot lives in an atomic epoch-publication cell: readers pin
+    The snapshot lives in the engine's atomic epoch record: readers pin
     one coherent epoch with a single atomic load and never block on a
     concurrent {!apply_updates} (they serve the pre-update epoch until
     the writer publishes the next one).  The rebuild-on-external-
-    mutation path is serialized with the writer. *)
+    mutation path is serialized with the writer and publishes the
+    rebuilt snapshot with no registered kernel and no compressed graph:
+    those trackers describe an older epoch. *)
 
 val evaluate : ?trace:Trace.ctx -> t -> Pattern.t -> answer
-(** Cache → compressed → cached superset (containment) → ball index →
-    direct, caching the result.
+(** Cache → registered kernel → compressed → cached superset
+    (containment) → direct, caching the result.  The kernel and the
+    compressed graph come from the same pinned epoch as the snapshot.
 
     [?trace] is the request's explicit trace context (default
     {!Expfinder_telemetry.Trace.ambient}): its id is stamped into the
@@ -149,13 +163,6 @@ val top_k : t -> Pattern.t -> k:int -> expert list
 val result_graph : t -> Pattern.t -> Result_graph.t
 (** The result graph of the query (for display / export). *)
 
-val enable_ball_index : ?radius:int -> t -> unit
-(** Opt into the precomputed distance index (default radius 3): bounded
-    queries whose bounds fit the radius are answered with indexed ball
-    scans instead of BFS.  The index is rebuilt lazily after updates. *)
-
-val disable_ball_index : t -> unit
-
 val enable_compression : ?atoms:Predicate.atom list -> t -> unit
 (** Build and maintain a compressed graph with the given atom universe
     (replacing any previous one), built only where it pays: when it
@@ -169,25 +176,29 @@ val enable_compression : ?atoms:Predicate.atom list -> t -> unit
 val disable_compression : t -> unit
 
 val compression : t -> Compress.t option
-(** The current compressed graph: [None] when compression is off, was
-    declined as not paying, or was dropped during maintenance. *)
+(** The published epoch's compressed graph: [None] when compression is
+    off, was declined as not paying, or was dropped during
+    maintenance. *)
 
 val register : t -> Pattern.t -> unit
 (** Mark a query as frequently issued: its result is kept incrementally
     maintained across updates (§II Incremental Computation Module).  It
     is evaluated on the current epoch under the writer lock, so it waits
     for an update batch in flight and syncs from the epoch it was
-    evaluated on. *)
+    evaluated on; the epoch is republished with its kernel. *)
 
 val unregister : t -> Pattern.t -> unit
+(** Stop maintaining a query, under the writer lock like {!register}. *)
 
 val registered : t -> Pattern.t list
+(** The registered queries of the published epoch, in registration
+    order. *)
 
 val apply_updates : ?trace:Trace.ctx -> t -> Update.t list -> Incremental.report list
-(** Apply ΔG: updates the graph, advances the snapshot to the next
-    epoch, invalidates the cache, maintains the compressed graph and
-    every registered query; returns one maintenance report per
-    registered query (in registration order).
+(** Apply ΔG: updates the graph, rebuilds the snapshot, maintains the
+    compressed graph and every registered query on it, publishes the
+    whole epoch at once and then invalidates the cache; returns one
+    maintenance report per registered query (in registration order).
 
     Every batch with an effective update publishes a snapshot rebuilt
     from the digraph ({!Expfinder_graph.Snapshot.of_digraph}, counted by
@@ -213,11 +224,6 @@ val profile_json : profile -> Json.t
     [recorder] is the flight-recorder ring at serialization time, so a
     slow-query profile ships with the requests that led up to it. *)
 
-val cache_stats : t -> int * int
-(** (hits, misses).  Kept for compatibility; prefer {!cache_counters},
-    which also reports evictions.  Both read the same telemetry
-    counters, so they can never disagree. *)
-
 val cache_counters : t -> int * int * int
 (** (hits, misses, evictions) from the cache's telemetry counters. *)
 
@@ -229,7 +235,7 @@ val explain : t -> Pattern.t -> string
 val explain_analyze : t -> Pattern.t -> string
 (** {!explain} plus a per-node estimated-vs-actual table.  Plans and
     {e executes} the query directly (deliberately bypassing the
-    cache/compression/index fast paths, and without storing the result),
-    so the estimates can be confronted with the candidate sets actually
-    materialised; misestimated nodes (>4x off either way) are flagged
-    and counted by [planner.misestimate]. *)
+    cache/registered/compressed fast paths, and without storing the
+    result), so the estimates can be confronted with the candidate sets
+    actually materialised; misestimated nodes (>4x off either way) are
+    flagged and counted by [planner.misestimate]. *)

@@ -72,7 +72,12 @@ val create :
 val pattern : t -> Pattern.t
 
 val kernel : t -> Match_relation.t
-(** Current kernel relation (see {!Simulation} on kernels). *)
+(** Current kernel relation (see {!Simulation} on kernels).  A sync
+    never mutates a kernel this function has returned: it refines a
+    copy and installs a fresh relation when it finishes.  A returned
+    kernel therefore stays the kernel on {!snapshot} at the time of the
+    call and may be read from other domains while later syncs run; it
+    is not copied, so callers must not mutate it. *)
 
 val snapshot : t -> Snapshot.t
 (** The snapshot the kernel was computed on: its identity says which

@@ -146,10 +146,6 @@ let domains_json engine =
           [
             ("stale_reads", Json.Int (reg_counter "engine.snapshot.stale_reads"));
             ("staleness", Json.Int (reg_gauge "engine.snapshot.staleness"));
-            ( "maint_skips_fastpath",
-              Json.Int (reg_counter "engine.maint_skips.fastpath") );
-            ( "maint_skips_ball_index",
-              Json.Int (reg_counter "engine.maint_skips.ball_index") );
           ] );
       ("profile", Profile.to_json ());
     ]
@@ -160,7 +156,6 @@ let domains_json engine =
 let provenance_name : Engine.provenance -> string = function
   | From_cache -> "cache"
   | From_compressed -> "compressed"
-  | From_index -> "index"
   | Direct -> "direct"
 
 let error_response ?trace_id msg =

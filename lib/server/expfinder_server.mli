@@ -73,9 +73,8 @@ val domains_json : Engine.t -> Json.t
 (** The per-domain document served at [/domains.json]: the pool
     summary, one row per pool worker (domain id, tasks, busy/idle
     microseconds, utilization), per-domain GC pause totals with domain
-    spawn/stop counts, the engine's contention counters (stale reads,
-    snapshot staleness, maintenance-lock skips) and the continuous
-    profiler's health block. *)
+    spawn/stop counts, the engine's contention counters (stale reads and
+    snapshot staleness) and the continuous profiler's health block. *)
 
 val serve :
   ?max_connections:int ->

@@ -241,38 +241,6 @@ let test_engine_consistency_under_updates () =
   done;
   Alcotest.(check int) "compressed answer checked every round" 5 !compressed_checks
 
-let test_ball_index_provenance () =
-  let engine = Engine.create (Collab.graph ()) in
-  Engine.enable_ball_index ~radius:3 engine;
-  let q = Collab.query () in
-  let answer = Engine.evaluate engine q in
-  Alcotest.(check bool) "answered from index" true
-    (answer.Engine.provenance = Engine.From_index);
-  let direct = Bounded_sim.run q (Engine.snapshot engine) in
-  Alcotest.(check bool) "matches direct" true
-    (Match_relation.equal answer.Engine.relation direct);
-  (* Updates invalidate the index; it is rebuilt lazily and stays
-     correct. *)
-  ignore
-    (Engine.apply_updates engine [ Update.Insert_edge (fst Collab.e1, snd Collab.e1) ]
-      : Incremental.report list);
-  let after = Engine.evaluate engine q in
-  Alcotest.(check bool) "still from index" true (after.Engine.provenance = Engine.From_index);
-  Alcotest.(check bool) "Fred found via index" true
-    (Match_relation.mem after.Engine.relation 1 Collab.fred);
-  (* Unsupported patterns (unbounded edges) fall back to the planner. *)
-  let q3 = Collab.q3 () in
-  let fallback = Engine.evaluate engine q3 in
-  Alcotest.(check bool) "unbounded falls back" true
-    (fallback.Engine.provenance = Engine.Direct);
-  Engine.disable_ball_index engine;
-  (* An effective update empties the cache (a batch of no-ops would not). *)
-  ignore
-    (Engine.apply_updates engine [ Update.Delete_edge (fst Collab.e1, snd Collab.e1) ]
-      : Incremental.report list);
-  let off = Engine.evaluate engine q in
-  Alcotest.(check bool) "disabled -> direct" true (off.Engine.provenance = Engine.Direct)
-
 let test_result_graph_empty_when_no_match () =
   let engine = Engine.create (Collab.graph ()) in
   let nodes =
@@ -294,13 +262,12 @@ let test_register_is_idempotent () =
   Alcotest.(check int) "still once" 1 (List.length (Engine.registered engine))
 
 let test_all_features_agree () =
-  (* Cache + compression + ball index + registration all enabled: every
-     answer, whatever its provenance, equals direct evaluation. *)
+  (* Cache + compression + registration all enabled: every answer,
+     whatever its provenance, equals direct evaluation. *)
   let rng = Prng.create 123 in
   let g = Synthetic.org rng ~teams:30 ~team_size:6 in
   let engine = Engine.create g in
   Engine.enable_compression ~atoms:Queries.atom_universe engine;
-  Engine.enable_ball_index ~radius:3 engine;
   let queries = Queries.workload rng ~count:6 ~simulation:false (Engine.graph engine) in
   List.iter (Engine.register engine) [ List.hd queries ];
   let compressed_answers = ref 0 in
@@ -316,7 +283,6 @@ let test_all_features_agree () =
              (match answer.Engine.provenance with
              | Engine.From_cache -> "cache"
              | Engine.From_compressed -> "compressed"
-             | Engine.From_index -> "index"
              | Engine.Direct -> "direct"))
           true
           (Match_relation.equal answer.Engine.relation direct))
@@ -332,7 +298,7 @@ let test_cache_stats () =
   let q = Collab.query () in
   ignore (Engine.evaluate engine q : Engine.answer);
   ignore (Engine.evaluate engine q : Engine.answer);
-  let hits, misses = Engine.cache_stats engine in
+  let hits, misses, _evictions = Engine.cache_counters engine in
   Alcotest.(check bool) "one hit, one miss" true (hits >= 1 && misses >= 1)
 
 (* Containment reuse: a cached superset query answers a contained query
@@ -390,10 +356,7 @@ let test_differential_mode_passes () =
   Alcotest.(check bool) "answers agree" true
     (Match_relation.equal first.Engine.relation second.Engine.relation);
   let contained = Engine.evaluate engine (loose_query ()) in
-  Alcotest.(check bool) "direct answer passes the sanitizer" true contained.Engine.total;
-  Engine.enable_ball_index engine;
-  let indexed = Engine.evaluate engine q in
-  Alcotest.(check bool) "indexed answer passes too" true indexed.Engine.total
+  Alcotest.(check bool) "direct answer passes the sanitizer" true contained.Engine.total
 
 let () =
   Alcotest.run "engine"
@@ -406,7 +369,6 @@ let () =
           Alcotest.test_case "decayed compression dropped" `Quick
             test_decayed_compression_dropped;
           Alcotest.test_case "unsupported falls back" `Quick test_unsupported_pattern_falls_back;
-          Alcotest.test_case "ball index" `Quick test_ball_index_provenance;
           Alcotest.test_case "cache stats" `Quick test_cache_stats;
           Alcotest.test_case "containment reuse" `Quick test_containment_reuse;
           Alcotest.test_case "differential mode" `Quick test_differential_mode_passes;

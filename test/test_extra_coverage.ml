@@ -8,7 +8,6 @@ open Expfinder_pattern
 open Expfinder_core
 open Expfinder_incremental
 open Expfinder_compression
-open Expfinder_storage
 module Collab = Expfinder_workload.Collab
 module Queries = Expfinder_workload.Queries
 module Synthetic = Expfinder_workload.Synthetic
@@ -87,34 +86,6 @@ let prop_maintained_partition_stable seed =
   done;
   !ok
 
-(* --- stores hold many artifacts ----------------------------------------- *)
-
-let test_store_many_artifacts () =
-  let dir = Filename.temp_file "expfinder-multi" "" in
-  Sys.remove dir;
-  let store = Graph_store.open_dir dir in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () ->
-      Graph_store.save_graph store "alpha" (Collab.graph ());
-      Graph_store.save_graph store "beta" (Collab.graph ());
-      Graph_store.save_pattern store "alpha" (Collab.query ());
-      Graph_store.save_pattern store "q2" (Collab.q2 ());
-      Graph_store.save_result store "alpha" [ (0, 1) ];
-      Alcotest.(check (list string)) "graphs sorted" [ "alpha"; "beta" ]
-        (Graph_store.list_graphs store);
-      Alcotest.(check (list string)) "patterns sorted" [ "alpha"; "q2" ]
-        (Graph_store.list_patterns store);
-      (* removing one name removes all its artifacts but not others *)
-      Graph_store.remove store "alpha";
-      Alcotest.(check (list string)) "beta stays" [ "beta" ] (Graph_store.list_graphs store);
-      Alcotest.(check (list string)) "q2 stays" [ "q2" ] (Graph_store.list_patterns store);
-      match Graph_store.load_result store "alpha" with
-      | Ok _ -> Alcotest.fail "result should be gone"
-      | Error _ -> ())
-
 (* --- exact ranking on a crafted weighted result graph -------------------- *)
 
 let test_ranking_on_crafted_graph () =
@@ -182,7 +153,6 @@ let () =
           Alcotest.test_case "net-change parity" `Quick test_net_edge_changes_parity;
           Alcotest.test_case "filtered no-ops" `Quick test_apply_batch_filtered_drops_noops;
         ] );
-      ("storage", [ Alcotest.test_case "many artifacts" `Quick test_store_many_artifacts ]);
       ( "semantics",
         [
           Alcotest.test_case "crafted ranking" `Quick test_ranking_on_crafted_graph;

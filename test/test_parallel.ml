@@ -10,6 +10,7 @@ module Parallel = Expfinder_parallel
 module Collab = Expfinder_workload.Collab
 module Queries = Expfinder_workload.Queries
 module Synthetic = Expfinder_workload.Synthetic
+module Pattern = Expfinder_pattern.Pattern
 
 (* --- primitives -------------------------------------------------------- *)
 
@@ -350,6 +351,82 @@ let test_register_during_updates () =
   done;
   Alcotest.(check int) "registered reads = direct evaluation" 0 !wrong
 
+let test_registered_reads_during_syncs () =
+  (* A reader domain loops over the registered patterns while a writer
+     domain streams update batches on an org graph where compression
+     pays, so every batch also syncs the compressed graph.  Each read
+     must return the answer of some published epoch, and none may fall
+     through to containment or the planner: a read that lands while the
+     writer syncs is served the previous epoch's maintained kernel.
+     Telemetry is on, so the planner and containment counters move
+     whenever either runs; the differential checker, which calls the
+     planner by design, is forced off.  Both loops are bounded; a start
+     flag lines them up. *)
+  let differential = Verify.differential () in
+  Verify.set_differential false;
+  Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Telemetry.set_enabled false;
+      Verify.set_differential differential)
+  @@ fun () ->
+  let g = Synthetic.org (Prng.create 123) ~teams:30 ~team_size:6 in
+  let engine = Engine.create g in
+  Engine.enable_compression ~atoms:Queries.atom_universe engine;
+  Alcotest.(check bool) "compression pays on this graph" true (Engine.compression engine <> None);
+  let patterns = Queries.workload (Prng.create 9) ~count:4 ~simulation:false g in
+  List.iter (Engine.register engine) patterns;
+  (* Non-total kernels all denote the empty M(Q,G). *)
+  let answer_key p relation =
+    ( Pattern.fingerprint p,
+      if Match_relation.is_total relation then Match_relation.digest relation else "empty" )
+  in
+  (* The direct answer of every pattern on every epoch the writer will
+     publish. *)
+  let shadow = Digraph.copy g in
+  let rng = Prng.create 77 in
+  let batches = List.init 40 (fun _ -> Update.random_mixed rng shadow 3) in
+  let valid = Hashtbl.create 256 in
+  let record_epoch () =
+    let snap = Snapshot.of_digraph shadow in
+    List.iter (fun p -> Hashtbl.replace valid (answer_key p (Planner.run p snap)) ()) patterns
+  in
+  record_epoch ();
+  List.iter
+    (fun batch ->
+      ignore (Update.apply_batch_filtered shadow batch : Update.t list);
+      record_epoch ())
+    batches;
+  let plans = Telemetry.Metrics.counter "planner.plans"
+  and containment = Telemetry.Metrics.counter "engine.containment_hits" in
+  let plans_before = Telemetry.Counter.value plans
+  and containment_before = Telemetry.Counter.value containment in
+  let go = Atomic.make false and finished = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        while not (Atomic.get go) do
+          Domain.cpu_relax ()
+        done;
+        List.iter
+          (fun batch -> ignore (Engine.apply_updates engine batch : Incremental.report list))
+          batches;
+        Atomic.set finished true)
+  in
+  Atomic.set go true;
+  let bad = ref 0 and rounds = ref 0 in
+  while (not (Atomic.get finished)) && !rounds < 20_000 do
+    incr rounds;
+    List.iter
+      (fun p ->
+        let answer = Engine.evaluate engine p in
+        if not (Hashtbl.mem valid (answer_key p answer.relation)) then incr bad)
+      patterns
+  done;
+  Domain.join writer;
+  Alcotest.(check int) "every answer matched some published epoch" 0 !bad;
+  Alcotest.(check int) "no read ran the planner" plans_before (Telemetry.Counter.value plans);
+  Alcotest.(check int) "no read took containment" containment_before
+    (Telemetry.Counter.value containment)
+
 (* --- per-domain trace roots -------------------------------------------- *)
 
 let test_domain_local_trace_roots () =
@@ -415,5 +492,7 @@ let () =
           Alcotest.test_case "per-domain trace roots" `Quick
             test_domain_local_trace_roots;
           Alcotest.test_case "register during updates" `Quick test_register_during_updates;
+          Alcotest.test_case "registered reads during syncs" `Quick
+            test_registered_reads_during_syncs;
         ] );
     ]

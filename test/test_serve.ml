@@ -881,8 +881,6 @@ let golden_domains =
   [
     "$: object";
     "$.engine: object";
-    "$.engine.maint_skips_ball_index: number";
-    "$.engine.maint_skips_fastpath: number";
     "$.engine.stale_reads: number";
     "$.engine.staleness: number";
     "$.epoch: number";

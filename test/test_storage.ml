@@ -1,7 +1,6 @@
-(* Storage: the query-result cache and the file-backed store. *)
+(* Storage: the query-result cache. *)
 
 open Expfinder_graph
-open Expfinder_pattern
 open Expfinder_core
 open Expfinder_storage
 module Collab = Expfinder_workload.Collab
@@ -159,64 +158,6 @@ let test_digest_memo_dropped () =
   Cache.store cache q ~snapshot:sid0 r;
   Alcotest.(check bool) "recomputed after invalidation" true (memo cache q sid0 r != d1)
 
-(* --- Graph store ------------------------------------------------------- *)
-
-let with_store f =
-  let dir = Filename.temp_file "expfinder" "" in
-  Sys.remove dir;
-  let store = Graph_store.open_dir dir in
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-        Sys.rmdir dir
-      end)
-    (fun () -> f store)
-
-let test_store_graph_roundtrip () =
-  with_store (fun store ->
-      let g = Collab.graph () in
-      Graph_store.save_graph store "collab" g;
-      Alcotest.(check (list string)) "listed" [ "collab" ] (Graph_store.list_graphs store);
-      match Graph_store.load_graph store "collab" with
-      | Ok g' -> Alcotest.(check bool) "roundtrip" true (Digraph.equal_structure g g')
-      | Error e -> Alcotest.fail e)
-
-let test_store_pattern_roundtrip () =
-  with_store (fun store ->
-      let q = Collab.query () in
-      Graph_store.save_pattern store "q" q;
-      Alcotest.(check (list string)) "listed" [ "q" ] (Graph_store.list_patterns store);
-      match Graph_store.load_pattern store "q" with
-      | Ok q' -> Alcotest.(check bool) "roundtrip" true (Pattern.equal q q')
-      | Error e -> Alcotest.fail e)
-
-let test_store_result_roundtrip () =
-  with_store (fun store ->
-      let pairs = [ (0, 1); (1, 4); (3, 8) ] in
-      Graph_store.save_result store "m" pairs;
-      match Graph_store.load_result store "m" with
-      | Ok pairs' -> Alcotest.(check (list (pair int int))) "roundtrip" pairs pairs'
-      | Error e -> Alcotest.fail e)
-
-let test_store_missing_and_remove () =
-  with_store (fun store ->
-      (match Graph_store.load_graph store "nope" with
-      | Ok _ -> Alcotest.fail "expected error"
-      | Error _ -> ());
-      Graph_store.save_graph store "g" (Collab.graph ());
-      Graph_store.remove store "g";
-      Alcotest.(check (list string)) "removed" [] (Graph_store.list_graphs store))
-
-let test_store_rejects_bad_names () =
-  with_store (fun store ->
-      List.iter
-        (fun name ->
-          match Graph_store.save_graph store name (Collab.graph ()) with
-          | () -> Alcotest.fail ("accepted bad name " ^ name)
-          | exception Invalid_argument _ -> ())
-        [ ""; "a/b"; ".hidden" ])
-
 let () =
   Alcotest.run "storage"
     [
@@ -229,13 +170,5 @@ let () =
           Alcotest.test_case "invalidation" `Quick test_cache_invalidation;
           Alcotest.test_case "digest memo reused" `Quick test_digest_memo_reused;
           Alcotest.test_case "digest memo dropped" `Quick test_digest_memo_dropped;
-        ] );
-      ( "store",
-        [
-          Alcotest.test_case "graph roundtrip" `Quick test_store_graph_roundtrip;
-          Alcotest.test_case "pattern roundtrip" `Quick test_store_pattern_roundtrip;
-          Alcotest.test_case "result roundtrip" `Quick test_store_result_roundtrip;
-          Alcotest.test_case "missing and remove" `Quick test_store_missing_and_remove;
-          Alcotest.test_case "bad names" `Quick test_store_rejects_bad_names;
         ] );
     ]
