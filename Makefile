@@ -89,8 +89,8 @@ lint-knobs:
 # differential self-checker on (every cached/registered/compressed answer
 # re-verified against direct evaluation; <1s overhead), then again with
 # a 2-domain execution model forced through every ?domains default (the
-# pool serving path, parallel evaluation and the writer-domain routing
-# all switch on), then the serving-path smokes — including the
+# pool serving path switches on, and updates are applied on its
+# workers), then the serving-path smokes — including the
 # parallel-vs-sequential replay differential — then short top-K,
 # update-churn and serve-hot benchmark runs as correctness smokes, and
 # finally a soft perf-regression check against the committed baseline
@@ -111,9 +111,9 @@ check: lint lint-mli lint-dsafe lint-dsafe-growth lint-knobs
 
 # The full suite under a multicore execution model: EXPFINDER_DOMAINS=2
 # sizes the serving pool, so every server the suite starts without an
-# explicit ~domains runs a 2-worker pool plus the writer domain instead
-# of the single-threaded loop.  Query evaluation is sequential either
-# way.
+# explicit ~domains runs a 2-worker pool instead of the single-threaded
+# loop, and applies update batches on those workers under the engine's
+# writer lock.  Query evaluation is sequential either way.
 test-domains:
 	EXPFINDER_DOMAINS=2 dune runtest --force
 
@@ -205,14 +205,21 @@ soak-smoke: build
 	echo "soak-smoke: ok ($$pm)"
 
 # Multicore differential gate: the same smoke workload served by a
-# 2-domain pool (worker domains + the dedicated writer domain) with
-# qlog capture on — first a read-only soak from two concurrent client
-# worker domains, then a sequential query/update/query round routed
-# through the writer — and the captured log replayed against a fresh
-# single-domain engine.  The replay command exits non-zero unless every
-# parallel-served answer digest is byte-identical to its sequential
-# re-evaluation, so the pool cannot drift from the sequential oracle
-# unnoticed.  Invokes $(EXE) directly for the same build-lock reason as
+# 2-domain pool, whose workers apply update batches under the engine's
+# writer lock, with qlog capture on — first a read-only soak from two
+# concurrent client worker domains, then two concurrent update-only
+# clients (one inserting edge 8->3, one deleting it: the graph they
+# leave depends on the order their batches were applied in, and the
+# paper pattern's answer on whether that edge is there), then a
+# sequential query/update/query round — and the captured log replayed
+# against a fresh single-domain engine.  The replay command exits
+# non-zero unless every parallel-served answer digest is byte-identical
+# to its sequential re-evaluation; the queries after the concurrent
+# updates match only if the log ends those updates in apply order.
+# Last, the epochs the logged update events carry must never go back:
+# each event carries the epoch its batch left published, so this holds
+# exactly when the log lists every batch in apply order.
+# Invokes $(EXE) directly for the same build-lock reason as
 # replay-smoke.
 par-diff-smoke: build
 	@rm -rf _build/par_smoke && mkdir -p _build/par_smoke
@@ -228,11 +235,22 @@ par-diff-smoke: build
 	  --batch workloads/smoke/queries.batch --repeat 3 --concurrency 2 \
 	  || { kill $$pid 2>/dev/null; echo "par-diff-smoke: soak client failed"; exit 1; }; \
 	$(EXE) client --socket _build/par_smoke/sock \
+	  --insert 8,3 --repeat 200 >/dev/null & \
+	ipid=$$!; \
+	$(EXE) client --socket _build/par_smoke/sock \
+	  --delete 8,3 --repeat 200 >/dev/null \
+	  || { kill $$pid $$ipid 2>/dev/null; echo "par-diff-smoke: delete client failed"; exit 1; }; \
+	wait $$ipid \
+	  || { kill $$pid 2>/dev/null; echo "par-diff-smoke: insert client failed"; exit 1; }; \
+	$(EXE) client --socket _build/par_smoke/sock \
 	  -q workloads/smoke/paper.pattern -q workloads/smoke/sa.pattern \
 	  --insert 1,5 --delete 1,5 --repeat 2 --shutdown >/dev/null \
 	  || { kill $$pid 2>/dev/null; echo "par-diff-smoke: update client failed"; exit 1; }; \
 	wait $$pid; \
-	$(EXE) replay _build/par_smoke/qlog.jsonl -g workloads/smoke/collab.graph
+	$(EXE) replay _build/par_smoke/qlog.jsonl -g workloads/smoke/collab.graph || exit 1; \
+	grep '"kind":"update"' _build/par_smoke/qlog.jsonl | grep -o '"epoch":[0-9]*' | cut -d: -f2 \
+	  | awk 'NR > 1 && $$1 < prev { print "par-diff-smoke: update logged at epoch " $$1 " after epoch " prev; bad = 1 } \
+	         { prev = $$1 } END { exit bad }'
 
 # Multicore observability smoke gate: serve a short workload on a
 # 2-domain pool, then require the new surfaces to be live and

@@ -50,7 +50,8 @@ val apply_updates : t -> Digraph.t -> Update.t list -> report
 
 val sync : t -> snapshot:Snapshot.t -> effective:int -> Update.t list -> report
 (** Maintenance against an externally applied ΔG, landing on the given
-    post-update snapshot (see {!Expfinder_incremental.Incremental.sync}). *)
+    post-update snapshot (see
+    {!Expfinder_incremental.Incremental.sync_applied}). *)
 
 val sync_if_pays :
   t -> snapshot:Snapshot.t -> effective:int -> Update.t list -> report option

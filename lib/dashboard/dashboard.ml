@@ -165,7 +165,7 @@ let domain_lines ~width ~timeseries domains =
             | s -> Some (Printf.sprintf "    %-14s %s" label s))
           [
             ("queue depth", "m.chan.pool.jobs.depth");
-            ("writer backlog", "m.chan.serial.jobs.depth");
+            ("writer backlog", "m.engine.writer.backlog");
           ]
     in
     (header :: workers) @ trends

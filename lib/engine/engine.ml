@@ -75,10 +75,16 @@ type expert = { node : int; name : string option; rank : Ranking.rank }
      writers; a record's kernels and compressed graph are on its own
      snapshot by construction, so readers check no identity.
    - [writer] serializes everything that advances or republishes the
-     epoch: [apply_updates], [register]/[unregister], the compression
-     switches and the rebuild-on-external-mutation path of [snapshot].
-     The trackers behind the record ([trackers], [inc_compress]) are
-     read and written only under it.
+     epoch: [apply_updates], [register]/[unregister] and the compression
+     switches, on whichever domain calls them.  The trackers behind the
+     record ([trackers], [inc_compress]) are read and written only under
+     it, and an update batch emits its request event before releasing
+     it, so the query log lists batches in the order they were applied.
+   - The engine owns its digraph: every mutation goes through
+     [apply_updates].  A digraph whose version has moved past the
+     published epoch was mutated behind the engine's back; the writer
+     refuses to work on it ([epoch_locked]) and readers keep serving the
+     last published epoch.
    - A tracker never mutates a kernel it has returned
      ([Incremental.kernel]), and a sync builds a fresh [Compress.t], so
      a published record stays valid while the writer syncs the next
@@ -92,11 +98,13 @@ type expert = { node : int; name : string option; rank : Ranking.rank }
      [engine.snapshot.staleness]     epochs behind (version - epoch) at
                                      the last stale read; 0 once the
                                      writer publishes
+     [engine.writer.backlog]         update batches waiting for [writer]
      [engine.epoch.publish_lag_ms]   apply-to-publication latency, the
                                      maintenance sync included *)
 type contention_metrics = {
   m_stale_reads : Counter.t;
   g_staleness : Gauge.t;
+  g_backlog : Gauge.t;
   h_publish_lag : Histogram.t;
 }
 
@@ -134,6 +142,7 @@ let create ?cache_capacity g =
       {
         m_stale_reads = Metrics.counter ~always:true "engine.snapshot.stale_reads";
         g_staleness = Metrics.gauge ~always:true "engine.snapshot.staleness";
+        g_backlog = Metrics.gauge ~always:true "engine.writer.backlog";
         h_publish_lag =
           Metrics.histogram ~always:true "engine.epoch.publish_lag_ms";
       };
@@ -141,61 +150,36 @@ let create ?cache_capacity g =
 
 let graph t = t.g
 
-(* Publish [snap] with what the trackers hold on it.  Requires
-   [t.writer] held.  A tracker still on an older snapshot (the digraph
-   was mutated behind the engine's back) publishes nothing. *)
+(* Publish [snap] with what the trackers hold on it, all of which is on
+   [snap].  Requires [t.writer] held. *)
 let publish t snap =
-  let on_snap s = Snapshot.identity_equal (Snapshot.id s) (Snapshot.id snap) in
   Atomic.set t.epoch
     {
       snap;
       registered = List.map (fun (_, inc) -> Incremental.pattern inc) t.trackers;
-      kernels =
-        List.filter_map
-          (fun (fp, inc) ->
-            if on_snap (Incremental.snapshot inc) then Some (fp, Incremental.kernel inc)
-            else None)
-          t.trackers;
-      compressed =
-        Option.bind t.inc_compress (fun inc ->
-            if on_snap (Inc_compress.snapshot inc) then Some (Inc_compress.current inc)
-            else None);
+      kernels = List.map (fun (fp, inc) -> (fp, Incremental.kernel inc)) t.trackers;
+      compressed = Option.map Inc_compress.current t.inc_compress;
     }
 
-(* The one place snapshot/digraph agreement is checked: the published
-   epoch is current unless the digraph was mutated behind the engine's
-   back ([apply_updates] publishes a rebuilt snapshot with every
-   effective batch), in which case we pay one full rebuild here.
-   Requires [t.writer] held (rebuilding from a digraph another domain is
-   mutating would tear). *)
+(* The writer's ownership check: the published epoch, provided the
+   digraph is still at its version.  Requires [t.writer] held. *)
 let epoch_locked t =
   let e = Atomic.get t.epoch in
-  if Snapshot.epoch e.snap = Digraph.version t.g then e
-  else begin
-    Counter.incr m_snapshot_rebuilds;
-    publish t (Snapshot.of_digraph t.g);
-    Atomic.get t.epoch
-  end
+  if Digraph.version t.g <> Snapshot.epoch e.snap then
+    invalid_arg "Engine: digraph mutated outside apply_updates";
+  e
 
+(* A reader's epoch: one atomic load.  A digraph version ahead of it
+   means an update is in flight (or the digraph was mutated behind the
+   engine's back): the reader serves the pinned epoch and counts it. *)
 let current_epoch t =
   let e = Atomic.get t.epoch in
-  if Snapshot.epoch e.snap = Digraph.version t.g then e
-  else if Mutex.try_lock t.writer then (
-    match epoch_locked t with
-    | e ->
-      Mutex.unlock t.writer;
-      e
-    | exception e ->
-      Mutex.unlock t.writer;
-      raise e)
-  else begin
-    (* An update is in flight (version already bumped, new epoch not yet
-       published): serve the pinned pre-update epoch rather than block —
-       the update is not "done" from this reader's viewpoint. *)
+  let behind = Digraph.version t.g - Snapshot.epoch e.snap in
+  if behind > 0 then begin
     Counter.incr t.cm.m_stale_reads;
-    Gauge.set t.cm.g_staleness (max 0 (Digraph.version t.g - Snapshot.epoch e.snap));
-    e
-  end
+    Gauge.set t.cm.g_staleness behind
+  end;
+  e
 
 let snapshot t = (current_epoch t).snap
 
@@ -251,9 +235,8 @@ let from_containment t pattern ~snap =
    strategy label for the flight recorder, and whether this call just
    computed it via the direct path (the differential checker re-verifies
    everything else).  The kernel and the compressed graph come from the
-   same pinned epoch as the snapshot. *)
-let evaluate_inner t pattern =
-  let e = current_epoch t in
+   same pinned epoch [e] as the snapshot. *)
+let evaluate_inner t e pattern =
   let snap = e.snap in
   let sid = Snapshot.id snap in
   match
@@ -323,14 +306,13 @@ let record_profile t ~trace ~query ~provenance ~counters span =
 
 (* Finished-request bookkeeping, one call per exit path of the three
    op classes: the duration since [start] and the counter delta since
-   [before], tagged with the engine's current snapshot, go to every
-   telemetry sink at once.  Returns that delta, which is also the
+   [before], tagged with [snap], the snapshot the request ran on, go to
+   every telemetry sink at once.  Returns that delta, which is also the
    request's profile counters. *)
-let finished t ~kind ~trace ~start ~before ~query ~strategy ?(pairs = 0) ?digest ~payload
+let finished ~snap ~kind ~trace ~start ~before ~query ~strategy ?(pairs = 0) ?digest ~payload
     ?error ?root () =
   let duration_ms = (now_us () -. start) /. 1000.0 in
   let counters = Metrics.delta ~before ~after:(Metrics.counters_snapshot ()) in
-  let snap = (Atomic.get t.epoch).snap in
   Request.finish ~kind ~trace ~query ~strategy ~duration_ms ~counters ~pairs ?digest ~payload
     ?error:(Option.map Printexc.to_string error)
     ?root ~graph_id:(Snapshot.graph_id snap) ~epoch:(Snapshot.epoch snap) ();
@@ -364,24 +346,25 @@ let evaluate_pinned ?(trace = Trace.ambient) t pattern =
   Counter.incr m_queries;
   let fp = Pattern.fingerprint pattern in
   let payload = lazy (Json.Str (Pattern_io.to_string pattern)) in
+  let e = current_epoch t in
   match
     Trace.collect trace ~attrs:[ ("query", fp) ] "evaluate" (fun () ->
-        let snap, relation, provenance, strategy, via_direct = evaluate_inner t pattern in
+        let snap, relation, provenance, strategy, via_direct = evaluate_inner t e pattern in
         differential_check ~snap pattern relation provenance ~via_direct;
         Counter.incr (provenance_counter provenance);
         annotate "provenance" (provenance_name provenance);
         annotate_int "pairs" (Match_relation.total relation);
         (snap, relation, provenance, strategy))
   with
-  | exception e ->
+  | exception exn ->
     ignore
-      (finished t ~kind:Qlog.Query ~trace ~start ~before ~query:fp ~strategy:"error" ~payload
-         ~error:e ());
-    raise e
+      (finished ~snap:e.snap ~kind:Qlog.Query ~trace ~start ~before ~query:fp
+         ~strategy:"error" ~payload ~error:exn ());
+    raise exn
   | (snap, relation, provenance, strategy), root ->
     let digest = answer_digest t pattern ~sid:(Snapshot.id snap) relation in
     let counters =
-      finished t ~kind:Qlog.Query ~trace ~start ~before ~query:fp ~strategy
+      finished ~snap ~kind:Qlog.Query ~trace ~start ~before ~query:fp ~strategy
         ~pairs:(Match_relation.total relation) ~digest ~payload ?root ()
     in
     let profile = Option.map (record_profile t ~trace ~query:fp ~provenance ~counters) root in
@@ -537,7 +520,7 @@ let evaluate_batch ?(trace = Trace.ambient) t patterns =
   match run_batch () with
   | exception e ->
     ignore
-      (finished t ~kind:Qlog.Batch ~trace ~start ~before ~query:label ~strategy:"batch/error"
+      (finished ~snap ~kind:Qlog.Batch ~trace ~start ~before ~query:label ~strategy:"batch/error"
          ~payload ~error:e ());
     raise e
   | (), root ->
@@ -560,7 +543,7 @@ let evaluate_batch ?(trace = Trace.ambient) t patterns =
         patterns
     in
     let counters =
-      finished t ~kind:Qlog.Batch ~trace ~start ~before ~query:label ~strategy:"batch"
+      finished ~snap ~kind:Qlog.Batch ~trace ~start ~before ~query:label ~strategy:"batch"
         ~pairs:(List.fold_left (fun acc a -> acc + Match_relation.total a.relation) 0 answers)
         ~digest:(lazy (batch_digest answers))
         ~payload ?root ()
@@ -689,8 +672,11 @@ let registered t = (Atomic.get t.epoch).registered
    digraph, rebuilds the snapshot from it with [Snapshot.of_digraph]
    like every other epoch, syncs the compressed graph and every tracker
    on that snapshot, and only then publishes the whole record;
-   concurrent readers keep serving their pinned epoch throughout. *)
+   concurrent readers keep serving their pinned epoch throughout.
+   Returns the reports, the effective count and the snapshot the batch
+   leaves published. *)
 let apply_updates_locked t updates =
+  let current = epoch_locked t in
   Counter.incr m_update_batches;
   let t_apply = now_us () in
   let effective = Update.apply_batch_filtered t.g updates in
@@ -702,7 +688,8 @@ let apply_updates_locked t updates =
         (fun _ ->
           { Incremental.effective = 0; area = 0; iterations = 0; added = []; removed = [] })
         t.trackers,
-      0 )
+      0,
+      current.snap )
   else begin
     let published = Snapshot.of_digraph t.g in
     Counter.incr m_snapshot_rebuilds;
@@ -736,41 +723,38 @@ let apply_updates_locked t updates =
     (* Results for old epochs are unreachable (keys include the
        identity), but drop them eagerly to keep the cache useful. *)
     Cache.clear t.cache;
-    (reports, List.length effective)
+    (reports, List.length effective, published)
   end
 
-let apply_updates_inner t updates =
-  Mutex.lock t.writer;
-  match apply_updates_locked t updates with
-  | r ->
-    Mutex.unlock t.writer;
-    r
-  | exception e ->
-    Mutex.unlock t.writer;
-    raise e
-
+(* The batch runs on the calling domain.  Its request event is emitted
+   before [writer] is released, so the query log and the flight
+   recorder list update batches in the order they were applied: replay
+   applies them in log order. *)
 let apply_updates ?(trace = Trace.ambient) t updates =
   let before = Metrics.counters_snapshot () in
   let start = now_us () in
   (* The replayable payload is the *input* batch: no-ops are dropped at
      apply time, so replay reproduces the same filtering. *)
   let payload = lazy (Json.Arr (List.map Update.to_json updates)) in
-  match
-    Trace.collect trace
-      ~attrs:[ ("updates", string_of_int (List.length updates)) ]
-      "apply_updates"
-      (fun () -> apply_updates_inner t updates)
-  with
-  | exception e ->
-    ignore
-      (finished t ~kind:Qlog.Update ~trace ~start ~before ~query:"update"
-         ~strategy:"update/error" ~payload ~error:e ());
-    raise e
-  | (reports, effective_n), root ->
-    ignore
-      (finished t ~kind:Qlog.Update ~trace ~start ~before ~query:"update" ~strategy:"update"
-         ~pairs:effective_n ~payload ?root ());
-    reports
+  Gauge.add t.cm.g_backlog 1;
+  Mutex.protect t.writer (fun () ->
+      Gauge.add t.cm.g_backlog (-1);
+      match
+        Trace.collect trace
+          ~attrs:[ ("updates", string_of_int (List.length updates)) ]
+          "apply_updates"
+          (fun () -> apply_updates_locked t updates)
+      with
+      | exception e ->
+        ignore
+          (finished ~snap:(Atomic.get t.epoch).snap ~kind:Qlog.Update ~trace ~start ~before
+             ~query:"update" ~strategy:"update/error" ~payload ~error:e ());
+        raise e
+      | (reports, effective_n, snap), root ->
+        ignore
+          (finished ~snap ~kind:Qlog.Update ~trace ~start ~before ~query:"update"
+             ~strategy:"update" ~pairs:effective_n ~payload ?root ());
+        reports)
 
 let cache_counters t = (Cache.hits t.cache, Cache.misses t.cache, Cache.evictions t.cache)
 

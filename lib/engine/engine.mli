@@ -25,17 +25,23 @@ open Expfinder_telemetry
     + registered queries are maintained incrementally as updates arrive,
       and the compressed graph is maintained alongside.
 
-    All updates must flow through {!apply_updates} so that the cache,
-    the compressed graph and the registered queries stay consistent.
+    The engine owns its data graph: all updates must flow through
+    {!apply_updates} so that the cache, the compressed graph and the
+    registered queries stay consistent.  A graph mutated behind the
+    engine's back is never served: the engine keeps serving the last
+    epoch it published, and refuses to build on the moved graph
+    ({!apply_updates}, {!register} and {!enable_compression} raise
+    [Invalid_argument]).
 
     Concurrency: the engine publishes one epoch at a time, through one
     atomic cell holding an immutable record of the snapshot, the
     registered kernels computed on it and the compressed graph built on
     it.  Readers pin a whole epoch with one atomic load and never take a
     lock for it; every mutation ({!apply_updates}, {!register},
-    {!unregister}, the compression switches) runs under one writer lock
-    and publishes a complete record, so a read during an update is
-    served the previous epoch, maintained answers included.
+    {!unregister}, the compression switches) runs under one writer lock,
+    on the calling domain, and publishes a complete record, so a read
+    during an update is served the previous epoch, maintained answers
+    included.
 
     With [EXPFINDER_CHECK=1] in the environment (or
     {!Expfinder_core.Verify.set_differential}), every answer that did
@@ -52,7 +58,7 @@ open Expfinder_telemetry
     with errors flagged), the always-on flight recorder and — when a
     query-log sink is configured ({!Expfinder_telemetry.Qlog},
     [EXPFINDER_QLOG]) — one schema-versioned JSONL event carrying the
-    snapshot identity, strategy, duration, counter deltas, answer size
+    identity of the snapshot the request ran on, strategy, duration, counter deltas, answer size
     and digest, and a replayable payload consumed by
     [expfinder replay]. *)
 
@@ -108,25 +114,22 @@ type expert = {
 }
 
 val create : ?cache_capacity:int -> Digraph.t -> t
-(** The engine snapshots the graph; mutate it only via
-    {!apply_updates}. *)
+(** The engine takes ownership of the graph and snapshots it: from then
+    on, mutate it only through {!apply_updates}. *)
 
 val graph : t -> Digraph.t
+(** The engine's data graph, for reading only: mutate it only through
+    {!apply_updates}.  It may be ahead of {!snapshot} while a batch is
+    being applied. *)
 
 val snapshot : t -> Snapshot.t
-(** The engine's current-epoch snapshot, memoised: rebuilt only when the
-    digraph's version disagrees (i.e. it was mutated outside
-    {!apply_updates}, the single place that check lives).  All
-    evaluation paths read this snapshot — queries in flight on an older
-    epoch keep their pinned value untouched.
-
-    The snapshot lives in the engine's atomic epoch record: readers pin
-    one coherent epoch with a single atomic load and never block on a
-    concurrent {!apply_updates} (they serve the pre-update epoch until
-    the writer publishes the next one).  The rebuild-on-external-
-    mutation path is serialized with the writer and publishes the
-    rebuilt snapshot with no registered kernel and no compressed graph:
-    those trackers describe an older epoch. *)
+(** The published epoch's snapshot: one atomic load, never a rebuild.
+    All evaluation paths read this snapshot — queries in flight on an
+    older epoch keep their pinned value untouched, and a read during
+    {!apply_updates} is served the pre-update epoch until the writer
+    publishes the next one (counted by [engine.snapshot.stale_reads]).
+    After an outside mutation of {!graph} it stays the last published
+    snapshot. *)
 
 val evaluate : ?trace:Trace.ctx -> t -> Pattern.t -> answer
 (** Cache → registered kernel → compressed → cached superset
@@ -171,7 +174,9 @@ val enable_compression : ?atoms:Predicate.atom list -> t -> unit
     whose block count rules that out, and then no compressed graph is
     built or kept: queries take the other routes and updates skip its
     maintenance.  During maintenance the graph is dropped once it has
-    decayed past the same threshold. *)
+    decayed past the same threshold.
+    @raise Invalid_argument when the graph was mutated outside
+    {!apply_updates}. *)
 
 val disable_compression : t -> unit
 
@@ -185,7 +190,9 @@ val register : t -> Pattern.t -> unit
     maintained across updates (§II Incremental Computation Module).  It
     is evaluated on the current epoch under the writer lock, so it waits
     for an update batch in flight and syncs from the epoch it was
-    evaluated on; the epoch is republished with its kernel. *)
+    evaluated on; the epoch is republished with its kernel.
+    @raise Invalid_argument when the graph was mutated outside
+    {!apply_updates}. *)
 
 val unregister : t -> Pattern.t -> unit
 (** Stop maintaining a query, under the writer lock like {!register}. *)
@@ -207,7 +214,16 @@ val apply_updates : ?trace:Trace.ctx -> t -> Update.t list -> Incremental.report
     A batch with no effective update (every insertion already present,
     every deletion already absent) changes nothing: the epoch, the cache,
     the compressed graph and the registered kernels are left as they
-    are, and every report says [effective = 0]. *)
+    are, and every report says [effective = 0].
+
+    The batch runs on the calling domain under the writer lock, and its
+    request event (query log, flight recorder) is emitted before the
+    lock is released, so the log lists batches in the order they were
+    applied.  The always-on [engine.writer.backlog] gauge counts the
+    batches waiting for the lock.
+    @raise Invalid_argument, before changing anything, when an edge
+    update names a node the graph lacks, or when the graph was mutated
+    outside {!apply_updates}. *)
 
 val last_profile : t -> profile option
 (** The profile of the most recent traced query ({!evaluate} or

@@ -6,6 +6,11 @@ type t =
   | Delete_edge of int * int
   | Insert_node of Label.t * Attrs.t
 
+let pp ppf = function
+  | Insert_edge (u, v) -> Format.fprintf ppf "+(%d,%d)" u v
+  | Delete_edge (u, v) -> Format.fprintf ppf "-(%d,%d)" u v
+  | Insert_node (l, _) -> Format.fprintf ppf "+node(%a)" Label.pp l
+
 let apply g = function
   | Insert_edge (u, v) -> Digraph.add_edge g u v
   | Delete_edge (u, v) -> Digraph.remove_edge g u v
@@ -16,7 +21,24 @@ let apply g = function
 let apply_batch g updates =
   List.fold_left (fun acc u -> if apply g u then acc + 1 else acc) 0 updates
 
-let apply_batch_filtered g updates = List.filter (apply g) updates
+(* Every edge update must name nodes present at its point in the batch,
+   so that a batch either applies whole or fails before any change. *)
+let check_nodes g updates =
+  ignore
+    (List.fold_left
+       (fun n u ->
+         match u with
+         | Insert_node _ -> n + 1
+         | Insert_edge (a, b) | Delete_edge (a, b) ->
+           if a < 0 || a >= n || b < 0 || b >= n then
+             invalid_arg (Format.asprintf "Update: unknown node in %a" pp u);
+           n)
+       (Digraph.node_count g) updates
+      : int)
+
+let apply_batch_filtered g updates =
+  check_nodes g updates;
+  List.filter (apply g) updates
 
 let net_edge_changes g effective =
   (* Parity per ordered pair: an edge toggled an even number of times is
@@ -56,11 +78,6 @@ let touched_sources updates =
         end
       | Insert_node _ -> None)
     updates
-
-let pp ppf = function
-  | Insert_edge (u, v) -> Format.fprintf ppf "+(%d,%d)" u v
-  | Delete_edge (u, v) -> Format.fprintf ppf "-(%d,%d)" u v
-  | Insert_node (l, _) -> Format.fprintf ppf "+node(%a)" Label.pp l
 
 (* The wire codec shared by the query log, the serve protocol and the
    replay driver: ["+"]/["-"] edge ops carry the endpoints, ["node"]

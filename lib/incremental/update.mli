@@ -21,7 +21,10 @@ val apply_batch : Digraph.t -> t list -> int
 
 val apply_batch_filtered : Digraph.t -> t list -> t list
 (** Apply in order; returns the sublist of effective updates (no-ops such
-    as inserting an existing edge are dropped). *)
+    as inserting an existing edge are dropped).
+    @raise Invalid_argument, before applying anything, when an edge
+    update names a node absent from the graph at its point in the
+    batch. *)
 
 val net_edge_changes : Digraph.t -> t list -> (int * int) list * (int * int) list
 (** [net_edge_changes g effective] is [(inserted, deleted)]: the edges

@@ -1,15 +1,14 @@
 (* Multicore primitives for the ExpFinder execution model.
 
    Everything here is deliberately small: the server's parallelism is a
-   bounded work queue feeding a fixed pool of domains, and writes are
-   funnelled through one dedicated writer domain.  Query evaluation is
-   sequential.  No scheduler, no effects, no task graph.
+   bounded work queue feeding a fixed pool of domains.  Query evaluation
+   is sequential.  No scheduler, no effects, no task graph.
 
-   Each shape is instrumented through the telemetry registry: channel
-   depth gauges and wait histograms, per-worker busy/idle accounting,
-   writer submit latency.  All metric state lives in per-instance
-   records (registry cells are internally Atomic/mutex-guarded), so
-   this module adds no module-level mutable bindings of its own. *)
+   The pool is instrumented through the telemetry registry: channel
+   depth gauges and wait histograms, per-worker busy/idle accounting.
+   All metric state lives in per-instance records (registry cells are
+   internally Atomic/mutex-guarded), so this module adds no
+   module-level mutable bindings of its own. *)
 
 module T = Expfinder_telemetry
 
@@ -272,76 +271,4 @@ module Pool = struct
     | Some span ->
         T.Histogram.observe t.metrics.h_drain (T.Span.duration_ms span);
         T.Profile.record span
-end
-
-(* ------------------------------------------------------------------ *)
-(* Serial executor (dedicated writer domain)                            *)
-(* ------------------------------------------------------------------ *)
-
-module Serial = struct
-  (* The writer's backlog is the depth gauge of its named channel
-     ([chan.serial.jobs.depth]); each submit is counted and priced
-     end-to-end (enqueue wait + execution + wakeup) in
-     [serial.submit_ms].  Submits are one per update batch, so the
-     accounting is always-on. *)
-  type t = {
-    jobs : (unit -> unit) Chan.t;
-    worker : unit Domain.t;
-    m_submitted : T.Counter.t;
-    h_submit : T.Histogram.t;
-  }
-
-  let create () =
-    let jobs = Chan.create ~name:"serial.jobs" ~capacity:64 () in
-    let worker =
-      Domain.spawn (fun () ->
-          let rec loop () =
-            match Chan.pop jobs with
-            | None -> ()
-            | Some job ->
-                job ();
-                loop ()
-          in
-          loop ())
-    in
-    {
-      jobs;
-      worker;
-      m_submitted = T.Metrics.counter ~always:true "serial.submitted";
-      h_submit = T.Metrics.histogram ~always:true "serial.submit_ms";
-    }
-
-  (* The submitted closure runs on the writer domain; the caller blocks
-     on a private condition cell until the result (or the exception,
-     re-raised here) comes back.  The cell is per-call, so concurrent
-     submitters only contend on the channel, never on each other's
-     results. *)
-  let submit t f =
-    let t0 = T.now_us () in
-    let m = Mutex.create () in
-    let c = Condition.create () in
-    let cell = ref None in
-    Chan.push t.jobs (fun () ->
-        let r = match f () with v -> Ok v | exception e -> Error e in
-        Mutex.lock m;
-        cell := Some r;
-        Condition.signal c;
-        Mutex.unlock m);
-    Mutex.lock m;
-    let rec await () =
-      match !cell with
-      | Some r -> r
-      | None ->
-          Condition.wait c m;
-          await ()
-    in
-    let r = await () in
-    Mutex.unlock m;
-    T.Counter.incr t.m_submitted;
-    T.Histogram.observe t.h_submit ((T.now_us () -. t0) /. 1000.0);
-    match r with Ok v -> v | Error e -> raise e
-
-  let shutdown t =
-    Chan.close t.jobs;
-    Domain.join t.worker
 end

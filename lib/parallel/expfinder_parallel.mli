@@ -1,13 +1,10 @@
 (** Multicore primitives for the ExpFinder execution model.
 
-    Two shapes cover every use of OCaml 5 domains in the server:
-
-    - {e worker pool} ({!Pool}): the server's accept loop dispatches
-      connection handlers to a fixed set of domains over a bounded
-      channel ({!Chan}).
-    - {e serial executor} ({!Serial}): updates are funnelled through a
-      single dedicated writer domain, which serializes [apply_updates]
-      and publishes new epochs; readers never block on it.
+    One shape covers the server's use of OCaml 5 domains: a {e worker
+    pool} ({!Pool}), to which the accept loop dispatches connection
+    handlers over a bounded channel ({!Chan}).  A worker runs every
+    request of its connection, update batches included; the engine's
+    writer lock serializes the batches, and readers never block on it.
 
     Query evaluation itself is sequential.  {!run} is a plain fork/join
     helper for drivers that want several client domains (the soak
@@ -16,12 +13,11 @@
     The [EXPFINDER_DOMAINS] environment variable sizes only the serving
     pool (see {!default_pool_domains}).
 
-    Both shapes are instrumented through the telemetry registry
-    (channel depth gauges, enqueue/dequeue wait histograms, per-worker
-    busy/idle accounting, writer submit latency); metric names are
-    documented on each module.  Depth gauges and pool/writer counters
-    are always-on; wait histograms only record while telemetry is
-    enabled. *)
+    The pool is instrumented through the telemetry registry (channel
+    depth gauges, enqueue/dequeue wait histograms, per-worker busy/idle
+    accounting); metric names are documented on each module.  Depth
+    gauges and pool counters are always-on; wait histograms only record
+    while telemetry is enabled. *)
 
 val env_name : string
 (** Name of the controlling environment variable, ["EXPFINDER_DOMAINS"]. *)
@@ -35,7 +31,7 @@ val env_domains : unit -> int option
 val default_pool_domains : unit -> int
 (** Default domain count for the {e serving} pool: [EXPFINDER_DOMAINS]
     when set, else [max 1 (Domain.recommended_domain_count () - 1)]
-    (one domain is reserved for the accept loop / writer). *)
+    (one domain is left to the accept loop). *)
 
 val run : domains:int -> (int -> 'a) -> 'a array
 (** [run ~domains f] evaluates [f 0 .. f (domains-1)] concurrently and
@@ -122,28 +118,4 @@ module Pool : sig
       them all.  Returns only when every worker has exited.  The drain
       is recorded in [<name>.drain_ms] and folded into the continuous
       profile under [pool.drain]. *)
-end
-
-(** Dedicated writer domain: a one-domain executor whose {!Serial.submit}
-    blocks the caller until the closure has run on the writer, then
-    returns its result (or re-raises its exception) — the mechanism by
-    which the server serializes [apply_updates] while readers keep
-    evaluating on their pinned snapshots. *)
-module Serial : sig
-  type t
-
-  val create : unit -> t
-  (** Spawn the writer domain.  Always-on accounting: the backlog is
-      the [chan.serial.jobs.depth] gauge, submits are counted in
-      [serial.submitted] and priced end-to-end (enqueue wait +
-      execution + wakeup, milliseconds) in [serial.submit_ms]. *)
-
-  val submit : t -> (unit -> 'a) -> 'a
-  (** [submit t f] runs [f ()] on the writer domain, in submission
-      order relative to other [submit]s, and blocks until it
-      completes.  Exceptions raised by [f] are re-raised in the
-      caller. *)
-
-  val shutdown : t -> unit
-  (** Drain pending jobs and join the writer domain. *)
 end

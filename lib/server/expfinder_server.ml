@@ -61,9 +61,12 @@ let sockaddr = function
 (* Stats document *)
 
 (* Pool / writer summary read back from the always-on registry cells
-   the parallel primitives publish.  Reading through [Metrics.gauge]
+   the pool and the engine publish.  Reading through [Metrics.gauge]
    mints a zero cell when the pool was never started (single-domain
-   serving), which reads as the honest "no workers" answer. *)
+   serving), which reads as the honest "no workers" answer.  The writer
+   is the engine's writer lock: its backlog is the update batches
+   waiting for it, its submissions the update window's lifetime
+   total. *)
 let reg_gauge name = Gauge.value (Metrics.gauge ~always:true name)
 
 let reg_counter name = Counter.value (Metrics.counter ~always:true name)
@@ -76,8 +79,8 @@ let pool_json () =
       ("queue_depth", Json.Int (reg_gauge "chan.pool.jobs.depth"));
       ("queue_capacity", Json.Int (reg_gauge "pool.queue_capacity"));
       ("tasks", Json.Int (reg_counter "pool.tasks"));
-      ("writer_backlog", Json.Int (reg_gauge "chan.serial.jobs.depth"));
-      ("writer_submitted", Json.Int (reg_counter "serial.submitted"));
+      ("writer_backlog", Json.Int (reg_gauge "engine.writer.backlog"));
+      ("writer_submitted", Json.Int (fst (Window.totals (Window.get "update"))));
     ]
 
 let stats_json engine =
@@ -243,11 +246,9 @@ let parse_pattern memo text =
             Hashtbl.replace memo.parses text parsed);
       parsed
 
-(* [apply] is how update batches reach the engine: the sequential server
-   calls [Engine.apply_updates] in place, the domain-pool server routes
-   them through the dedicated writer domain so exactly one domain ever
-   advances the epoch. *)
-let handle_request engine ~memo ~apply line =
+(* An update batch is applied on the domain that read it: the engine's
+   writer lock serializes batches from every connection. *)
+let handle_request engine ~memo line =
   match Json.of_string line with
   | Error e -> Reply (error_response ("bad request: " ^ e))
   | Ok req -> (
@@ -329,7 +330,7 @@ let handle_request engine ~memo ~apply line =
       | Ok ops -> (
         let ctx = ctx_of_request req in
         let trace_id = ctx.Trace.trace_id in
-        match apply ctx ops with
+        match Engine.apply_updates ~trace:ctx engine ops with
         | reports ->
           Reply
             (Json.Obj
@@ -427,7 +428,7 @@ let write_all fd s =
    anything else starts a JSONL request loop that runs until the client
    closes or sends {"op": "shutdown"}.  Returns [false] when the server
    should stop accepting. *)
-let handle_connection engine ~memo ~apply fd =
+let handle_connection engine ~memo fd =
   let ic = Unix.in_channel_of_descr fd in
   let continue = ref true in
   Fun.protect
@@ -471,7 +472,7 @@ let handle_connection engine ~memo ~apply fd =
           | _ ->
             let rec loop line =
               if String.trim line <> "" then begin
-                match handle_request engine ~memo ~apply line with
+                match handle_request engine ~memo line with
                 | Reply json -> write_all fd (Json.to_string json ^ "\n")
                 | Reply_and_stop json ->
                   write_all fd (Json.to_string json ^ "\n");
@@ -509,27 +510,24 @@ let serve ?(max_connections = max_int) ?(sample_period = 1.0)
     | Tcp _ -> ()
   in
   (* With one domain the server behaves exactly as the historical
-     single-threaded loop: connections handled in the accept loop,
-     updates applied in place.  With more, connections are dispatched to
-     a pool of worker domains over a bounded queue, and update batches
-     are routed to one dedicated writer domain — the only domain that
-     ever calls [Engine.apply_updates], publishing each new epoch
-     atomically while readers keep serving their pinned snapshots.  A
-     pool that cannot be spawned (more domains than the runtime allows)
-     fails the call before anything is served. *)
-  let writer, pool =
-    if domains <= 1 then (None, None)
+     single-threaded loop: connections handled in the accept loop.  With
+     more, connections are dispatched to a pool of worker domains over a
+     bounded queue.  Either way a connection's requests, update batches
+     included, run on the domain that handles it: the engine's writer
+     lock serializes the batches, and readers keep serving their pinned
+     epoch meanwhile.  A pool that cannot be spawned (more domains than
+     the runtime allows) fails the call before anything is served. *)
+  let pool =
+    if domains <= 1 then None
     else
-      let writer = Parallel.Serial.create () in
       match
         Parallel.Pool.create ~domains
           ~on_error:(fun e ->
             Log.err (fun m -> m "connection handler: %s" (Printexc.to_string e)))
           ()
       with
-      | pool -> (Some writer, Some pool)
+      | pool -> Some pool
       | exception e ->
-        Parallel.Serial.shutdown writer;
         release_socket ();
         raise e
   in
@@ -571,11 +569,6 @@ let serve ?(max_connections = max_int) ?(sample_period = 1.0)
      connection. *)
   let stopping = Atomic.make false in
   let served = ref 0 in
-  let apply ctx ops =
-    match writer with
-    | Some w -> Parallel.Serial.submit w (fun () -> Engine.apply_updates ~trace:ctx engine ops)
-    | None -> Engine.apply_updates ~trace:ctx engine ops
-  in
   let wake () =
     match
       let addr = sockaddr endpoint in
@@ -589,17 +582,15 @@ let serve ?(max_connections = max_int) ?(sample_period = 1.0)
   in
   let memo = parse_memo () in
   let handle client =
-    if not (handle_connection engine ~memo ~apply client) then begin
+    if not (handle_connection engine ~memo client) then begin
       Atomic.set stopping true;
       if pool <> None then wake ()
     end
   in
   Fun.protect
     ~finally:(fun () ->
-      (* Drain in-flight connections before stopping the writer they may
-         still be routing updates to; join the sampler last. *)
+      (* Drain in-flight connections; join the sampler last. *)
       (match pool with Some p -> Parallel.Pool.shutdown p | None -> ());
-      (match writer with Some w -> Parallel.Serial.shutdown w | None -> ());
       Atomic.set stop_sampler true;
       (match sampler with Some th -> Thread.join th | None -> ());
       release_socket ())

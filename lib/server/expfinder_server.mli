@@ -45,10 +45,11 @@ open Expfinder_telemetry
     Execution model: connections are dispatched to worker domains (one
     request at a time per connection), reads evaluate against the
     engine's atomically-published snapshot epoch without ever blocking
-    on writers, and update batches are routed to one dedicated writer
-    domain that serializes {!Engine.apply_updates} and publishes each
-    new epoch.  With [domains = 1] everything runs in the accept loop,
-    which is the historical sequential consistency model. *)
+    on writers, and the worker that reads an update batch calls
+    {!Engine.apply_updates} itself: the engine's writer lock serializes
+    the batches and publishes each new epoch.  With [domains = 1]
+    everything runs in the accept loop, which is the historical
+    sequential consistency model. *)
 
 type endpoint = Unix_socket of string | Tcp of string * int
 
@@ -65,8 +66,10 @@ val stats_json : Engine.t -> Json.t
 (** The live stats document served at [/stats.json]: snapshot identity
     ([graph_id]/[epoch]), one {!Window.to_json} per operation class
     under [windows] (summary plus exemplars), the domain-pool summary
-    under [pool] (workers, busy, queue depth/capacity, tasks, writer
-    backlog), process gauges, the current SLO alert document under
+    under [pool] (workers, busy, queue depth/capacity, tasks, and the
+    writer: [writer_backlog], the update batches waiting for the
+    engine's writer lock, and [writer_submitted], the update window's
+    lifetime total), process gauges, the current SLO alert document under
     [alerts], the metric registry and the flight-recorder ring. *)
 
 val domains_json : Engine.t -> Json.t
@@ -95,14 +98,14 @@ val serve :
     [?domains] (default [EXPFINDER_DOMAINS], else
     [Domain.recommended_domain_count () - 1], floored at 1) selects the
     execution model.  [1]: the historical single-threaded loop —
-    connections handled inside [accept], updates applied in place.
-    [> 1]: a pool of [domains] worker domains serves connections
-    dispatched over a bounded work queue; update batches are routed to
-    one dedicated writer domain (the only caller of
-    {!Engine.apply_updates}), so readers never block on writers — they
-    evaluate on the snapshot epoch pinned at request start.  On
-    shutdown the pool is drained (in-flight connections finish), then
-    the writer domain and the sampler thread are joined.
+    connections handled inside [accept].  [> 1]: a pool of [domains]
+    worker domains serves connections dispatched over a bounded work
+    queue.  Either way update batches are applied in place, on the
+    domain serving the connection, under the engine's writer lock;
+    readers never block on writers — they evaluate on the snapshot
+    epoch pinned at request start.  On shutdown the pool is drained
+    (in-flight connections finish), then the sampler thread is
+    joined.
     @raise Failure when the pool cannot be spawned (see
     {!Expfinder_parallel.Pool.create}); the socket is released first.
 

@@ -33,8 +33,8 @@ type t = {
   table : (string * Snapshot.identity, entry) Hashtbl.t;
   mutable clock : int;
   (* Serializes every table/clock/stamp access: with the serving pool,
-     any worker domain may probe or store concurrently with the writer
-     domain clearing on update.  Probes copy the relation while holding
+     any worker domain may probe or store concurrently with another
+     worker clearing it on update.  Probes copy the relation while holding
      the lock, so a returned relation is never shared. *)
   cm : Mutex.t;
   hit_count : Counter.t;

@@ -20,8 +20,8 @@ open Expfinder_core
     metrics dump cannot drift apart.
 
     All operations are serialized by an internal mutex: with the
-    domain-pool server, any worker domain probes and stores while the
-    writer domain clears on update, and the LRU clock/stamp updates are
+    domain-pool server, any worker domain probes and stores while
+    another worker clears it on update, and the LRU clock/stamp updates are
     read-modify-write.  Probes return defensive copies taken under the
     lock, so callers never share a relation with the cache.
 

@@ -342,6 +342,8 @@ module Gauge = struct
 
   let set g n = if g.always || !on then Atomic.set g.v n
 
+  let add g n = if g.always || !on then ignore (Atomic.fetch_and_add g.v n : int)
+
   let value g = Atomic.get g.v
 
   let reset g = Atomic.set g.v 0

@@ -94,6 +94,10 @@ module Gauge : sig
 
   val set : t -> int -> unit
 
+  val add : t -> int -> unit
+  (** [add g n] moves the gauge by [n] atomically, so a level kept by
+      paired [+1]/[-1] calls from several domains stays exact. *)
+
   val value : t -> int
 end
 

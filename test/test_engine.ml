@@ -7,6 +7,7 @@ open Expfinder_core
 open Expfinder_incremental
 open Expfinder_engine
 module Collab = Expfinder_workload.Collab
+module Telemetry = Expfinder_telemetry
 module Compress = Expfinder_compression.Compress
 module Queries = Expfinder_workload.Queries
 module Synthetic = Expfinder_workload.Synthetic
@@ -358,6 +359,80 @@ let test_differential_mode_passes () =
   let contained = Engine.evaluate engine (loose_query ()) in
   Alcotest.(check bool) "direct answer passes the sanitizer" true contained.Engine.total
 
+(* The engine owns its digraph.  Mutating it behind the engine's back
+   leaves the published epoch as it was: the writer refuses to build on
+   the moved digraph, and readers keep serving the last published epoch
+   without rebuilding anything, so every registered read stays equal to
+   direct evaluation on the engine's snapshot. *)
+let test_outside_mutation_refused () =
+  let rebuilds = Telemetry.Metrics.counter "engine.snapshot_rebuilds" in
+  Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled false) @@ fun () ->
+  List.iter
+    (fun seed ->
+      let rng = Prng.create seed in
+      let g = Synthetic.flat rng ~n:300 ~avg_degree:4 in
+      let engine = Engine.create g in
+      let patterns = Queries.workload rng ~count:6 ~simulation:false g in
+      List.iter (Engine.register engine) patterns;
+      ignore
+        (Engine.apply_updates engine (Update.random_mixed rng g 4) : Incremental.report list);
+      let published = Snapshot.id (Engine.snapshot engine) in
+      ignore (Update.apply_batch g (Update.random_mixed rng g 20) : int);
+      let refused label f =
+        match f () with
+        | () -> Alcotest.failf "seed %d: %s accepted a digraph mutated behind the engine" seed label
+        | exception Invalid_argument _ -> ()
+      in
+      refused "apply_updates" (fun () ->
+          ignore
+            (Engine.apply_updates engine (Update.random_mixed rng g 2) : Incremental.report list));
+      refused "register" (fun () ->
+          Engine.register engine (List.hd (Queries.workload rng ~count:1 ~simulation:false g)));
+      refused "enable_compression" (fun () ->
+          Engine.enable_compression ~atoms:Queries.atom_universe engine);
+      let rebuilds_before = Telemetry.Counter.value rebuilds in
+      let snap = Engine.snapshot engine in
+      Alcotest.(check bool) "the published epoch stays" true
+        (Snapshot.identity_equal published (Snapshot.id snap));
+      Alcotest.(check int) "still six registered" 6 (List.length (Engine.registered engine));
+      List.iter
+        (fun p ->
+          let answer = Engine.evaluate engine p in
+          Alcotest.(check bool) "served the registered kernel" true
+            (answer.Engine.provenance = Engine.Direct);
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d: registered read = direct on the snapshot" seed)
+            true
+            (Verify.semantically_equal answer.Engine.relation (Planner.run p snap)))
+        patterns;
+      Alcotest.(check int) "reads rebuild nothing" rebuilds_before
+        (Telemetry.Counter.value rebuilds))
+    [ 1; 2; 3; 4; 5 ]
+
+(* A batch naming a node the graph lacks fails before it changes
+   anything, so the engine keeps owning its digraph and applies the
+   next batch. *)
+let test_bad_batch_applies_nothing () =
+  let g = Synthetic.flat (Prng.create 3) ~n:50 ~avg_degree:2 in
+  let engine = Engine.create g in
+  let version = Digraph.version g in
+  let u, v = (0, 1) in
+  let toggle = if Digraph.has_edge g u v then Update.Delete_edge (u, v) else Update.Insert_edge (u, v) in
+  (match Engine.apply_updates engine [ toggle; Update.Insert_edge (0, 50) ] with
+  | _ -> Alcotest.fail "a batch naming node 50 of 50 was accepted"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "nothing applied" version (Digraph.version g);
+  ignore (Engine.apply_updates engine [ toggle ] : Incremental.report list);
+  Alcotest.(check int) "the next batch applies" (version + 1)
+    (Snapshot.epoch (Engine.snapshot engine));
+  (* A node inserted earlier in the batch may be named by a later edge. *)
+  ignore
+    (Engine.apply_updates engine
+       [ Update.Insert_node (Label.of_string "SA", Attrs.empty); Update.Insert_edge (0, 50) ]
+      : Incremental.report list);
+  Alcotest.(check bool) "edge to the new node" true (Digraph.has_edge g 0 50)
+
 let () =
   Alcotest.run "engine"
     [
@@ -390,5 +465,7 @@ let () =
           Alcotest.test_case "no-op batch changes nothing" `Quick test_noop_batch_changes_nothing;
           Alcotest.test_case "registered maintained" `Quick test_registered_query_maintained;
           Alcotest.test_case "consistency stream" `Quick test_engine_consistency_under_updates;
+          Alcotest.test_case "outside mutation refused" `Quick test_outside_mutation_refused;
+          Alcotest.test_case "bad batch applies nothing" `Quick test_bad_batch_applies_nothing;
         ] );
     ]

@@ -83,21 +83,6 @@ let test_pool_spawn_failure_joins_workers () =
   Parallel.Pool.shutdown pool;
   Alcotest.(check int) "a later pool still serves" 1 (Atomic.get hits)
 
-let test_serial_orders_and_propagates () =
-  let w = Parallel.Serial.create () in
-  let log = ref [] in
-  let r1 = Parallel.Serial.submit w (fun () -> log := 1 :: !log; "one") in
-  let r2 = Parallel.Serial.submit w (fun () -> log := 2 :: !log; "two") in
-  Alcotest.(check (list string)) "results returned to submitters" [ "one"; "two" ] [ r1; r2 ];
-  Alcotest.(check (list int)) "applied in submission order" [ 2; 1 ] !log;
-  (match Parallel.Serial.submit w (fun () -> failwith "writer boom") with
-  | _ -> Alcotest.fail "expected the writer exception on the submitter"
-  | exception Failure msg -> Alcotest.(check string) "propagated" "writer boom" msg);
-  (* The writer survives a failing job. *)
-  Alcotest.(check string) "writer still alive" "after"
-    (Parallel.Serial.submit w (fun () -> "after"));
-  Parallel.Serial.shutdown w
-
 (* --- pool/channel metrics under contention ----------------------------- *)
 
 let test_pool_metrics_under_contention () =
@@ -427,6 +412,147 @@ let test_registered_reads_during_syncs () =
   Alcotest.(check int) "no read took containment" containment_before
     (Telemetry.Counter.value containment)
 
+(* --- request events under a concurrent writer ---------------------------- *)
+
+(* Runs [f] with the query log pointed at a fresh temporary file and
+   returns the events it logged. *)
+let with_qlog f =
+  let path = Filename.temp_file "expfinder-qlog" ".jsonl" in
+  let previous = Telemetry.Qlog.sink () in
+  Telemetry.Qlog.set_sink (Some path);
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.Qlog.set_sink previous;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      f ();
+      Telemetry.Qlog.close ();
+      match Telemetry.Qlog.load path with
+      | Ok events -> events
+      | Error e -> Alcotest.failf "qlog: %s" e)
+
+(* A writer domain streams update batches while a reader loops
+   [evaluate] with the query log on.  Each query event must carry the
+   epoch its answer was evaluated on: the direct answer on the event's
+   (graph_id, epoch) digests to the event's digest.  The patterns are
+   pairwise non-containing, so every read is a cache hit or a planner
+   run on its pinned epoch, whose digest the planner reproduces. *)
+let test_query_events_stamped_with_their_epoch () =
+  let graph () = Synthetic.flat (Prng.create 41) ~n:300 ~avg_degree:4 in
+  let g = graph () and shadow = graph () in
+  let engine = Engine.create g in
+  let rng = Prng.create 43 in
+  let patterns =
+    List.fold_left
+      (fun kept p ->
+        if
+          List.exists
+            (fun q ->
+              Expfinder_pattern.Pattern_analysis.contains p q
+              || Expfinder_pattern.Pattern_analysis.contains q p)
+            kept
+        then kept
+        else p :: kept)
+      []
+      (Queries.workload rng ~count:6 ~simulation:false g)
+  in
+  Alcotest.(check bool) "at least three patterns" true (List.length patterns >= 3);
+  let batches = List.init 200 (fun _ -> Update.random_mixed rng shadow 8) in
+  (* The direct answer of every pattern on every epoch the writer will
+     publish, keyed by (epoch, fingerprint). *)
+  let direct = Hashtbl.create 256 in
+  let record_epoch () =
+    let snap = Snapshot.of_digraph shadow in
+    List.iter
+      (fun p ->
+        Hashtbl.replace direct
+          (Snapshot.epoch snap, Pattern.fingerprint p)
+          (Match_relation.digest (Planner.run p snap)))
+      patterns
+  in
+  record_epoch ();
+  List.iter
+    (fun batch ->
+      ignore (Update.apply_batch_filtered shadow batch : Update.t list);
+      record_epoch ())
+    batches;
+  let events =
+    with_qlog (fun () ->
+        let go = Atomic.make false and finished = Atomic.make false in
+        let writer =
+          Domain.spawn (fun () ->
+              while not (Atomic.get go) do
+                Domain.cpu_relax ()
+              done;
+              List.iter
+                (fun batch -> ignore (Engine.apply_updates engine batch : Incremental.report list))
+                batches;
+              Atomic.set finished true)
+        in
+        Atomic.set go true;
+        let rounds = ref 0 in
+        while (not (Atomic.get finished)) && !rounds < 20_000 do
+          incr rounds;
+          List.iter (fun p -> ignore (Engine.evaluate engine p : Engine.answer)) patterns
+        done;
+        Domain.join writer)
+  in
+  let queries = List.filter (fun e -> e.Telemetry.Qlog.kind = Telemetry.Qlog.Query) events in
+  Alcotest.(check bool) "the reader logged queries" true (queries <> []);
+  let misstamped =
+    List.filter
+      (fun (e : Telemetry.Qlog.event) ->
+        e.graph_id <> Digraph.graph_id g
+        || Hashtbl.find_opt direct (e.epoch, e.query) <> Some e.digest)
+      queries
+  in
+  Alcotest.(check int)
+    (Printf.sprintf "query events stamped with their epoch (of %d)" (List.length queries))
+    0 (List.length misstamped)
+
+(* Four domains apply small batches that toggle one shared set of edges,
+   so the final graph depends on the order the batches were applied in.
+   Replaying the logged updates on a fresh engine over the same base
+   graph must reproduce the served graph: the log lists batches in
+   apply order. *)
+let test_apply_order_is_log_order () =
+  let graph () = Synthetic.flat (Prng.create 17) ~n:40 ~avg_degree:2 in
+  let engine = Engine.create (graph ()) in
+  let shared = [| (0, 1); (1, 2); (2, 3); (3, 0); (4, 5) |] in
+  let k = Array.length shared in
+  let batch d i =
+    let u, v = shared.((d + i) mod k) and u', v' = shared.((d + (3 * i) + 1) mod k) in
+    [ Update.Insert_edge (u, v); Update.Delete_edge (u', v') ]
+  in
+  let per_domain = 250 in
+  let events =
+    with_qlog (fun () ->
+        ignore
+          (Parallel.run ~domains:4 (fun d ->
+               for i = 0 to per_domain - 1 do
+                 ignore (Engine.apply_updates engine (batch d i) : Incremental.report list)
+               done)
+            : unit array))
+  in
+  let updates = List.filter (fun e -> e.Telemetry.Qlog.kind = Telemetry.Qlog.Update) events in
+  Alcotest.(check int) "every batch logged" (4 * per_domain) (List.length updates);
+  (* Each event carries the epoch its batch published (a no-op batch
+     the one it left in place), so in apply order the epochs never go
+     back. *)
+  let backwards, _ =
+    List.fold_left
+      (fun (n, prev) (e : Telemetry.Qlog.event) ->
+        ((if e.epoch < prev then n + 1 else n), max prev e.epoch))
+      (0, 0) updates
+  in
+  Alcotest.(check int) "logged epochs never go back" 0 backwards;
+  let fresh = Engine.create (graph ()) in
+  let summary = Expfinder_workload.Replay.run fresh updates in
+  Alcotest.(check int) "every batch replayed" (4 * per_domain) summary.replayed;
+  Alcotest.(check int) "no replay mismatch" 0 summary.mismatches;
+  Alcotest.(check bool) "replay reproduces the served graph" true
+    (Digraph.equal_structure (Engine.graph fresh) (Engine.graph engine))
+
 (* --- per-domain trace roots -------------------------------------------- *)
 
 let test_domain_local_trace_roots () =
@@ -476,8 +602,6 @@ let () =
           Alcotest.test_case "pool drains on shutdown" `Quick test_pool_runs_all_jobs;
           Alcotest.test_case "pool spawn failure joins workers" `Quick
             test_pool_spawn_failure_joins_workers;
-          Alcotest.test_case "serial writer orders and propagates" `Quick
-            test_serial_orders_and_propagates;
           Alcotest.test_case "pool metrics move under contention" `Quick
             test_pool_metrics_under_contention;
         ] );
@@ -494,5 +618,8 @@ let () =
           Alcotest.test_case "register during updates" `Quick test_register_during_updates;
           Alcotest.test_case "registered reads during syncs" `Quick
             test_registered_reads_during_syncs;
+          Alcotest.test_case "query events stamped with their epoch" `Quick
+            test_query_events_stamped_with_their_epoch;
+          Alcotest.test_case "apply order is log order" `Quick test_apply_order_is_log_order;
         ] );
     ]
