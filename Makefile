@@ -210,15 +210,20 @@ soak-smoke: build
 # concurrent client worker domains, then two concurrent update-only
 # clients (one inserting edge 8->3, one deleting it: the graph they
 # leave depends on the order their batches were applied in, and the
-# paper pattern's answer on whether that edge is there), then a
-# sequential query/update/query round — and the captured log replayed
-# against a fresh single-domain engine.  The replay command exits
-# non-zero unless every parallel-served answer digest is byte-identical
-# to its sequential re-evaluation; the queries after the concurrent
-# updates match only if the log ends those updates in apply order.
-# Last, the epochs the logged update events carry must never go back:
-# each event carries the epoch its batch left published, so this holds
-# exactly when the log lists every batch in apply order.
+# paper pattern's answer on whether that edge is there), then two
+# sequential rounds of query, query, batch and update, the update
+# inserting Example 3's edge e1 (Fred -> Bill, 7 -> 2), which adds
+# (SD, Fred) to the paper pattern's answer — and the captured log
+# replayed against a fresh single-domain engine.  The replay command
+# exits non-zero unless every parallel-served answer digest, batch
+# digests included, is byte-identical to its sequential re-evaluation;
+# the queries after the concurrent updates match only if the log ends
+# those updates in apply order.  Then the epochs the logged update
+# events carry must never go back: each event carries the epoch its
+# batch left published, so this holds exactly when the log lists every
+# batch in apply order.  Last, the paper pattern's logged query digests
+# must take at least 2 distinct values, so the replay has checked
+# answers that an update changed.
 # Invokes $(EXE) directly for the same build-lock reason as
 # replay-smoke.
 par-diff-smoke: build
@@ -244,13 +249,17 @@ par-diff-smoke: build
 	  || { kill $$pid 2>/dev/null; echo "par-diff-smoke: insert client failed"; exit 1; }; \
 	$(EXE) client --socket _build/par_smoke/sock \
 	  -q workloads/smoke/paper.pattern -q workloads/smoke/sa.pattern \
-	  --insert 1,5 --delete 1,5 --repeat 2 --shutdown >/dev/null \
+	  --batch workloads/smoke/queries.batch \
+	  --insert 7,2 --repeat 2 --shutdown >/dev/null \
 	  || { kill $$pid 2>/dev/null; echo "par-diff-smoke: update client failed"; exit 1; }; \
 	wait $$pid; \
 	$(EXE) replay _build/par_smoke/qlog.jsonl -g workloads/smoke/collab.graph || exit 1; \
 	grep '"kind":"update"' _build/par_smoke/qlog.jsonl | grep -o '"epoch":[0-9]*' | cut -d: -f2 \
 	  | awk 'NR > 1 && $$1 < prev { print "par-diff-smoke: update logged at epoch " $$1 " after epoch " prev; bad = 1 } \
-	         { prev = $$1 } END { exit bad }'
+	         { prev = $$1 } END { exit bad }' || exit 1; \
+	grep '"kind":"query"' _build/par_smoke/qlog.jsonl | grep 'node 3 ST ST' \
+	  | grep -o '"digest":"[0-9a-f]*"' | sort -u | wc -l \
+	  | awk '$$1 < 2 { print "par-diff-smoke: the paper pattern logged " $$1 " distinct answer digest(s), want at least 2"; exit 1 }'
 
 # Multicore observability smoke gate: serve a short workload on a
 # 2-domain pool, then require the new surfaces to be live and

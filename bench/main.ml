@@ -214,8 +214,10 @@ let exp_batch ~full =
   let g = Twitter.generate (Prng.create 61) ~n in
   let count = 12 in
   let queries = Queries.workload (Prng.create 67) ~count ~simulation:false g in
-  (* Exactness and the scan saving first, with telemetry on so the
-     gated [candidates.scans] counter records. *)
+  (* Exactness and the scan counts first, with telemetry on so the
+     gated [candidates.scans] counter records.  Each batch member takes
+     the route a lone [evaluate] takes, supersets first, so the batch
+     scans no more than the sequential loop. *)
   let was_enabled = Telemetry.enabled () in
   Telemetry.set_enabled true;
   let scans () =
@@ -239,7 +241,8 @@ let exp_batch ~full =
        (fun (a : Engine.answer) (b : Engine.answer) ->
          Verify.semantically_equal a.Engine.relation b.Engine.relation)
        seq_answers batch_answers);
-  check "batch performs fewer candidate scans" (batch_scans < seq_scans);
+  check "batch performs no more candidate scans than the sequential loop"
+    (batch_scans <= seq_scans);
   Printf.printf "  candidate scans: sequential %d, batched %d\n" seq_scans batch_scans;
   let params =
     [ ("n", Telemetry.Json.Int n); ("queries", Telemetry.Json.Int count) ]

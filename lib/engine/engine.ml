@@ -379,74 +379,43 @@ let evaluate ?trace t pattern = fst (evaluate_pinned ?trace t pattern)
 (* Batched evaluation                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* One batch pins one snapshot and then:
-
-   1. serves exact cache hits;
-   2. dedupes the misses by fingerprint;
-   3. extracts candidates for *all* remaining queries in a single
-      labelled scan ({!Candidates.compute_batch}: label buckets shared
-      across the batch — the [candidates.scans] saving);
-   4. evaluates supersets first, storing each kernel in the cache, so a
-      later batch member contained in an earlier one is answered by the
-      containment machinery (seeded refinement, no scan at all).
-
-   Answers are identical to per-query {!evaluate}: candidate sets are
-   supersets of the planner's (which additionally prunes sinks), and the
-   maximal kernel below any initial superset of it is the same
-   fixpoint. *)
+(* One batch pins one epoch [e], dedupes its members by fingerprint and
+   answers each distinct member through [evaluate_inner], the route a
+   lone {!evaluate} takes: cache -> registered kernel -> compressed ->
+   containment -> planner.  Supersets go first, so a later member
+   contained in an earlier one is answered by containment reuse from the
+   kernel just stored.  A duplicate is served a copy of its
+   representative's answer, as a cache hit. *)
 let evaluate_batch ?(trace = Trace.ambient) t patterns =
   Counter.incr m_batches;
   let before = Metrics.counters_snapshot () in
   let start = now_us () in
-  let snap = snapshot t in
+  let e = current_epoch t in
+  let snap = e.snap in
   let sid = Snapshot.id snap in
   let arr = Array.of_list patterns in
   let n = Array.length arr in
   Counter.add m_batch_queries n;
   let label = Printf.sprintf "batch:%d" n in
   let results : (Match_relation.t * provenance) option array = Array.make n None in
-  let empty_for pattern =
-    Match_relation.create ~pattern_size:(Pattern.size pattern)
-      ~graph_size:(Snapshot.node_count snap)
-  in
   let run_batch () =
     Trace.collect trace
       ~attrs:[ ("queries", string_of_int n) ]
       "evaluate_batch"
       (fun () ->
-        (* 1. Exact cache hits. *)
-        let hits = ref 0 in
-        with_span "batch_cache" (fun () ->
-            Array.iteri
-              (fun i pattern ->
-                match Cache.find t.cache pattern ~snapshot:sid with
-                | Some relation ->
-                  incr hits;
-                  results.(i) <- Some (relation, From_cache)
-                | None -> ())
-              arr);
-        annotate_int "cache_hits" !hits;
-        (* 2. Dedupe misses by fingerprint; [reps] holds the first index
-           of each distinct query left to evaluate. *)
+        (* [reps] holds the first index of each distinct fingerprint. *)
         let seen = Hashtbl.create 16 in
         let reps = ref [] in
         Array.iteri
           (fun i pattern ->
-            if results.(i) = None then begin
-              let fp = Pattern.fingerprint pattern in
-              if not (Hashtbl.mem seen fp) then begin
-                Hashtbl.add seen fp i;
-                reps := i :: !reps
-              end
+            let fp = Pattern.fingerprint pattern in
+            if not (Hashtbl.mem seen fp) then begin
+              Hashtbl.add seen fp i;
+              reps := i :: !reps
             end)
           arr;
         let reps = Array.of_list (List.rev !reps) in
-        (* 3. One shared candidate scan for every distinct miss. *)
-        let initials =
-          with_span "batch_candidates" (fun () ->
-              Candidates.compute_batch (Array.map (fun i -> arr.(i)) reps) snap)
-        in
-        (* 4. Supersets first: [contains q1 q2] is transitive, so the
+        (* Supersets first: [contains q1 q2] is transitive, so the
            count of batch members a query contains increases strictly
            along the strict containment order — descending count is a
            topological order of the containment DAG. *)
@@ -460,57 +429,23 @@ let evaluate_batch ?(trace = Trace.ambient) t patterns =
         let order = Array.init (Array.length reps) Fun.id in
         let scores = Array.map contained_count reps in
         Array.sort (fun a b -> compare scores.(b) scores.(a)) order;
-        let containment_hits = ref 0 in
         Array.iter
           (fun j ->
             let i = reps.(j) in
             let pattern = arr.(i) in
-            let relation, provenance =
-              if Pattern_analysis.statically_empty pattern then
-                (empty_for pattern, Direct)
-              else
-                match from_containment t pattern ~snap with
-                | Some relation ->
-                  Counter.incr m_containment;
-                  incr containment_hits;
-                  (relation, From_cache)
-                | None ->
-                  let initial = initials.(j) in
-                  if not (Match_relation.is_total initial) then
-                    (* Some pattern node has no candidate at all: the
-                       kernel is empty (the planner's early exit). *)
-                    (empty_for pattern, Direct)
-                  else
-                    let relation =
-                      with_span "batch_refine"
-                        ~attrs:[ ("query", Pattern.fingerprint pattern) ]
-                        (fun () ->
-                          if Pattern.is_simulation_pattern pattern then
-                            Simulation.run_constrained pattern snap ~initial
-                              ~mutable_set:None
-                          else
-                            Bounded_sim.run_constrained pattern snap ~initial
-                              ~mutable_set:None)
-                    in
-                    (relation, Direct)
-            in
-            Cache.store t.cache pattern ~snapshot:sid relation;
-            differential_check ~snap pattern relation provenance ~via_direct:false;
+            let _, relation, provenance, _, via_direct = evaluate_inner t e pattern in
+            differential_check ~snap pattern relation provenance ~via_direct;
             Counter.incr (provenance_counter provenance);
             results.(i) <- Some (relation, provenance))
           order;
-        annotate_int "containment_hits" !containment_hits;
-        (* 5. Duplicates pick up their representative's relation. *)
         Array.iteri
           (fun i pattern ->
-            if results.(i) = None then begin
-              let rep = Hashtbl.find seen (Pattern.fingerprint pattern) in
-              match results.(rep) with
+            if results.(i) = None then
+              match results.(Hashtbl.find seen (Pattern.fingerprint pattern)) with
               | Some (relation, _) ->
                 Counter.incr m_from_cache;
                 results.(i) <- Some (Match_relation.copy relation, From_cache)
-              | None -> assert false
-            end)
+              | None -> assert false)
           arr)
   in
   (* The replayable payload is the input list, duplicates included. *)

@@ -147,17 +147,18 @@ val evaluate : ?trace:Trace.ctx -> t -> Pattern.t -> answer
     {!apply_updates}. *)
 
 val evaluate_batch : ?trace:Trace.ctx -> t -> Pattern.t list -> answer list
-(** Evaluate a batch of queries against {e one} pinned snapshot.
-    Answers equal per-query {!evaluate} (same relations, same [total]),
-    but the batch: serves exact cache hits first, dedupes repeated
-    fingerprints, extracts candidates for all remaining queries in a
-    single labelled scan ({!Expfinder_core.Candidates.compute_batch} —
-    compare [candidates.scans] against the sequential loop), and
-    evaluates containment-supersets first so contained batch members are
-    answered by seeded refinement without any scan.  Answers are
-    returned in input order; [profile] is [None] on each answer — the
-    whole batch's profile (root span ["evaluate_batch"]) is available
-    via {!last_profile}. *)
+(** Evaluate a batch of queries against {e one} pinned epoch.  The
+    batch dedupes repeated fingerprints and answers each distinct member
+    by {!evaluate}'s route (cache → registered kernel → compressed →
+    cached superset (containment) → direct), so each member is served
+    as {!evaluate} would serve it on the same cache state, and answers
+    and [total] flags equal per-query {!evaluate}.  Members that
+    contain others go first, so a contained member is answered by
+    containment reuse from the kernel just cached; a duplicate gets a
+    copy of its representative's answer, reported as {!From_cache}.
+    Answers are returned in input order; [profile] is [None] on each
+    answer — the whole batch's profile (root span ["evaluate_batch"])
+    is available via {!last_profile}. *)
 
 val top_k : t -> Pattern.t -> k:int -> expert list
 (** Evaluate, build the result graph and rank the output node's matches

@@ -130,23 +130,6 @@ let is_candidate pattern snap v =
   in
   loop 0
 
-(* Every node of [snap] reaching one of [srcs]. *)
-let ancestors snap srcs f =
-  let seen = Bitset.create (Snapshot.node_count snap) in
-  let queue = Queue.create () in
-  let push w =
-    if not (Bitset.mem seen w) then begin
-      Bitset.add seen w;
-      Queue.add w queue
-    end
-  in
-  List.iter push srcs;
-  while not (Queue.is_empty queue) do
-    let w = Queue.pop queue in
-    f w;
-    Snapshot.iter_pred snap w push
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Maintenance                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -448,8 +431,9 @@ let sync_ancestors t ~old_snap ~snap ~old_kernel ~inserted ~deleted ~work =
   let new_n = Snapshot.node_count snap in
   let area = Bitset.create new_n in
   let sources = List.map fst (inserted @ deleted) in
-  ancestors snap sources (fun v -> Bitset.add area v);
-  ancestors old_snap (List.map fst deleted) (fun v -> Bitset.add area v);
+  Traversal.bfs_rev (Snapshot.csr snap) sources (fun v _ -> Bitset.add area v);
+  Traversal.bfs_rev (Snapshot.csr old_snap) (List.map fst deleted) (fun v _ ->
+      Bitset.add area v);
   for v = Snapshot.node_count old_snap to new_n - 1 do
     Bitset.add area v
   done;

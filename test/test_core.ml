@@ -532,50 +532,6 @@ let prop_ball_index_evaluate seed =
   if not (Ball_index.supports idx pattern) then true
   else Match_relation.equal (Ball_index.evaluate idx pattern g) (Bounded_sim.run pattern g)
 
-(* One shared scan per label bucket must hand each query exactly the
-   candidates its own scan finds, and consider/keep the same (query,
-   node) pairs: only [candidates.scans] may differ.  Some specs are
-   turned into wildcards so the shared full-table scan is exercised. *)
-let prop_compute_batch_equals_compute seed =
-  let module T = Expfinder_telemetry in
-  let rng = Prng.create seed in
-  let g = Snapshot.of_digraph (random_graph rng) in
-  let wildcard p =
-    let nodes =
-      Array.init (Pattern.size p) (fun u ->
-          let spec = Pattern.node_spec p u in
-          if Prng.int rng 4 = 0 then { spec with Pattern.label = None } else spec)
-    in
-    Pattern.make_exn ~nodes ~edges:(Pattern.edges p) ~output:(Pattern.output p)
-  in
-  let qs =
-    Array.init (1 + Prng.int rng 5) (fun _ ->
-        wildcard (random_pattern rng ~simulation:(Prng.bool rng) ~unbounded:false))
-  in
-  let candidate_deltas f =
-    let before = T.Metrics.counters_snapshot () in
-    let r = f () in
-    let deltas =
-      T.Metrics.delta ~before ~after:(T.Metrics.counters_snapshot ())
-      |> List.filter (fun (name, _) ->
-             name = "candidates.considered" || name = "candidates.kept")
-    in
-    (r, deltas)
-  in
-  let was = T.enabled () in
-  T.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> T.set_enabled was)
-    (fun () ->
-      let batch, batch_deltas = candidate_deltas (fun () -> Candidates.compute_batch qs g) in
-      let each, each_deltas =
-        candidate_deltas (fun () -> Array.map (fun q -> Candidates.compute q g) qs)
-      in
-      Array.for_all2
-        (fun a b -> Match_relation.digest a = Match_relation.digest b)
-        batch each
-      && batch_deltas = each_deltas)
-
 (* --- roll-up / drill-down ---------------------------------------------- *)
 
 let fig1_result_graph () =
@@ -724,8 +680,6 @@ let qcheck_cases =
       QCheck.(int_range 1 1_000_000) prop_ranking_many_lanes;
     QCheck.Test.make ~count:60 ~name:"ball-index evaluate = bsim" QCheck.small_int
       (fun s -> prop_ball_index_evaluate (s + 1));
-    QCheck.Test.make ~count:60 ~name:"compute_batch = per-query compute" QCheck.small_int
-      (fun s -> prop_compute_batch_equals_compute (s + 1));
     QCheck.Test.make ~count:300 ~name:"digest = list-based reference renderer"
       QCheck.(int_range 1 1_000_000) prop_digest_matches_reference;
   ]

@@ -244,18 +244,24 @@ let prop_queries_fresh_after_updates seed =
 
 (* --- batched evaluation ------------------------------------------------ *)
 
-let test_batch_equals_sequential_with_fewer_scans () =
-  Telemetry.set_enabled true;
-  (* The differential checker (EXPFINDER_CHECK=1) re-runs every shared
-     answer through direct evaluation, which performs its own candidate
-     scans — pin it off so the counter isolates the batch saving. *)
+(* Runs [f] with telemetry on, so counters move, and the differential
+   checker (EXPFINDER_CHECK=1) off: it re-runs answers through direct
+   evaluation, whose scans and plans would count too. *)
+let counting f =
   let was_differential = Verify.differential () in
   Verify.set_differential false;
+  Telemetry.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
       Telemetry.set_enabled false;
       Verify.set_differential was_differential)
-    (fun () ->
+    f
+
+(* A batch answers each member by the route a lone [evaluate] takes, so
+   it scans no more than the sequential loop; evaluating supersets first
+   never loses a containment hit that input order finds. *)
+let test_batch_equals_sequential_without_more_scans () =
+  counting (fun () ->
       let g = Synthetic.org (Prng.create 11) ~teams:10 ~team_size:6 in
       let queries = Queries.workload (Prng.create 13) ~count:8 ~simulation:false g in
       let seq_engine = Engine.create g in
@@ -273,9 +279,60 @@ let test_batch_equals_sequential_with_fewer_scans () =
           Alcotest.(check bool) "total flag agrees" true (a.Engine.total = b.Engine.total))
         seq batch;
       Alcotest.(check bool)
-        (Printf.sprintf "batch scans fewer (%d < %d)" batch_scans seq_scans)
+        (Printf.sprintf "batch scans no more (%d <= %d)" batch_scans seq_scans)
         true
-        (batch_scans < seq_scans))
+        (batch_scans <= seq_scans))
+
+(* After an effective update clears the cache, a batch of registered
+   patterns (one repeated) is served from the epoch's maintained
+   kernels: no candidate scan, no plan. *)
+let test_batch_serves_registered_members () =
+  counting @@ fun () ->
+  let g = Synthetic.org (Prng.create 11) ~teams:10 ~team_size:6 in
+  let engine = Engine.create g in
+  let patterns = Queries.workload (Prng.create 13) ~count:4 ~simulation:false g in
+  List.iter (Engine.register engine) patterns;
+  let epoch0 = Snapshot.epoch (Engine.snapshot engine) in
+  ignore
+    (Engine.apply_updates engine (Update.random_mixed (Prng.create 17) g 6)
+      : Incremental.report list);
+  Alcotest.(check bool) "the update was effective" true
+    (Snapshot.epoch (Engine.snapshot engine) <> epoch0);
+  let scans0 = counter "candidates.scans" and plans0 = counter "planner.plans" in
+  let answers = Engine.evaluate_batch engine (patterns @ [ List.hd patterns ]) in
+  Alcotest.(check int) "no candidate scan" scans0 (counter "candidates.scans");
+  Alcotest.(check int) "no plan" plans0 (counter "planner.plans");
+  let snap = Engine.snapshot engine in
+  List.iter2
+    (fun q (a : Engine.answer) ->
+      Alcotest.(check bool) "registered answer = Planner.run" true
+        (Verify.semantically_equal a.Engine.relation (Planner.run q snap)))
+    (patterns @ [ List.hd patterns ])
+    answers
+
+(* On a graph where compression pays, every batch member takes the
+   route [evaluate] takes on a twin engine, compressed graph included. *)
+let test_batch_reads_compressed_graph () =
+  let g = Synthetic.org (Prng.create 123) ~teams:30 ~team_size:6 in
+  let twin_g = Digraph.copy g in
+  let patterns = Queries.workload (Prng.create 9) ~count:8 ~simulation:false g in
+  let engine = Engine.create g and twin = Engine.create twin_g in
+  List.iter
+    (fun e -> Engine.enable_compression ~atoms:Queries.atom_universe e)
+    [ engine; twin ];
+  Alcotest.(check bool) "compression pays on this graph" true
+    (Engine.compression engine <> None);
+  let batch = Engine.evaluate_batch engine patterns in
+  let alone = List.map (Engine.evaluate twin) patterns in
+  Alcotest.(check bool) "some member is answered on the compressed graph" true
+    (List.exists (fun (a : Engine.answer) -> a.Engine.provenance = Engine.From_compressed) alone);
+  List.iter2
+    (fun (b : Engine.answer) (a : Engine.answer) ->
+      Alcotest.(check bool) "provenance as evaluate's" true
+        (a.Engine.provenance = b.Engine.provenance);
+      Alcotest.(check bool) "answer as evaluate's" true
+        (Verify.semantically_equal a.Engine.relation b.Engine.relation))
+    batch alone
 
 let test_batch_duplicates_and_cache () =
   let g = Collab.graph () in
@@ -339,8 +396,10 @@ let () =
         ] );
       ( "batch",
         [
-          Alcotest.test_case "equals sequential, fewer scans" `Quick
-            test_batch_equals_sequential_with_fewer_scans;
+          Alcotest.test_case "equals sequential, no more scans" `Quick
+            test_batch_equals_sequential_without_more_scans;
+          Alcotest.test_case "registered members" `Quick test_batch_serves_registered_members;
+          Alcotest.test_case "compressed members" `Quick test_batch_reads_compressed_graph;
           Alcotest.test_case "duplicates and cache" `Quick test_batch_duplicates_and_cache;
           Alcotest.test_case "empty batch and isolation" `Quick
             test_batch_empty_and_mutation_isolation;
