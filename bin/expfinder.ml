@@ -818,7 +818,7 @@ let replay_run verbose graph_file log_file report_file =
        Telemetry.Report.write (Replay.report summary) path;
        Printf.printf "replay report written to %s\n" path);
      if summary.Replay.mismatches > 0 then
-       err "replay: %d answer digest mismatch(es) against %s" summary.Replay.mismatches log_file
+       err "replay: %d answer mismatch(es) against %s" summary.Replay.mismatches log_file
      else Ok ())
 
 (* --- trace ------------------------------------------------------------------- *)
@@ -1519,15 +1519,15 @@ let replay_cmd =
   in
   Cmd.v
     (Cmd.info "replay"
-       ~doc:"Re-run a captured query log and verify every answer digest matches"
+       ~doc:"Re-run a captured query log and verify every answer digest and size matches"
        ~man:
          [
            `S Manpage.s_description;
            `P
              "Replays the log in order against a fresh engine over the given graph: queries and \
               batches re-evaluate their recorded patterns and must reproduce the recorded \
-              answer digests byte for byte; updates re-apply their recorded ΔG.  Exits non-zero \
-              on any digest mismatch.";
+              answer digests byte for byte and the recorded pair counts; updates re-apply their \
+              recorded ΔG.  Exits non-zero on any mismatch.";
          ])
     Term.(const replay_run $ verbose_arg $ graph_arg $ log_file $ report)
 

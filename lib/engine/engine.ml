@@ -59,6 +59,7 @@ type profile = {
 type answer = {
   relation : Match_relation.t;
   total : bool;
+  pairs : int;
   provenance : provenance;
   profile : profile option;
   digest : string Lazy.t;
@@ -231,10 +232,11 @@ let from_containment t pattern ~snap =
 
 (* The untraced core of [evaluate]: cache -> registered kernel ->
    compressed -> cached superset (containment) -> planner, returning the
-   snapshot it evaluated on, the relation, where it came from, a
-   strategy label for the flight recorder, and whether this call just
-   computed it via the direct path (the differential checker re-verifies
-   everything else).  The kernel and the compressed graph come from the
+   snapshot it evaluated on, the relation, the memo of the cache entry
+   it was served from or stored into (its pair count and digest), where
+   it came from, a strategy label for the flight recorder, and whether
+   this call just computed it via the direct path (the differential
+   checker re-verifies everything else).  The kernel and the compressed graph come from the
    same pinned epoch [e] as the snapshot. *)
 let evaluate_inner t e pattern =
   let snap = e.snap in
@@ -242,7 +244,7 @@ let evaluate_inner t e pattern =
   match
     with_span "cache.lookup" (fun () -> Cache.find t.cache pattern ~snapshot:sid)
   with
-  | Some relation -> (snap, relation, From_cache, "cache", false)
+  | Some (relation, memo) -> (snap, relation, memo, From_cache, "cache", false)
   | None ->
     let relation, provenance, strategy, via_direct =
       match List.assoc_opt (Pattern.fingerprint pattern) e.kernels with
@@ -263,20 +265,24 @@ let evaluate_inner t e pattern =
               "direct/" ^ Planner.strategy_name plan.Planner.strategy,
               true )))
     in
-    Cache.store t.cache pattern ~snapshot:sid relation;
-    (snap, relation, provenance, strategy, via_direct)
+    let memo = Cache.store_memo t.cache pattern ~snapshot:sid relation in
+    (snap, relation, memo, provenance, strategy, via_direct)
 
 (* EXPFINDER_CHECK=1 sanitizer: any answer that did not just come out of
    the direct path is re-evaluated directly and compared (as a query
    answer: non-total kernels all denote the empty M(Q,G)), and the
    served relation is run through the {!Verify} pair-validity and
    maximality spot checks, both on [snap], the snapshot the answer was
-   evaluated on.  Raises on divergence — the point is to fail tests and
-   benches loudly. *)
-let differential_check ~snap pattern relation provenance ~via_direct =
+   evaluated on, and its memoised pair count is recounted.  Raises on
+   divergence — the point is to fail tests and benches loudly. *)
+let differential_check ~snap pattern relation memo provenance ~via_direct =
   if Verify.differential () then begin
     Counter.incr m_differential;
     try
+      if Cache.pairs memo <> Match_relation.total relation then
+        failwith
+          (Printf.sprintf "EXPFINDER_CHECK: memoised pair count %d of query %s is not %d"
+             (Cache.pairs memo) (Pattern.fingerprint pattern) (Match_relation.total relation));
       if not via_direct then begin
         let direct = with_span "verify.differential" (fun () -> run_direct pattern snap) in
         if not (Verify.semantically_equal relation direct) then
@@ -318,16 +324,6 @@ let finished ~snap ~kind ~trace ~start ~before ~query ~strategy ?(pairs = 0) ?di
     ?root ~graph_id:(Snapshot.graph_id snap) ~epoch:(Snapshot.epoch snap) ();
   counters
 
-(* An answer's digest, memoised in the cache entry it was served from
-   or just stored into: [sid] is that evaluation's snapshot, never a
-   later one.  When the entry has been evicted or cleared since, the
-   answer's own relation is digested. *)
-let answer_digest t pattern ~sid relation =
-  lazy
-    (match Cache.digest t.cache pattern ~snapshot:sid relation with
-    | Some d -> d
-    | None -> Match_relation.digest relation)
-
 (* The combined answer digest of a batch: MD5 over the per-answer
    digests in input order — replay recomputes the same fold, so one
    field verifies the whole batch. *)
@@ -349,29 +345,38 @@ let evaluate_pinned ?(trace = Trace.ambient) t pattern =
   let e = current_epoch t in
   match
     Trace.collect trace ~attrs:[ ("query", fp) ] "evaluate" (fun () ->
-        let snap, relation, provenance, strategy, via_direct = evaluate_inner t e pattern in
-        differential_check ~snap pattern relation provenance ~via_direct;
+        let snap, relation, memo, provenance, strategy, via_direct =
+          evaluate_inner t e pattern
+        in
+        differential_check ~snap pattern relation memo provenance ~via_direct;
         Counter.incr (provenance_counter provenance);
         annotate "provenance" (provenance_name provenance);
-        annotate_int "pairs" (Match_relation.total relation);
-        (snap, relation, provenance, strategy))
+        annotate_int "pairs" (Cache.pairs memo);
+        (snap, relation, memo, provenance, strategy))
   with
   | exception exn ->
     ignore
       (finished ~snap:e.snap ~kind:Qlog.Query ~trace ~start ~before ~query:fp
          ~strategy:"error" ~payload ~error:exn ());
     raise exn
-  | (snap, relation, provenance, strategy), root ->
-    let digest = answer_digest t pattern ~sid:(Snapshot.id snap) relation in
+  | (snap, relation, memo, provenance, strategy), root ->
+    let digest = lazy (Cache.digest memo) in
     let counters =
       finished ~snap ~kind:Qlog.Query ~trace ~start ~before ~query:fp ~strategy
-        ~pairs:(Match_relation.total relation) ~digest ~payload ?root ()
+        ~pairs:(Cache.pairs memo) ~digest ~payload ?root ()
     in
     let profile = Option.map (record_profile t ~trace ~query:fp ~provenance ~counters) root in
     Log.debug (fun m ->
-        m "evaluate %s: %d pairs via %s" fp (Match_relation.total relation)
-          (provenance_name provenance));
-    ({ relation; total = Match_relation.is_total relation; provenance; profile; digest }, snap)
+        m "evaluate %s: %d pairs via %s" fp (Cache.pairs memo) (provenance_name provenance));
+    ( {
+        relation;
+        total = Match_relation.is_total relation;
+        pairs = Cache.pairs memo;
+        provenance;
+        profile;
+        digest;
+      },
+      snap )
 
 let evaluate ?trace t pattern = fst (evaluate_pinned ?trace t pattern)
 
@@ -392,12 +397,13 @@ let evaluate_batch ?(trace = Trace.ambient) t patterns =
   let start = now_us () in
   let e = current_epoch t in
   let snap = e.snap in
-  let sid = Snapshot.id snap in
   let arr = Array.of_list patterns in
   let n = Array.length arr in
   Counter.add m_batch_queries n;
   let label = Printf.sprintf "batch:%d" n in
-  let results : (Match_relation.t * provenance) option array = Array.make n None in
+  let results : (Match_relation.t * Cache.memo * provenance) option array =
+    Array.make n None
+  in
   let run_batch () =
     Trace.collect trace
       ~attrs:[ ("queries", string_of_int n) ]
@@ -433,18 +439,18 @@ let evaluate_batch ?(trace = Trace.ambient) t patterns =
           (fun j ->
             let i = reps.(j) in
             let pattern = arr.(i) in
-            let _, relation, provenance, _, via_direct = evaluate_inner t e pattern in
-            differential_check ~snap pattern relation provenance ~via_direct;
+            let _, relation, memo, provenance, _, via_direct = evaluate_inner t e pattern in
+            differential_check ~snap pattern relation memo provenance ~via_direct;
             Counter.incr (provenance_counter provenance);
-            results.(i) <- Some (relation, provenance))
+            results.(i) <- Some (relation, memo, provenance))
           order;
         Array.iteri
           (fun i pattern ->
             if results.(i) = None then
               match results.(Hashtbl.find seen (Pattern.fingerprint pattern)) with
-              | Some (relation, _) ->
+              | Some (relation, memo, _) ->
                 Counter.incr m_from_cache;
-                results.(i) <- Some (Match_relation.copy relation, From_cache)
+                results.(i) <- Some (Match_relation.copy relation, memo, From_cache)
               | None -> assert false)
           arr)
   in
@@ -460,26 +466,25 @@ let evaluate_batch ?(trace = Trace.ambient) t patterns =
     raise e
   | (), root ->
     let answers =
-      List.mapi
-        (fun i pattern ->
+      List.init n (fun i ->
           match results.(i) with
-          | Some (relation, provenance) ->
+          | Some (relation, memo, provenance) ->
             (* Per-answer profiles are not split out of the shared batch
                run; the whole-batch profile is available via
                [last_profile]. *)
             {
               relation;
               total = Match_relation.is_total relation;
+              pairs = Cache.pairs memo;
               provenance;
               profile = None;
-              digest = answer_digest t pattern ~sid relation;
+              digest = lazy (Cache.digest memo);
             }
           | None -> assert false)
-        patterns
     in
     let counters =
       finished ~snap ~kind:Qlog.Batch ~trace ~start ~before ~query:label ~strategy:"batch"
-        ~pairs:(List.fold_left (fun acc a -> acc + Match_relation.total a.relation) 0 answers)
+        ~pairs:(List.fold_left (fun acc a -> acc + a.pairs) 0 answers)
         ~digest:(lazy (batch_digest answers))
         ~payload ?root ()
     in

@@ -88,23 +88,30 @@ type profile = {
 type answer = {
   relation : Match_relation.t;  (** the kernel relation *)
   total : bool;  (** whether M(Q,G) is nonempty (kernel is total) *)
+  pairs : int;
+      (** [Match_relation.total relation], read from the cache entry the
+          answer was served from or stored into
+          ({!Expfinder_storage.Cache.pairs}): it is counted once per
+          cached relation, when the relation is stored.  The span
+          annotation, the request record, the query log, the server
+          reply and a batch's total all read this field. *)
   provenance : provenance;
   profile : profile option;
       (** present when this call owned a recorded trace: telemetry
           was enabled or the context was sampled, and the call was not
           nested under another traced call *)
   digest : string Lazy.t;
-      (** The answer digest of [relation] (the hex MD5 that
+      (** The answer digest of [relation] as served (the hex MD5 that
           {!Expfinder_core.Match_relation} computes).  It is computed
           only when forced, and at most once per cached relation: it is
           memoised in the cache entry the answer was served from or
-          stored into ({!Expfinder_storage.Cache.digest}, keyed by the
-          snapshot this evaluation pinned), so the server reply, the
-          query log and the batch digest share one computation.  If that
-          entry has been evicted or cleared, forcing digests [relation]
-          itself.  An answer belongs to one request: force it only on
-          the domain that serves that request (a [Lazy.t] must not be
-          forced from two domains at once). *)
+          stored into ({!Expfinder_storage.Cache.digest}), which the
+          answer holds, so the server reply, the query log and the batch
+          digest share one computation with no further cache lookup,
+          even once the entry has been evicted.  An answer belongs to
+          one request: force it only on the domain that serves that
+          request (a [Lazy.t] must not be forced from two domains at
+          once). *)
 }
 
 type expert = {

@@ -28,10 +28,15 @@ let remove t i =
 
 let clear t = Array.fill t.words 0 (Array.length t.words) 0
 
-(* Kernighan's trick: one iteration per set bit. *)
+(* Branch-free SWAR popcount: per-2-bit, per-4-bit, then per-byte
+   counts, summed into the top byte by one multiply.  The 64-bit masks
+   truncate to the 63-bit word (bit 62 pairs with an absent bit 63), and
+   the total, at most 63, fits the seven bits left above bit 56. *)
 let popcount x =
-  let rec kern x acc = if x = 0 then acc else kern (x land (x - 1)) (acc + 1) in
-  kern x 0
+  let x = x - ((x lsr 1) land 0x5555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  (x * 0x0101_0101_0101_0101) lsr 56
 
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 

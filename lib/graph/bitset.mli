@@ -20,7 +20,8 @@ val clear : t -> unit
 (** Clear all bits. *)
 
 val cardinal : t -> int
-(** Number of set bits (popcount over the backing words). *)
+(** Number of set bits: a constant-time popcount per backing word, so
+    the cost depends on the capacity, not on how many bits are set. *)
 
 val is_empty : t -> bool
 

@@ -1,6 +1,5 @@
 open Expfinder_graph
 open Expfinder_pattern
-open Expfinder_core
 open Expfinder_incremental
 open Expfinder_engine
 open Expfinder_telemetry
@@ -183,7 +182,7 @@ let ctx_of_request req =
 
 let answer_fields (a : Engine.answer) =
   [
-    ("pairs", Json.Int (Match_relation.total a.relation));
+    ("pairs", Json.Int a.pairs);
     ("total", Json.Bool a.total);
     ("provenance", Json.Str (provenance_name a.provenance));
     ("digest", Json.Str (Lazy.force a.digest));

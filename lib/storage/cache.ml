@@ -16,17 +16,21 @@ let m_evictions = Metrics.counter "cache.evictions"
 let m_stores = Metrics.counter "cache.stores"
 
 (* An entry's relation is never mutated: [store] copies it in, [find]
-   copies it out and [fold] hands it out read-only.  Together with the
-   key, which pins the snapshot, that makes [digest] a safe memo of
-   [Match_relation.digest relation]: it cannot go stale, and it leaves
-   with the entry on eviction, [clear] or [invalidate_snapshot]. *)
+   copies it out and [fold] hands it out read-only.  That makes [pairs]
+   and [digest] safe memos of [Match_relation.total relation] and
+   [Match_relation.digest relation]: they cannot go stale, and a caller
+   holding the entry (a [memo]) reads them without another lookup, even
+   after the entry has left the table. *)
 type entry = {
   key : string * Snapshot.identity;
   pattern : Pattern.t;
   relation : Match_relation.t;
-  mutable stamp : int;
-  mutable digest : string option;  (* guarded by [cm] *)
+  pairs : int;
+  mutable stamp : int;  (* guarded by [cm] *)
+  digest : string option Atomic.t;
 }
+
+type memo = entry
 
 type t = {
   capacity : int;
@@ -81,7 +85,7 @@ let find t pattern ~snapshot =
         entry.stamp <- tick t;
         Counter.incr t.hit_count;
         Counter.incr m_hits;
-        Some (Match_relation.copy entry.relation)
+        Some (Match_relation.copy entry.relation, entry)
       | None ->
         Counter.incr t.miss_count;
         Counter.incr m_misses;
@@ -104,45 +108,45 @@ let evict_lru t =
     Counter.incr t.eviction_count;
     Counter.incr m_evictions
 
-let store t pattern ~snapshot relation =
+let store_memo t pattern ~snapshot relation =
+  let entry =
+    {
+      key = key_of pattern snapshot;
+      pattern;
+      relation = Match_relation.copy relation;
+      pairs = Match_relation.total relation;
+      stamp = 0;
+      digest = Atomic.make None;
+    }
+  in
   locked t (fun () ->
-      let key = key_of pattern snapshot in
-      if not (Hashtbl.mem t.table key) && Hashtbl.length t.table >= t.capacity
+      if (not (Hashtbl.mem t.table entry.key)) && Hashtbl.length t.table >= t.capacity
       then evict_lru t;
       Counter.incr m_stores;
-      Hashtbl.replace t.table key
-        {
-          key;
-          pattern;
-          relation = Match_relation.copy relation;
-          stamp = tick t;
-          digest = None;
-        })
+      entry.stamp <- tick t;
+      Hashtbl.replace t.table entry.key entry);
+  entry
 
-(* Digest the stored relation outside the lock (the relation is never
-   mutated), then publish under it.  Two domains racing on one entry
-   compute the same string; the later publish wins harmlessly.  Under
-   EXPFINDER_CHECK every use of a memo recomputes it. *)
-let digest t pattern ~snapshot relation =
-  let found =
-    locked t (fun () ->
-        match Hashtbl.find_opt t.table (key_of pattern snapshot) with
-        | Some entry when Match_relation.equal entry.relation relation ->
-          Some (entry, entry.digest)
-        | Some _ | None -> None)
-  in
-  match found with
-  | None -> None
-  | Some (_, Some d) ->
-    if Verify.differential () && Match_relation.digest relation <> d then
+let store t pattern ~snapshot relation = ignore (store_memo t pattern ~snapshot relation : memo)
+
+let pairs (entry : memo) = entry.pairs
+
+(* The first use digests the stored relation and publishes the string;
+   two domains racing on one entry compute the same string and the
+   later publish wins harmlessly.  Under EXPFINDER_CHECK every use of a
+   memo recomputes it. *)
+let digest (entry : memo) =
+  match Atomic.get entry.digest with
+  | Some d ->
+    if Verify.differential () && Match_relation.digest entry.relation <> d then
       failwith
         (Printf.sprintf "EXPFINDER_CHECK: memoised digest %s of query %s is stale" d
-           (Pattern.fingerprint pattern));
-    Some d
-  | Some (entry, None) ->
+           (Pattern.fingerprint entry.pattern));
+    d
+  | None ->
     let d = Match_relation.digest entry.relation in
-    locked t (fun () -> entry.digest <- Some d);
-    Some d
+    Atomic.set entry.digest (Some d);
+    d
 
 let fold t ~snapshot ~init ~f =
   locked t (fun () ->

@@ -25,10 +25,11 @@ open Expfinder_core
     read-modify-write.  Probes return defensive copies taken under the
     lock, so callers never share a relation with the cache.
 
-    Each entry also memoises the answer digest of its relation
-    ({!digest}).  Stored relations are never mutated and the key pins
-    the snapshot, so the memo cannot go stale; it is dropped with its
-    entry. *)
+    Each entry also carries a {!memo} of what its relation's answer
+    reports: the pair count, fixed at {!store}, and the answer digest,
+    computed on first use.  A hit and a store hand the memo back with
+    the relation, so reading either fact takes no second lookup.
+    Stored relations are never mutated, so a memo cannot go stale. *)
 
 type t
 
@@ -39,25 +40,36 @@ val capacity : t -> int
 
 val length : t -> int
 
-val find : t -> Pattern.t -> snapshot:Snapshot.identity -> Match_relation.t option
-(** A hit returns a defensive copy and refreshes recency. *)
+type memo
+(** One entry's derived facts: {!pairs} and {!digest} of its stored
+    relation.  A memo stays valid after its entry is evicted or
+    cleared; it is simply no longer reachable from the table. *)
+
+val find :
+  t -> Pattern.t -> snapshot:Snapshot.identity -> (Match_relation.t * memo) option
+(** A hit returns a defensive copy of the stored relation with the
+    entry's memo, and refreshes recency. *)
 
 val store : t -> Pattern.t -> snapshot:Snapshot.identity -> Match_relation.t -> unit
-(** Insert (copying the relation), evicting the least recently used
-    entry when full. *)
+(** Insert (copying the relation and counting its pairs), evicting the
+    least recently used entry when full. *)
 
-val digest :
-  t -> Pattern.t -> snapshot:Snapshot.identity -> Match_relation.t -> string option
-(** [digest t p ~snapshot r] is [Some (Match_relation.digest r)] when
-    the entry for [(p, snapshot)] holds a relation equal to [r] (the
-    copy a {!find} returned, or the relation just passed to {!store}),
-    computed at most once per entry: the first call digests the stored
-    relation outside the lock and publishes the result, later calls
-    return that same string.  [None] when the entry has been evicted,
-    cleared or replaced by a different relation; the caller then
-    digests [r] itself.  Recency and the hit/miss counters are
-    untouched.  With [EXPFINDER_CHECK] on, every use of a memo
-    recomputes the digest and raises [Failure] if the two differ. *)
+val store_memo :
+  t -> Pattern.t -> snapshot:Snapshot.identity -> Match_relation.t -> memo
+(** {!store}, returning the new entry's memo. *)
+
+val pairs : memo -> int
+(** [Match_relation.total] of the stored relation, counted once at
+    {!store}. *)
+
+val digest : memo -> string
+(** [Match_relation.digest] of the stored relation, computed at most
+    once per entry: the first call digests and publishes it, later calls
+    return that same string.  It is the digest of the relation as
+    stored: a copy the caller has mutated since no longer matches it.
+    Recency and the hit/miss counters are untouched.  With
+    [EXPFINDER_CHECK] on, every use of a memo recomputes the digest and
+    raises [Failure] if the two differ. *)
 
 val fold :
   t ->

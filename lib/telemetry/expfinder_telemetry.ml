@@ -812,21 +812,56 @@ module Trace = struct
     sampled : bool;  (* request asked for span recording even when tracing is off *)
   }
 
-  (* Mixed into every minted id so two requests in the same microsecond
-     still differ.  [Random.self_init] is banned (dsafe), so ids hash
-     wall clock + pid + this counter through MD5 — not secure, but
+  (* Ids are a per-process base plus a bijective mix of this counter.
+     [Random.self_init] is banned (dsafe), so the base is one MD5 of wall
+     clock and pid, taken when the module initialises; every mint after
+     that is a counter step, a mix and a hex render.  Not secure, but
      unique, which is all a correlation id needs. *)
   let seq = Atomic.make 0
 
-  let hex_digest salt =
-    Digest.to_hex
-      (Digest.string
-         (Printf.sprintf "%.6f|%d|%d|%d" (Unix.gettimeofday ()) (Unix.getpid ())
-            (Atomic.fetch_and_add seq 1) salt))
+  (* The base's two halves, as 63-bit keys. *)
+  let key_hi, key_lo =
+    let base =
+      Digest.string (Printf.sprintf "%.6f|%d" (Unix.gettimeofday ()) (Unix.getpid ()))
+    in
+    (Int64.to_int (String.get_int64_le base 0), Int64.to_int (String.get_int64_le base 8))
 
-  let mint_trace_id () = hex_digest 0
+  (* A bijection of 63-bit ints (the SplitMix64 finaliser, its odd
+     multipliers cut to 63 bits): each xor-shift and each multiply by an
+     odd constant is invertible modulo 2^63, so distinct counter values
+     give distinct words. *)
+  let mix x =
+    let x = (x lxor (x lsr 30)) * 0x3F58_476D_1CE4_E5B9 in
+    let x = (x lxor (x lsr 27)) * 0x14D0_49BB_1331_11EB in
+    x lxor (x lsr 31)
 
-  let mint_span_id () = String.sub (hex_digest 1) 0 16
+  (* The next counter value, mixed and keyed: distinct per call, never
+     zero (the one counter value whose word would be zero is skipped). *)
+  let rec next_word key =
+    let w = mix (Atomic.fetch_and_add seq 1) lxor key in
+    if w = 0 then next_word key else w
+
+  let hex_digits = "0123456789abcdef"
+
+  (* The 63-bit word [w] as 16 lowercase hex digits, most significant
+     first, into [b] at [off]. *)
+  let put_hex b off w =
+    for i = 0 to 15 do
+      Bytes.unsafe_set b (off + i) hex_digits.[(w lsr (4 * (15 - i))) land 0xF]
+    done
+
+  (* A fresh word first, then the process's key: distinct within the
+     process and, by the key, across processes. *)
+  let mint_trace_id () =
+    let b = Bytes.create 32 in
+    put_hex b 0 (next_word key_hi);
+    put_hex b 16 key_lo;
+    Bytes.unsafe_to_string b
+
+  let mint_span_id () =
+    let b = Bytes.create 16 in
+    put_hex b 0 (next_word key_lo);
+    Bytes.unsafe_to_string b
 
   let is_hex s =
     s <> "" && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s

@@ -262,8 +262,13 @@ module Trace : sig
 
   val make : ?sampled:bool -> ?trace_id:string -> unit -> ctx
   (** Mint a fresh context (fresh span id always; fresh trace id unless
-      a valid one is supplied).  Ids are MD5-derived from wall clock,
-      pid and a process counter — unique correlation ids, not secrets. *)
+      a valid one is supplied).  Each id is a bijective mix of a
+      process-wide counter, keyed by a per-process base (one MD5 of wall
+      clock and pid, taken at start-up): ids never repeat within a
+      process and differ across processes by the base — unique
+      correlation ids, not secrets.  A process forked without exec
+      keeps its parent's base and counter, so ids minted on both sides
+      of the fork can coincide. *)
 
   val valid_trace_id : string -> bool
   (** 32 lowercase hex chars, not all zero. *)

@@ -8,6 +8,7 @@ type outcome = {
   event : Qlog.event;
   replay_ms : float;
   digest : string;
+  pairs : int;
   matched : bool;
   skipped : string option;
 }
@@ -21,7 +22,7 @@ type summary = {
 }
 
 let skip event reason =
-  { event; replay_ms = nan; digest = ""; matched = true; skipped = Some reason }
+  { event; replay_ms = nan; digest = ""; pairs = 0; matched = true; skipped = Some reason }
 
 let batch_digest relations =
   Digest.to_hex
@@ -62,7 +63,19 @@ let replay_one engine (event : Qlog.event) =
         | exception e -> (Error (Printexc.to_string e), (now_us () -. t0) /. 1000.0)
       in
       let crashed replay_ms msg =
-        { event; replay_ms; digest = "error: " ^ msg; matched = false; skipped = None }
+        { event; replay_ms; digest = "error: " ^ msg; pairs = 0; matched = false; skipped = None }
+      in
+      (* An answer matches when both its digest and its pair count, each
+         recomputed from the replayed relations, equal the recorded ones. *)
+      let answered replay_ms digest pairs =
+        {
+          event;
+          replay_ms;
+          digest;
+          pairs;
+          matched = digest = event.digest && pairs = event.pairs;
+          skipped = None;
+        }
       in
       match event.kind with
       | Qlog.Alert ->
@@ -76,8 +89,8 @@ let replay_one engine (event : Qlog.event) =
           match timed (fun () -> Engine.evaluate engine pattern) with
           | Error msg, replay_ms -> crashed replay_ms msg
           | Ok answer, replay_ms ->
-            let digest = Match_relation.digest answer.Engine.relation in
-            { event; replay_ms; digest; matched = digest = event.digest; skipped = None }))
+            let relation = answer.Engine.relation in
+            answered replay_ms (Match_relation.digest relation) (Match_relation.total relation)))
       | Qlog.Batch -> (
         match parse_all parse_pattern payload with
         | Error e -> skip event ("bad payload: " ^ e)
@@ -85,8 +98,9 @@ let replay_one engine (event : Qlog.event) =
           match timed (fun () -> Engine.evaluate_batch engine patterns) with
           | Error msg, replay_ms -> crashed replay_ms msg
           | Ok answers, replay_ms ->
-            let digest = batch_digest (List.map (fun a -> a.Engine.relation) answers) in
-            { event; replay_ms; digest; matched = digest = event.digest; skipped = None }))
+            let relations = List.map (fun a -> a.Engine.relation) answers in
+            answered replay_ms (batch_digest relations)
+              (List.fold_left (fun acc r -> acc + Match_relation.total r) 0 relations)))
       | Qlog.Update -> (
         match parse_all Update.of_json payload with
         | Error e -> skip event ("bad payload: " ^ e)
@@ -96,7 +110,7 @@ let replay_one engine (event : Qlog.event) =
           | Ok _reports, replay_ms ->
             (* Updates carry no answer digest; correctness shows up in the
                digests of every later query against the mutated graph. *)
-            { event; replay_ms; digest = ""; matched = true; skipped = None }))))
+            { event; replay_ms; digest = ""; pairs = 0; matched = true; skipped = None }))))
 
 let run engine events =
   let outcomes = List.map (replay_one engine) events in
@@ -185,7 +199,8 @@ let pp_summary ppf summary =
       | Some reason -> Format.fprintf ppf "  skipped #%d (%s): %s@," o.event.Qlog.seq o.event.Qlog.query reason
       | None ->
         if not o.matched then
-          Format.fprintf ppf "  MISMATCH #%d (%s): recorded %s, replayed %s@," o.event.Qlog.seq
-            o.event.Qlog.query o.event.Qlog.digest o.digest)
+          Format.fprintf ppf "  MISMATCH #%d (%s): recorded %s (%d pairs), replayed %s (%d pairs)@,"
+            o.event.Qlog.seq o.event.Qlog.query o.event.Qlog.digest o.event.Qlog.pairs o.digest
+            o.pairs)
     summary.outcomes;
   Format.fprintf ppf "@]"

@@ -10,7 +10,10 @@ open Expfinder_telemetry
     {!run} on an engine built over the same base graph.  Query and
     batch events re-evaluate their recorded pattern payloads and
     compare {!Expfinder_core.Match_relation.digest} (batches: the MD5
-    of the per-answer digests in input order) byte-for-byte; update
+    of the per-answer digests in input order) byte-for-byte, and the
+    answer's {!Expfinder_core.Match_relation.total} (batches: the sum)
+    with the recorded [pairs], both recomputed from the replayed
+    relations rather than read from the engine's memo; update
     events re-apply their recorded ΔG, so a divergence introduced by an
     update shows up in the digest of every later query.  Events that
     recorded an error, or that carry no payload, are skipped and
@@ -23,7 +26,8 @@ type outcome = {
   event : Qlog.event;
   replay_ms : float;  (** this run's latency ([nan] when skipped) *)
   digest : string;  (** recomputed answer digest ([""] for updates) *)
-  matched : bool;  (** digest agrees with the recorded one *)
+  pairs : int;  (** recounted answer size, summed over a batch ([0] for updates) *)
+  matched : bool;  (** digest and pair count agree with the recorded ones *)
   skipped : string option;  (** reason this event was not replayed *)
 }
 

@@ -345,6 +345,64 @@ let test_containment_reuse () =
   Alcotest.(check bool) "then an exact hit" true (third.Engine.provenance = Engine.From_cache);
   Alcotest.(check int) "no second containment hit" (before + 1) (Counter.value hits)
 
+(* Every route an answer can take reports the pair count of direct
+   evaluation on the snapshot it was served from: a direct miss, the
+   cache hit after it, the registered kernel, the compressed graph,
+   containment reuse and a batch member.  Each route is confirmed by the
+   counter it alone moves. *)
+let test_pairs_on_every_route () =
+  let open Expfinder_telemetry in
+  set_enabled true;
+  Fun.protect ~finally:(fun () -> set_enabled false) @@ fun () ->
+  let counter name = Counter.value (Metrics.counter name) in
+  let check_pairs what engine q (a : Engine.answer) =
+    let direct = Planner.run q (Engine.snapshot engine) in
+    Alcotest.(check bool) (what ^ ": a total answer") true
+      (a.Engine.total && Match_relation.is_total direct);
+    Alcotest.(check int) (what ^ ": pairs = Planner.run") (Match_relation.total direct)
+      a.Engine.pairs;
+    Alcotest.(check int) (what ^ ": pairs = its relation's") (Match_relation.total a.Engine.relation)
+      a.Engine.pairs
+  in
+  (* Direct miss, then the cache hit. *)
+  let engine = Engine.create (Collab.graph ()) in
+  let q = Collab.query () in
+  let miss = Engine.evaluate engine q in
+  Alcotest.(check bool) "miss is direct" true (miss.Engine.provenance = Engine.Direct);
+  check_pairs "direct miss" engine q miss;
+  let hit = Engine.evaluate engine q in
+  Alcotest.(check bool) "then a hit" true (hit.Engine.provenance = Engine.From_cache);
+  check_pairs "cache hit" engine q hit;
+  (* The registered kernel, after an effective update cleared the
+     cache: no plan is made. *)
+  Engine.register engine q;
+  ignore
+    (Engine.apply_updates engine [ Update.Insert_edge (fst Collab.e1, snd Collab.e1) ]
+      : Incremental.report list);
+  let plans = counter "planner.plans" in
+  let registered = Engine.evaluate engine q in
+  Alcotest.(check int) "registered: no plan" plans (counter "planner.plans");
+  check_pairs "registered" engine q registered;
+  (* The compressed graph. *)
+  let org = Engine.create (org_graph ()) in
+  Engine.enable_compression ~atoms:Queries.atom_universe org;
+  let compressed = Engine.evaluate org (org_query ()) in
+  Alcotest.(check bool) "from compressed" true
+    (compressed.Engine.provenance = Engine.From_compressed);
+  check_pairs "compressed" org (org_query ()) compressed;
+  (* Containment reuse below a cached superset. *)
+  let engine = Engine.create (Collab.graph ()) in
+  ignore (Engine.evaluate engine (loose_query ()) : Engine.answer);
+  let hits = counter "engine.containment_hits" in
+  let contained = Engine.evaluate engine q in
+  Alcotest.(check int) "containment hit" (hits + 1) (counter "engine.containment_hits");
+  check_pairs "containment" engine q contained;
+  (* Batch members, a duplicate included. *)
+  let engine = Engine.create (Collab.graph ()) in
+  let members = [ q; Collab.q1 (); q ] in
+  let answers = Engine.evaluate_batch engine members in
+  List.iter2 (check_pairs "batch member" engine) members answers
+
 let test_differential_mode_passes () =
   Verify.set_differential true;
   Fun.protect ~finally:(fun () -> Verify.set_differential false) @@ fun () ->
@@ -447,6 +505,7 @@ let () =
           Alcotest.test_case "cache stats" `Quick test_cache_stats;
           Alcotest.test_case "containment reuse" `Quick test_containment_reuse;
           Alcotest.test_case "differential mode" `Quick test_differential_mode_passes;
+          Alcotest.test_case "pairs on every route" `Quick test_pairs_on_every_route;
         ] );
       ( "topk",
         [

@@ -154,6 +154,24 @@ let prop_bitset_iter_xor seed =
   in
   List.rev !seen = expected && mismatch
 
+(* [cardinal] against a per-bit [mem] count.  Capacities are 0, one
+   word short of full (62), exactly one word (63), one bit into the next
+   (64) and a partial tail word; each word is either filled completely
+   (all ones, the word -1) or filled at random with its last bit (62,
+   the sign bit) set, the bits a word-at-a-time popcount must not drop. *)
+let prop_bitset_cardinal seed =
+  let rng = Prng.create seed in
+  let sizes = [| 0; 62; 63; 64; (63 * (1 + Prng.int rng 3)) + 1 + Prng.int rng 61 |] in
+  let n = sizes.(Prng.int rng (Array.length sizes)) in
+  let s = Bitset.create n in
+  let density = Prng.int_in rng 0 10 in
+  for i = 0 to n - 1 do
+    let full_word = (i / 63) mod 2 = seed mod 2 in
+    if full_word || i mod 63 = 62 || Prng.int rng 10 < density then Bitset.add s i
+  done;
+  let per_bit = List.length (List.filter (Bitset.mem s) (List.init n Fun.id)) in
+  Bitset.cardinal s = per_bit
+
 let test_bitset_setops () =
   let a = Bitset.create 100 and b = Bitset.create 100 in
   List.iter (Bitset.add a) [ 1; 2; 3 ];
@@ -481,6 +499,8 @@ let qcheck_cases =
         prop_bitset_iter_is_mem_scan (s + 1));
     QCheck.Test.make ~count:200 ~name:"bitset iter_xor = symmetric difference"
       QCheck.small_int (fun s -> prop_bitset_iter_xor (s + 1));
+    QCheck.Test.make ~count:200 ~name:"bitset cardinal = per-bit count" QCheck.small_int
+      (fun s -> prop_bitset_cardinal (s + 1));
     QCheck.Test.make ~count:50 ~name:"csr roundtrip" QCheck.small_int (fun s ->
         prop_csr_roundtrip (s + 1));
     QCheck.Test.make ~count:30 ~name:"reach = bfs" QCheck.small_int (fun s ->

@@ -386,18 +386,24 @@ let digest_e2e exe () =
       let code, _ = run exe [ "gen"; "--kind"; "collab"; "-o"; graph ] in
       Alcotest.(check int) "gen exits 0" 0 code;
       let fresh = match Graph_io.load graph with Ok g -> g | Error e -> Alcotest.fail e in
-      let direct text =
+      let direct_relation text =
         match Pattern_io.of_string text with
         | Ok p ->
           let m = Planner.run p (Snapshot.of_digraph fresh) in
           Alcotest.(check bool) "test pattern has a total answer" true (Match_relation.is_total m);
-          Match_relation.digest m
+          m
         | Error e -> Alcotest.fail e
       in
+      let direct text = Match_relation.digest (direct_relation text) in
       let digest_of resp =
         match str_field "digest" resp with
         | Some d -> d
         | None -> Alcotest.fail "answer carries no digest"
+      in
+      let pairs_of resp =
+        match Option.bind (Json.member "pairs" resp) Json.int_opt with
+        | Some n -> n
+        | None -> Alcotest.fail "answer carries no pair count"
       in
       (* Request kind and reply digest (the per-answer digests for a
          batch), in the order the server logs them. *)
@@ -408,7 +414,11 @@ let digest_e2e exe () =
         in
         Alcotest.(check bool) "query ok" true (ok_of resp);
         Alcotest.(check string) "query digest = direct" (direct text) (digest_of resp);
-        served := ("query", [ digest_of resp ]) :: !served
+        Alcotest.(check int) "query pairs = direct"
+          (Match_relation.total (direct_relation text))
+          (pairs_of resp);
+        served := ("query", [ digest_of resp ]) :: !served;
+        (pairs_of resp, digest_of resp)
       in
       let batch fd texts =
         let resp =
@@ -426,15 +436,23 @@ let digest_e2e exe () =
           | None -> Alcotest.fail "batch response carries no answers"
         in
         Alcotest.(check (list string)) "batch digests = direct" (List.map direct texts) digests;
+        (match Option.bind (Json.member "answers" resp) Json.list_opt with
+        | Some answers ->
+          Alcotest.(check (list int)) "batch pairs = direct"
+            (List.map (fun t -> Match_relation.total (direct_relation t)) texts)
+            (List.map pairs_of answers)
+        | None -> ());
         served := ("batch", digests) :: !served
       in
       let round fd =
         (* The first query of an epoch stores its kernel; the rest are
-           cache hits served from the memo. *)
-        query fd paper_query;
-        query fd paper_query;
+           cache hits served from the memo, with the miss's pair count
+           and digest. *)
+        let miss = query fd paper_query in
+        let hit = query fd paper_query in
+        Alcotest.(check (pair int string)) "hit replies as the miss did" miss hit;
         batch fd [ paper_query; sa_query; paper_query ];
-        query fd sa_query;
+        ignore (query fd sa_query : int * string);
         batch fd [ sa_query; paper_query ]
       in
       with_server exe ~graph ~socket ~qlog (fun endpoint ->

@@ -25,7 +25,8 @@ let test_cache_hit_and_miss () =
   Alcotest.(check bool) "cold miss" true (Cache.find cache q ~snapshot:sid0 = None);
   Cache.store cache q ~snapshot:sid0 (sample_relation ());
   (match Cache.find cache q ~snapshot:sid0 with
-  | Some r -> Alcotest.(check bool) "hit returns stored" true (Match_relation.equal r (sample_relation ()))
+  | Some (r, _) ->
+    Alcotest.(check bool) "hit returns stored" true (Match_relation.equal r (sample_relation ()))
   | None -> Alcotest.fail "expected hit");
   Alcotest.(check bool) "other epoch misses" true (Cache.find cache q ~snapshot:sid1 = None);
   Alcotest.(check (pair int int)) "stats" (1, 2) (Cache.hits cache, Cache.misses cache)
@@ -59,14 +60,15 @@ let test_cache_is_defensive () =
   Match_relation.remove r 0 1;
   (* Mutating the original must not affect the cached copy... *)
   (match Cache.find cache q ~snapshot:sid0 with
-  | Some cached -> Alcotest.(check bool) "stored copy intact" true (Match_relation.mem cached 0 1)
+  | Some (cached, _) ->
+    Alcotest.(check bool) "stored copy intact" true (Match_relation.mem cached 0 1)
   | None -> Alcotest.fail "expected hit");
   (* ...nor mutating a returned hit. *)
   (match Cache.find cache q ~snapshot:sid0 with
-  | Some hit -> Match_relation.remove hit 1 4
+  | Some (hit, _) -> Match_relation.remove hit 1 4
   | None -> Alcotest.fail "expected hit");
   match Cache.find cache q ~snapshot:sid0 with
-  | Some cached -> Alcotest.(check bool) "hit copy intact" true (Match_relation.mem cached 1 4)
+  | Some (cached, _) -> Alcotest.(check bool) "hit copy intact" true (Match_relation.mem cached 1 4)
   | None -> Alcotest.fail "expected hit"
 
 let test_cache_lru_eviction () =
@@ -76,7 +78,7 @@ let test_cache_lru_eviction () =
   Cache.store cache q1 ~snapshot:sid0 (sample_relation ());
   Cache.store cache q2 ~snapshot:sid0 (sample_relation ());
   (* Touch q1 so q2 is the LRU entry, then insert q3. *)
-  ignore (Cache.find cache q1 ~snapshot:sid0 : Match_relation.t option);
+  ignore (Cache.find cache q1 ~snapshot:sid0 : (Match_relation.t * Cache.memo) option);
   Cache.store cache q3 ~snapshot:sid0 (sample_relation ());
   Alcotest.(check int) "capacity respected" 2 (Cache.length cache);
   Alcotest.(check int) "eviction counted" 1 (Cache.evictions cache);
@@ -100,63 +102,60 @@ let test_cache_invalidation () =
   Alcotest.(check int) "cleared" 0 (Cache.length cache);
   Alcotest.(check (pair int int)) "stats reset" (0, 0) (Cache.hits cache, Cache.misses cache)
 
-(* --- Digest memo ---------------------------------------------------- *)
+(* --- Entry memo ------------------------------------------------------ *)
 
 let hit cache q sid =
   match Cache.find cache q ~snapshot:sid with
-  | Some r -> r
+  | Some h -> h
   | None -> Alcotest.fail "expected hit"
-
-let memo cache q sid r =
-  match Cache.digest cache q ~snapshot:sid r with
-  | Some d -> d
-  | None -> Alcotest.fail "expected a memoised digest"
 
 let test_digest_memo_reused () =
   let cache = Cache.create () in
   let q = Collab.query () in
   let sid0, _ = sid_pair () in
-  Cache.store cache q ~snapshot:sid0 (sample_relation ());
-  let r1 = hit cache q sid0 in
-  let d1 = memo cache q sid0 r1 in
+  let stored = Cache.store_memo cache q ~snapshot:sid0 (sample_relation ()) in
+  Alcotest.(check int) "store counts the pairs" 2 (Cache.pairs stored);
+  let r1, m1 = hit cache q sid0 in
+  let d1 = Cache.digest m1 in
   Alcotest.(check string) "memo is the relation's digest" (Match_relation.digest r1) d1;
-  (* The second hit gets the string already stored, not a recomputed
-     one. *)
-  let r2 = hit cache q sid0 in
-  Alcotest.(check bool) "second hit reuses the stored digest" true (memo cache q sid0 r2 == d1);
+  Alcotest.(check int) "hit carries the stored count" (Match_relation.total r1) (Cache.pairs m1);
+  (* The store's memo and every later hit's are the same entry's: the
+     string is computed once and shared. *)
+  Alcotest.(check bool) "store's memo shares the digest" true (Cache.digest stored == d1);
+  let r2, m2 = hit cache q sid0 in
+  Alcotest.(check bool) "second hit reuses the stored digest" true (Cache.digest m2 == d1);
   Alcotest.(check (pair int int)) "memo reads are not hits or misses" (2, 0)
     (Cache.hits cache, Cache.misses cache);
   (* Mutating a returned copy leaves the stored relation, and its memo,
-     as they were... *)
+     as they were. *)
   Match_relation.remove r2 0 1;
-  let r3 = hit cache q sid0 in
-  Alcotest.(check bool) "next hit's digest unchanged" true (memo cache q sid0 r3 == d1);
-  (* ...and the mutated copy no longer matches the entry, so it gets no
-     memo: its owner digests it. *)
-  Alcotest.(check bool) "mutated copy gets no memo" true
-    (Cache.digest cache q ~snapshot:sid0 r2 = None)
+  Alcotest.(check bool) "mutated copy's memo unchanged" true (Cache.digest m2 == d1);
+  Alcotest.(check bool) "the memo is not the mutated copy's digest" true
+    (Match_relation.digest r2 <> d1);
+  let _, m3 = hit cache q sid0 in
+  Alcotest.(check bool) "next hit's digest unchanged" true (Cache.digest m3 == d1);
+  Alcotest.(check int) "next hit's count unchanged" 2 (Cache.pairs m3)
 
 let test_digest_memo_dropped () =
   let cache = Cache.create () in
   let q = Collab.query () in
   let sid0, sid1 = sid_pair () in
   let r = sample_relation () in
-  Cache.store cache q ~snapshot:sid0 r;
-  let d0 = memo cache q sid0 r in
-  Alcotest.(check bool) "no memo under another snapshot" true
-    (Cache.digest cache q ~snapshot:sid1 r = None);
+  let d0 = Cache.digest (Cache.store_memo cache q ~snapshot:sid0 r) in
+  Alcotest.(check bool) "no entry under another snapshot" true
+    (Cache.find cache q ~snapshot:sid1 = None);
   Cache.clear cache;
-  Alcotest.(check bool) "cleared entry has no memo" true
-    (Cache.digest cache q ~snapshot:sid0 r = None);
+  Alcotest.(check bool) "cleared entry is gone" true (Cache.find cache q ~snapshot:sid0 = None);
   Cache.store cache q ~snapshot:sid0 r;
-  let d1 = memo cache q sid0 r in
+  let d1 = Cache.digest (snd (hit cache q sid0)) in
   Alcotest.(check string) "same content, same digest" d0 d1;
   Alcotest.(check bool) "recomputed after clear" true (d1 != d0);
   Cache.invalidate_snapshot cache sid0;
-  Alcotest.(check bool) "invalidated entry has no memo" true
-    (Cache.digest cache q ~snapshot:sid0 r = None);
+  Alcotest.(check bool) "invalidated entry is gone" true
+    (Cache.find cache q ~snapshot:sid0 = None);
   Cache.store cache q ~snapshot:sid0 r;
-  Alcotest.(check bool) "recomputed after invalidation" true (memo cache q sid0 r != d1)
+  Alcotest.(check bool) "recomputed after invalidation" true
+    (Cache.digest (snd (hit cache q sid0)) != d1)
 
 let () =
   Alcotest.run "storage"

@@ -1429,6 +1429,39 @@ let test_trace_mint_and_wire () =
     Alcotest.(check string) "case and whitespace normalised" ctx.Trace.trace_id c.Trace.trace_id
   | None -> Alcotest.fail "normalisable form rejected"
 
+(* Ids minted concurrently on two domains, 100k contexts in all, are
+   pairwise distinct and well formed (trace ids among themselves, span
+   ids among themselves), and adopting one over the wire keeps its
+   trace id and mints a span id none of them used. *)
+let test_trace_ids_distinct_across_domains () =
+  let per_domain = 50_000 in
+  let minted =
+    Expfinder_parallel.run ~domains:2 (fun _ -> Array.init per_domain (fun _ -> Trace.make ()))
+  in
+  let all = Array.concat (Array.to_list minted) in
+  Alcotest.(check int) "contexts minted" (2 * per_domain) (Array.length all);
+  let distinct field =
+    let seen = Hashtbl.create (Array.length all) in
+    Array.iter (fun c -> Hashtbl.replace seen (field c) ()) all;
+    Hashtbl.length seen
+  in
+  Alcotest.(check int) "trace ids pairwise distinct" (Array.length all)
+    (distinct (fun c -> c.Trace.trace_id));
+  Alcotest.(check int) "span ids pairwise distinct" (Array.length all)
+    (distinct (fun c -> c.Trace.span_id));
+  Alcotest.(check bool) "every trace id valid" true
+    (Array.for_all (fun c -> Trace.valid_trace_id c.Trace.trace_id) all);
+  Alcotest.(check bool) "every span id valid" true
+    (Array.for_all (fun c -> Trace.valid_span_id c.Trace.span_id) all);
+  let ctx = all.(Array.length all - 1) in
+  match Trace.of_wire (Trace.to_wire ctx) with
+  | Some adopted ->
+    Alcotest.(check string) "trace id adopted" ctx.Trace.trace_id adopted.Trace.trace_id;
+    Alcotest.(check bool) "a fresh valid span id" true
+      (Trace.valid_span_id adopted.Trace.span_id
+      && Array.for_all (fun c -> c.Trace.span_id <> adopted.Trace.span_id) all)
+  | None -> Alcotest.fail "to_wire form rejected"
+
 let test_trace_of_wire_rejects_malformed () =
   let rejected s =
     Alcotest.(check bool) (Printf.sprintf "%S rejected" s) true (Trace.of_wire s = None)
@@ -1915,6 +1948,8 @@ let () =
         [
           Alcotest.test_case "chrome trace roundtrip" `Quick test_chrome_trace_roundtrip;
           Alcotest.test_case "context mint and wire forms" `Quick test_trace_mint_and_wire;
+          Alcotest.test_case "ids distinct across domains" `Quick
+            test_trace_ids_distinct_across_domains;
           Alcotest.test_case "malformed wire forms rejected" `Quick
             test_trace_of_wire_rejects_malformed;
           Alcotest.test_case "sampled context records without the flag" `Quick

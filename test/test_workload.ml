@@ -196,6 +196,44 @@ let test_replay_detects_divergence () =
       let summary = Replay.run (Engine.create g) events in
       Alcotest.(check bool) "divergent graph detected" true (summary.Replay.mismatches >= 1))
 
+(* A recorded pair count is checked too: raising one query event's
+   [pairs], or one batch event's, makes exactly that event a mismatch,
+   with its digest still reproduced. *)
+let test_replay_detects_pairs () =
+  let open Expfinder_engine in
+  let open Expfinder_telemetry in
+  let module Collab = Expfinder_workload.Collab in
+  let module Replay = Expfinder_workload.Replay in
+  with_qlog_capture (fun path ->
+      let engine = Engine.create (Collab.graph ()) in
+      ignore (Engine.evaluate engine (Collab.q1 ()));
+      ignore (Engine.evaluate_batch engine [ Collab.q1 (); Collab.q3 () ]);
+      Qlog.close ();
+      let events = match Qlog.load path with Ok e -> e | Error e -> Alcotest.fail e in
+      let untouched = Replay.run (Engine.create (Collab.graph ())) events in
+      Alcotest.(check int) "untouched log replays clean" 0 untouched.Replay.mismatches;
+      List.iter
+        (fun kind ->
+          let tampered =
+            List.map
+              (fun (e : Qlog.event) ->
+                if e.Qlog.kind = kind then { e with Qlog.pairs = e.Qlog.pairs + 1 } else e)
+              events
+          in
+          let summary = Replay.run (Engine.create (Collab.graph ())) tampered in
+          let name = Qlog.kind_name kind in
+          Alcotest.(check int) (name ^ ": one mismatch") 1 summary.Replay.mismatches;
+          match Replay.mismatches summary with
+          | [ o ] ->
+            Alcotest.(check bool) (name ^ ": the tampered event") true
+              (o.Replay.event.Qlog.kind = kind);
+            Alcotest.(check string) (name ^ ": digest still reproduced") o.Replay.event.Qlog.digest
+              o.Replay.digest;
+            Alcotest.(check int) (name ^ ": the replayed count is the original")
+              (o.Replay.event.Qlog.pairs - 1) o.Replay.pairs
+          | _ -> Alcotest.fail "expected one mismatch")
+        [ Qlog.Query; Qlog.Batch ])
+
 (* Events that recorded an error or carry no payload are skipped, not
    failed. *)
 let test_replay_skips () =
@@ -356,6 +394,7 @@ let () =
         [
           Alcotest.test_case "capture/replay roundtrip" `Quick test_replay_roundtrip;
           Alcotest.test_case "divergence detected" `Quick test_replay_detects_divergence;
+          Alcotest.test_case "pair count tampering detected" `Quick test_replay_detects_pairs;
           Alcotest.test_case "errored/payload-free events skipped" `Quick test_replay_skips;
           Alcotest.test_case "raising event is a mismatch, not a crash" `Quick
             test_replay_crash_is_mismatch;
