@@ -59,7 +59,7 @@ lint-dsafe: build
 # shared mutable state must displace old entries (or genuinely new
 # infrastructure must lower the baseline elsewhere first) — never grow
 # the total.  Lower the baseline whenever entries are paid off.
-DSAFE_ALLOW_BASELINE := 98
+DSAFE_ALLOW_BASELINE := 93
 lint-dsafe-growth:
 	@n=$$(grep -cv '^[[:space:]]*\#\|^[[:space:]]*$$' lint/dsafe.allow); \
 	if [ "$$n" -gt $(DSAFE_ALLOW_BASELINE) ]; then \
@@ -262,14 +262,14 @@ par-diff-smoke: build
 	  | awk '$$1 < 2 { print "par-diff-smoke: the paper pattern logged " $$1 " distinct answer digest(s), want at least 2"; exit 1 }'
 
 # Multicore observability smoke gate: serve a short workload on a
-# 2-domain pool, then require the new surfaces to be live and
-# well-formed — /profile.folded must hold domain-prefixed collapsed
-# stacks with integer self-ns values (the flamegraph.pl contract),
-# /domains.json must carry the pool/worker/gc sections, /stats.json the
-# pool summary, and `top --once --json` / `profile --top` must scrape
-# them end-to-end.  The folded profile is kept under _build/prof_smoke/
-# for CI to upload next to the dsafe report.  Invokes $(EXE) directly
-# for the same build-lock reason as replay-smoke.
+# 2-domain pool, then scrape the surfaces with `expfinder get` and
+# require them to be live and well-formed — /profile.folded must hold
+# domain-prefixed collapsed stacks with integer self-ns values (the
+# flamegraph.pl contract), /domains.json must carry the
+# pool/worker/gc sections and /stats.json the pool summary.  The folded
+# profile is kept under _build/prof_smoke/ for CI to upload next to the
+# dsafe report.  Invokes $(EXE) directly for the same build-lock reason
+# as replay-smoke.
 prof-smoke: build
 	@rm -rf _build/prof_smoke && mkdir -p _build/prof_smoke
 	@EXPFINDER_DOMAINS=2 EXPFINDER_SAMPLE_PERIOD_S=0.2 \
@@ -302,12 +302,6 @@ prof-smoke: build
 	$(EXE) get --socket _build/prof_smoke/sock /stats.json \
 	  | grep -q '"pool"' \
 	  || { kill $$pid 2>/dev/null; echo "prof-smoke: /stats.json missing the pool summary"; exit 1; }; \
-	$(EXE) top --socket _build/prof_smoke/sock --once --json \
-	  | grep -q '"domains"' \
-	  || { kill $$pid 2>/dev/null; echo "prof-smoke: top --once --json missing domains doc"; exit 1; }; \
-	$(EXE) profile --socket _build/prof_smoke/sock --top 5 \
-	  | grep -q 'domain-' \
-	  || { kill $$pid 2>/dev/null; echo "prof-smoke: expfinder profile --top failed"; exit 1; }; \
 	$(EXE) client --socket _build/prof_smoke/sock \
 	  -q workloads/smoke/paper.pattern --shutdown >/dev/null \
 	  || { kill $$pid 2>/dev/null; echo "prof-smoke: shutdown failed"; exit 1; }; \

@@ -782,37 +782,6 @@ let exp_ablation_area ~full =
     \  a sync whose work passes the price of one dense run stops and recomputes\n\
     \  (area = |V|).  ancestors always floods the reverse-reachable set and refines all of it"
 
-let exp_ablation_ball_index ~full =
-  header "EXP-A4 (ablation): precomputed distance index for query workloads";
-  let n = if full then 32_000 else 8_000 in
-  let g = Snapshot.of_digraph (flat_graph ~n) in
-  let rng = Prng.create 43 in
-  let queries =
-    Queries.workload rng ~count:10 ~simulation:false (Snapshot.to_digraph g)
-  in
-  (* The workload's graph copy shares structure; evaluate on [g]. *)
-  let idx, t_build = time_once (fun () -> Ball_index.build g ~radius:3) in
-  List.iter
-    (fun q -> assert (Match_relation.equal (Ball_index.evaluate idx q g) (Bounded_sim.run q g)))
-    queries;
-  let t_direct =
-    time_median (fun () ->
-        List.iter (fun q -> ignore (Bounded_sim.run q g : Match_relation.t)) queries)
-  in
-  let t_indexed =
-    time_median (fun () ->
-        List.iter (fun q -> ignore (Ball_index.evaluate idx q g : Match_relation.t)) queries)
-  in
-  record ~id:"EXP-A4.direct" [ t_direct ];
-  record ~id:"EXP-A4.indexed" [ t_indexed ];
-  Printf.printf "  |V| = %d; index: %d entries, built in %.1f ms\n" n
-    (Ball_index.memory_entries idx) t_build;
-  Printf.printf "  10-query workload: direct %.1f ms, indexed %.1f ms (%.1fx)\n" t_direct
-    t_indexed
-    (t_direct /. max t_indexed 0.001);
-  Printf.printf "  break-even after ~%.0f workloads of this size\n"
-    (t_build /. max (t_direct -. t_indexed) 0.001)
-
 let exp_ablation_minimise ~full:_ =
   header "EXP-A5 (ablation): pattern-query minimisation";
   let g = Snapshot.of_digraph (flat_graph ~n:8_000) in
@@ -1286,7 +1255,6 @@ let experiments =
     ("EXP-K1", exp_cache);
     ("EXP-A1", exp_ablation_bsim_strategy);
     ("EXP-A3", exp_ablation_area);
-    ("EXP-A4", exp_ablation_ball_index);
     ("EXP-A5", exp_ablation_minimise);
     ("EXP-A6", exp_ball_cost);
     ("EXP-A7", exp_publish_cost);

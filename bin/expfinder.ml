@@ -15,7 +15,6 @@ open Expfinder_engine
 module Telemetry = Expfinder_telemetry
 module Parallel = Expfinder_parallel
 module Server = Expfinder_server
-module Dashboard = Expfinder_dashboard.Dashboard
 module Collab = Expfinder_workload.Collab
 module Synthetic = Expfinder_workload.Synthetic
 module Twitter = Expfinder_workload.Twitter
@@ -135,7 +134,7 @@ let import verbose edges_file label exp_max seed output =
 
 (* One-shot HTTP fetch with every transport failure folded into the
    result: [sockaddr] raises [Failure] on unresolvable hosts, which
-   previously escaped as an uncaught exception from [stats --server]. *)
+   would otherwise escape as an uncaught exception. *)
 let http_get_result spec endpoint path =
   match Server.http_get endpoint path with
   | Ok r -> Ok r
@@ -144,137 +143,51 @@ let http_get_result spec endpoint path =
     err "cannot reach %s: %s: %s" spec fn (Unix.error_message e)
   | exception Failure msg -> err "cannot reach %s: %s" spec msg
 
-(* The live half of [stats]: fetch /stats.json from a running
-   [expfinder serve] and print the sliding-window SLO summary. *)
-let stats_from_server spec json =
-  let* endpoint = Server.endpoint_of_string spec in
-  let* status, body = http_get_result spec endpoint "/stats.json" in
-  let* () = if status = 200 then Ok () else err "server answered HTTP %d" status in
-  if json then begin
-    print_string body;
-    Ok ()
-  end
-  else
-    let* doc =
-      match Telemetry.Json.of_string body with
-      | Ok doc -> Ok doc
-      | Error e -> err "bad /stats.json from %s: %s" spec e
-    in
-    let open Telemetry.Json in
-    let int_field name = Option.bind (member name doc) int_opt in
-    Printf.printf "server %s: graph %d, epoch %d\n" spec
-      (Option.value ~default:0 (int_field "graph_id"))
-      (Option.value ~default:0 (int_field "epoch"));
-    (match member "windows" doc with
-    | Some (Obj windows) when windows <> [] ->
-      List.iter
-        (fun (op, summary_json) ->
-          match Telemetry.Window.summary_of_json summary_json with
-          | Some summary ->
-            Format.printf "%-6s %a@." op Telemetry.Window.pp_summary summary
-          | None -> ())
-        windows
-    | _ -> print_endline "no operation windows yet (no requests served)");
-    (match member "process" doc with
-    | Some (Obj fields) ->
-      let gauge name = Option.value ~default:0 (Option.bind (List.assoc_opt name fields) int_opt) in
-      Printf.printf "process: rss %.1f MiB, heap %.1f MiB, gc %d minor / %d major, up %ds\n"
-        (float_of_int (gauge "process.rss_bytes") /. 1048576.0)
-        (float_of_int (gauge "process.heap_words" * (Sys.word_size / 8)) /. 1048576.0)
-        (gauge "process.gc_minor_collections")
-        (gauge "process.gc_major_collections")
-        (gauge "uptime.seconds")
-    | _ -> ());
-    (* Domain-pool summary (absent from pre-pool servers: stay silent;
-       workers=0 means single-domain serving). *)
-    (match member "pool" doc with
-    | Some pool ->
-      let pi name = Option.value ~default:0 (Option.bind (member name pool) int_opt) in
-      if pi "workers" > 0 then
-        Printf.printf
-          "pool: %d worker(s), %d busy, queue %d/%d, %d tasks, writer backlog %d\n"
-          (pi "workers") (pi "busy") (pi "queue_depth") (pi "queue_capacity")
-          (pi "tasks") (pi "writer_backlog")
-      else print_endline "pool: single-domain serving (no worker pool)"
-    | None -> ());
-    (* Older servers serve /stats.json without the alerts member; stay
-       silent rather than failing the whole summary. *)
-    (match member "alerts" doc with
-    | Some alerts_doc -> (
-      match Dashboard.firing_alerts alerts_doc with
-      | [] ->
-        let n =
-          match Option.bind (member "alerts" alerts_doc) list_opt with
-          | Some l -> List.length l
-          | None -> 0
-        in
-        if n > 0 then Printf.printf "alerts: %d configured, none firing\n" n
-      | firing ->
-        List.iter
-          (fun a ->
-            let str name = Option.value ~default:"?" (Option.bind (member name a) str_opt) in
-            let burn name =
-              Option.value ~default:nan (Option.bind (member name a) float_opt)
-            in
-            Printf.printf "ALERT %s (op %s): burn fast %.1fx, slow %.1fx\n" (str "name")
-              (str "op") (burn "burn_fast") (burn "burn_slow"))
-          firing)
-    | None -> ());
-    Ok ()
-
-let stats verbose graph_file server query_file json recent =
+let stats verbose graph_file query_file json recent =
   setup_logs verbose;
   or_die
-    (match server with
-    | Some spec -> stats_from_server spec json
-    | None ->
-      let* graph_file =
-        match graph_file with
-        | Some f -> Ok f
-        | None -> err "stats: either --graph or --server is required"
-      in
-      let* g = load_graph graph_file in
-      let csr = Csr.of_digraph g in
-      Format.printf "%a@." Digraph.pp_stats g;
-      let labels = Queries.distinct_labels g in
-      Printf.printf "labels: %s\n"
-        (String.concat ", "
-           (Array.to_list (Array.map (fun l -> Label.to_string l) labels)));
-      let scc = Scc.compute csr in
-      Printf.printf "strongly connected components: %d\n" (Scc.count scc);
-      let* () =
-        match query_file with
-        | None -> Ok ()
-        | Some qf ->
-          (* Run one telemetry-enabled evaluation and dump the metric
-             registry plus the per-query profile. *)
-          let* q = load_pattern qf in
-          Telemetry.set_enabled true;
-          Telemetry.Metrics.reset_all ();
-          let engine = Engine.create g in
-          let answer = Engine.evaluate engine q in
-          Printf.printf "\nquery %s: %d match pairs\n"
-            (Pattern.fingerprint q)
-            (Match_relation.total answer.Engine.relation);
-          if not json then begin
-            Format.printf "@.metrics:@.%a@." Telemetry.Metrics.pp ();
-            Option.iter (Format.printf "%a" Engine.pp_profile) answer.Engine.profile
-          end;
-          Ok ()
-      in
-      (* Machine-readable dump, whether or not a query ran: one combined
-         document, so consumers get the registry and the flight recorder
-         in a single parse. *)
-      if json then
-        print_string
-          (Telemetry.Json.to_string ~pretty:true
-             (Telemetry.Json.Obj
-                [
-                  ("metrics", Telemetry.Metrics.to_json ());
-                  ("recorder", Telemetry.Recorder.to_json ());
-                ]));
-      if recent && not json then Format.printf "%a" Telemetry.Recorder.pp ();
-      Ok ())
+    (let* g = load_graph graph_file in
+     let csr = Csr.of_digraph g in
+     Format.printf "%a@." Digraph.pp_stats g;
+     let labels = Queries.distinct_labels g in
+     Printf.printf "labels: %s\n"
+       (String.concat ", "
+          (Array.to_list (Array.map (fun l -> Label.to_string l) labels)));
+     let scc = Scc.compute csr in
+     Printf.printf "strongly connected components: %d\n" (Scc.count scc);
+     let* () =
+       match query_file with
+       | None -> Ok ()
+       | Some qf ->
+         (* Run one telemetry-enabled evaluation and dump the metric
+            registry plus the per-query profile. *)
+         let* q = load_pattern qf in
+         Telemetry.set_enabled true;
+         Telemetry.Metrics.reset_all ();
+         let engine = Engine.create g in
+         let answer = Engine.evaluate engine q in
+         Printf.printf "\nquery %s: %d match pairs\n"
+           (Pattern.fingerprint q)
+           (Match_relation.total answer.Engine.relation);
+         if not json then begin
+           Format.printf "@.metrics:@.%a@." Telemetry.Metrics.pp ();
+           Option.iter (Format.printf "%a" Engine.pp_profile) answer.Engine.profile
+         end;
+         Ok ()
+     in
+     (* Machine-readable dump, whether or not a query ran: one combined
+        document, so consumers get the registry and the flight recorder
+        in a single parse. *)
+     if json then
+       print_string
+         (Telemetry.Json.to_string ~pretty:true
+            (Telemetry.Json.Obj
+               [
+                 ("metrics", Telemetry.Metrics.to_json ());
+                 ("recorder", Telemetry.Recorder.to_json ());
+               ]));
+     if recent && not json then Format.printf "%a" Telemetry.Recorder.pp ();
+     Ok ())
 
 (* --- analyze ------------------------------------------------------------------ *)
 
@@ -594,19 +507,19 @@ let serve_run verbose graph_file socket_spec max_connections =
        | Some p -> p
        | None -> 1.0
      in
-     (* A fatal signal must leave a postmortem artifact before the
-        process dies (when EXPFINDER_POSTMORTEM_DIR is set).  Exit codes
-        mirror the default dispositions (128 + signo). *)
+     (* A fatal signal leaves a postmortem artifact when
+        EXPFINDER_POSTMORTEM_DIR is set, then exits through [Stdlib.exit]
+        with the default disposition's code (128 + signo): only a normal
+        exit lets the runtime unlink the <pid>.events ring that
+        [Gcpause.start] created in the working directory. *)
      let on_signal signo name =
        Sys.Signal_handle
          (fun _ ->
            ignore (Telemetry.Postmortem.write ~reason:("signal " ^ name) () : string option);
            Stdlib.exit (128 + signo))
      in
-     if Telemetry.Postmortem.dir () <> None then begin
-       (try Sys.set_signal Sys.sigterm (on_signal 15 "SIGTERM") with Invalid_argument _ -> ());
-       try Sys.set_signal Sys.sigint (on_signal 2 "SIGINT") with Invalid_argument _ -> ()
-     end;
+     (try Sys.set_signal Sys.sigterm (on_signal 15 "SIGTERM") with Invalid_argument _ -> ());
+     (try Sys.set_signal Sys.sigint (on_signal 2 "SIGINT") with Invalid_argument _ -> ());
      match
        Server.serve ~max_connections ~sample_period
          ~on_listen:(fun () ->
@@ -876,11 +789,10 @@ let trace_explorer verbose socket_spec action id =
        | _ :: _ :: _ -> err "trace id prefix %S is ambiguous" id)
      | other -> err "unknown trace action %S (expected list or show)" other)
 
-(* --- get / top / postmortem / timeseries ------------------------------------- *)
+(* --- get / postmortem / timeseries ------------------------------------------- *)
 
-(* Raw observability scrape: the plumbing `stats --server` and `top`
-   share, exposed directly so scripts (and the soak-smoke target) can
-   assert on endpoint bodies without parsing our pretty-printers. *)
+(* Raw observability scrape: prints any endpoint's body, so scripts
+   (and the smoke targets) can assert on it directly. *)
 let get_run verbose socket_spec path =
   setup_logs verbose;
   or_die
@@ -888,99 +800,6 @@ let get_run verbose socket_spec path =
      let* status, body = http_get_result socket_spec endpoint path in
      print_string body;
      if status = 200 then Ok () else err "server answered HTTP %d for %s" status path)
-
-let fetch_doc endpoint path =
-  match Server.http_get endpoint path with
-  | Ok (200, body) -> (
-    match Telemetry.Json.of_string body with Ok d -> Some d | Error _ -> None)
-  | Ok _ | Error _ -> None
-  | exception Unix.Unix_error _ -> None
-  | exception Failure _ -> None
-
-let top_run verbose socket_spec interval once as_json width =
-  setup_logs verbose;
-  or_die
-    (let* endpoint = Server.endpoint_of_string socket_spec in
-     let poll () =
-       ( fetch_doc endpoint "/stats.json",
-         fetch_doc endpoint "/timeseries.json",
-         fetch_doc endpoint "/alerts.json",
-         fetch_doc endpoint "/domains.json" )
-     in
-     let frame (stats, timeseries, alerts, domains) =
-       Dashboard.render ~width ?stats ?timeseries ?alerts ?domains ()
-     in
-     let first = poll () in
-     let* () =
-       match first with
-       | None, None, None, None ->
-         err "cannot reach %s (no observability endpoint answered)" socket_spec
-       | _ -> Ok ()
-     in
-     if once then begin
-       (if as_json then
-          (* One machine-readable object holding every document the
-             dashboard renders, for CI/soak scraping. *)
-          let stats, timeseries, alerts, domains = first in
-          let field name = function Some d -> [ (name, d) ] | None -> [] in
-          print_endline
-            (Telemetry.Json.to_string ~pretty:true
-               (Telemetry.Json.Obj
-                  (field "stats" stats @ field "timeseries" timeseries
-                  @ field "alerts" alerts @ field "domains" domains)))
-        else print_string (frame first));
-       Ok ()
-     end
-     else
-       (* Repaint in place until interrupted; a poll that fails mid-run
-          degrades to placeholder cells instead of tearing the loop
-          down. *)
-       let rec loop docs =
-         print_string "\027[2J\027[H";
-         print_string (frame docs);
-         Printf.printf "\npolling %s every %.1fs — Ctrl-C to quit\n%!" socket_spec interval;
-         Unix.sleepf (Float.max 0.1 interval);
-         loop (poll ())
-       in
-       loop first)
-
-(* Fetch the continuous profile as collapsed-stack text.  --top parses
-   the lines client-side (the wire format stays pure folded text, so
-   it pipes straight into flamegraph.pl / speedscope). *)
-let profile_run verbose socket_spec reset top_n =
-  setup_logs verbose;
-  or_die
-    (let* endpoint = Server.endpoint_of_string socket_spec in
-     let path = if reset then "/profile.folded?reset=1" else "/profile.folded" in
-     let* status, body = http_get_result socket_spec endpoint path in
-     let* () = if status = 200 then Ok () else err "server answered HTTP %d" status in
-     (match top_n with
-     | None -> print_string body
-     | Some n ->
-       let parse line =
-         match String.rindex_opt line ' ' with
-         | None -> None
-         | Some i ->
-           let stack = String.sub line 0 i in
-           let ns = String.sub line (i + 1) (String.length line - i - 1) in
-           Option.map (fun ns -> (stack, ns)) (float_of_string_opt ns)
-       in
-       let rows =
-         String.split_on_char '\n' body
-         |> List.filter_map (fun l ->
-                let l = String.trim l in
-                if l = "" then None else parse l)
-         |> List.sort (fun (_, a) (_, b) -> compare b a)
-       in
-       if rows = [] then print_endline "profile: no folded stacks yet"
-       else begin
-         Printf.printf "%12s  %s\n" "self" "stack";
-         List.iteri
-           (fun i (stack, ns) ->
-             if i < n then Printf.printf "%10.3fms  %s\n" (ns /. 1e6) stack)
-           rows
-       end);
-     Ok ())
 
 let postmortem_run verbose file json =
   setup_logs verbose;
@@ -1121,22 +940,6 @@ let import_cmd =
     Term.(const import $ verbose_arg $ edges $ label $ exp_max $ seed $ out)
 
 let stats_cmd =
-  let graph_opt =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "g"; "graph" ] ~docv:"FILE" ~doc:"Data graph file (omit with $(b,--server)).")
-  in
-  let server =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "server" ] ~docv:"ENDPOINT"
-          ~doc:
-            "Fetch /stats.json from a running $(b,expfinder serve) at $(docv) (a socket path, \
-             $(i,PORT) or $(i,HOST:PORT)) and print the live sliding-window summary (QPS, error \
-             rate, p50/p95/p99 latency per operation class) instead of graph statistics.")
-  in
   let q =
     Arg.(
       value
@@ -1159,11 +962,8 @@ let stats_cmd =
                 and counter deltas (slow queries flagged per EXPFINDER_SLOW_MS).")
   in
   Cmd.v
-    (Cmd.info "stats"
-       ~doc:
-         "Print statistics of a data graph (and optionally telemetry metrics), or the live \
-          window summary of a running server")
-    Term.(const stats $ verbose_arg $ graph_opt $ server $ q $ json $ recent)
+    (Cmd.info "stats" ~doc:"Print statistics of a data graph (and optionally telemetry metrics)")
+    Term.(const stats $ verbose_arg $ graph_arg $ q $ json $ recent)
 
 let explain_cmd =
   let analyze =
@@ -1297,7 +1097,7 @@ let serve_cmd =
               99% availability per op class with burn thresholds 14.4 (fast) and 6.0 (slow); \
               $(b,EXPFINDER_SLO_FAST_S) and $(b,EXPFINDER_SLO_SLOW_S) set the window lengths \
               (default 300 and 3600 s), and $(b,EXPFINDER_SLO_P99_MS) adds a 95% p99-latency \
-              objective (see $(b,expfinder top)).";
+              objective (alert states on /alerts.json).";
          ])
     Term.(const serve_run $ verbose_arg $ graph_arg $ socket_arg $ max_connections)
 
@@ -1394,77 +1194,14 @@ let get_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"PATH"
-          ~doc:"HTTP path to fetch, e.g. /metrics, /stats.json, /timeseries.json, /alerts.json.")
+          ~doc:
+            "HTTP path to fetch, e.g. /metrics, /stats.json, /timeseries.json, /alerts.json, \
+             /domains.json or /profile.folded ($(b,?reset=1) clears the profile after the read).")
   in
   Cmd.v
     (Cmd.info "get"
        ~doc:"Fetch one observability endpoint from a running expfinder serve and print the body")
     Term.(const get_run $ verbose_arg $ socket_arg $ path)
-
-let top_cmd =
-  let interval =
-    Arg.(
-      value & opt float 2.0
-      & info [ "interval" ] ~docv:"SECONDS" ~doc:"Refresh period (default 2s).")
-  in
-  let once =
-    Arg.(value & flag & info [ "once" ] ~doc:"Paint a single frame and exit (no screen clear).")
-  in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "With $(b,--once): print one JSON object holding the fetched documents \
-             (stats/timeseries/alerts/domains) instead of the rendered frame, for scripted \
-             scraping in CI and soaks.")
-  in
-  let width =
-    Arg.(value & opt int 40 & info [ "width" ] ~docv:"COLS" ~doc:"Sparkline width in cells.")
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:"Live terminal dashboard for a running expfinder serve"
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "Polls /stats.json, /timeseries.json, /alerts.json and /domains.json and repaints \
-              one frame per interval: per-op QPS, error rate and p99 latency with QPS \
-              sparklines, firing SLO alerts with burn rates, RSS / GC-pause trends from the \
-              retention rings, and a domains pane (per-worker utilization, queue-depth and \
-              writer-backlog sparklines).";
-         ])
-    Term.(const top_run $ verbose_arg $ socket_arg $ interval $ once $ json $ width)
-
-let profile_cmd =
-  let reset =
-    Arg.(
-      value & flag
-      & info [ "reset" ]
-          ~doc:"Return the accumulated profile, then clear it (interval profiling).")
-  in
-  let top_n =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "top" ] ~docv:"N"
-          ~doc:"Print the N hottest stacks by self time instead of raw folded text.")
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:"Fetch the continuous folded-stack profile from a running expfinder serve"
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "Scrapes /profile.folded: every served request's span tree is folded into \
-              collapsed-stack lines ($(i,domain-N;frame;frame self-ns)) compatible with \
-              flamegraph.pl and speedscope.  Raw output pipes straight into those tools; \
-              $(b,--top) summarizes the hottest stacks inline and $(b,--reset) makes \
-              consecutive scrapes cover disjoint intervals.";
-         ])
-    Term.(const profile_run $ verbose_arg $ socket_arg $ reset $ top_n)
 
 let postmortem_cmd =
   let file =
@@ -1552,8 +1289,6 @@ let main_cmd =
       client_cmd;
       trace_cmd;
       get_cmd;
-      top_cmd;
-      profile_cmd;
       postmortem_cmd;
       timeseries_cmd;
       replay_cmd;

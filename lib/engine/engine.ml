@@ -214,15 +214,20 @@ let from_containment t pattern ~snap =
            Match_relation.create ~pattern_size:(Pattern.size pattern)
              ~graph_size:(Snapshot.node_count snap)
          in
+         (* Each (u, v) is added once: [matches] lists distinct nodes. *)
+         let seeded = ref 0 in
          for u = 0 to Pattern.size pattern - 1 do
            List.iter
              (fun v ->
                if Pattern.matches_node pattern u (Snapshot.label snap v) (Snapshot.attrs snap v)
-               then Match_relation.add initial u v)
+               then begin
+                 Match_relation.add initial u v;
+                 incr seeded
+               end)
              (Match_relation.matches sup_relation map.(u))
          done;
          with_span "containment_refine"
-           ~attrs:[ ("seed_pairs", string_of_int (Match_relation.total initial)) ]
+           ~attrs:[ ("seed_pairs", string_of_int !seeded) ]
            (fun () ->
              if Pattern.is_simulation_pattern pattern then
                Simulation.run_constrained pattern snap ~initial ~mutable_set:None

@@ -122,7 +122,7 @@ val serve :
     [/profile.folded] (collapsed-stack text; [?reset=1] returns the
     accumulated profile and then clears it). *)
 
-(** {1 Client helpers} (used by [expfinder client]/[stats --server] and
+(** {1 Client helpers} (used by [expfinder client]/[get]/[trace] and
     the serve tests) *)
 
 val with_connection : endpoint -> (Unix.file_descr -> 'a) -> 'a

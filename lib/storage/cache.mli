@@ -78,11 +78,10 @@ val fold :
   f:('a -> Pattern.t -> Match_relation.t -> 'a) ->
   'a
 (** Fold over the live entries of one snapshot (iteration order
-    unspecified, recency untouched).  The engine scans these for a
-    cached {e superset} query when the exact fingerprint misses
-    (containment reuse), and batch evaluation uses the same scan to
-    share relations across a batch.  The relation is the stored one —
-    do not mutate it.  [f] runs with the cache lock held: it must not
+    unspecified, recency untouched).  Containment reuse is the one
+    caller: the engine scans these for a cached {e superset} query when
+    the exact fingerprint misses.  The relation is the stored one — do
+    not mutate it.  [f] runs with the cache lock held: it must not
     call back into this cache. *)
 
 val invalidate_snapshot : t -> Snapshot.identity -> unit

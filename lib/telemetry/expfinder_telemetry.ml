@@ -1050,11 +1050,6 @@ module Profile = struct
           state.tbl [])
     |> List.sort (fun a b -> compare a.stack b.stack)
 
-  let top ?(n = 10) () =
-    rows ()
-    |> List.sort (fun a b -> compare b.self_ns a.self_ns)
-    |> List.filteri (fun i _ -> i < n)
-
   (* Values are self-nanoseconds: summing a frame's own lines and its
      descendants' reconstructs inclusive time, which is exactly the
      contract flamegraph.pl and speedscope expect. *)
@@ -1443,10 +1438,6 @@ module Gcpause = struct
         | Some _ -> true
         | None -> (
           try
-            (* The events ring is backed by a <pid>.events file; keep it out
-               of the working directory unless the user picked a spot. *)
-            if Sys.getenv_opt "OCAML_RUNTIME_EVENTS_DIR" = None then
-              Unix.putenv "OCAML_RUNTIME_EVENTS_DIR" (Filename.get_temp_dir_name ());
             Runtime_events.start ();
             let cursor = Runtime_events.create_cursor None in
             let callbacks =
@@ -1873,9 +1864,9 @@ module Window = struct
       Json.Obj (fields @ [ ("exemplars", Json.Arr (List.map exemplar_json (exemplars t))) ])
     | j -> j
 
-  (* Read the numbers back out of a /stats.json dump (the [expfinder
-     stats --server] client side).  Missing latency fields (serialized
-     [null] for an empty window) come back as nan. *)
+  (* Read the numbers back out of a summary dump (a postmortem's window
+     summaries).  Missing latency fields (serialized [null] for an
+     empty window) come back as nan. *)
   let summary_of_json json =
     let int_field k = Option.bind (Json.member k json) Json.int_opt in
     let float_field k =
@@ -2819,7 +2810,7 @@ module Timeseries = struct
            | Metrics.M_counter c -> cum ("m." ^ name) (float_of_int (Counter.value c))
            | Metrics.M_gauge g ->
              (* Gauges fold as levels so queue depths / backlogs get
-                sparkline history.  process.* / uptime.* are already
+                history.  process.* / uptime.* are already
                 sampled above under their own names, and a gauge that
                 has never left zero is suppressed (same policy as
                 [cum]'s priming) to avoid dead series. *)
@@ -2907,8 +2898,8 @@ module Slo = struct
      objective fires only when both a fast window (default 5m, high
      burn) and a slow window (default 1h, lower burn) agree the error
      budget is being spent too fast.  Both windows are evaluated from
-     the {!Timeseries} rings, so alerting shares retention with the
-     dashboard and costs no extra collection. *)
+     the {!Timeseries} rings, so alerting shares retention with
+     /timeseries.json and costs no extra collection. *)
   type target =
     | Availability of { target : float }
     | Latency_p99 of { threshold_ms : float; target : float }

@@ -327,8 +327,7 @@ val time : (unit -> 'a) -> 'a * float
     [stack -> (count, inclusive ns, self ns)], so memory stays
     O(distinct stacks) regardless of traffic volume.  Stacks are
     prefixed with [domain-<i>] (the recording domain), making
-    cross-domain time splits visible.  Serves [GET /profile.folded]
-    and [expfinder profile]. *)
+    cross-domain time splits visible.  Serves [GET /profile.folded]. *)
 
 module Profile : sig
   type row = {
@@ -344,10 +343,6 @@ module Profile : sig
 
   val rows : unit -> row list
   (** All accumulated stacks, sorted lexicographically. *)
-
-  val top : ?n:int -> unit -> row list
-  (** The [n] (default 10) stacks with the most self time, hottest
-      first. *)
 
   val to_folded : unit -> string
   (** Collapsed-stack text: one ["stack <self-ns>\n"] line per row.
@@ -471,9 +466,11 @@ module Gcpause : sig
   val start : unit -> bool
   (** Start runtime-event collection for this process (idempotent).
       Returns [false] — and leaves the module inert — when the runtime
-      ring cannot be created.  The backing [<pid>.events] file is placed
-      in the temp directory unless [OCAML_RUNTIME_EVENTS_DIR] says
-      otherwise. *)
+      ring cannot be created.  The backing [<pid>.events] file lands in
+      the working directory, or in [OCAML_RUNTIME_EVENTS_DIR] when that
+      is set at process start (the runtime reads it only then).  The
+      runtime unlinks the file on a normal exit, so a process that can
+      be killed should turn its fatal signals into [Stdlib.exit]. *)
 
   val active : unit -> bool
 
@@ -608,8 +605,9 @@ module Window : sig
       [null]. *)
 
   val summary_of_json : Json.t -> summary option
-  (** Parse a {!summary_json} dump back (the [stats --server] client
-      side); [null]/missing latency fields come back as [nan]. *)
+  (** Parse a {!summary_json} dump back (postmortem rendering reads its
+      window summaries this way); [null]/missing latency fields come
+      back as [nan]. *)
 
   val pp_summary : Format.formatter -> summary -> unit
   (** One human-readable line: count, QPS, error rate, p50/p95/p99. *)

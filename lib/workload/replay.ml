@@ -186,7 +186,7 @@ let pp_summary ppf summary =
   let replayed = List.filter (fun (o : outcome) -> o.skipped = None) summary.outcomes in
   let rec_ms = median (List.map (fun (o : outcome) -> o.event.Qlog.duration_ms) replayed) in
   let rep_ms = median (List.map (fun (o : outcome) -> o.replay_ms) replayed) in
-  Format.fprintf ppf "@[<v>replayed %d/%d events (%d skipped), %d digest mismatch%s@,"
+  Format.fprintf ppf "@[<v>replayed %d/%d events (%d skipped), %d answer mismatch%s@,"
     summary.replayed summary.total summary.skipped summary.mismatches
     (if summary.mismatches = 1 then "" else "es");
   if replayed <> [] then

@@ -488,50 +488,6 @@ let prop_ranking_many_lanes seed =
        (fun k -> Ranking.top_k gr ~output_matches ~k = List.filteri (fun i _ -> i < k) sorted)
        [ 0; 1; 10; 62; 63; 64; size ]
 
-(* --- ball index ---------------------------------------------------------- *)
-
-let test_ball_index_contents () =
-  let rng = Prng.create 17 in
-  let g = Snapshot.of_digraph (random_graph rng) in
-  let idx = Ball_index.build g ~radius:3 in
-  let scratch = Distance.make_scratch g in
-  for v = 0 to Snapshot.node_count g - 1 do
-    let from_bfs = Hashtbl.create 8 in
-    Distance.ball scratch g v 3 (fun w d -> Hashtbl.replace from_bfs w d);
-    let from_idx = Hashtbl.create 8 in
-    Ball_index.iter_ball idx v (fun w d -> Hashtbl.replace from_idx w d);
-    Alcotest.(check int)
-      (Printf.sprintf "ball size of %d" v)
-      (Hashtbl.length from_bfs) (Hashtbl.length from_idx);
-    Hashtbl.iter
-      (fun w d ->
-        Alcotest.(check (option int)) "distance agrees" (Some d) (Hashtbl.find_opt from_idx w))
-      from_bfs
-  done
-
-let test_ball_index_supports () =
-  let g = Snapshot.of_digraph (Expfinder_workload.Collab.graph ()) in
-  let idx = Ball_index.build g ~radius:3 in
-  Alcotest.(check bool) "paper query supported" true
-    (Ball_index.supports idx (Expfinder_workload.Collab.query ()));
-  Alcotest.(check bool) "unbounded unsupported" false
-    (Ball_index.supports idx (Expfinder_workload.Collab.q3 ()));
-  let idx1 = Ball_index.build g ~radius:1 in
-  Alcotest.(check bool) "radius too small" false
-    (Ball_index.supports idx1 (Expfinder_workload.Collab.query ()));
-  Alcotest.check_raises "unsupported evaluate raises"
-    (Invalid_argument "Ball_index.evaluate: pattern bounds exceed the index radius")
-    (fun () ->
-      ignore (Ball_index.evaluate idx1 (Expfinder_workload.Collab.query ()) g))
-
-let prop_ball_index_evaluate seed =
-  let rng = Prng.create seed in
-  let g = Snapshot.of_digraph (random_graph rng) in
-  let pattern = random_pattern rng ~simulation:false ~unbounded:false in
-  let idx = Ball_index.build g ~radius:3 in
-  if not (Ball_index.supports idx pattern) then true
-  else Match_relation.equal (Ball_index.evaluate idx pattern g) (Bounded_sim.run pattern g)
-
 (* --- roll-up / drill-down ---------------------------------------------- *)
 
 let fig1_result_graph () =
@@ -678,8 +634,6 @@ let qcheck_cases =
       QCheck.(int_range 1 1_000_000) prop_ranking_matches_reference;
     QCheck.Test.make ~count:50 ~name:"top_k over three lane words = reference"
       QCheck.(int_range 1 1_000_000) prop_ranking_many_lanes;
-    QCheck.Test.make ~count:60 ~name:"ball-index evaluate = bsim" QCheck.small_int
-      (fun s -> prop_ball_index_evaluate (s + 1));
     QCheck.Test.make ~count:300 ~name:"digest = list-based reference renderer"
       QCheck.(int_range 1 1_000_000) prop_digest_matches_reference;
   ]
@@ -717,10 +671,5 @@ let () =
           Alcotest.test_case "drill down" `Quick test_drill_down;
         ] );
       ("work", [ Alcotest.test_case "limit stops a kernel" `Quick test_work_limit_stops_kernel ]);
-      ( "ball_index",
-        [
-          Alcotest.test_case "contents = BFS" `Quick test_ball_index_contents;
-          Alcotest.test_case "supports" `Quick test_ball_index_supports;
-        ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
     ]

@@ -6,7 +6,6 @@
 
 open Expfinder_telemetry
 module Server = Expfinder_server
-module Dashboard = Expfinder_dashboard.Dashboard
 
 let exe =
   let candidates =
@@ -16,7 +15,10 @@ let exe =
       "../bin/expfinder.exe";
     ]
   in
+  (* Absolute, so a server can be started in another directory. *)
   List.find_opt Sys.file_exists candidates
+  |> Option.map (fun path ->
+         if Filename.is_relative path then Filename.concat (Sys.getcwd ()) path else path)
 
 let with_tmpdir f =
   let dir = Filename.temp_file "expfinder-serve" "" in
@@ -59,9 +61,10 @@ let paper_query =
    output 0\n"
 
 (* Start `expfinder serve` as a child process (stdout/stderr to
-   /dev/null, EXPFINDER_QLOG set), wait until it answers a ping, run
-   [f], and always reap the child. *)
-let with_server ?(extra_env = []) exe ~graph ~socket ~qlog f =
+   /dev/null, EXPFINDER_QLOG set, working directory [cwd] or ours),
+   wait until it answers a ping, run [f] on its pid and endpoint, and
+   always reap the child. *)
+let with_server_process ?(extra_env = []) ?cwd exe ~graph ~socket ~qlog f =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   (* [extra_env] overrides the inherited value of any variable it
      sets. *)
@@ -80,10 +83,18 @@ let with_server ?(extra_env = []) exe ~graph ~socket ~qlog f =
             (Array.to_list (Unix.environment ()))))
       (Array.of_list extra_env)
   in
-  let pid =
+  let spawn () =
     Unix.create_process_env exe
       [| exe; "serve"; "-g"; graph; "--socket"; socket |]
       env Unix.stdin devnull devnull
+  in
+  let pid =
+    match cwd with
+    | None -> spawn ()
+    | Some dir ->
+      let here = Sys.getcwd () in
+      Sys.chdir dir;
+      Fun.protect ~finally:(fun () -> Sys.chdir here) spawn
   in
   Unix.close devnull;
   let endpoint =
@@ -93,13 +104,22 @@ let with_server ?(extra_env = []) exe ~graph ~socket ~qlog f =
   in
   Fun.protect
     ~finally:(fun () ->
-      (* Normal exit path is the shutdown op; the kill only fires when
-         an assertion failed mid-flight. *)
-      (match Unix.waitpid [ Unix.WNOHANG ] pid with
-      | 0, _ ->
-        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-        ignore (Unix.waitpid [] pid)
-      | _ -> ()))
+      (* Normal exit path is the shutdown op: give the server a few
+         seconds to exit on its own, so the runtime unlinks its
+         <pid>.events ring; the kill only fires when an assertion
+         failed mid-flight. *)
+      let rec reap attempts =
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ when attempts > 0 ->
+          Unix.sleepf 0.05;
+          reap (attempts - 1)
+        | 0, _ ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          ignore (Unix.waitpid [] pid)
+        | _ -> ()
+        | exception Unix.Unix_error (Unix.ECHILD, _, _) -> (* [f] reaped it *) ()
+      in
+      reap 100)
     (fun () ->
       let rec wait_ready attempts =
         if attempts = 0 then Alcotest.fail "server did not come up within 10s"
@@ -115,7 +135,10 @@ let with_server ?(extra_env = []) exe ~graph ~socket ~qlog f =
             wait_ready (attempts - 1)
       in
       wait_ready 100;
-      f endpoint)
+      f pid endpoint)
+
+let with_server ?extra_env exe ~graph ~socket ~qlog f =
+  with_server_process ?extra_env exe ~graph ~socket ~qlog (fun _ endpoint -> f endpoint)
 
 let ok_of json =
   match Option.bind (Json.member "ok" json) (function Json.Bool b -> Some b | _ -> None) with
@@ -313,7 +336,8 @@ let serve_e2e exe () =
               | Some alerts ->
                 Alcotest.(check bool) "objectives configured" true (alerts <> []);
                 Alcotest.(check int) "no alert fires on a healthy run" 0
-                  (List.length (Dashboard.firing_alerts doc))
+                  (List.length
+                     (List.filter (fun a -> Json.member "firing" a = Some (Json.Bool true)) alerts))
               | None -> Alcotest.fail "/alerts.json has no alerts member"))
           | Error e -> Alcotest.failf "/alerts.json: %s" e);
           (match Server.http_get endpoint "/no-such-path" with
@@ -328,7 +352,7 @@ let serve_e2e exe () =
       let rep2 = Filename.concat dir "replay2.json" in
       let code, out = run exe [ "replay"; qlog; "-g"; graph; "--report"; rep1 ] in
       Alcotest.(check int) "replay exits 0" 0 code;
-      Alcotest.(check bool) "no digest mismatches" true (contains out "0 digest mismatches");
+      Alcotest.(check bool) "no answer mismatches" true (contains out "0 answer mismatches");
       Alcotest.(check bool) "all events replayed" true (contains out "replayed 53/53");
       (* ... and replay reports pair up under bench-diff.  A report
          diffed against itself must be exactly clean; two separate runs
@@ -505,10 +529,10 @@ let digest_e2e exe () =
       in
       Alcotest.(check (list (pair string string))) "qlog digests = reply digests" expected logged)
 
-(* `expfinder stats --server` over TCP: the satellite regression.  The
-   spec "127.0.0.1:PORT" must resolve, fetch /stats.json and print the
-   window/alert summary with exit 0. *)
-let stats_tcp_e2e exe () =
+(* `expfinder get` over TCP: the spec "127.0.0.1:PORT" must resolve and
+   print /stats.json, whose window summary holds the query, with exit
+   0; an unresolvable host must be a clean non-zero exit. *)
+let get_tcp_e2e exe () =
   with_tmpdir (fun dir ->
       let graph = Filename.concat dir "collab.graph" in
       let qlog = Filename.concat dir "qlog.jsonl" in
@@ -517,26 +541,54 @@ let stats_tcp_e2e exe () =
       let port = 15000 + (Unix.getpid () mod 20000) in
       let spec = Printf.sprintf "127.0.0.1:%d" port in
       with_server exe ~graph ~socket:spec ~qlog (fun endpoint ->
-          (* One query so the window summary has something to print. *)
+          (* One query so the window summary has something to hold. *)
           Server.with_connection endpoint (fun fd ->
               let resp =
                 request_exn fd
                   (Json.Obj [ ("op", Json.Str "query"); ("pattern", Json.Str paper_query) ])
               in
               Alcotest.(check bool) "query over TCP ok" true (ok_of resp));
-          let code, out = run exe [ "stats"; "--server"; spec ] in
-          Alcotest.(check int) "stats --server host:port exits 0" 0 code;
-          Alcotest.(check bool) "prints the server header" true
-            (contains out ("server " ^ spec));
-          Alcotest.(check bool) "prints the query window" true (contains out "query");
-          Alcotest.(check bool) "prints the alert summary" true
-            (contains out "alerts:" || contains out "ALERT ");
-          (* An unresolvable host errors cleanly instead of raising. *)
-          let code, _ = run exe [ "stats"; "--server"; "no-such-host.invalid:80" ] in
-          Alcotest.(check bool) "unresolvable host is a clean error" true (code <> 0);
+          let code, out = run exe [ "get"; "--socket"; spec; "/stats.json" ] in
+          Alcotest.(check int) "get host:port /stats.json exits 0" 0 code;
+          (match Json.of_string out with
+          | Error e -> Alcotest.failf "printed /stats.json does not parse: %s" e
+          | Ok doc ->
+            Alcotest.(check bool) "prints the query window" true
+              (Option.bind (Json.member "windows" doc) (Json.member "query") <> None));
+          let code, _ =
+            run exe [ "get"; "--socket"; "no-such-host.invalid:80"; "/stats.json" ]
+          in
+          (* 1 is the CLI's error exit; an escaped exception exits 125. *)
+          Alcotest.(check int) "unresolvable host is a clean error" 1 code;
           Server.with_connection endpoint (fun fd ->
               let resp = request_exn fd (Json.Obj [ ("op", Json.Str "shutdown") ]) in
               Alcotest.(check bool) "shutdown acknowledged" true (ok_of resp))))
+
+(* A plain SIGTERM, without EXPFINDER_POSTMORTEM_DIR, must still be a
+   normal exit (128 + 15), which is what lets the runtime unlink the
+   <pid>.events ring that GC-pause collection created in the server's
+   working directory. *)
+let sigterm_e2e exe () =
+  with_tmpdir (fun dir ->
+      let graph = Filename.concat dir "collab.graph" in
+      let code, _ = run exe [ "gen"; "--kind"; "collab"; "-o"; graph ] in
+      Alcotest.(check int) "gen exits 0" 0 code;
+      let rings () =
+        List.filter
+          (fun f -> Filename.check_suffix f ".events")
+          (Array.to_list (Sys.readdir dir))
+      in
+      with_server_process exe ~cwd:dir ~graph ~socket:(Filename.concat dir "serve.sock")
+        ~qlog:(Filename.concat dir "qlog.jsonl")
+        (fun pid _ ->
+          Alcotest.(check (list string)) "the ring lives in the working directory"
+            [ Printf.sprintf "%d.events" pid ]
+            (rings ());
+          Unix.kill pid Sys.sigterm;
+          match Unix.waitpid [] pid with
+          | _, Unix.WEXITED code -> Alcotest.(check int) "SIGTERM exits 143" 143 code
+          | _ -> Alcotest.fail "SIGTERM killed the server instead of exiting it");
+      Alcotest.(check (list string)) "no ring left behind" [] (rings ()))
 
 (* One-shot raw HTTP exchange: the server answers a single GET and
    closes, so reading to EOF yields status line, headers and body in
@@ -1091,103 +1143,22 @@ let golden_e2e exe () =
               ("/alerts.json", golden_alerts);
               ("/domains.json", golden_domains);
             ];
+          (* Interval profiling through the CLI: a reset read returns
+             the stacks and clears them, so the next read holds none
+             until another request is served. *)
+          let code, out = run exe [ "get"; "--socket"; socket; "/profile.folded?reset=1" ] in
+          Alcotest.(check int) "get /profile.folded?reset=1 exits 0" 0 code;
+          check_folded out;
+          Alcotest.(check string) "reset cleared the profile" "" (get "/profile.folded");
+          Server.with_connection endpoint (fun fd ->
+              Alcotest.(check bool) "query after the reset ok" true
+                (ok_of
+                   (request_exn fd
+                      (Json.Obj [ ("op", Json.Str "query"); ("pattern", Json.Str paper_query) ]))));
+          check_folded (get "/profile.folded");
           Server.with_connection endpoint (fun fd ->
               let resp = request_exn fd (Json.Obj [ ("op", Json.Str "shutdown") ]) in
               Alcotest.(check bool) "shutdown acknowledged" true (ok_of resp))))
-
-(* Dashboard rendering from canned documents: the `expfinder top` frame
-   is pure string building, so it is testable without a server. *)
-let canned_stats =
-  {|{"graph_id": 7, "epoch": 3,
-     "windows": {"query": {"window_s": 60, "count": 120, "errors": 2,
-                           "qps": 2.0, "error_rate": 0.016,
-                           "p50_ms": 1.0, "p95_ms": 4.0, "p99_ms": 9.0,
-                           "mean_ms": 1.5, "max_ms": 12.0}},
-     "process": {"process.rss_bytes": 104857600,
-                 "process.heap_words": 1310720,
-                 "uptime.seconds": 3725}}|}
-
-let canned_timeseries =
-  {|{"v": 1, "now_unix": 1000.0,
-     "series_kinds": {"win.query.qps": "rate", "proc.rss_bytes": "level"},
-     "point": "[t_unix,last,sum,min,max,count]",
-     "resolutions":
-       [{"res_s": 1, "slots": 4, "span_s": 4,
-         "series": {"win.query.qps": [[997,1.0,1.0,1.0,1.0,1],
-                                      [998,2.0,2.0,2.0,2.0,1],
-                                      [999,4.0,4.0,4.0,4.0,1]],
-                    "proc.rss_bytes": [[999,104857600,104857600,104857600,104857600,1]]}},
-        {"res_s": 10, "slots": 4, "span_s": 40, "series": {}}]}|}
-
-let canned_alerts =
-  {|{"v": 1, "now_unix": 1000.0,
-     "alerts": [{"name": "query-availability", "op": "query",
-                 "kind": "availability", "target": 0.999,
-                 "fast_s": 300, "slow_s": 3600,
-                 "fast_burn_threshold": 14.4, "slow_burn_threshold": 3.0,
-                 "state": "firing", "firing": true,
-                 "burn_fast": 20.0, "burn_slow": 5.0,
-                 "bad_fast": 0.02, "bad_slow": 0.005},
-                {"name": "query-latency", "op": "query",
-                 "kind": "latency_p99", "threshold_ms": 50.0, "target": 0.99,
-                 "fast_s": 300, "slow_s": 3600,
-                 "fast_burn_threshold": 14.4, "slow_burn_threshold": 3.0,
-                 "state": "passing", "firing": false,
-                 "burn_fast": 0.0, "burn_slow": 0.0,
-                 "bad_fast": 0.0, "bad_slow": 0.0}]}|}
-
-let parse_doc s =
-  match Json.of_string s with
-  | Ok doc -> doc
-  | Error e -> Alcotest.failf "canned document does not parse: %s" e
-
-let test_dashboard_sparkline () =
-  Alcotest.(check string) "empty input" "" (Dashboard.sparkline []);
-  Alcotest.(check string) "all-NaN input" "" (Dashboard.sparkline [ nan; nan ]);
-  let ramp = Dashboard.sparkline [ 0.0; 1.0; 2.0; 3.0; 4.0; 5.0; 6.0; 7.0 ] in
-  Alcotest.(check int) "one block char per value" (8 * 3) (String.length ramp);
-  Alcotest.(check string) "ramp starts at the lowest block" "\xe2\x96\x81"
-    (String.sub ramp 0 3);
-  Alcotest.(check string) "ramp ends at the highest block" "\xe2\x96\x88"
-    (String.sub ramp (String.length ramp - 3) 3);
-  (* Constant series render flat rather than exploding on max=min. *)
-  let flat = Dashboard.sparkline [ 5.0; 5.0; 5.0 ] in
-  Alcotest.(check int) "constant series renders" (3 * 3) (String.length flat);
-  let tail = Dashboard.sparkline ~width:2 [ 1.0; 2.0; 3.0 ] in
-  Alcotest.(check int) "width keeps only the tail" (2 * 3) (String.length tail)
-
-let test_dashboard_series_tail () =
-  let doc = parse_doc canned_timeseries in
-  Alcotest.(check (list (float 1e-9))) "finest-resolution last column, oldest first"
-    [ 1.0; 2.0; 4.0 ]
-    (Dashboard.series_tail doc "win.query.qps");
-  Alcotest.(check (list (float 1e-9))) "unknown series is empty" []
-    (Dashboard.series_tail doc "no.such.series")
-
-let test_dashboard_render () =
-  let stats = parse_doc canned_stats in
-  let timeseries = parse_doc canned_timeseries in
-  let alerts = parse_doc canned_alerts in
-  let frame = Dashboard.render ~stats ~timeseries ~alerts () in
-  Alcotest.(check int) "one firing alert in the canned doc" 1
-    (List.length (Dashboard.firing_alerts alerts));
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) (Printf.sprintf "frame mentions %S" needle) true
-        (contains frame needle))
-    [ "query"; "query-availability"; "graph 7"; "epoch 3"; "1h02m" ];
-  (* The frame must still paint with no documents at all. *)
-  let empty = Dashboard.render () in
-  Alcotest.(check bool) "empty frame still paints" true (String.length empty > 0);
-  Alcotest.(check bool) "empty frame shows placeholders" true (contains empty "-")
-
-let dashboard_suite =
-  ( "dashboard",
-    [
-      Alcotest.test_case "sparkline" `Quick test_dashboard_sparkline;
-      Alcotest.test_case "series_tail" `Quick test_dashboard_series_tail;
-      Alcotest.test_case "render" `Quick test_dashboard_render;
-    ] )
 
 (* Endpoint classification: path-shaped specs are always Unix sockets
    (even "/tmp/expfinder:1", whose suffix parses as a port, and the
@@ -1223,16 +1194,17 @@ let () =
   match exe with
   | None ->
     print_endline "expfinder.exe not built; running only the unit tests";
-    Alcotest.run "serve" [ unit_suite; dashboard_suite ]
+    Alcotest.run "serve" [ unit_suite ]
   | Some exe ->
     Alcotest.run "serve"
       [
         unit_suite;
-        dashboard_suite;
         ( "e2e",
           [
             Alcotest.test_case "serve/observe/replay" `Quick (serve_e2e exe);
-            Alcotest.test_case "stats --server over TCP" `Quick (stats_tcp_e2e exe);
+            Alcotest.test_case "get /stats.json over TCP" `Quick (get_tcp_e2e exe);
+            Alcotest.test_case "SIGTERM exits and leaves no events ring" `Quick
+              (sigterm_e2e exe);
             Alcotest.test_case "served digests = direct evaluation" `Quick (digest_e2e exe);
             Alcotest.test_case "trace propagation over unix socket" `Quick
               (trace_e2e ~tcp:false exe);
