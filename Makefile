@@ -73,7 +73,7 @@ lint-dsafe-growth:
 # code in lib/ and bin/ reads must be documented in README.md, and their
 # number may only fall.  A new knob must displace an old one; lower the
 # baseline whenever a knob goes.
-KNOB_BASELINE := 11
+KNOB_BASELINE := 10
 lint-knobs:
 	@knobs=$$(grep -rhoE '"EXPFINDER_[A-Z0-9_]+"' lib bin --include='*.ml' | tr -d '"' | sort -u); \
 	n=$$(printf '%s\n' "$$knobs" | grep -c .); missing=0; \

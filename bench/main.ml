@@ -214,12 +214,9 @@ let exp_batch ~full =
   let g = Twitter.generate (Prng.create 61) ~n in
   let count = 12 in
   let queries = Queries.workload (Prng.create 67) ~count ~simulation:false g in
-  (* Exactness and the scan counts first, with telemetry on so the
-     gated [candidates.scans] counter records.  Each batch member takes
-     the route a lone [evaluate] takes, supersets first, so the batch
-     scans no more than the sequential loop. *)
-  let was_enabled = Telemetry.enabled () in
-  Telemetry.set_enabled true;
+  (* Exactness and the scan counts first.  Each batch member takes the
+     route a lone [evaluate] takes, supersets first, so the batch scans
+     no more than the sequential loop. *)
   let scans () =
     match
       List.assoc_opt "candidates.scans" (Telemetry.Metrics.counters_snapshot ())
@@ -235,7 +232,6 @@ let exp_batch ~full =
   let s1 = scans () in
   let batch_answers = Engine.evaluate_batch e_batch queries in
   let batch_scans = scans () - s1 in
-  Telemetry.set_enabled was_enabled;
   check "batch answers equal per-query evaluation"
     (List.for_all2
        (fun (a : Engine.answer) (b : Engine.answer) ->
@@ -866,8 +862,6 @@ let exp_telemetry_cost ~full =
   Printf.printf "  %d ring writes (%d series x %d ticks): %.1f ms total, %.3f us/write\n"
     records (List.length series) ticks t_fill per_record_us;
   (* Half 2: one sampler tick against live windows and registry. *)
-  let was_enabled = Telemetry.enabled () in
-  Telemetry.set_enabled true;
   let w_query = Telemetry.Window.get "query" in
   for i = 0 to 999 do
     Telemetry.Window.observe w_query ~error:(i mod 97 = 0) (0.5 +. float_of_int (i mod 20))
@@ -893,7 +887,6 @@ let exp_telemetry_cost ~full =
     time_stats ~reps:20 (fun () -> ignore (S.evaluate ~now ~ts () : S.alert list))
   in
   S.set_objectives [];
-  Telemetry.set_enabled was_enabled;
   record_stats ~id:"EXP-T1.slo" s_slo;
   Printf.printf "  SLO evaluation (4 objectives, fast+slow windows): %.3f ms median\n"
     s_slo.Report.median;
@@ -943,20 +936,17 @@ let exp_telemetry_cost ~full =
 (* EXP-T2: continuous profiler + domain telemetry overhead              *)
 (* ------------------------------------------------------------------ *)
 
-(* The multicore observability layer adds three always-on costs to the
-   serving path: folding each completed span tree into the collapsed-
-   stack profile, the channel depth gauge + (flag-gated) wait
-   histograms on every pool push/pop, and per-worker busy/idle
-   accounting.  This experiment prices the fold and the channel
-   instrumentation with telemetry off vs on, so the on/off pair can sit
-   in BENCH_baseline.json and the Tukey gate flags any creep. *)
+(* The multicore observability layer adds three costs to the serving
+   path: folding each completed span tree into the collapsed-stack
+   profile, the channel depth gauge and wait histograms on every pool
+   push/pop, and per-worker busy/idle accounting.  This experiment
+   prices the fold and the channel instrumentation, so both rows can
+   sit in BENCH_baseline.json and the Tukey gate flags any creep. *)
 let exp_profile_cost ~full =
   header "EXP-T2: continuous profiler + channel instrumentation cost";
   let module P = Telemetry.Profile in
-  let was_enabled = Telemetry.enabled () in
   (* Half 1: folding a serving-shaped span tree (root + three stages,
      each with a few children — comparable to a query's plan trace). *)
-  Telemetry.set_enabled true;
   let (), root =
     Telemetry.Trace.collect
       (Telemetry.Trace.make ~sampled:true ())
@@ -979,40 +969,27 @@ let exp_profile_cost ~full =
     [ per_fold_us ];
   Printf.printf "  span-tree fold (13 frames): %.3f us/fold over %d folds (%d stacks)\n"
     per_fold_us folds (List.length (P.rows ()));
-  (* Half 2: instrumented channel traffic, telemetry off vs on.  The
-     depth gauge always fires (it is the /domains.json backbone); the
-     wait histograms only with the flag, which is what the on/off pair
-     prices. *)
+  (* Half 2: instrumented channel traffic: the depth gauge and both wait
+     histograms on every push and pop. *)
   let ops = if full then 200_000 else 50_000 in
-  let chan_cost () =
-    let c = Parallel.Chan.create ~name:"bench" ~capacity:(ops + 1) () in
-    let (), t =
-      time_once (fun () ->
-          for i = 1 to ops do
-            Parallel.Chan.push c i
-          done;
-          for _ = 1 to ops do
-            ignore (Parallel.Chan.pop c : int option)
-          done)
-    in
-    t *. 1000.0 /. float_of_int (2 * ops)
+  let c = Parallel.Chan.create ~name:"bench" ~capacity:(ops + 1) () in
+  let (), t =
+    time_once (fun () ->
+        for i = 1 to ops do
+          Parallel.Chan.push c i
+        done;
+        for _ = 1 to ops do
+          ignore (Parallel.Chan.pop c : int option)
+        done)
   in
-  Telemetry.set_enabled false;
-  let off_us = chan_cost () in
-  Telemetry.set_enabled true;
-  let on_us = chan_cost () in
-  Telemetry.set_enabled was_enabled;
-  record ~id:"EXP-T2.chan.off" ~params:[ ("ops", Telemetry.Json.Int (2 * ops)) ] [ off_us ];
-  record ~id:"EXP-T2.chan.on" ~params:[ ("ops", Telemetry.Json.Int (2 * ops)) ] [ on_us ];
-  Printf.printf
-    "  instrumented chan push+pop: %.3f us/op off, %.3f us/op on (%.2fx)\n" off_us on_us
-    (on_us /. Float.max off_us 0.001);
+  let chan_us = t *. 1000.0 /. float_of_int (2 * ops) in
+  record ~id:"EXP-T2.chan" ~params:[ ("ops", Telemetry.Json.Int (2 * ops)) ] [ chan_us ];
+  Printf.printf "  instrumented chan push+pop: %.3f us/op\n" chan_us;
   (* Loose absolute guards: the fold must stay far below a query's
-     own cost, and channel traffic must stay micro-scale either way —
-     these catch accidental O(stacks) scans, not scheduler noise. *)
+     own cost, and channel traffic must stay micro-scale — these catch
+     accidental O(stacks) scans, not scheduler noise. *)
   check "span-tree fold stays sub-100us" (per_fold_us < 100.0);
-  check "instrumented chan op stays sub-10us (flag on or off)"
-    (off_us < 10.0 && on_us < 10.0)
+  check "instrumented chan op stays sub-10us" (chan_us < 10.0)
 
 (* ------------------------------------------------------------------ *)
 (* EXP-P1: multicore execution model                                  *)

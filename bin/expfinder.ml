@@ -63,7 +63,7 @@ let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (if verbose then Some Logs.Debug else Some Logs.Warning)
 
-(* Telemetry must be on before the engine runs the query, and the
+(* Span recording must be on before the engine runs the query, and the
    profile must be grabbed right after the primary call: later
    result-graph re-evaluations hit the cache and would replace it. *)
 let setup_telemetry ~profile ~trace = if profile || trace <> None then Telemetry.set_enabled true
@@ -159,8 +159,8 @@ let stats verbose graph_file query_file json recent =
        match query_file with
        | None -> Ok ()
        | Some qf ->
-         (* Run one telemetry-enabled evaluation and dump the metric
-            registry plus the per-query profile. *)
+         (* Run one traced evaluation and dump the metric registry plus
+            the per-query profile. *)
          let* q = load_pattern qf in
          Telemetry.set_enabled true;
          Telemetry.Metrics.reset_all ();
@@ -945,7 +945,7 @@ let stats_cmd =
       value
       & opt (some file) None
       & info [ "q"; "query" ] ~docv:"FILE"
-          ~doc:"Also run this query with telemetry on and dump the metric registry and profile.")
+          ~doc:"Also run this query traced and dump the metric registry and profile.")
   in
   let json =
     Arg.(

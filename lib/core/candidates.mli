@@ -11,5 +11,10 @@ open Expfinder_pattern
     label bucket, or of the whole node table when it is unlabelled
     (counted by [candidates.scans]). *)
 
+val scan : Snapshot.t -> Pattern.node_spec -> (int -> unit) -> unit
+(** [scan g spec f] calls [f] on every node of [spec]'s label bucket, or
+    on every node when [spec] is unlabelled, and counts one
+    [candidates.scans]. *)
+
 val compute : Pattern.t -> Snapshot.t -> Match_relation.t
 (** The full candidate relation (not yet refined by edge constraints). *)

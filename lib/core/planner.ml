@@ -12,10 +12,6 @@ let m_static_empty = Metrics.counter "planner.static_empty"
 
 let m_misestimates = Metrics.counter "planner.misestimate"
 
-(* Shared with [Candidates]: every label-bucket (or full-table)
-   traversal counts as one scan, whichever layer performs it. *)
-let m_scans = Metrics.counter "candidates.scans"
-
 type strategy_choice = Use_simulation | Use_bounded of Bounded_sim.strategy
 
 let strategy_name = function
@@ -127,10 +123,7 @@ let materialise_candidates plan pattern g =
             end
             else incr pruned
         in
-        Counter.incr m_scans;
-        (match spec.Pattern.label with
-        | Some l -> List.iter consider (Snapshot.nodes_with_label g l)
-        | None -> Snapshot.iter_nodes g consider);
+        Candidates.scan g spec consider;
         sizes.(u) <- !kept_u;
         (* Early exit: an empty candidate set empties the whole kernel. *)
         if !kept_u = 0 then begin

@@ -1,5 +1,9 @@
 open Expfinder_telemetry
 
+let m_ranked = Metrics.counter "ranking.ranked"
+
+let m_pruned = Metrics.counter "ranking.pruned"
+
 type rank = { num : int; den : int }
 
 let rank_to_float r = if r.den = 0 then infinity else float_of_int r.num /. float_of_int r.den
@@ -217,8 +221,8 @@ let top_k gr ~output_matches ~k =
         (settle s ~batch ~bnum ~bden ~bid);
       start := !start + Array.length batch
     done;
-    Counter.add (Metrics.counter "ranking.ranked") !ranked;
-    Counter.add (Metrics.counter "ranking.pruned") !pruned;
+    Counter.add m_ranked !ranked;
+    Counter.add m_pruned !pruned;
     annotate_int "ranked" !ranked;
     annotate_int "pruned" !pruned;
     Entries.elements !best

@@ -37,8 +37,8 @@ let refine ~work pattern g ~initial ~mutable_set =
     Work.charge work (Snapshot.edge_count g)
   done;
   let worklist = Vec.create ~dummy:(-1) () in
-  (* Counted locally and flushed once: the gated-counter check stays out
-     of the refinement hot path. *)
+  (* Counted locally and flushed once: the atomic counter updates stay
+     out of the refinement hot path. *)
   let n_removals = ref 0 and n_pops = ref 0 in
   let remove u v =
     incr n_removals;

@@ -41,8 +41,6 @@ let m_batches = Metrics.counter "engine.batches"
 
 let m_batch_queries = Metrics.counter "engine.batch_queries"
 
-let h_query_ms = Metrics.histogram "engine.query_ms"
-
 let provenance_counter = function
   | From_cache -> m_from_cache
   | From_compressed -> m_from_compressed
@@ -91,8 +89,8 @@ type expert = { node : int; name : string option; rank : Ranking.rank }
      a published record stays valid while the writer syncs the next
      one.  Readers copy the kernel they serve: answers are mutable
      relations handed to callers. *)
-(* Contention observability for the model above, always-on (registry
-   cells are internally atomic/guarded):
+(* Contention observability for the model above (registry cells are
+   internally atomic/guarded):
      [engine.snapshot.stale_reads]   reads served the pinned pre-update
                                      epoch because a write was in
                                      flight
@@ -141,11 +139,10 @@ let create ?cache_capacity g =
     last_profile = Atomic.make None;
     cm =
       {
-        m_stale_reads = Metrics.counter ~always:true "engine.snapshot.stale_reads";
-        g_staleness = Metrics.gauge ~always:true "engine.snapshot.staleness";
-        g_backlog = Metrics.gauge ~always:true "engine.writer.backlog";
-        h_publish_lag =
-          Metrics.histogram ~always:true "engine.epoch.publish_lag_ms";
+        m_stale_reads = Metrics.counter "engine.snapshot.stale_reads";
+        g_staleness = Metrics.gauge "engine.snapshot.staleness";
+        g_backlog = Metrics.gauge "engine.writer.backlog";
+        h_publish_lag = Metrics.histogram "engine.epoch.publish_lag_ms";
       };
   }
 
@@ -310,7 +307,6 @@ let differential_check ~snap pattern relation memo provenance ~via_direct =
 (* The profile of a call that owned its trace: its root span and the
    counter deltas the caller measured over it. *)
 let record_profile t ~trace ~query ~provenance ~counters span =
-  Histogram.observe h_query_ms (Span.duration_ms span);
   let p = { query; provenance; span; counters; trace_id = trace.Trace.trace_id } in
   Atomic.set t.last_profile (Some p);
   p
@@ -340,8 +336,9 @@ let batch_digest answers =
    a caller that reads the graph again for the same answer ([top_k],
    [result_graph]) must read this one, not a later epoch. *)
 let evaluate_pinned ?(trace = Trace.ambient) t pattern =
-  (* Request bookkeeping is always on (unlike profiles): snapshot the
-     counter registry and the clock around the whole query. *)
+  (* Request bookkeeping runs on every request (unlike profiles):
+     snapshot the counter registry and the clock around the whole
+     query. *)
   let before = Metrics.counters_snapshot () in
   let start = now_us () in
   Counter.incr m_queries;
@@ -511,7 +508,7 @@ let result_graph t pattern =
 
 (* A top-K call is not a finished request of its own (its [evaluate]
    is), so its profile takes its own counter snapshots, and only when
-   telemetry is on: the ambient context records nothing otherwise. *)
+   [enabled ()]: the ambient context records no span otherwise. *)
 let top_k t pattern ~k =
   Counter.incr m_topk;
   let fp = Pattern.fingerprint pattern in

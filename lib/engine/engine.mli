@@ -68,8 +68,8 @@ type t
 type provenance = From_cache | From_compressed | Direct
 
 (** Per-query profile, populated when the call recorded its own trace
-    (telemetry enabled ({!Expfinder_telemetry.set_enabled}), or a
-    sampled trace context): the stage tree (plan → candidates → refine
+    (spans on for untraced calls ({!Expfinder_telemetry.set_enabled}),
+    or a sampled trace context): the stage tree (plan → candidates → refine
     → rank for direct evaluation), the provenance, and the per-query
     deltas of every registered counter (candidate sizes, worklist pops,
     ball expansions, cache hits, compression expand cost, ...).  For

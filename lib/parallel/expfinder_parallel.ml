@@ -53,11 +53,11 @@ let run ~domains f =
 (* ------------------------------------------------------------------ *)
 
 module Chan = struct
-  (* A named channel publishes an always-on depth gauge
-     [chan.<name>.depth] (updated inside the lock, so it is exact) and
-     flag-gated wait histograms [chan.<name>.push_wait_us] /
-     [chan.<name>.pop_wait_us] pricing backpressure stalls.  Anonymous
-     channels carry no metrics and pay nothing. *)
+  (* A named channel publishes a depth gauge [chan.<name>.depth]
+     (updated inside the lock, so it is exact) and wait histograms
+     [chan.<name>.push_wait_us] / [chan.<name>.pop_wait_us] pricing
+     backpressure stalls.  Anonymous channels carry no metrics and pay
+     nothing. *)
   type 'a metrics = {
     g_depth : T.Gauge.t;
     h_push_wait : T.Histogram.t;
@@ -79,7 +79,7 @@ module Chan = struct
       Option.map
         (fun name ->
           {
-            g_depth = T.Metrics.gauge ~always:true ("chan." ^ name ^ ".depth");
+            g_depth = T.Metrics.gauge ("chan." ^ name ^ ".depth");
             h_push_wait = T.Metrics.histogram ("chan." ^ name ^ ".push_wait_us");
             h_pop_wait = T.Metrics.histogram ("chan." ^ name ^ ".pop_wait_us");
           })
@@ -95,13 +95,11 @@ module Chan = struct
       metrics;
     }
 
-  (* Wait-time measurement is armed only when the channel is named and
-     telemetry is on: a [nan] start means "don't observe", keeping the
-     uninstrumented fast path at two clock reads of zero. *)
-  let arm t = match t.metrics with Some _ when T.enabled () -> T.now_us () | _ -> nan
+  (* Only a named channel reads the clock: an anonymous one has no
+     histogram to observe into. *)
+  let arm t = match t.metrics with Some _ -> T.now_us () | None -> 0.0
 
-  let observe_wait h t0 =
-    if Float.is_finite t0 then T.Histogram.observe h (T.now_us () -. t0)
+  let observe_wait h t0 = T.Histogram.observe h (T.now_us () -. t0)
 
   let set_depth t =
     (* Called with [t.m] held. *)
@@ -171,8 +169,7 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Pool = struct
-  (* Per-pool accounting, all always-on so [/domains.json] works in
-     production with the telemetry flag off:
+  (* Per-pool accounting, read back by [/domains.json]:
        [<name>.workers] / [<name>.queue_capacity]  static gauges
        [<name>.busy]                               workers mid-job now
        [<name>.tasks]                              jobs executed
@@ -198,26 +195,26 @@ module Pool = struct
     let domains = max 1 domains in
     let jobs = Chan.create ~name:(name ^ ".jobs") ~capacity () in
     let on_error e = try on_error e with _ -> () in
-    T.Gauge.set (T.Metrics.gauge ~always:true (name ^ ".workers")) domains;
+    T.Gauge.set (T.Metrics.gauge (name ^ ".workers")) domains;
     T.Gauge.set
-      (T.Metrics.gauge ~always:true (name ^ ".queue_capacity"))
+      (T.Metrics.gauge (name ^ ".queue_capacity"))
       (max 1 capacity);
     let metrics =
       {
         busy = Atomic.make 0;
-        g_busy = T.Metrics.gauge ~always:true (name ^ ".busy");
-        m_tasks = T.Metrics.counter ~always:true (name ^ ".tasks");
-        h_drain = T.Metrics.histogram ~always:true (name ^ ".drain_ms");
+        g_busy = T.Metrics.gauge (name ^ ".busy");
+        m_tasks = T.Metrics.counter (name ^ ".tasks");
+        h_drain = T.Metrics.histogram (name ^ ".drain_ms");
       }
     in
     let worker i () =
       let prefix = Printf.sprintf "%s.worker%d" name i in
       T.Gauge.set
-        (T.Metrics.gauge ~always:true (prefix ^ ".domain_id"))
+        (T.Metrics.gauge (prefix ^ ".domain_id"))
         (Domain.self () :> int);
-      let m_worker_tasks = T.Metrics.counter ~always:true (prefix ^ ".tasks") in
-      let m_busy_us = T.Metrics.counter ~always:true (prefix ^ ".busy_us") in
-      let m_idle_us = T.Metrics.counter ~always:true (prefix ^ ".idle_us") in
+      let m_worker_tasks = T.Metrics.counter (prefix ^ ".tasks") in
+      let m_busy_us = T.Metrics.counter (prefix ^ ".busy_us") in
+      let m_idle_us = T.Metrics.counter (prefix ^ ".idle_us") in
       let rec loop idle_from =
         match Chan.pop jobs with
         | None -> T.Counter.add m_idle_us (int_of_float (T.now_us () -. idle_from))

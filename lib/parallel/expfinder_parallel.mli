@@ -15,9 +15,9 @@
 
     The pool is instrumented through the telemetry registry (channel
     depth gauges, enqueue/dequeue wait histograms, per-worker busy/idle
-    accounting); metric names are documented on each module.  Depth
-    gauges and pool counters are always-on; wait histograms only record
-    while telemetry is enabled. *)
+    accounting); metric names are documented on each module.  Every
+    one of these cells records, whatever {!Expfinder_telemetry.set_enabled}
+    says. *)
 
 val env_name : string
 (** Name of the controlling environment variable, ["EXPFINDER_DOMAINS"]. *)
@@ -52,11 +52,11 @@ module Chan : sig
   val create : ?name:string -> capacity:int -> unit -> 'a t
   (** [create ~capacity ()] is an empty channel holding at most
       [max 1 capacity] elements.  A [?name]d channel publishes an
-      always-on exact depth gauge [chan.<name>.depth] plus wait
-      histograms [chan.<name>.push_wait_us] / [chan.<name>.pop_wait_us]
-      (microseconds blocked on capacity/emptiness; recorded only while
-      telemetry is enabled).  Anonymous channels carry no metrics and
-      pay no instrumentation cost. *)
+      exact depth gauge [chan.<name>.depth] plus wait histograms
+      [chan.<name>.push_wait_us] / [chan.<name>.pop_wait_us]
+      (microseconds blocked on capacity/emptiness), all of which always
+      record.  Anonymous channels carry no metrics and pay no
+      instrumentation cost. *)
 
   val push : 'a t -> 'a -> unit
   (** Blocks until there is room.  @raise Invalid_argument if the
@@ -94,7 +94,7 @@ module Pool : sig
       queue is full, {!submit} (the accept loop) blocks instead of
       accumulating unserved connections.
 
-      The pool registers always-on metrics under [?name] (default
+      The pool registers metrics under [?name] (default
       ["pool"]): gauges [<name>.workers], [<name>.queue_capacity] and
       [<name>.busy] (workers mid-job right now), counter
       [<name>.tasks], per-worker counters

@@ -59,16 +59,16 @@ let sockaddr = function
 (* ------------------------------------------------------------------ *)
 (* Stats document *)
 
-(* Pool / writer summary read back from the always-on registry cells
-   the pool and the engine publish.  Reading through [Metrics.gauge]
+(* Pool / writer summary read back from the registry cells the pool
+   and the engine publish.  Reading through [Metrics.gauge]
    mints a zero cell when the pool was never started (single-domain
    serving), which reads as the honest "no workers" answer.  The writer
    is the engine's writer lock: its backlog is the update batches
    waiting for it, its submissions the update window's lifetime
    total. *)
-let reg_gauge name = Gauge.value (Metrics.gauge ~always:true name)
+let reg_gauge name = Gauge.value (Metrics.gauge name)
 
-let reg_counter name = Counter.value (Metrics.counter ~always:true name)
+let reg_counter name = Counter.value (Metrics.counter name)
 
 let pool_json () =
   Json.Obj
@@ -398,11 +398,10 @@ let http_reply engine ~meth ~path ~ctx =
         Json.to_string ~pretty:true (domains_json engine) )
     | "/profile.folded" ->
       (* Collapsed-stack text for flamegraph.pl / speedscope.  With
-         ?reset=1 the accumulated profile is returned, then cleared —
-         so a scraper gets interval profiles without losing data. *)
-      let body = Profile.to_folded () in
-      if query_flag "reset" then Profile.reset ();
-      (200, "text/plain; charset=utf-8", body)
+         ?reset=1 the accumulated profile is returned and cleared under
+         one lock, so a scraper gets interval profiles without losing
+         data. *)
+      (200, "text/plain; charset=utf-8", Profile.to_folded ~reset:(query_flag "reset") ())
     | _ -> (404, "text/plain; charset=utf-8", Printf.sprintf "no such path: %s\n" path)
   in
   let body = if meth = "HEAD" then "" else body in

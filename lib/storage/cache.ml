@@ -4,9 +4,9 @@ open Expfinder_core
 open Expfinder_telemetry
 
 (* Process-wide registered counters (aggregated over every cache
-   instance, gated by the telemetry flag) alongside per-instance
-   always-on counters: both are bumped on the same code paths, so the
-   registry view can never drift from [hits]/[misses]/[evictions]. *)
+   instance) alongside per-instance counters: both are bumped on the
+   same code paths, so the registry view can never drift from
+   [hits]/[misses]/[evictions]. *)
 let m_hits = Metrics.counter "cache.hits"
 
 let m_misses = Metrics.counter "cache.misses"
@@ -53,9 +53,9 @@ let create ?(capacity = 64) () =
     table = Hashtbl.create capacity;
     clock = 0;
     cm = Mutex.create ();
-    hit_count = Counter.create ~always:true "cache.hits";
-    miss_count = Counter.create ~always:true "cache.misses";
-    eviction_count = Counter.create ~always:true "cache.evictions";
+    hit_count = Counter.create "cache.hits";
+    miss_count = Counter.create "cache.misses";
+    eviction_count = Counter.create "cache.evictions";
   }
 
 let locked t f =

@@ -1,11 +1,6 @@
-(* Global on/off switch.  Counters and spans check it through one
-   dereference; nothing on a recording path allocates. *)
-
-let on =
-  ref
-    (match Sys.getenv_opt "EXPFINDER_TELEMETRY" with
-    | Some ("1" | "true" | "on") -> true
-    | Some _ | None -> false)
+(* Whether a context that is not sampled records spans.  Metric cells
+   always record; only [Trace.collect] reads this. *)
+let on = ref false
 
 let set_enabled b = on := b
 
@@ -313,18 +308,17 @@ module Counter = struct
      but the serving pool still increments per-request counters
      concurrently).  fetch_and_add keeps totals exact — the old plain
      cell lost increments under concurrency. *)
-  type t = { cname : string; always : bool; v : int Atomic.t }
+  type t = { cname : string; v : int Atomic.t }
 
-  let create ?(always = false) cname = { cname; always; v = Atomic.make 0 }
+  let create cname = { cname; v = Atomic.make 0 }
 
   let name c = c.cname
 
   let add c n =
-    if c.always || !on then
-      let before = Atomic.fetch_and_add c.v n in
-      (* Saturate instead of wrapping; the set races other adds but any
-         interleaving still lands on max_int. *)
-      if before > max_int - n then Atomic.set c.v max_int
+    let before = Atomic.fetch_and_add c.v n in
+    (* Saturate instead of wrapping; the set races other adds but any
+       interleaving still lands on max_int. *)
+    if before > max_int - n then Atomic.set c.v max_int
 
   let incr c = add c 1
 
@@ -334,15 +328,15 @@ module Counter = struct
 end
 
 module Gauge = struct
-  type t = { gname : string; always : bool; v : int Atomic.t }
+  type t = { gname : string; v : int Atomic.t }
 
-  let create ?(always = false) gname = { gname; always; v = Atomic.make 0 }
+  let create gname = { gname; v = Atomic.make 0 }
 
   let name g = g.gname
 
-  let set g n = if g.always || !on then Atomic.set g.v n
+  let set g n = Atomic.set g.v n
 
-  let add g n = if g.always || !on then ignore (Atomic.fetch_and_add g.v n : int)
+  let add g n = ignore (Atomic.fetch_and_add g.v n : int)
 
   let value g = Atomic.get g.v
 
@@ -366,7 +360,6 @@ module Histogram = struct
 
   type t = {
     hname : string;
-    always : bool;
     buckets : int array;
     mutable count : int;
     (* sum, min, max — kept in a float array so recording never boxes. *)
@@ -378,10 +371,9 @@ module Histogram = struct
     hm : Mutex.t;
   }
 
-  let create ?(always = false) hname =
+  let create hname =
     {
       hname;
-      always;
       buckets = Array.make nbuckets 0;
       count = 0;
       state = [| 0.0; 0.0; 0.0 |];
@@ -399,15 +391,13 @@ module Histogram = struct
   let upper_bound i = lo *. Float.exp2 (float_of_int (i + 1) /. per_doubling)
 
   let observe h v =
-    if h.always || !on then begin
-      Mutex.lock h.hm;
-      h.buckets.(bucket_of v) <- h.buckets.(bucket_of v) + 1;
-      h.state.(0) <- h.state.(0) +. v;
-      if h.count = 0 || v < h.state.(1) then h.state.(1) <- v;
-      if h.count = 0 || v > h.state.(2) then h.state.(2) <- v;
-      h.count <- h.count + 1;
-      Mutex.unlock h.hm
-    end
+    Mutex.lock h.hm;
+    h.buckets.(bucket_of v) <- h.buckets.(bucket_of v) + 1;
+    h.state.(0) <- h.state.(0) +. v;
+    if h.count = 0 || v < h.state.(1) then h.state.(1) <- v;
+    if h.count = 0 || v > h.state.(2) then h.state.(2) <- v;
+    h.count <- h.count + 1;
+    Mutex.unlock h.hm
 
   let locked h f =
     Mutex.lock h.hm;
@@ -511,37 +501,37 @@ module Metrics = struct
       |> List.sort (fun (a, _) (b, _) -> String.compare a b)
       |> Array.of_list
 
-  let counter ?always name =
+  let counter name =
     with_registry (fun () ->
         match Hashtbl.find_opt registry.table name with
         | Some (M_counter c) -> c
         | Some _ ->
           invalid_arg ("Telemetry.Metrics.counter: " ^ name ^ " is not a counter")
         | None ->
-          let c = Counter.create ?always name in
+          let c = Counter.create name in
           Hashtbl.replace registry.table name (M_counter c);
           rebuild_cells ();
           c)
 
-  let gauge ?always name =
+  let gauge name =
     with_registry (fun () ->
         match Hashtbl.find_opt registry.table name with
         | Some (M_gauge g) -> g
         | Some _ -> invalid_arg ("Telemetry.Metrics.gauge: " ^ name ^ " is not a gauge")
         | None ->
-          let g = Gauge.create ?always name in
+          let g = Gauge.create name in
           Hashtbl.replace registry.table name (M_gauge g);
           rebuild_cells ();
           g)
 
-  let histogram ?always name =
+  let histogram name =
     with_registry (fun () ->
         match Hashtbl.find_opt registry.table name with
         | Some (M_histogram h) -> h
         | Some _ ->
           invalid_arg ("Telemetry.Metrics.histogram: " ^ name ^ " is not a histogram")
         | None ->
-          let h = Histogram.create ?always name in
+          let h = Histogram.create name in
           Hashtbl.replace registry.table name (M_histogram h);
           h)
 
@@ -1041,30 +1031,36 @@ module Profile = struct
         in
         walk prefix0 root)
 
-  let rows () =
+  (* The rows, sorted; with [reset] the table is cleared under the same
+     acquisition, so no fold lands between the read and the clear. *)
+  let take ~reset =
     Mutex.protect state.plock (fun () ->
-        Hashtbl.fold
-          (fun stack e acc ->
-            { stack; count = e.p_count; incl_ns = e.p_incl_ns; self_ns = e.p_self_ns }
-            :: acc)
-          state.tbl [])
+        let rows =
+          Hashtbl.fold
+            (fun stack e acc ->
+              { stack; count = e.p_count; incl_ns = e.p_incl_ns; self_ns = e.p_self_ns }
+              :: acc)
+            state.tbl []
+        in
+        if reset then begin
+          Hashtbl.reset state.tbl;
+          state.folded <- 0;
+          state.dropped <- 0
+        end;
+        rows)
     |> List.sort (fun a b -> compare a.stack b.stack)
+
+  let rows () = take ~reset:false
 
   (* Values are self-nanoseconds: summing a frame's own lines and its
      descendants' reconstructs inclusive time, which is exactly the
      contract flamegraph.pl and speedscope expect. *)
-  let to_folded () =
+  let to_folded ?(reset = false) () =
     let b = Buffer.create 4096 in
     List.iter
       (fun r -> Buffer.add_string b (Printf.sprintf "%s %.0f\n" r.stack r.self_ns))
-      (rows ());
+      (take ~reset);
     Buffer.contents b
-
-  let reset () =
-    Mutex.protect state.plock (fun () ->
-        Hashtbl.reset state.tbl;
-        state.folded <- 0;
-        state.dropped <- 0)
 
   let folds () = Mutex.protect state.plock (fun () -> state.folded)
 
@@ -1331,7 +1327,7 @@ module Gcpause = struct
   (* Per-ring (= per-domain slot) accounting: the runtime's begin/end
      pairs carry the ring index, so each domain's pauses are attributed
      separately in addition to the process aggregate.  Each slot also
-     feeds an always-on registry histogram ([gc.domain<i>.pause_us]),
+     feeds a registry histogram ([gc.domain<i>.pause_us]),
      which is what the exporters and /domains.json read. *)
   type domain_stats = {
     d_total_ns : int Atomic.t;
@@ -1401,8 +1397,7 @@ module Gcpause = struct
           d_total_ns = Atomic.make 0;
           d_max_ns = Atomic.make 0;
           d_slices = Atomic.make 0;
-          d_hist =
-            Metrics.histogram ~always:true (Printf.sprintf "gc.domain%d.pause_us" domain);
+          d_hist = Metrics.histogram (Printf.sprintf "gc.domain%d.pause_us" domain);
         }
       in
       Hashtbl.replace stats.per_domain domain d;
@@ -1551,7 +1546,7 @@ let process_stats () =
       ("uptime.seconds", int_of_float (Float.max 0.0 (Unix.gettimeofday () -. start_unix)));
     ]
   in
-  List.iter (fun (name, v) -> Gauge.set (Metrics.gauge ~always:true name) v) stats;
+  List.iter (fun (name, v) -> Gauge.set (Metrics.gauge name) v) stats;
   stats
 
 (* ------------------------------------------------------------------ *)
@@ -2382,7 +2377,7 @@ end
 module Recorder = struct
   let capacity = 64
 
-  (* Unlike the metrics/span machinery the recorder is always on: one
+  (* Unlike spans, the recorder is always on: one
      array store per request, so there is always a tail of recent history
      to dump when something goes wrong.  The ring holds the very record
      the query log writes, under the ring's own sequence numbers.

@@ -1,25 +1,22 @@
 (** Engine-wide observability: a metrics registry, a span tracer, and
     wall-clock helpers.
 
-    The subsystem has two activity levels:
-
-    - {e counters, gauges and histograms} record unconditionally only
-      when created with [~always:true] (the cache's per-instance
-      accounting); registered metrics are otherwise gated by the global
-      flag.  Recording never allocates: counters and gauges are single
-      mutable ints, histogram state lives in pre-allocated arrays.
-    - {e spans} ({!Trace.collect}, {!with_span}) are fully disabled
-      unless the runtime flag is on ({!set_enabled}) or the request's
-      context is sampled; a disabled [with_span] is one branch around
-      the wrapped function.
+    - {e counters, gauges and histograms} always record.  Recording
+      never allocates: counters and gauges are atomic ints, histogram
+      state lives in pre-allocated arrays behind a per-histogram mutex.
+    - {e spans} ({!Trace.collect}, {!with_span}) record only for a
+      sampled context, or for any context while {!set_enabled} is on;
+      otherwise [with_span] is one branch around the wrapped function.
 
     Naming scheme (see DESIGN.md): metric and span names are dotted
     lowercase paths, [<module>.<event>] — e.g. [bsim.worklist_pops],
     [cache.evictions], spans [plan], [candidates], [refine], [rank]. *)
 
 val set_enabled : bool -> unit
-(** Turn telemetry on or off at runtime (default: off).  Also honoured
-    at startup via the [EXPFINDER_TELEMETRY=1] environment variable. *)
+(** Whether {!Trace.collect} records spans for a context that is not
+    sampled (default: off).  This is all the switch does: metric cells
+    record either way, and a sampled context records spans either
+    way. *)
 
 val enabled : unit -> bool
 
@@ -67,9 +64,8 @@ end
 module Counter : sig
   type t
 
-  val create : ?always:bool -> string -> t
-  (** A standalone (unregistered) counter.  [~always:true] makes it
-      record even when telemetry is disabled. *)
+  val create : string -> t
+  (** A standalone (unregistered) counter. *)
 
   val name : t -> string
 
@@ -88,7 +84,7 @@ end
 module Gauge : sig
   type t
 
-  val create : ?always:bool -> string -> t
+  val create : string -> t
 
   val name : t -> string
 
@@ -110,7 +106,7 @@ module Histogram : sig
 
   type t
 
-  val create : ?always:bool -> string -> t
+  val create : string -> t
 
   val name : t -> string
 
@@ -147,11 +143,11 @@ module Metrics : sig
       Bumping an already-obtained [Counter.t]/[Gauge.t] stays
       lock-free. *)
 
-  val counter : ?always:bool -> string -> Counter.t
+  val counter : string -> Counter.t
 
-  val gauge : ?always:bool -> string -> Gauge.t
+  val gauge : string -> Gauge.t
 
-  val histogram : ?always:bool -> string -> Histogram.t
+  val histogram : string -> Histogram.t
 
   val counters_snapshot : unit -> (string * int) list
   (** Current value of every registered counter and gauge, sorted by
@@ -344,16 +340,16 @@ module Profile : sig
   val rows : unit -> row list
   (** All accumulated stacks, sorted lexicographically. *)
 
-  val to_folded : unit -> string
+  val to_folded : ?reset:bool -> unit -> string
   (** Collapsed-stack text: one ["stack <self-ns>\n"] line per row.
       Summing a frame's own lines with its descendants' reconstructs
-      inclusive time — the contract flamegraph renderers expect. *)
-
-  val reset : unit -> unit
-  (** Drop all accumulated stacks and counters. *)
+      inclusive time — the contract flamegraph renderers expect.
+      [~reset:true] also drops every stack and zeroes the fold and drop
+      counts, under the same lock acquisition as the read, so a fold
+      lands either in the returned text or in the next one. *)
 
   val folds : unit -> int
-  (** Root span trees folded since start/reset. *)
+  (** Root span trees folded since start or the last reset. *)
 
   val dropped : unit -> int
   (** Stacks discarded because the table was at [max_stacks]; a nonzero
@@ -508,8 +504,7 @@ module Gcpause : sig
 
   val by_domain : unit -> domain_totals list
   (** Per-domain pause totals, sorted by domain slot.  Each domain also
-      feeds an always-on registry histogram
-      [gc.domain<i>.pause_us]. *)
+      feeds a registry histogram [gc.domain<i>.pause_us]. *)
 end
 
 (** {1 Process gauges} *)
@@ -520,7 +515,7 @@ val process_stats : unit -> (string * int) list
     minor/major allocated words, GC minor/major collection counts
     ({!Gc.quick_stat}), cumulative and max GC pause microseconds
     ({!Gcpause}), the process start time and the uptime in seconds.
-    Each sample is also published as an always-on gauge
+    Each sample is also published as a registry gauge
     ([process.rss_bytes], [process.heap_words], ...,
     [uptime.seconds] — the latter surfacing in Prometheus as
     [expfinder_uptime_seconds]).  Polls {!Gcpause} first. *)
@@ -529,9 +524,8 @@ val process_stats : unit -> (string * int) list
 
     Bucketed sliding-window aggregation for the serving path: a ring of
     per-second buckets over the last N seconds, yielding live QPS, error
-    rate and latency percentiles per operation class.  Unlike the
-    metric registry, windows record unconditionally — the live SLO
-    surface must not depend on the telemetry flag.  Latency samples use
+    rate and latency percentiles per operation class.  Like every
+    metric cell, windows record unconditionally.  Latency samples use
     the same log-scale buckets as {!Histogram} (~9% relative
     resolution, exact min/max clamping). *)
 

@@ -321,8 +321,6 @@ let loose_query () =
 
 let test_containment_reuse () =
   let open Expfinder_telemetry in
-  set_enabled true;
-  Fun.protect ~finally:(fun () -> set_enabled false) @@ fun () ->
   let engine = Engine.create (Collab.graph ()) in
   let tight = Collab.query () and loose = loose_query () in
   Alcotest.(check bool) "precondition: tight ⊑ loose" true
@@ -352,8 +350,6 @@ let test_containment_reuse () =
    counter it alone moves. *)
 let test_pairs_on_every_route () =
   let open Expfinder_telemetry in
-  set_enabled true;
-  Fun.protect ~finally:(fun () -> set_enabled false) @@ fun () ->
   let counter name = Counter.value (Metrics.counter name) in
   let check_pairs what engine q (a : Engine.answer) =
     let direct = Planner.run q (Engine.snapshot engine) in
@@ -424,8 +420,6 @@ let test_differential_mode_passes () =
    direct evaluation on the engine's snapshot. *)
 let test_outside_mutation_refused () =
   let rebuilds = Telemetry.Metrics.counter "engine.snapshot_rebuilds" in
-  Telemetry.set_enabled true;
-  Fun.protect ~finally:(fun () -> Telemetry.set_enabled false) @@ fun () ->
   List.iter
     (fun seed ->
       let rng = Prng.create seed in

@@ -9,11 +9,6 @@ module Collab = Expfinder_workload.Collab
 module Engine = Expfinder_engine.Engine
 module Telemetry = Expfinder_telemetry
 
-(* Counters are gated by the telemetry flag; route tests read them. *)
-let with_counters f =
-  Telemetry.set_enabled true;
-  Fun.protect ~finally:(fun () -> Telemetry.set_enabled false) f
-
 let counter name =
   Option.value ~default:0 (List.assoc_opt name (Telemetry.Metrics.counters_snapshot ()))
 
@@ -371,104 +366,101 @@ let test_oracle_took_every_route () =
 (* Example 3's unit update stays on the sparse path: Fred and his
    dependency ball, never the whole graph. *)
 let test_unit_update_stays_sparse () =
-  with_counters (fun () ->
-      let g = Collab.graph () in
-      let inc = Incremental.create (Collab.query ()) g in
-      let src, dst = Collab.e1 in
-      let report, routes =
-        routes_during (fun () -> Incremental.apply_updates inc g [ Update.Insert_edge (src, dst) ])
-      in
-      Alcotest.(check int) "sparse" 1 routes.sparse;
-      Alcotest.(check bool) "area <= 5" true (report.area <= 5);
-      Alcotest.(check bool) "refined" true (report.iterations > 0))
+  let g = Collab.graph () in
+  let inc = Incremental.create (Collab.query ()) g in
+  let src, dst = Collab.e1 in
+  let report, routes =
+    routes_during (fun () -> Incremental.apply_updates inc g [ Update.Insert_edge (src, dst) ])
+  in
+  Alcotest.(check int) "sparse" 1 routes.sparse;
+  Alcotest.(check bool) "area <= 5" true (report.area <= 5);
+  Alcotest.(check bool) "refined" true (report.iterations > 0)
 
 (* A batch that touches most of the graph is priced out while seeding:
    it recomputes on the published snapshot and never starts refining. *)
 let test_wide_batch_recomputes_at_once () =
-  with_counters (fun () ->
-      let rng = Prng.create 1 in
-      let g =
-        Generators.erdos_renyi rng ~n:200 ~m:600 (fun _ ->
-            (Prng.choose rng labels, Attrs.of_list [ Attrs.int "exp" (Prng.int rng 6) ]))
-      in
-      let spec l k =
-        { Pattern.name = l; label = Some (Label.of_string l); pred = Predicate.ge_int "exp" k }
-      in
-      let pattern =
-        Pattern.make_exn
-          ~nodes:[| spec "A" 1; spec "B" 2; spec "C" 1 |]
-          ~edges:[ (0, 1, Pattern.Bounded 2); (1, 2, Pattern.Bounded 3); (2, 0, Pattern.Bounded 2) ]
-          ~output:0
-      in
-      let engine = Engine.create g in
-      Engine.register engine pattern;
-      let refinements = counter "incremental.rounds" in
-      let reports, routes =
-        routes_during (fun () ->
-            Engine.apply_updates engine (Update.random_mixed rng g (Digraph.edge_count g)))
-      in
-      Alcotest.(check int) "recomputed at once" 1 routes.recompute;
-      Alcotest.(check int) "no abort" 0 routes.aborted;
-      Alcotest.(check int) "no refinement started" refinements
-        (counter "incremental.rounds");
-      (match reports with
-      | [ r ] -> Alcotest.(check int) "area = |V|" 200 r.Incremental.area
-      | _ -> Alcotest.fail "expected one report");
-      Alcotest.(check bool) "kernel = batch" true
-        (Match_relation.equal
-           (Engine.evaluate engine pattern).Engine.relation
-           (Bounded_sim.run pattern (Snapshot.of_digraph g))))
+  let rng = Prng.create 1 in
+  let g =
+    Generators.erdos_renyi rng ~n:200 ~m:600 (fun _ ->
+        (Prng.choose rng labels, Attrs.of_list [ Attrs.int "exp" (Prng.int rng 6) ]))
+  in
+  let spec l k =
+    { Pattern.name = l; label = Some (Label.of_string l); pred = Predicate.ge_int "exp" k }
+  in
+  let pattern =
+    Pattern.make_exn
+      ~nodes:[| spec "A" 1; spec "B" 2; spec "C" 1 |]
+      ~edges:[ (0, 1, Pattern.Bounded 2); (1, 2, Pattern.Bounded 3); (2, 0, Pattern.Bounded 2) ]
+      ~output:0
+  in
+  let engine = Engine.create g in
+  Engine.register engine pattern;
+  let refinements = counter "incremental.rounds" in
+  let reports, routes =
+    routes_during (fun () ->
+        Engine.apply_updates engine (Update.random_mixed rng g (Digraph.edge_count g)))
+  in
+  Alcotest.(check int) "recomputed at once" 1 routes.recompute;
+  Alcotest.(check int) "no abort" 0 routes.aborted;
+  Alcotest.(check int) "no refinement started" refinements
+    (counter "incremental.rounds");
+  (match reports with
+  | [ r ] -> Alcotest.(check int) "area = |V|" 200 r.Incremental.area
+  | _ -> Alcotest.fail "expected one report");
+  Alcotest.(check bool) "kernel = batch" true
+    (Match_relation.equal
+       (Engine.evaluate engine pattern).Engine.relation
+       (Bounded_sim.run pattern (Snapshot.of_digraph g)))
 
 (* A sync that ends in a recompute (routed there, or aborted) reports
    the diff of the whole old and new kernels: against a naive scan of
    every (pattern node, data node) pair, in the same order, over wide
    batches that both add and remove pairs. *)
 let test_recompute_report_is_full_diff () =
-  with_counters (fun () ->
-      let rng = Prng.create 3 in
-      let g =
-        Generators.erdos_renyi rng ~n:300 ~m:700 (fun _ ->
-            (Prng.choose rng labels, Attrs.of_list [ Attrs.int "exp" (Prng.int rng 6) ]))
-      in
-      let spec l k =
-        { Pattern.name = l; label = Some (Label.of_string l); pred = Predicate.ge_int "exp" k }
-      in
-      let pattern =
-        Pattern.make_exn
-          ~nodes:[| spec "A" 1; spec "B" 2; spec "C" 1 |]
-          ~edges:[ (0, 1, Pattern.Bounded 2); (1, 2, Pattern.Bounded 1); (2, 0, Pattern.Bounded 2) ]
-          ~output:0
-      in
-      let naive_diff before after =
-        let added = ref [] and removed = ref [] in
-        for u = 0 to Match_relation.pattern_size after - 1 do
-          for v = 0 to Match_relation.graph_size after - 1 do
-            match (Match_relation.mem before u v, Match_relation.mem after u v) with
-            | false, true -> added := (u, v) :: !added
-            | true, false -> removed := (u, v) :: !removed
-            | _ -> ()
-          done
-        done;
-        (List.rev !added, List.rev !removed)
-      in
-      let inc = Incremental.create pattern g in
-      let gained = ref 0 and lost = ref 0 and routed = ref 0 in
-      for _batch = 1 to 6 do
-        let before = Match_relation.copy (Incremental.kernel inc) in
-        let report, routes =
-          routes_during (fun () ->
-              Incremental.apply_updates inc g (Update.random_mixed rng g (Digraph.edge_count g / 2)))
-        in
-        Alcotest.(check int) "ended in a recompute" 1 (routes.recompute + routes.aborted);
-        routed := !routed + routes.recompute;
-        let added, removed = naive_diff before (Incremental.kernel inc) in
-        Alcotest.(check (list (pair int int))) "added" added report.Incremental.added;
-        Alcotest.(check (list (pair int int))) "removed" removed report.removed;
-        gained := !gained + List.length added;
-        lost := !lost + List.length removed
-      done;
-      Alcotest.(check bool) "pairs added and removed" true (!gained > 0 && !lost > 0);
-      Alcotest.(check bool) "some batch routed to the recompute" true (!routed > 0))
+  let rng = Prng.create 3 in
+  let g =
+    Generators.erdos_renyi rng ~n:300 ~m:700 (fun _ ->
+        (Prng.choose rng labels, Attrs.of_list [ Attrs.int "exp" (Prng.int rng 6) ]))
+  in
+  let spec l k =
+    { Pattern.name = l; label = Some (Label.of_string l); pred = Predicate.ge_int "exp" k }
+  in
+  let pattern =
+    Pattern.make_exn
+      ~nodes:[| spec "A" 1; spec "B" 2; spec "C" 1 |]
+      ~edges:[ (0, 1, Pattern.Bounded 2); (1, 2, Pattern.Bounded 1); (2, 0, Pattern.Bounded 2) ]
+      ~output:0
+  in
+  let naive_diff before after =
+    let added = ref [] and removed = ref [] in
+    for u = 0 to Match_relation.pattern_size after - 1 do
+      for v = 0 to Match_relation.graph_size after - 1 do
+        match (Match_relation.mem before u v, Match_relation.mem after u v) with
+        | false, true -> added := (u, v) :: !added
+        | true, false -> removed := (u, v) :: !removed
+        | _ -> ()
+      done
+    done;
+    (List.rev !added, List.rev !removed)
+  in
+  let inc = Incremental.create pattern g in
+  let gained = ref 0 and lost = ref 0 and routed = ref 0 in
+  for _batch = 1 to 6 do
+    let before = Match_relation.copy (Incremental.kernel inc) in
+    let report, routes =
+      routes_during (fun () ->
+          Incremental.apply_updates inc g (Update.random_mixed rng g (Digraph.edge_count g / 2)))
+    in
+    Alcotest.(check int) "ended in a recompute" 1 (routes.recompute + routes.aborted);
+    routed := !routed + routes.recompute;
+    let added, removed = naive_diff before (Incremental.kernel inc) in
+    Alcotest.(check (list (pair int int))) "added" added report.Incremental.added;
+    Alcotest.(check (list (pair int int))) "removed" removed report.removed;
+    gained := !gained + List.length added;
+    lost := !lost + List.length removed
+  done;
+  Alcotest.(check bool) "pairs added and removed" true (!gained > 0 && !lost > 0);
+  Alcotest.(check bool) "some batch routed to the recompute" true (!routed > 0)
 
 (* --- Update plumbing ------------------------------------------------ *)
 
@@ -521,7 +513,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest
             (QCheck.Test.make ~count:150 ~name:"route oracle: engine reads = direct evaluation"
-               QCheck.small_int (fun seed -> with_counters (fun () -> route_oracle (seed + 1))));
+               QCheck.small_int (fun seed -> route_oracle (seed + 1)));
           Alcotest.test_case "oracle took every route" `Quick test_oracle_took_every_route;
           Alcotest.test_case "unit update stays sparse" `Quick test_unit_update_stays_sparse;
           Alcotest.test_case "wide batch recomputes at once" `Quick

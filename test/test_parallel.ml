@@ -90,77 +90,70 @@ let test_pool_metrics_under_contention () =
      two more jobs fill the bounded queue, and a fifth submit must wait
      for capacity.  The depth gauge, wait histograms and per-worker
      accounting all have to move. *)
-  let was = Telemetry.enabled () in
-  Telemetry.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Telemetry.set_enabled was)
-    (fun () ->
-      let depth = Telemetry.Metrics.gauge ~always:true "chan.tpool.jobs.depth" in
-      let busy = Telemetry.Metrics.gauge ~always:true "tpool.busy" in
-      let h_push = Telemetry.Metrics.histogram "chan.tpool.jobs.push_wait_us" in
-      let h_pop = Telemetry.Metrics.histogram "chan.tpool.jobs.pop_wait_us" in
-      let base_push = Telemetry.Histogram.count h_push in
-      let base_pop = Telemetry.Histogram.count h_pop in
-      let gate_m = Mutex.create () in
-      let gate_c = Condition.create () in
-      let gate_open = ref false in
-      let wait_gate () =
-        Mutex.lock gate_m;
-        while not !gate_open do
-          Condition.wait gate_c gate_m
-        done;
-        Mutex.unlock gate_m
-      in
-      let ran = Atomic.make 0 in
-      let pool = Parallel.Pool.create ~name:"tpool" ~capacity:2 ~domains:2 () in
-      for _ = 1 to 4 do
-        Parallel.Pool.submit pool (fun () ->
-            wait_gate ();
-            Atomic.incr ran)
-      done;
-      (* Wait for both workers to hold a job, so the two remaining jobs
-         sit in the queue and the gauge reads the true backlog. *)
-      let rec await_busy tries =
-        if Telemetry.Gauge.value busy < 2 && tries > 0 then begin
-          Unix.sleepf 0.01;
-          await_busy (tries - 1)
-        end
-      in
-      await_busy 500;
-      Alcotest.(check int) "both workers mid-job" 2 (Telemetry.Gauge.value busy);
-      let depth_during = Telemetry.Gauge.value depth in
-      (* The fifth submit blocks on the full queue, from a helper domain
-         so this test can open the gate underneath it. *)
-      let submitter =
-        Domain.spawn (fun () -> Parallel.Pool.submit pool (fun () -> Atomic.incr ran))
-      in
-      Unix.sleepf 0.02;
-      Mutex.lock gate_m;
-      gate_open := true;
-      Condition.broadcast gate_c;
-      Mutex.unlock gate_m;
-      Domain.join submitter;
-      Parallel.Pool.shutdown pool;
-      Alcotest.(check int) "every job ran" 5 (Atomic.get ran);
-      Alcotest.(check bool) "depth gauge saw the backlog"
-        true (depth_during >= 2);
-      Alcotest.(check int) "depth gauge drained to zero" 0
-        (Telemetry.Gauge.value depth);
-      Alcotest.(check int) "busy gauge returned to zero" 0
-        (Telemetry.Gauge.value busy);
-      Alcotest.(check bool) "push-wait histogram moved" true
-        (Telemetry.Histogram.count h_push > base_push);
-      Alcotest.(check bool) "pop-wait histogram moved" true
-        (Telemetry.Histogram.count h_pop > base_pop);
-      let counter name =
-        Telemetry.Counter.value (Telemetry.Metrics.counter ~always:true name)
-      in
-      Alcotest.(check int) "per-worker task counters account for every job" 5
-        (counter "tpool.worker0.tasks" + counter "tpool.worker1.tasks");
-      Alcotest.(check int) "aggregate task counter agrees" 5 (counter "tpool.tasks");
-      Alcotest.(check bool) "busy/idle accounting accumulated" true
-        (counter "tpool.worker0.busy_us" + counter "tpool.worker1.busy_us" >= 0
-        && counter "tpool.worker0.idle_us" + counter "tpool.worker1.idle_us" > 0))
+  let depth = Telemetry.Metrics.gauge "chan.tpool.jobs.depth" in
+  let busy = Telemetry.Metrics.gauge "tpool.busy" in
+  let h_push = Telemetry.Metrics.histogram "chan.tpool.jobs.push_wait_us" in
+  let h_pop = Telemetry.Metrics.histogram "chan.tpool.jobs.pop_wait_us" in
+  let base_push = Telemetry.Histogram.count h_push in
+  let base_pop = Telemetry.Histogram.count h_pop in
+  let gate_m = Mutex.create () in
+  let gate_c = Condition.create () in
+  let gate_open = ref false in
+  let wait_gate () =
+    Mutex.lock gate_m;
+    while not !gate_open do
+      Condition.wait gate_c gate_m
+    done;
+    Mutex.unlock gate_m
+  in
+  let ran = Atomic.make 0 in
+  let pool = Parallel.Pool.create ~name:"tpool" ~capacity:2 ~domains:2 () in
+  for _ = 1 to 4 do
+    Parallel.Pool.submit pool (fun () ->
+        wait_gate ();
+        Atomic.incr ran)
+  done;
+  (* Wait for both workers to hold a job, so the two remaining jobs
+     sit in the queue and the gauge reads the true backlog. *)
+  let rec await_busy tries =
+    if Telemetry.Gauge.value busy < 2 && tries > 0 then begin
+      Unix.sleepf 0.01;
+      await_busy (tries - 1)
+    end
+  in
+  await_busy 500;
+  Alcotest.(check int) "both workers mid-job" 2 (Telemetry.Gauge.value busy);
+  let depth_during = Telemetry.Gauge.value depth in
+  (* The fifth submit blocks on the full queue, from a helper domain
+     so this test can open the gate underneath it. *)
+  let submitter =
+    Domain.spawn (fun () -> Parallel.Pool.submit pool (fun () -> Atomic.incr ran))
+  in
+  Unix.sleepf 0.02;
+  Mutex.lock gate_m;
+  gate_open := true;
+  Condition.broadcast gate_c;
+  Mutex.unlock gate_m;
+  Domain.join submitter;
+  Parallel.Pool.shutdown pool;
+  Alcotest.(check int) "every job ran" 5 (Atomic.get ran);
+  Alcotest.(check bool) "depth gauge saw the backlog"
+    true (depth_during >= 2);
+  Alcotest.(check int) "depth gauge drained to zero" 0
+    (Telemetry.Gauge.value depth);
+  Alcotest.(check int) "busy gauge returned to zero" 0
+    (Telemetry.Gauge.value busy);
+  Alcotest.(check bool) "push-wait histogram moved" true
+    (Telemetry.Histogram.count h_push > base_push);
+  Alcotest.(check bool) "pop-wait histogram moved" true
+    (Telemetry.Histogram.count h_pop > base_pop);
+  let counter name = Telemetry.Counter.value (Telemetry.Metrics.counter name) in
+  Alcotest.(check int) "per-worker task counters account for every job" 5
+    (counter "tpool.worker0.tasks" + counter "tpool.worker1.tasks");
+  Alcotest.(check int) "aggregate task counter agrees" 5 (counter "tpool.tasks");
+  Alcotest.(check bool) "busy/idle accounting accumulated" true
+    (counter "tpool.worker0.busy_us" + counter "tpool.worker1.busy_us" >= 0
+    && counter "tpool.worker0.idle_us" + counter "tpool.worker1.idle_us" > 0)
 
 (* --- epoch pinning under a concurrent writer --------------------------- *)
 
@@ -343,17 +336,13 @@ let test_registered_reads_during_syncs () =
      must return the answer of some published epoch, and none may fall
      through to containment or the planner: a read that lands while the
      writer syncs is served the previous epoch's maintained kernel.
-     Telemetry is on, so the planner and containment counters move
-     whenever either runs; the differential checker, which calls the
-     planner by design, is forced off.  Both loops are bounded; a start
+     The planner and containment counters move whenever either runs;
+     the differential checker, which calls the planner by design, is
+     forced off.  Both loops are bounded; a start
      flag lines them up. *)
   let differential = Verify.differential () in
   Verify.set_differential false;
-  Telemetry.set_enabled true;
-  Fun.protect ~finally:(fun () ->
-      Telemetry.set_enabled false;
-      Verify.set_differential differential)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Verify.set_differential differential) @@ fun () ->
   let g = Synthetic.org (Prng.create 123) ~teams:30 ~team_size:6 in
   let engine = Engine.create g in
   Engine.enable_compression ~atoms:Queries.atom_universe engine;

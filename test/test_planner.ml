@@ -157,21 +157,17 @@ let test_explain_analyze_table () =
 let test_misestimate_counter () =
   let open Expfinder_telemetry in
   let c = Metrics.counter "planner.misestimate" in
-  set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> set_enabled false)
-    (fun () ->
-      Counter.reset c;
-      let g = Snapshot.of_digraph (Collab.graph ()) in
-      let q = Collab.query () in
-      let _ = Planner.run q g in
-      Alcotest.(check int) "exact estimates: no misestimate" 0 (Counter.value c);
-      (* Cook a plan whose estimates are wildly off: with smoothing,
-         (60+1)/(2+1) > 4 flags SA (2 actual candidates). *)
-      let plan = Planner.plan q g in
-      Array.fill plan.Planner.estimates 0 (Array.length plan.Planner.estimates) 60.0;
-      let _ = Planner.execute plan q g in
-      Alcotest.(check bool) "misestimates counted" true (Counter.value c > 0))
+  let g = Snapshot.of_digraph (Collab.graph ()) in
+  let q = Collab.query () in
+  let before = Counter.value c in
+  let _ = Planner.run q g in
+  Alcotest.(check int) "exact estimates: no misestimate" before (Counter.value c);
+  (* Cook a plan whose estimates are wildly off: with smoothing,
+     (60+1)/(2+1) > 4 flags SA (2 actual candidates). *)
+  let plan = Planner.plan q g in
+  Array.fill plan.Planner.estimates 0 (Array.length plan.Planner.estimates) 60.0;
+  let _ = Planner.execute plan q g in
+  Alcotest.(check bool) "misestimates counted" true (Counter.value c > before)
 
 let prop_planned_equals_unplanned ~simulation seed =
   let rng = Prng.create seed in

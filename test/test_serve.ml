@@ -564,6 +564,71 @@ let get_tcp_e2e exe () =
               let resp = request_exn fd (Json.Obj [ ("op", Json.Str "shutdown") ]) in
               Alcotest.(check bool) "shutdown acknowledged" true (ok_of resp))))
 
+(* The value of the first /metrics sample named exactly [sample]. *)
+let metric_value body sample =
+  String.split_on_char '\n' body
+  |> List.find_map (fun line ->
+         match String.rindex_opt line ' ' with
+         | Some i when String.sub line 0 i = sample ->
+           float_of_string_opt (String.sub line (i + 1) (String.length line - i - 1))
+         | _ -> None)
+
+(* With nothing but the default environment, the served signals agree:
+   the registry counts every query the query window counts, repeats are
+   counted as cache hits, and every flight-recorder event carries its
+   request's counter delta. *)
+let served_signals_e2e exe () =
+  with_tmpdir (fun dir ->
+      let graph = Filename.concat dir "collab.graph" in
+      let code, _ = run exe [ "gen"; "--kind"; "collab"; "-o"; graph ] in
+      Alcotest.(check int) "gen exits 0" 0 code;
+      with_server exe ~graph ~socket:(Filename.concat dir "serve.sock")
+        ~qlog:(Filename.concat dir "qlog.jsonl")
+        (fun endpoint ->
+          let queries = 5 in
+          Server.with_connection endpoint (fun fd ->
+              for _ = 1 to queries do
+                Alcotest.(check bool) "query ok" true
+                  (ok_of
+                     (request_exn fd
+                        (Json.Obj [ ("op", Json.Str "query"); ("pattern", Json.Str paper_query) ])))
+              done);
+          let get path =
+            match Server.http_get endpoint path with
+            | Ok (200, body) -> body
+            | Ok (status, _) -> Alcotest.failf "%s -> HTTP %d" path status
+            | Error e -> Alcotest.failf "%s: %s" path e
+          in
+          let metrics = get "/metrics" in
+          let value sample =
+            match metric_value metrics sample with
+            | Some v -> v
+            | None -> Alcotest.failf "/metrics has no sample %s" sample
+          in
+          let windowed = value "expfinder_window_requests{op=\"query\"}" in
+          Alcotest.(check (float 0.0)) "the query window holds every query"
+            (float_of_int queries) windowed;
+          Alcotest.(check (float 0.0)) "engine_queries = window_requests{op=query}" windowed
+            (value "expfinder_engine_queries");
+          Alcotest.(check bool) "repeats are counted as cache hits" true
+            (value "expfinder_cache_hits" >= 1.0);
+          (match Json.of_string (get "/stats.json") with
+          | Error e -> Alcotest.failf "/stats.json does not parse: %s" e
+          | Ok doc ->
+            let events =
+              Option.value ~default:[] (Option.bind (Json.member "recorder" doc) Json.list_opt)
+            in
+            Alcotest.(check int) "one recorder event per query" queries (List.length events);
+            List.iter
+              (fun event ->
+                match Json.member "counters" event with
+                | Some (Json.Obj (_ :: _)) -> ()
+                | _ -> Alcotest.fail "a recorder event has an empty counters map")
+              events);
+          Server.with_connection endpoint (fun fd ->
+              let resp = request_exn fd (Json.Obj [ ("op", Json.Str "shutdown") ]) in
+              Alcotest.(check bool) "shutdown acknowledged" true (ok_of resp))))
+
 (* A plain SIGTERM, without EXPFINDER_POSTMORTEM_DIR, must still be a
    normal exit (128 + 15), which is what lets the runtime unlink the
    <pid>.events ring that GC-pause collection created in the server's
@@ -1203,6 +1268,8 @@ let () =
           [
             Alcotest.test_case "serve/observe/replay" `Quick (serve_e2e exe);
             Alcotest.test_case "get /stats.json over TCP" `Quick (get_tcp_e2e exe);
+            Alcotest.test_case "served signals agree by default" `Quick
+              (served_signals_e2e exe);
             Alcotest.test_case "SIGTERM exits and leaves no events ring" `Quick
               (sigterm_e2e exe);
             Alcotest.test_case "served digests = direct evaluation" `Quick (digest_e2e exe);

@@ -177,42 +177,38 @@ let counter name =
 (* Every effective batch publishes a snapshot rebuilt from the digraph,
    whatever it changes; a batch that changes nothing publishes nothing. *)
 let test_engine_publishes_rebuilds () =
-  Telemetry.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Telemetry.set_enabled false)
-    (fun () ->
-      let g = Synthetic.flat (Prng.create 5) ~n:300 ~avg_degree:4 in
-      let engine = Engine.create g in
-      let published label updates =
-        let rebuilds0 = counter "engine.snapshot_rebuilds" in
-        ignore (Engine.apply_updates engine updates : Incremental.report list);
-        let s = Engine.snapshot engine in
-        let sid = Snapshot.id s in
-        Alcotest.(check (pair int int))
-          (label ^ ": identity is (graph_id, version)")
-          (Digraph.graph_id g, Digraph.version g)
-          (sid.Snapshot.graph_id, sid.Snapshot.epoch);
-        Alcotest.(check bool) (label ^ ": equals a fresh build") true
-          (same_structure s (Snapshot.of_digraph g));
-        Alcotest.(check int) (label ^ ": one rebuild") (rebuilds0 + 1)
-          (counter "engine.snapshot_rebuilds")
-      in
-      published "pure-edge batch" (Update.random_mixed (Prng.create 6) g 4);
-      let fresh = Digraph.node_count g in
-      published "node-inserting batch"
-        [ Update.Insert_node (Label.of_string "SA", Attrs.empty); Update.Insert_edge (0, fresh) ];
-      Alcotest.(check int) "the new node is published" (fresh + 1)
-        (Snapshot.node_count (Engine.snapshot engine));
-      (* Inserting an edge that is present is a no-op. *)
-      let sid = Snapshot.id (Engine.snapshot engine) in
-      let rebuilds0 = counter "engine.snapshot_rebuilds" in
-      ignore
-        (Engine.apply_updates engine [ Update.Insert_edge (0, fresh) ]
-          : Incremental.report list);
-      Alcotest.(check bool) "no-op batch keeps the identity" true
-        (Snapshot.identity_equal sid (Snapshot.id (Engine.snapshot engine)));
-      Alcotest.(check int) "no-op batch rebuilds nothing" rebuilds0
-        (counter "engine.snapshot_rebuilds"))
+  let g = Synthetic.flat (Prng.create 5) ~n:300 ~avg_degree:4 in
+  let engine = Engine.create g in
+  let published label updates =
+    let rebuilds0 = counter "engine.snapshot_rebuilds" in
+    ignore (Engine.apply_updates engine updates : Incremental.report list);
+    let s = Engine.snapshot engine in
+    let sid = Snapshot.id s in
+    Alcotest.(check (pair int int))
+      (label ^ ": identity is (graph_id, version)")
+      (Digraph.graph_id g, Digraph.version g)
+      (sid.Snapshot.graph_id, sid.Snapshot.epoch);
+    Alcotest.(check bool) (label ^ ": equals a fresh build") true
+      (same_structure s (Snapshot.of_digraph g));
+    Alcotest.(check int) (label ^ ": one rebuild") (rebuilds0 + 1)
+      (counter "engine.snapshot_rebuilds")
+  in
+  published "pure-edge batch" (Update.random_mixed (Prng.create 6) g 4);
+  let fresh = Digraph.node_count g in
+  published "node-inserting batch"
+    [ Update.Insert_node (Label.of_string "SA", Attrs.empty); Update.Insert_edge (0, fresh) ];
+  Alcotest.(check int) "the new node is published" (fresh + 1)
+    (Snapshot.node_count (Engine.snapshot engine));
+  (* Inserting an edge that is present is a no-op. *)
+  let sid = Snapshot.id (Engine.snapshot engine) in
+  let rebuilds0 = counter "engine.snapshot_rebuilds" in
+  ignore
+    (Engine.apply_updates engine [ Update.Insert_edge (0, fresh) ]
+      : Incremental.report list);
+  Alcotest.(check bool) "no-op batch keeps the identity" true
+    (Snapshot.identity_equal sid (Snapshot.id (Engine.snapshot engine)));
+  Alcotest.(check int) "no-op batch rebuilds nothing" rebuilds0
+    (counter "engine.snapshot_rebuilds")
 
 let random_edge_updates rng g k = Update.random_mixed rng g k
 
@@ -244,18 +240,13 @@ let prop_queries_fresh_after_updates seed =
 
 (* --- batched evaluation ------------------------------------------------ *)
 
-(* Runs [f] with telemetry on, so counters move, and the differential
-   checker (EXPFINDER_CHECK=1) off: it re-runs answers through direct
-   evaluation, whose scans and plans would count too. *)
+(* Runs [f] with the differential checker (EXPFINDER_CHECK=1) off: it
+   re-runs answers through direct evaluation, whose scans and plans
+   would count too. *)
 let counting f =
   let was_differential = Verify.differential () in
   Verify.set_differential false;
-  Telemetry.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Telemetry.set_enabled false;
-      Verify.set_differential was_differential)
-    f
+  Fun.protect ~finally:(fun () -> Verify.set_differential was_differential) f
 
 (* A batch answers each member by the route a lone [evaluate] takes, so
    it scans no more than the sequential loop; evaluating supersets first

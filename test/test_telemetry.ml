@@ -1,7 +1,7 @@
 (* Telemetry subsystem tests: histogram percentiles, counter
-   saturation and gating, per-query profiles on the paper's Fig. 1
-   example, answer invariance under the runtime flag, and a syntactic
-   round-trip of the Chrome trace-event export. *)
+   saturation, per-query profiles on the paper's Fig. 1 example, answer
+   invariance under the runtime flag, the collapsed-stack profiler, and
+   a syntactic round-trip of the Chrome trace-event export. *)
 
 open Expfinder_pattern
 open Expfinder_core
@@ -19,7 +19,7 @@ let with_telemetry on f =
 (* --- metrics ------------------------------------------------------------ *)
 
 let test_histogram_percentiles () =
-  let h = Histogram.create ~always:true "t.hist" in
+  let h = Histogram.create "t.hist" in
   Alcotest.(check bool) "empty percentile is nan" true (Float.is_nan (Histogram.percentile h 0.5));
   for i = 1 to 100 do
     Histogram.observe h (float_of_int i)
@@ -51,7 +51,7 @@ let test_histogram_percentiles () =
   Alcotest.(check int) "reset empties" 0 (Histogram.count h)
 
 let test_histogram_edge_cases () =
-  let h = Histogram.create ~always:true "t.hist.edge" in
+  let h = Histogram.create "t.hist.edge" in
   (* Empty: every percentile is nan, as are min and max. *)
   List.iter
     (fun p ->
@@ -72,7 +72,7 @@ let test_histogram_edge_cases () =
   Histogram.reset h
 
 let test_delta_across_reset_all () =
-  let c = Metrics.counter ~always:true "t.reg.reset_delta" in
+  let c = Metrics.counter "t.reg.reset_delta" in
   Counter.reset c;
   Counter.add c 5;
   let before = Metrics.counters_snapshot () in
@@ -85,7 +85,7 @@ let test_delta_across_reset_all () =
     (List.assoc_opt "t.reg.reset_delta" (Metrics.delta ~before ~after) = Some (-5))
 
 let test_counter_saturation () =
-  let c = Counter.create ~always:true "t.sat" in
+  let c = Counter.create "t.sat" in
   Counter.add c (max_int - 2);
   Counter.add c 5;
   Alcotest.(check int) "add saturates at max_int" max_int (Counter.value c);
@@ -93,16 +93,6 @@ let test_counter_saturation () =
   Alcotest.(check int) "incr stays saturated" max_int (Counter.value c);
   Counter.reset c;
   Alcotest.(check int) "reset" 0 (Counter.value c)
-
-let test_counter_gating () =
-  let gated = Counter.create "t.gated" in
-  let always = Counter.create ~always:true "t.always" in
-  Counter.incr gated;
-  Counter.incr always;
-  Alcotest.(check int) "gated counter is a no-op when disabled" 0 (Counter.value gated);
-  Alcotest.(check int) "always counter records when disabled" 1 (Counter.value always);
-  with_telemetry true (fun () -> Counter.incr gated);
-  Alcotest.(check int) "gated counter records when enabled" 1 (Counter.value gated)
 
 (* --- per-query profiles ------------------------------------------------- *)
 
@@ -167,6 +157,32 @@ let test_same_answers_when_disabled () =
   let off = run () in
   let on = with_telemetry true run in
   Alcotest.(check bool) "telemetry does not change answers" true (off = on)
+
+(* A reset read returns every stack folded so far and leaves the table
+   empty: the read and the clear are one operation. *)
+let test_folded_reset_drains () =
+  let (), root =
+    Trace.collect (Trace.make ~sampled:true ()) "t.fold.root" (fun () ->
+        with_span "t.fold.child" ignore)
+  in
+  Profile.record (Option.get root);
+  let stacks body =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | [ stack; _ ] -> Some stack
+        | _ -> None)
+      (String.split_on_char '\n' body)
+  in
+  let drained = stacks (Profile.to_folded ~reset:true ()) in
+  let domain = Printf.sprintf "domain-%d" (Domain.self () :> int) in
+  List.iter
+    (fun stack ->
+      Alcotest.(check bool) (stack ^ " returned") true (List.mem stack drained))
+    [ domain ^ ";t.fold.root"; domain ^ ";t.fold.root;t.fold.child" ];
+  Alcotest.(check int) "no stack left" 0 (List.length (Profile.rows ()));
+  Alcotest.(check int) "fold count zeroed" 0 (Profile.folds ());
+  Alcotest.(check string) "next read is empty" "" (Profile.to_folded ())
 
 let test_sampled_profile_counters () =
   (* With the flag off, a sampled request still records a span tree and
@@ -408,7 +424,7 @@ let test_json_roundtrip () =
     (Option.bind m Json.float_opt)
 
 let test_metrics_to_json () =
-  let c = Metrics.counter ~always:true "t.json.counter" in
+  let c = Metrics.counter "t.json.counter" in
   Counter.reset c;
   Counter.add c 3;
   let j = Metrics.to_json () in
@@ -564,12 +580,8 @@ let test_recorder_captures_engine_queries () =
     (fun () ->
       let engine = Engine.create (Collab.graph ()) in
       let q = Collab.query () in
-      (* Recording itself is always on; the registered counters only move
-         with telemetry enabled, so enable it to see the deltas. *)
-      with_telemetry true (fun () ->
-          let (_ : Engine.answer) = Engine.evaluate engine q in
-          let (_ : Engine.answer) = Engine.evaluate engine q in
-          ());
+      ignore (Engine.evaluate engine q : Engine.answer);
+      ignore (Engine.evaluate engine q : Engine.answer);
       match Recorder.recent () with
       | [ first; second ] ->
         Alcotest.(check string)
@@ -590,7 +602,7 @@ let test_recorder_captures_engine_queries () =
 (* --- registry ----------------------------------------------------------- *)
 
 let test_registry_snapshot_delta () =
-  let c = Metrics.counter ~always:true "t.reg.counter" in
+  let c = Metrics.counter "t.reg.counter" in
   Counter.reset c;
   let before = Metrics.counters_snapshot () in
   Counter.add c 7;
@@ -645,9 +657,9 @@ let prop_delta_matches_oracle =
 (* Registered at run time, after every module-level metric: the
    name-ordered cells must be rebuilt, and histograms stay out. *)
 let test_snapshot_matches_registry () =
-  let c = Metrics.counter ~always:true "t.reg.late.counter" in
-  let g = Metrics.gauge ~always:true "t.reg.late.gauge" in
-  ignore (Metrics.histogram ~always:true "t.reg.late.histogram" : Histogram.t);
+  let c = Metrics.counter "t.reg.late.counter" in
+  let g = Metrics.gauge "t.reg.late.gauge" in
+  ignore (Metrics.histogram "t.reg.late.histogram" : Histogram.t);
   Counter.add c 3;
   Gauge.set g 11;
   let folded =
@@ -727,7 +739,7 @@ let test_window_percentiles_and_errors () =
    the percentiles a full histogram of the same samples gives. *)
 let test_window_ranges_match_histogram () =
   let w = Window.create ~seconds:60 "t.win.range" in
-  let h = Histogram.create ~always:true "t.win.range.ref" in
+  let h = Histogram.create "t.win.range.ref" in
   let r = Random.State.make [| 17 |] in
   for i = 0 to 599 do
     let ms = Float.exp (Random.State.float r 12.0 -. 6.0) in
@@ -903,36 +915,35 @@ let test_qlog_replay_across_rotation () =
     ~finally:(fun () -> Qlog.set_max_bytes old_max)
     (fun () ->
       with_qlog_sink path (fun () ->
-          with_telemetry true (fun () ->
-              let engine = Engine.create (Collab.graph ()) in
-              let q = Collab.query () in
-              for _ = 1 to 60 do
-                ignore (Engine.evaluate engine q : Engine.answer)
-              done;
-              Qlog.close ();
-              Alcotest.(check bool) "log rotated" true (Sys.file_exists (path ^ ".1"));
-              let load p =
-                match Qlog.load p with Ok e -> e | Error e -> Alcotest.fail e
-              in
-              let archived = load (path ^ ".1") and live = load path in
-              Alcotest.(check bool) "both generations hold events" true
-                (archived <> [] && live <> []);
-              let events = archived @ live in
-              (* The archive is the generation written immediately before
-                 the live file: sequence numbers must be contiguous
-                 across the boundary, or rotation dropped events. *)
-              let rec contiguous = function
-                | a :: (b :: _ as t) -> b.Qlog.seq = a.Qlog.seq + 1 && contiguous t
-                | _ -> true
-              in
-              Alcotest.(check bool) "seq contiguous across the boundary" true
-                (contiguous events);
-              Qlog.set_sink None;
-              let fresh = Engine.create (Collab.graph ()) in
-              let summary = Replay.run fresh events in
-              Alcotest.(check int) "no digest mismatches" 0 summary.Replay.mismatches;
-              Alcotest.(check int) "every event replayed" summary.Replay.total
-                summary.Replay.replayed)))
+          let engine = Engine.create (Collab.graph ()) in
+          let q = Collab.query () in
+          for _ = 1 to 60 do
+            ignore (Engine.evaluate engine q : Engine.answer)
+          done;
+          Qlog.close ();
+          Alcotest.(check bool) "log rotated" true (Sys.file_exists (path ^ ".1"));
+          let load p =
+            match Qlog.load p with Ok e -> e | Error e -> Alcotest.fail e
+          in
+          let archived = load (path ^ ".1") and live = load path in
+          Alcotest.(check bool) "both generations hold events" true
+            (archived <> [] && live <> []);
+          let events = archived @ live in
+          (* The archive is the generation written immediately before
+             the live file: sequence numbers must be contiguous
+             across the boundary, or rotation dropped events. *)
+          let rec contiguous = function
+            | a :: (b :: _ as t) -> b.Qlog.seq = a.Qlog.seq + 1 && contiguous t
+            | _ -> true
+          in
+          Alcotest.(check bool) "seq contiguous across the boundary" true
+            (contiguous events);
+          Qlog.set_sink None;
+          let fresh = Engine.create (Collab.graph ()) in
+          let summary = Replay.run fresh events in
+          Alcotest.(check int) "no digest mismatches" 0 summary.Replay.mismatches;
+          Alcotest.(check int) "every event replayed" summary.Replay.total
+            summary.Replay.replayed))
 
 (* --- timeseries --------------------------------------------------------- *)
 
@@ -1145,85 +1156,84 @@ let contains_substr haystack needle =
   scan 0
 
 let test_prometheus_collision_and_metadata () =
-  with_telemetry true (fun () ->
-      (* "a.b" and "a:b" both sanitize to expfinder_collide_a_b: the
-         render must keep them distinct, deterministically. *)
-      let c1 = Metrics.counter ~always:true "collide.a.b" in
-      let c2 = Metrics.counter ~always:true "collide.a:b" in
-      Counter.incr c1;
-      Counter.add c2 2;
-      ignore (process_stats () : (string * int) list);
-      let body = Prometheus.render () in
-      let names =
-        List.filter_map
-          (fun l ->
-            if String.length l > 0 && l.[0] <> '#' then
-              match String.index_opt l ' ' with
-              | Some i -> Some (String.sub l 0 i)
-              | None -> None
-            else None)
-          (String.split_on_char '\n' body)
+  (* "a.b" and "a:b" both sanitize to expfinder_collide_a_b: the
+     render must keep them distinct, deterministically. *)
+  let c1 = Metrics.counter "collide.a.b" in
+  let c2 = Metrics.counter "collide.a:b" in
+  Counter.incr c1;
+  Counter.add c2 2;
+  ignore (process_stats () : (string * int) list);
+  let body = Prometheus.render () in
+  let names =
+    List.filter_map
+      (fun l ->
+        if String.length l > 0 && l.[0] <> '#' then
+          match String.index_opt l ' ' with
+          | Some i -> Some (String.sub l 0 i)
+          | None -> None
+        else None)
+      (String.split_on_char '\n' body)
+  in
+  let collide = List.filter (fun n -> contains_substr n "expfinder_collide_a_b") names in
+  let uniq = List.sort_uniq compare collide in
+  Alcotest.(check int) "both colliding families exported" 2 (List.length uniq);
+  (* Every collider is disambiguated with a digest suffix; the bare
+     sanitized token would be ambiguous, so nobody keeps it. *)
+  Alcotest.(check bool) "no collider keeps the ambiguous plain name" false
+    (List.mem "expfinder_collide_a_b" uniq);
+  (* Same input, same disambiguation. *)
+  let body2 = Prometheus.render () in
+  let pick b =
+    List.sort_uniq compare
+      (List.filter (fun n -> contains_substr n "expfinder_collide_a_b")
+         (List.filter_map
+            (fun l ->
+              if String.length l > 0 && l.[0] <> '#' then
+                Option.map (fun i -> String.sub l 0 i) (String.index_opt l ' ')
+              else None)
+            (String.split_on_char '\n' b)))
+  in
+  Alcotest.(check (list string)) "disambiguation is deterministic" (pick body) (pick body2);
+  (* Every sample's family carries # HELP and # TYPE. *)
+  let lines = String.split_on_char '\n' body in
+  let helped =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | "#" :: "HELP" :: name :: _ -> Some name
+        | _ -> None)
+      lines
+  in
+  let typed =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | "#" :: "TYPE" :: name :: _ -> Some name
+        | _ -> None)
+      lines
+  in
+  let strip_suffix s suf =
+    let ls = String.length s and lf = String.length suf in
+    if ls > lf && String.sub s (ls - lf) lf = suf then String.sub s 0 (ls - lf)
+    else s
+  in
+  List.iter
+    (fun n ->
+      let base =
+        match String.index_opt n '{' with Some i -> String.sub n 0 i | None -> n
       in
-      let collide = List.filter (fun n -> contains_substr n "expfinder_collide_a_b") names in
-      let uniq = List.sort_uniq compare collide in
-      Alcotest.(check int) "both colliding families exported" 2 (List.length uniq);
-      (* Every collider is disambiguated with a digest suffix; the bare
-         sanitized token would be ambiguous, so nobody keeps it. *)
-      Alcotest.(check bool) "no collider keeps the ambiguous plain name" false
-        (List.mem "expfinder_collide_a_b" uniq);
-      (* Same input, same disambiguation. *)
-      let body2 = Prometheus.render () in
-      let pick b =
-        List.sort_uniq compare
-          (List.filter (fun n -> contains_substr n "expfinder_collide_a_b")
-             (List.filter_map
-                (fun l ->
-                  if String.length l > 0 && l.[0] <> '#' then
-                    Option.map (fun i -> String.sub l 0 i) (String.index_opt l ' ')
-                  else None)
-                (String.split_on_char '\n' b)))
+      (* Summary families expose [_sum]/[_count] samples whose
+         metadata lives on the base family name. *)
+      let family =
+        if List.mem base helped then base
+        else strip_suffix (strip_suffix base "_sum") "_count"
       in
-      Alcotest.(check (list string)) "disambiguation is deterministic" (pick body) (pick body2);
-      (* Every sample's family carries # HELP and # TYPE. *)
-      let lines = String.split_on_char '\n' body in
-      let helped =
-        List.filter_map
-          (fun l ->
-            match String.split_on_char ' ' l with
-            | "#" :: "HELP" :: name :: _ -> Some name
-            | _ -> None)
-          lines
-      in
-      let typed =
-        List.filter_map
-          (fun l ->
-            match String.split_on_char ' ' l with
-            | "#" :: "TYPE" :: name :: _ -> Some name
-            | _ -> None)
-          lines
-      in
-      let strip_suffix s suf =
-        let ls = String.length s and lf = String.length suf in
-        if ls > lf && String.sub s (ls - lf) lf = suf then String.sub s 0 (ls - lf)
-        else s
-      in
-      List.iter
-        (fun n ->
-          let base =
-            match String.index_opt n '{' with Some i -> String.sub n 0 i | None -> n
-          in
-          (* Summary families expose [_sum]/[_count] samples whose
-             metadata lives on the base family name. *)
-          let family =
-            if List.mem base helped then base
-            else strip_suffix (strip_suffix base "_sum") "_count"
-          in
-          Alcotest.(check bool) (family ^ " has HELP") true (List.mem family helped);
-          Alcotest.(check bool) (family ^ " has TYPE") true (List.mem family typed))
-        names;
-      (* The uptime satellite: a first-class gauge with a stable name. *)
-      Alcotest.(check bool) "uptime gauge exported" true
-        (List.mem "expfinder_uptime_seconds" names))
+      Alcotest.(check bool) (family ^ " has HELP") true (List.mem family helped);
+      Alcotest.(check bool) (family ^ " has TYPE") true (List.mem family typed))
+    names;
+  (* Uptime is a first-class gauge with a stable name. *)
+  Alcotest.(check bool) "uptime gauge exported" true
+    (List.mem "expfinder_uptime_seconds" names)
 
 let test_prometheus_alert_gauges () =
   let module T = Timeseries in
@@ -1296,20 +1306,19 @@ let test_postmortem_without_dir_is_inert () =
 (* --- window totals --------------------------------------------------------- *)
 
 let test_window_totals () =
-  with_telemetry true (fun () ->
-      let w = Window.create ~seconds:2 "t.totals" in
-      Alcotest.(check (pair int int)) "fresh totals" (0, 0) (Window.totals w);
-      let now = 6_000_000.0 in
-      Window.observe w ~now 1.0;
-      Window.observe w ~error:true ~now 2.0;
-      (* Lifetime totals must survive the ring sliding past the
-         observations — that is what the sampler differentiates. *)
-      Window.observe w ~now:(now +. 10.0) 3.0;
-      Alcotest.(check (pair int int)) "totals outlive the ring" (3, 1) (Window.totals w);
-      let s = Window.summary ~now:(now +. 10.0) w in
-      Alcotest.(check int) "ring forgot the old requests" 1 s.Window.count;
-      Window.reset w;
-      Alcotest.(check (pair int int)) "reset zeroes totals" (0, 0) (Window.totals w))
+  let w = Window.create ~seconds:2 "t.totals" in
+  Alcotest.(check (pair int int)) "fresh totals" (0, 0) (Window.totals w);
+  let now = 6_000_000.0 in
+  Window.observe w ~now 1.0;
+  Window.observe w ~error:true ~now 2.0;
+  (* Lifetime totals must survive the ring sliding past the
+     observations — that is what the sampler differentiates. *)
+  Window.observe w ~now:(now +. 10.0) 3.0;
+  Alcotest.(check (pair int int)) "totals outlive the ring" (3, 1) (Window.totals w);
+  let s = Window.summary ~now:(now +. 10.0) w in
+  Alcotest.(check int) "ring forgot the old requests" 1 s.Window.count;
+  Window.reset w;
+  Alcotest.(check (pair int int)) "reset zeroes totals" (0, 0) (Window.totals w)
 
 (* --- histogram percentile bounds (property) ----------------------------- *)
 
@@ -1331,7 +1340,7 @@ let qcheck_histogram_percentile_bound =
   in
   QCheck.Test.make ~count:200 ~name:"percentile within one log bucket of exact" gen
     (fun (samples, p) ->
-      let h = Histogram.create ~always:true "t.hist.prop" in
+      let h = Histogram.create "t.hist.prop" in
       List.iter (Histogram.observe h) samples;
       let sorted = List.sort compare samples in
       let n = List.length sorted in
@@ -1853,7 +1862,6 @@ let () =
           Alcotest.test_case "histogram percentiles" `Quick test_histogram_percentiles;
           Alcotest.test_case "histogram edge cases" `Quick test_histogram_edge_cases;
           Alcotest.test_case "counter saturation" `Quick test_counter_saturation;
-          Alcotest.test_case "counter gating" `Quick test_counter_gating;
           Alcotest.test_case "registry snapshot delta" `Quick test_registry_snapshot_delta;
           Alcotest.test_case "delta across reset_all" `Quick test_delta_across_reset_all;
           QCheck_alcotest.to_alcotest prop_delta_matches_oracle;
@@ -1943,6 +1951,7 @@ let () =
             test_same_answers_when_disabled;
           Alcotest.test_case "sampled profile counters are the request's" `Quick
             test_sampled_profile_counters;
+          Alcotest.test_case "folded reset drains the table" `Quick test_folded_reset_drains;
         ] );
       ( "tracing",
         [
