@@ -648,27 +648,27 @@ let exp_cache ~full:_ =
 
 let exp_ablation_bsim_strategy ~full =
   header "EXP-A1 (ablation): bounded-simulation refinement strategy";
-  Printf.printf "  %8s %14s %14s\n" "|V|" "counters ms" "naive ms";
+  Printf.printf "  %8s %14s %14s\n" "|V|" "witness ms" "naive ms";
   let sizes = if full then [ 2_000; 8_000; 32_000 ] else [ 2_000; 8_000 ] in
   List.iter
     (fun n ->
       let g = Snapshot.of_digraph (flat_graph ~n) in
       let q = bench_query () in
-      let s_counters =
-        time_stats (fun () -> ignore (Bounded_sim.run ~strategy:Bounded_sim.Counters q g))
+      let s_witness =
+        time_stats (fun () -> ignore (Bounded_sim.run ~strategy:Bounded_sim.Witness q g))
       in
       let s_naive =
         time_stats (fun () -> ignore (Bounded_sim.run ~strategy:Bounded_sim.Naive q g))
       in
       let params = [ ("n", Telemetry.Json.Int n) ] in
-      record_stats ~id:(Printf.sprintf "EXP-A1.counters.n=%d" n) ~params s_counters;
+      record_stats ~id:(Printf.sprintf "EXP-A1.witness.n=%d" n) ~params s_witness;
       record_stats ~id:(Printf.sprintf "EXP-A1.naive.n=%d" n) ~params s_naive;
-      Printf.printf "  %8d %14.2f %14.2f\n" n s_counters.Report.median s_naive.Report.median)
+      Printf.printf "  %8d %14.2f %14.2f\n" n s_witness.Report.median s_naive.Report.median)
     sizes
 
 (* The price of one BFS visit of [Distance], which dense evaluation and
    incremental maintenance both run on CSR snapshots.  A sample is one
-   reverse ball of radius 2 (the counter kernel's commonest bound) from
+   reverse ball of radius 2 (the commonest bound of the bench patterns) from
    every node of a graph of [update-churn]'s shape (flat, n = 3000,
    average degree 4), recorded in ms per million visits, which reads as
    ns per visit; one warm-up, then 7 samples. *)

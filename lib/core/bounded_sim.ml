@@ -10,19 +10,20 @@ let m_balls = Metrics.counter "bsim.ball_expansions"
 
 let m_sweeps = Metrics.counter "bsim.sweeps"
 
-type strategy = Naive | Counters
+type strategy = Naive | Witness
 
-let default_strategy = Counters
+let default_strategy = Witness
 
-let strategy_name = function Naive -> "naive" | Counters -> "counters"
+let strategy_name = function Naive -> "naive" | Witness -> "witness"
 
 let effective_bound g = function
   | Pattern.Bounded k -> k
   | Pattern.Unbounded -> Distance.eccentricity_bound g
 
 (* ------------------------------------------------------------------ *)
-(* Counter strategy: cnt.(e).(v) = #{w ∈ sim(u') | 0 < dist(v,w) <= k}  *)
-(* maintained under removals via reverse balls.                         *)
+(* Witness strategy: each mutable candidate v of u keeps, per pattern   *)
+(* edge e = (u,u',k), one witness w ∈ sim(u') within k hops and sits on *)
+(* w's dependents list for e; removing (u',w) re-searches only those.   *)
 (* ------------------------------------------------------------------ *)
 
 let refine ~work pattern g ~initial ~mutable_set =
@@ -41,65 +42,90 @@ let refine ~work pattern g ~initial ~mutable_set =
     match mutable_set with None -> true | Some s -> Bitset.mem s v
   in
   let scratch = Distance.make_scratch g in
-  (* Work: the BFS visits, charged after each reverse ball. *)
+  (* Work: the BFS visits, charged after each witness search. *)
   let charged = ref 0 in
   let charge_visits () =
     let visits = Distance.visits scratch in
     Work.charge work (visits - !charged);
     charged := visits
   in
-  let cnt = Array.init (max ne 1) (fun _ -> Array.make (max n 1) 0) in
-  (* Counter init: one reverse ball per (pattern edge, witness) pair. *)
-  for e = 0 to ne - 1 do
-    let _, u', b = edge_array.(e) in
-    let k = effective_bound g b in
-    let row = cnt.(e) in
-    let witnesses = Match_relation.matches_set sim u' in
-    Counter.add m_balls (Bitset.cardinal witnesses);
-    Bitset.iter
-      (fun w ->
-        Distance.reverse_ball scratch g w k (fun v _ -> row.(v) <- row.(v) + 1);
-        charge_visits ())
-      witnesses
-  done;
+  (* The dependents lists of edge [e], as int arrays so that linking
+     allocates nothing: [head.(e).(w)] is the first candidate that [w]
+     witnesses for [e], [next.(e).(v)] the one after [v]; -1 ends a
+     list.  A candidate sits on one list per out-edge at a time. *)
+  let head = Array.init ne (fun _ -> Array.make n (-1)) in
+  let next = Array.init ne (fun _ -> Array.make n (-1)) in
+  let bound = Array.map (fun (_, _, b) -> effective_bound g b) edge_array in
+  (* Counted locally and flushed once, also when [work] stops the
+     refinement: the atomic counter updates stay out of the hot path. *)
+  let n_balls = ref 0 and n_removals = ref 0 and n_pops = ref 0 in
+  (* [is_witness.(e) w] records [w] in [found] when it matches the
+     target of [e] in the current relation. *)
+  let found = ref (-1) in
+  let is_witness =
+    Array.map
+      (fun (_, u', _) ->
+        let targets = Match_relation.matches_set sim u' in
+        fun w ->
+          Bitset.mem targets w
+          && begin
+            found := w;
+            true
+          end)
+      edge_array
+  in
+  (* An early-exit forward ball from [v] for a witness of [e]; [v]
+     joins its list.  [false]: none is left. *)
+  let link e v =
+    incr n_balls;
+    let hit = Distance.exists_within scratch g v bound.(e) is_witness.(e) in
+    charge_visits ();
+    if hit then begin
+      next.(e).(v) <- head.(e).(!found);
+      head.(e).(!found) <- v
+    end;
+    hit
+  in
   let worklist = Vec.create ~dummy:(-1) () in
-  let push u v = Vec.push worklist ((u * n) + v) in
-  (* Counted locally and flushed once: the atomic counter updates stay
-     out of the refinement hot path. *)
-  let n_removals = ref 0 and n_pops = ref 0 in
   let remove u v =
     incr n_removals;
     Match_relation.remove sim u v;
-    push u v
+    Vec.push worklist ((u * n) + v)
   in
-  for u = 0 to Pattern.size pattern - 1 do
-    let victims = ref [] in
-    Bitset.iter
-      (fun v ->
-        if is_mutable v && List.exists (fun e -> cnt.(e).(v) = 0) out_of.(u) then
-          victims := v :: !victims)
-      (Match_relation.matches_set sim u);
-    List.iter (fun v -> remove u v) !victims
-  done;
-  while not (Vec.is_empty worklist) do
-    incr n_pops;
-    let code = Vec.pop worklist in
-    let u' = code / n and w = code mod n in
-    List.iter
-      (fun e ->
-        let u, _, b = edge_array.(e) in
-        let k = effective_bound g b in
-        let row = cnt.(e) in
-        Counter.incr m_balls;
-        Distance.reverse_ball scratch g w k (fun p _ ->
-            row.(p) <- row.(p) - 1;
-            if row.(p) = 0 && is_mutable p && Match_relation.mem sim u p then
-              remove u p);
-        charge_visits ())
-      in_of.(u')
-  done;
-  Counter.add m_removals !n_removals;
-  Counter.add m_pops !n_pops;
+  let fixpoint () =
+    for u = 0 to Pattern.size pattern - 1 do
+      let victims = ref [] in
+      Bitset.iter
+        (fun v ->
+          if is_mutable v && not (List.for_all (fun e -> link e v) out_of.(u)) then
+            victims := v :: !victims)
+        (Match_relation.matches_set sim u);
+      List.iter (fun v -> remove u v) !victims
+    done;
+    (* A removed [(u', w)] empties [w]'s lists for the edges into [u']:
+       each dependent still matched searches again, and relinks or goes. *)
+    while not (Vec.is_empty worklist) do
+      incr n_pops;
+      let code = Vec.pop worklist in
+      let u' = code / n and w = code mod n in
+      List.iter
+        (fun e ->
+          let u, _, _ = edge_array.(e) in
+          let heads = head.(e) and nexts = next.(e) in
+          let v = ref heads.(w) in
+          heads.(w) <- -1;
+          while !v >= 0 do
+            let d = !v in
+            v := nexts.(d);
+            if Match_relation.mem sim u d && not (link e d) then remove u d
+          done)
+        in_of.(u')
+    done
+  in
+  Fun.protect fixpoint ~finally:(fun () ->
+      Counter.add m_balls !n_balls;
+      Counter.add m_removals !n_removals;
+      Counter.add m_pops !n_pops);
   sim
 
 (* ------------------------------------------------------------------ *)
@@ -149,7 +175,7 @@ let run_naive ~work pattern g ~initial =
 
 let refine_with ~strategy ~work pattern g ~initial ~mutable_set =
   match (strategy, mutable_set) with
-  | Counters, _ -> refine ~work pattern g ~initial ~mutable_set
+  | Witness, _ -> refine ~work pattern g ~initial ~mutable_set
   | Naive, None -> run_naive ~work pattern g ~initial
   | Naive, Some _ -> invalid_arg "Bounded_sim: the naive strategy has no frozen nodes"
 

@@ -12,15 +12,19 @@ open Expfinder_pattern
 
     Two refinement strategies are provided (ablation EXP-A1):
 
-    - [Counters]: precompute, per pattern edge, reverse balls of radius
-      [k] and maintain "witnesses within reach" counters; removals
-      propagate like Henzinger–Henzinger–Kopke.  Fastest from scratch.
+    - [Witness]: each mutable candidate [v] of [u] keeps, per pattern
+      edge [(u,u',k)], one witness [w] of [sim(u')] within [k] hops,
+      found by an early-exit forward ball, and sits on [w]'s dependents
+      list for that edge.  When [(u',w)] is removed only [w]'s
+      dependents search again: each relinks to another witness or is
+      removed in turn.  Its cost follows the balls the candidates
+      actually search, not every witness's reverse ball.
     - [Naive]: sweep candidates re-checking each constraint with a
       bounded BFS until a sweep removes nothing.  Slower from scratch,
       but its cost follows the candidate sets rather than the graph, so
       the planner picks it when candidates are few. *)
 
-type strategy = Naive | Counters
+type strategy = Naive | Witness
 
 val default_strategy : strategy
 
@@ -48,10 +52,14 @@ val refine :
   initial:Match_relation.t ->
   mutable_set:Bitset.t option ->
   Match_relation.t
-(** The [Counters] kernel behind {!run} and {!run_constrained},
-    charging [work] with the visits of each reverse ball as it ends, so
-    a meter with a limit stops it with {!Work.Exhausted} part-way, at
-    most one ball past the limit. *)
+(** The [Witness] kernel behind {!run} and {!run_constrained}: the
+    greatest fixpoint below [initial] touching only nodes of
+    [mutable_set], whose candidates are never searched.  [work] is
+    charged with the visits of each witness search as it ends, so a
+    meter with a limit stops it with {!Work.Exhausted} part-way, at most
+    one ball past the limit.  The [bsim.*] counters it moves (balls,
+    worklist pops, removals) are flushed once when it returns or
+    raises. *)
 
 val consistent : Pattern.t -> Snapshot.t -> Match_relation.t -> bool
 (** Every pair satisfies its bound constraints w.r.t. the relation. *)

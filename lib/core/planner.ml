@@ -87,12 +87,13 @@ let plan ?(sample = 64) pattern g =
   let strategy =
     if Pattern.is_simulation_pattern pattern then Use_simulation
     else begin
-      (* Few candidates -> the naive engine's per-candidate balls beat
-         the counter engine's global reverse-ball initialisation. *)
+      (* Few candidates -> the naive engine's sweeps beat the witness
+         engine's dependents lists, whose two rows per pattern edge are
+         sized by the graph. *)
       let total = Array.fold_left ( +. ) 0.0 estimates in
       let threshold = float_of_int (Snapshot.node_count g) /. 50.0 in
       if total < threshold then Use_bounded Bounded_sim.Naive
-      else Use_bounded Bounded_sim.Counters
+      else Use_bounded Bounded_sim.Witness
     end
   in
   { candidate_order; estimates; strategy; prunable; static_empty; preds; actuals = None }

@@ -16,8 +16,8 @@ open Expfinder_pattern
       from its candidate set up front;
     - the {e refinement strategy}: plain simulation for bound-1 patterns;
       for bounded patterns, the naive engine when the candidate sets are
-      tiny (few balls beat a global counter initialisation) and the
-      counter engine otherwise;
+      tiny (a few sweeps of balls beat setting up per-edge dependents
+      lists sized by the graph) and the witness engine otherwise;
     - the {e static fast path}: Qlint ({!Pattern_analysis}) runs over
       the pattern first.  A node with contradictory conditions makes
       the kernel empty on every graph, so execution returns immediately
@@ -31,7 +31,7 @@ open Expfinder_pattern
 type strategy_choice = Use_simulation | Use_bounded of Bounded_sim.strategy
 
 val strategy_name : strategy_choice -> string
-(** Short strategy label, e.g. ["simulation"] or ["bounded/counters"]
+(** Short strategy label, e.g. ["simulation"] or ["bounded/witness"]
     (the flight recorder's and span tracer's strategy tag). *)
 
 type actuals = {

@@ -33,6 +33,9 @@ type t = {
   g : Digraph.t;
   mutable snap : Snapshot.t; (* the epoch [kernel] was computed on *)
   mutable kernel : Match_relation.t;
+  mutable candidates : Match_relation.t;
+      (* [Candidates.compute] on the nodes it covers: a node's label and
+         attributes never change, so only inserted nodes extend it *)
   mutable scratch : Distance.scratch;
   mutable index : int array; (* node -> area-local number, -1 between builds *)
   mutable price : int; (* work of the last dense evaluation, CSR build excluded *)
@@ -55,12 +58,12 @@ type report = {
    units; measured in DESIGN.md §Incremental. *)
 let sparse_unit_cost = 2
 
-(* A dense evaluation and its work. *)
-let evaluate_dense pattern snap =
+(* A dense evaluation from the candidate relation, and its work. *)
+let evaluate_dense pattern snap ~candidates =
   let work = Work.create () in
   let kernel =
-    if Pattern.is_simulation_pattern pattern then Simulation.run ~work pattern snap
-    else Bounded_sim.run ~work pattern snap
+    (if Pattern.is_simulation_pattern pattern then Simulation.refine else Bounded_sim.refine)
+      ~work pattern snap ~initial:candidates ~mutable_set:None
   in
   (kernel, Work.spent work)
 
@@ -82,13 +85,15 @@ let fit_scratch t snap =
 
 let create ?(area_strategy = Ball_closure) ?published pattern g =
   let snap = match current ?published g with Some s -> s | None -> Snapshot.of_digraph g in
-  let kernel, price = evaluate_dense pattern snap in
+  let candidates = Candidates.compute pattern snap in
+  let kernel, price = evaluate_dense pattern snap ~candidates in
   {
     pattern;
     strategy = area_strategy;
     g;
     snap;
     kernel;
+    candidates;
     scratch = Distance.make_scratch snap;
     index = Array.make (Snapshot.node_count snap) (-1);
     price;
@@ -101,10 +106,10 @@ let kernel t = t.kernel
 
 let snapshot t = t.snap
 
-let resize_kernel kernel ~pattern_size ~new_n =
-  if Match_relation.graph_size kernel = new_n then Match_relation.copy kernel
+let resize_relation rel ~pattern_size ~new_n =
+  if Match_relation.graph_size rel = new_n then Match_relation.copy rel
   else
-    Match_relation.of_pairs ~pattern_size ~graph_size:new_n (Match_relation.pairs kernel)
+    Match_relation.of_pairs ~pattern_size ~graph_size:new_n (Match_relation.pairs rel)
 
 (* The pairs [after] adds to and removes from [before], each list ordered
    by pattern node, then data node: a walk over the XOR of each pattern
@@ -471,7 +476,7 @@ let sync_applied_untraced ?published t ~effective =
   fit_scratch t snap;
   let psize = Pattern.size t.pattern in
   let new_n = Snapshot.node_count snap in
-  let old_kernel = resize_kernel t.kernel ~pattern_size:psize ~new_n in
+  let old_kernel = resize_relation t.kernel ~pattern_size:psize ~new_n in
   let effective_count = List.length effective in
   (* [area] holds every node whose pairs may have changed; [None] is the
      whole graph. *)
@@ -492,9 +497,18 @@ let sync_applied_untraced ?published t ~effective =
       spent;
     }
   in
-  (* The recompute's work becomes the price of the next one. *)
+  (* The recompute refines the carried candidates, extended with the
+     nodes inserted since; its work becomes the price of the next one. *)
   let recompute_as route ~predicted ~spent =
-    let kernel, dense = evaluate_dense t.pattern snap in
+    let covered = Match_relation.graph_size t.candidates in
+    if covered < new_n then begin
+      let candidates = resize_relation t.candidates ~pattern_size:psize ~new_n in
+      for v = covered to new_n - 1 do
+        rederive t.pattern snap candidates v
+      done;
+      t.candidates <- candidates
+    end;
+    let kernel, dense = evaluate_dense t.pattern snap ~candidates:t.candidates in
     t.price <- dense;
     finish ~kernel ~area:None ~iterations:0 ~route ~predicted ~spent
   in

@@ -36,6 +36,12 @@ open Expfinder_core
     everything outside the full ancestor set of the touched sources) is
     kept as the ablation baseline; it is never routed.
 
+    A tracker also keeps the query's candidate relation (the nodes
+    whose label and attributes satisfy each pattern node).  Updates
+    never change a node's label or attributes, so a recompute does not
+    rescan the graph: it extends that relation with the nodes inserted
+    since and refines it with the dense kernel.
+
     Every read goes through {!Snapshot}s: a tracker keeps the snapshot
     its kernel was computed on, and a sync walks it for the old graph
     and a snapshot of the current version for the new one. *)

@@ -31,9 +31,11 @@ let random_pattern rng ~simulation ~unbounded =
   Pattern_gen.generate rng c ~labels
 
 (* Brute-force greatest fixpoint straight from the definition: all-pairs
-   nonempty-path distances + sweep-until-stable.  O(n^2·m) — fine for the
+   nonempty-path distances + sweep-until-stable, removing pairs only on
+   nodes of [mutable_set] ([None]: every node).  O(n^2·m) — fine for the
    tiny random graphs used here. *)
-let reference pattern g =
+let reference ?mutable_set pattern g =
+  let is_mutable v = match mutable_set with None -> true | Some s -> Bitset.mem s v in
   let n = Snapshot.node_count g in
   let scratch = Distance.make_scratch g in
   let dist = Array.make_matrix (max n 1) (max n 1) (-1) in
@@ -68,7 +70,7 @@ let reference pattern g =
                   (Match_relation.matches m u'))
               (Pattern.out_edges pattern u)
           in
-          if not ok then begin
+          if (not ok) && is_mutable v then begin
             Match_relation.remove m u v;
             changed := true
           end)
@@ -88,7 +90,7 @@ let prop_bsim_counters_matches_reference seed =
   let g = Snapshot.of_digraph (random_graph rng) in
   let pattern = random_pattern rng ~simulation:false ~unbounded:false in
   Match_relation.equal
-    (Bounded_sim.run ~strategy:Bounded_sim.Counters pattern g)
+    (Bounded_sim.run ~strategy:Bounded_sim.Witness pattern g)
     (reference pattern g)
 
 let prop_bsim_naive_matches_reference seed =
@@ -104,8 +106,104 @@ let prop_bsim_strategies_agree seed =
   let g = Snapshot.of_digraph (random_graph rng) in
   let pattern = random_pattern rng ~simulation:false ~unbounded:true in
   Match_relation.equal
-    (Bounded_sim.run ~strategy:Bounded_sim.Counters pattern g)
+    (Bounded_sim.run ~strategy:Bounded_sim.Witness pattern g)
     (Bounded_sim.run ~strategy:Bounded_sim.Naive pattern g)
+
+(* A random graph of up to 25 nodes whose random edges are mixed with
+   self-loops and cycles of length 1 to 3. *)
+let random_cyclic_graph rng =
+  let n = 1 + Prng.int rng 25 in
+  let g =
+    Generators.erdos_renyi rng ~n ~m:(Prng.int rng (2 * n)) (fun _ ->
+        (Prng.choose rng labels, Attrs.of_list [ Attrs.int "exp" (Prng.int rng 4) ]))
+  in
+  let edge u v = ignore (Digraph.add_edge g u v : bool) in
+  for _ = 0 to Prng.int rng 3 do
+    let cycle = Array.init (1 + Prng.int rng 3) (fun _ -> Prng.int rng n) in
+    Array.iteri (fun i v -> edge v cycle.((i + 1) mod Array.length cycle)) cycle
+  done;
+  g
+
+(* A component planted beside the random edges, for the pattern
+   A -> B -> C -> A: a hub [h] (B) whose only C successor [x] has no
+   A successor, and at least 20 A candidates pointing at [h] first.
+   Group 0 has no other B; group 1 also reaches [b2], whose C [y] only
+   reaches the first member of group 0; group 2 also reaches [b3], on
+   the cycle [b3 -> y3 -> a3 -> b3].  Whatever the bounds, the fixpoint
+   keeps only group 2 and that cycle, and the witness kernel gets there
+   by a cascade: [x] goes, then [h]; [h]'s dependents search again,
+   group 0 goes and groups 1 and 2 relink; that takes [y], then [b2],
+   and group 1 is searched again after its relink. *)
+let plant_hub rng g =
+  let node l = Digraph.add_node g ~attrs:(Attrs.of_list [ Attrs.int "exp" 3 ]) labels.(l) in
+  let edge u v = ignore (Digraph.add_edge g u v : bool) in
+  let a = 0 and b = 1 and c = 2 in
+  let h = node b and x = node c in
+  edge h x;
+  let group size second =
+    List.init size (fun _ ->
+        let v = node a in
+        edge v h;
+        Option.iter (edge v) second;
+        v)
+  in
+  let g0 = group (2 + Prng.int rng 8) None in
+  let b2 = node b and y = node c in
+  edge b2 y;
+  edge y (List.hd g0);
+  let g1 = group (2 + Prng.int rng 8) (Some b2) in
+  let b3 = node b and y3 = node c and a3 = node a in
+  edge b3 y3;
+  edge y3 a3;
+  edge a3 b3;
+  ignore (group (max 2 (20 - List.length g0 - List.length g1) + Prng.int rng 4) (Some b3))
+
+(* [pattern] with edge [i] of its edges made unbounded. *)
+let with_unbounded pattern i =
+  let edges =
+    List.mapi (fun j (u, v, b) -> (u, v, if j = i then Pattern.Unbounded else b))
+      (Pattern.edges pattern)
+  in
+  let nodes = Array.init (Pattern.size pattern) (Pattern.node_spec pattern) in
+  Pattern.make_exn ~nodes ~edges ~output:(Pattern.output pattern)
+
+(* The witness kernel against the naive sweep (every node mutable) or
+   the brute-force reference (a random mutable set), on a random cyclic
+   graph with a planted hub, for a random pattern and for the hub's
+   triangle pattern, each with bounds 1..3 and one unbounded edge. *)
+let prop_witness_matches_oracle seed =
+  let rng = Prng.create seed in
+  let g = random_cyclic_graph rng in
+  plant_hub rng g;
+  let g = Snapshot.of_digraph g in
+  let spec l =
+    { Pattern.name = Label.to_string labels.(l); label = Some labels.(l); pred = Predicate.always }
+  in
+  let bound () = Pattern.Bounded (1 + Prng.int rng 3) in
+  let triangle =
+    Pattern.make_exn
+      ~nodes:[| spec 0; spec 1; spec 2 |]
+      ~edges:[ (0, 1, bound ()); (1, 2, bound ()); (2, 0, bound ()) ]
+      ~output:0
+  in
+  let random = random_pattern rng ~simulation:false ~unbounded:false in
+  List.for_all
+    (fun pattern ->
+      let pattern =
+        match Pattern.edges pattern with
+        | [] -> pattern
+        | edges -> with_unbounded pattern (Prng.int rng (List.length edges))
+      in
+      let initial = Candidates.compute pattern g in
+      let witness mutable_set =
+        Bounded_sim.refine ~work:(Work.create ()) pattern g ~initial ~mutable_set
+      in
+      let mutable_set = Bitset.create (Snapshot.node_count g) in
+      Snapshot.iter_nodes g (fun v -> if Prng.bool rng then Bitset.add mutable_set v);
+      Match_relation.equal (witness None)
+        (Bounded_sim.run ~strategy:Bounded_sim.Naive pattern g)
+      && Match_relation.equal (witness (Some mutable_set)) (reference ~mutable_set pattern g))
+    [ triangle; random ]
 
 let prop_bound1_equals_simulation seed =
   let rng = Prng.create seed in
@@ -574,23 +672,26 @@ let prop_digest_matches_reference seed =
   done;
   Match_relation.digest m = reference_digest m
 
+(* A chain of [n] A-nodes and the pattern A0 -[k]-> A1 -[k]-> A0 on
+   it: the matches empty from the chain's end, one pop per node, and no
+   charge exceeds [k]. *)
+let chain_graph n =
+  let a = Label.of_string "A" in
+  Snapshot.of_digraph
+    (Digraph.of_edges ~labels:(Array.make n a) (List.init (n - 1) (fun i -> (i, i + 1))))
+
+let chain_pattern k =
+  let spec name = { Pattern.name; label = Some (Label.of_string "A"); pred = Predicate.always } in
+  Pattern.make_exn
+    ~nodes:[| spec "A0"; spec "A1" |]
+    ~edges:[ (0, 1, Pattern.Bounded k); (1, 0, Pattern.Bounded k) ]
+    ~output:0
+
 (* A meter with a limit stops a kernel part-way: the charge that passes
-   the limit raises, so the meter ends at most one charge past it.  On a
-   chain under the self-loop pattern A -[k]-> A, the matches empty from
-   the chain's end, one pop per node, and no charge exceeds [k]. *)
+   the limit raises, so the meter ends at most one charge past it. *)
 let test_work_limit_stops_kernel () =
-  let n = 200 and a = Label.of_string "A" in
-  let g =
-    Snapshot.of_digraph
-      (Digraph.of_edges ~labels:(Array.make n a) (List.init (n - 1) (fun i -> (i, i + 1))))
-  in
-  let pattern k =
-    let spec name = { Pattern.name; label = Some a; pred = Predicate.always } in
-    Pattern.make_exn
-      ~nodes:[| spec "A0"; spec "A1" |]
-      ~edges:[ (0, 1, Pattern.Bounded k); (1, 0, Pattern.Bounded k) ]
-      ~output:0
-  in
+  let n = 200 in
+  let g = chain_graph n and pattern = chain_pattern in
   List.iter
     (fun (name, k, run) ->
       let full = Work.create () in
@@ -610,6 +711,26 @@ let test_work_limit_stops_kernel () =
       ("bounded", 2, fun ~work p g -> Bounded_sim.run ~work p g);
     ]
 
+(* A refinement that its meter stops still reports the balls it
+   searched: at least one per [k] visits charged, as no ball on the
+   chain visits more than [k] nodes. *)
+let test_stopped_refinement_counts_balls () =
+  let balls () =
+    Option.value ~default:0
+      (List.assoc_opt "bsim.ball_expansions"
+         (Expfinder_telemetry.Metrics.counters_snapshot ()))
+  in
+  let k = 2 in
+  let before = balls () and work = Work.create ~limit:50 () in
+  (match Bounded_sim.run ~work (chain_pattern k) (chain_graph 200) with
+  | _ -> Alcotest.fail "reached its fixpoint past the limit"
+  | exception Work.Exhausted -> ());
+  let moved = balls () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d balls for %d visits" moved (Work.spent work))
+    true
+    (moved * k >= Work.spent work)
+
 let qcheck_cases =
   [
     QCheck.Test.make ~count:100 ~name:"simulation = reference" QCheck.small_int (fun s ->
@@ -620,6 +741,8 @@ let qcheck_cases =
       (fun s -> prop_bsim_naive_matches_reference (s + 1));
     QCheck.Test.make ~count:60 ~name:"bsim strategies agree" QCheck.small_int (fun s ->
         prop_bsim_strategies_agree (s + 1));
+    QCheck.Test.make ~count:200 ~name:"bsim witness = naive oracle (hub, frozen nodes)"
+      QCheck.small_int (fun s -> prop_witness_matches_oracle (s + 1));
     QCheck.Test.make ~count:60 ~name:"bound-1 bsim = simulation" QCheck.small_int (fun s ->
         prop_bound1_equals_simulation (s + 1));
     QCheck.Test.make ~count:60 ~name:"kernel is consistent" QCheck.small_int (fun s ->
@@ -670,6 +793,11 @@ let () =
           Alcotest.test_case "roll up" `Quick test_roll_up;
           Alcotest.test_case "drill down" `Quick test_drill_down;
         ] );
-      ("work", [ Alcotest.test_case "limit stops a kernel" `Quick test_work_limit_stops_kernel ]);
+      ( "work",
+        [
+          Alcotest.test_case "limit stops a kernel" `Quick test_work_limit_stops_kernel;
+          Alcotest.test_case "stopped refinement counts its balls" `Quick
+            test_stopped_refinement_counts_balls;
+        ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
     ]

@@ -462,6 +462,61 @@ let test_recompute_report_is_full_diff () =
   Alcotest.(check bool) "pairs added and removed" true (!gained > 0 && !lost > 0);
   Alcotest.(check bool) "some batch routed to the recompute" true (!routed > 0)
 
+(* A recompute refines the candidates its tracker carries, extended with
+   the nodes inserted since.  Registered bounded, unbounded-edge and
+   simulation patterns are maintained by the engine over rounds of two
+   batches: one inserts an A-node matching every A condition and wires
+   it to and from random nodes, the next churns half the edges, so that
+   syncs recompute.  Every read after every batch equals [Planner.run]
+   on that epoch's snapshot, and some read admits an inserted node. *)
+let test_recompute_admits_inserted_nodes () =
+  let rng = Prng.create 5 in
+  let g =
+    Generators.erdos_renyi rng ~n:120 ~m:360 (fun _ ->
+        (Prng.choose rng labels, Attrs.of_list [ Attrs.int "exp" (Prng.int rng 6) ]))
+  in
+  let spec l k =
+    { Pattern.name = l; label = Some (Label.of_string l); pred = Predicate.ge_int "exp" k }
+  in
+  let nodes = [| spec "A" 1; spec "B" 1; spec "C" 1 |] in
+  let patterns =
+    List.map
+      (fun (b1, b2) ->
+        Pattern.make_exn ~nodes ~edges:[ (0, 1, b1); (1, 2, b2); (2, 0, b2) ] ~output:0)
+      Pattern.[ (Bounded 2, Bounded 2); (Unbounded, Bounded 1); (Bounded 1, Bounded 1) ]
+  in
+  let engine = Engine.create g in
+  List.iter (Engine.register engine) patterns;
+  let admitted = ref 0 and recomputed = ref 0 in
+  let apply updates =
+    let _, routes = routes_during (fun () -> Engine.apply_updates engine (updates ())) in
+    recomputed := !recomputed + routes.recompute + routes.aborted;
+    let snap = Snapshot.of_digraph g in
+    List.iter
+      (fun p ->
+        let read = (Engine.evaluate engine p).Engine.relation in
+        Alcotest.(check bool) "read = Planner.run" true (same_answer read (Planner.run p snap)))
+      patterns
+  in
+  for _round = 1 to 8 do
+    let fresh = Digraph.node_count g in
+    apply (fun () ->
+        Update.Insert_node (Label.of_string "A", Attrs.of_list [ Attrs.int "exp" 5 ])
+        :: List.concat_map
+             (fun v -> [ Update.Insert_edge (fresh, v); Update.Insert_edge (v, fresh) ])
+             (List.init 4 (fun _ -> Prng.int rng fresh)));
+    apply (fun () -> Update.random_mixed rng g (Digraph.edge_count g / 2));
+    List.iter
+      (fun p ->
+        if Match_relation.mem (Engine.evaluate engine p).Engine.relation 0 fresh then
+          incr admitted)
+      patterns
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d recomputes" !recomputed) true (!recomputed > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d inserted nodes admitted" !admitted)
+    true (!admitted > 0)
+
 (* --- Update plumbing ------------------------------------------------ *)
 
 let test_update_invert () =
@@ -520,5 +575,7 @@ let () =
             test_wide_batch_recomputes_at_once;
           Alcotest.test_case "recompute report = full kernel diff" `Quick
             test_recompute_report_is_full_diff;
+          Alcotest.test_case "recompute admits inserted nodes" `Quick
+            test_recompute_admits_inserted_nodes;
         ] );
     ]

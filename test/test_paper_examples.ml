@@ -37,7 +37,7 @@ let test_example1_path () =
 (* Both strategies and the consistency oracle agree. *)
 let test_strategies_agree () =
   let g = snapshot () in
-  let m1 = Bounded_sim.run ~strategy:Bounded_sim.Counters (Collab.query ()) g in
+  let m1 = Bounded_sim.run ~strategy:Bounded_sim.Witness (Collab.query ()) g in
   let m2 = Bounded_sim.run ~strategy:Bounded_sim.Naive (Collab.query ()) g in
   Alcotest.(check bool) "counters = naive" true (Match_relation.equal m1 m2);
   Alcotest.(check bool) "consistent" true (Bounded_sim.consistent (Collab.query ()) g m1)
