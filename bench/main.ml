@@ -646,26 +646,6 @@ let exp_cache ~full:_ =
 (* Ablations                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let exp_ablation_bsim_strategy ~full =
-  header "EXP-A1 (ablation): bounded-simulation refinement strategy";
-  Printf.printf "  %8s %14s %14s\n" "|V|" "witness ms" "naive ms";
-  let sizes = if full then [ 2_000; 8_000; 32_000 ] else [ 2_000; 8_000 ] in
-  List.iter
-    (fun n ->
-      let g = Snapshot.of_digraph (flat_graph ~n) in
-      let q = bench_query () in
-      let s_witness =
-        time_stats (fun () -> ignore (Bounded_sim.run ~strategy:Bounded_sim.Witness q g))
-      in
-      let s_naive =
-        time_stats (fun () -> ignore (Bounded_sim.run ~strategy:Bounded_sim.Naive q g))
-      in
-      let params = [ ("n", Telemetry.Json.Int n) ] in
-      record_stats ~id:(Printf.sprintf "EXP-A1.witness.n=%d" n) ~params s_witness;
-      record_stats ~id:(Printf.sprintf "EXP-A1.naive.n=%d" n) ~params s_naive;
-      Printf.printf "  %8d %14.2f %14.2f\n" n s_witness.Report.median s_naive.Report.median)
-    sizes
-
 (* The price of one BFS visit of [Distance], which dense evaluation and
    incremental maintenance both run on CSR snapshots.  A sample is one
    reverse ball of radius 2 (the commonest bound of the bench patterns) from
@@ -749,34 +729,6 @@ let exp_publish_cost ~full:_ =
         n size on_advance.Report.median on_advance.Report.iqr on_rebuild.Report.median
         on_rebuild.Report.iqr)
     [ 3_000; 16_000 ]
-
-let exp_ablation_area ~full =
-  header "EXP-A3 (ablation): incremental affected-area strategy";
-  let n = if full then 16_000 else 8_000 in
-  let base = flat_graph ~n in
-  Printf.printf "  base: %d nodes, %d edges; 8 unit updates per strategy\n"
-    (Digraph.node_count base) (Digraph.edge_count base);
-  Printf.printf "  %-14s %12s %12s %12s %12s\n" "strategy" "min area" "median area" "max area"
-    "median ms";
-  List.iter
-    (fun (name, strategy) ->
-      let areas = ref [] and times = ref [] in
-      for seed = 1 to 8 do
-        let g = Digraph.copy base in
-        let inc = Incremental.create ~area_strategy:strategy (bench_query ()) g in
-        let updates = Update.random_mixed (Prng.create seed) g 1 in
-        let report, t = time_once (fun () -> Incremental.apply_updates inc g updates) in
-        areas := report.Incremental.area :: !areas;
-        times := t :: !times
-      done;
-      let areas = List.sort compare !areas and times = List.sort compare !times in
-      Printf.printf "  %-14s %12d %12d %12d %12.2f\n" name (List.nth areas 0)
-        (List.nth areas 4) (List.nth areas 7) (List.nth times 4))
-    [ ("ball-closure", Incremental.Ball_closure); ("ancestors", Incremental.Ancestors) ];
-  print_endline
-    "  ball-closure stays tiny unless the update can enable a group of new matches;\n\
-    \  a sync whose work passes the price of one dense run stops and recomputes\n\
-    \  (area = |V|).  ancestors always floods the reverse-reachable set and refines all of it"
 
 let exp_ablation_minimise ~full:_ =
   header "EXP-A5 (ablation): pattern-query minimisation";
@@ -1180,9 +1132,6 @@ let bechamel_tests () =
                  : Inc_compress.report)));
       Test.make ~name:"K1-cache-hit"
         (Staged.stage (fun () -> ignore (Engine.evaluate engine org_query : Engine.answer)));
-      Test.make ~name:"A1-bsim-naive-flat1k"
-        (Staged.stage (fun () ->
-             ignore (Bounded_sim.run ~strategy:Bounded_sim.Naive qb flat1k : Match_relation.t)));
     ]
 
 let run_bechamel () =
@@ -1230,8 +1179,6 @@ let experiments =
     ("EXP-C2", exp_compressed_query);
     ("EXP-C3", exp_compression_maintain);
     ("EXP-K1", exp_cache);
-    ("EXP-A1", exp_ablation_bsim_strategy);
-    ("EXP-A3", exp_ablation_area);
     ("EXP-A5", exp_ablation_minimise);
     ("EXP-A6", exp_ball_cost);
     ("EXP-A7", exp_publish_cost);

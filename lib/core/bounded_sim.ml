@@ -8,24 +8,13 @@ let m_removals = Metrics.counter "bsim.removals"
 
 let m_balls = Metrics.counter "bsim.ball_expansions"
 
-let m_sweeps = Metrics.counter "bsim.sweeps"
-
-type strategy = Naive | Witness
-
-let default_strategy = Witness
-
-let strategy_name = function Naive -> "naive" | Witness -> "witness"
-
 let effective_bound g = function
   | Pattern.Bounded k -> k
   | Pattern.Unbounded -> Distance.eccentricity_bound g
 
-(* ------------------------------------------------------------------ *)
-(* Witness strategy: each mutable candidate v of u keeps, per pattern   *)
-(* edge e = (u,u',k), one witness w ∈ sim(u') within k hops and sits on *)
-(* w's dependents list for e; removing (u',w) re-searches only those.   *)
-(* ------------------------------------------------------------------ *)
-
+(* Each mutable candidate v of u keeps, per pattern edge e = (u,u',k),
+   one witness w ∈ sim(u') within k hops and sits on w's dependents list
+   for e; removing (u',w) re-searches only those. *)
 let refine ~work pattern g ~initial ~mutable_set =
   let n = Snapshot.node_count g in
   let sim = Match_relation.copy initial in
@@ -128,69 +117,14 @@ let refine ~work pattern g ~initial ~mutable_set =
       Counter.add m_pops !n_pops);
   sim
 
-(* ------------------------------------------------------------------ *)
-(* Naive strategy: sweep-and-recheck until a sweep removes nothing.     *)
-(* Unbounded edges consult an SCC-based reachability oracle.            *)
-(* ------------------------------------------------------------------ *)
+let run_constrained pattern g ~initial ~mutable_set =
+  refine ~work:(Work.create ()) pattern g ~initial ~mutable_set
 
-let run_naive ~work pattern g ~initial =
-  let sim = Match_relation.copy initial in
-  let scratch = Distance.make_scratch g in
-  let reach =
-    if Pattern.has_unbounded_edge pattern then Some (Reach.compute g) else None
-  in
-  let satisfies u v =
-    List.for_all
-      (fun (u', b) ->
-        let targets = Match_relation.matches_set sim u' in
-        match (b, reach) with
-        | Pattern.Unbounded, Some r ->
-          (* Any witness of sim(u') reachable by a nonempty path. *)
-          List.exists (fun w -> Reach.reaches r v w) (Match_relation.matches sim u')
-        | Pattern.Unbounded, None -> assert false
-        | Pattern.Bounded k, _ ->
-          Distance.exists_within scratch g v k (fun w -> Bitset.mem targets w))
-      (Pattern.out_edges pattern u)
-  in
-  let changed = ref true in
-  while !changed do
-    Counter.incr m_sweeps;
-    changed := false;
-    (* Victims are removed only after the sweep, so every check in a
-       sweep sees the same relation. *)
-    let victims = ref [] in
-    for u = 0 to Pattern.size pattern - 1 do
-      Bitset.iter
-        (fun v -> if not (satisfies u v) then victims := (u, v) :: !victims)
-        (Match_relation.matches_set sim u)
-    done;
-    if !victims <> [] then begin
-      changed := true;
-      Counter.add m_removals (List.length !victims);
-      List.iter (fun (u, v) -> Match_relation.remove sim u v) !victims
-    end
-  done;
-  Work.charge work (Distance.visits scratch);
-  sim
-
-let refine_with ~strategy ~work pattern g ~initial ~mutable_set =
-  match (strategy, mutable_set) with
-  | Witness, _ -> refine ~work pattern g ~initial ~mutable_set
-  | Naive, None -> run_naive ~work pattern g ~initial
-  | Naive, Some _ -> invalid_arg "Bounded_sim: the naive strategy has no frozen nodes"
-
-let run_constrained ?(strategy = default_strategy) pattern g ~initial ~mutable_set =
-  refine_with ~strategy ~work:(Work.create ()) pattern g ~initial ~mutable_set
-
-let run ?(strategy = default_strategy) ?(work = Work.create ()) pattern g =
-  let initial = Candidates.compute pattern g in
-  refine_with ~strategy ~work pattern g ~initial ~mutable_set:None
+let run ?(work = Work.create ()) pattern g =
+  refine ~work pattern g ~initial:(Candidates.compute pattern g) ~mutable_set:None
 
 let consistent pattern g m =
   let scratch = Distance.make_scratch g in
-  let reach =
-    if Pattern.has_unbounded_edge pattern then Some (Reach.compute g) else None
-  in
   let ok = ref true in
   for u = 0 to Pattern.size pattern - 1 do
     List.iter
@@ -200,15 +134,11 @@ let consistent pattern g m =
         List.iter
           (fun (u', b) ->
             let targets = Match_relation.matches_set m u' in
-            let holds =
-              match (b, reach) with
-              | Pattern.Unbounded, Some r ->
-                List.exists (fun w -> Reach.reaches r v w) (Match_relation.matches m u')
-              | Pattern.Unbounded, None -> false
-              | Pattern.Bounded k, _ ->
-                Distance.exists_within scratch g v k (fun w -> Bitset.mem targets w)
-            in
-            if not holds then ok := false)
+            if
+              not
+                (Distance.exists_within scratch g v (effective_bound g b) (fun w ->
+                     Bitset.mem targets w))
+            then ok := false)
           (Pattern.out_edges pattern u))
       (Match_relation.matches m u)
   done;

@@ -12,11 +12,9 @@ let m_static_empty = Metrics.counter "planner.static_empty"
 
 let m_misestimates = Metrics.counter "planner.misestimate"
 
-type strategy_choice = Use_simulation | Use_bounded of Bounded_sim.strategy
+type strategy_choice = Use_simulation | Use_bounded
 
-let strategy_name = function
-  | Use_simulation -> "simulation"
-  | Use_bounded s -> "bounded/" ^ Bounded_sim.strategy_name s
+let strategy_name = function Use_simulation -> "simulation" | Use_bounded -> "bounded/witness"
 
 type actuals = { candidates : int array; matched : int array }
 
@@ -85,16 +83,7 @@ let plan ?(sample = 64) pattern g =
      pattern edge (bounds are >= 1, paths are nonempty). *)
   let prunable = Array.init psize (fun u -> Pattern.out_edges pattern u <> []) in
   let strategy =
-    if Pattern.is_simulation_pattern pattern then Use_simulation
-    else begin
-      (* Few candidates -> the naive engine's sweeps beat the witness
-         engine's dependents lists, whose two rows per pattern edge are
-         sized by the graph. *)
-      let total = Array.fold_left ( +. ) 0.0 estimates in
-      let threshold = float_of_int (Snapshot.node_count g) /. 50.0 in
-      if total < threshold then Use_bounded Bounded_sim.Naive
-      else Use_bounded Bounded_sim.Witness
-    end
+    if Pattern.is_simulation_pattern pattern then Use_simulation else Use_bounded
   in
   { candidate_order; estimates; strategy; prunable; static_empty; preds; actuals = None }
 
@@ -183,8 +172,7 @@ let execute plan pattern g =
           match plan.strategy with
           | Use_simulation ->
             Simulation.run_constrained pattern g ~initial ~mutable_set:None
-          | Use_bounded strategy ->
-            Bounded_sim.run_constrained ~strategy pattern g ~initial ~mutable_set:None)
+          | Use_bounded -> Bounded_sim.run_constrained pattern g ~initial ~mutable_set:None)
     in
     note_actuals plan ~candidates:cand_sizes
       ~matched:(Array.init psize (Match_relation.count rel));
@@ -217,7 +205,7 @@ let explain pattern plan =
     (Printf.sprintf "  strategy: %s\n"
        (match plan.strategy with
        | Use_simulation -> "graph simulation (all bounds = 1)"
-       | Use_bounded s -> "bounded simulation, " ^ Bounded_sim.strategy_name s));
+       | Use_bounded -> "bounded simulation, witness"));
   Buffer.add_string buf "  candidate order (cheapest first):\n";
   Array.iter
     (fun u ->

@@ -14,10 +14,8 @@ open Expfinder_pattern
     - {e degree pruning}: a candidate of a pattern node with outgoing
       edges needs at least one outgoing data edge, so sinks are pruned
       from its candidate set up front;
-    - the {e refinement strategy}: plain simulation for bound-1 patterns;
-      for bounded patterns, the naive engine when the candidate sets are
-      tiny (a few sweeps of balls beat setting up per-edge dependents
-      lists sized by the graph) and the witness engine otherwise;
+    - the {e refinement strategy}: plain simulation for bound-1
+      patterns, the {!Bounded_sim} witness kernel otherwise;
     - the {e static fast path}: Qlint ({!Pattern_analysis}) runs over
       the pattern first.  A node with contradictory conditions makes
       the kernel empty on every graph, so execution returns immediately
@@ -28,7 +26,7 @@ open Expfinder_pattern
     Executing a plan returns exactly the kernel the unplanned engines
     produce; planning only changes the work spent getting there. *)
 
-type strategy_choice = Use_simulation | Use_bounded of Bounded_sim.strategy
+type strategy_choice = Use_simulation | Use_bounded
 
 val strategy_name : strategy_choice -> string
 (** Short strategy label, e.g. ["simulation"] or ["bounded/witness"]

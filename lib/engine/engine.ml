@@ -226,11 +226,9 @@ let from_containment t pattern ~snap =
          with_span "containment_refine"
            ~attrs:[ ("seed_pairs", string_of_int !seeded) ]
            (fun () ->
-             if Pattern.is_simulation_pattern pattern then
-               Simulation.run_constrained pattern snap ~initial ~mutable_set:None
-             else
-               Bounded_sim.run_constrained ~strategy:Bounded_sim.Naive pattern snap
-                 ~initial ~mutable_set:None))
+             (if Pattern.is_simulation_pattern pattern then Simulation.run_constrained
+              else Bounded_sim.run_constrained)
+               pattern snap ~initial ~mutable_set:None))
 
 (* The untraced core of [evaluate]: cache -> registered kernel ->
    compressed -> cached superset (containment) -> planner, returning the

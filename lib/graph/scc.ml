@@ -79,19 +79,3 @@ let members t c =
   t.member_lists.(c)
 
 let component_size t c = List.length (members t c)
-
-let condensation t g =
-  let adj = Array.make (max t.ncomp 1) [] in
-  let seen = Hashtbl.create 64 in
-  Csr.iter_edges g (fun u v ->
-      let cu = t.comp.(u) and cv = t.comp.(v) in
-      if cu <> cv && not (Hashtbl.mem seen (cu, cv)) then begin
-        Hashtbl.add seen (cu, cv) ();
-        adj.(cu) <- cv :: adj.(cu)
-      end);
-  adj
-
-let is_trivial t g c =
-  match members t c with
-  | [ v ] -> not (Csr.has_edge g v v)
-  | _ -> false

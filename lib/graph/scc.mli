@@ -1,8 +1,6 @@
-(** Strongly connected components (Tarjan, iterative) and condensation.
+(** Strongly connected components (Tarjan, iterative).
 
-    Used to answer unbounded-reachability checks for pattern edges with no
-    length bound: reachability is computed once on the condensation DAG
-    and shared across all candidate checks. *)
+    [expfinder stats] prints the component count of a data graph. *)
 
 type t
 
@@ -13,19 +11,9 @@ val count : t -> int
 
 val component : t -> int -> int
 (** [component t v] is the id of [v]'s component, in [0 .. count-1].
-    Component ids are in reverse topological order of the condensation
-    (an edge between distinct components goes from a higher id to a lower
-    id is {e not} guaranteed; use {!condensation} for DAG processing). *)
+    No order of the ids is guaranteed. *)
 
 val members : t -> int -> int list
 (** Nodes of a component. *)
 
 val component_size : t -> int -> int
-
-val condensation : t -> Csr.t -> int list array
-(** [condensation t g] is the adjacency of the condensation DAG: for each
-    component id, the list of distinct successor component ids. *)
-
-val is_trivial : t -> Csr.t -> int -> bool
-(** A component is trivial when it is a single node without a self loop
-    (i.e. it does not lie on any cycle). *)

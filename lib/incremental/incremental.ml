@@ -16,11 +16,12 @@ let m_added = Metrics.counter "incremental.pairs_added"
 
 let m_removed = Metrics.counter "incremental.pairs_removed"
 
+(* Sparse syncs that stopped mid-way and recomputed. *)
+let m_aborts = Metrics.counter "incremental.aborts"
+
 let src = Logs.Src.create "expfinder.incremental" ~doc:"incremental match maintenance"
 
 module Log = (val Logs.src_log src : Logs.LOG)
-
-type area_strategy = Ball_closure | Ancestors
 
 (* A sparse attempt: the work it spent after seeding, its seeded area,
    and whether it reached the fixpoint (otherwise the work is a lower
@@ -29,7 +30,6 @@ type attempt = { rest_work : int; seed_area : int; completed : bool }
 
 type t = {
   pattern : Pattern.t;
-  strategy : area_strategy;
   g : Digraph.t;
   mutable snap : Snapshot.t; (* the epoch [kernel] was computed on *)
   mutable kernel : Match_relation.t;
@@ -83,13 +83,12 @@ let fit_scratch t snap =
     t.index <- Array.make (Snapshot.node_count snap) (-1)
   end
 
-let create ?(area_strategy = Ball_closure) ?published pattern g =
+let create ?published pattern g =
   let snap = match current ?published g with Some s -> s | None -> Snapshot.of_digraph g in
   let candidates = Candidates.compute pattern snap in
   let kernel, price = evaluate_dense pattern snap ~candidates in
   {
     pattern;
-    strategy = area_strategy;
     g;
     snap;
     kernel;
@@ -430,22 +429,6 @@ let sync_ball_closure t ~old_snap ~snap ~old_kernel ~inserted ~deleted ~work =
       (outcome, predicted)
     end
 
-(* Conservative baseline (ablation EXP-A3): the affected area is the full
-   ancestor set of every touched source, in the old and new graphs. *)
-let sync_ancestors t ~old_snap ~snap ~old_kernel ~inserted ~deleted ~work =
-  let new_n = Snapshot.node_count snap in
-  let area = Bitset.create new_n in
-  let sources = List.map fst (inserted @ deleted) in
-  Traversal.bfs_rev (Snapshot.csr snap) sources (fun v _ -> Bitset.add area v);
-  Traversal.bfs_rev (Snapshot.csr old_snap) (List.map fst deleted) (fun v _ ->
-      Bitset.add area v);
-  for v = Snapshot.node_count old_snap to new_n - 1 do
-    Bitset.add area v
-  done;
-  let initial = Match_relation.copy old_kernel in
-  Bitset.iter (rederive t.pattern snap initial) area;
-  (refine_local ~work ~index:t.index t.pattern snap ~initial ~area, area)
-
 type outcome = {
   report : report;
   route : route;
@@ -518,26 +501,17 @@ let sync_applied_untraced ?published t ~effective =
     recompute_as Recompute ~predicted:0 ~spent:0
   else begin
     let inserted, deleted = Update.net_edge_changes t.g effective in
-    match t.strategy with
-    | Ancestors ->
-      let work = Work.create () in
-      let kernel, area =
-        sync_ancestors t ~old_snap ~snap ~old_kernel ~inserted ~deleted ~work
-      in
-      finish ~kernel ~area:(Some area) ~iterations:1 ~route:Sparse ~predicted:0
-        ~spent:(sparse_unit_cost * Work.spent work)
-    | Ball_closure -> (
-      let work = Work.create ~limit:(price / sparse_unit_cost) () in
-      let closure, predicted =
-        sync_ball_closure t ~old_snap ~snap ~old_kernel ~inserted ~deleted ~work
-      in
-      let predicted = sparse_unit_cost * predicted
-      and spent = sparse_unit_cost * Work.spent work in
-      match closure with
-      | Closed { kernel; area; rounds } ->
-        finish ~kernel ~area:(Some area) ~iterations:rounds ~route:Sparse ~predicted ~spent
-      | Dearer -> recompute_as Recompute ~predicted ~spent
-      | Abandoned -> recompute_as Aborted ~predicted ~spent)
+    let work = Work.create ~limit:(price / sparse_unit_cost) () in
+    let closure, predicted =
+      sync_ball_closure t ~old_snap ~snap ~old_kernel ~inserted ~deleted ~work
+    in
+    let predicted = sparse_unit_cost * predicted
+    and spent = sparse_unit_cost * Work.spent work in
+    match closure with
+    | Closed { kernel; area; rounds } ->
+      finish ~kernel ~area:(Some area) ~iterations:rounds ~route:Sparse ~predicted ~spent
+    | Dearer -> recompute_as Recompute ~predicted ~spent
+    | Abandoned -> recompute_as Aborted ~predicted ~spent
   end
 
 let sync_applied ?published t ~effective =
@@ -552,10 +526,7 @@ let sync_applied ?published t ~effective =
       Counter.add m_added (List.length report.added);
       Counter.add m_removed (List.length report.removed);
       if o.route <> Sparse then Counter.incr m_floods;
-      (* Looked up per sync rather than bound at module level, which
-         keeps the shared-state allowlist from growing. *)
-      let aborts = Metrics.counter "incremental.aborts" in
-      if o.route = Aborted then Counter.incr aborts;
+      if o.route = Aborted then Counter.incr m_aborts;
       annotate "route" (route_name o.route);
       annotate_int "price" o.price;
       annotate_int "predicted" o.predicted;

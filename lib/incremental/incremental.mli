@@ -7,7 +7,7 @@ open Expfinder_core
 
     The module keeps, per registered query, the current kernel relation
     and maintains it when ΔG arrives, instead of recomputing from
-    scratch.  The default mechanism is {e change-driven area growth}:
+    scratch.  The mechanism is {e change-driven area growth}:
 
     - a node's (bounded-)simulation membership depends only on the
       candidates within its dependency balls — [kmax] hops downstream,
@@ -32,9 +32,7 @@ open Expfinder_core
     attempts predict the sparse work; a prediction above the price
     recomputes at once, and a sparse sync that spends more than the
     price mid-way stops and recomputes — at most about twice the
-    cheaper path.  A conservative {!Ancestors} strategy (freeze
-    everything outside the full ancestor set of the touched sources) is
-    kept as the ablation baseline; it is never routed.
+    cheaper path.
 
     A tracker also keeps the query's candidate relation (the nodes
     whose label and attributes satisfy each pattern node).  Updates
@@ -48,16 +46,11 @@ open Expfinder_core
 
 type t
 
-(** How the affected area is computed.  {!Ball_closure} is the default
-    change-driven algorithm; {!Ancestors} is the conservative baseline
-    (one-shot, whole reverse-reachable set). *)
-type area_strategy = Ball_closure | Ancestors
-
 type report = {
   effective : int;  (** updates that actually changed the graph *)
   area : int;  (** size of the final affected area *)
   iterations : int;
-      (** refinement rounds (Ball_closure growth steps); [0] when the
+      (** refinement rounds (area growth steps); [0] when the
           sync ended in a dense recomputation — routed there because
           the predicted sparse work was above the price of a recompute,
           or stopped once the sparse work passed it (the area is then
@@ -66,8 +59,7 @@ type report = {
   removed : (int * int) list;  (** pairs removed from the kernel *)
 }
 
-val create :
-  ?area_strategy:area_strategy -> ?published:Snapshot.t -> Pattern.t -> Digraph.t -> t
+val create : ?published:Snapshot.t -> Pattern.t -> Digraph.t -> t
 (** Evaluate the query from scratch on a snapshot of the given live
     digraph at its current version, and start tracking the digraph:
     apply later updates through {!apply_updates} or — after mutating it

@@ -343,6 +343,43 @@ let test_containment_reuse () =
   Alcotest.(check bool) "then an exact hit" true (third.Engine.provenance = Engine.From_cache);
   Alcotest.(check int) "no second containment hit" (before + 1) (Counter.value hits)
 
+(* Containment reuse refines a pattern with an unbounded edge below the
+   cached kernel of a superset that has the same edge unbounded, and
+   gives what the planner gives on the same snapshot.  The refinement
+   has work to do: [b2] reaches its C in 2 hops, within the superset's
+   bound but not the pattern's, so [b2] and then [a2] go. *)
+let test_containment_unbounded () =
+  let open Expfinder_telemetry in
+  let g = Digraph.create () in
+  let node l = Digraph.add_node g ~attrs:(Attrs.of_list [ Attrs.int "exp" 5 ]) (Label.of_string l) in
+  let a1 = node "A" and b1 = node "B" and c1 = node "C" in
+  let a2 = node "A" and y = node "X" and b2 = node "B" and x = node "X" and c2 = node "C" in
+  List.iter
+    (fun (u, v) -> ignore (Digraph.add_edge g u v : bool))
+    [ (a1, b1); (b1, c1); (a2, y); (y, b2); (b2, x); (x, c2) ];
+  let pattern ~pred ~bound =
+    let spec l p = { Pattern.name = l; label = Some (Label.of_string l); pred = p } in
+    Pattern.make_exn
+      ~nodes:[| spec "A" pred; spec "B" Predicate.always; spec "C" Predicate.always |]
+      ~edges:[ (0, 1, Pattern.Unbounded); (1, 2, Pattern.Bounded bound) ]
+      ~output:0
+  in
+  let tight = pattern ~pred:(Predicate.ge_int "exp" 5) ~bound:1
+  and loose = pattern ~pred:Predicate.always ~bound:2 in
+  Alcotest.(check bool) "precondition: tight ⊑ loose" true
+    (Pattern_analysis.contains tight loose);
+  let engine = Engine.create g in
+  ignore (Engine.evaluate engine loose : Engine.answer);
+  let hits = Metrics.counter "engine.containment_hits" in
+  let before = Counter.value hits in
+  let answer = Engine.evaluate engine tight in
+  Alcotest.(check int) "containment hit counted" (before + 1) (Counter.value hits);
+  let planned = Planner.run tight (Engine.snapshot engine) in
+  Alcotest.(check (list (pair int int))) "Planner.run" [ (0, a1); (1, b1); (2, c1); (2, c2) ]
+    (Match_relation.pairs planned);
+  Alcotest.(check (list (pair int int))) "answer = Planner.run" (Match_relation.pairs planned)
+    (Match_relation.pairs answer.Engine.relation)
+
 (* Every route an answer can take reports the pair count of direct
    evaluation on the snapshot it was served from: a direct miss, the
    cache hit after it, the registered kernel, the compressed graph,
@@ -498,6 +535,8 @@ let () =
           Alcotest.test_case "unsupported falls back" `Quick test_unsupported_pattern_falls_back;
           Alcotest.test_case "cache stats" `Quick test_cache_stats;
           Alcotest.test_case "containment reuse" `Quick test_containment_reuse;
+          Alcotest.test_case "containment reuse, unbounded edge" `Quick
+            test_containment_unbounded;
           Alcotest.test_case "differential mode" `Quick test_differential_mode_passes;
           Alcotest.test_case "pairs on every route" `Quick test_pairs_on_every_route;
         ] );

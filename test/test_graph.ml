@@ -275,7 +275,7 @@ let prop_csr_roundtrip seed =
   in
   Digraph.equal_structure g (Csr.to_digraph (Csr.of_digraph g))
 
-(* --- Traversal / Distance / Scc / Reach -------------------------------- *)
+(* --- Traversal / Distance / Scc ----------------------------------------- *)
 
 let test_bfs_distances () =
   let c = Csr.of_digraph (small_graph ()) in
@@ -346,40 +346,7 @@ let test_scc () =
   let scc = Scc.compute c in
   Alcotest.(check int) "2 components" 2 (Scc.count scc);
   Alcotest.(check int) "0,1,2 together" (Scc.component scc 0) (Scc.component scc 1);
-  Alcotest.(check bool) "3 separate" true (Scc.component scc 3 <> Scc.component scc 0);
-  Alcotest.(check bool) "cycle comp nontrivial" false
-    (Scc.is_trivial scc c (Scc.component scc 0));
-  Alcotest.(check bool) "3 trivial" true (Scc.is_trivial scc c (Scc.component scc 3))
-
-let test_reach () =
-  let c = Snapshot.of_digraph (small_graph ()) in
-  let r = Reach.compute c in
-  Alcotest.(check bool) "0 reaches 3" true (Reach.reaches r 0 3);
-  Alcotest.(check bool) "3 reaches nothing" false (Reach.reaches r 3 0);
-  Alcotest.(check bool) "0 on cycle reaches itself" true (Reach.reaches r 0 0);
-  Alcotest.(check bool) "3 not on cycle" false (Reach.reaches r 3 3)
-
-let prop_reach_equals_bfs seed =
-  let rng = Prng.create seed in
-  let labels = [| Label.of_string "A" |] in
-  let n = 1 + Prng.int rng 25 in
-  let g =
-    Snapshot.of_digraph
-      (Generators.erdos_renyi rng ~n ~m:(Prng.int rng (3 * n)) (fun _ ->
-           (labels.(0), Attrs.empty)))
-  in
-  let r = Reach.compute g in
-  let ok = ref true in
-  for u = 0 to n - 1 do
-    (* Nonempty-path reachability via BFS from u's successors. *)
-    let reachable = Bitset.create n in
-    let seeds = Snapshot.fold_succ g u (fun acc w -> w :: acc) [] in
-    Traversal.bfs (Snapshot.csr g) seeds (fun v _ -> Bitset.add reachable v);
-    for v = 0 to n - 1 do
-      if Reach.reaches r u v <> Bitset.mem reachable v then ok := false
-    done
-  done;
-  !ok
+  Alcotest.(check bool) "3 separate" true (Scc.component scc 3 <> Scc.component scc 0)
 
 (* --- Generators --------------------------------------------------------- *)
 
@@ -503,8 +470,6 @@ let qcheck_cases =
       (fun s -> prop_bitset_cardinal (s + 1));
     QCheck.Test.make ~count:50 ~name:"csr roundtrip" QCheck.small_int (fun s ->
         prop_csr_roundtrip (s + 1));
-    QCheck.Test.make ~count:30 ~name:"reach = bfs" QCheck.small_int (fun s ->
-        prop_reach_equals_bfs (s + 1));
     QCheck.Test.make ~count:50 ~name:"graph io roundtrip" QCheck.small_int (fun s ->
         prop_io_roundtrip (s + 1));
   ]
@@ -550,7 +515,6 @@ let () =
           Alcotest.test_case "ball semantics" `Quick test_ball_nonempty_path_semantics;
           Alcotest.test_case "reverse ball symmetry" `Quick test_reverse_ball_symmetry;
           Alcotest.test_case "scc" `Quick test_scc;
-          Alcotest.test_case "reach" `Quick test_reach;
         ] );
       ( "generators",
         [

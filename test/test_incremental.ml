@@ -138,7 +138,7 @@ let equivalence_property ~simulation seed =
   !ok
 
 (* Extended stress: longer streams, node insertions, occasional unbounded
-   edges, both area strategies.  This is the property that caught the
+   edges, simulation and bounded patterns.  This is the property that caught the
    mutual-support completeness bug in the ball-closure area growth. *)
 let stress_property seed =
   let rng = Prng.create seed in
@@ -158,8 +158,7 @@ let stress_property seed =
     let c = if Prng.bool rng then Pattern_gen.simulation_config c else c in
     Pattern_gen.generate rng c ~labels
   in
-  let strategy = if Prng.bool rng then Incremental.Ball_closure else Incremental.Ancestors in
-  let inc = Incremental.create ~area_strategy:strategy pattern g in
+  let inc = Incremental.create pattern g in
   let ok = ref true in
   for _round = 1 to 5 do
     let updates = Update.random_mixed rng g (1 + Prng.int rng 10) in

@@ -34,13 +34,21 @@ let test_example1_path () =
   let dist = Distance.distances_from g Collab.bob in
   Alcotest.(check int) "dist(Bob,Jean)" 3 dist.(Collab.jean)
 
-(* Both strategies and the consistency oracle agree. *)
+(* The witness kernel, run directly and through the planner, gives
+   Example 1's match set, and the consistency oracle accepts it. *)
 let test_strategies_agree () =
   let g = snapshot () in
-  let m1 = Bounded_sim.run ~strategy:Bounded_sim.Witness (Collab.query ()) g in
-  let m2 = Bounded_sim.run ~strategy:Bounded_sim.Naive (Collab.query ()) g in
-  Alcotest.(check bool) "counters = naive" true (Match_relation.equal m1 m2);
-  Alcotest.(check bool) "consistent" true (Bounded_sim.consistent (Collab.query ()) g m1)
+  let q = Collab.query () in
+  let expected =
+    List.sort compare
+      [ (0, Collab.walt); (0, Collab.bob); (1, Collab.dan); (1, Collab.mat); (1, Collab.pat);
+        (2, Collab.jean); (3, Collab.eva) ]
+  in
+  let pairs m = List.sort compare (Match_relation.pairs m) in
+  let m = Bounded_sim.run q g in
+  Alcotest.(check (list (pair int int))) "witness = Example 1" expected (pairs m);
+  Alcotest.(check (list (pair int int))) "planned = Example 1" expected (pairs (Planner.run q g));
+  Alcotest.(check bool) "consistent" true (Bounded_sim.consistent q g m)
 
 (* Example 2: f(SA,Bob) = 9/5, f(SA,Walt) = 7/3, Bob is top-1. *)
 let test_example2 () =

@@ -68,7 +68,7 @@ let test_strategy_choice () =
     (sim_plan.Planner.strategy = Planner.Use_simulation);
   let bsim_plan = Planner.plan (Collab.query ()) g in
   Alcotest.(check bool) "bounded -> bounded strategy" true
-    (match bsim_plan.Planner.strategy with Planner.Use_bounded _ -> true | _ -> false)
+    (bsim_plan.Planner.strategy = Planner.Use_bounded)
 
 let test_early_exit_on_impossible () =
   (* A label absent from the graph: the plan must answer empty without

@@ -816,7 +816,7 @@ let test_qlog_emit_load_roundtrip () =
           epoch = 3;
           query = "fp1";
           duration_ms = 1.25;
-          counters = [ ("bsim.sweeps", 2) ];
+          counters = [ ("bsim.removals", 2) ];
           pairs = 9;
           digest = "abc123";
           payload = Some (Json.Str "pattern-text");
@@ -844,7 +844,7 @@ let test_qlog_emit_load_roundtrip () =
         Alcotest.(check string) "digest survives" "abc123" e1.Qlog.digest;
         Alcotest.(check bool) "seq is monotonic" true (e2.Qlog.seq > e1.Qlog.seq);
         Alcotest.(check bool) "counters survive" true
-          (e1.Qlog.counters = [ ("bsim.sweeps", 2) ]);
+          (e1.Qlog.counters = [ ("bsim.removals", 2) ]);
         Alcotest.(check bool) "payload survives" true
           (e1.Qlog.payload = Some (Json.Str "pattern-text"));
         Alcotest.(check bool) "error survives" true (e2.Qlog.error = Some "boom");
