@@ -1,4 +1,4 @@
-.PHONY: all build test lint lint-mli lint-dsafe lint-dsafe-growth lint-knobs check replay-smoke soak-smoke prof-smoke topk-smoke churn-smoke serve-smoke bench bench-full bench-json bench-gate examples demo clean
+.PHONY: all build test lint lint-mli lint-dsafe lint-dsafe-growth lint-dead lint-dead-growth lint-knobs check replay-smoke soak-smoke prof-smoke topk-smoke churn-smoke serve-smoke bench bench-full bench-json bench-gate examples demo clean
 
 EXE := _build/default/bin/expfinder.exe
 
@@ -69,6 +69,31 @@ lint-dsafe-growth:
 	  echo "lint-dsafe-growth: ok ($$n entries <= baseline $(DSAFE_ALLOW_BASELINE))"; \
 	fi
 
+# Dead-export ratchet: `dlint --dead` collects every val of every lib/
+# interface and resolves every identifier in the typedtrees of lib/,
+# bin/, bench/, perfbench/ and examples/ (not test/), then gates the
+# exports nothing outside their own unit references against
+# lint/dead.allow.  Fails on an unreferenced export without an entry
+# and on a stale entry.  Executables leave their .cmt files only under
+# `dune build @check` (lint-dsafe skips them).
+lint-dead: build
+	dune build @check
+	_build/default/bin/dlint.exe --dead --allow lint/dead.allow \
+	  _build/default/lib _build/default/bin _build/default/bench \
+	  _build/default/perfbench _build/default/examples
+
+# Growth guard for lint/dead.allow, as lint-dsafe-growth is for
+# lint/dsafe.allow: the list only shrinks.
+DEAD_ALLOW_BASELINE := 23
+lint-dead-growth:
+	@n=$$(grep -cv '^[[:space:]]*\#\|^[[:space:]]*$$' lint/dead.allow); \
+	if [ "$$n" -gt $(DEAD_ALLOW_BASELINE) ]; then \
+	  echo "lint-dead-growth: lint/dead.allow holds $$n entries, baseline is $(DEAD_ALLOW_BASELINE) — the allowlist only shrinks"; \
+	  exit 1; \
+	else \
+	  echo "lint-dead-growth: ok ($$n entries <= baseline $(DEAD_ALLOW_BASELINE))"; \
+	fi
+
 # Knob ratchet: every distinct "EXPFINDER_*" environment name that the
 # code in lib/ and bin/ reads must be documented in README.md, and their
 # number may only fall.  A new knob must displace an old one; lower the
@@ -96,7 +121,7 @@ lint-knobs:
 # finally a soft perf-regression check against the committed baseline
 # (warn-only here: quick-mode medians are too noisy to block a merge on;
 # run bench-gate directly for a hard verdict).
-check: lint lint-mli lint-dsafe lint-dsafe-growth lint-knobs
+check: lint lint-mli lint-dsafe lint-dsafe-growth lint-dead lint-dead-growth lint-knobs
 	dune runtest
 	EXPFINDER_CHECK=1 dune runtest --force
 	$(MAKE) --no-print-directory test-domains

@@ -403,7 +403,7 @@ let batch verbose graph_file batch_file profile trace check =
 
 (* --- compress ------------------------------------------------------------- *)
 
-let compress_cmd verbose graph_file atoms_text output partition_output =
+let compress_cmd verbose graph_file atoms_text output =
   setup_logs verbose;
   or_die
     (let* g = load_graph graph_file in
@@ -423,11 +423,6 @@ let compress_cmd verbose graph_file atoms_text output partition_output =
      | Some path ->
        Graph_io.save (Snapshot.to_digraph (Compress.compressed compressed)) path;
        Printf.printf "compressed graph written to %s\n" path);
-     (match partition_output with
-     | None -> ()
-     | Some path ->
-       Compress_io.save compressed path;
-       Printf.printf "partition written to %s (load against the original graph)\n" path);
      Ok ())
 
 (* --- update ----------------------------------------------------------------- *)
@@ -502,10 +497,13 @@ let serve_run verbose graph_file socket_spec max_connections =
         own event ring, best-effort (false when the ring cannot be
         opened).  It stays inert for every other subcommand. *)
      ignore (Telemetry.Gcpause.start () : bool);
+     (* A non-finite period ("nan", "inf") is malformed, like an
+        unparsable one: NaN would fail the server's [<= 0] off-switch
+        and run the sampler back to back. *)
      let sample_period =
        match Option.bind (Sys.getenv_opt "EXPFINDER_SAMPLE_PERIOD_S") float_of_string_opt with
-       | Some p -> p
-       | None -> 1.0
+       | Some p when Float.is_finite p -> p
+       | Some _ | None -> 1.0
      in
      (* A fatal signal leaves a postmortem artifact when
         EXPFINDER_POSTMORTEM_DIR is set, then exits through [Stdlib.exit]
@@ -1048,9 +1046,8 @@ let compress_cmd_t =
     Arg.(value & opt string "" & info [ "atoms" ] ~docv:"CONDS" ~doc:"Comma-separated predicate atoms the compression must preserve, e.g. exp>=2,exp>=5.")
   in
   let out = Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the compressed graph.") in
-  let part = Arg.(value & opt (some string) None & info [ "save-partition" ] ~docv:"FILE" ~doc:"Persist the partition for later reuse.") in
   Cmd.v (Cmd.info "compress" ~doc:"Compress a graph (query-preserving bisimulation)")
-    Term.(const compress_cmd $ verbose_arg $ graph_arg $ atoms $ out $ part)
+    Term.(const compress_cmd $ verbose_arg $ graph_arg $ atoms $ out)
 
 let update_cmd =
   let ins = Arg.(value & opt_all string [] & info [ "insert" ] ~docv:"U,V" ~doc:"Insert edge (repeatable).") in

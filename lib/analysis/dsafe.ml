@@ -469,9 +469,10 @@ let scan_signature ~file (mt : mutable_types) (sg : Types.signature) =
 (* Unit discovery and scanning *)
 
 type unit_info = {
-  u_file : string; (* workspace-relative source path *)
+  u_file : string;
+  u_modname : string;
   u_structure : Typedtree.structure option;
-  u_signature : Types.signature option; (* from a .cmti *)
+  u_signature : Types.signature option;
 }
 
 let read_unit path =
@@ -487,11 +488,12 @@ let read_unit path =
         | Some s -> s
         | None -> Filename.basename path
       in
+      let u_modname = info.Cmt_format.cmt_modname in
       match info.Cmt_format.cmt_annots with
       | Cmt_format.Implementation str ->
-        Some { u_file = source; u_structure = Some str; u_signature = None }
+        Some { u_file = source; u_modname; u_structure = Some str; u_signature = None }
       | Cmt_format.Interface _ ->
-        Some { u_file = source; u_structure = None; u_signature = signature }
+        Some { u_file = source; u_modname; u_structure = None; u_signature = signature }
       | _ -> None))
 
 let rec find_annot_files acc dir =
@@ -507,21 +509,30 @@ let rec find_annot_files acc dir =
         else acc)
       acc entries
 
-let scan ?(mli_exempt = []) ~roots () =
-  let paths = List.sort compare (List.fold_left find_annot_files [] roots) in
-  let units = List.filter_map read_unit paths in
+let annot_files roots = List.sort compare (List.fold_left find_annot_files [] roots)
+
+let read_units roots =
+  let units = List.filter_map read_unit (annot_files roots) in
   (* Dedupe by source file: byte/native builds can both leave annots. *)
   let seen = Hashtbl.create 64 in
+  List.filter
+    (fun u ->
+      let key = (u.u_file, u.u_structure = None) in
+      if Hashtbl.mem seen key then false
+      else begin
+        Hashtbl.add seen key ();
+        true
+      end)
+    units
+
+let scan ?(mli_exempt = []) ~roots () =
+  (* Executables' implementations ([Dune__exe__*]) leave a [.cmt] only
+     under [dune build @check]; the inventory covers the libraries. *)
   let units =
     List.filter
       (fun u ->
-        let key = (u.u_file, u.u_structure = None) in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.add seen key ();
-          true
-        end)
-      units
+        u.u_structure = None || not (String.starts_with ~prefix:"Dune__exe" u.u_modname))
+      (read_units roots)
   in
   let structures = List.filter_map (fun u -> u.u_structure) units in
   let mt = collect_mutable_types structures in
@@ -568,44 +579,41 @@ let discipline_name = function
   | Epoch_published -> "epoch-published"
   | Immutable_after_init -> "immutable-after-init"
 
-let discipline_of_name = function
-  | "hazard" -> Some Hazard
-  | "thread-confined" -> Some Thread_confined
-  | "guarded" -> Some Guarded
-  | "epoch-published" -> Some Epoch_published
-  | "immutable-after-init" -> Some Immutable_after_init
-  | _ -> None
+let disciplines =
+  List.map
+    (fun d -> (discipline_name d, d))
+    [ Hazard; Thread_confined; Guarded; Epoch_published; Immutable_after_init ]
 
-type allow_entry = { key : string; discipline : discipline; why : string }
+type 'tag entry = { key : string; tag : 'tag; why : string }
 
-let parse_allow_line line =
+type allow_entry = discipline entry
+
+let parse_entry tags line =
   let line = String.trim line in
   if line = "" || line.[0] = '#' then Ok None
   else
     match String.index_opt line ' ' with
-    | None -> Error (Printf.sprintf "entry %S lacks a discipline tag" line)
+    | None -> Error (Printf.sprintf "entry %S lacks a tag" line)
     | Some i -> (
       let key = String.sub line 0 i in
       let rest = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
-      let tag, why =
+      let name, why =
         match String.index_opt rest ' ' with
         | None -> (rest, "")
         | Some j ->
           ( String.sub rest 0 j,
             String.trim (String.sub rest (j + 1) (String.length rest - j - 1)) )
       in
-      match discipline_of_name tag with
+      match List.assoc_opt name tags with
       | None ->
         Error
-          (Printf.sprintf
-             "entry %S: unknown discipline %S (want hazard | thread-confined | guarded | \
-              epoch-published | immutable-after-init)"
-             key tag)
-      | Some discipline ->
+          (Printf.sprintf "entry %S: unknown tag %S (want %s)" key name
+             (String.concat " | " (List.map fst tags)))
+      | Some tag ->
         if why = "" then Error (Printf.sprintf "entry %S lacks a justification" key)
-        else Ok (Some { key; discipline; why }))
+        else Ok (Some { key; tag; why }))
 
-let load_allow path =
+let load_entries tags path =
   match
     let ic = open_in_bin path in
     Fun.protect
@@ -617,36 +625,38 @@ let load_allow path =
     let rec go acc lineno = function
       | [] -> Ok (List.rev acc)
       | line :: rest -> (
-        match parse_allow_line line with
+        match parse_entry tags line with
         | Ok None -> go acc (lineno + 1) rest
         | Ok (Some entry) -> go (entry :: acc) (lineno + 1) rest
         | Error e -> Error (Printf.sprintf "%s:%d: %s" path lineno e))
     in
     go [] 1 (String.split_on_char '\n' text)
 
-type gate = {
-  allowed : (finding * allow_entry) list;
-  unallowed : finding list;
-  stale : allow_entry list;
+type ('f, 'tag) verdict = {
+  allowed : ('f * 'tag entry) list;
+  unallowed : 'f list;
+  stale : 'tag entry list;
 }
 
-let gate ~allow findings =
+type gate = (finding, discipline) verdict
+
+let ratchet ~id ~allow findings =
   let by_key = Hashtbl.create 64 in
   List.iter (fun e -> Hashtbl.replace by_key e.key e) allow;
   let allowed, unallowed =
     List.partition_map
       (fun f ->
-        match Hashtbl.find_opt by_key f.id with
+        match Hashtbl.find_opt by_key (id f) with
         | Some e ->
-          Hashtbl.remove by_key f.id;
+          Hashtbl.remove by_key (id f);
           Left (f, e)
         | None -> Right f)
       findings
   in
-  let stale =
-    List.filter (fun e -> Hashtbl.mem by_key e.key) allow
-  in
+  let stale = List.filter (fun e -> Hashtbl.mem by_key e.key) allow in
   { allowed; unallowed; stale }
+
+let gate ~allow findings = ratchet ~id:(fun f -> f.id) ~allow findings
 
 let gate_ok ?(fail_stale = true) g =
   g.unallowed = [] && ((not fail_stale) || g.stale = [])
@@ -668,7 +678,7 @@ let finding_json ?entry f =
     match entry with
     | Some e ->
       [
-        ("discipline", Json.Str (discipline_name e.discipline));
+        ("discipline", Json.Str (discipline_name e.tag));
         ("why", Json.Str e.why);
       ]
     | None -> [ ("discipline", Json.Null) ])
@@ -694,7 +704,7 @@ let to_json g =
                Json.Obj
                  [
                    ("key", Json.Str e.key);
-                   ("discipline", Json.Str (discipline_name e.discipline));
+                   ("discipline", Json.Str (discipline_name e.tag));
                    ("why", Json.Str e.why);
                  ])
              g.stale) );
@@ -717,7 +727,7 @@ let pp_table ppf g =
   if g.allowed <> [] then begin
     Format.fprintf ppf "sanctioned mutable sites (%d):@." (List.length g.allowed);
     List.iter
-      (fun (f, e) -> row " " f (discipline_name e.discipline))
+      (fun (f, e) -> row " " f (discipline_name e.tag))
       g.allowed
   end;
   if g.unallowed <> [] then begin
@@ -726,18 +736,18 @@ let pp_table ppf g =
   end;
   if g.stale <> [] then begin
     Format.fprintf ppf "STALE allowlist entries (%d):@." (List.length g.stale);
-    List.iter (fun e -> Format.fprintf ppf "  ! %s (%s)@." e.key (discipline_name e.discipline)) g.stale
+    List.iter (fun e -> Format.fprintf ppf "  ! %s (%s)@." e.key (discipline_name e.tag)) g.stale
   end;
   Format.fprintf ppf
     "dsafe: %d finding(s): %d sanctioned (%d guarded, %d epoch-published, %d thread-confined, \
      %d immutable-after-init, %d hazard), %d unallowed, %d stale@."
     (List.length g.allowed + List.length g.unallowed)
     (List.length g.allowed)
-    (count_by (fun (_, e) -> e.discipline = Guarded))
-    (count_by (fun (_, e) -> e.discipline = Epoch_published))
-    (count_by (fun (_, e) -> e.discipline = Thread_confined))
-    (count_by (fun (_, e) -> e.discipline = Immutable_after_init))
-    (count_by (fun (_, e) -> e.discipline = Hazard))
+    (count_by (fun (_, e) -> e.tag = Guarded))
+    (count_by (fun (_, e) -> e.tag = Epoch_published))
+    (count_by (fun (_, e) -> e.tag = Thread_confined))
+    (count_by (fun (_, e) -> e.tag = Immutable_after_init))
+    (count_by (fun (_, e) -> e.tag = Hazard))
     (List.length g.unallowed) (List.length g.stale)
 
 (* Seed allowlist lines for every current finding: the bootstrap (and

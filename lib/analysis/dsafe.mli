@@ -42,8 +42,6 @@ type mclass =
       (** a locally-declared record type with mutable fields, by its
           dotted type name *)
 
-val mclass_name : mclass -> string
-
 (** What a finding reports. *)
 type kind =
   | Mutable_binding of mclass
@@ -51,13 +49,6 @@ type kind =
   | Signature_leak of string
       (** a mutable type constructor visible through a read-path
           interface *)
-
-val kind_name : kind -> string
-
-val intrinsically_guarded : kind -> bool
-(** [Atomic.t]/[Mutex.t]/[Condition.t] sites: still mutable state (they
-    stay in the inventory) but the guarding discipline is carried by
-    the type itself. *)
 
 type finding = {
   id : string;  (** stable key: ["<source-file>:<Module.binding>"] *)
@@ -69,14 +60,30 @@ type finding = {
 
 (** {1 Scanning} *)
 
+(** One compilation unit's typedtree, as read from a [.cmt] or [.cmti]. *)
+type unit_info = {
+  u_file : string;  (** workspace-relative source path *)
+  u_modname : string;  (** e.g. ["Expfinder_graph__Traversal"] *)
+  u_structure : Typedtree.structure option;  (** from a [.cmt] *)
+  u_signature : Types.signature option;  (** from a [.cmti] *)
+}
+
+val annot_files : string list -> string list
+(** Every [.cmt]/[.cmti] path under the roots, sorted. *)
+
+val read_units : string list -> unit_info list
+(** Every [.cmt]/[.cmti] under the roots, read and deduplicated by
+    source file (byte and native builds can both leave annots). *)
+
 val scan : ?mli_exempt:string list -> roots:string list -> unit -> finding list
 (** Walk [roots] recursively for [.cmt]/[.cmti] files, deduplicate by
     source file, and run all three analyses.  [mli_exempt] lists source
     files (as workspace-relative paths, i.e. the shared [lint/mli.allow]
     entries) whose implementations are signature-only by design: they
     skip the mutable-binding inventory but still get the
-    banned-construct sweep.  Findings come back sorted by
-    (file, line, id). *)
+    banned-construct sweep.  Executables' implementations
+    ([Dune__exe__*] units, present after [dune build @check]) are
+    skipped.  Findings come back sorted by (file, line, id). *)
 
 (** {1 Allowlist and ratchet gate} *)
 
@@ -90,32 +97,39 @@ type discipline =
   | Immutable_after_init
       (** written once during module initialisation, read-only after *)
 
-val discipline_name : discipline -> string
+val disciplines : (string * discipline) list
+(** Every discipline by its allow-file tag. *)
 
-val discipline_of_name : string -> discipline option
-
-type allow_entry = {
+(** One allow-file entry.  [lint/dead.allow] shares the format with its
+    own tags (see {!Dead}). *)
+type 'tag entry = {
   key : string;  (** must equal a finding id *)
-  discipline : discipline;
+  tag : 'tag;
   why : string;  (** free-form justification; required non-empty *)
 }
 
-val parse_allow_line : string -> (allow_entry option, string) result
-(** One allowlist line: [<id> <discipline> <justification...>].
-    Blank lines and [#] comments yield [Ok None]. *)
+type allow_entry = discipline entry
 
-val load_allow : string -> (allow_entry list, string) result
-(** Parse a whole allow file; the error carries file:line context. *)
+val load_entries : (string * 'tag) list -> string -> ('tag entry list, string) result
+(** Parse an allow file of [<id> <tag> <justification...>] lines, the
+    tag one of the given names; blank lines and [#] comments are
+    skipped.  An entry without a tag or a justification is an error,
+    which carries file:line context. *)
 
-type gate = {
-  allowed : (finding * allow_entry) list;
-  unallowed : finding list;  (** findings with no allowlist entry *)
-  stale : allow_entry list;  (** entries matching no finding *)
+type ('f, 'tag) verdict = {
+  allowed : ('f * 'tag entry) list;
+  unallowed : 'f list;  (** findings with no allowlist entry *)
+  stale : 'tag entry list;  (** entries matching no finding *)
 }
+
+type gate = (finding, discipline) verdict
+
+val ratchet : id:('f -> string) -> allow:'tag entry list -> 'f list -> ('f, 'tag) verdict
+(** Match findings to entries by [id f = key]. *)
 
 val gate : allow:allow_entry list -> finding list -> gate
 
-val gate_ok : ?fail_stale:bool -> gate -> bool
+val gate_ok : ?fail_stale:bool -> ('f, 'tag) verdict -> bool
 (** The ratchet verdict: true iff no unallowed findings and (unless
     [~fail_stale:false]) no stale entries. *)
 

@@ -124,15 +124,3 @@ let refine_local g ~key ~prev ~area =
   normalise block_of
 
 let block_count block_of = Array.fold_left max (-1) block_of + 1
-
-let is_stable g ~key block_of =
-  let n = Csr.node_count g in
-  let reps = Hashtbl.create 64 in
-  let ok = ref true in
-  for v = 0 to n - 1 do
-    let s = (key v, signature g block_of v) in
-    match Hashtbl.find_opt reps block_of.(v) with
-    | None -> Hashtbl.add reps block_of.(v) s
-    | Some s' -> if s <> s' then ok := false
-  done;
-  !ok

@@ -39,10 +39,5 @@ val refine_local : Csr.t -> key:(int -> int) -> prev:int array -> area:Bitset.t 
     coarsest one (area nodes never re-merge into frozen blocks).  Block
     ids are re-normalised to a dense range. *)
 
-val is_stable : Csr.t -> key:(int -> int) -> int array -> bool
-(** Test (for property tests): the partition respects [key] and is
-    stable — any two nodes in one block have successors in exactly the
-    same set of blocks. *)
-
 val block_count : int array -> int
 (** Number of distinct blocks ([max + 1]; blocks are dense). *)

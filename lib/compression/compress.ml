@@ -61,23 +61,13 @@ let compress ?(atoms = []) g =
       let block_of = Bisimulation.compute (Snapshot.csr g) ~key in
       of_partition ~atoms g block_of)
 
-let atoms t = t.atoms
-
 let original t = t.original
 
 let compressed t = t.compressed
 
 let block_count t = Array.length t.members
 
-let block_of t v =
-  if v < 0 || v >= Snapshot.node_count t.original then invalid_arg "Compress.block_of";
-  t.block_of.(v)
-
 let partition t = Array.copy t.block_of
-
-let members t b =
-  if b < 0 || b >= block_count t then invalid_arg "Compress.members";
-  t.members.(b)
 
 let node_ratio t =
   let n = Snapshot.node_count t.original in

@@ -35,8 +35,6 @@ let create_if_pays ?(atoms = []) snap =
 
 let current t = t.compress
 
-let snapshot t = t.snap
-
 let rebuild t g =
   t.snap <- Snapshot.of_digraph g;
   t.partition <- Bisimulation.compute (Snapshot.csr t.snap) ~key:(key_of t.atoms t.snap);

@@ -38,10 +38,6 @@ val create_if_pays : ?atoms:Predicate.atom list -> Snapshot.t -> t option
 val current : t -> Compress.t
 (** The maintained compressed graph. *)
 
-val snapshot : t -> Snapshot.t
-(** The tracked source snapshot; its identity must match the engine's
-    current epoch for {!sync}-based maintenance to be coherent. *)
-
 val apply_updates : t -> Digraph.t -> Update.t list -> report
 (** Apply ΔG and maintain.  @raise Invalid_argument when the digraph's
     identity [(graph_id, version)] differs from the tracked snapshot's

@@ -122,24 +122,3 @@ let run_constrained pattern g ~initial ~mutable_set =
 
 let run ?(work = Work.create ()) pattern g =
   refine ~work pattern g ~initial:(Candidates.compute pattern g) ~mutable_set:None
-
-let consistent pattern g m =
-  let scratch = Distance.make_scratch g in
-  let ok = ref true in
-  for u = 0 to Pattern.size pattern - 1 do
-    List.iter
-      (fun v ->
-        if not (Pattern.matches_node pattern u (Snapshot.label g v) (Snapshot.attrs g v)) then
-          ok := false;
-        List.iter
-          (fun (u', b) ->
-            let targets = Match_relation.matches_set m u' in
-            if
-              not
-                (Distance.exists_within scratch g v (effective_bound g b) (fun w ->
-                     Bitset.mem targets w))
-            then ok := false)
-          (Pattern.out_edges pattern u))
-      (Match_relation.matches m u)
-  done;
-  !ok

@@ -48,8 +48,3 @@ val refine :
     with {!Work.Exhausted} part-way, at most one ball past the limit.
     The [bsim.*] counters it moves (balls, worklist pops, removals) are
     flushed once when it returns or raises. *)
-
-val consistent : Pattern.t -> Snapshot.t -> Match_relation.t -> bool
-(** Every pair satisfies its node condition and its bound constraints
-    w.r.t. the relation; unbounded edges are checked within
-    {!Distance.eccentricity_bound} hops. *)

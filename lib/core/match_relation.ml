@@ -1,5 +1,4 @@
 open Expfinder_graph
-open Expfinder_pattern
 
 type t = { sets : Bitset.t array; graph_size : int }
 
@@ -40,8 +39,6 @@ let count t u =
 let total t = Array.fold_left (fun acc s -> acc + Bitset.cardinal s) 0 t.sets
 
 let is_total t = Array.for_all (fun s -> not (Bitset.is_empty s)) t.sets
-
-let clear t = Array.iter Bitset.clear t.sets
 
 let pairs t =
   let out = ref [] in
@@ -97,15 +94,3 @@ let copy t = { sets = Array.map Bitset.copy t.sets; graph_size = t.graph_size }
 let equal a b =
   pattern_size a = pattern_size b
   && Array.for_all2 Bitset.equal a.sets b.sets
-
-let pp pattern ppf t =
-  Format.fprintf ppf "{@[<hv>";
-  for u = 0 to pattern_size t - 1 do
-    if u > 0 then Format.fprintf ppf ";@ ";
-    Format.fprintf ppf "%s -> [%a]" (Pattern.name pattern u)
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
-         Format.pp_print_int)
-      (matches t u)
-  done;
-  Format.fprintf ppf "@]}"

@@ -1,5 +1,4 @@
 open Expfinder_graph
-open Expfinder_pattern
 
 (** The match relation M(Q,G).
 
@@ -40,10 +39,6 @@ val total : t -> int
 val is_total : t -> bool
 (** Every pattern node has at least one match. *)
 
-val clear : t -> unit
-(** Make the relation empty (used when some pattern node lost all its
-    matches: the paper's semantics then make the whole result empty). *)
-
 val pairs : t -> (int * int) list
 (** All (pattern node, data node) pairs, lexicographic. *)
 
@@ -63,6 +58,3 @@ val digest : t -> string
 val copy : t -> t
 
 val equal : t -> t -> bool
-
-val pp : Pattern.t -> Format.formatter -> t -> unit
-(** Named rendering: [{SA -> [3; 7]; SD -> [1; 2; 5]}]. *)

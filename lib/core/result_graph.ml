@@ -115,20 +115,7 @@ let node_count t = Array.length t.node_of_index
 
 let edge_count t = Array.length t.fwd.targets
 
-let data_nodes t = List.sort compare (Array.to_list t.node_of_index)
-
 let index_of t v = Hashtbl.find_opt t.index_table v
-
-let mem_data_node t v = Hashtbl.mem t.index_table v
-
-let data_node_of t i =
-  if i < 0 || i >= node_count t then invalid_arg "Result_graph.data_node_of";
-  t.node_of_index.(i)
-
-let pattern_nodes_of t v =
-  match index_of t v with
-  | None -> []
-  | Some i -> t.pnodes_of.(i)
 
 let forward t = t.fwd
 
@@ -144,17 +131,6 @@ let iter_index_edges t f =
   for i = 0 to node_count t - 1 do
     iter_row t.fwd i (f i)
   done
-
-let iter_edges t f =
-  iter_index_edges t (fun i j d -> f t.node_of_index.(i) t.node_of_index.(j) d)
-
-let weight t v v' =
-  match (index_of t v, index_of t v') with
-  | Some i, Some j ->
-    let w = ref None in
-    iter_row t.fwd i (fun j' d -> if j' = j then w := Some d);
-    !w
-  | _ -> None
 
 let to_dot ?(name = "Gr") ?(highlight = []) pattern g t =
   let buf = Buffer.create 1024 in

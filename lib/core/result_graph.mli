@@ -33,31 +33,14 @@ val node_count : t -> int
 
 val edge_count : t -> int
 
-val data_nodes : t -> int list
-(** The matched data nodes, ascending. *)
-
-val mem_data_node : t -> int -> bool
-
 val index_of : t -> int -> int option
 (** Compact index of a data node in the underlying weighted graph. *)
-
-val data_node_of : t -> int -> int
-(** Inverse of {!index_of}. *)
-
-val pattern_nodes_of : t -> int -> int list
-(** Which pattern nodes a data node matches. *)
 
 val forward : t -> adjacency
 (** Out-edges over compact indices. *)
 
 val backward : t -> adjacency
 (** In-edges over compact indices: [targets] holds the edge sources. *)
-
-val iter_edges : t -> (int -> int -> int -> unit) -> unit
-(** [f v v' d] over data-node ids and shortest-path weights. *)
-
-val weight : t -> int -> int -> int option
-(** Weight between two data nodes, if the edge exists. *)
 
 val to_dot : ?name:string -> ?highlight:int list -> Pattern.t -> Snapshot.t -> t -> string
 (** GraphViz rendering with match names and distances (Fig. 5 style);

@@ -78,19 +78,3 @@ let run_constrained pattern g ~initial ~mutable_set =
 let run ?(work = Work.create ()) pattern g =
   let initial = Candidates.compute pattern g in
   refine ~work pattern g ~initial ~mutable_set:None
-
-let consistent pattern g m =
-  let ok = ref true in
-  for u = 0 to Pattern.size pattern - 1 do
-    List.iter
-      (fun v ->
-        if not (Pattern.matches_node pattern u (Snapshot.label g v) (Snapshot.attrs g v)) then
-          ok := false;
-        List.iter
-          (fun (u', _) ->
-            if not (Snapshot.exists_succ g v (fun w -> Match_relation.mem m u' w)) then
-              ok := false)
-          (Pattern.out_edges pattern u))
-      (Match_relation.matches m u)
-  done;
-  !ok

@@ -44,7 +44,3 @@ val refine :
     it scans — the counting pass one pattern edge at a time, then every
     worklist pop — so a meter with a limit stops it with
     {!Work.Exhausted} part-way, at most one charge past the limit. *)
-
-val consistent : Pattern.t -> Snapshot.t -> Match_relation.t -> bool
-(** Check (for tests) that every pair of the relation satisfies the
-    simulation conditions w.r.t. the relation itself. *)

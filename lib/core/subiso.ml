@@ -59,11 +59,6 @@ let search ?(max_embeddings = 1000) pattern g ~on_embedding =
   (try place 0 with Enough -> ());
   !found
 
-let embeddings ?max_embeddings pattern g =
-  let out = ref [] in
-  ignore (search ?max_embeddings pattern g ~on_embedding:(fun e -> out := e :: !out) : int);
-  List.rev !out
-
 let exists pattern g =
   search ~max_embeddings:1 pattern g ~on_embedding:(fun _ -> ()) > 0
 

@@ -19,9 +19,6 @@ open Expfinder_pattern
 type embedding = int array
 (** [embedding.(u)] is the data node pattern node [u] maps to. *)
 
-val embeddings : ?max_embeddings:int -> Pattern.t -> Snapshot.t -> embedding list
-(** All embeddings (up to the cap, default 1000), in discovery order. *)
-
 val exists : Pattern.t -> Snapshot.t -> bool
 (** Is there at least one embedding?  Stops at the first. *)
 

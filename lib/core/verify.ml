@@ -6,12 +6,6 @@ let m_checks = Metrics.counter "verify.checks"
 
 let m_errors = Metrics.counter "verify.errors"
 
-type report = {
-  checked_pairs : int;
-  checked_candidates : int;
-  errors : string list;
-}
-
 (* A pair's edge constraints w.r.t. the relation itself: for every
    pattern edge (u,u') with bound k, a witness of sim(u') within a
    nonempty path of length <= k (unbounded: any finite length). *)
@@ -82,14 +76,10 @@ let check ?(max_pairs = 512) ?(max_candidates = 512) pattern g m =
     done
   end;
   Counter.add m_errors (List.length !errors);
-  {
-    checked_pairs = !checked_pairs;
-    checked_candidates = !checked_candidates;
-    errors = List.rev !errors;
-  }
+  List.rev !errors
 
 let check_exn ?max_pairs ?max_candidates pattern g m =
-  match (check ?max_pairs ?max_candidates pattern g m).errors with
+  match check ?max_pairs ?max_candidates pattern g m with
   | [] -> ()
   | errors ->
     failwith

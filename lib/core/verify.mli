@@ -4,8 +4,7 @@ open Expfinder_pattern
 (** Unified result checking — the self-check sanitizer behind
     [EXPFINDER_CHECK=1].
 
-    {!check} validates a computed kernel against the definition,
-    generalizing {!Simulation.consistent} / {!Bounded_sim.consistent}:
+    {!check_exn} validates a computed kernel against the definition:
 
     - {e pair validity}: every pair [(u,v)] of the relation satisfies
       [u]'s label requirement and predicate, and every pattern edge
@@ -25,21 +24,12 @@ open Expfinder_pattern
     raises.  Enabled by [EXPFINDER_CHECK=1] in the environment (read at
     startup) or {!set_differential} (tests, the CLI's [--check]). *)
 
-type report = {
-  checked_pairs : int;
-  checked_candidates : int;  (** excluded pairs probed for maximality *)
-  errors : string list;  (** empty iff the relation passed *)
-}
-
-val check :
-  ?max_pairs:int -> ?max_candidates:int -> Pattern.t -> Snapshot.t -> Match_relation.t -> report
-(** Sampling is deterministic (evenly strided); [max_pairs] (default
-    512) bounds validity checks, [max_candidates] (default 512) bounds
-    maximality probes. *)
-
 val check_exn :
   ?max_pairs:int -> ?max_candidates:int -> Pattern.t -> Snapshot.t -> Match_relation.t -> unit
-(** @raise Failure with the first errors when {!check} finds any. *)
+(** Sampling is deterministic (evenly strided); [max_pairs] (default
+    512) bounds validity checks, [max_candidates] (default 512) bounds
+    maximality probes.  @raise Failure listing the errors when there are
+    any. *)
 
 val semantically_equal : Match_relation.t -> Match_relation.t -> bool
 (** Equal as query answers: structurally equal, or both non-total

@@ -74,7 +74,7 @@ type expert = { node : int; name : string option; rank : Ranking.rank }
      writers; a record's kernels and compressed graph are on its own
      snapshot by construction, so readers check no identity.
    - [writer] serializes everything that advances or republishes the
-     epoch: [apply_updates], [register]/[unregister] and the compression
+     epoch: [apply_updates], [register] and the compression
      switches, on whichever domain calls them.  The trackers behind the
      record ([trackers], [inc_compress]) are read and written only under
      it, and an update batch emits its request event before releasing
@@ -559,20 +559,6 @@ let pp_profile ppf p =
     Format.fprintf ppf "counters:@.";
     List.iter (fun (name, v) -> Format.fprintf ppf "  %-38s %d@." name v) counters
 
-let profile_json (p : profile) =
-  Json.Obj
-    [
-      ("query", Json.Str p.query);
-      ("provenance", Json.Str (provenance_name p.provenance));
-      ("trace_id", Json.Str p.trace_id);
-      ("span", Span.to_json p.span);
-      ( "counters",
-        Json.Obj (List.map (fun (name, v) -> (name, Json.Int v)) p.counters) );
-      (* The flight-recorder tail at serialization time: the profile of a
-         slow query ships with the queries that led up to it. *)
-      ("recorder", Recorder.to_json ());
-    ]
-
 (* The switches below run under the writer, so no update batch lands
    between the epoch they read and the record they publish on it. *)
 let republish t = publish t (Atomic.get t.epoch).snap
@@ -580,11 +566,6 @@ let republish t = publish t (Atomic.get t.epoch).snap
 let enable_compression ?atoms t =
   Mutex.protect t.writer (fun () ->
       t.inc_compress <- Inc_compress.create_if_pays ?atoms (epoch_locked t).snap;
-      republish t)
-
-let disable_compression t =
-  Mutex.protect t.writer (fun () ->
-      t.inc_compress <- None;
       republish t)
 
 let compression t = (Atomic.get t.epoch).compressed
@@ -599,12 +580,6 @@ let register t pattern =
         t.trackers <- t.trackers @ [ (fp, inc) ];
         republish t
       end)
-
-let unregister t pattern =
-  let fp = Pattern.fingerprint pattern in
-  Mutex.protect t.writer (fun () ->
-      t.trackers <- List.filter (fun (fp', _) -> fp' <> fp) t.trackers;
-      republish t)
 
 let registered t = (Atomic.get t.epoch).registered
 

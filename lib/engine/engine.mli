@@ -38,7 +38,7 @@ open Expfinder_telemetry
     registered kernels computed on it and the compressed graph built on
     it.  Readers pin a whole epoch with one atomic load and never take a
     lock for it; every mutation ({!apply_updates}, {!register},
-    {!unregister}, the compression switches) runs under one writer lock,
+    {!enable_compression}) runs under one writer lock,
     on the calling domain, and publishes a complete record, so a read
     during an update is served the previous epoch, maintained answers
     included.
@@ -186,8 +186,6 @@ val enable_compression : ?atoms:Predicate.atom list -> t -> unit
     @raise Invalid_argument when the graph was mutated outside
     {!apply_updates}. *)
 
-val disable_compression : t -> unit
-
 val compression : t -> Compress.t option
 (** The published epoch's compressed graph: [None] when compression is
     off, was declined as not paying, or was dropped during
@@ -201,9 +199,6 @@ val register : t -> Pattern.t -> unit
     evaluated on; the epoch is republished with its kernel.
     @raise Invalid_argument when the graph was mutated outside
     {!apply_updates}. *)
-
-val unregister : t -> Pattern.t -> unit
-(** Stop maintaining a query, under the writer lock like {!register}. *)
 
 val registered : t -> Pattern.t list
 (** The registered queries of the published epoch, in registration
@@ -240,13 +235,6 @@ val last_profile : t -> profile option
 
 val pp_profile : Format.formatter -> profile -> unit
 (** Stage tree plus per-query counters, human-readable. *)
-
-val profile_json : profile -> Json.t
-(** The profile as a [{query; provenance; trace_id; span; counters;
-    recorder}]
-    object (the structured-report serialization of a per-query profile).
-    [recorder] is the flight-recorder ring at serialization time, so a
-    slow-query profile ships with the requests that led up to it. *)
 
 val cache_counters : t -> int * int * int
 (** (hits, misses, evictions) from the cache's telemetry counters. *)

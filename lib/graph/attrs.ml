@@ -25,35 +25,11 @@ let find t name =
   in
   loop t
 
-let rec remove t name =
-  match t with
-  | [] -> []
-  | ((name', _) as binding) :: rest ->
-    let c = String.compare name name' in
-    if c < 0 then t else if c = 0 then rest else binding :: remove rest name
-
-let mem t name = Option.is_some (find t name)
-
-let cardinal = List.length
-
-let is_empty t = t = []
-
 let equal a b =
   List.equal (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && Attr.equal v1 v2) a b
 
 let union a b = List.fold_left (fun acc (k, v) -> set acc k v) a b
 
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       (fun ppf (k, v) -> Format.fprintf ppf "%s=%a" k Attr.pp v))
-    t
-
 let int name v = (name, Attr.Int v)
 
 let str name v = (name, Attr.String v)
-
-let float name v = (name, Attr.Float v)
-
-let bool name v = (name, Attr.Bool v)

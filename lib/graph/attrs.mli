@@ -16,27 +16,12 @@ val to_list : t -> (string * Attr.t) list
 
 val find : t -> string -> Attr.t option
 
-val set : t -> string -> Attr.t -> t
-
-val remove : t -> string -> t
-
-val mem : t -> string -> bool
-
-val cardinal : t -> int
-
-val is_empty : t -> bool
-
 val equal : t -> t -> bool
 
 val union : t -> t -> t
 (** [union a b] contains all bindings of both; [b] wins on conflicts. *)
 
-val pp : Format.formatter -> t -> unit
-(** [{name=Bob, exp=7}] style rendering. *)
-
 (* Convenience constructors used pervasively by workloads and tests. *)
 
 val int : string -> int -> string * Attr.t
 val str : string -> string -> string * Attr.t
-val float : string -> float -> string * Attr.t
-val bool : string -> bool -> string * Attr.t

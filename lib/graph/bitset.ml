@@ -8,8 +8,6 @@ let create n =
   if n < 0 then invalid_arg "Bitset.create";
   { words = Array.make ((n / bits_per_word) + 1) 0; capacity = n }
 
-let capacity t = t.capacity
-
 let check t i = if i < 0 || i >= t.capacity then invalid_arg "Bitset: out of bounds"
 
 let mem t i =
@@ -25,8 +23,6 @@ let remove t i =
   check t i;
   let w = i / bits_per_word in
   t.words.(w) <- t.words.(w) land lnot (1 lsl (i mod bits_per_word))
-
-let clear t = Array.fill t.words 0 (Array.length t.words) 0
 
 (* Branch-free SWAR popcount: per-2-bit, per-4-bit, then per-byte
    counts, summed into the top byte by one multiply.  The 64-bit masks
@@ -85,24 +81,4 @@ let to_list t = List.rev (fold (fun i acc -> i :: acc) t [])
 
 let copy t = { words = Array.copy t.words; capacity = t.capacity }
 
-let union_into dst src =
-  same_capacity dst src;
-  for w = 0 to Array.length dst.words - 1 do
-    dst.words.(w) <- dst.words.(w) lor src.words.(w)
-  done
-
-let inter_into dst src =
-  same_capacity dst src;
-  for w = 0 to Array.length dst.words - 1 do
-    dst.words.(w) <- dst.words.(w) land src.words.(w)
-  done
-
 let equal a b = a.capacity = b.capacity && Array.for_all2 ( = ) a.words b.words
-
-let subset a b =
-  same_capacity a b;
-  let ok = ref true in
-  for w = 0 to Array.length a.words - 1 do
-    if a.words.(w) land lnot b.words.(w) <> 0 then ok := false
-  done;
-  !ok

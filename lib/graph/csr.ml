@@ -157,14 +157,6 @@ let fold_succ t v f acc =
   done;
   !acc
 
-let fold_pred t v f acc =
-  check t v;
-  let acc = ref acc in
-  for i = t.rev_offsets.(v) to t.rev_offsets.(v + 1) - 1 do
-    acc := f !acc t.rev_sources.(i)
-  done;
-  !acc
-
 let exists_succ t v p =
   check t v;
   let rec loop i = i < t.fwd_offsets.(v + 1) && (p t.fwd_targets.(i) || loop (i + 1)) in
@@ -299,13 +291,6 @@ let patched t ~source_version ~added ~removed =
     source_version;
     by_label = t.by_label;
   }
-
-let max_out_degree t =
-  let best = ref 0 in
-  for v = 0 to t.n - 1 do
-    best := max !best (out_degree t v)
-  done;
-  !best
 
 let to_digraph t =
   let g = Digraph.create ~capacity:t.n () in

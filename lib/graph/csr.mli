@@ -58,10 +58,6 @@ val succ_array : t -> node -> int array
 
 val fold_succ : t -> node -> ('a -> node -> 'a) -> 'a -> 'a
 
-val fold_pred : t -> node -> ('a -> node -> 'a) -> 'a -> 'a
-
-val exists_succ : t -> node -> (node -> bool) -> bool
-
 val has_edge : t -> node -> node -> bool
 (** O(out-degree). *)
 
@@ -84,8 +80,6 @@ val patched : t -> source_version:int -> added:(node * node) list -> removed:(no
     absent from [t], removed edges present, no duplicates, endpoints in
     range, and the delta must not create a new node.
     @raise Invalid_argument when a precondition is violated. *)
-
-val max_out_degree : t -> int
 
 val to_digraph : t -> Digraph.t
 (** Rebuild a mutable graph with identical structure. *)

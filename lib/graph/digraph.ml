@@ -61,11 +61,6 @@ let set_attrs g v a =
   Vec.set g.attr_table v a;
   bump g
 
-let set_label g v l =
-  check_node g v;
-  Vec.set g.labels v l;
-  bump g
-
 let has_edge g u v =
   check_node g u;
   check_node g v;
@@ -106,36 +101,12 @@ let iter_succ g v f =
   check_node g v;
   Vec.iter f (Vec.get g.out_adj v)
 
-let iter_pred g v f =
-  check_node g v;
-  Vec.iter f (Vec.get g.in_adj v)
-
-let fold_succ g v f acc =
-  check_node g v;
-  Vec.fold_left f acc (Vec.get g.out_adj v)
-
-let fold_pred g v f acc =
-  check_node g v;
-  Vec.fold_left f acc (Vec.get g.in_adj v)
-
-let exists_succ g v p =
-  check_node g v;
-  Vec.exists p (Vec.get g.out_adj v)
-
 let iter_nodes g f =
   for v = 0 to node_count g - 1 do
     f v
   done
 
 let iter_edges g f = iter_nodes g (fun u -> iter_succ g u (fun v -> f u v))
-
-let succ_list g v =
-  check_node g v;
-  Vec.to_list (Vec.get g.out_adj v)
-
-let pred_list g v =
-  check_node g v;
-  Vec.to_list (Vec.get g.in_adj v)
 
 let copy g =
   let copy_adj adj =
@@ -152,17 +123,6 @@ let copy g =
     edges = g.edges;
     version = 0;
   }
-
-let of_edges ?attrs ~labels edge_list =
-  let g = create ~capacity:(Array.length labels) () in
-  Array.iteri
-    (fun i l ->
-      let a = match attrs with None -> Attrs.empty | Some f -> f i in
-      ignore (add_node g ~attrs:a l : node))
-    labels;
-  List.iter (fun (u, v) -> ignore (add_edge g u v : bool)) edge_list;
-  g.version <- 0;
-  g
 
 let equal_structure a b =
   node_count a = node_count b

@@ -26,8 +26,8 @@ val version : t -> int
 (** Bumped by every mutating operation. *)
 
 val graph_id : t -> int
-(** Process-unique identity of this graph, fresh on {!create}, {!copy}
-    and {!of_edges} (see {!Graph_id}).  [(graph_id, version)] is the
+(** Process-unique identity of this graph, fresh on {!create} and {!copy}
+    (see {!Graph_id}).  [(graph_id, version)] is the
     identity of the graph's current epoch: snapshots and caches key off
     the pair, so a graph and its copy — both starting at version 0 —
     can never alias. *)
@@ -40,10 +40,6 @@ val label : t -> node -> Label.t
 val attrs : t -> node -> Attrs.t
 
 val set_attrs : t -> node -> Attrs.t -> unit
-
-val set_label : t -> node -> Label.t -> unit
-
-val mem_node : t -> node -> bool
 
 val has_edge : t -> node -> node -> bool
 (** O(out-degree of the source). *)
@@ -64,30 +60,14 @@ val in_degree : t -> node -> int
 
 val iter_succ : t -> node -> (node -> unit) -> unit
 
-val iter_pred : t -> node -> (node -> unit) -> unit
-
-val fold_succ : t -> node -> ('a -> node -> 'a) -> 'a -> 'a
-
-val fold_pred : t -> node -> ('a -> node -> 'a) -> 'a -> 'a
-
-val exists_succ : t -> node -> (node -> bool) -> bool
-
 val iter_nodes : t -> (node -> unit) -> unit
 
 val iter_edges : t -> (node -> node -> unit) -> unit
-
-val succ_list : t -> node -> node list
-val pred_list : t -> node -> node list
 
 val copy : t -> t
 (** Deep copy sharing no mutable state; the copy starts at version 0 but
     carries a fresh {!graph_id}, so its epochs never alias the
     original's. *)
-
-val of_edges : ?attrs:(int -> Attrs.t) -> labels:Label.t array -> (int * int) list -> t
-(** [of_edges ~labels edges] builds a graph with [Array.length labels]
-    nodes and the given edge list.  Duplicate edges are silently
-    dropped; self-loops are kept (see {!add_edge}). *)
 
 val equal_structure : t -> t -> bool
 (** Same node count, labels, attributes and edge sets. *)

@@ -58,20 +58,4 @@ let exists_within s g v k p =
     false
   with Found -> true
 
-let distances_from g src =
-  let n = Snapshot.node_count g in
-  let dist = Array.make n (-1) in
-  let queue = Queue.create () in
-  dist.(src) <- 0;
-  Queue.add src queue;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    Snapshot.iter_succ g v (fun w ->
-        if dist.(w) < 0 then begin
-          dist.(w) <- dist.(v) + 1;
-          Queue.add w queue
-        end)
-  done;
-  dist
-
 let eccentricity_bound g = Snapshot.node_count g

@@ -45,9 +45,5 @@ val exists_within : scratch -> Snapshot.t -> int -> int -> (int -> bool) -> bool
 (** [exists_within s g v k p]: is there a node [w] with a nonempty path
     [v ->* w] of length [<= k] and [p w]?  Short-circuits. *)
 
-val distances_from : Snapshot.t -> int -> int array
-(** Unbounded single-source hop distances ([-1] when unreachable); the
-    source's own distance is [0]. *)
-
 val eccentricity_bound : Snapshot.t -> int
 (** A safe upper bound on any finite hop distance (the node count). *)

@@ -22,72 +22,3 @@ let erdos_renyi rng ~n ~m node_init =
     if u <> v && Digraph.add_edge g u v then incr added
   done;
   g
-
-let scale_free rng ~n ~out_degree node_init =
-  if n < 0 || out_degree < 0 then invalid_arg "Generators.scale_free";
-  let g = make_nodes n node_init in
-  (* Repeated-endpoint list: choosing a uniform element of [targets] is
-     choosing proportional to (in-degree + 1). *)
-  let targets = Vec.create ~capacity:(2 * n) ~dummy:(-1) () in
-  for v = 0 to n - 1 do
-    if v > 0 then begin
-      let wanted = min out_degree v in
-      let placed = ref 0 in
-      let attempts = ref 0 in
-      while !placed < wanted && !attempts < 20 * wanted do
-        incr attempts;
-        let t = Vec.get targets (Prng.int rng (Vec.length targets)) in
-        if Digraph.add_edge g v t then begin
-          incr placed;
-          Vec.push targets t
-        end
-      done
-    end;
-    Vec.push targets v
-  done;
-  g
-
-let random_dag rng ~n ~m node_init =
-  if n < 2 then make_nodes n node_init
-  else begin
-    let g = make_nodes n node_init in
-    let max_edges = n * (n - 1) / 2 in
-    let m = min m max_edges in
-    let added = ref 0 in
-    while !added < m do
-      let u = Prng.int rng n in
-      let v = Prng.int rng n in
-      let u, v = if u < v then (u, v) else (v, u) in
-      if u <> v && Digraph.add_edge g u v then incr added
-    done;
-    g
-  end
-
-let layered rng ~layers ~p node_init =
-  let n = Array.fold_left ( + ) 0 layers in
-  let g = make_nodes n node_init in
-  let offset = Array.make (Array.length layers + 1) 0 in
-  Array.iteri (fun i sz -> offset.(i + 1) <- offset.(i) + sz) layers;
-  for layer = 0 to Array.length layers - 2 do
-    for u = offset.(layer) to offset.(layer + 1) - 1 do
-      for v = offset.(layer + 1) to offset.(layer + 2) - 1 do
-        if Prng.float rng 1.0 < p then ignore (Digraph.add_edge g u v : bool)
-      done
-    done
-  done;
-  g
-
-let add_random_edges rng g k =
-  let n = Digraph.node_count g in
-  if n < 2 then 0
-  else begin
-    let added = ref 0 in
-    let attempts = ref 0 in
-    while !added < k && !attempts < 50 * k do
-      incr attempts;
-      let u = Prng.int rng n in
-      let v = Prng.int rng n in
-      if u <> v && Digraph.add_edge g u v then incr added
-    done;
-    !added
-  end

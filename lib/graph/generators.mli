@@ -11,21 +11,3 @@ val erdos_renyi : Prng.t -> n:int -> m:int -> node_init -> Digraph.t
 (** Uniform random simple digraph with [n] nodes and (up to) [m] edges;
     duplicate draws are retried, so the result has exactly [m] edges
     whenever [m <= n*(n-1)]. *)
-
-val scale_free : Prng.t -> n:int -> out_degree:int -> node_init -> Digraph.t
-(** Barabási–Albert-style preferential attachment: nodes arrive one by
-    one and send [out_degree] edges to earlier nodes chosen proportional
-    to (in-degree + 1).  Produces the skewed in-degree distribution of
-    follower networks. *)
-
-val random_dag : Prng.t -> n:int -> m:int -> node_init -> Digraph.t
-(** Random DAG: edges only go from lower to higher node index. *)
-
-val layered : Prng.t -> layers:int array -> p:float -> node_init -> Digraph.t
-(** Random layered graph: [layers.(i)] nodes in layer [i]; each possible
-    edge from layer [i] to layer [i+1] is present with probability [p].
-    Layered graphs have many bisimilar nodes, mirroring the redundancy of
-    organisational networks (used by compression experiments). *)
-
-val add_random_edges : Prng.t -> Digraph.t -> int -> int
-(** Insert up to [k] fresh random edges; returns the number inserted. *)

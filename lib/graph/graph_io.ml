@@ -169,25 +169,3 @@ let load_edge_list ?node_init path =
   match In_channel.with_open_text path In_channel.input_all with
   | text -> of_edge_list ?node_init text
   | exception Sys_error e -> Error e
-
-let to_dot ?(name = "G") ?(highlight = []) g =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);
-  Buffer.add_string buf "  node [shape=box, fontname=\"Helvetica\"];\n";
-  let hl = Hashtbl.create 8 in
-  List.iter (fun v -> Hashtbl.replace hl v ()) highlight;
-  Digraph.iter_nodes g (fun v ->
-      let label = Label.to_string (Digraph.label g v) in
-      let attr_text =
-        String.concat "\\n"
-          (List.map
-             (fun (k, value) -> Printf.sprintf "%s=%s" k (Format.asprintf "%a" Attr.pp value))
-             (Attrs.to_list (Digraph.attrs g v)))
-      in
-      let style = if Hashtbl.mem hl v then ", style=filled, fillcolor=red" else "" in
-      Buffer.add_string buf
-        (Printf.sprintf "  n%d [label=\"%s\\n%s\"%s];\n" v label attr_text style));
-  Digraph.iter_edges g (fun u v ->
-      Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" u v));
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

@@ -12,31 +12,19 @@
     values use the {!Attr.to_string} syntax (e.g. [exp=int:7]).  Labels
     and attribute keys containing spaces are percent-escaped. *)
 
-val to_string : Digraph.t -> string
-
-val of_string : string -> (Digraph.t, string) result
-(** Parse errors are reported as [Error "line N: ..."]. *)
-
 val save : Digraph.t -> string -> unit
 (** Write to a file.  @raise Sys_error on I/O failure. *)
 
 val load : string -> (Digraph.t, string) result
 
-val of_edge_list : ?node_init:(int -> Label.t * Attrs.t) -> string -> (Digraph.t, string) result
-(** Parse a SNAP-style edge list: one [src dst] pair per line (tabs or
+val load_edge_list :
+  ?node_init:(int -> Label.t * Attrs.t) -> string -> (Digraph.t, string) result
+(** Read a SNAP-style edge list: one [src dst] pair per line (tabs or
     spaces), ['#'] comments, node ids arbitrary non-negative integers
     (renumbered densely in first-appearance order).  [node_init] assigns
     labels/attributes by dense id (default: label ["node"], no
     attributes) — real traces rarely ship labels, so callers typically
     overlay their own. *)
-
-val load_edge_list :
-  ?node_init:(int -> Label.t * Attrs.t) -> string -> (Digraph.t, string) result
-(** {!of_edge_list} on a file's contents. *)
-
-val to_dot : ?name:string -> ?highlight:int list -> Digraph.t -> string
-(** GraphViz rendering; [highlight] nodes are drawn filled red (used for
-    top-1 matches, mirroring Fig. 5 of the paper). *)
 
 val escape : string -> string
 (** Percent-escape spaces, ['%'], ['='] and newlines. *)

@@ -21,10 +21,6 @@ let equal = Int.equal
 
 let compare = Int.compare
 
-let hash (id : t) = id
-
 let to_int id = id
-
-let count () = Vec.length names
 
 let pp ppf id = Format.pp_print_string ppf (to_string id)

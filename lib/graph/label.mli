@@ -18,12 +18,7 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 
-val hash : t -> int
-
 val to_int : t -> int
 (** The raw symbol, usable as an array index (symbols are dense from 0). *)
-
-val count : unit -> int
-(** Number of distinct labels interned so far. *)
 
 val pp : Format.formatter -> t -> unit

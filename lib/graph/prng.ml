@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64 finaliser: the output function of Steele et al.'s SplitMix. *)
 let mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
@@ -15,10 +13,6 @@ let mix z =
 let next t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
-
-let split t =
-  let seed = next t in
-  { state = mix seed }
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int";
@@ -34,8 +28,6 @@ let int_in t lo hi =
 let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (v /. 9007199254740992.0 (* 2^53 *))
-
-let bool t = Int64.logand (next t) 1L = 1L
 
 let choose t a =
   if Array.length a = 0 then invalid_arg "Prng.choose";

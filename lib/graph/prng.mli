@@ -10,15 +10,6 @@ type t
 val create : int -> t
 (** [create seed] is a fresh generator.  Equal seeds yield equal streams. *)
 
-val copy : t -> t
-(** An independent generator continuing from the same state. *)
-
-val split : t -> t
-(** A statistically independent generator derived from [t]; [t] advances. *)
-
-val next : t -> int64
-(** Next raw 64-bit value. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  @raise Invalid_argument
     when [bound <= 0]. *)
@@ -28,8 +19,6 @@ val int_in : t -> int -> int -> int
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
-
-val bool : t -> bool
 
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)

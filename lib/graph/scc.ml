@@ -69,13 +69,3 @@ let compute g =
   { comp; ncomp = !ncomp; member_lists }
 
 let count t = t.ncomp
-
-let component t v =
-  if v < 0 || v >= Array.length t.comp then invalid_arg "Scc.component";
-  t.comp.(v)
-
-let members t c =
-  if c < 0 || c >= t.ncomp then invalid_arg "Scc.members";
-  t.member_lists.(c)
-
-let component_size t c = List.length (members t c)

@@ -4,9 +4,6 @@ type identity = { graph_id : int; epoch : int }
 
 let identity_equal a b = a.graph_id = b.graph_id && a.epoch = b.epoch
 
-let compare_identity a b =
-  match compare a.graph_id b.graph_id with 0 -> compare a.epoch b.epoch | c -> c
-
 let pp_identity ppf id = Format.fprintf ppf "g%d@%d" id.graph_id id.epoch
 
 type t = {
@@ -63,12 +60,6 @@ let iter_succ t v f = Csr.iter_succ t.csr v f
 
 let iter_pred t v f = Csr.iter_pred t.csr v f
 
-let fold_succ t v f acc = Csr.fold_succ t.csr v f acc
-
-let fold_pred t v f acc = Csr.fold_pred t.csr v f acc
-
-let exists_succ t v p = Csr.exists_succ t.csr v p
-
 let has_edge t u v = Csr.has_edge t.csr u v
 
 let iter_nodes t f = Csr.iter_nodes t.csr f
@@ -92,13 +83,5 @@ let label_count t l =
         match Atomic.get t.label_counts with Some t' -> t' | None -> table)
   in
   Option.value ~default:0 (Hashtbl.find_opt table l)
-
-let max_out_degree t =
-  match Atomic.get t.max_out with
-  | Some d -> d
-  | None ->
-    let d = Csr.max_out_degree t.csr in
-    Atomic.set t.max_out (Some d);
-    d
 
 let to_digraph t = Csr.to_digraph t.csr

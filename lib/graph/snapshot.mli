@@ -29,10 +29,6 @@ type identity = private { graph_id : int; epoch : int }
 
 val identity_equal : identity -> identity -> bool
 
-val compare_identity : identity -> identity -> int
-
-val pp_identity : Format.formatter -> identity -> unit
-
 type t
 
 val of_digraph : Digraph.t -> t
@@ -80,12 +76,6 @@ val iter_succ : t -> node -> (node -> unit) -> unit
 
 val iter_pred : t -> node -> (node -> unit) -> unit
 
-val fold_succ : t -> node -> ('a -> node -> 'a) -> 'a -> 'a
-
-val fold_pred : t -> node -> ('a -> node -> 'a) -> 'a -> 'a
-
-val exists_succ : t -> node -> (node -> bool) -> bool
-
 val has_edge : t -> node -> node -> bool
 
 val iter_nodes : t -> (node -> unit) -> unit
@@ -101,9 +91,6 @@ val label_count : t -> Label.t -> int
 (** O(1) after the first call: size of the label's bucket, from a
     histogram computed once per graph (shared across COW epochs).  The
     planner's selectivity estimates read population sizes here. *)
-
-val max_out_degree : t -> int
-(** Computed once per epoch. *)
 
 val to_digraph : t -> Digraph.t
 (** Rebuild a mutable graph with identical structure (fresh id). *)

@@ -1,12 +1,12 @@
 type node = int
 
-let bfs_generic ~iter_next g sources f =
+let bfs_rev g sources f =
   let n = Csr.node_count g in
   let dist = Array.make n (-1) in
   let queue = Queue.create () in
   List.iter
     (fun s ->
-      if s < 0 || s >= n then invalid_arg "Traversal.bfs";
+      if s < 0 || s >= n then invalid_arg "Traversal.bfs_rev";
       if dist.(s) < 0 then begin
         dist.(s) <- 0;
         Queue.add s queue
@@ -15,69 +15,9 @@ let bfs_generic ~iter_next g sources f =
   while not (Queue.is_empty queue) do
     let v = Queue.pop queue in
     f v dist.(v);
-    iter_next g v (fun w ->
+    Csr.iter_pred g v (fun w ->
         if dist.(w) < 0 then begin
           dist.(w) <- dist.(v) + 1;
           Queue.add w queue
         end)
   done
-
-let bfs g sources f = bfs_generic ~iter_next:Csr.iter_succ g sources f
-
-let bfs_rev g sources f = bfs_generic ~iter_next:Csr.iter_pred g sources f
-
-let reachable_from g sources =
-  let set = Bitset.create (Csr.node_count g) in
-  bfs g sources (fun v _ -> Bitset.add set v);
-  set
-
-let ancestors_of g sources =
-  let set = Bitset.create (Csr.node_count g) in
-  bfs_rev g sources (fun v _ -> Bitset.add set v);
-  set
-
-let dfs_postorder g f =
-  let n = Csr.node_count g in
-  let state = Array.make n 0 in
-  (* 0 = unvisited, 1 = on stack, 2 = done *)
-  let stack = Vec.create ~dummy:(-1) () in
-  for root = 0 to n - 1 do
-    if state.(root) = 0 then begin
-      Vec.push stack root;
-      while not (Vec.is_empty stack) do
-        let v = Vec.top stack in
-        if state.(v) = 0 then begin
-          state.(v) <- 1;
-          Csr.iter_succ g v (fun w -> if state.(w) = 0 then Vec.push stack w)
-        end
-        else begin
-          ignore (Vec.pop stack : int);
-          if state.(v) = 1 then begin
-            state.(v) <- 2;
-            f v
-          end
-        end
-      done
-    end
-  done
-
-let topological_order g =
-  let n = Csr.node_count g in
-  let indeg = Array.init n (Csr.in_degree g) in
-  let queue = Queue.create () in
-  for v = 0 to n - 1 do
-    if indeg.(v) = 0 then Queue.add v queue
-  done;
-  let order = Array.make n (-1) in
-  let count = ref 0 in
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    order.(!count) <- v;
-    incr count;
-    Csr.iter_succ g v (fun w ->
-        indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then Queue.add w queue)
-  done;
-  if !count = n then Some order else None
-
-let is_dag g = Option.is_some (topological_order g)

@@ -1,26 +1,9 @@
-(** Breadth-first and depth-first traversals over CSR snapshots. *)
+(** Breadth-first traversal over a CSR snapshot's reversed edges. *)
 
 type node = int
 
-val bfs : Csr.t -> node list -> (node -> int -> unit) -> unit
-(** [bfs g sources f] runs a forward multi-source BFS, calling [f v d]
-    once per reached node with its hop distance from the nearest source
-    (sources get distance 0). *)
-
 val bfs_rev : Csr.t -> node list -> (node -> int -> unit) -> unit
-(** Same over reversed edges (reaches the ancestors of the sources). *)
-
-val reachable_from : Csr.t -> node list -> Bitset.t
-(** Forward-reachable set, sources included. *)
-
-val ancestors_of : Csr.t -> node list -> Bitset.t
-(** Reverse-reachable set (every node with a path *to* a source), sources
-    included.  This is the affected area used by incremental matching. *)
-
-val dfs_postorder : Csr.t -> (node -> unit) -> unit
-(** Iterative DFS over the whole graph; calls [f] in postorder. *)
-
-val is_dag : Csr.t -> bool
-
-val topological_order : Csr.t -> node array option
-(** [Some order] (sources first) when the graph is acyclic. *)
+(** [bfs_rev g sources f] calls [f v d] once for every node [v] that
+    reaches a source, in order of [d], its hop distance to the nearest
+    source (0 for the sources themselves): the ancestors of the
+    sources.  @raise Invalid_argument on a source out of range. *)

@@ -4,10 +4,6 @@ let create ?(capacity = 8) ~dummy () =
   let capacity = max capacity 1 in
   { data = Array.make capacity dummy; len = 0; dummy }
 
-let make n x =
-  if n < 0 then invalid_arg "Vec.make";
-  { data = Array.make (max n 1) x; len = n; dummy = x }
-
 let length v = v.len
 
 let is_empty v = v.len = 0
@@ -43,26 +39,10 @@ let top v =
   if v.len = 0 then invalid_arg "Vec.top";
   v.data.(v.len - 1)
 
-let clear v =
-  Array.fill v.data 0 v.len v.dummy;
-  v.len <- 0
-
 let iter f v =
   for i = 0 to v.len - 1 do
     f v.data.(i)
   done
-
-let iteri f v =
-  for i = 0 to v.len - 1 do
-    f i v.data.(i)
-  done
-
-let fold_left f acc v =
-  let acc = ref acc in
-  for i = 0 to v.len - 1 do
-    acc := f !acc v.data.(i)
-  done;
-  !acc
 
 let exists p v =
   let rec loop i = i < v.len && (p v.data.(i) || loop (i + 1)) in
@@ -83,17 +63,6 @@ let remove_first p v =
     v.data.(v.len) <- v.dummy;
     true
 
-let to_list v =
-  let rec loop i acc = if i < 0 then acc else loop (i - 1) (v.data.(i) :: acc) in
-  loop (v.len - 1) []
-
 let to_array v = Array.sub v.data 0 v.len
 
-let of_list ~dummy xs =
-  let v = create ~dummy () in
-  List.iter (push v) xs;
-  v
-
 let copy v = { data = Array.copy v.data; len = v.len; dummy = v.dummy }
-
-let blit_into_array v dst pos = Array.blit v.data 0 dst pos v.len

@@ -11,9 +11,6 @@ val create : ?capacity:int -> dummy:'a -> unit -> 'a t
 (** [create ~dummy ()] is an empty vector.  [dummy] fills unused slots of
     the backing array and is never observable through the API. *)
 
-val make : int -> 'a -> 'a t
-(** [make n x] is a vector of length [n] filled with [x]. *)
-
 val length : 'a t -> int
 
 val is_empty : 'a t -> bool
@@ -34,33 +31,15 @@ val pop : 'a t -> 'a
 val top : 'a t -> 'a
 (** Last element without removing it. *)
 
-val clear : 'a t -> unit
-(** Logical reset to length 0; capacity is retained. *)
-
 val iter : ('a -> unit) -> 'a t -> unit
 
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
-
-val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-
 val exists : ('a -> bool) -> 'a t -> bool
-
-val find_index : ('a -> bool) -> 'a t -> int option
-(** Index of the first element satisfying the predicate. *)
 
 val remove_first : ('a -> bool) -> 'a t -> bool
 (** Remove the first element satisfying the predicate by swapping the last
     element into its slot (order is not preserved).  Returns [true] when an
     element was removed. *)
 
-val to_list : 'a t -> 'a list
-
 val to_array : 'a t -> 'a array
 
-val of_list : dummy:'a -> 'a list -> 'a t
-
 val copy : 'a t -> 'a t
-
-val blit_into_array : 'a t -> 'a array -> int -> unit
-(** [blit_into_array v dst pos] copies the live elements of [v] into [dst]
-    starting at [pos]. *)

@@ -115,4 +115,3 @@ val refine_over_area :
     which it builds; the input is not mutated.
     @raise Invalid_argument on a pattern with unbounded edges, which
     have no dependency radius. *)
-

@@ -60,11 +60,6 @@ let net_edge_changes g effective =
       else (ins, (a, b) :: del))
     parity ([], [])
 
-let invert = function
-  | Insert_edge (u, v) -> Some (Delete_edge (u, v))
-  | Delete_edge (u, v) -> Some (Insert_edge (u, v))
-  | Insert_node _ -> None
-
 let touched_sources updates =
   let seen = Hashtbl.create 16 in
   List.filter_map

@@ -12,10 +12,6 @@ type t =
   | Delete_edge of int * int
   | Insert_node of Label.t * Attrs.t
 
-val apply : Digraph.t -> t -> bool
-(** Apply one update; [false] when it was a no-op (edge already present /
-    already absent).  Node insertion always succeeds. *)
-
 val apply_batch : Digraph.t -> t list -> int
 (** Apply in order; returns the number of effective updates. *)
 
@@ -31,9 +27,6 @@ val net_edge_changes : Digraph.t -> t list -> (int * int) list * (int * int) lis
     whose presence differs between the pre-batch and post-batch graph,
     given the post-batch graph [g] and the {e effective} update list.
     Toggled edges (inserted then deleted, or vice versa) cancel out. *)
-
-val invert : t -> t option
-(** The update undoing an edge update ([None] for node insertion). *)
 
 val touched_sources : t list -> int list
 (** Source endpoints of the edge updates (deduplicated) — the seeds of
@@ -56,10 +49,6 @@ val of_json : Expfinder_telemetry.Json.t -> (t, string) result
 val random_insertions : Prng.t -> Digraph.t -> int -> t list
 (** [k] edge insertions between existing nodes, avoiding existing edges
     and each other (best effort: gives up on a dense graph). *)
-
-val random_deletions : Prng.t -> Digraph.t -> int -> t list
-(** [k] distinct existing edges to delete ([k] capped at the edge
-    count). *)
 
 val random_mixed : Prng.t -> Digraph.t -> int -> t list
 (** Roughly half insertions, half deletions, interleaved. *)

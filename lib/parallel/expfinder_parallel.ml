@@ -157,11 +157,6 @@ module Chan = struct
     Condition.broadcast t.nonfull;
     Mutex.unlock t.m
 
-  let length t =
-    Mutex.lock t.m;
-    let n = Queue.length t.q in
-    Mutex.unlock t.m;
-    n
 end
 
 (* ------------------------------------------------------------------ *)
@@ -248,7 +243,6 @@ module Pool = struct
             (Printexc.to_string e)));
     { jobs; workers = Array.of_list (List.rev !spawned); on_error; metrics }
 
-  let size t = Array.length t.workers
   let submit t job = Chan.push t.jobs job
 
   (* The drain (close + join, i.e. every queued job finishing) is

@@ -19,15 +19,6 @@
     one of these cells records, whatever {!Expfinder_telemetry.set_enabled}
     says. *)
 
-val env_name : string
-(** Name of the controlling environment variable, ["EXPFINDER_DOMAINS"]. *)
-
-val env_domains : unit -> int option
-(** [env_domains ()] is the parsed value of [EXPFINDER_DOMAINS]: [Some n]
-    for a well-formed positive integer, [None] when unset or malformed
-    (malformed values are ignored rather than fatal, matching the other
-    [EXPFINDER_*] knobs). *)
-
 val default_pool_domains : unit -> int
 (** Default domain count for the {e serving} pool: [EXPFINDER_DOMAINS]
     when set, else [max 1 (Domain.recommended_domain_count () - 1)]
@@ -69,10 +60,6 @@ module Chan : sig
   val close : 'a t -> unit
   (** Close the channel: wakes all blocked producers and consumers.
       Idempotent. *)
-
-  val length : 'a t -> int
-  (** Current backlog (a snapshot; may be stale by the time it
-      returns). *)
 end
 
 (** Fixed pool of worker domains fed from a bounded channel.  Jobs are
@@ -105,9 +92,6 @@ module Pool : sig
       @raise Failure when a worker domain cannot be spawned (for
       instance [domains] above the runtime's domain limit); the workers
       already spawned are joined first, so nothing leaks. *)
-
-  val size : t -> int
-  (** Number of worker domains. *)
 
   val submit : t -> (unit -> unit) -> unit
   (** Enqueue a job; blocks when the queue is full.

@@ -152,7 +152,3 @@ let equal a b =
   String.equal a.fingerprint b.fingerprint && String.equal (describe a) (describe b)
 
 let fingerprint t = t.fingerprint
-
-let pp ppf t =
-  Format.fprintf ppf "pattern(%d nodes, %d edges, output=%s)@\n%s" (size t)
-    (edge_count t) (name t t.output) (describe t)

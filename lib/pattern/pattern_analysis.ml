@@ -138,8 +138,6 @@ let attr_conflict attr atoms =
 let unsat_reason pred =
   List.find_map (fun attr -> attr_conflict attr (atoms_on attr pred)) (attrs_of pred)
 
-let pred_unsat pred = Option.map snd (unsat_reason pred)
-
 (* ------------------------------------------------------------------ *)
 (* Implication.                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -397,11 +395,3 @@ let analyze pattern =
   List.stable_sort
     (fun a b -> compare (severity_rank a.severity, a.node) (severity_rank b.severity, b.node))
     (List.rev !diags)
-
-let max_severity = function
-  | [] -> None
-  | diags ->
-    Some
-      (List.fold_left
-         (fun acc d -> if severity_rank d.severity < severity_rank acc then d.severity else acc)
-         Info diags)

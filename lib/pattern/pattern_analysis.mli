@@ -5,7 +5,7 @@
     or simplified by looking at the pattern alone.  This module provides
     the reasoning layers, cheapest first:
 
-    - {e predicate satisfiability} ({!pred_unsat}): interval reasoning
+    - {e predicate satisfiability} ({!statically_empty}): interval reasoning
       over the [Eq]/[Ne]/[Lt]/[Le]/[Gt]/[Ge] integer atoms plus
       equality/disequality conflict detection over strings, so
       [exp>=5 && exp<3] or [specialty="DBA" && specialty="SA"] is
@@ -42,19 +42,10 @@ type diagnostic = {
   fixup : string option;  (** suggested rewrite, human-readable *)
 }
 
-val severity_to_string : severity -> string
-(** ["error"], ["warning"], ["info"]. *)
-
 val pp_diagnostic : Pattern.t -> Format.formatter -> diagnostic -> unit
 (** [error[unsat-predicate] node SA: ... (fix: ...)]. *)
 
 (** {1 Predicate reasoning} *)
-
-val pred_unsat : Predicate.t -> string option
-(** [Some reason] when no attribute record can satisfy the conjunction:
-    empty integer interval (including every point excluded by [Ne]),
-    conflicting string equalities, an equality contradicted by a
-    disequality, or mixed value types on one attribute. *)
 
 val implies : Predicate.t -> Predicate.t -> bool
 (** [implies p q]: every attribute record satisfying [p] satisfies [q].
@@ -71,9 +62,6 @@ val subsumes : Pattern.node_spec -> Pattern.node_spec -> bool
     and predicate also satisfies [a]'s (i.e. [a] is the weaker spec). *)
 
 (** {1 Structural analysis} *)
-
-val unsat_node : Pattern.t -> Pattern.pnode option
-(** First node whose predicate is unsatisfiable, if any. *)
 
 val statically_empty : Pattern.t -> bool
 (** The kernel of this pattern is empty on {e every} data graph (some
@@ -94,8 +82,6 @@ val analyze : Pattern.t -> diagnostic list
       node into another (reported with node names);
     - [subsumed-edge] (info): a direct edge implied by a parallel
       two-edge path with a tighter total bound. *)
-
-val max_severity : diagnostic list -> severity option
 
 (** {1 Query containment} *)
 

@@ -23,11 +23,6 @@ val default : config
 (** 4 nodes, 1 extra edge, bounds up to 3, no unbounded edges, 50%
     conditions on ["exp"] in [0..5]. *)
 
-val generate : Prng.t -> config -> labels:Label.t array -> Pattern.t
-(** [labels] is the universe to draw node labels from (typically the
-    distinct labels of the data graph).  @raise Invalid_argument when
-    [labels] is empty or the config is out of range. *)
-
 val generate_many : Prng.t -> config -> labels:Label.t array -> int -> Pattern.t list
 
 val simulation_config : config -> config

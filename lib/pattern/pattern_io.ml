@@ -145,41 +145,7 @@ let of_string text =
   in
   loop 1 false lines
 
-let save p path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string p))
-
 let load path =
   match In_channel.with_open_text path In_channel.input_all with
   | text -> of_string text
   | exception Sys_error e -> Error e
-
-let to_dot ?(name = "Q") p =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);
-  for u = 0 to Pattern.size p - 1 do
-    let spec = Pattern.node_spec p u in
-    let label_text =
-      match spec.Pattern.label with
-      | None -> "*"
-      | Some l -> Label.to_string l
-    in
-    let pred_text = Format.asprintf "%a" Predicate.pp spec.Pattern.pred in
-    let shape = if u = Pattern.output p then "doublecircle" else "ellipse" in
-    Buffer.add_string buf
-      (Printf.sprintf "  p%d [shape=%s, label=\"%s:%s\\n%s\"];\n" u shape
-         spec.Pattern.name label_text pred_text)
-  done;
-  List.iter
-    (fun (u, v, b) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  p%d -> p%d [label=\"%s\"];\n" u v (bound_to_string b)))
-    (Pattern.edges p);
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
-
-let condition_to_string = atom_to_string
-
-let condition_of_string = parse_atom

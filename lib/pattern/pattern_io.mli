@@ -29,16 +29,4 @@ val to_string : Pattern.t -> string
 
 val of_string : string -> (Pattern.t, string) result
 
-val save : Pattern.t -> string -> unit
-
 val load : string -> (Pattern.t, string) result
-
-val to_dot : ?name:string -> Pattern.t -> string
-(** GraphViz rendering; edges are annotated with their bounds and the
-    output node is double-circled (mirrors the Pattern Builder display). *)
-
-val condition_to_string : Predicate.atom -> string
-(** One search condition in the file syntax, e.g. [exp>=int:5] (also used
-    by compressed-graph persistence to record atom universes). *)
-
-val condition_of_string : string -> (Predicate.atom, string) result

@@ -93,42 +93,6 @@ let minimise pattern =
     (minimised, renaming)
   end
 
-let project_to_output pattern =
-  let n = Pattern.size pattern in
-  let keep = Array.make n false in
-  let rec visit u =
-    if not keep.(u) then begin
-      keep.(u) <- true;
-      List.iter (fun (v, _) -> visit v) (Pattern.out_edges pattern u)
-    end
-  in
-  visit (Pattern.output pattern);
-  let renaming = Array.make n (-1) in
-  let count = ref 0 in
-  for u = 0 to n - 1 do
-    if keep.(u) then begin
-      renaming.(u) <- !count;
-      incr count
-    end
-  done;
-  if !count = n then (pattern, renaming)
-  else begin
-    let nodes = Array.make !count (Pattern.node_spec pattern 0) in
-    let edges = ref [] in
-    for u = 0 to n - 1 do
-      if keep.(u) then begin
-        nodes.(renaming.(u)) <- Pattern.node_spec pattern u;
-        List.iter
-          (fun (v, b) -> edges := (renaming.(u), renaming.(v), b) :: !edges)
-          (Pattern.out_edges pattern u)
-      end
-    done;
-    let projected =
-      Pattern.make_exn ~nodes ~edges:!edges ~output:renaming.(Pattern.output pattern)
-    in
-    (projected, renaming)
-  end
-
 let merges pattern =
   let _, renaming = minimise pattern in
   let n = Array.length renaming in
@@ -142,6 +106,3 @@ let merges pattern =
       match members with leader :: (_ :: _ as rest) -> (leader, rest) :: acc | _ -> acc)
     groups []
   |> List.sort compare
-
-let node_count_saved pattern =
-  List.fold_left (fun acc (_, merged) -> acc + List.length merged) 0 (merges pattern)

@@ -1,29 +1,18 @@
 (** Pattern-query minimisation (from the PVLDB 2010 paper underlying the
     demo: smaller equivalent queries evaluate faster).
 
-    Two rewrites are provided:
-
-    - {!minimise} merges {e duplicate} pattern nodes — same name-
-      irrelevant spec (label requirement and predicate) and identical
-      outgoing edges (same targets, same bounds) — to a fixpoint,
-      redirecting incoming edges (parallel edges keep the tighter
-      bound).  The rewritten query has {e the same matches} for every
-      surviving pattern node on every data graph, and the same output
-      matches; generated and hand-written team queries often contain
-      such duplicates ("two developers of the same kind").
-    - {!project_to_output} drops the pattern nodes the output node
-      cannot reach.  A node's (bounded-)simulation membership depends
-      only on its pattern descendants, so the output node's matches are
-      unchanged — but other nodes' matches and hence result graphs and
-      ranks may differ.  Use it when only the expert list matters. *)
+    {!minimise} merges {e duplicate} pattern nodes — same name-
+    irrelevant spec (label requirement and predicate) and identical
+    outgoing edges (same targets, same bounds) — to a fixpoint,
+    redirecting incoming edges (parallel edges keep the tighter bound).
+    The rewritten query has {e the same matches} for every surviving
+    pattern node on every data graph, and the same output matches;
+    generated and hand-written team queries often contain such
+    duplicates ("two developers of the same kind"). *)
 
 val minimise : Pattern.t -> Pattern.t * int array
 (** [minimise q] is [(q', renaming)] with [renaming.(u)] the node of
     [q'] that represents [u].  [q'] equals [q] when nothing merged. *)
-
-val project_to_output : Pattern.t -> Pattern.t * int array
-(** [(q', renaming)] where [q'] is induced by the output node's
-    descendants; [renaming.(u)] is [-1] for dropped nodes. *)
 
 val merges : Pattern.t -> (Pattern.pnode * Pattern.pnode list) list
 (** The merge decisions {!minimise} makes, as [(leader, merged)] groups
@@ -31,7 +20,3 @@ val merges : Pattern.t -> (Pattern.pnode * Pattern.pnode list) list
     into [leader] (the group's lowest id).  Empty when nothing merges.
     Qlint ({!Pattern_analysis.analyze}) renders these as named
     [duplicate-node] diagnostics. *)
-
-val node_count_saved : Pattern.t -> int
-(** Nodes removed by [minimise] (diagnostic); the total size of the
-    merged sides of {!merges}. *)

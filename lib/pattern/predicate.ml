@@ -18,15 +18,7 @@ let atom attr op value = [ { attr; op; value } ]
 
 let eq_str attr v = atom attr Eq (Attr.String v)
 
-let eq_int attr v = atom attr Eq (Attr.Int v)
-
 let ge_int attr v = atom attr Ge (Attr.Int v)
-
-let le_int attr v = atom attr Le (Attr.Int v)
-
-let gt_int attr v = atom attr Gt (Attr.Int v)
-
-let lt_int attr v = atom attr Lt (Attr.Int v)
 
 let eval_atom { attr; op; value } attrs =
   match Attrs.find attrs attr with
@@ -46,11 +38,6 @@ let eval_atom { attr; op; value } attrs =
 let eval t attrs = List.for_all (fun a -> eval_atom a attrs) t
 
 let is_always t = t = []
-
-let atom_equal a b =
-  String.equal a.attr b.attr && a.op = b.op && Attr.equal a.value b.value
-
-let equal a b = List.equal atom_equal a b
 
 let op_to_string = function
   | Eq -> "="

@@ -23,23 +23,13 @@ val atoms : t -> atom list
 
 val conj : t -> t -> t
 
-val atom : string -> op -> Attr.t -> t
-(** Single-comparison predicate. *)
-
 (* Sugar for the common cases. *)
 
 val eq_str : string -> string -> t
-val eq_int : string -> int -> t
 val ge_int : string -> int -> t
-val le_int : string -> int -> t
-val gt_int : string -> int -> t
-val lt_int : string -> int -> t
-
 val eval : t -> Attrs.t -> bool
 
 val is_always : t -> bool
-
-val equal : t -> t -> bool
 
 val op_to_string : op -> string
 (** ["="], ["!="], ["<"], ["<="], [">"], [">="]. *)

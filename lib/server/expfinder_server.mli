@@ -62,23 +62,6 @@ val endpoint_of_string : string -> (endpoint, string) result
 
 val endpoint_to_string : endpoint -> string
 
-val stats_json : Engine.t -> Json.t
-(** The live stats document served at [/stats.json]: snapshot identity
-    ([graph_id]/[epoch]), one {!Window.to_json} per operation class
-    under [windows] (summary plus exemplars), the domain-pool summary
-    under [pool] (workers, busy, queue depth/capacity, tasks, and the
-    writer: [writer_backlog], the update batches waiting for the
-    engine's writer lock, and [writer_submitted], the update window's
-    lifetime total), process gauges, the current SLO alert document under
-    [alerts], the metric registry and the flight-recorder ring. *)
-
-val domains_json : Engine.t -> Json.t
-(** The per-domain document served at [/domains.json]: the pool
-    summary, one row per pool worker (domain id, tasks, busy/idle
-    microseconds, utilization), per-domain GC pause totals with domain
-    spawn/stop counts, the engine's contention counters (stale reads and
-    snapshot staleness) and the continuous profiler's health block. *)
-
 val serve :
   ?max_connections:int ->
   ?sample_period:float ->

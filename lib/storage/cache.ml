@@ -68,10 +68,6 @@ let locked t f =
     Mutex.unlock t.cm;
     raise e
 
-let capacity t = t.capacity
-
-let length t = locked t (fun () -> Hashtbl.length t.table)
-
 let tick t =
   t.clock <- t.clock + 1;
   t.clock
@@ -156,17 +152,6 @@ let fold t ~snapshot ~init ~f =
             f acc entry.pattern entry.relation
           else acc)
         t.table init)
-
-let invalidate_snapshot t snapshot =
-  locked t (fun () ->
-      let victims =
-        Hashtbl.fold
-          (fun key _ acc ->
-            if Snapshot.identity_equal (snd key) snapshot then key :: acc
-            else acc)
-          t.table []
-      in
-      List.iter (Hashtbl.remove t.table) victims)
 
 let clear t =
   locked t (fun () ->

@@ -36,10 +36,6 @@ type t
 val create : ?capacity:int -> unit -> t
 (** Default capacity: 64 entries. *)
 
-val capacity : t -> int
-
-val length : t -> int
-
 type memo
 (** One entry's derived facts: {!pairs} and {!digest} of its stored
     relation.  A memo stays valid after its entry is evicted or
@@ -84,9 +80,6 @@ val fold :
     not mutate it.  [f] runs with the cache lock held: it must not
     call back into this cache. *)
 
-val invalidate_snapshot : t -> Snapshot.identity -> unit
-(** Drop every entry recorded under the given snapshot identity. *)
-
 val clear : t -> unit
 (** Drop every entry and reset the hit/miss counters (the eviction
     counter is cumulative over the cache's lifetime). *)
@@ -96,5 +89,4 @@ val hits : t -> int
 val misses : t -> int
 
 val evictions : t -> int
-(** Entries dropped by LRU pressure (not by {!clear} /
-    {!invalidate_snapshot}). *)
+(** Entries dropped by LRU pressure (not by {!clear}). *)

@@ -312,8 +312,6 @@ module Counter = struct
 
   let create cname = { cname; v = Atomic.make 0 }
 
-  let name c = c.cname
-
   let add c n =
     let before = Atomic.fetch_and_add c.v n in
     (* Saturate instead of wrapping; the set races other adds but any
@@ -331,8 +329,6 @@ module Gauge = struct
   type t = { gname : string; v : int Atomic.t }
 
   let create gname = { gname; v = Atomic.make 0 }
-
-  let name g = g.gname
 
   let set g n = Atomic.set g.v n
 
@@ -379,8 +375,6 @@ module Histogram = struct
       state = [| 0.0; 0.0; 0.0 |];
       hm = Mutex.create ();
     }
-
-  let name h = h.hname
 
   let bucket_of v =
     if v <= lo then 0
@@ -620,8 +614,6 @@ module Span = struct
   let make ?(attrs = []) sname =
     { sname; sstart = now_us (); dur_us = 0.0; rev_attrs = List.rev attrs; rev_kids = [] }
 
-  let name s = s.sname
-
   let duration_ms s = s.dur_us /. 1000.0
 
   let attrs s = List.rev s.rev_attrs
@@ -630,15 +622,6 @@ module Span = struct
 
   (* Start time relative to an explicit origin (used by the exporter). *)
   let start_rel ~origin s = s.sstart -. origin
-
-  let rec find s name =
-    if s.sname = name then Some s
-    else
-      List.fold_left
-        (fun acc kid -> match acc with Some _ -> acc | None -> find kid name)
-        None (children s)
-
-  let rec preorder_names s = s.sname :: List.concat_map preorder_names (children s)
 
   let pp_tree ppf s =
     let rec go indent s =
@@ -1062,10 +1045,6 @@ module Profile = struct
       (take ~reset);
     Buffer.contents b
 
-  let folds () = Mutex.protect state.plock (fun () -> state.folded)
-
-  let dropped () = Mutex.protect state.plock (fun () -> state.dropped)
-
   let to_json () =
     let stacks, folded, dropped =
       Mutex.protect state.plock (fun () ->
@@ -1443,8 +1422,6 @@ module Gcpause = struct
             true
           with _ -> false))
 
-  let active () = !session <> None
-
   let poll () =
     if Mutex.try_lock poll_lock then
       Fun.protect
@@ -1458,8 +1435,6 @@ module Gcpause = struct
   let pause_us_total () = Atomic.get stats.total_ns / 1000
 
   let pause_us_max () = Atomic.get stats.max_ns / 1000
-
-  let observed_slices () = Atomic.get stats.slices
 
   let domain_spawns () = Atomic.get stats.spawns
 
@@ -1650,10 +1625,6 @@ module Window = struct
       memo = Atomic.make no_memo;
       wm = Mutex.create ();
     }
-
-  let name t = t.wname
-
-  let seconds t = t.wseconds
 
   let reset t =
     Mutex.lock t.wm;
@@ -1918,8 +1889,6 @@ module Window = struct
         Hashtbl.fold (fun name w acc -> (name, w) :: acc) windows [])
     |> List.sort compare
 
-  let reset_all () =
-    List.iter (fun (_, w) -> reset w) (all ())
 end
 
 (* ------------------------------------------------------------------ *)
@@ -2027,24 +1996,6 @@ module Tracestore = struct
     Mutex.protect lock (fun () ->
         Array.to_list state.ring |> List.filter_map Fun.id)
     |> List.sort (fun a b -> compare b.sts_unix a.sts_unix)
-
-  (* Look a trace up by full id or by unique prefix (ids are long; the
-     CLI lets humans paste a prefix). *)
-  let find id =
-    let id = String.lowercase_ascii (String.trim id) in
-    if id = "" then None
-    else
-      match List.filter (fun s -> s.strace_id = id) (recent ()) with
-      | hit :: _ -> Some hit
-      | [] -> (
-        match
-          List.filter
-            (fun s -> String.length s.strace_id >= String.length id
-                      && String.sub s.strace_id 0 (String.length id) = id)
-            (recent ())
-        with
-        | [ hit ] -> Some hit
-        | _ -> None)
 
   let stored_json s =
     Json.Obj
@@ -2155,13 +2106,9 @@ module Jsonl_sink = struct
         t.warned <- false;
         t.path <- normalize path)
 
-  let path t = t.path
-
   let enabled t = t.path <> None
 
   let set_max_bytes t n = Mutex.protect t.lock (fun () -> t.max_bytes <- Stdlib.max 4096 n)
-
-  let max_bytes t = t.max_bytes
 
   let rotated_path p = p ^ ".1"
 
@@ -2284,8 +2231,6 @@ module Qlog = struct
      event lines. *)
   let sink_t = Jsonl_sink.create ~label:"query log" (Sys.getenv_opt "EXPFINDER_QLOG")
 
-  let max_bytes () = Jsonl_sink.max_bytes sink_t
-
   let set_max_bytes n = Jsonl_sink.set_max_bytes sink_t n
 
   (* Claimed atomically: alert events (sampler thread) and query events
@@ -2295,8 +2240,6 @@ module Qlog = struct
   let close () = Jsonl_sink.close sink_t
 
   let set_sink path = Jsonl_sink.set_path sink_t path
-
-  let sink () = Jsonl_sink.path sink_t
 
   let enabled () = Jsonl_sink.enabled sink_t
 
@@ -2404,8 +2347,6 @@ module Recorder = struct
     Array.to_list (Atomic.get buf)
     |> List.filter_map Fun.id
     |> List.sort (fun (a : Qlog.event) b -> compare a.seq b.seq)
-
-  let slow_events () = List.filter (fun (e : Qlog.event) -> e.slow) (recent ())
 
   (* Swap in a fresh array rather than filling in place: a concurrent
      [push] keeps writing its old array, which is then unreachable —
@@ -2571,11 +2512,7 @@ module Timeseries = struct
       prev = Hashtbl.create 32;
     }
 
-  let resolutions t = Array.to_list (Array.map (fun r -> (r.res_s, r.slots)) t.rings)
-
   let names t = List.rev t.rev_names
-
-  let kind_of t name = Hashtbl.find_opt t.kinds name
 
   let series_for t ring name kind =
     match Hashtbl.find_opt ring.sdata name with
@@ -2744,10 +2681,6 @@ module Timeseries = struct
   let shared = create ()
 
   let sink_t = Jsonl_sink.create ~label:"timeseries log" (Sys.getenv_opt "EXPFINDER_TIMESERIES")
-
-  let set_sink path = Jsonl_sink.set_path sink_t path
-
-  let sink () = Jsonl_sink.path sink_t
 
   (* One sampler tick: pull every live source (op-class windows, process
      gauges, registry counters) into [t] and
@@ -3001,8 +2934,6 @@ module Slo = struct
   let alerts () =
     ensure ();
     Atomic.get active
-
-  let firing () = List.filter (fun a -> a.state = Firing) (alerts ())
 
   let budget = function
     | Availability { target } | Latency_p99 { target; _ } -> Float.max 1e-9 (1.0 -. target)
@@ -3300,8 +3231,6 @@ module Postmortem = struct
   let dir_ref = ref (normalize (Sys.getenv_opt "EXPFINDER_POSTMORTEM_DIR"))
 
   let set_dir d = dir_ref := normalize d
-
-  let dir () = !dir_ref
 
   let expfinder_env () =
     Array.to_list (Unix.environment ())

@@ -43,18 +43,12 @@ module Json : sig
   val of_string : string -> (t, string) result
   (** Parse a complete JSON document (trailing garbage is an error). *)
 
-  val escape : string -> string
-  (** The string-literal escaping used by the emitter (no quotes). *)
-
   val member : string -> t -> t option
   (** Field lookup on an [Obj]; [None] on other constructors. *)
 
   val str_opt : t -> string option
 
   val int_opt : t -> int option
-
-  val float_opt : t -> float option
-  (** Accepts both [Float] and [Int]. *)
 
   val list_opt : t -> t list option
 end
@@ -66,8 +60,6 @@ module Counter : sig
 
   val create : string -> t
   (** A standalone (unregistered) counter. *)
-
-  val name : t -> string
 
   val incr : t -> unit
 
@@ -83,10 +75,6 @@ end
 
 module Gauge : sig
   type t
-
-  val create : string -> t
-
-  val name : t -> string
 
   val set : t -> int -> unit
 
@@ -107,8 +95,7 @@ module Histogram : sig
   type t
 
   val create : string -> t
-
-  val name : t -> string
+  (** A standalone (unregistered) histogram. *)
 
   val observe : t -> float -> unit
   (** Record a sample (non-positive samples land in the lowest bucket).
@@ -116,19 +103,9 @@ module Histogram : sig
 
   val count : t -> int
 
-  val sum : t -> float
-
-  val min_value : t -> float
-  (** [nan] when empty. *)
-
-  val max_value : t -> float
-  (** [nan] when empty. *)
-
   val percentile : t -> float -> float
   (** [percentile h p] for [0 <= p <= 1]; [nan] when empty.  Clamped to
       the exact [min]/[max]. *)
-
-  val reset : t -> unit
 end
 
 module Metrics : sig
@@ -183,37 +160,11 @@ module Span : sig
 
   type t
 
-  val name : t -> string
-
   val duration_ms : t -> float
-
-  val attrs : t -> (string * string) list
-
-  val children : t -> t list
-
-  val find : t -> string -> t option
-  (** First descendant (or the span itself) with the given name,
-      depth-first. *)
-
-  val preorder_names : t -> string list
-  (** Every span name in the tree, depth-first, parents first. *)
 
   val pp_tree : Format.formatter -> t -> unit
   (** Human-readable indented stage tree with timings and
       annotations. *)
-
-  val self_ms : t -> float
-  (** Time spent in the span itself, outside any child span (clamped at
-      zero). *)
-
-  val critical_path : t -> t list
-  (** Root-to-leaf chain obtained by descending into the longest child
-      at each level — the chain that bounds the request's latency. *)
-
-  val pp_annotated : Format.formatter -> t -> unit
-  (** Like {!pp_tree} but each line also shows self-time, and spans on
-      the {!critical_path} are marked with a leading ["*"] (the
-      [expfinder trace show] rendering). *)
 
   val to_chrome_json : ?trace_id:string -> ?span_id:string -> t -> string
   (** The tree as a Chrome trace-event JSON array ([ph:"X"] complete
@@ -228,11 +179,6 @@ module Span : sig
       object (the report/profile serialization, unlike the flat
       Chrome-event array of {!to_chrome_json}). *)
 
-  val of_json : Json.t -> t option
-  (** Inverse of {!to_json} as far as the shape allows: durations,
-      attrs and tree structure round-trip; start times are not
-      serialized, so the reconstructed spans carry a zero origin
-      (enough for {!self_ms}, {!critical_path} and the renderers). *)
 end
 
 (** {1 Request trace contexts}
@@ -265,12 +211,6 @@ module Trace : sig
       correlation ids, not secrets.  A process forked without exec
       keeps its parent's base and counter, so ids minted on both sides
       of the fork can coincide. *)
-
-  val valid_trace_id : string -> bool
-  (** 32 lowercase hex chars, not all zero. *)
-
-  val valid_span_id : string -> bool
-  (** 16 lowercase hex chars, not all zero. *)
 
   val to_wire : ctx -> string
   (** Compact ["traceid-spanid"] form carried in the newline-JSON
@@ -348,16 +288,6 @@ module Profile : sig
       counts, under the same lock acquisition as the read, so a fold
       lands either in the returned text or in the next one. *)
 
-  val folds : unit -> int
-  (** Root span trees folded since start or the last reset. *)
-
-  val dropped : unit -> int
-  (** Stacks discarded because the table was at [max_stacks]; a nonzero
-      value means the profile under-reports tail stacks. *)
-
-  val max_stacks : int
-  (** Bound on distinct stacks: 4096. *)
-
   val to_json : unit -> Json.t
   (** Profiler health: [{stacks; max_stacks; folded; dropped}] — the
       stats block of [/domains.json]. *)
@@ -371,10 +301,6 @@ end
     behind [expfinder bench-diff]. *)
 
 module Report : sig
-  val schema_version : int
-  (** Version of the on-disk report format (currently [1]); {!load}
-      rejects reports written under any other version. *)
-
   type sample_stats = {
     samples : float list;  (** raw samples, as measured *)
     median : float;  (** true median (mean of the middle pair when even) *)
@@ -410,8 +336,6 @@ module Report : sig
 
   val records : t -> record list
   (** In insertion order. *)
-
-  val to_json : t -> Json.t
 
   val write : t -> string -> unit
   (** Pretty-printed JSON to the given path. *)
@@ -453,9 +377,8 @@ end
 
     Best-effort self-monitoring of GC pause time through
     [Runtime_events]: {!Gcpause.start} subscribes to the runtime's own
-    event ring, and each {!Gcpause.poll} (called from
-    {!process_stats}) drains it, pairing minor/major slice begin/end
-    events into cumulative pause totals.  If the ring cannot be created
+    event ring, and each {!process_stats} call drains it, pairing
+    minor/major slice begin/end events into cumulative pause totals.  If the ring cannot be created
     the module stays inert and the totals read zero. *)
 
 module Gcpause : sig
@@ -467,26 +390,6 @@ module Gcpause : sig
       is set at process start (the runtime reads it only then).  The
       runtime unlinks the file on a normal exit, so a process that can
       be killed should turn its fatal signals into [Stdlib.exit]. *)
-
-  val active : unit -> bool
-
-  val poll : unit -> unit
-  (** Drain pending runtime events into the totals (cheap; no-op when
-      not started).  Single-consumer by construction: concurrent polls
-      are serialized by a mutex, and a contended call returns
-      immediately rather than blocking — the skipped events are picked
-      up by the next tick.  The totals themselves are atomics, safe to
-      read from any thread. *)
-
-  val pause_us_total : unit -> int
-  (** Cumulative microseconds spent in observed minor/major GC slices,
-      summed over all domains. *)
-
-  val pause_us_max : unit -> int
-  (** Longest single observed slice across all domains, in
-      microseconds. *)
-
-  val observed_slices : unit -> int
 
   val domain_spawns : unit -> int
   (** [EV_DOMAIN_SPAWN] lifecycle events observed since start. *)
@@ -531,17 +434,6 @@ val process_stats : unit -> (string * int) list
 
 module Window : sig
   type t
-
-  val default_seconds : int
-  (** 60. *)
-
-  val create : ?seconds:int -> string -> t
-  (** A standalone (unregistered) window over the last [seconds]
-      (default {!default_seconds}, floor 1) seconds. *)
-
-  val name : t -> string
-
-  val seconds : t -> int
 
   val observe : t -> ?error:bool -> ?now:float -> ?trace:string -> float -> unit
   (** [observe w ms] records one request of [ms] milliseconds in the
@@ -594,17 +486,10 @@ module Window : sig
       {!Tracestore} compares a finished request against, so admission
       costs one atomic read instead of merging the whole ring. *)
 
-  val summary_json : summary -> Json.t
-  (** As a flat object ([qps], [p95_ms], ...); [nan] fields serialize as
-      [null]. *)
-
   val summary_of_json : Json.t -> summary option
-  (** Parse a {!summary_json} dump back (postmortem rendering reads its
-      window summaries this way); [null]/missing latency fields come
-      back as [nan]. *)
-
-  val pp_summary : Format.formatter -> summary -> unit
-  (** One human-readable line: count, QPS, error rate, p50/p95/p99. *)
+  (** Parse a summary object ({!to_json}'s) back (postmortem rendering
+      reads its window summaries this way); [null]/missing latency
+      fields come back as [nan]. *)
 
   (** {2 Exemplars} — one recent trace id per latency bucket, linking
       scraped percentiles to stored traces. *)
@@ -616,17 +501,11 @@ module Window : sig
     ex_ts_unix : float;  (** when it was observed *)
   }
 
-  val exemplars : t -> exemplar list
-  (** Current exemplars, ordered by bucket bound.  Exemplars persist
-      until overwritten by a later traced observation in the same
-      bucket (or {!reset}); they are a drill-down hint, not a windowed
-      statistic. *)
-
-  val exemplar_json : exemplar -> Json.t
-  (** [{le; trace_id; value_ms; ts_unix}]. *)
-
   val to_json : ?now:float -> t -> Json.t
-  (** {!summary_json} of the current summary plus an [exemplars] array
+  (** The current summary as a flat object ([qps], [p95_ms], ...;
+      [nan] fields as [null]) plus an [exemplars] array, ordered by
+      bucket bound: one recent traced observation per latency bucket,
+      kept until a later one in the same bucket (or {!reset})
       (the [/stats.json] per-window document; {!summary_of_json}
       ignores the extra member). *)
 
@@ -642,7 +521,6 @@ module Window : sig
   val all : unit -> (string * t) list
   (** Sorted by name. *)
 
-  val reset_all : unit -> unit
 end
 
 (** {1 In-process trace store}
@@ -670,9 +548,6 @@ module Tracestore : sig
     sroot : Span.t option;  (** span tree, when one was recorded *)
   }
 
-  val capacity : int
-  (** The ring size: 128 traces. *)
-
   val record :
     trace_id:string ->
     span_id:string ->
@@ -688,22 +563,11 @@ module Tracestore : sig
       histogram exemplar, so exemplars always resolve to stored traces.
       Identity-free requests ([trace_id = ""]) are never stored. *)
 
-  val recent : unit -> stored list
-  (** Stored traces, newest first. *)
-
-  val find : string -> stored option
-  (** Look up by full trace id, or by unique prefix. *)
-
-  val seen : unit -> int
-  (** Requests offered (admitted or not) since the last {!clear}. *)
-
   val clear : unit -> unit
 
-  val stored_json : stored -> Json.t
-
   val stored_of_json : Json.t -> stored option
-  (** Parse one {!stored_json} object back (the [expfinder trace]
-      client side). *)
+  (** Parse one trace object of {!to_json}'s [traces] back (the
+      [expfinder trace] client side). *)
 
   val to_json : unit -> Json.t
   (** The [/traces.json] document: [{capacity; seen; traces}]. *)
@@ -731,15 +595,6 @@ end
     with the handler's query events line-atomically, never torn. *)
 
 module Qlog : sig
-  val schema_version : int
-  (** Version of the per-line event format (currently [2], which added
-      [trace_id]). *)
-
-  val min_schema_version : int
-  (** Oldest version {!load} still accepts (currently [1]; v1 events
-      come back with [trace_id = ""]).  Anything outside
-      [[min_schema_version, schema_version]] is rejected. *)
-
   type kind = Query | Batch | Update | Alert
 
   val kind_name : kind -> string
@@ -765,11 +620,9 @@ module Qlog : sig
     payload : Json.t option;  (** replayable request body *)
   }
 
-  val slow_threshold_ms : unit -> float option
+  val set_slow_threshold_ms : float option -> unit
   (** The slow-request threshold; initialised from [EXPFINDER_SLOW_MS],
       [None] when unset (nothing is flagged). *)
-
-  val set_slow_threshold_ms : float option -> unit
 
   val set_sink : string option -> unit
   (** Point the log at a path ([None] and [Some ""] disable).
@@ -777,12 +630,8 @@ module Qlog : sig
       [EXPFINDER_QLOG]; the file opens lazily on the first {!write} and
       is appended to. *)
 
-  val sink : unit -> string option
-
   val enabled : unit -> bool
   (** A sink is configured. *)
-
-  val max_bytes : unit -> int
 
   val set_max_bytes : int -> unit
   (** Rotation threshold (floor 4096; 64 MiB unless set here, which
@@ -803,10 +652,6 @@ module Qlog : sig
   val close : unit -> unit
   (** Flush and close the sink channel (the path stays configured). *)
 
-  val event_json : event -> Json.t
-
-  val event_of_json : Json.t -> (event, string) result
-
   val load : string -> (event list, string) result
   (** Parse a JSONL file back into events (blank lines skipped); the
       error names the offending line. *)
@@ -814,8 +659,8 @@ end
 
 (** {1 Flight recorder}
 
-    An always-on, fixed-size ring buffer of the last {!Recorder.capacity}
-    finished requests (queries, batches and update batches).  It holds
+    An always-on, fixed-size ring buffer of the last 64 finished
+    requests (queries, batches and update batches).  It holds
     the same {!Qlog.event} record the query log writes, numbered by the
     ring's own sequence; requests at least [EXPFINDER_SLOW_MS]
     milliseconds long are flagged as slow.  Filled by
@@ -824,15 +669,10 @@ end
     self-check fails. *)
 
 module Recorder : sig
-  val capacity : int
-  (** The ring size: 64 records; older records are overwritten. *)
-
   val recent : unit -> Qlog.event list
   (** Buffered records, oldest first.  [seq] is the ring's sequence
       number; [digest] and [payload] are only filled while a query-log
       sink is set. *)
-
-  val slow_events : unit -> Qlog.event list
 
   val clear : unit -> unit
 
@@ -893,20 +733,11 @@ end
     [EXPFINDER_TIMESERIES] sink (rotated at 64 MiB as in {!Qlog}). *)
 
 module Timeseries : sig
-  val schema_version : int
-  (** Version of the JSONL tick format and of the [/timeseries.json]
-      document (currently [1]). *)
-
   type kind =
     | Rate  (** per-tick delta of a cumulative source; aggregate = sum *)
     | Level  (** instantaneous reading; aggregate = last/min/max *)
 
-  val kind_name : kind -> string
-
   type t
-
-  val default_resolutions : (int * int) list
-  (** [(res_seconds, slots)] per ring: [[(1, 120); (10, 360); (60, 720)]]. *)
 
   val create : ?resolutions:(int * int) list -> unit -> t
   (** A fresh store (floors: 1 s resolution, 2 slots; duplicate
@@ -915,13 +746,6 @@ module Timeseries : sig
   val shared : t
   (** The process-wide instance behind [/timeseries.json], the sampler
       and postmortems. *)
-
-  val resolutions : t -> (int * int) list
-
-  val names : t -> string list
-  (** Every series ever recorded, in first-recorded order. *)
-
-  val kind_of : t -> string -> kind option
 
   val record : ?now:float -> t -> kind -> string -> float -> unit
   (** Record one value into every ring ([?now] pins the clock for
@@ -942,10 +766,6 @@ module Timeseries : sig
   (** The series' points over the trailing [seconds], oldest first,
       from the finest ring that spans the range. *)
 
-  val window_sum : ?now:float -> t -> seconds:int -> string -> float
-  (** Sum of [sum] over {!points} (the natural aggregate of a [Rate]
-      series). *)
-
   val sample : ?now:float -> ?persist:bool -> t -> (string * float) list
   (** One sampler tick: collect every live source into [t] and (unless
       [~persist:false]) append the tick to the sink.  Returns the
@@ -957,12 +777,6 @@ module Timeseries : sig
       per resolution, each series as [[t_unix, last, sum, min, max,
       count]] point arrays ([?max_points] caps the tail length per
       series per resolution). *)
-
-  val set_sink : string option -> unit
-  (** Point the tick log at a path ([None] / [Some ""] disable);
-      initialised from [EXPFINDER_TIMESERIES]. *)
-
-  val sink : unit -> string option
 
   (** {2 Persisted captures} *)
 
@@ -1018,9 +832,6 @@ module Slo : sig
 
   type state = Passing | Firing
 
-  val state_name : state -> string
-  (** ["ok"] / ["firing"]. *)
-
   (** Live evaluation state of one objective. *)
   type alert = {
     objective : objective;
@@ -1035,20 +846,10 @@ module Slo : sig
   val set_objectives : objective list -> unit
   (** Replace the active objective set (resets all alert state). *)
 
-  val objectives_from_env : unit -> objective list
-  (** The default set (used on first access when
-      {!set_objectives} was never called). *)
-
-  val alerts : unit -> alert list
-
-  val firing : unit -> alert list
-
   val evaluate : ?now:float -> ?ts:Timeseries.t -> unit -> alert list
   (** Recompute every alert from the timeseries rings (default
       {!Timeseries.shared}; [?now] pins the clock).  State transitions
       are appended to the query log as [alert] events. *)
-
-  val alert_json : alert -> Json.t
 
   val to_json : ?now:float -> unit -> Json.t
   (** The [/alerts.json] document. *)
@@ -1085,17 +886,10 @@ end
     postmortem FILE]. *)
 
 module Postmortem : sig
-  val schema_version : int
-
   val set_dir : string option -> unit
   (** Where artifacts land ([None] / [Some ""] disable); initialised
       from [EXPFINDER_POSTMORTEM_DIR].  The directory is created on
       first write. *)
-
-  val dir : unit -> string option
-
-  val document : ?reason:string -> unit -> Json.t
-  (** Assemble the artifact document without writing it. *)
 
   val write : ?reason:string -> unit -> string option
   (** Atomically write one artifact ([postmortem-<pid>-<ms>.json]) and

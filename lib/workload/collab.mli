@@ -33,7 +33,6 @@ val query : unit -> Pattern.t
 
 val walt : int
 val bob : int
-val bill : int
 val jean : int
 val dan : int
 val mat : int

@@ -123,8 +123,6 @@ let run engine events =
     outcomes;
   }
 
-let mismatches summary = List.filter (fun (o : outcome) -> not o.matched) summary.outcomes
-
 (* Group replayed outcomes into report records keyed by the event's
    query fingerprint: the ids depend only on the captured workload, so
    two replays of the same log (say before and after an optimisation)

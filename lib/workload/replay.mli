@@ -44,8 +44,6 @@ val run : Engine.t -> Qlog.event list -> summary
     base graph the log was captured against (updates are re-applied, so
     starting from a later state diverges by construction). *)
 
-val mismatches : summary -> outcome list
-
 val report : ?mode:string -> summary -> Report.t
 (** The replay latencies as a bench report (mode ["replay"]): one
     [REPLAY.<kind>.<fingerprint>] record per distinct request (samples:

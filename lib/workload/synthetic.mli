@@ -18,8 +18,6 @@ open Expfinder_graph
 val fields : string array
 (** The label alphabet: SA, SD, BA, ST, PM, QA, DBA, UX. *)
 
-val field_labels : unit -> Label.t array
-
 val flat : Prng.t -> n:int -> avg_degree:int -> Digraph.t
 (** Random collaboration graph: [n] nodes, [n * avg_degree] edges,
     uniform field labels, [exp] uniform in [0..10]. *)

@@ -9,11 +9,6 @@ open Expfinder_graph
     experience attributes correlated with popularity.  Seeded generation
     makes every experiment reproducible. *)
 
-val interests : string array
-(** Label alphabet: ML, DB, Sys, Sec, UX, PL. *)
-
-val interest_labels : unit -> Label.t array
-
 val generate : Prng.t -> n:int -> Digraph.t
 (** [n]-user follower graph: active users follow ~4 earlier users chosen
     preferentially; about half of the users are lurkers following a

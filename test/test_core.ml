@@ -28,7 +28,7 @@ let random_pattern rng ~simulation ~unbounded =
     }
   in
   let c = if simulation then Pattern_gen.simulation_config c else c in
-  Pattern_gen.generate rng c ~labels
+  Testkit.generate rng c ~labels
 
 (* Brute-force greatest fixpoint straight from the definition: all-pairs
    nonempty-path distances + sweep-until-stable, removing pairs only on
@@ -85,14 +85,14 @@ let prop_simulation_matches_reference seed =
   let pattern = random_pattern rng ~simulation:true ~unbounded:false in
   Match_relation.equal (Simulation.run pattern g) (reference pattern g)
 
-(* The witness kernel equals the reference, and [consistent] accepts it,
+(* The witness kernel equals the reference, and [Verify] accepts it,
    on bounded patterns and on patterns with unbounded edges. *)
 let prop_bsim_matches_reference ~unbounded seed =
   let rng = Prng.create seed in
   let g = Snapshot.of_digraph (random_graph rng) in
   let pattern = random_pattern rng ~simulation:false ~unbounded in
   let m = Bounded_sim.run pattern g in
-  Match_relation.equal m (reference pattern g) && Bounded_sim.consistent pattern g m
+  Match_relation.equal m (reference pattern g) && Testkit.verified pattern g m
 
 (* The two ways into the witness kernel on patterns with unbounded
    edges: from the full candidate sets it equals the reference; through
@@ -199,7 +199,7 @@ let prop_witness_matches_oracle seed =
         Bounded_sim.refine ~work:(Work.create ()) pattern g ~initial ~mutable_set
       in
       let mutable_set = Bitset.create (Snapshot.node_count g) in
-      Snapshot.iter_nodes g (fun v -> if Prng.bool rng then Bitset.add mutable_set v);
+      Snapshot.iter_nodes g (fun v -> if Testkit.coin rng then Bitset.add mutable_set v);
       Match_relation.equal (witness None) (reference pattern g)
       && Match_relation.equal (witness (Some mutable_set)) (reference ~mutable_set pattern g))
     [ triangle; random ]
@@ -215,7 +215,7 @@ let prop_kernel_consistent seed =
   let g = Snapshot.of_digraph (random_graph rng) in
   let pattern = random_pattern rng ~simulation:false ~unbounded:false in
   let m = Bounded_sim.run pattern g in
-  Bounded_sim.consistent pattern g m
+  Testkit.verified pattern g m
 
 let prop_relaxing_bounds_grows_matches seed =
   (* Monotonicity: raising a bound can only add matches. *)
@@ -254,9 +254,32 @@ let test_match_relation_ops () =
   Alcotest.(check bool) "copy independent" true (Match_relation.mem m 0 3);
   Alcotest.(check bool) "not equal" false (Match_relation.equal m c);
   let m2 = Match_relation.of_pairs ~pattern_size:2 ~graph_size:10 (Match_relation.pairs m) in
-  Alcotest.(check bool) "of_pairs" true (Match_relation.equal m m2);
-  Match_relation.clear m;
-  Alcotest.(check int) "cleared" 0 (Match_relation.total m)
+  Alcotest.(check bool) "of_pairs" true (Match_relation.equal m m2)
+
+(* Gr's data nodes, ascending, and its weighted edges over data-node
+   ids, read through the compact forward adjacency.  Gr has one node per
+   data node the relation matches. *)
+let gr_edges m gr =
+  let nodes =
+    List.sort_uniq compare (List.map snd (Match_relation.pairs m))
+    |> List.filter (fun v -> Result_graph.index_of gr v <> None)
+  in
+  assert (List.length nodes = Result_graph.node_count gr);
+  let of_index = Array.make (Result_graph.node_count gr) (-1) in
+  List.iter (fun v -> of_index.(Option.get (Result_graph.index_of gr v)) <- v) nodes;
+  let adj = Result_graph.forward gr in
+  let edges =
+    List.concat_map
+      (fun v ->
+        let i = Option.get (Result_graph.index_of gr v) in
+        List.init
+          (adj.offsets.(i + 1) - adj.offsets.(i))
+          (fun p ->
+            let p = adj.offsets.(i) + p in
+            (v, of_index.(adj.targets.(p)), adj.weights.(p))))
+      nodes
+  in
+  (nodes, edges)
 
 (* --- Candidates ----------------------------------------------------------- *)
 
@@ -322,12 +345,19 @@ let test_result_graph_roles () =
   let q = Expfinder_workload.Collab.query () in
   let m = Bounded_sim.run q g in
   let gr = Result_graph.build q g m in
-  Alcotest.(check (list int)) "Bob matches SA" [ 0 ]
-    (Result_graph.pattern_nodes_of gr Expfinder_workload.Collab.bob);
-  Alcotest.(check (list int)) "unmatched node has no roles" []
-    (Result_graph.pattern_nodes_of gr Expfinder_workload.Collab.bill);
-  Alcotest.(check bool) "mem" true (Result_graph.mem_data_node gr Expfinder_workload.Collab.eva);
-  Alcotest.(check bool) "not mem" false (Result_graph.mem_data_node gr Expfinder_workload.Collab.bill);
+  let bill = snd Expfinder_workload.Collab.e1 in
+  let roles v =
+    List.concat_map
+      (fun u ->
+        List.filter_map
+          (fun (d : Result_graph.detail) -> if d.data_node = v then Some u else None)
+          (Result_graph.drill_down q g gr u))
+      (List.init (Pattern.size q) Fun.id)
+  in
+  Alcotest.(check (list int)) "Bob matches SA" [ 0 ] (roles Expfinder_workload.Collab.bob);
+  Alcotest.(check (list int)) "unmatched node has no roles" [] (roles bill);
+  Alcotest.(check bool) "mem" true (Result_graph.index_of gr Expfinder_workload.Collab.eva <> None);
+  Alcotest.(check bool) "not mem" false (Result_graph.index_of gr bill <> None);
   let dot = Result_graph.to_dot q g ~highlight:[ Expfinder_workload.Collab.bob ] gr in
   Alcotest.(check bool) "dot nonempty" true (String.length dot > 40)
 
@@ -377,9 +407,7 @@ let prop_result_graph_weights_within_bounds seed =
   let m = Bounded_sim.run pattern g in
   let gr = Result_graph.build pattern g m in
   let max_bound = Option.value ~default:1 (Pattern.max_bound pattern) in
-  let ok = ref true in
-  Result_graph.iter_edges gr (fun _ _ d -> if d < 1 || d > max_bound then ok := false);
-  !ok
+  List.for_all (fun (_, _, d) -> d >= 1 && d <= max_bound) (snd (gr_edges m gr))
 
 let test_result_graph_duplicate_pair () =
   (* Both pattern edges A->B (bound 1) and A->B' (bound 2) are witnessed
@@ -388,7 +416,7 @@ let test_result_graph_duplicate_pair () =
      witness distance, in both directions. *)
   let la = Label.of_string "A" and lb = Label.of_string "B" and lx = Label.of_string "X" in
   let g =
-    Snapshot.of_digraph (Digraph.of_edges ~labels:[| la; lb; lx |] [ (0, 1); (0, 2); (2, 1) ])
+    Snapshot.of_digraph (Testkit.of_edges ~labels:[| la; lb; lx |] [ (0, 1); (0, 2); (2, 1) ])
   in
   let node name label = { Pattern.name; label = Some label; pred = Predicate.always } in
   let q =
@@ -397,10 +425,11 @@ let test_result_graph_duplicate_pair () =
       ~edges:[ (0, 1, Pattern.Bounded 1); (0, 2, Pattern.Bounded 2) ]
       ~output:0
   in
-  let gr = Result_graph.build q g (Bounded_sim.run q g) in
+  let m = Bounded_sim.run q g in
+  let gr = Result_graph.build q g m in
   Alcotest.(check int) "one edge" 1 (Result_graph.edge_count gr);
-  Alcotest.(check (option int)) "minimum weight" (Some 1) (Result_graph.weight gr 0 1);
-  Alcotest.(check (option int)) "no reverse edge" None (Result_graph.weight gr 1 0);
+  Alcotest.(check (list (triple int int int)))
+    "minimum weight, no reverse edge" [ (0, 1, 1) ] (snd (gr_edges m gr));
   match Result_graph.drill_down q g gr 1 with
   | [ b ] ->
     Alcotest.(check (list (pair int int))) "one in-edge" [ (0, 1) ] b.Result_graph.in_edges
@@ -431,14 +460,14 @@ let bellman_ford n edges src =
    Bellman-Ford distances on Gr's edge list: the average distance to
    every ancestor plus every descendant of [v], a node counting once per
    direction it connects in. *)
-let reference_ranks gr =
-  let nodes = Array.of_list (Result_graph.data_nodes gr) in
+let reference_ranks m gr =
+  let nodes, gr_edges = gr_edges m gr in
+  let nodes = Array.of_list nodes in
   let n = Array.length nodes in
   let pos = Hashtbl.create 16 in
   Array.iteri (fun i v -> Hashtbl.replace pos v i) nodes;
-  let edges = ref [] in
-  Result_graph.iter_edges gr (fun v v' d ->
-      edges := (Hashtbl.find pos v, Hashtbl.find pos v', d) :: !edges);
+  let edges = List.map (fun (v, v', d) -> (Hashtbl.find pos v, Hashtbl.find pos v', d)) gr_edges in
+  let edges = ref edges in
   let rev = List.map (fun (u, v, d) -> (v, u, d)) !edges in
   let ranks = Hashtbl.create 16 in
   Array.iteri
@@ -470,7 +499,7 @@ let prop_ranking_matches_reference seed =
   in
   let m = Bounded_sim.run pattern g in
   let gr = Result_graph.build pattern g m in
-  let ranks = reference_ranks gr in
+  let ranks = reference_ranks m gr in
   (* Shuffled, so a match ranked late can tie the K-th best rank with a
      smaller id. *)
   let shuffled = Array.of_list (Match_relation.matches m (Pattern.output pattern)) in
@@ -490,7 +519,7 @@ let prop_ranking_matches_reference seed =
     [ 0; 1; 2; size; size + 3 ]
   && List.for_all
        (fun v -> Ranking.rank_of gr v = Hashtbl.find ranks v)
-       (Result_graph.data_nodes gr)
+       (fst (gr_edges m gr))
 
 (* More output matches than two lane words hold (Sys.int_size each), so
    later batches are ranked against the bound the earlier ones leave.
@@ -545,7 +574,7 @@ let prop_ranking_many_lanes seed =
       edge (a + 2) (a + 3);
       edge (a + 3) a)
     far_a;
-  let g = Snapshot.of_digraph (Digraph.of_edges ~labels !edges) in
+  let g = Snapshot.of_digraph (Testkit.of_edges ~labels !edges) in
   let node name label = { Pattern.name; label = Some label; pred = Predicate.always } in
   let pattern =
     Pattern.make_exn
@@ -559,7 +588,7 @@ let prop_ranking_many_lanes seed =
   in
   let m = Bounded_sim.run pattern g in
   let gr = Result_graph.build pattern g m in
-  let ranks = reference_ranks gr in
+  let ranks = reference_ranks m gr in
   let shuffled = Array.of_list (Match_relation.matches m 0) in
   Prng.shuffle rng shuffled;
   let size = Array.length shuffled in
@@ -677,7 +706,7 @@ let prop_digest_matches_reference seed =
 let chain_graph n =
   let a = Label.of_string "A" in
   Snapshot.of_digraph
-    (Digraph.of_edges ~labels:(Array.make n a) (List.init (n - 1) (fun i -> (i, i + 1))))
+    (Testkit.of_edges ~labels:(Array.make n a) (List.init (n - 1) (fun i -> (i, i + 1))))
 
 let chain_pattern k =
   let spec name = { Pattern.name; label = Some (Label.of_string "A"); pred = Predicate.always } in

@@ -47,9 +47,7 @@ let test_provenance_compressed () =
   let answer = Engine.evaluate engine q in
   Alcotest.(check bool) "from compressed" true (answer.Engine.provenance = Engine.From_compressed);
   let direct = Bounded_sim.run q (Engine.snapshot engine) in
-  Alcotest.(check bool) "matches direct" true (Match_relation.equal answer.Engine.relation direct);
-  Engine.disable_compression engine;
-  Alcotest.(check bool) "compression off" true (Engine.compression engine = None)
+  Alcotest.(check bool) "matches direct" true (Match_relation.equal answer.Engine.relation direct)
 
 (* A flat random graph barely compresses: the engine declines after the
    first refinement pass and every answer goes direct. *)
@@ -70,6 +68,10 @@ let test_flat_graph_declined () =
       : Incremental.report list);
   Alcotest.(check bool) "still none after an update" true (Engine.compression engine = None)
 
+(* The share of nodes a compressed graph must remove to be kept: a
+   quarter (DESIGN.md, "Compression only where it pays"). *)
+let min_node_reduction = 0.25
+
 (* Updates that break the org graph's redundancy decay the maintained
    partition past the threshold: the engine drops the compressed graph,
    and answers stay equal to direct evaluation before and after. *)
@@ -85,7 +87,7 @@ let test_decayed_compression_dropped () =
     (match Engine.compression engine with
     | Some c ->
       Alcotest.(check bool) "kept only while it pays" true
-        (Compress.node_ratio c >= Compress.min_node_reduction)
+        (Compress.node_ratio c >= min_node_reduction)
     | None -> ());
     ignore
       (Engine.apply_updates engine (Update.random_mixed rng (Engine.graph engine) 4)
@@ -99,7 +101,7 @@ let test_decayed_compression_dropped () =
     Compress.compress ~atoms:Queries.atom_universe (Engine.snapshot engine)
   in
   Alcotest.(check bool) "the coarsest partition no longer pays" true
-    (Compress.node_ratio fresh < Compress.min_node_reduction);
+    (Compress.node_ratio fresh < min_node_reduction);
   let ux_lead =
     Pattern.make_exn
       ~nodes:
@@ -206,9 +208,7 @@ let test_registered_query_maintained () =
   | _ -> Alcotest.fail "expected one report");
   (* The registered kernel now answers without recomputation. *)
   let answer = Engine.evaluate engine q in
-  Alcotest.(check bool) "Fred present" true (Match_relation.mem answer.Engine.relation 1 Collab.fred);
-  Engine.unregister engine q;
-  Alcotest.(check int) "unregistered" 0 (List.length (Engine.registered engine))
+  Alcotest.(check bool) "Fred present" true (Match_relation.mem answer.Engine.relation 1 Collab.fred)
 
 let test_engine_consistency_under_updates () =
   (* Everything stays consistent across a stream of random update batches:

@@ -16,7 +16,7 @@ module Synthetic = Expfinder_workload.Synthetic
 
 let test_scratch_survives_raising_callback () =
   let l = Label.of_string "A" in
-  let g = Snapshot.of_digraph (Digraph.of_edges ~labels:[| l; l; l |] [ (0, 1); (1, 2) ]) in
+  let g = Snapshot.of_digraph (Testkit.of_edges ~labels:[| l; l; l |] [ (0, 1); (1, 2) ]) in
   let scratch = Distance.make_scratch g in
   (* exists_within raises internally (Found) to short-circuit; afterwards
      the scratch must be clean for the next traversal. *)
@@ -73,14 +73,12 @@ let prop_maintained_partition_stable seed =
     let updates = Update.random_mixed rng g (1 + Prng.int rng 5) in
     let _ = Inc_compress.apply_updates inc g updates in
     let compressed = Inc_compress.current inc in
-    let snap = Inc_compress.snapshot inc in
-    let partition =
-      Array.init (Snapshot.node_count snap) (fun v -> Compress.block_of compressed v)
-    in
+    let snap = Compress.original compressed in
+    let partition = Compress.partition compressed in
     if
       not
-        (Bisimulation.is_stable (Snapshot.csr snap)
-           ~key:(Compress.signature_key (Compress.atoms compressed) snap)
+        (Testkit.is_stable (Snapshot.csr snap)
+           ~key:(Compress.signature_key Queries.atom_universe snap)
            partition)
     then ok := false
   done;
@@ -95,7 +93,7 @@ let test_ranking_on_crafted_graph () =
   let la = Label.of_string "A" and lb = Label.of_string "B" and lx = Label.of_string "X" in
   let g =
     Snapshot.of_digraph
-      (Digraph.of_edges ~labels:[| la; lx; lb; la |] [ (0, 1); (1, 2); (3, 2) ])
+      (Testkit.of_edges ~labels:[| la; lx; lb; la |] [ (0, 1); (1, 2); (3, 2) ])
   in
   let q =
     Pattern.make_exn
@@ -109,8 +107,8 @@ let test_ranking_on_crafted_graph () =
   in
   let m = Bounded_sim.run q g in
   let gr = Result_graph.build q g m in
-  Alcotest.(check (option int)) "a0 -> b0 weight 2" (Some 2) (Result_graph.weight gr 0 2);
-  Alcotest.(check (option int)) "a1 -> b0 weight 1" (Some 1) (Result_graph.weight gr 3 2);
+  Alcotest.(check (option int)) "a0 -> b0 weight 2" (Some 2) (Testkit.gr_weight q g gr 0 2);
+  Alcotest.(check (option int)) "a1 -> b0 weight 1" (Some 1) (Testkit.gr_weight q g gr 3 2);
   let r0 = Ranking.rank_of gr 0 and r3 = Ranking.rank_of gr 3 in
   Alcotest.(check (pair int int)) "f(a0) = 2/1" (2, 1) (r0.Ranking.num, r0.Ranking.den);
   Alcotest.(check (pair int int)) "f(a1) = 1/1" (1, 1) (r3.Ranking.num, r3.Ranking.den);
@@ -129,7 +127,7 @@ let test_pattern_gen_unbounded_stats () =
   let config =
     { Pattern_gen.default with nodes = 4; extra_edges = 2; unbounded_prob = 1.0 }
   in
-  let p = Pattern_gen.generate rng config ~labels in
+  let p = Testkit.generate rng config ~labels in
   Alcotest.(check bool) "all edges unbounded" true
     (List.for_all (fun (_, _, b) -> b = Pattern.Unbounded) (Pattern.edges p));
   Alcotest.(check bool) "max_bound none" true (Pattern.max_bound p = None)

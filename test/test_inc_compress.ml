@@ -17,12 +17,12 @@ let test_create_matches_fresh () =
   let inc = Inc_compress.create ~atoms:Queries.atom_universe g in
   Alcotest.(check int) "create = fresh compression"
     (Inc_compress.fresh_block_count inc)
-    (Compress.block_count (Inc_compress.current inc))
+    (Snapshot.node_count (Compress.compressed (Inc_compress.current inc)))
 
 let test_report_fields () =
   let g = small_org () in
   let inc = Inc_compress.create ~atoms:Queries.atom_universe g in
-  let before = Compress.block_count (Inc_compress.current inc) in
+  let before = Snapshot.node_count (Compress.compressed (Inc_compress.current inc)) in
   let report =
     Inc_compress.apply_updates inc g
       [ Update.Insert_edge (0, Digraph.node_count g - 1) ]
@@ -30,13 +30,13 @@ let test_report_fields () =
   Alcotest.(check int) "one effective" 1 report.Inc_compress.effective;
   Alcotest.(check int) "blocks_before recorded" before report.Inc_compress.blocks_before;
   Alcotest.(check int) "blocks_after matches current" report.Inc_compress.blocks_after
-    (Compress.block_count (Inc_compress.current inc));
+    (Snapshot.node_count (Compress.compressed (Inc_compress.current inc)));
   Alcotest.(check bool) "area is positive" true (report.Inc_compress.area > 0)
 
 let test_no_op_update () =
   let g = small_org () in
   let inc = Inc_compress.create ~atoms:Queries.atom_universe g in
-  let before = Compress.block_count (Inc_compress.current inc) in
+  let before = Snapshot.node_count (Compress.compressed (Inc_compress.current inc)) in
   (* Inserting an existing edge is a no-op: nothing may change. *)
   let u, v =
     let result = ref (0, 0) in
@@ -76,7 +76,7 @@ let test_rebuild_resyncs () =
 let chain_graph () =
   (* A -> B -> C chain *)
   let a = Label.of_string "A" and b = Label.of_string "B" and c = Label.of_string "C" in
-  Digraph.of_edges ~labels:[| a; b; c |] [ (0, 1); (1, 2) ]
+  Testkit.of_edges ~labels:[| a; b; c |] [ (0, 1); (1, 2) ]
 
 let chain_pattern () =
   Pattern.make_exn

@@ -62,7 +62,7 @@ let test_example3_then_delete () =
 let test_out_of_sync_rejected () =
   let g = Collab.graph () in
   let inc = Incremental.create (Collab.query ()) g in
-  ignore (Digraph.add_edge g Collab.bill Collab.jean : bool);
+  ignore (Digraph.add_edge g (snd Collab.e1) Collab.jean : bool);
   Alcotest.check_raises "stale digraph rejected"
     (Invalid_argument "Incremental.apply_updates: digraph out of sync with tracked snapshot")
     (fun () -> ignore (Incremental.apply_updates inc g [] : Incremental.report))
@@ -112,11 +112,14 @@ let random_pattern rng ~simulation =
     }
   in
   let c = if simulation then Pattern_gen.simulation_config c else c in
-  Pattern_gen.generate rng c ~labels
+  Testkit.generate rng c ~labels
 
 let random_updates rng g =
   let k = 1 + Prng.int rng 8 in
   Update.random_mixed rng g k
+
+(* The edge deletions of a batch. *)
+let deletions = List.filter (function Update.Delete_edge _ -> true | _ -> false)
 
 let equivalence_property ~simulation seed =
   let rng = Prng.create seed in
@@ -155,8 +158,8 @@ let stress_property seed =
         condition_range = (0, 4);
       }
     in
-    let c = if Prng.bool rng then Pattern_gen.simulation_config c else c in
-    Pattern_gen.generate rng c ~labels
+    let c = if Testkit.coin rng then Pattern_gen.simulation_config c else c in
+    Testkit.generate rng c ~labels
   in
   let inc = Incremental.create pattern g in
   let ok = ref true in
@@ -254,7 +257,7 @@ let same_answer a b =
 let published_property seed =
   let rng = Prng.create seed in
   let g = random_graph rng in
-  let pattern = random_pattern rng ~simulation:(Prng.bool rng) in
+  let pattern = random_pattern rng ~simulation:(Testkit.coin rng) in
   let inc = Incremental.create pattern g in
   let other = Digraph.copy g in
   let ok = ref true in
@@ -262,7 +265,7 @@ let published_property seed =
     let stale = Snapshot.of_digraph g in
     let fresh = Digraph.node_count g in
     let updates =
-      Update.random_deletions rng g (1 + Prng.int rng 4)
+      deletions (Update.random_mixed rng g (2 + Prng.int rng 8))
       @ [
           Update.Insert_node
             (Prng.choose rng labels, Attrs.of_list [ Attrs.int "exp" (Prng.int rng 6) ]);
@@ -518,16 +521,11 @@ let test_recompute_admits_inserted_nodes () =
 
 (* --- Update plumbing ------------------------------------------------ *)
 
-let test_update_invert () =
-  let u = Update.Insert_edge (1, 2) in
-  Alcotest.(check bool) "invert insert" true (Update.invert u = Some (Update.Delete_edge (1, 2)));
-  Alcotest.(check bool) "invert node insert" true
-    (Update.invert (Update.Insert_node (Label.of_string "A", Attrs.empty)) = None)
-
 let test_random_deletions_are_edges () =
   let rng = Prng.create 7 in
   let g = random_graph rng in
-  let dels = Update.random_deletions rng g 10 in
+  let dels = deletions (Update.random_mixed rng g 20) in
+  Alcotest.(check bool) "some deletions" true (dels <> []);
   List.iter
     (function
       | Update.Delete_edge (u, v) ->
@@ -551,7 +549,6 @@ let () =
         ] );
       ( "updates",
         [
-          Alcotest.test_case "invert" `Quick test_update_invert;
           Alcotest.test_case "random deletions" `Quick test_random_deletions_are_edges;
           Alcotest.test_case "touched sources" `Quick test_touched_sources_dedup;
         ] );

@@ -31,11 +31,13 @@ let test_example1 () =
    Jean. *)
 let test_example1_path () =
   let g = snapshot () in
-  let dist = Distance.distances_from g Collab.bob in
-  Alcotest.(check int) "dist(Bob,Jean)" 3 dist.(Collab.jean)
+  let dist = ref None in
+  Distance.ball (Distance.make_scratch g) g Collab.bob 3 (fun v d ->
+      if v = Collab.jean && !dist = None then dist := Some d);
+  Alcotest.(check (option int)) "dist(Bob,Jean)" (Some 3) !dist
 
 (* The witness kernel, run directly and through the planner, gives
-   Example 1's match set, and the consistency oracle accepts it. *)
+   Example 1's match set, and [Verify] accepts it. *)
 let test_strategies_agree () =
   let g = snapshot () in
   let q = Collab.query () in
@@ -48,7 +50,7 @@ let test_strategies_agree () =
   let m = Bounded_sim.run q g in
   Alcotest.(check (list (pair int int))) "witness = Example 1" expected (pairs m);
   Alcotest.(check (list (pair int int))) "planned = Example 1" expected (pairs (Planner.run q g));
-  Alcotest.(check bool) "consistent" true (Bounded_sim.consistent q g m)
+  Alcotest.(check bool) "consistent" true (Testkit.verified q g m)
 
 (* Example 2: f(SA,Bob) = 9/5, f(SA,Walt) = 7/3, Bob is top-1. *)
 let test_example2 () =
@@ -71,9 +73,16 @@ let test_result_graph_edges () =
   let q = Collab.query () in
   let m = run_query g in
   let gr = Result_graph.build q g m in
-  let expect = function
-    | v, v' -> Result_graph.weight gr v v'
+  (* Gr's out-edges, read off every pattern node's drill-down. *)
+  let out_edges =
+    List.concat_map
+      (fun u ->
+        List.map
+          (fun (d : Result_graph.detail) -> (d.data_node, d.out_edges))
+          (Result_graph.drill_down q g gr u))
+      (List.init (Pattern.size q) Fun.id)
   in
+  let expect (v, v') = Option.bind (List.assoc_opt v out_edges) (List.assoc_opt v') in
   Alcotest.(check (option int)) "Bob->Dan" (Some 1) (expect (Collab.bob, Collab.dan));
   Alcotest.(check (option int)) "Bob->Pat" (Some 2) (expect (Collab.bob, Collab.pat));
   Alcotest.(check (option int)) "Dan->Bob" (Some 1) (expect (Collab.dan, Collab.bob));

@@ -27,7 +27,6 @@ let test_run_propagates_exception () =
 let test_chan_fifo_and_close () =
   let c = Parallel.Chan.create ~capacity:8 () in
   List.iter (fun i -> Parallel.Chan.push c i) [ 1; 2; 3 ];
-  Alcotest.(check int) "queued" 3 (Parallel.Chan.length c);
   Parallel.Chan.close c;
   (* Close drains: queued items still pop, then None. *)
   Alcotest.(check (list (option int))) "fifo then end-of-stream"
@@ -58,7 +57,6 @@ let test_pool_runs_all_jobs () =
   let pool =
     Parallel.Pool.create ~domains:3 ~on_error:(fun _ -> Atomic.incr errors) ()
   in
-  Alcotest.(check int) "pool size" 3 (Parallel.Pool.size pool);
   for _ = 1 to 50 do
     Parallel.Pool.submit pool (fun () -> Atomic.incr hits)
   done;
@@ -407,11 +405,10 @@ let test_registered_reads_during_syncs () =
    returns the events it logged. *)
 let with_qlog f =
   let path = Filename.temp_file "expfinder-qlog" ".jsonl" in
-  let previous = Telemetry.Qlog.sink () in
   Telemetry.Qlog.set_sink (Some path);
   Fun.protect
     ~finally:(fun () ->
-      Telemetry.Qlog.set_sink previous;
+      Telemetry.Qlog.set_sink None;
       try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       f ();
@@ -562,7 +559,7 @@ let test_domain_local_trace_roots () =
   let (), root_a = Domain.join other in
   let names = function
     | None -> Alcotest.fail "collect under a sampled ctx must return a root"
-    | Some root -> Telemetry.Span.preorder_names root
+    | Some root -> Testkit.span_names root
   in
   let foreign tag l =
     List.filter

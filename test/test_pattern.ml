@@ -6,23 +6,23 @@ open Expfinder_pattern
 
 (* --- Predicate --------------------------------------------------------- *)
 
-let attrs = Attrs.of_list [ Attrs.int "exp" 5; Attrs.str "role" "DBA"; Attrs.float "score" 1.5 ]
+let attrs = Attrs.of_list [ Attrs.int "exp" 5; Attrs.str "role" "DBA"; ("score", Attr.Float 1.5) ]
 
 let test_predicate_eval () =
   let check name pred expected = Alcotest.(check bool) name expected (Predicate.eval pred attrs) in
   check "always" Predicate.always true;
   check "ge true" (Predicate.ge_int "exp" 5) true;
   check "ge false" (Predicate.ge_int "exp" 6) false;
-  check "gt" (Predicate.gt_int "exp" 4) true;
-  check "le" (Predicate.le_int "exp" 5) true;
-  check "lt false" (Predicate.lt_int "exp" 5) false;
+  check "gt" (Testkit.gt_int "exp" 4) true;
+  check "le" (Testkit.le_int "exp" 5) true;
+  check "lt false" (Testkit.lt_int "exp" 5) false;
   check "eq str" (Predicate.eq_str "role" "DBA") true;
-  check "ne" (Predicate.atom "role" Predicate.Ne (Attr.String "SA")) true;
+  check "ne" (Testkit.atom "role" Predicate.Ne (Attr.String "SA")) true;
   check "conj both" (Predicate.conj (Predicate.ge_int "exp" 3) (Predicate.eq_str "role" "DBA")) true;
   check "conj one fails" (Predicate.conj (Predicate.ge_int "exp" 9) (Predicate.eq_str "role" "DBA")) false;
   check "missing attr" (Predicate.ge_int "age" 1) false;
   check "type mismatch" (Predicate.eq_str "exp" "5") false;
-  check "float compare" (Predicate.atom "score" Predicate.Gt (Attr.Float 1.0)) true
+  check "float compare" (Testkit.atom "score" Predicate.Gt (Attr.Float 1.0)) true
 
 let test_predicate_ops_roundtrip () =
   List.iter
@@ -37,25 +37,27 @@ let test_predicate_edge_cases () =
   let check name pred expected = Alcotest.(check bool) name expected (Predicate.eval pred attrs) in
   (* A comparison over a missing attribute never holds — not even Ne,
      which still requires a comparable stored value. *)
-  check "ne on missing attr" (Predicate.atom "age" Predicate.Ne (Attr.Int 3)) false;
-  check "ne on mistyped attr" (Predicate.atom "exp" Predicate.Ne (Attr.String "DBA")) false;
-  check "lt on missing attr" (Predicate.lt_int "age" 100) false;
+  check "ne on missing attr" (Testkit.atom "age" Predicate.Ne (Attr.Int 3)) false;
+  check "ne on mistyped attr" (Testkit.atom "exp" Predicate.Ne (Attr.String "DBA")) false;
+  check "lt on missing attr" (Testkit.lt_int "age" 100) false;
   (* Int and Float never compare, in either direction. *)
-  check "int attr vs float atom" (Predicate.atom "exp" Predicate.Eq (Attr.Float 5.0)) false;
-  check "float attr vs int atom" (Predicate.atom "score" Predicate.Gt (Attr.Int 1)) false;
+  check "int attr vs float atom" (Testkit.atom "exp" Predicate.Eq (Attr.Float 5.0)) false;
+  check "float attr vs int atom" (Testkit.atom "score" Predicate.Gt (Attr.Int 1)) false;
   (* Contradictory conjunctions evaluate to false, matching what Qlint
      proves statically. *)
   let contradictions =
     [
-      Predicate.conj (Predicate.ge_int "exp" 5) (Predicate.lt_int "exp" 3);
+      Predicate.conj (Predicate.ge_int "exp" 5) (Testkit.lt_int "exp" 3);
       Predicate.conj (Predicate.eq_str "role" "DBA") (Predicate.eq_str "role" "SA");
-      Predicate.conj (Predicate.eq_int "exp" 5) (Predicate.atom "exp" Predicate.Ne (Attr.Int 5));
+      Predicate.conj (Testkit.eq_int "exp" 5) (Testkit.atom "exp" Predicate.Ne (Attr.Int 5));
     ]
   in
   List.iter
     (fun p ->
       Alcotest.(check bool) "contradiction never matches" false (Predicate.eval p attrs);
-      Alcotest.(check bool) "and Qlint flags it" true (Pattern_analysis.pred_unsat p <> None))
+      Alcotest.(check bool) "and Qlint flags it" true (Pattern_analysis.statically_empty
+           (Pattern.make_exn ~nodes:[| { Pattern.name = "N"; label = None; pred = p } |] ~edges:[]
+              ~output:0)))
     contradictions
 
 (* --- Pattern validation ------------------------------------------------- *)
@@ -221,7 +223,7 @@ let prop_io_roundtrip seed =
       unbounded_prob = 0.2;
     }
   in
-  let p = Pattern_gen.generate rng config ~labels in
+  let p = Testkit.generate rng config ~labels in
   match Pattern_io.of_string (Pattern_io.to_string p) with
   | Ok p' -> Pattern.equal p p'
   | Error _ -> false
@@ -235,14 +237,14 @@ let prop_io_roundtrip_flagged seed =
   let config =
     { Pattern_gen.default with nodes = 1 + Prng.int rng 4; extra_edges = Prng.int rng 3 }
   in
-  let p = Pattern_gen.generate rng config ~labels in
+  let p = Testkit.generate rng config ~labels in
   let victim = Prng.int rng (Pattern.size p) in
   let contradiction =
     match Prng.int rng 3 with
-    | 0 -> Predicate.conj (Predicate.ge_int "exp" 5) (Predicate.lt_int "exp" 3)
+    | 0 -> Predicate.conj (Predicate.ge_int "exp" 5) (Testkit.lt_int "exp" 3)
     | 1 -> Predicate.conj (Predicate.eq_str "specialty" "DBA") (Predicate.eq_str "specialty" "SA")
     | _ ->
-      Predicate.conj (Predicate.eq_int "exp" 4) (Predicate.atom "exp" Predicate.Ne (Attr.Int 4))
+      Predicate.conj (Testkit.eq_int "exp" 4) (Testkit.atom "exp" Predicate.Ne (Attr.Int 4))
   in
   let nodes =
     Array.init (Pattern.size p) (fun u ->
@@ -257,10 +259,6 @@ let prop_io_roundtrip_flagged seed =
   | Error _ -> false
   | Ok p' -> Pattern.equal flagged p' && Pattern_analysis.statically_empty p'
 
-let test_dot () =
-  let dot = Pattern_io.to_dot (Expfinder_workload.Collab.query ()) in
-  Alcotest.(check bool) "nonempty" true (String.length dot > 40)
-
 (* --- Pattern generator --------------------------------------------------- *)
 
 let prop_generated_patterns_valid seed =
@@ -269,7 +267,7 @@ let prop_generated_patterns_valid seed =
   let config =
     { Pattern_gen.default with nodes = 1 + Prng.int rng 6; extra_edges = Prng.int rng 5 }
   in
-  let p = Pattern_gen.generate rng config ~labels in
+  let p = Testkit.generate rng config ~labels in
   (* Output reaches every node: follow edges from node 0. *)
   let n = Pattern.size p in
   let seen = Array.make n false in
@@ -286,7 +284,7 @@ let prop_simulation_config_bounds seed =
   let rng = Prng.create seed in
   let labels = Array.map Label.of_string [| "A"; "B" |] in
   let config = Pattern_gen.simulation_config { Pattern_gen.default with unbounded_prob = 0.5 } in
-  Pattern.is_simulation_pattern (Pattern_gen.generate rng config ~labels)
+  Pattern.is_simulation_pattern (Testkit.generate rng config ~labels)
 
 let qcheck_cases =
   [
@@ -323,7 +321,6 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_io_roundtrip;
           Alcotest.test_case "wildcard/unbounded" `Quick test_io_unbounded_and_wildcard;
           Alcotest.test_case "errors" `Quick test_io_errors;
-          Alcotest.test_case "dot" `Quick test_dot;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_cases);
     ]

@@ -27,7 +27,7 @@ let random_pattern rng ~simulation =
     }
   in
   let c = if simulation then Pattern_gen.simulation_config c else c in
-  Pattern_gen.generate rng c ~labels
+  Testkit.generate rng c ~labels
 
 let test_candidate_order_sorted () =
   let g = Snapshot.of_digraph (Collab.graph ()) in

@@ -50,9 +50,15 @@ let test_copy_gets_fresh_graph_id () =
 
 (* --- copy-on-write advance -------------------------------------------- *)
 
-let sorted_succ s v = List.sort compare (Snapshot.fold_succ s v (fun acc w -> w :: acc) [])
+let sorted_succ s v =
+  let acc = ref [] in
+  Snapshot.iter_succ s v (fun w -> acc := w :: !acc);
+  List.sort compare !acc
 
-let sorted_pred s v = List.sort compare (Snapshot.fold_pred s v (fun acc w -> w :: acc) [])
+let sorted_pred s v =
+  let acc = ref [] in
+  Snapshot.iter_pred s v (fun w -> acc := w :: !acc);
+  List.sort compare !acc
 
 let same_structure a b =
   Snapshot.node_count a = Snapshot.node_count b

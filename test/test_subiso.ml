@@ -13,7 +13,7 @@ let spec ?(pred = Predicate.always) name label = { Pattern.name; label = Some (l
 
 let triangle_graph () =
   (* a triangle A->B->C->A plus a dangling A->B edge *)
-  Digraph.of_edges ~labels:[| l "A"; l "B"; l "C"; l "A"; l "B" |]
+  Testkit.of_edges ~labels:[| l "A"; l "B"; l "C"; l "A"; l "B" |]
     [ (0, 1); (1, 2); (2, 0); (3, 4) ]
 
 let triangle_pattern () =
@@ -24,15 +24,13 @@ let triangle_pattern () =
 
 let test_triangle_found () =
   let g = Snapshot.of_digraph (triangle_graph ()) in
-  let embeddings = Subiso.embeddings (triangle_pattern ()) g in
-  Alcotest.(check int) "exactly one embedding" 1 (List.length embeddings);
-  match embeddings with
-  | [ e ] -> Alcotest.(check (list int)) "the triangle" [ 0; 1; 2 ] (Array.to_list e)
-  | _ -> Alcotest.fail "expected one"
+  (* The one embedding is the triangle: the dangling A->B is in none. *)
+  Alcotest.(check (list (pair int int))) "the triangle" [ (0, 0); (1, 1); (2, 2) ]
+    (List.sort compare (Subiso.matched_pairs (triangle_pattern ()) g))
 
 let test_injectivity () =
   (* two pattern As in a graph with a single A that loops via B *)
-  let g = Snapshot.of_digraph (Digraph.of_edges ~labels:[| l "A"; l "B" |] [ (0, 1); (1, 0) ]) in
+  let g = Snapshot.of_digraph (Testkit.of_edges ~labels:[| l "A"; l "B" |] [ (0, 1); (1, 0) ]) in
   let p =
     Pattern.make_exn
       ~nodes:[| spec "A1" "A"; spec "B" "B"; spec "A2" "A" |]
@@ -46,7 +44,7 @@ let test_injectivity () =
 
 let test_bounds_ignored () =
   (* pattern edge with bound 3 still requires a DIRECT edge under iso *)
-  let g = Snapshot.of_digraph (Digraph.of_edges ~labels:[| l "A"; l "X"; l "B" |] [ (0, 1); (1, 2) ]) in
+  let g = Snapshot.of_digraph (Testkit.of_edges ~labels:[| l "A"; l "X"; l "B" |] [ (0, 1); (1, 2) ]) in
   let p =
     Pattern.make_exn ~nodes:[| spec "A" "A"; spec "B" "B" |]
       ~edges:[ (0, 1, Pattern.Bounded 3) ]
@@ -59,7 +57,7 @@ let test_bounds_ignored () =
 let test_predicates_respected () =
   let g =
     Snapshot.of_digraph
-      (Digraph.of_edges ~labels:[| l "A"; l "B" |]
+      (Testkit.of_edges ~labels:[| l "A"; l "B" |]
          ~attrs:(fun i -> Attrs.of_list [ Attrs.int "exp" i ])
          [ (0, 1) ])
   in
@@ -75,13 +73,16 @@ let test_cap () =
   (* a bipartite blowup with many embeddings; the cap stops enumeration *)
   let labels = Array.init 12 (fun i -> if i < 6 then l "A" else l "B") in
   let edges = List.concat_map (fun a -> List.init 6 (fun b -> (a, 6 + b))) (List.init 6 Fun.id) in
-  let g = Snapshot.of_digraph (Digraph.of_edges ~labels edges) in
+  let g = Snapshot.of_digraph (Testkit.of_edges ~labels edges) in
   let p =
     Pattern.make_exn ~nodes:[| spec "A" "A"; spec "B" "B" |]
       ~edges:[ (0, 1, Pattern.Bounded 1) ] ~output:0
   in
-  Alcotest.(check int) "capped" 7 (List.length (Subiso.embeddings ~max_embeddings:7 p g));
-  Alcotest.(check int) "all of them" 36 (List.length (Subiso.embeddings ~max_embeddings:10_000 p g))
+  (* The 36 embeddings cover all 12 pairs; the first 7 cannot. *)
+  Alcotest.(check bool) "capped" true
+    (List.length (Subiso.matched_pairs ~max_embeddings:7 p g) < 12);
+  Alcotest.(check int) "all of them" 12
+    (List.length (Subiso.matched_pairs ~max_embeddings:10_000 p g))
 
 (* The paper's Example 1 discussion: on Fig. 1, isomorphism and plain
    simulation both fail where bounded simulation succeeds. *)
@@ -106,7 +107,7 @@ let prop_embeddings_within_kernel seed =
            (Prng.choose rng labels3, Attrs.of_list [ Attrs.int "exp" (Prng.int rng 3) ])))
   in
   let pattern =
-    Pattern_gen.generate rng
+    Testkit.generate rng
       { Pattern_gen.default with nodes = 1 + Prng.int rng 3; extra_edges = Prng.int rng 2; max_bound = 2 }
       ~labels:labels3
   in

@@ -18,16 +18,23 @@ let with_telemetry on f =
 
 (* --- metrics ------------------------------------------------------------ *)
 
+(* A field of a registered histogram's [Metrics.to_json] entry. *)
+let histogram_field name field =
+  Option.bind
+    (Option.bind (Json.member name (Metrics.to_json ())) (Json.member field))
+    Testkit.float_of_json
+
 let test_histogram_percentiles () =
-  let h = Histogram.create "t.hist" in
+  let h = Metrics.histogram "t.hist" in
   Alcotest.(check bool) "empty percentile is nan" true (Float.is_nan (Histogram.percentile h 0.5));
   for i = 1 to 100 do
     Histogram.observe h (float_of_int i)
   done;
   Alcotest.(check int) "count" 100 (Histogram.count h);
-  Alcotest.(check (float 1e-6)) "sum" 5050.0 (Histogram.sum h);
-  Alcotest.(check (float 1e-6)) "min" 1.0 (Histogram.min_value h);
-  Alcotest.(check (float 1e-6)) "max" 100.0 (Histogram.max_value h);
+  let field = histogram_field "t.hist" in
+  Alcotest.(check (option (float 1e-6))) "sum" (Some 5050.0) (field "sum");
+  Alcotest.(check (option (float 1e-6))) "min" (Some 1.0) (field "min");
+  Alcotest.(check (option (float 1e-6))) "max" (Some 100.0) (field "max");
   (* Buckets are geometric with ~9% relative resolution: the reported
      percentile is a bucket upper bound near the exact sample. *)
   let p50 = Histogram.percentile h 0.5 in
@@ -47,11 +54,13 @@ let test_histogram_percentiles () =
     true
     (p0 >= 1.0 && p0 <= 1.1);
   Alcotest.(check (float 1e-6)) "p100 clamps to max" 100.0 (Histogram.percentile h 1.0);
-  Histogram.reset h;
-  Alcotest.(check int) "reset empties" 0 (Histogram.count h)
+  Metrics.reset_all ();
+  Alcotest.(check int) "reset empties" 0 (Histogram.count h);
+  Alcotest.(check (option (float 1e-6))) "reset entry count" (Some 0.0) (field "count");
+  Alcotest.(check (option (float 1e-6))) "reset entry sum" (Some 0.0) (field "sum")
 
 let test_histogram_edge_cases () =
-  let h = Histogram.create "t.hist.edge" in
+  let h = Metrics.histogram "t.hist.edge" in
   (* Empty: every percentile is nan, as are min and max. *)
   List.iter
     (fun p ->
@@ -60,6 +69,13 @@ let test_histogram_edge_cases () =
         true
         (Float.is_nan (Histogram.percentile h p)))
     [ 0.0; 0.5; 1.0 ];
+  List.iter
+    (fun field ->
+      Alcotest.(check bool)
+        (Printf.sprintf "empty %s is nan" field)
+        true
+        (Option.fold ~none:false ~some:Float.is_nan (histogram_field "t.hist.edge" field)))
+    [ "min"; "max" ];
   (* A single sample: clamping pins every percentile to that sample. *)
   Histogram.observe h 42.0;
   List.iter
@@ -68,8 +84,7 @@ let test_histogram_edge_cases () =
         (Printf.sprintf "single-sample p%.0f" (100.0 *. p))
         42.0 (Histogram.percentile h p))
     [ 0.0; 0.5; 1.0 ];
-  Alcotest.(check int) "single-sample count" 1 (Histogram.count h);
-  Histogram.reset h
+  Alcotest.(check int) "single-sample count" 1 (Histogram.count h)
 
 let test_delta_across_reset_all () =
   let c = Metrics.counter "t.reg.reset_delta" in
@@ -106,7 +121,7 @@ let test_profile_stage_tree () =
       | None -> Alcotest.fail "enabled telemetry must produce a profile"
       | Some p ->
         Alcotest.(check string) "profile query" (Pattern.fingerprint q) p.Engine.query;
-        let names = Span.preorder_names p.Engine.span in
+        let names = Testkit.span_names p.Engine.span in
         List.iter
           (fun stage ->
             Alcotest.(check bool)
@@ -115,19 +130,19 @@ let test_profile_stage_tree () =
           [ "topk"; "evaluate"; "plan"; "candidates"; "refine"; "rank" ];
         (* The refinement stage is nested under the evaluation, not a
            sibling of the root. *)
-        (match Span.find p.Engine.span "evaluate" with
+        (match Testkit.span_find p.Engine.span "evaluate" with
         | None -> Alcotest.fail "no evaluate span"
         | Some ev ->
           Alcotest.(check bool)
             "refine nested under evaluate" true
-            (Span.find ev "refine" <> None));
+            (List.mem "refine" (Testkit.preorder ev)));
         (* The rank span says how much work the top-K cutoff saved. *)
-        (match Span.find p.Engine.span "rank" with
+        (match Testkit.span_find p.Engine.span "rank" with
         | None -> Alcotest.fail "no rank span"
         | Some r ->
           Alcotest.(check (option string))
             "pruned count on the rank span" (Some "0")
-            (List.assoc_opt "pruned" (Span.attrs r)));
+            (List.assoc_opt "pruned" (Testkit.span_attrs r)));
         Alcotest.(check (option int))
           "both matches ranked" (Some 2)
           (List.assoc_opt "ranking.ranked" p.Engine.counters);
@@ -181,7 +196,8 @@ let test_folded_reset_drains () =
       Alcotest.(check bool) (stack ^ " returned") true (List.mem stack drained))
     [ domain ^ ";t.fold.root"; domain ^ ";t.fold.root;t.fold.child" ];
   Alcotest.(check int) "no stack left" 0 (List.length (Profile.rows ()));
-  Alcotest.(check int) "fold count zeroed" 0 (Profile.folds ());
+  Alcotest.(check (option int)) "fold count zeroed" (Some 0)
+    (Option.bind (Json.member "folded" (Profile.to_json ())) Json.int_opt);
   Alcotest.(check string) "next read is empty" "" (Profile.to_folded ())
 
 let test_sampled_profile_counters () =
@@ -421,7 +437,7 @@ let test_json_roundtrip () =
   Alcotest.(check (option int)) "member/int_opt" (Some (-42)) (Option.bind m Json.int_opt);
   Alcotest.(check (option (float 1e-9)))
     "float_opt accepts Int" (Some (-42.0))
-    (Option.bind m Json.float_opt)
+    (Option.bind m Testkit.float_of_json)
 
 let test_metrics_to_json () =
   let c = Metrics.counter "t.json.counter" in
@@ -526,6 +542,11 @@ let test_report_diff_iqr_noise_rule () =
 
 (* --- flight recorder ---------------------------------------------------- *)
 
+(* The recorder ring's size. *)
+let recorder_capacity = 64
+
+let slow_events () = List.filter (fun (e : Qlog.event) -> e.slow) (Recorder.recent ())
+
 let test_recorder_ring () =
   Recorder.clear ();
   Qlog.set_slow_threshold_ms (Some 1.0);
@@ -537,7 +558,7 @@ let test_recorder_ring () =
       Window.reset query_window;
       Recorder.clear ())
     (fun () ->
-      for i = 1 to Recorder.capacity + 5 do
+      for i = 1 to recorder_capacity + 5 do
         Request.finish ~kind:Qlog.Query ~trace:Trace.ambient
           ~query:(Printf.sprintf "q%d" i)
           ~strategy:"direct/simulation"
@@ -546,20 +567,20 @@ let test_recorder_ring () =
           ~pairs:0 ~graph_id:0 ~epoch:0 ()
       done;
       let events = Recorder.recent () in
-      Alcotest.(check int) "ring keeps the last capacity events" Recorder.capacity
+      Alcotest.(check int) "ring keeps the last capacity events" recorder_capacity
         (List.length events);
       (match (events, List.rev events) with
       | oldest :: _, newest :: _ ->
         Alcotest.(check string) "oldest survivor" "q6" oldest.Qlog.query;
-        Alcotest.(check string) "newest event" (Printf.sprintf "q%d" (Recorder.capacity + 5))
+        Alcotest.(check string) "newest event" (Printf.sprintf "q%d" (recorder_capacity + 5))
           newest.Qlog.query;
         Alcotest.(check bool) "sequence numbers increase" true
           (newest.Qlog.seq > oldest.Qlog.seq)
       | _ -> Alcotest.fail "empty recorder");
       Alcotest.(check bool)
         "slow events flagged by the threshold" true
-        (Recorder.slow_events () <> []
-        && List.for_all (fun e -> e.Qlog.duration_ms >= 1.0) (Recorder.slow_events ()));
+        (slow_events () <> []
+        && List.for_all (fun e -> e.Qlog.duration_ms >= 1.0) (slow_events ()));
       (* The dump is valid JSON with the counter deltas attached, seven
          fields per event. *)
       (match Json.of_string (Json.to_string (Recorder.to_json ())) with
@@ -687,8 +708,24 @@ let test_snapshot_matches_registry () =
 
 (* --- sliding windows ---------------------------------------------------- *)
 
+(* A window's exemplars, read through its [/stats.json] document. *)
+let exemplars w =
+  let field k e = Option.bind (Json.member k e) Testkit.float_of_json |> Option.value ~default:nan in
+  match Json.member "exemplars" (Window.to_json w) with
+  | Some (Json.Arr exs) ->
+    List.map
+      (fun e ->
+        {
+          Window.ex_le = field "le" e;
+          ex_trace_id = Option.value ~default:"" (Option.bind (Json.member "trace_id" e) Json.str_opt);
+          ex_value_ms = field "value_ms" e;
+          ex_ts_unix = field "ts_unix" e;
+        })
+      exs
+  | _ -> []
+
 let test_window_sliding () =
-  let w = Window.create ~seconds:10 "t.win.slide" in
+  let w = Window.get ~seconds:10 "t.win.slide" in
   let t0 = 1000.0 in
   (* One request per second for 10 seconds fills the whole ring. *)
   for i = 0 to 9 do
@@ -714,7 +751,7 @@ let test_window_sliding () =
   Alcotest.(check (float 1e-9)) "max of the survivor" 5.0 s.Window.max_ms
 
 let test_window_percentiles_and_errors () =
-  let w = Window.create ~seconds:60 "t.win.pct" in
+  let w = Window.get ~seconds:60 "t.win.pct" in
   let now = 5000.0 in
   for i = 1 to 100 do
     Window.observe w ~now ~error:(i mod 10 = 0) (float_of_int i)
@@ -738,7 +775,7 @@ let test_window_percentiles_and_errors () =
    downwards and upwards as latencies arrive: the merged window must give
    the percentiles a full histogram of the same samples gives. *)
 let test_window_ranges_match_histogram () =
-  let w = Window.create ~seconds:60 "t.win.range" in
+  let w = Window.get ~seconds:60 "t.win.range" in
   let h = Histogram.create "t.win.range.ref" in
   let r = Random.State.make [| 17 |] in
   for i = 0 to 599 do
@@ -754,12 +791,12 @@ let test_window_ranges_match_histogram () =
     [ ("p50", 0.5, s.Window.p50); ("p95", 0.95, s.Window.p95); ("p99", 0.99, s.Window.p99) ]
 
 let test_window_summary_json_roundtrip () =
-  let w = Window.create ~seconds:60 "t.win.json" in
+  let w = Window.get ~seconds:60 "t.win.json" in
   let now = 6000.0 in
   Window.observe w ~now 1.5;
   Window.observe w ~now ~error:true 3.0;
   let s = Window.summary ~now w in
-  (match Window.summary_of_json (Window.summary_json s) with
+  (match Window.summary_of_json (Window.to_json ~now w) with
   | None -> Alcotest.fail "summary_json did not parse back"
   | Some s' ->
     Alcotest.(check int) "count survives" s.Window.count s'.Window.count;
@@ -768,12 +805,21 @@ let test_window_summary_json_roundtrip () =
     Alcotest.(check (float 1e-9)) "p95 survives" s.Window.p95 s'.Window.p95);
   (* An empty window's nan percentiles serialize as null and come back
      as nan, not as a parse failure. *)
-  let empty = Window.summary ~now (Window.create ~seconds:60 "t.win.empty") in
-  match Window.summary_of_json (Window.summary_json empty) with
+  match Window.summary_of_json (Window.to_json ~now (Window.get ~seconds:60 "t.win.empty")) with
   | None -> Alcotest.fail "empty summary did not parse back"
   | Some e -> Alcotest.(check bool) "nan p50 roundtrips" true (Float.is_nan e.Window.p50)
 
 (* --- query log ---------------------------------------------------------- *)
+
+(* The query log's rotation threshold unless a test sets one. *)
+let qlog_default_max_bytes = 64 * 1024 * 1024
+
+(* One event line, read back through [Qlog.load]. *)
+let parse_event json =
+  match Testkit.load_text Qlog.load (Json.to_string json) with
+  | Ok [ e ] -> Ok e
+  | Ok events -> Error (Printf.sprintf "%d events from one line" (List.length events))
+  | Error e -> Error e
 
 let with_qlog_sink path f =
   Qlog.set_sink (Some path);
@@ -856,13 +902,13 @@ let test_qlog_event_json_rejects_other_schema () =
     Json.Obj
       [ ("v", Json.Int 999); ("seq", Json.Int 0); ("kind", Json.Str "query"); ("query", Json.Str "x") ]
   in
-  match Qlog.event_of_json bad with
+  match parse_event bad with
   | Ok _ -> Alcotest.fail "schema version 999 should be rejected"
   | Error e -> Alcotest.(check bool) "error names the version" true (String.length e > 0)
 
 let test_qlog_rotation () =
   let path = Filename.temp_file "expfinder-qlog-rot" ".jsonl" in
-  let old_max = Qlog.max_bytes () in
+  let old_max = qlog_default_max_bytes in
   Qlog.set_max_bytes 4096;
   Fun.protect
     ~finally:(fun () -> Qlog.set_max_bytes old_max)
@@ -909,7 +955,7 @@ let test_qlog_unwritable_sink_disables () =
    archived and live generations against a fresh engine. *)
 let test_qlog_replay_across_rotation () =
   let path = Filename.temp_file "expfinder-qlog-replay" ".jsonl" in
-  let old_max = Qlog.max_bytes () in
+  let old_max = qlog_default_max_bytes in
   Qlog.set_max_bytes 4096;
   Fun.protect
     ~finally:(fun () -> Qlog.set_max_bytes old_max)
@@ -950,11 +996,23 @@ let test_qlog_replay_across_rotation () =
 (* Ring math with a pinned clock: per-slot merging, exact downsampling
    into the coarse ring, and wrap-around expiry once the fine ring's
    span passes. *)
+(* [(res_s, slots)] per ring, as the document lists them. *)
+let resolutions ts =
+  match Json.member "resolutions" (Timeseries.to_json ts) with
+  | Some (Json.Arr rings) ->
+    List.map
+      (fun r ->
+        match (Json.member "res_s" r, Json.member "slots" r) with
+        | Some (Json.Int res), Some (Json.Int slots) -> (res, slots)
+        | _ -> Alcotest.fail "ring without res_s/slots")
+      rings
+  | _ -> Alcotest.fail "timeseries document without resolutions"
+
 let test_timeseries_ring_math () =
   let module T = Timeseries in
   let ts = T.create ~resolutions:[ (1, 4); (10, 6) ] () in
   Alcotest.(check (list (pair int int))) "resolutions floor/sort" [ (1, 4); (10, 6) ]
-    (T.resolutions ts);
+    (resolutions ts);
   let base = 1_000_000.0 in
   (* Two samples in one second merge into one slot. *)
   T.record ~now:base ts T.Level "lvl" 5.0;
@@ -969,7 +1027,9 @@ let test_timeseries_ring_math () =
     Alcotest.(check (float 1e-9)) "slot 0 last" 3.0 p0.T.last;
     Alcotest.(check int) "points come back oldest first" 1 (p1.T.t_unix - p0.T.t_unix)
   | ps -> Alcotest.failf "expected 2 points, got %d" (List.length ps));
-  Alcotest.(check bool) "kind registered" true (T.kind_of ts "lvl" = Some T.Level);
+  Alcotest.(check bool) "kind registered" true
+    (Option.bind (Json.member "series_kinds" (T.to_json ts)) (Json.member "lvl")
+    = Some (Json.Str "level"));
   (* The coarse ring is an exact downsample: same records, one slot. *)
   (match T.points ~now:(base +. 1.0) ts ~seconds:40 "lvl" with
   | [ p ] ->
@@ -987,7 +1047,7 @@ let test_timeseries_ring_math () =
   T.record ~now:(base +. 6.0) ts T.Rate "rate" 4.0;
   T.record ~now:(base +. 7.0) ts T.Rate "rate" 5.0;
   Alcotest.(check (float 1e-9)) "window_sum sums rate deltas" 9.0
-    (T.window_sum ~now:(base +. 7.0) ts ~seconds:4 "rate");
+    (List.fold_left (fun acc p -> acc +. p.T.sum) 0.0 (T.points ~now:(base +. 7.0) ts ~seconds:4 "rate"));
   (* Non-finite samples are dropped, not retained as poison. *)
   T.record ~now:(base +. 7.0) ts T.Level "lvl" Float.nan;
   Alcotest.(check int) "nan dropped" 1
@@ -997,7 +1057,7 @@ let test_timeseries_to_json_shape () =
   let module T = Timeseries in
   let ts = T.create () in
   Alcotest.(check (list (pair int int)))
-    "default retention is 1s/10s/60s" [ (1, 120); (10, 360); (60, 720) ] (T.resolutions ts);
+    "default retention is 1s/10s/60s" [ (1, 120); (10, 360); (60, 720) ] (resolutions ts);
   let now = 2_000_000.0 in
   T.record ~now ts T.Level "a" 1.0;
   T.record ~now ts T.Rate "b" 2.0;
@@ -1024,7 +1084,7 @@ let test_timeseries_max_points () =
     T.record ~now:(base +. float_of_int i) ts T.Level "x" (float_of_int i)
   done;
   let doc = T.to_json ~now:(base +. 4.0) ~max_points:2 ts in
-  let last_of = function Json.Arr (_ :: last :: _) -> Json.float_opt last | _ -> None in
+  let last_of = function Json.Arr (_ :: last :: _) -> Testkit.float_of_json last | _ -> None in
   match Option.bind (Json.member "resolutions" doc) Json.list_opt with
   | Some [ ring ] -> (
     match Option.bind (Json.member "series" ring) (Json.member "x") with
@@ -1108,8 +1168,7 @@ let test_slo_fire_and_clear () =
         Alcotest.(check bool) "fast burn exceeds threshold" true (a.Slo.burn_fast >= 2.0);
         Alcotest.(check bool) "slow burn exceeds threshold" true (a.Slo.burn_slow >= 1.5)
       | _ -> Alcotest.fail "one objective, one alert");
-      (* Firing state surfaces in the document and the firing list. *)
-      Alcotest.(check int) "firing list has the alert" 1 (List.length (Slo.firing ()));
+      (* Firing state surfaces in the document. *)
       (match Json.member "alerts" (Slo.to_json ~now:(base +. 31.0) ()) with
       | Some (Json.Arr [ a ]) ->
         Alcotest.(check bool) "document says firing" true
@@ -1264,11 +1323,10 @@ let test_prometheus_alert_gauges () =
 let test_postmortem_roundtrip () =
   let dir = Filename.temp_file "expfinder-pm" "" in
   Sys.remove dir;
-  let old = Postmortem.dir () in
   Postmortem.set_dir (Some dir);
   Fun.protect
     ~finally:(fun () ->
-      Postmortem.set_dir old;
+      Postmortem.set_dir None;
       if Sys.file_exists dir then begin
         Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
         Unix.rmdir dir
@@ -1295,10 +1353,9 @@ let test_postmortem_roundtrip () =
             (contains_substr pretty "unit-test crash")))
 
 let test_postmortem_without_dir_is_inert () =
-  let old = Postmortem.dir () in
   Postmortem.set_dir None;
   Fun.protect
-    ~finally:(fun () -> Postmortem.set_dir old)
+    ~finally:(fun () -> Postmortem.set_dir None)
     (fun () ->
       Alcotest.(check bool) "write without a dir returns None" true
         (Postmortem.write ~reason:"x" () = None))
@@ -1306,7 +1363,7 @@ let test_postmortem_without_dir_is_inert () =
 (* --- window totals --------------------------------------------------------- *)
 
 let test_window_totals () =
-  let w = Window.create ~seconds:2 "t.totals" in
+  let w = Window.get ~seconds:2 "t.totals" in
   Alcotest.(check (pair int int)) "fresh totals" (0, 0) (Window.totals w);
   let now = 6_000_000.0 in
   Window.observe w ~now 1.0;
@@ -1414,8 +1471,8 @@ let test_report_diff_missing_side () =
 
 let test_trace_mint_and_wire () =
   let ctx = Trace.make ~sampled:true () in
-  Alcotest.(check bool) "minted trace id valid" true (Trace.valid_trace_id ctx.Trace.trace_id);
-  Alcotest.(check bool) "minted span id valid" true (Trace.valid_span_id ctx.Trace.span_id);
+  Alcotest.(check bool) "minted trace id valid" true (Testkit.valid_trace_id ctx.Trace.trace_id);
+  Alcotest.(check bool) "minted span id valid" true (Testkit.valid_span_id ctx.Trace.span_id);
   Alcotest.(check bool) "sampled flag kept" true ctx.Trace.sampled;
   let ctx2 = Trace.make () in
   Alcotest.(check bool) "two mints differ" false (ctx.Trace.trace_id = ctx2.Trace.trace_id);
@@ -1426,7 +1483,7 @@ let test_trace_mint_and_wire () =
     (* The receiving hop is a new span: the trace id is adopted, the
        span id is minted fresh. *)
     Alcotest.(check bool) "adopted context minted its own span id" true
-      (Trace.valid_span_id c.Trace.span_id && c.Trace.span_id <> ctx.Trace.span_id)
+      (Testkit.valid_span_id c.Trace.span_id && c.Trace.span_id <> ctx.Trace.span_id)
   | None -> Alcotest.fail "to_wire form rejected");
   (match Trace.of_wire ~sampled:true (Trace.to_traceparent ctx) with
   | Some c ->
@@ -1459,15 +1516,15 @@ let test_trace_ids_distinct_across_domains () =
   Alcotest.(check int) "span ids pairwise distinct" (Array.length all)
     (distinct (fun c -> c.Trace.span_id));
   Alcotest.(check bool) "every trace id valid" true
-    (Array.for_all (fun c -> Trace.valid_trace_id c.Trace.trace_id) all);
+    (Array.for_all (fun c -> Testkit.valid_trace_id c.Trace.trace_id) all);
   Alcotest.(check bool) "every span id valid" true
-    (Array.for_all (fun c -> Trace.valid_span_id c.Trace.span_id) all);
+    (Array.for_all (fun c -> Testkit.valid_span_id c.Trace.span_id) all);
   let ctx = all.(Array.length all - 1) in
   match Trace.of_wire (Trace.to_wire ctx) with
   | Some adopted ->
     Alcotest.(check string) "trace id adopted" ctx.Trace.trace_id adopted.Trace.trace_id;
     Alcotest.(check bool) "a fresh valid span id" true
-      (Trace.valid_span_id adopted.Trace.span_id
+      (Testkit.valid_span_id adopted.Trace.span_id
       && Array.for_all (fun c -> c.Trace.span_id <> adopted.Trace.span_id) all)
   | None -> Alcotest.fail "to_wire form rejected"
 
@@ -1497,8 +1554,8 @@ let test_trace_collect_sampled () =
   Alcotest.(check int) "body ran" 42 v;
   (match span with
   | Some s ->
-    Alcotest.(check string) "root span name" "root" (Span.name s);
-    Alcotest.(check (list string)) "child recorded" [ "root"; "child" ] (Span.preorder_names s)
+    Alcotest.(check string) "root span name" "root" (Testkit.span_name (Span.to_json s));
+    Alcotest.(check (list string)) "child recorded" [ "root"; "child" ] (Testkit.span_names s)
   | None -> Alcotest.fail "sampled context recorded no span tree");
   let _, ambient_span = Trace.collect Trace.ambient "root" (fun () -> ()) in
   Alcotest.(check bool) "ambient context with flag off records nothing" true
@@ -1513,25 +1570,53 @@ let test_span_self_time_and_critical_path () =
             with_span "leaf" (fun () -> Unix.sleepf 0.002)))
   in
   let s = match span with Some s -> s | None -> Alcotest.fail "no span tree" in
-  (* self time never exceeds the span's own duration, and the root's
-     self time excludes its children. *)
-  Alcotest.(check bool) "self <= duration" true (Span.self_ms s <= Span.duration_ms s);
-  Alcotest.(check bool) "root self excludes children" true
-    (Span.self_ms s < Span.duration_ms s);
-  let path = List.map Span.name (Span.critical_path s) in
-  Alcotest.(check (list string)) "critical path descends the longest child"
-    [ "root"; "slow"; "leaf" ] path;
-  let rendered = Format.asprintf "%a" Span.pp_annotated s in
-  Alcotest.(check bool) "critical-path spans are starred" true
-    (String.length rendered > 0 && String.contains rendered '*');
+  (* Through the trace explorer's path: store the tree (errors are
+     always admitted), read it back from [/traces.json] and render it. *)
+  Tracestore.clear ();
+  Alcotest.(check bool) "admitted" true
+    (Tracestore.record ~trace_id:ctx.Trace.trace_id ~span_id:ctx.Trace.span_id ~op:"query"
+       ~query:"q" ~duration_ms:(Span.duration_ms s) ~error:true ~root:s ());
+  let stored =
+    match Json.member "traces" (Tracestore.to_json ()) with
+    | Some (Json.Arr [ t ]) -> Tracestore.stored_of_json t
+    | _ -> None
+  in
+  let s' =
+    match Option.bind stored (fun t -> t.Tracestore.sroot) with
+    | Some s' -> s'
+    | None -> Alcotest.fail "the stored trace lost its span tree"
+  in
   (* to_json/of_json roundtrip: structure and durations survive. *)
-  match Span.of_json (Span.to_json s) with
-  | Some s' ->
-    Alcotest.(check (list string)) "names roundtrip" (Span.preorder_names s)
-      (Span.preorder_names s');
-    Alcotest.(check (float 1e-9)) "duration roundtrips" (Span.duration_ms s)
-      (Span.duration_ms s')
-  | None -> Alcotest.fail "of_json rejected its own to_json"
+  Alcotest.(check (list string)) "names roundtrip" (Testkit.span_names s) (Testkit.span_names s');
+  Alcotest.(check (float 1e-9)) "duration roundtrips" (Span.duration_ms s) (Span.duration_ms s');
+  (* One rendered line per span: "<*| ><indent><name> <d> ms  self <t> ms",
+     starred on the critical path. *)
+  let rendered = Format.asprintf "%a" Tracestore.pp_stored (Option.get stored) in
+  let rows =
+    List.filter_map
+      (fun line ->
+        match
+          Scanf.sscanf line "%c %s %f ms self %f ms" (fun star name d self -> (name, (star, d, self)))
+        with
+        | row -> Some row
+        | exception _ -> None)
+      (String.split_on_char '\n' rendered)
+  in
+  let row name =
+    match List.assoc_opt name rows with
+    | Some r -> r
+    | None -> Alcotest.failf "no rendered line for %s in:\n%s" name rendered
+  in
+  List.iter
+    (fun name ->
+      let _, d, self = row name in
+      Alcotest.(check bool) (name ^ ": self <= duration") true (self <= d +. 1e-3))
+    [ "root"; "fast"; "slow"; "leaf" ];
+  let _, d, self = row "root" in
+  Alcotest.(check bool) "root self excludes children" true (self < d);
+  Alcotest.(check (list string)) "critical path descends the longest child"
+    [ "root"; "slow"; "leaf" ]
+    (List.filter (fun name -> let star, _, _ = row name in star = '*') [ "root"; "fast"; "slow"; "leaf" ])
 
 let test_chrome_lanes_from_trace_ids () =
   let ctx = Trace.make ~sampled:true () in
@@ -1573,8 +1658,8 @@ let test_tracestore_admission () =
   done;
   Alcotest.(check bool) "arrival 11 head-sampled" true (offer ());
   Alcotest.(check bool) "errors always kept" true (offer ~error:true ());
-  Alcotest.(check int) "12 offers seen" 12 (Tracestore.seen ());
-  let stored = Tracestore.recent () in
+  Alcotest.(check int) "12 offers seen" 12 (Testkit.traces_seen ());
+  let stored = Testkit.stored_traces () in
   Alcotest.(check int) "3 admitted" 3 (List.length stored);
   let kept_reasons = List.map (fun s -> s.Tracestore.skept) stored in
   Alcotest.(check bool) "error reason recorded" true (List.mem "error" kept_reasons);
@@ -1589,7 +1674,7 @@ let test_tracestore_admission () =
   Alcotest.(check bool) "p99-exceeding request tail-admitted" true
     (Tracestore.record ~trace_id:slow_ctx.Trace.trace_id ~span_id:slow_ctx.Trace.span_id
        ~op ~query:"q" ~duration_ms:500.0 ~error:false ());
-  (match Tracestore.find slow_ctx.Trace.trace_id with
+  (match Testkit.find_trace slow_ctx.Trace.trace_id with
   | Some s -> Alcotest.(check string) "kept as slow" "slow" s.Tracestore.skept
   | None -> Alcotest.fail "slow trace not stored");
   Window.reset w;
@@ -1597,7 +1682,7 @@ let test_tracestore_admission () =
 
 (* The admission memo: [Window.recent_p99] with the clock pinned. *)
 let test_memo_reset_drops_verdict () =
-  let w = Window.create ~seconds:60 "t.memo.reset" in
+  let w = Window.get ~seconds:60 "t.memo.reset" in
   let now = 7000.0 in
   for _ = 1 to 30 do
     Window.observe w ~now 1.0
@@ -1621,7 +1706,7 @@ let test_memo_reset_drops_verdict () =
       (Tracestore.record ~trace_id:ctx.Trace.trace_id ~span_id:ctx.Trace.span_id ~op
          ~query:"q" ~duration_ms:500.0 ~error:false ()
         : bool);
-    Option.map (fun s -> s.Tracestore.skept) (Tracestore.find ctx.Trace.trace_id)
+    Option.map (fun s -> s.Tracestore.skept) (Testkit.find_trace ctx.Trace.trace_id)
   in
   Alcotest.(check (option string)) "slow before the reset" (Some "slow") (offer ());
   Window.reset w;
@@ -1630,7 +1715,7 @@ let test_memo_reset_drops_verdict () =
   Tracestore.clear ()
 
 let test_memo_refreshes_when_count_doubles () =
-  let w = Window.create ~seconds:60 "t.memo.double" in
+  let w = Window.get ~seconds:60 "t.memo.double" in
   let now = 8000.5 in
   let count, p99 = Window.recent_p99 ~now w in
   Alcotest.(check int) "empty window" 0 count;
@@ -1655,7 +1740,7 @@ let test_memo_refreshes_when_count_doubles () =
     (fst (Window.recent_p99 ~now:(now +. 1.0) w))
 
 let test_memo_equals_summary_after_refresh () =
-  let w = Window.create ~seconds:60 "t.memo.summary" in
+  let w = Window.get ~seconds:60 "t.memo.summary" in
   let t0 = 9000.0 in
   for i = 1 to 100 do
     Window.observe w ~now:(t0 +. float_of_int (i mod 7)) (float_of_int i)
@@ -1675,15 +1760,12 @@ let test_tracestore_find_and_roundtrip () =
   Alcotest.(check bool) "admitted" true
     (Tracestore.record ~trace_id:ctx.Trace.trace_id ~span_id:ctx.Trace.span_id ~op:"query"
        ~query:"fp" ~duration_ms:2.5 ~error:false ?root ());
-  (match Tracestore.find (String.sub ctx.Trace.trace_id 0 8) with
-  | Some s -> Alcotest.(check string) "prefix lookup" ctx.Trace.trace_id s.Tracestore.strace_id
-  | None -> Alcotest.fail "prefix lookup failed");
-  Alcotest.(check bool) "unknown id not found" true (Tracestore.find "ffffffff" = None);
-  (* stored_json/of_json roundtrip, span tree included. *)
-  (match Tracestore.find ctx.Trace.trace_id with
-  | None -> Alcotest.fail "full-id lookup failed"
-  | Some s -> (
-    match Tracestore.stored_of_json (Tracestore.stored_json s) with
+  Alcotest.(check bool) "unknown id not found" true (Testkit.find_trace "ffffffff" = None);
+  (* /traces.json roundtrip, span tree included. *)
+  (match Tracestore.to_json () |> Json.member "traces" with
+  | Some (Json.Arr [ json ]) -> (
+    let s = Option.get (Testkit.find_trace ctx.Trace.trace_id) in
+    match Tracestore.stored_of_json json with
     | Some s' ->
       Alcotest.(check string) "trace id roundtrips" s.Tracestore.strace_id
         s'.Tracestore.strace_id;
@@ -1699,17 +1781,18 @@ let test_tracestore_find_and_roundtrip () =
            && (String.sub rendered i (String.length id) = id || has (i + 1))
          in
          has 0)
-    | None -> Alcotest.fail "stored_of_json rejected its own stored_json"));
+    | None -> Alcotest.fail "stored_of_json rejected its own stored_json")
+  | _ -> Alcotest.fail "expected one stored trace");
   Tracestore.clear ()
 
 let test_window_exemplars () =
-  let w = Window.create "exemplar-test" in
+  let w = Window.get "exemplar-test" in
   Window.observe w 1.0;
   Alcotest.(check int) "untraced observations leave no exemplar" 0
-    (List.length (Window.exemplars w));
+    (List.length (exemplars w));
   Window.observe w ~trace:"cafe0123cafe0123cafe0123cafe0123" 1.0;
   Window.observe w ~trace:"beef4567beef4567beef4567beef4567" 100.0;
-  let exs = Window.exemplars w in
+  let exs = exemplars w in
   Alcotest.(check int) "one exemplar per touched bucket" 2 (List.length exs);
   let ids = List.map (fun e -> e.Window.ex_trace_id) exs in
   Alcotest.(check bool) "both trace ids advertised" true
@@ -1723,7 +1806,7 @@ let test_window_exemplars () =
   (* A later traced observation in the same bucket replaces the
      exemplar; reset drops them all. *)
   Window.observe w ~trace:"feed8901feed8901feed8901feed8901" 1.0;
-  let ids = List.map (fun e -> e.Window.ex_trace_id) (Window.exemplars w) in
+  let ids = List.map (fun e -> e.Window.ex_trace_id) (exemplars w) in
   Alcotest.(check bool) "same-bucket exemplar replaced" true
     (List.mem "feed8901feed8901feed8901feed8901" ids
     && not (List.mem "cafe0123cafe0123cafe0123cafe0123" ids));
@@ -1735,7 +1818,7 @@ let test_window_exemplars () =
     | _ -> Alcotest.fail "to_json lacks an exemplars array")
   | _ -> Alcotest.fail "to_json is not an object");
   Window.reset w;
-  Alcotest.(check int) "reset clears exemplars" 0 (List.length (Window.exemplars w))
+  Alcotest.(check int) "reset clears exemplars" 0 (List.length (exemplars w))
 
 let test_prometheus_exemplar_lines () =
   let w = Window.get "promex" in
@@ -1760,7 +1843,7 @@ let test_qlog_schema_versions () =
      rejected. *)
   let parse line =
     match Json.of_string line with
-    | Ok j -> Qlog.event_of_json j
+    | Ok j -> parse_event j
     | Error e -> Alcotest.fail ("test line is not JSON: " ^ e)
   in
   (match
@@ -1805,7 +1888,7 @@ let test_engine_trace_threading () =
         List.exists (fun e -> e.Qlog.trace_id = ctx.Trace.trace_id) (Recorder.recent ())
       in
       Alcotest.(check bool) "recorder event carries the trace id" true recorded;
-      match Tracestore.find ctx.Trace.trace_id with
+      match Testkit.find_trace ctx.Trace.trace_id with
       | Some s ->
         Alcotest.(check string) "stored under op query" "query" s.Tracestore.sop;
         Alcotest.(check bool) "span tree stored" true (s.Tracestore.sroot <> None)
@@ -1828,7 +1911,7 @@ let test_engine_trace_threading () =
       let recorded = List.length (Recorder.recent ()) in
       let logged = List.length (request_lines ()) in
       let observed = window_requests () in
-      let seen = Tracestore.seen () in
+      let seen = Testkit.traces_seen () in
       let ctxs = List.init 3 (fun _ -> Trace.make ~sampled:true ()) in
       let q, b, u = match ctxs with [ q; b; u ] -> (q, b, u) | _ -> assert false in
       ignore (Engine.evaluate ~trace:q engine (Collab.q1 ()) : Engine.answer);
@@ -1843,7 +1926,7 @@ let test_engine_trace_threading () =
       Alcotest.(check int) "recorder grew by 3" (recorded + 3) (List.length (Recorder.recent ()));
       Alcotest.(check int) "query log grew by 3" (logged + 3) (List.length lines);
       Alcotest.(check int) "windows grew by 3" (observed + 3) (window_requests ());
-      Alcotest.(check int) "trace store saw 3 more" (seen + 3) (Tracestore.seen ());
+      Alcotest.(check int) "trace store saw 3 more" (seen + 3) (Testkit.traces_seen ());
       List.iter
         (fun (ctx : Trace.ctx) ->
           Alcotest.(check bool) "trace id in the recorder" true
