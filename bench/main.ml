@@ -825,26 +825,25 @@ let exp_telemetry_cost ~full =
   record_stats ~id:"EXP-T1.sample" s_tick;
   Printf.printf "  sampler tick (windows + process + registry): %.3f ms median\n"
     s_tick.Report.median;
-  (* Half 3: burn-rate evaluation of the default objective set over the
-     populated rings. *)
-  S.set_objectives
-    [
-      S.availability ~op:"query" ~target:0.999 ();
-      S.availability ~op:"batch" ~target:0.999 ();
-      S.availability ~op:"update" ~target:0.999 ();
-      S.latency_p99 ~op:"query" ~threshold_ms:50.0 ~target:0.99 ();
-    ];
+  (* Half 3: burn-rate evaluation of the fixed policy (99% availability
+     per op class, 300 s and 3600 s windows) over the populated rings,
+     from fresh alert state and back to it. *)
+  let policy =
+    List.map (fun op -> S.availability ~op ~target:0.99 ()) [ "query"; "batch"; "update" ]
+  in
+  S.set_objectives policy;
   let now = 1.0e9 +. float_of_int ticks in
   let s_slo =
     time_stats ~reps:20 (fun () -> ignore (S.evaluate ~now ~ts () : S.alert list))
   in
-  S.set_objectives [];
+  S.set_objectives policy;
   record_stats ~id:"EXP-T1.slo" s_slo;
-  Printf.printf "  SLO evaluation (4 objectives, fast+slow windows): %.3f ms median\n"
-    s_slo.Report.median;
+  Printf.printf "  SLO evaluation (%d objectives, fast+slow windows): %.3f ms median\n"
+    (List.length policy) s_slo.Report.median;
   (* Half 4: what one finished request pays on the serving path — the
-     counter-registry snapshot pair and its delta, then trace-store
-     admission against an op window filled across the last 60 s. *)
+     counter-registry snapshot pair and its delta, the slow verdict
+     against an op window filled across the last 60 s, then trace-store
+     admission. *)
   let module M = Telemetry.Metrics in
   let op = "bench.request" in
   let w = Telemetry.Window.get op in
@@ -863,10 +862,11 @@ let exp_telemetry_cost ~full =
         for _ = 1 to requests do
           let before = M.counters_snapshot () in
           ignore (M.delta ~before ~after:(M.counters_snapshot ()) : (string * int) list);
+          let slow = Telemetry.Window.slow w 0.1 in
           ignore
             (Telemetry.Tracestore.record ~trace_id:ctx.Telemetry.Trace.trace_id
                ~span_id:ctx.Telemetry.Trace.span_id ~op ~query:"bench" ~duration_ms:0.1
-               ~error:false ()
+               ~error:false ~slow ()
               : bool)
         done)
   in
@@ -874,7 +874,8 @@ let exp_telemetry_cost ~full =
   Telemetry.Window.reset w;
   record_stats ~id:"EXP-T1.request" ~params:[ ("requests", Telemetry.Json.Int requests) ] s_req;
   Printf.printf
-    "  one request's bookkeeping (2 snapshots + delta + trace admission): %.2f us median\n"
+    "  one request's bookkeeping (2 snapshots + delta + slow verdict + trace admission): \
+     %.2f us median\n"
     s_req.Report.median;
   (* A sampler tick runs once a second; even tick + evaluation together
      at 50 ms would be 5% of wall-clock, far above anything seen.  The

@@ -497,14 +497,6 @@ let serve_run verbose graph_file socket_spec max_connections =
         own event ring, best-effort (false when the ring cannot be
         opened).  It stays inert for every other subcommand. *)
      ignore (Telemetry.Gcpause.start () : bool);
-     (* A non-finite period ("nan", "inf") is malformed, like an
-        unparsable one: NaN would fail the server's [<= 0] off-switch
-        and run the sampler back to back. *)
-     let sample_period =
-       match Option.bind (Sys.getenv_opt "EXPFINDER_SAMPLE_PERIOD_S") float_of_string_opt with
-       | Some p when Float.is_finite p -> p
-       | Some _ | None -> 1.0
-     in
      (* A fatal signal leaves a postmortem artifact when
         EXPFINDER_POSTMORTEM_DIR is set, then exits through [Stdlib.exit]
         with the default disposition's code (128 + signo): only a normal
@@ -519,7 +511,7 @@ let serve_run verbose graph_file socket_spec max_connections =
      (try Sys.set_signal Sys.sigterm (on_signal 15 "SIGTERM") with Invalid_argument _ -> ());
      (try Sys.set_signal Sys.sigint (on_signal 2 "SIGINT") with Invalid_argument _ -> ());
      match
-       Server.serve ~max_connections ~sample_period
+       Server.serve ~max_connections
          ~on_listen:(fun () ->
            Printf.printf "serving %s on %s\n%!" graph_file (Server.endpoint_to_string endpoint))
          engine endpoint
@@ -957,7 +949,8 @@ let stats_cmd =
       value & flag
       & info [ "recent" ]
           ~doc:"Dump the flight recorder: the most recent query events with strategy, duration \
-                and counter deltas (slow queries flagged per EXPFINDER_SLOW_MS).")
+                and counter deltas.  A query is flagged slow when it reached the p99 of the \
+                last 60 s of its op class, once those hold 20 requests.")
   in
   Cmd.v
     (Cmd.info "stats" ~doc:"Print statistics of a data graph (and optionally telemetry metrics)")
@@ -1089,12 +1082,11 @@ let serve_cmd =
            `P
              "Set $(b,EXPFINDER_QLOG) to capture every served request in the structured query \
               log, ready for $(b,expfinder replay); $(b,EXPFINDER_TIMESERIES) to persist one \
-              JSONL telemetry tick per sampler period; $(b,EXPFINDER_POSTMORTEM_DIR) to write a \
-              crash artifact on fatal signals and uncaught exceptions.  The SLO objectives are \
-              99% availability per op class with burn thresholds 14.4 (fast) and 6.0 (slow); \
-              $(b,EXPFINDER_SLO_FAST_S) and $(b,EXPFINDER_SLO_SLOW_S) set the window lengths \
-              (default 300 and 3600 s), and $(b,EXPFINDER_SLO_P99_MS) adds a 95% p99-latency \
-              objective (alert states on /alerts.json).";
+              JSONL telemetry tick per second; $(b,EXPFINDER_POSTMORTEM_DIR) to write a crash \
+              artifact on fatal signals and uncaught exceptions.  The SLO policy is fixed: 99% \
+              availability per op class, firing when the 300 s window burns error budget at \
+              14.4x or more and the 3600 s window at 6x or more (alert states on \
+              /alerts.json).";
          ])
     Term.(const serve_run $ verbose_arg $ graph_arg $ socket_arg $ max_connections)
 

@@ -1303,43 +1303,20 @@ module Gcpause = struct
 
   let session : session option ref = ref None
 
-  (* Per-ring (= per-domain slot) accounting: the runtime's begin/end
-     pairs carry the ring index, so each domain's pauses are attributed
-     separately in addition to the process aggregate.  Each slot also
-     feeds a registry histogram ([gc.domain<i>.pause_us]),
-     which is what the exporters and /domains.json read. *)
-  type domain_stats = {
-    d_total_ns : int Atomic.t;
-    d_max_ns : int Atomic.t;
-    d_slices : int Atomic.t;
-    d_hist : Histogram.t;
-  }
-
-  (* Every mutable accounting cell in one record: the aggregate totals
-     stay atomic (the sampler thread and the /stats handler poll, and
-     the gauges are read from yet another interleaving, so a reader
-     must never see a torn sum), the per-domain table and the domain
-     lifecycle counters ride along.  The table itself is written only
-     from the poll callbacks (under [poll_lock]); readers snapshot it
-     under the same lock. *)
+  (* One set of books: the runtime's begin/end pairs carry the ring
+     index (= domain slot), and each slot's pauses land in its registry
+     histogram [gc.domain<i>.pause_us], which the exporters,
+     /domains.json and every total below read.  The table is written
+     only from the poll callbacks (under [poll_lock]); readers snapshot
+     it under the same lock.  The domain lifecycle counters ride
+     along. *)
   type totals = {
-    total_ns : int Atomic.t;
-    max_ns : int Atomic.t;
-    slices : int Atomic.t;
     spawns : int Atomic.t;
     stops : int Atomic.t;
-    per_domain : (int, domain_stats) Hashtbl.t;
+    per_domain : (int, Histogram.t) Hashtbl.t;
   }
 
-  let stats =
-    {
-      total_ns = Atomic.make 0;
-      max_ns = Atomic.make 0;
-      slices = Atomic.make 0;
-      spawns = Atomic.make 0;
-      stops = Atomic.make 0;
-      per_domain = Hashtbl.create 8;
-    }
+  let stats = { spawns = Atomic.make 0; stops = Atomic.make 0; per_domain = Hashtbl.create 8 }
 
   (* Open begin-events keyed by (domain, phase): minor and major slices
      can interleave across domains, so each pair is matched separately.
@@ -1360,27 +1337,16 @@ module Gcpause = struct
     if interesting phase then
       Hashtbl.replace opens (domain, phase) (Runtime_events.Timestamp.to_int64 ts)
 
-  let rec record_max cell dur =
-    let cur = Atomic.get cell in
-    if dur > cur && not (Atomic.compare_and_set cell cur dur) then record_max cell dur
-
   (* Runs under [poll_lock] (poll callbacks only), so lookup-or-create
      never races itself; the registry call takes only registry_mutex,
      which never waits on poll_lock. *)
-  let domain_stats_for domain =
+  let histogram_for domain =
     match Hashtbl.find_opt stats.per_domain domain with
-    | Some d -> d
+    | Some h -> h
     | None ->
-      let d =
-        {
-          d_total_ns = Atomic.make 0;
-          d_max_ns = Atomic.make 0;
-          d_slices = Atomic.make 0;
-          d_hist = Metrics.histogram (Printf.sprintf "gc.domain%d.pause_us" domain);
-        }
-      in
-      Hashtbl.replace stats.per_domain domain d;
-      d
+      let h = Metrics.histogram (Printf.sprintf "gc.domain%d.pause_us" domain) in
+      Hashtbl.replace stats.per_domain domain h;
+      h
 
   let on_end domain ts phase =
     if interesting phase then
@@ -1389,16 +1355,7 @@ module Gcpause = struct
       | Some t0 ->
         Hashtbl.remove opens (domain, phase);
         let dur = Int64.to_int (Int64.sub (Runtime_events.Timestamp.to_int64 ts) t0) in
-        if dur > 0 then begin
-          ignore (Atomic.fetch_and_add stats.total_ns dur : int);
-          record_max stats.max_ns dur;
-          Atomic.incr stats.slices;
-          let d = domain_stats_for domain in
-          ignore (Atomic.fetch_and_add d.d_total_ns dur : int);
-          record_max d.d_max_ns dur;
-          Atomic.incr d.d_slices;
-          Histogram.observe d.d_hist (float_of_int dur /. 1000.0)
-        end
+        if dur > 0 then Histogram.observe (histogram_for domain) (float_of_int dur /. 1000.0)
 
   let on_lifecycle _ring _ts (ev : Runtime_events.lifecycle) _arg =
     match ev with
@@ -1432,10 +1389,6 @@ module Gcpause = struct
           | Some s -> (
             try ignore (Runtime_events.read_poll s.cursor s.callbacks None : int) with _ -> ()))
 
-  let pause_us_total () = Atomic.get stats.total_ns / 1000
-
-  let pause_us_max () = Atomic.get stats.max_ns / 1000
-
   let domain_spawns () = Atomic.get stats.spawns
 
   let domain_stops () = Atomic.get stats.stops
@@ -1447,22 +1400,28 @@ module Gcpause = struct
     slices : int;
   }
 
-  (* Snapshot under [poll_lock] so a concurrent poll never resizes the
-     table mid-fold; the per-cell Atomics make each field itself
-     untearable. *)
+  (* A histogram emptied by [Metrics.reset_all] reads nan for its max. *)
+  let whole_us v = if Float.is_nan v then 0 else int_of_float v
+
+  (* Snapshot the table under [poll_lock] so a concurrent poll never
+     resizes it mid-fold; each histogram read takes that histogram's
+     own lock. *)
   let by_domain () =
     Mutex.protect poll_lock (fun () ->
-        Hashtbl.fold
-          (fun domain d acc ->
-            {
-              domain;
-              pause_us_total = Atomic.get d.d_total_ns / 1000;
-              pause_us_max = Atomic.get d.d_max_ns / 1000;
-              slices = Atomic.get d.d_slices;
-            }
-            :: acc)
-          stats.per_domain [])
-    |> List.sort (fun a b -> compare a.domain b.domain)
+        Hashtbl.fold (fun domain h acc -> (domain, h) :: acc) stats.per_domain [])
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map (fun (domain, h) ->
+           {
+             domain;
+             pause_us_total = whole_us (Histogram.sum h);
+             pause_us_max = whole_us (Histogram.max_value h);
+             slices = Histogram.count h;
+           })
+
+  let pause_us_total () = List.fold_left (fun acc d -> acc + d.pause_us_total) 0 (by_domain ())
+
+  let pause_us_max () =
+    List.fold_left (fun acc d -> Stdlib.max acc d.pause_us_max) 0 (by_domain ())
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1529,7 +1488,7 @@ let process_stats () =
 (* ------------------------------------------------------------------ *)
 
 module Window = struct
-  let default_seconds = 60
+  let seconds = 60
 
   (* One bucket per wall-clock second, in a ring of [seconds] buckets
      indexed by [sec mod seconds].  A bucket is lazily reclaimed the
@@ -1568,15 +1527,14 @@ module Window = struct
   }
 
   (* The window's in-window count and p99 as of [at_sec], taken when the
-     lifetime count was [at_total]: what tail admission compares a
-     finished request against. *)
+     lifetime count was [at_total]: what {!slow} compares a finished
+     request against. *)
   type memo = { at_sec : int; at_total : int; m_count : int; m_p99 : float }
 
   let no_memo = { at_sec = min_int; at_total = 0; m_count = 0; m_p99 = nan }
 
   type t = {
     wname : string;
-    wseconds : int;
     ring : bucket array;
     (* Lifetime totals, never reclaimed with the ring: the timeseries
        sampler differentiates them into per-tick request/error rates,
@@ -1611,11 +1569,9 @@ module Window = struct
       bhist = no_hist;
     }
 
-  let create ?(seconds = default_seconds) wname =
-    let seconds = Stdlib.max 1 seconds in
+  let create wname =
     {
       wname;
-      wseconds = seconds;
       ring = Array.init seconds (fun _ -> fresh_bucket ());
       total_count = Atomic.make 0;
       total_errors = Atomic.make 0;
@@ -1652,7 +1608,7 @@ module Window = struct
     let now = match now with Some n -> n | None -> wall_seconds () in
     let sec = int_of_float now in
     Mutex.lock t.wm;
-    let b = t.ring.(sec mod t.wseconds) in
+    let b = t.ring.(sec mod seconds) in
     if Atomic.get b.sec <> sec then begin
       (* Writers are serialized by [wm], so the reclaim needs no CAS;
          the stamp choreography is for the lock-free readers: park the
@@ -1753,7 +1709,7 @@ module Window = struct
     Array.iter
       (fun b ->
         let bsec = Atomic.get b.sec in
-        if bsec > now_sec - t.wseconds && bsec <= now_sec && b.bcount > 0 then begin
+        if bsec > now_sec - seconds && bsec <= now_sec && b.bcount > 0 then begin
           if !count = 0 || b.bmin < !mn then mn := b.bmin;
           if !count = 0 || b.bmax > !mx then mx := b.bmax;
           count := !count + b.bcount;
@@ -1773,10 +1729,10 @@ module Window = struct
         Histogram.rank_in_buckets merged ~rank ~mn:!mn ~mx:!mx
     in
     {
-      window_s = t.wseconds;
+      window_s = seconds;
       count = n;
       errors = !errors;
-      qps = float_of_int n /. float_of_int t.wseconds;
+      qps = float_of_int n /. float_of_int seconds;
       error_rate = (if n = 0 then 0.0 else float_of_int !errors /. float_of_int n);
       p50 = pct 0.5;
       p95 = pct 0.95;
@@ -1805,6 +1761,16 @@ module Window = struct
   let recent_p99 ?now t =
     let m = memo ?now t in
     (m.m_count, m.m_p99)
+
+  (* The p99 means something only once the window has seen this many
+     requests. *)
+  let min_count_for_p99 = 20
+
+  (* The one rule for a slow request: it reached the p99 of a window
+     that already holds [min_count_for_p99] requests. *)
+  let slow t ms =
+    let m = memo t in
+    m.m_count >= min_count_for_p99 && ms >= m.m_p99
 
   let summary_json s =
     Json.Obj
@@ -1875,12 +1841,12 @@ module Window = struct
      the windows themselves. *)
   let windows_mutex = Mutex.create ()
 
-  let get ?seconds name =
+  let get name =
     Mutex.protect windows_mutex (fun () ->
         match Hashtbl.find_opt windows name with
         | Some w -> w
         | None ->
-          let w = create ?seconds name in
+          let w = create name in
           Hashtbl.replace windows name w;
           w)
 
@@ -1898,10 +1864,9 @@ end
 module Tracestore = struct
   (* A bounded ring of recently finished request traces, the backing
      store for GET /traces.json and the [expfinder trace] explorer.
-     Admission is head + tail sampling: errored requests and requests
-     at or beyond the op window's p99 as of the current second
-     ({!Window.memo}) are always kept (tail — decided from the
-     outcome), and of the unremarkable rest one in
+     Admission is head + tail sampling: errored requests and slow ones
+     ({!Window.slow}, decided by the caller) are always kept (tail —
+     decided from the outcome), and of the unremarkable rest one in
      [head_rate] is kept (head — decided by arrival count), so the
      store holds the interesting traces plus a thin representative
      sample without growing with traffic. *)
@@ -1921,10 +1886,6 @@ module Tracestore = struct
 
   (* Of unremarkable traces, keep one in this many. *)
   let head_rate = 10
-
-  (* Tail sampling consults the op window's p99 only once it has seen
-     enough requests to mean something. *)
-  let min_count_for_p99 = 20
 
   (* Unlike the windows (single writer per op class) the store is
      written by every op class and read by the HTTP handler, so the
@@ -1954,15 +1915,9 @@ module Tracestore = struct
      worth advertising as a histogram exemplar — an exemplar must
      resolve to a stored trace).  Identity-free requests are never
      stored: there is nothing to look them up by. *)
-  let record ~trace_id ~span_id ~op ~query ~duration_ms ~error ?root () =
+  let record ~trace_id ~span_id ~op ~query ~duration_ms ~error ~slow ?root () =
     if trace_id = "" then false
-    else begin
-      let slow =
-        let m = Window.memo (Window.get op) in
-        m.Window.m_count >= min_count_for_p99
-        && (not (Float.is_nan m.Window.m_p99))
-        && duration_ms >= m.Window.m_p99
-      in
+    else
       Mutex.protect lock (fun () ->
           state.seen <- state.seen + 1;
           let kept =
@@ -1989,7 +1944,6 @@ module Tracestore = struct
                 };
             state.next <- state.next + 1;
             true)
-    end
 
   (* Newest first. *)
   let recent () =
@@ -2216,16 +2170,6 @@ module Qlog = struct
     payload : Json.t option;
   }
 
-  (* The slow threshold is set once at startup (env/CLI), before
-     serving threads exist. *)
-  let slow_ms = ref (Option.bind (Sys.getenv_opt "EXPFINDER_SLOW_MS") float_of_string_opt)
-
-  let set_slow_threshold_ms v = slow_ms := v
-
-  let slow_threshold_ms () = !slow_ms
-
-  let is_slow duration_ms = match !slow_ms with Some t -> duration_ms >= t | None -> false
-
   (* Sink configuration (env-seeded path, size ceiling, one archived
      generation) lives in a {!Jsonl_sink}; this module only builds the
      event lines. *)
@@ -2373,11 +2317,10 @@ module Recorder = struct
     match recent () with
     | [] -> Format.fprintf ppf "flight recorder: empty@."
     | events ->
-      Format.fprintf ppf "flight recorder: %d event(s), capacity %d%s@." (List.length events)
-        capacity
-        (match Qlog.slow_threshold_ms () with
-        | Some t -> Printf.sprintf ", slow >= %g ms" t
-        | None -> ", no slow threshold (EXPFINDER_SLOW_MS unset)");
+      Format.fprintf ppf
+        "flight recorder: %d event(s), capacity %d, slow = at or above the op window's p99 \
+         (once it holds %d requests)@."
+        (List.length events) capacity Window.min_count_for_p99;
       List.iter
         (fun (e : Qlog.event) ->
           Format.fprintf ppf "  #%-4d %s %9.3f ms  %-18s %s@." e.seq
@@ -2415,11 +2358,13 @@ module Request = struct
     let w = window kind in
     let failed = error <> None in
     let ts_unix = Unix.gettimeofday () in
+    (* Judged against the window before this request joins it. *)
+    let slow = Window.slow w duration_ms in
     (* The trace store's admission verdict decides the exemplar: an
        advertised trace id must resolve to a stored trace. *)
     let kept =
       Tracestore.record ~trace_id:trace.trace_id ~span_id:trace.span_id
-        ~op:(Qlog.kind_name kind) ~query ~duration_ms ~error:failed ?root ()
+        ~op:(Qlog.kind_name kind) ~query ~duration_ms ~error:failed ~slow ?root ()
     in
     Option.iter Profile.record root;
     Window.observe w ~error:failed ~now:ts_unix
@@ -2441,7 +2386,7 @@ module Request = struct
         counters;
         pairs;
         digest = (match digest with Some d when logged -> Lazy.force d | _ -> "");
-        slow = Qlog.is_slow duration_ms;
+        slow;
         trace_id = trace.trace_id;
         error;
         payload = (if logged then Option.map Lazy.force payload else None);
@@ -2488,20 +2433,24 @@ module Timeseries = struct
     sdata : (string, series) Hashtbl.t;
   }
 
+  (* The sampler thread writes while the HTTP handlers and the
+     postmortem writer read, and a write may register a series (a
+     Hashtbl resize under a concurrent read can lose a name the reader
+     then fails to find).  So [record] and every reader take [lock];
+     [prev] is the sampler's own. *)
   type t = {
     rings : ring array; (* ascending res_s *)
     mutable rev_names : string list; (* registration order, reversed *)
     kinds : (string, kind) Hashtbl.t;
     (* Sampler state: last value of each cumulative source, for rates. *)
     prev : (string, float) Hashtbl.t;
+    lock : Mutex.t;
   }
 
-  let default_resolutions = [ (1, 120); (10, 360); (60, 720) ]
+  (* About 2 minutes, 1 hour and 12 hours of retention. *)
+  let resolutions = [ (1, 120); (10, 360); (60, 720) ]
 
-  let create ?(resolutions = default_resolutions) () =
-    let resolutions =
-      List.sort_uniq compare (List.map (fun (r, s) -> (Stdlib.max 1 r, Stdlib.max 2 s)) resolutions)
-    in
+  let create () =
     let ring_of (res_s, slots) =
       { res_s; slots; stamp = Array.make slots (-1); sdata = Hashtbl.create 32 }
     in
@@ -2510,6 +2459,7 @@ module Timeseries = struct
       rev_names = [];
       kinds = Hashtbl.create 32;
       prev = Hashtbl.create 32;
+      lock = Mutex.create ();
     }
 
   let names t = List.rev t.rev_names
@@ -2539,6 +2489,7 @@ module Timeseries = struct
   let record ?now t kind name v =
     if Float.is_finite v then begin
       let sec = int_of_float (match now with Some n -> n | None -> Window.wall_seconds ()) in
+      Mutex.protect t.lock @@ fun () ->
       Array.iter
         (fun ring ->
           let slot = sec / ring.res_s in
@@ -2577,10 +2528,10 @@ module Timeseries = struct
 
   let now_or now = match now with Some n -> n | None -> Window.wall_seconds ()
 
-  (* All valid points of [name] in [ring], oldest first. *)
-  let ring_points ?now t (ring : ring) name =
-    ignore t;
-    let sec = int_of_float (now_or now) in
+  (* All valid points of [name] in [ring], oldest first.  Callers hold
+     the lock. *)
+  let ring_points ~now (ring : ring) name =
+    let sec = int_of_float now in
     let cur = sec / ring.res_s in
     match Hashtbl.find_opt ring.sdata name with
     | None -> []
@@ -2616,16 +2567,20 @@ module Timeseries = struct
     in
     pick 0
 
-  let points ?now t ~seconds name =
-    let nowf = now_or now in
-    let sec = int_of_float nowf in
-    let ring = ring_for t ~seconds in
+  let points_unlocked ~now t ~seconds name =
+    let sec = int_of_float now in
     List.filter
       (fun p -> p.t_unix + p.res_s > sec - seconds)
-      (ring_points ~now:nowf t ring name)
+      (ring_points ~now (ring_for t ~seconds) name)
+
+  let points ?now t ~seconds name =
+    let now = now_or now in
+    Mutex.protect t.lock (fun () -> points_unlocked ~now t ~seconds name)
 
   let window_sum ?now t ~seconds name =
-    List.fold_left (fun acc p -> acc +. p.sum) 0.0 (points ?now t ~seconds name)
+    let now = now_or now in
+    Mutex.protect t.lock (fun () ->
+        List.fold_left (fun acc p -> acc +. p.sum) 0.0 (points_unlocked ~now t ~seconds name))
 
   let point_json p =
     Json.Arr
@@ -2645,6 +2600,7 @@ module Timeseries = struct
 
   let to_json ?now ?(max_points = max_int) t =
     let nowf = now_or now in
+    Mutex.protect t.lock @@ fun () ->
     let names = names t in
     let ring_json (ring : ring) =
       Json.Obj
@@ -2656,7 +2612,7 @@ module Timeseries = struct
             Json.Obj
               (List.filter_map
                  (fun name ->
-                   match ring_points ~now:nowf t ring name with
+                   match ring_points ~now:nowf ring name with
                    | [] -> None
                    | pts ->
                      Some (name, Json.Arr (List.map point_json (take_last max_points pts))))
@@ -2681,6 +2637,8 @@ module Timeseries = struct
   let shared = create ()
 
   let sink_t = Jsonl_sink.create ~label:"timeseries log" (Sys.getenv_opt "EXPFINDER_TIMESERIES")
+
+  let known t name = Mutex.protect t.lock (fun () -> Hashtbl.mem t.kinds name)
 
   (* One sampler tick: pull every live source (op-class windows, process
      gauges, registry counters) into [t] and
@@ -2707,7 +2665,7 @@ module Timeseries = struct
       | None -> ()
       | Some p ->
         let d = if v >= p then v -. p else v in
-        if d <> 0.0 || Hashtbl.mem t.kinds name then put Rate name d
+        if d <> 0.0 || known t name then put Rate name d
     in
     List.iter
       (fun (op, w) ->
@@ -2749,7 +2707,7 @@ module Timeseries = struct
              then begin
                let v = float_of_int (Gauge.value g) in
                let key = "m." ^ name in
-               if v <> 0.0 || Hashtbl.mem t.kinds key then put Level key v
+               if v <> 0.0 || known t key then put Level key v
              end
            | Metrics.M_histogram _ -> ());
     let fields = List.rev !out in
@@ -2823,48 +2781,23 @@ end
 
 module Slo = struct
   (* Multi-window burn-rate alerting in the SRE-workbook shape: an
-     objective fires only when both a fast window (default 5m, high
-     burn) and a slow window (default 1h, lower burn) agree the error
-     budget is being spent too fast.  Both windows are evaluated from
-     the {!Timeseries} rings, so alerting shares retention with
-     /timeseries.json and costs no extra collection. *)
-  type target =
-    | Availability of { target : float }
-    | Latency_p99 of { threshold_ms : float; target : float }
+     objective fires only when both a fast window (5 m, high burn) and a
+     slow window (1 h, lower burn) agree the error budget is being spent
+     too fast.  Both windows are evaluated from the {!Timeseries} rings,
+     so alerting shares retention with /timeseries.json and costs no
+     extra collection.  The windows and burn thresholds are the
+     workbook's, fixed for every objective. *)
+  let fast_s = 300
 
-  type objective = {
-    oname : string;
-    op : string;
-    otarget : target;
-    fast_s : int;
-    slow_s : int;
-    fast_burn : float;
-    slow_burn : float;
-  }
+  let slow_s = 3600
 
-  let availability ?(fast_s = 300) ?(slow_s = 3600) ?(fast_burn = 14.4) ?(slow_burn = 6.0)
-      ~op ~target () =
-    {
-      oname = op ^ "-availability";
-      op;
-      otarget = Availability { target };
-      fast_s;
-      slow_s;
-      fast_burn;
-      slow_burn;
-    }
+  let fast_burn = 14.4
 
-  let latency_p99 ?(fast_s = 300) ?(slow_s = 3600) ?(fast_burn = 14.4) ?(slow_burn = 6.0)
-      ~op ~threshold_ms ~target () =
-    {
-      oname = op ^ "-latency-p99";
-      op;
-      otarget = Latency_p99 { threshold_ms; target };
-      fast_s;
-      slow_s;
-      fast_burn;
-      slow_burn;
-    }
+  let slow_burn = 6.0
+
+  type objective = { oname : string; op : string; target : float }
+
+  let availability ~op ~target () = { oname = op ^ "-availability"; op; target }
 
   type state = Passing | Firing
 
@@ -2880,15 +2813,6 @@ module Slo = struct
     mutable bad_slow : float;
   }
 
-  (* The sampler thread swaps/updates the alert list; the /alerts.json
-     handler reads it.  The list cells are immutable, so an atomic swap
-     of the list head is the whole protocol; the per-alert mutable
-     fields are written only by the sampler (single writer) and a torn
-     read moves one burn-rate sample. *)
-  let active : alert list Atomic.t = Atomic.make []
-
-  let configured = ref false
-
   let fresh o =
     {
       objective = o;
@@ -2900,99 +2824,57 @@ module Slo = struct
       bad_slow = 0.0;
     }
 
-  let set_objectives objs =
-    configured := true;
-    Atomic.set active (List.map fresh objs)
+  (* The sampler thread swaps/updates the alert list; the /alerts.json
+     handler reads it.  The list cells are immutable, so an atomic swap
+     of the list head is the whole protocol; the per-alert mutable
+     fields are written only by the sampler (single writer) and a torn
+     read moves one burn-rate sample.  It starts as 99% availability
+     per op class. *)
+  let active : alert list Atomic.t =
+    Atomic.make
+      (List.map
+         (fun op -> fresh (availability ~op ~target:0.99 ()))
+         [ "query"; "batch"; "update" ])
 
-  let env_int name default =
-    match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-    | Some v when v >= 1 -> v
-    | Some _ | None -> default
+  let set_objectives objs = Atomic.set active (List.map fresh objs)
 
-  (* Default objective set: 99% availability per op class, plus a 95%
-     p99-latency objective when EXPFINDER_SLO_P99_MS names a threshold.
-     The burn thresholds are the SRE-workbook 14.4 / 6.0; only the window
-     lengths are env-tunable, so a soak test can compress hours into
-     seconds. *)
-  let objectives_from_env () =
-    let fast_s = env_int "EXPFINDER_SLO_FAST_S" 300 in
-    let slow_s = env_int "EXPFINDER_SLO_SLOW_S" 3600 in
-    let ops = [ "query"; "batch"; "update" ] in
-    let avail = List.map (fun op -> availability ~fast_s ~slow_s ~op ~target:0.99 ()) ops in
-    let latency =
-      match Option.bind (Sys.getenv_opt "EXPFINDER_SLO_P99_MS") float_of_string_opt with
-      | Some ms when ms > 0.0 ->
-        List.map
-          (fun op -> latency_p99 ~fast_s ~slow_s ~op ~threshold_ms:ms ~target:0.95 ())
-          ops
-      | Some _ | None -> []
-    in
-    avail @ latency
+  let alerts () = Atomic.get active
 
-  let ensure () = if not !configured then set_objectives (objectives_from_env ())
-
-  let alerts () =
-    ensure ();
-    Atomic.get active
-
-  let budget = function
-    | Availability { target } | Latency_p99 { target; _ } -> Float.max 1e-9 (1.0 -. target)
-
-  (* Fraction of the window spent out of objective.  Availability
-     divides errors by requests; latency counts the fraction of slots
-     whose worst p99 crossed the threshold, over the slots that have
-     data — so a freshly started server can still fire within the fast
-     window instead of waiting for the ring to fill. *)
-  let bad_fraction ~now ts op target ~seconds =
-    match target with
-    | Availability _ ->
-      let req = Timeseries.window_sum ~now ts ~seconds ("req." ^ op) in
-      let err = Timeseries.window_sum ~now ts ~seconds ("err." ^ op) in
-      if req <= 0.0 then 0.0 else Float.min 1.0 (err /. req)
-    | Latency_p99 { threshold_ms; _ } -> (
-      match Timeseries.points ~now ts ~seconds ("win." ^ op ^ ".p99_ms") with
-      | [] -> 0.0
-      | pts ->
-        let bad =
-          List.length (List.filter (fun p -> p.Timeseries.vmax > threshold_ms) pts)
-        in
-        float_of_int bad /. float_of_int (List.length pts))
+  (* Fraction of the window's requests that errored. *)
+  let bad_fraction ~now ts op ~seconds =
+    let req = Timeseries.window_sum ~now ts ~seconds ("req." ^ op) in
+    let err = Timeseries.window_sum ~now ts ~seconds ("err." ^ op) in
+    if req <= 0.0 then 0.0 else Float.min 1.0 (err /. req)
 
   let alert_json a =
     let o = a.objective in
     Json.Obj
-      ([ ("name", Json.Str o.oname); ("op", Json.Str o.op) ]
-      @ (match o.otarget with
-        | Availability { target } ->
-          [ ("kind", Json.Str "availability"); ("target", Json.Float target) ]
-        | Latency_p99 { threshold_ms; target } ->
-          [
-            ("kind", Json.Str "latency_p99");
-            ("threshold_ms", Json.Float threshold_ms);
-            ("target", Json.Float target);
-          ])
-      @ [
-          ("fast_s", Json.Int o.fast_s);
-          ("slow_s", Json.Int o.slow_s);
-          ("fast_burn_threshold", Json.Float o.fast_burn);
-          ("slow_burn_threshold", Json.Float o.slow_burn);
-          ("state", Json.Str (state_name a.state));
-          ("firing", Json.Bool (a.state = Firing));
-          ("burn_fast", Json.Float a.burn_fast);
-          ("burn_slow", Json.Float a.burn_slow);
-          ("bad_fast", Json.Float a.bad_fast);
-          ("bad_slow", Json.Float a.bad_slow);
-          ("since_unix", Json.Float a.since_unix);
-        ])
+      [
+        ("name", Json.Str o.oname);
+        ("op", Json.Str o.op);
+        ("kind", Json.Str "availability");
+        ("target", Json.Float o.target);
+        ("fast_s", Json.Int fast_s);
+        ("slow_s", Json.Int slow_s);
+        ("fast_burn_threshold", Json.Float fast_burn);
+        ("slow_burn_threshold", Json.Float slow_burn);
+        ("state", Json.Str (state_name a.state));
+        ("firing", Json.Bool (a.state = Firing));
+        ("burn_fast", Json.Float a.burn_fast);
+        ("burn_slow", Json.Float a.burn_slow);
+        ("bad_fast", Json.Float a.bad_fast);
+        ("bad_slow", Json.Float a.bad_slow);
+        ("since_unix", Json.Float a.since_unix);
+      ]
 
   let evaluate_one ~now ts a =
     let o = a.objective in
-    a.bad_fast <- bad_fraction ~now ts o.op o.otarget ~seconds:o.fast_s;
-    a.bad_slow <- bad_fraction ~now ts o.op o.otarget ~seconds:o.slow_s;
-    let b = budget o.otarget in
-    a.burn_fast <- a.bad_fast /. b;
-    a.burn_slow <- a.bad_slow /. b;
-    let next = if a.burn_fast >= o.fast_burn && a.burn_slow >= o.slow_burn then Firing else Passing in
+    a.bad_fast <- bad_fraction ~now ts o.op ~seconds:fast_s;
+    a.bad_slow <- bad_fraction ~now ts o.op ~seconds:slow_s;
+    let budget = Float.max 1e-9 (1.0 -. o.target) in
+    a.burn_fast <- a.bad_fast /. budget;
+    a.burn_slow <- a.bad_slow /. budget;
+    let next = if a.burn_fast >= fast_burn && a.burn_slow >= slow_burn then Firing else Passing in
     if next <> a.state then begin
       a.state <- next;
       a.since_unix <- now;
@@ -3019,7 +2901,6 @@ module Slo = struct
     end
 
   let evaluate ?now ?(ts = Timeseries.shared) () =
-    ensure ();
     let now = match now with Some n -> n | None -> Window.wall_seconds () in
     let alerts = Atomic.get active in
     List.iter (evaluate_one ~now ts) alerts;

@@ -378,8 +378,10 @@ end
     Best-effort self-monitoring of GC pause time through
     [Runtime_events]: {!Gcpause.start} subscribes to the runtime's own
     event ring, and each {!process_stats} call drains it, pairing
-    minor/major slice begin/end events into cumulative pause totals.  If the ring cannot be created
-    the module stays inert and the totals read zero. *)
+    minor/major slice begin/end events into one registry histogram per
+    domain, [gc.domain<i>.pause_us]; every pause total is read from
+    those histograms.  If the ring cannot be created the module stays
+    inert and the totals read zero. *)
 
 module Gcpause : sig
   val start : unit -> bool
@@ -406,8 +408,11 @@ module Gcpause : sig
   }
 
   val by_domain : unit -> domain_totals list
-  (** Per-domain pause totals, sorted by domain slot.  Each domain also
-      feeds a registry histogram [gc.domain<i>.pause_us]. *)
+  (** Per-domain pause totals, sorted by domain slot: the sum, max and
+      count of the domain's [gc.domain<i>.pause_us] histogram, so
+      {!Metrics.reset_all} zeroes them too.  The
+      [process.gc_pause_us_total] and [process.gc_pause_us_max] gauges
+      of {!process_stats} are their sum and max. *)
 end
 
 (** {1 Process gauges} *)
@@ -426,7 +431,7 @@ val process_stats : unit -> (string * int) list
 (** {1 Sliding windows}
 
     Bucketed sliding-window aggregation for the serving path: a ring of
-    per-second buckets over the last N seconds, yielding live QPS, error
+    per-second buckets over the last 60 seconds, yielding live QPS, error
     rate and latency percentiles per operation class.  Like every
     metric cell, windows record unconditionally.  Latency samples use
     the same log-scale buckets as {!Histogram} (~9% relative
@@ -482,9 +487,16 @@ module Window : sig
       and again sooner once the lifetime request count has at least
       doubled since it was taken, so a window that fills up within one
       second gets a fresh figure.  Right after a refresh it equals
-      [(summary w).count] and [(summary w).p99].  This is what the
-      {!Tracestore} compares a finished request against, so admission
-      costs one atomic read instead of merging the whole ring. *)
+      [(summary w).count] and [(summary w).p99].  This is what {!slow}
+      compares a finished request against, so the verdict costs one
+      atomic read instead of merging the whole ring. *)
+
+  val slow : t -> float -> bool
+  (** [slow w ms]: the one rule for a slow request.  True when [w]
+      holds at least 20 requests ({!recent_p99}'s count) and [ms] is at
+      or above their p99.  {!Request.finish} asks it once per request,
+      before the request joins the window, and passes the verdict to the
+      trace store, the flight recorder and the query log. *)
 
   val summary_of_json : Json.t -> summary option
   (** Parse a summary object ({!to_json}'s) back (postmortem rendering
@@ -514,9 +526,8 @@ module Window : sig
       exporters.  Mutex-protected, same contract as the metrics
       registry. *)
 
-  val get : ?seconds:int -> string -> t
-  (** The registered window under that name, created on first use
-      ([?seconds] only applies to the creating call). *)
+  val get : string -> t
+  (** The registered window under that name, created on first use. *)
 
   val all : unit -> (string * t) list
   (** Sorted by name. *)
@@ -527,13 +538,11 @@ end
 
     A bounded, mutex-guarded ring of recently finished request traces —
     the backing store for [GET /traces.json] and the [expfinder trace]
-    explorer.  Admission combines tail sampling (errored requests and
-    requests at or beyond their op window's p99 are always kept) with
-    head sampling (one in ten of the unremarkable rest), so the store
-    holds the interesting traces plus a thin representative sample at
-    bounded memory.  "Slow" compares against the op's p99 as of the
-    current second ({!Window.recent_p99}, refreshed early when the op's
-    count doubles), once the window holds at least 20 requests. *)
+    explorer.  Admission combines tail sampling (errored and slow
+    requests are always kept) with head sampling (one in ten of the
+    unremarkable rest), so the store holds the interesting traces plus
+    a thin representative sample at bounded memory.  "Slow" is the
+    caller's {!Window.slow} verdict. *)
 
 module Tracestore : sig
   type stored = {
@@ -555,10 +564,12 @@ module Tracestore : sig
     query:string ->
     duration_ms:float ->
     error:bool ->
+    slow:bool ->
     ?root:Span.t ->
     unit ->
     bool
-  (** Offer a finished request; [true] iff it was admitted.  The engine
+  (** Offer a finished request; [true] iff it was admitted, as
+      ["error"], ["slow"] or one-in-ten ["sampled"], in that order.  The engine
       uses the verdict to decide whether to advertise the trace id as a
       histogram exemplar, so exemplars always resolve to stored traces.
       Identity-free requests ([trace_id = ""]) are never stored. *)
@@ -614,15 +625,11 @@ module Qlog : sig
     counters : (string * int) list;  (** nonzero counter deltas *)
     pairs : int;  (** answer size (update events: effective updates) *)
     digest : string;  (** answer digest; [""] when not applicable *)
-    slow : bool;  (** duration reached [EXPFINDER_SLOW_MS] *)
+    slow : bool;  (** the request's {!Window.slow} verdict *)
     trace_id : string;  (** [""] when the request carried no trace context (or a v1 line) *)
     error : string option;
     payload : Json.t option;  (** replayable request body *)
   }
-
-  val set_slow_threshold_ms : float option -> unit
-  (** The slow-request threshold; initialised from [EXPFINDER_SLOW_MS],
-      [None] when unset (nothing is flagged). *)
 
   val set_sink : string option -> unit
   (** Point the log at a path ([None] and [Some ""] disable).
@@ -662,8 +669,7 @@ end
     An always-on, fixed-size ring buffer of the last 64 finished
     requests (queries, batches and update batches).  It holds
     the same {!Qlog.event} record the query log writes, numbered by the
-    ring's own sequence; requests at least [EXPFINDER_SLOW_MS]
-    milliseconds long are flagged as slow.  Filled by
+    ring's own sequence, with the same {!Window.slow} flag.  Filled by
     {!Request.finish}; dumped by [expfinder stats --recent], in the
     postmortem artifact and automatically when the differential
     self-check fails. *)
@@ -713,7 +719,9 @@ module Request : sig
       counter deltas over the request; [pairs] the answer size (for an
       update, the effective updates); [error] the failure, if any;
       [root] the request's span tree; [graph_id]/[epoch] the snapshot
-      identity.  The slow flag is computed once here.  The trace store
+      identity.  The slow flag is computed once here ({!Window.slow}
+      against the op window before the request joins it) and shared by
+      the trace store, the recorder and the query log.  The trace store
       sees the request first, and its admission verdict decides whether
       the trace id becomes the window's latency exemplar.  [digest]
       (default [""]) and [payload] are forced only when a query-log
@@ -723,8 +731,8 @@ end
 (** {1 Time series retention}
 
     Bounded-memory, multi-resolution retention: every recorded value
-    feeds one ring per resolution (default 1s x 120 / 10s x 360 /
-    60s x 720, about 2 minutes / 1 hour / 12 hours), so the coarse
+    feeds one ring per resolution (1s x 120 / 10s x 360 / 60s x 720,
+    about 2 minutes / 1 hour / 12 hours), so the coarse
     rings are exact downsamples of the fine one and reads never
     allocate beyond the returned points.  {!Timeseries.sample} is the
     periodic collector driven by the server's sampler thread; it pulls
@@ -739,9 +747,10 @@ module Timeseries : sig
 
   type t
 
-  val create : ?resolutions:(int * int) list -> unit -> t
-  (** A fresh store (floors: 1 s resolution, 2 slots; duplicate
-      resolutions collapse). *)
+  val create : unit -> t
+  (** A fresh, empty store.  One mutex guards it: {!record} and every
+      reader take it, so the sampler thread may write while the HTTP
+      handlers read. *)
 
   val shared : t
   (** The process-wide instance behind [/timeseries.json], the sampler
@@ -794,41 +803,21 @@ end
 
 (** {1 SLO burn-rate alerts}
 
-    Declarative objectives evaluated from the {!Timeseries} rings with
+    Availability objectives evaluated from the {!Timeseries} rings with
     multi-window burn-rate rules (SRE-workbook shape): an alert fires
-    only while {e both} the fast window (default 5 m) and the slow
-    window (default 1 h) burn error budget faster than their
-    thresholds (14.4 / 6.0), and clears as soon as either recovers.
-    The default objective set is 99% availability per op class, plus
-    95% p99 latency under the threshold [EXPFINDER_SLO_P99_MS] names,
-    when it is set; [EXPFINDER_SLO_FAST_S] and [EXPFINDER_SLO_SLOW_S]
-    set the two window lengths in seconds. *)
+    only while {e both} the fast window (5 m) and the slow window (1 h)
+    burn error budget faster than their thresholds (14.4 / 6.0), and
+    clears as soon as either recovers.  The policy is fixed: 99%
+    availability per op class. *)
 
 module Slo : sig
-  type target =
-    | Availability of { target : float }
-        (** e.g. [0.99]: at most 1% of requests may error *)
-    | Latency_p99 of { threshold_ms : float; target : float }
-        (** at least [target] of slots must keep p99 under the
-            threshold *)
-
   type objective = {
     oname : string;  (** alert name, e.g. ["query-availability"] *)
     op : string;  (** op class: ["query"] / ["batch"] / ["update"] *)
-    otarget : target;
-    fast_s : int;
-    slow_s : int;
-    fast_burn : float;
-    slow_burn : float;
+    target : float;  (** e.g. [0.99]: at most 1% of requests may error *)
   }
 
-  val availability :
-    ?fast_s:int -> ?slow_s:int -> ?fast_burn:float -> ?slow_burn:float ->
-    op:string -> target:float -> unit -> objective
-
-  val latency_p99 :
-    ?fast_s:int -> ?slow_s:int -> ?fast_burn:float -> ?slow_burn:float ->
-    op:string -> threshold_ms:float -> target:float -> unit -> objective
+  val availability : op:string -> target:float -> unit -> objective
 
   type state = Passing | Firing
 
@@ -844,7 +833,9 @@ module Slo : sig
   }
 
   val set_objectives : objective list -> unit
-  (** Replace the active objective set (resets all alert state). *)
+  (** Replace the active objective set (resets all alert state); it
+      starts as 99% availability for ["query"], ["batch"] and
+      ["update"]. *)
 
   val evaluate : ?now:float -> ?ts:Timeseries.t -> unit -> alert list
   (** Recompute every alert from the timeseries rings (default

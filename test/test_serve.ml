@@ -170,7 +170,6 @@ let serve_e2e exe () =
       let code, _ = run exe [ "gen"; "--kind"; "collab"; "-o"; graph ] in
       Alcotest.(check int) "gen exits 0" 0 code;
       with_server exe ~graph ~socket ~qlog
-        ~extra_env:[ "EXPFINDER_SAMPLE_PERIOD_S=0.2" ]
         (fun endpoint ->
           (* 50 queries on one connection; every answer must agree. *)
           let digests =
@@ -280,8 +279,8 @@ let serve_e2e exe () =
                 Alcotest.(check bool) "window counted the queries" true (count >= 50)
               | _ -> Alcotest.fail "/stats.json has no query window"))
           | Error e -> Alcotest.failf "/stats.json: %s" e);
-          (* /timeseries.json: wait for the sampler thread's first tick
-             (0.2s period here), then check the multi-resolution shape. *)
+          (* /timeseries.json: wait for the sampler thread's first tick,
+             then check the multi-resolution shape. *)
           let rec wait_timeseries attempts =
             if attempts = 0 then Alcotest.fail "sampler produced no timeseries within 10s"
             else
@@ -1157,7 +1156,7 @@ let golden_e2e exe () =
       let code, _ = run exe [ "gen"; "--kind"; "collab"; "-o"; graph ] in
       Alcotest.(check int) "gen exits 0" 0 code;
       with_server exe ~graph ~socket ~qlog
-        ~extra_env:[ "EXPFINDER_SAMPLE_PERIOD_S=0.2"; "EXPFINDER_DOMAINS=2" ]
+        ~extra_env:[ "EXPFINDER_DOMAINS=2" ]
         (fun endpoint ->
           Server.with_connection endpoint (fun fd ->
               List.iter
@@ -1261,17 +1260,16 @@ let test_endpoint_of_string () =
 let unit_suite =
   ("endpoint", [ Alcotest.test_case "endpoint_of_string" `Quick test_endpoint_of_string ])
 
-(* A NaN sampling period is malformed: the server falls back to the
-   1 s default instead of running the sampler back to back, so no 1 s
-   slot of /timeseries.json merges more than 2 samples. *)
-let nan_period_e2e exe () =
+(* The sampler ticks once a second, never back to back: no 1 s slot of
+   /timeseries.json merges more than 2 samples. *)
+let sampler_period_e2e exe () =
   with_tmpdir (fun dir ->
       let graph = Filename.concat dir "collab.graph" in
       let socket = Filename.concat dir "serve.sock" in
       let qlog = Filename.concat dir "qlog.jsonl" in
       let code, _ = run exe [ "gen"; "--kind"; "collab"; "-o"; graph ] in
       Alcotest.(check int) "gen exits 0" 0 code;
-      with_server exe ~graph ~socket ~qlog ~extra_env:[ "EXPFINDER_SAMPLE_PERIOD_S=nan" ]
+      with_server exe ~graph ~socket ~qlog
         (fun endpoint ->
           Unix.sleepf 2.5;
           let doc =
@@ -1331,7 +1329,7 @@ let () =
             Alcotest.test_case "trace propagation over TCP" `Quick
               (trace_e2e ~tcp:true exe);
             Alcotest.test_case "endpoint golden shapes" `Quick (golden_e2e exe);
-            Alcotest.test_case "NaN sample period falls back to 1 s" `Quick
-              (nan_period_e2e exe);
+            Alcotest.test_case "sampler ticks once a second" `Quick
+              (sampler_period_e2e exe);
           ] );
       ]

@@ -549,12 +549,12 @@ let slow_events () = List.filter (fun (e : Qlog.event) -> e.slow) (Recorder.rece
 
 let test_recorder_ring () =
   Recorder.clear ();
-  Qlog.set_slow_threshold_ms (Some 1.0);
-  (* The fan-out also feeds the query window; leave it as it was. *)
+  (* The fan-out also feeds the query window, whose p99 decides the
+     slow flag: start it empty and leave it so. *)
   let query_window = Window.get "query" in
+  Window.reset query_window;
   Fun.protect
     ~finally:(fun () ->
-      Qlog.set_slow_threshold_ms None;
       Window.reset query_window;
       Recorder.clear ())
     (fun () ->
@@ -577,8 +577,10 @@ let test_recorder_ring () =
         Alcotest.(check bool) "sequence numbers increase" true
           (newest.Qlog.seq > oldest.Qlog.seq)
       | _ -> Alcotest.fail "empty recorder");
+      (* Every 10th request takes 2 ms, so the window's p99 is 2 ms and
+         only those are flagged once the window holds 20 requests. *)
       Alcotest.(check bool)
-        "slow events flagged by the threshold" true
+        "slow events flagged by the p99 rule" true
         (slow_events () <> []
         && List.for_all (fun e -> e.Qlog.duration_ms >= 1.0) (slow_events ()));
       (* The dump is valid JSON with the counter deltas attached, seven
@@ -593,6 +595,57 @@ let test_recorder_ring () =
       | Error e -> Alcotest.fail ("recorder JSON invalid: " ^ e));
       Recorder.clear ();
       Alcotest.(check (list reject)) "clear empties" [] (Recorder.recent ()))
+
+(* The one slow rule, through [Request.finish]: a request is slow when
+   its op window already holds 20 requests and it reached their p99, and
+   the recorder's flag and the trace store's reason agree. *)
+let test_request_slow_rule () =
+  let query_window = Window.get "query" in
+  let reset () =
+    Window.reset query_window;
+    Recorder.clear ();
+    Tracestore.clear ()
+  in
+  reset ();
+  Fun.protect ~finally:reset (fun () ->
+      let finish ms =
+        let trace = Trace.make () in
+        Request.finish ~kind:Qlog.Query ~trace ~query:"slow-rule" ~strategy:"direct/simulation"
+          ~duration_ms:ms ~counters:[] ~pairs:0 ~graph_id:0 ~epoch:0 ();
+        let flagged =
+          match List.rev (Recorder.recent ()) with
+          | e :: _ -> e.Qlog.slow
+          | [] -> Alcotest.fail "the recorder lost the request"
+        in
+        let kept =
+          Option.map (fun t -> t.Tracestore.skept) (Testkit.find_trace trace.Trace.trace_id)
+        in
+        (flagged, kept)
+      in
+      (* 20 requests, the 20th a 50 ms spike: the window held only 19
+         when it finished, so nothing is flagged yet. *)
+      for i = 1 to 20 do
+        let flagged, kept = finish (if i = 20 then 50.0 else 1.0) in
+        Alcotest.(check bool) (Printf.sprintf "request %d not flagged" i) false flagged;
+        Alcotest.(check bool) (Printf.sprintf "request %d not kept as slow" i) true
+          (kept <> Some "slow")
+      done;
+      (* Below the p99 (the 50 ms spike) nothing is flagged, whichever
+         memo the verdict reads. *)
+      for i = 21 to 32 do
+        let flagged, kept = finish 1.0 in
+        Alcotest.(check bool) (Printf.sprintf "request %d not flagged" i) false flagged;
+        Alcotest.(check bool) (Printf.sprintf "request %d not kept as slow" i) true
+          (kept <> Some "slow")
+      done;
+      (* By now the memo holds at least 20 requests: 32 doubled the last
+         refresh's 16 even within one second. *)
+      let flagged, kept = finish 80.0 in
+      Alcotest.(check bool) "at or above the p99: flagged in the recorder" true flagged;
+      Alcotest.(check (option string)) "and kept as slow by the trace store" (Some "slow") kept;
+      let flagged, kept = finish 1.0 in
+      Alcotest.(check bool) "below the p99: not flagged" false flagged;
+      Alcotest.(check bool) "and not kept as slow" true (kept <> Some "slow"))
 
 let test_recorder_captures_engine_queries () =
   Recorder.clear ();
@@ -725,33 +778,33 @@ let exemplars w =
   | _ -> []
 
 let test_window_sliding () =
-  let w = Window.get ~seconds:10 "t.win.slide" in
+  let w = Window.get "t.win.slide" in
   let t0 = 1000.0 in
-  (* One request per second for 10 seconds fills the whole ring. *)
-  for i = 0 to 9 do
+  (* One request per second for 60 seconds fills the whole ring. *)
+  for i = 0 to 59 do
     Window.observe w ~now:(t0 +. float_of_int i) 10.0
   done;
-  let s = Window.summary ~now:(t0 +. 9.0) w in
-  Alcotest.(check int) "full window count" 10 s.Window.count;
+  let s = Window.summary ~now:(t0 +. 59.0) w in
+  Alcotest.(check int) "full window count" 60 s.Window.count;
   Alcotest.(check (float 1e-9)) "qps = count / window" 1.0 s.Window.qps;
   Alcotest.(check int) "no errors" 0 s.Window.errors;
-  (* Six seconds later only the four youngest buckets are still inside
+  (* Six seconds later only the 54 youngest buckets are still inside
      the window; the rest are stale and skipped on read. *)
-  let s = Window.summary ~now:(t0 +. 15.0) w in
-  Alcotest.(check int) "stale buckets fall out" 4 s.Window.count;
+  let s = Window.summary ~now:(t0 +. 65.0) w in
+  Alcotest.(check int) "stale buckets fall out" 54 s.Window.count;
   (* Far in the future the window is empty again — without any write. *)
-  let s = Window.summary ~now:(t0 +. 100.0) w in
+  let s = Window.summary ~now:(t0 +. 200.0) w in
   Alcotest.(check int) "fully drained" 0 s.Window.count;
   Alcotest.(check (float 1e-9)) "empty qps" 0.0 s.Window.qps;
   Alcotest.(check bool) "empty p95 is nan" true (Float.is_nan s.Window.p95);
   (* Writing a slot in a later second reclaims it instead of merging. *)
-  Window.observe w ~now:(t0 +. 20.0) 5.0;
-  let s = Window.summary ~now:(t0 +. 20.0) w in
+  Window.observe w ~now:(t0 +. 120.0) 5.0;
+  let s = Window.summary ~now:(t0 +. 120.0) w in
   Alcotest.(check int) "reclaimed slot holds one sample" 1 s.Window.count;
   Alcotest.(check (float 1e-9)) "max of the survivor" 5.0 s.Window.max_ms
 
 let test_window_percentiles_and_errors () =
-  let w = Window.get ~seconds:60 "t.win.pct" in
+  let w = Window.get "t.win.pct" in
   let now = 5000.0 in
   for i = 1 to 100 do
     Window.observe w ~now ~error:(i mod 10 = 0) (float_of_int i)
@@ -775,7 +828,7 @@ let test_window_percentiles_and_errors () =
    downwards and upwards as latencies arrive: the merged window must give
    the percentiles a full histogram of the same samples gives. *)
 let test_window_ranges_match_histogram () =
-  let w = Window.get ~seconds:60 "t.win.range" in
+  let w = Window.get "t.win.range" in
   let h = Histogram.create "t.win.range.ref" in
   let r = Random.State.make [| 17 |] in
   for i = 0 to 599 do
@@ -791,7 +844,7 @@ let test_window_ranges_match_histogram () =
     [ ("p50", 0.5, s.Window.p50); ("p95", 0.95, s.Window.p95); ("p99", 0.99, s.Window.p99) ]
 
 let test_window_summary_json_roundtrip () =
-  let w = Window.get ~seconds:60 "t.win.json" in
+  let w = Window.get "t.win.json" in
   let now = 6000.0 in
   Window.observe w ~now 1.5;
   Window.observe w ~now ~error:true 3.0;
@@ -805,7 +858,7 @@ let test_window_summary_json_roundtrip () =
     Alcotest.(check (float 1e-9)) "p95 survives" s.Window.p95 s'.Window.p95);
   (* An empty window's nan percentiles serialize as null and come back
      as nan, not as a parse failure. *)
-  match Window.summary_of_json (Window.to_json ~now (Window.get ~seconds:60 "t.win.empty")) with
+  match Window.summary_of_json (Window.to_json ~now (Window.get "t.win.empty")) with
   | None -> Alcotest.fail "empty summary did not parse back"
   | Some e -> Alcotest.(check bool) "nan p50 roundtrips" true (Float.is_nan e.Window.p50)
 
@@ -1010,9 +1063,7 @@ let resolutions ts =
 
 let test_timeseries_ring_math () =
   let module T = Timeseries in
-  let ts = T.create ~resolutions:[ (1, 4); (10, 6) ] () in
-  Alcotest.(check (list (pair int int))) "resolutions floor/sort" [ (1, 4); (10, 6) ]
-    (resolutions ts);
+  let ts = T.create () in
   let base = 1_000_000.0 in
   (* Two samples in one second merge into one slot. *)
   T.record ~now:base ts T.Level "lvl" 5.0;
@@ -1030,28 +1081,30 @@ let test_timeseries_ring_math () =
   Alcotest.(check bool) "kind registered" true
     (Option.bind (Json.member "series_kinds" (T.to_json ts)) (Json.member "lvl")
     = Some (Json.Str "level"));
-  (* The coarse ring is an exact downsample: same records, one slot. *)
-  (match T.points ~now:(base +. 1.0) ts ~seconds:40 "lvl" with
+  (* The coarse ring is an exact downsample: same records, one slot.
+     200 s is past the fine ring's 120 s span, so the 10 s ring answers. *)
+  (match T.points ~now:(base +. 1.0) ts ~seconds:200 "lvl" with
   | [ p ] ->
     Alcotest.(check int) "coarse slot merged all three" 3 p.T.n;
     Alcotest.(check (float 1e-9)) "coarse sum" 15.0 p.T.sum;
     Alcotest.(check int) "coarse resolution" 10 p.T.res_s
   | ps -> Alcotest.failf "expected 1 coarse point, got %d" (List.length ps));
-  (* Wrap-around: 4 slots of 1 s — recording 6 s later reuses indexes
-     and must expire the stale slots rather than resurface them. *)
-  T.record ~now:(base +. 6.0) ts T.Level "lvl" 100.0;
-  (match T.points ~now:(base +. 6.0) ts ~seconds:4 "lvl" with
+  (* Wrap-around: 120 slots of 1 s — recording 121 s later reuses the
+     index of the second slot, and the first slot's index, read as the
+     slot 120 s on, is stale: neither may resurface. *)
+  T.record ~now:(base +. 121.0) ts T.Level "lvl" 100.0;
+  (match T.points ~now:(base +. 121.0) ts ~seconds:120 "lvl" with
   | [ p ] -> Alcotest.(check (float 1e-9)) "only the fresh slot survives" 100.0 p.T.last
   | ps -> Alcotest.failf "expected 1 point after wrap, got %d" (List.length ps));
   (* Rate series aggregate by summing. *)
-  T.record ~now:(base +. 6.0) ts T.Rate "rate" 4.0;
-  T.record ~now:(base +. 7.0) ts T.Rate "rate" 5.0;
+  T.record ~now:(base +. 121.0) ts T.Rate "rate" 4.0;
+  T.record ~now:(base +. 122.0) ts T.Rate "rate" 5.0;
   Alcotest.(check (float 1e-9)) "window_sum sums rate deltas" 9.0
-    (List.fold_left (fun acc p -> acc +. p.T.sum) 0.0 (T.points ~now:(base +. 7.0) ts ~seconds:4 "rate"));
+    (List.fold_left (fun acc p -> acc +. p.T.sum) 0.0 (T.points ~now:(base +. 122.0) ts ~seconds:4 "rate"));
   (* Non-finite samples are dropped, not retained as poison. *)
-  T.record ~now:(base +. 7.0) ts T.Level "lvl" Float.nan;
+  T.record ~now:(base +. 122.0) ts T.Level "lvl" Float.nan;
   Alcotest.(check int) "nan dropped" 1
-    (List.length (T.points ~now:(base +. 7.0) ts ~seconds:2 "lvl"))
+    (List.length (T.points ~now:(base +. 122.0) ts ~seconds:2 "lvl"))
 
 let test_timeseries_to_json_shape () =
   let module T = Timeseries in
@@ -1078,7 +1131,7 @@ let test_timeseries_to_json_shape () =
 
 let test_timeseries_max_points () =
   let module T = Timeseries in
-  let ts = T.create ~resolutions:[ (1, 10) ] () in
+  let ts = T.create () in
   let base = 3_000_000.0 in
   for i = 0 to 4 do
     T.record ~now:(base +. float_of_int i) ts T.Level "x" (float_of_int i)
@@ -1086,13 +1139,13 @@ let test_timeseries_max_points () =
   let doc = T.to_json ~now:(base +. 4.0) ~max_points:2 ts in
   let last_of = function Json.Arr (_ :: last :: _) -> Testkit.float_of_json last | _ -> None in
   match Option.bind (Json.member "resolutions" doc) Json.list_opt with
-  | Some [ ring ] -> (
-    match Option.bind (Json.member "series" ring) (Json.member "x") with
+  | Some (fine :: _) -> (
+    match Option.bind (Json.member "series" fine) (Json.member "x") with
     | Some (Json.Arr pts) ->
       Alcotest.(check (list (option (float 1e-9))))
         "the newest two points, oldest first" [ Some 3.0; Some 4.0 ] (List.map last_of pts)
     | _ -> Alcotest.fail "series 'x' missing")
-  | _ -> Alcotest.fail "expected one resolution"
+  | _ -> Alcotest.fail "expected the 1 s resolution first"
 
 let test_timeseries_capture_load_report () =
   let module T = Timeseries in
@@ -1115,6 +1168,39 @@ let test_timeseries_capture_load_report () =
         Alcotest.(check bool) "one record per series" true
           (List.mem "TS.win.query.qps" ids && List.mem "TS.process.rss_bytes" ids))
 
+(* The sampler thread writes the shared store while HTTP handlers
+   render it: fresh series names registered under a concurrent
+   [to_json] must neither raise nor go missing.  Without the store's
+   lock a render that overlaps a table resize raises [Not_found] in
+   about one round of three, so the test runs 20 rounds. *)
+let test_timeseries_concurrent_render () =
+  let module T = Timeseries in
+  let now = 4_000_000.0 in
+  let names = List.init 500 (Printf.sprintf "conc.%d") in
+  for _ = 1 to 20 do
+    let ts = T.create () in
+    let done_ = Atomic.make false in
+    let writer =
+      Domain.spawn (fun () ->
+          Fun.protect
+            ~finally:(fun () -> Atomic.set done_ true)
+            (fun () -> List.iter (fun name -> T.record ~now ts T.Level name 1.0) names))
+    in
+    let renders = ref 0 in
+    while not (Atomic.get done_) do
+      ignore (T.to_json ~now ~max_points:1 ts : Json.t);
+      incr renders;
+      (* Back to back, the renders would starve the writer of the lock. *)
+      Unix.sleepf 1e-4
+    done;
+    Domain.join writer;
+    Alcotest.(check bool) "rendered while recording" true (!renders > 0);
+    match Json.member "series_kinds" (T.to_json ~now ~max_points:1 ts) with
+    | Some (Json.Obj kinds) ->
+      Alcotest.(check (list string)) "every name listed" names (List.map fst kinds)
+    | _ -> Alcotest.fail "document lacks series_kinds"
+  done
+
 let test_timeseries_load_rejects_garbage () =
   let path = Filename.temp_file "expfinder-ts-bad" ".jsonl" in
   Fun.protect
@@ -1132,77 +1218,54 @@ let test_timeseries_load_rejects_garbage () =
 
 (* --- SLO burn-rate alerts ----------------------------------------------- *)
 
-(* Compressed windows (fast 4 s / slow 16 s) so the fire -> clear cycle
-   runs in simulated, pinned time. *)
+(* A multiple of the coarse ring's 10 s, so slots line up with seconds. *)
+let base_slo = 3_000_000.0
+
+(* The fixed policy's windows (fast 300 s / slow 3600 s, burn 14.4 /
+   6.0) in simulated, pinned time: the fire -> clear cycle runs over a
+   dozen simulated minutes.  A 99% objective has a 0.01 budget, so an
+   all-error second burns at 100x. *)
 let test_slo_fire_and_clear () =
   let module T = Timeseries in
-  let ts = T.create ~resolutions:[ (1, 120) ] () in
-  Slo.set_objectives
-    [
-      Slo.availability ~fast_s:4 ~slow_s:16 ~fast_burn:2.0 ~slow_burn:1.5 ~op:"query"
-        ~target:0.9 ();
-    ];
+  let ts = T.create () in
+  Slo.set_objectives [ Slo.availability ~op:"query" ~target:0.99 () ];
+  let traffic ~from ~until ~errors =
+    for i = from to until do
+      let now = base_slo +. float_of_int i in
+      T.record ~now ts T.Rate "req.query" 10.0;
+      T.record ~now ts T.Rate "err.query" errors
+    done
+  in
   Fun.protect
     ~finally:(fun () -> Slo.set_objectives [])
     (fun () ->
-      let base = 3_000_000.0 in
       (* Healthy traffic: 10 req/s, no errors. *)
-      for i = 0 to 15 do
-        let now = base +. float_of_int i in
-        T.record ~now ts T.Rate "req.query" 10.0;
-        T.record ~now ts T.Rate "err.query" 0.0
-      done;
-      (match Slo.evaluate ~now:(base +. 15.0) ~ts () with
+      traffic ~from:0 ~until:299 ~errors:0.0;
+      (match Slo.evaluate ~now:(base_slo +. 299.0) ~ts () with
       | [ a ] -> Alcotest.(check bool) "healthy run passes" true (a.Slo.state = Slo.Passing)
       | _ -> Alcotest.fail "one objective, one alert");
-      (* Outage: every request errors.  Budget is 0.1, so burn = 10x in
-         both windows once the slow window fills with bad seconds. *)
-      for i = 16 to 31 do
-        let now = base +. float_of_int i in
-        T.record ~now ts T.Rate "req.query" 10.0;
-        T.record ~now ts T.Rate "err.query" 10.0
-      done;
-      (match Slo.evaluate ~now:(base +. 31.0) ~ts () with
+      (* Outage: every request errors for 100 s, a third of the fast
+         window and a quarter of the slow one. *)
+      traffic ~from:300 ~until:399 ~errors:10.0;
+      (match Slo.evaluate ~now:(base_slo +. 399.0) ~ts () with
       | [ a ] ->
         Alcotest.(check bool) "outage fires" true (a.Slo.state = Slo.Firing);
-        Alcotest.(check bool) "fast burn exceeds threshold" true (a.Slo.burn_fast >= 2.0);
-        Alcotest.(check bool) "slow burn exceeds threshold" true (a.Slo.burn_slow >= 1.5)
+        Alcotest.(check bool) "fast burn exceeds threshold" true (a.Slo.burn_fast >= 14.4);
+        Alcotest.(check bool) "slow burn exceeds threshold" true (a.Slo.burn_slow >= 6.0)
       | _ -> Alcotest.fail "one objective, one alert");
       (* Firing state surfaces in the document. *)
-      (match Json.member "alerts" (Slo.to_json ~now:(base +. 31.0) ()) with
+      (match Json.member "alerts" (Slo.to_json ~now:(base_slo +. 399.0) ()) with
       | Some (Json.Arr [ a ]) ->
         Alcotest.(check bool) "document says firing" true
           (Json.member "firing" a = Some (Json.Bool true))
       | _ -> Alcotest.fail "alerts document shape");
       (* Recovery: a healthy fast window clears the alert even while the
          slow window still remembers the outage (multi-window rule). *)
-      for i = 32 to 40 do
-        let now = base +. float_of_int i in
-        T.record ~now ts T.Rate "req.query" 10.0;
-        T.record ~now ts T.Rate "err.query" 0.0
-      done;
-      match Slo.evaluate ~now:(base +. 40.0) ~ts () with
-      | [ a ] -> Alcotest.(check bool) "recovery clears" true (a.Slo.state = Slo.Passing)
-      | _ -> Alcotest.fail "one objective, one alert")
-
-let test_slo_latency_objective () =
-  let module T = Timeseries in
-  let ts = T.create ~resolutions:[ (1, 120) ] () in
-  Slo.set_objectives
-    [
-      Slo.latency_p99 ~fast_s:4 ~slow_s:8 ~fast_burn:1.0 ~slow_burn:1.0 ~op:"query"
-        ~threshold_ms:10.0 ~target:0.5 ();
-    ];
-  Fun.protect
-    ~finally:(fun () -> Slo.set_objectives [])
-    (fun () ->
-      let base = 4_000_000.0 in
-      for i = 0 to 8 do
-        T.record ~now:(base +. float_of_int i) ts T.Level "win.query.p99_ms" 50.0
-      done;
-      match Slo.evaluate ~now:(base +. 8.0) ~ts () with
+      traffic ~from:400 ~until:719 ~errors:0.0;
+      match Slo.evaluate ~now:(base_slo +. 719.0) ~ts () with
       | [ a ] ->
-        Alcotest.(check bool) "sustained p99 violation fires" true (a.Slo.state = Slo.Firing)
+        Alcotest.(check bool) "recovery clears" true (a.Slo.state = Slo.Passing);
+        Alcotest.(check bool) "the slow window still burns" true (a.Slo.burn_slow >= 6.0)
       | _ -> Alcotest.fail "one objective, one alert")
 
 (* --- prometheus --------------------------------------------------------- *)
@@ -1296,10 +1359,8 @@ let test_prometheus_collision_and_metadata () =
 
 let test_prometheus_alert_gauges () =
   let module T = Timeseries in
-  let ts = T.create ~resolutions:[ (1, 120) ] () in
-  Slo.set_objectives
-    [ Slo.availability ~fast_s:4 ~slow_s:8 ~fast_burn:1.0 ~slow_burn:1.0 ~op:"query" ~target:0.9 () ]
-  ;
+  let ts = T.create () in
+  Slo.set_objectives [ Slo.availability ~op:"query" ~target:0.99 () ];
   Fun.protect
     ~finally:(fun () -> Slo.set_objectives [])
     (fun () ->
@@ -1360,19 +1421,57 @@ let test_postmortem_without_dir_is_inert () =
       Alcotest.(check bool) "write without a dir returns None" true
         (Postmortem.write ~reason:"x" () = None))
 
+(* --- gc pauses ------------------------------------------------------- *)
+
+(* One set of books: every pause total is read from the per-domain
+   [gc.domain<i>.pause_us] histograms, so the process gauges, the
+   per-domain rows and the histograms agree. *)
+let test_gcpause_books () =
+  let started = Gcpause.start () in
+  Gc.full_major ();
+  (* [process_stats] polls the runtime's event ring first. *)
+  let stats = process_stats () in
+  let gauge name =
+    match List.assoc_opt name stats with Some v -> v | None -> Alcotest.failf "no %s" name
+  in
+  let rows = Gcpause.by_domain () in
+  let total = List.fold_left (fun acc d -> acc + d.Gcpause.pause_us_total) 0 rows in
+  let max_ = List.fold_left (fun acc d -> max acc d.Gcpause.pause_us_max) 0 rows in
+  let slack = List.length rows in
+  if started then begin
+    Alcotest.(check bool) "a forced major collection shows in some domain" true
+      (List.exists (fun d -> d.Gcpause.slices > 0) rows);
+    Alcotest.(check bool) "per-domain totals sum to the total gauge" true
+      (abs (total - gauge "process.gc_pause_us_total") <= slack);
+    Alcotest.(check bool) "per-domain maxima peak at the max gauge" true
+      (abs (max_ - gauge "process.gc_pause_us_max") <= 1);
+    List.iter
+      (fun d ->
+        let h = Metrics.histogram (Printf.sprintf "gc.domain%d.pause_us" d.Gcpause.domain) in
+        Alcotest.(check int)
+          (Printf.sprintf "domain %d slices = its histogram's count" d.Gcpause.domain)
+          (Histogram.count h) d.Gcpause.slices)
+      rows
+  end
+  else begin
+    Alcotest.(check (list int)) "inert: no domain rows" [] (List.map (fun d -> d.Gcpause.domain) rows);
+    Alcotest.(check int) "inert: total gauge reads 0" 0 (gauge "process.gc_pause_us_total");
+    Alcotest.(check int) "inert: max gauge reads 0" 0 (gauge "process.gc_pause_us_max")
+  end
+
 (* --- window totals --------------------------------------------------------- *)
 
 let test_window_totals () =
-  let w = Window.get ~seconds:2 "t.totals" in
+  let w = Window.get "t.totals" in
   Alcotest.(check (pair int int)) "fresh totals" (0, 0) (Window.totals w);
   let now = 6_000_000.0 in
   Window.observe w ~now 1.0;
   Window.observe w ~error:true ~now 2.0;
   (* Lifetime totals must survive the ring sliding past the
      observations — that is what the sampler differentiates. *)
-  Window.observe w ~now:(now +. 10.0) 3.0;
+  Window.observe w ~now:(now +. 100.0) 3.0;
   Alcotest.(check (pair int int)) "totals outlive the ring" (3, 1) (Window.totals w);
-  let s = Window.summary ~now:(now +. 10.0) w in
+  let s = Window.summary ~now:(now +. 100.0) w in
   Alcotest.(check int) "ring forgot the old requests" 1 s.Window.count;
   Window.reset w;
   Alcotest.(check (pair int int)) "reset zeroes totals" (0, 0) (Window.totals w)
@@ -1575,7 +1674,7 @@ let test_span_self_time_and_critical_path () =
   Tracestore.clear ();
   Alcotest.(check bool) "admitted" true
     (Tracestore.record ~trace_id:ctx.Trace.trace_id ~span_id:ctx.Trace.span_id ~op:"query"
-       ~query:"q" ~duration_ms:(Span.duration_ms s) ~error:true ~root:s ());
+       ~query:"q" ~duration_ms:(Span.duration_ms s) ~error:true ~slow:false ~root:s ());
   let stored =
     match Json.member "traces" (Tracestore.to_json ()) with
     | Some (Json.Arr [ t ]) -> Tracestore.stored_of_json t
@@ -1641,15 +1740,16 @@ let test_tracestore_admission () =
   Tracestore.clear ();
   (* Use a dedicated op class so engine-driven suites cannot have
      warmed its window: an empty window has no p99, so nothing is
-     tail-admitted and the head/error rules are observable alone. *)
+     slow and the head/error rules are observable alone. *)
   let op = "tstore-admission" in
+  let w = Window.get op in
   let offer ?(error = false) ?(tid = Trace.make ()) () =
     Tracestore.record ~trace_id:tid.Trace.trace_id ~span_id:tid.Trace.span_id ~op
-      ~query:"q" ~duration_ms:1.0 ~error ()
+      ~query:"q" ~duration_ms:1.0 ~error ~slow:(Window.slow w 1.0) ()
   in
   Alcotest.(check bool) "identity-free requests never stored" false
     (Tracestore.record ~trace_id:"" ~span_id:"" ~op ~query:"q" ~duration_ms:1.0
-       ~error:false ());
+       ~error:false ~slow:true ());
   Alcotest.(check bool) "first arrival head-sampled" true (offer ());
   for i = 2 to 10 do
     Alcotest.(check bool)
@@ -1666,14 +1766,13 @@ let test_tracestore_admission () =
   Alcotest.(check bool) "sampled reason recorded" true (List.mem "sampled" kept_reasons);
   (* Slow-path admission: warm the op window past the p99 minimum, then
      offer something slower than everything seen so far. *)
-  let w = Window.get op in
   for _ = 1 to 30 do
     Window.observe w 1.0
   done;
   let slow_ctx = Trace.make () in
   Alcotest.(check bool) "p99-exceeding request tail-admitted" true
     (Tracestore.record ~trace_id:slow_ctx.Trace.trace_id ~span_id:slow_ctx.Trace.span_id
-       ~op ~query:"q" ~duration_ms:500.0 ~error:false ());
+       ~op ~query:"q" ~duration_ms:500.0 ~error:false ~slow:(Window.slow w 500.0) ());
   (match Testkit.find_trace slow_ctx.Trace.trace_id with
   | Some s -> Alcotest.(check string) "kept as slow" "slow" s.Tracestore.skept
   | None -> Alcotest.fail "slow trace not stored");
@@ -1682,7 +1781,7 @@ let test_tracestore_admission () =
 
 (* The admission memo: [Window.recent_p99] with the clock pinned. *)
 let test_memo_reset_drops_verdict () =
-  let w = Window.get ~seconds:60 "t.memo.reset" in
+  let w = Window.get "t.memo.reset" in
   let now = 7000.0 in
   for _ = 1 to 30 do
     Window.observe w ~now 1.0
@@ -1704,7 +1803,7 @@ let test_memo_reset_drops_verdict () =
     let ctx = Trace.make () in
     ignore
       (Tracestore.record ~trace_id:ctx.Trace.trace_id ~span_id:ctx.Trace.span_id ~op
-         ~query:"q" ~duration_ms:500.0 ~error:false ()
+         ~query:"q" ~duration_ms:500.0 ~error:false ~slow:(Window.slow w 500.0) ()
         : bool);
     Option.map (fun s -> s.Tracestore.skept) (Testkit.find_trace ctx.Trace.trace_id)
   in
@@ -1715,7 +1814,7 @@ let test_memo_reset_drops_verdict () =
   Tracestore.clear ()
 
 let test_memo_refreshes_when_count_doubles () =
-  let w = Window.get ~seconds:60 "t.memo.double" in
+  let w = Window.get "t.memo.double" in
   let now = 8000.5 in
   let count, p99 = Window.recent_p99 ~now w in
   Alcotest.(check int) "empty window" 0 count;
@@ -1740,7 +1839,7 @@ let test_memo_refreshes_when_count_doubles () =
     (fst (Window.recent_p99 ~now:(now +. 1.0) w))
 
 let test_memo_equals_summary_after_refresh () =
-  let w = Window.get ~seconds:60 "t.memo.summary" in
+  let w = Window.get "t.memo.summary" in
   let t0 = 9000.0 in
   for i = 1 to 100 do
     Window.observe w ~now:(t0 +. float_of_int (i mod 7)) (float_of_int i)
@@ -1759,7 +1858,7 @@ let test_tracestore_find_and_roundtrip () =
   let (), root = Trace.collect ctx "root" (fun () -> ()) in
   Alcotest.(check bool) "admitted" true
     (Tracestore.record ~trace_id:ctx.Trace.trace_id ~span_id:ctx.Trace.span_id ~op:"query"
-       ~query:"fp" ~duration_ms:2.5 ~error:false ?root ());
+       ~query:"fp" ~duration_ms:2.5 ~error:false ~slow:false ?root ());
   Alcotest.(check bool) "unknown id not found" true (Testkit.find_trace "ffffffff" = None);
   (* /traces.json roundtrip, span tree included. *)
   (match Tracestore.to_json () |> Json.member "traces" with
@@ -2000,11 +2099,13 @@ let () =
             test_timeseries_capture_load_report;
           Alcotest.test_case "capture rejects garbage lines" `Quick
             test_timeseries_load_rejects_garbage;
+          Alcotest.test_case "render while a domain records" `Quick
+            test_timeseries_concurrent_render;
         ] );
+      ("gcpause", [ Alcotest.test_case "one set of books" `Quick test_gcpause_books ]);
       ( "slo",
         [
           Alcotest.test_case "availability fires and clears" `Quick test_slo_fire_and_clear;
-          Alcotest.test_case "latency p99 objective" `Quick test_slo_latency_objective;
         ] );
       ( "prometheus",
         [
@@ -2023,6 +2124,8 @@ let () =
       ( "recorder",
         [
           Alcotest.test_case "ring buffer and slow flags" `Quick test_recorder_ring;
+          Alcotest.test_case "one slow rule for recorder and trace store" `Quick
+            test_request_slow_rule;
           Alcotest.test_case "captures engine queries" `Quick
             test_recorder_captures_engine_queries;
         ] );
