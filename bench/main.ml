@@ -771,30 +771,32 @@ let exp_ablation_minimise ~full:_ =
 (* EXP-T1: long-horizon telemetry cost                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The serving path pays for telemetry twice: every request records into
-   its sliding window (already covered by the window benchmarks), and a
-   1 Hz sampler tick folds windows + process gauges + counters into the
-   retention rings and re-evaluates the SLO burn rates.  This experiment
-   prices both halves so the "<= 5% serving overhead" budget in
-   DESIGN.md stays an empirical number, not a hope. *)
+(* The serving path pays for telemetry twice: every finished request
+   writes its op class's request series in the time-bucket store, and a
+   1 Hz sampler tick folds window summaries + process gauges + counters
+   into the sampled series and re-evaluates the SLO burn rates.  This
+   experiment prices both halves so the "<= 5% serving overhead" budget
+   in DESIGN.md stays an empirical number, not a hope. *)
 let exp_telemetry_cost ~full =
   header "EXP-T1: telemetry retention + SLO evaluation cost";
   let module T = Telemetry.Timeseries in
   let module S = Telemetry.Slo in
-  (* Half 1: raw ring writes, over a serving-sized series set and an
-     hour of 1 Hz ticks (every record touches all three rings). *)
+  let ops = [ "query"; "batch"; "update" ] in
+  (* Half 1: raw ring writes over an hour of 1 Hz ticks: a serving-sized
+     set of sampled series, plus one request per op class per second
+     (every write touches all three tiers). *)
   let series =
     List.concat_map
       (fun op ->
         [ Printf.sprintf "win.%s.qps" op; Printf.sprintf "win.%s.error_rate" op;
-          Printf.sprintf "win.%s.p99_ms" op; Printf.sprintf "req.%s" op;
-          Printf.sprintf "err.%s" op ])
-      [ "query"; "batch"; "update" ]
+          Printf.sprintf "win.%s.p99_ms" op ])
+      ops
     @ [ "process.rss_bytes"; "process.heap_words"; "process.minor_words";
         "process.major_words"; "process.gc_pause_us_max" ]
   in
   let ticks = if full then 3600 else 900 in
   let ts = T.create () in
+  let reqs = List.map (T.requests ts) ops in
   let (), t_fill =
     time_once (fun () ->
         for i = 0 to ticks - 1 do
@@ -803,22 +805,26 @@ let exp_telemetry_cost ~full =
             (fun j name ->
               T.record ~now ts (if j mod 2 = 0 then T.Level else T.Rate) name
                 (float_of_int ((i * 7 mod 1000) + j)))
-            series
+            series;
+          List.iteri
+            (fun j w -> T.observe w ~error:((i + j) mod 97 = 0) ~now (0.5 +. float_of_int (i mod 20)))
+            reqs
         done)
   in
-  let records = ticks * List.length series in
+  let records = ticks * (List.length series + List.length reqs) in
   let per_record_us = t_fill *. 1000.0 /. float_of_int records in
   record ~id:"EXP-T1.record"
     ~params:[ ("records", Telemetry.Json.Int records) ]
     [ per_record_us ];
-  Printf.printf "  %d ring writes (%d series x %d ticks): %.1f ms total, %.3f us/write\n"
-    records (List.length series) ticks t_fill per_record_us;
-  (* Half 2: one sampler tick against live windows and registry. *)
-  let w_query = Telemetry.Window.get "query" in
-  for i = 0 to 999 do
-    Telemetry.Window.observe w_query ~error:(i mod 97 = 0) (0.5 +. float_of_int (i mod 20))
-  done;
+  Printf.printf "  %d ring writes (%d sampled + %d request series x %d ticks): %.1f ms total, %.3f us/write\n"
+    records (List.length series) (List.length reqs) ticks t_fill per_record_us;
+  (* Half 2: one sampler tick against live request series and the
+     registry. *)
   let live = T.create () in
+  let w_query = T.requests live "query" in
+  for i = 0 to 999 do
+    T.observe w_query ~error:(i mod 97 = 0) (0.5 +. float_of_int (i mod 20))
+  done;
   let s_tick =
     time_stats ~reps:20 (fun () -> ignore (T.sample ~persist:false live : (string * float) list))
   in
@@ -826,11 +832,9 @@ let exp_telemetry_cost ~full =
   Printf.printf "  sampler tick (windows + process + registry): %.3f ms median\n"
     s_tick.Report.median;
   (* Half 3: burn-rate evaluation of the fixed policy (99% availability
-     per op class, 300 s and 3600 s windows) over the populated rings,
-     from fresh alert state and back to it. *)
-  let policy =
-    List.map (fun op -> S.availability ~op ~target:0.99 ()) [ "query"; "batch"; "update" ]
-  in
+     per op class, 300 s and 3600 s windows) over the request series
+     filled in half 1, from fresh alert state and back to it. *)
+  let policy = List.map (fun op -> S.availability ~op ~target:0.99 ()) ops in
   S.set_objectives policy;
   let now = 1.0e9 +. float_of_int ticks in
   let s_slo =
@@ -842,15 +846,15 @@ let exp_telemetry_cost ~full =
     (List.length policy) s_slo.Report.median;
   (* Half 4: what one finished request pays on the serving path — the
      counter-registry snapshot pair and its delta, the slow verdict
-     against an op window filled across the last 60 s, then trace-store
-     admission. *)
+     against an op window filled across the last 60 s, trace-store
+     admission, then the write into the request series. *)
   let module M = Telemetry.Metrics in
   let op = "bench.request" in
   let w = Telemetry.Window.get op in
   let wall = Unix.gettimeofday () in
   for sec = 0 to 59 do
     for j = 0 to 19 do
-      Telemetry.Window.observe w ~now:(wall -. float_of_int sec) (0.05 +. (0.01 *. float_of_int j))
+      T.observe w ~now:(wall -. float_of_int sec) (0.05 +. (0.01 *. float_of_int j))
     done
   done;
   let ctx = Telemetry.Trace.make () in
@@ -863,19 +867,20 @@ let exp_telemetry_cost ~full =
           let before = M.counters_snapshot () in
           ignore (M.delta ~before ~after:(M.counters_snapshot ()) : (string * int) list);
           let slow = Telemetry.Window.slow w 0.1 in
-          ignore
-            (Telemetry.Tracestore.record ~trace_id:ctx.Telemetry.Trace.trace_id
-               ~span_id:ctx.Telemetry.Trace.span_id ~op ~query:"bench" ~duration_ms:0.1
-               ~error:false ~slow ()
-              : bool)
+          let kept =
+            Telemetry.Tracestore.record ~trace_id:ctx.Telemetry.Trace.trace_id
+              ~span_id:ctx.Telemetry.Trace.span_id ~op ~query:"bench" ~duration_ms:0.1
+              ~error:false ~slow ()
+          in
+          T.observe w ?trace:(if kept then Some ctx.Telemetry.Trace.trace_id else None) 0.1
         done)
   in
   Telemetry.Tracestore.clear ();
   Telemetry.Window.reset w;
   record_stats ~id:"EXP-T1.request" ~params:[ ("requests", Telemetry.Json.Int requests) ] s_req;
   Printf.printf
-    "  one request's bookkeeping (2 snapshots + delta + slow verdict + trace admission): \
-     %.2f us median\n"
+    "  one request's bookkeeping (2 snapshots + delta + slow verdict + trace admission + \
+     series write): %.2f us median\n"
     s_req.Report.median;
   (* A sampler tick runs once a second; even tick + evaluation together
      at 50 ms would be 5% of wall-clock, far above anything seen.  The

@@ -154,22 +154,51 @@ let banned_of_path name =
 (* ------------------------------------------------------------------ *)
 (* Type-expression walking *)
 
-(* Record types declared with mutable fields anywhere in the scanned
-   units, as '.'-boundary suffix keys ("Jsonl_sink.t"): pass 1 collects
-   them so pass 2 can classify a binding like [let sink = Jsonl_sink.create ...]
-   whose creator is not a known stdlib function. *)
-type mutable_types = (string, unit) Hashtbl.t
+(* Every type declared in the scanned units, keyed by its defining unit
+   ([cmt_modname]) and its path inside it ("Window.t"), with whether it
+   is a record with a mutable field: pass 1 collects them so pass 2 can
+   classify a binding like [let sink = Jsonl_sink.create ...] whose
+   creator is not a known stdlib function.  Immutable types are kept
+   too, so that a local [t] resolves to the nearest declaration. *)
+type mutable_types = (string * string, bool) Hashtbl.t
 
-let mutable_type_match (mt : mutable_types) name =
-  Hashtbl.fold
-    (fun suffix () acc ->
-      match acc with Some _ -> acc | None -> if path_has_suffix name suffix then Some suffix else None)
-    mt None
+(* The declaration a type reference names, if it is a mutable record.
+   A path rooted at a compilation unit names a type of that unit:
+   "Lib.Mod.t" reaches unit "Lib__Mod" through dune's alias module
+   "Lib" (or "Lib__" for a library with a main module).  Any other
+   path is local to [unit], looked up from the innermost module of
+   [scope] (enclosing module names, innermost first) outwards.  The
+   result labels the type: its in-unit path for a local reference, the
+   reference itself for another unit's. *)
+let mutable_type_match (mt : mutable_types) ~unit ~scope path =
+  let name = Path.name path in
+  let mutable_at u local = Hashtbl.find_opt mt (u, local) in
+  let verdict =
+    if Ident.persistent (Path.head path) then
+      match String.split_on_char '.' name with
+      | u :: (m :: rest as after) ->
+        List.find_map
+          (fun (u, local) -> if local = [] then None else mutable_at u (String.concat "." local))
+          ([ (u, after); (u ^ "__" ^ m, rest) ]
+          @ if String.ends_with ~suffix:"__" u then [ (u ^ m, rest) ] else [])
+        |> Option.map (fun m -> (m, name))
+      | _ -> None
+    else
+      let rec outward scope =
+        let local = String.concat "." (List.rev (name :: scope)) in
+        match (mutable_at unit local, scope) with
+        | Some m, _ -> Some (m, local)
+        | None, _ :: outer -> outward outer
+        | None, [] -> None
+      in
+      outward scope
+  in
+  match verdict with Some (true, label) -> Some label | Some (false, _) | None -> None
 
 (* First mutable constructor reachable in a type expression, looking
    through tuples, type parameters and (when [through_arrows]) function
    results.  Recursive types are cut off by the visited set. *)
-let type_mutable_head ?(through_arrows = false) (mt : mutable_types) ty =
+let type_mutable_head ?(through_arrows = false) (mt : mutable_types) ~unit ~scope ty =
   let visited = Hashtbl.create 16 in
   let rec go ty =
     let id = Types.get_id ty in
@@ -182,8 +211,8 @@ let type_mutable_head ?(through_arrows = false) (mt : mutable_types) ty =
         match class_of_type_head name with
         | Some c -> Some (c, name)
         | None -> (
-          match mutable_type_match mt name with
-          | Some suffix -> Some (Named_mutable suffix, name)
+          match mutable_type_match mt ~unit ~scope path with
+          | Some label -> Some (Named_mutable label, name)
           | None -> List.find_map go args))
       | Types.Ttuple parts -> List.find_map go parts
       | Types.Tarrow (_, _, result, _) -> if through_arrows then go result else None
@@ -194,12 +223,12 @@ let type_mutable_head ?(through_arrows = false) (mt : mutable_types) ty =
   go ty
 
 (* ------------------------------------------------------------------ *)
-(* Pass 1: collect locally-declared mutable record types *)
+(* Pass 1: collect the declared types of every unit *)
 
-let collect_mutable_types structures =
-  let mt : mutable_types = Hashtbl.create 32 in
+let collect_mutable_types units =
+  let mt : mutable_types = Hashtbl.create 64 in
   List.iter
-    (fun (str : Typedtree.structure) ->
+    (fun (unit, (str : Typedtree.structure)) ->
       let rec walk prefix (items : Typedtree.structure_item list) =
         List.iter
           (fun (item : Typedtree.structure_item) ->
@@ -216,12 +245,10 @@ let collect_mutable_types structures =
                         labels
                     | _ -> false
                   in
-                  if is_mutable then
-                    let key =
-                      String.concat "."
-                        (List.rev (Ident.name d.Typedtree.typ_id :: prefix))
-                    in
-                    Hashtbl.replace mt key ())
+                  let key =
+                    String.concat "." (List.rev (Ident.name d.Typedtree.typ_id :: prefix))
+                  in
+                  Hashtbl.replace mt (unit, key) is_mutable)
                 decls
             | Typedtree.Tstr_module mb -> walk_module prefix mb
             | Typedtree.Tstr_recmodule mbs -> List.iter (walk_module prefix) mbs
@@ -242,7 +269,7 @@ let collect_mutable_types structures =
         | _ -> ()
       in
       walk [] str.Typedtree.str_items)
-    structures;
+    units;
   mt
 
 (* ------------------------------------------------------------------ *)
@@ -256,7 +283,7 @@ let rec is_function_expr (e : Typedtree.expression) =
 
 (* Classify the shape of a binding's right-hand side; [None] means the
    shape alone proves nothing and the caller falls back to the type. *)
-let rec classify_expr (mt : mutable_types) (e : Typedtree.expression) =
+let rec classify_expr (e : Typedtree.expression) =
   match e.Typedtree.exp_desc with
   | Typedtree.Texp_apply (f, _) -> (
     match f.Typedtree.exp_desc with
@@ -271,11 +298,11 @@ let rec classify_expr (mt : mutable_types) (e : Typedtree.expression) =
     else None
   | Typedtree.Texp_array _ -> Some Mutable_array
   | Typedtree.Texp_lazy _ -> Some Lazy_block
-  | Typedtree.Texp_sequence (_, e2) -> classify_expr mt e2
+  | Typedtree.Texp_sequence (_, e2) -> classify_expr e2
   | Typedtree.Texp_ifthenelse (_, e1, Some e2) -> (
-    match classify_expr mt e1 with Some c -> Some c | None -> classify_expr mt e2)
+    match classify_expr e1 with Some c -> Some c | None -> classify_expr e2)
   | Typedtree.Texp_let (_, vbs, body) -> (
-    match classify_expr mt body with
+    match classify_expr body with
     | Some c -> Some c
     | None ->
       (* [let cell = ref 0 in fun () -> ...]: module-level state hiding
@@ -285,7 +312,7 @@ let rec classify_expr (mt : mutable_types) (e : Typedtree.expression) =
         is_function_expr body
         && List.exists
              (fun (vb : Typedtree.value_binding) ->
-               classify_expr mt vb.Typedtree.vb_expr <> None)
+               classify_expr vb.Typedtree.vb_expr <> None)
              vbs
       then Some Captured_state
       else None)
@@ -294,7 +321,7 @@ let rec classify_expr (mt : mutable_types) (e : Typedtree.expression) =
 let type_to_string ty =
   Format.asprintf "%a" Printtyp.type_expr ty
 
-let scan_bindings ~file (mt : mutable_types) (str : Typedtree.structure) =
+let scan_bindings ~file ~unit (mt : mutable_types) (str : Typedtree.structure) =
   let findings = ref [] in
   let add ~prefix ~name ~line kind detail =
     let qual = String.concat "." (List.rev (name :: prefix)) in
@@ -316,7 +343,7 @@ let scan_bindings ~file (mt : mutable_types) (str : Typedtree.structure) =
                 let name = Ident.name ident in
                 let line = vb.Typedtree.vb_loc.Location.loc_start.Lexing.pos_lnum in
                 let expr = vb.Typedtree.vb_expr in
-                match classify_expr mt expr with
+                match classify_expr expr with
                 | Some c ->
                   add ~prefix ~name ~line (Mutable_binding c)
                     (type_to_string expr.Typedtree.exp_type)
@@ -327,7 +354,7 @@ let scan_bindings ~file (mt : mutable_types) (str : Typedtree.structure) =
                      which catches constructors hidden behind helper
                      calls like [Jsonl_sink.create]. *)
                   if not (is_function_expr expr) then (
-                    match type_mutable_head mt expr.Typedtree.exp_type with
+                    match type_mutable_head mt ~unit ~scope:prefix expr.Typedtree.exp_type with
                     | Some (c, head) ->
                       add ~prefix ~name ~line (Mutable_binding c)
                         (Printf.sprintf "%s (via type %s)"
@@ -408,7 +435,7 @@ let scan_banned ~file (str : Typedtree.structure) =
    land.  The read path is {!Snapshot} and {!Csr}. *)
 let read_path_basenames = [ "snapshot.mli"; "csr.mli" ]
 
-let scan_signature ~file (mt : mutable_types) (sg : Types.signature) =
+let scan_signature ~file ~unit (mt : mutable_types) (sg : Types.signature) =
   let findings = ref [] in
   let add ~prefix ~name ~kindword head detail =
     let qual = String.concat "." (List.rev (name :: prefix)) in
@@ -424,7 +451,7 @@ let scan_signature ~file (mt : mutable_types) (sg : Types.signature) =
         | Types.Sig_value (ident, vd, _) -> (
           (* Arrow results only: a mutable argument type is the caller's
              state, not state this interface exposes. *)
-          match type_mutable_head ~through_arrows:true mt vd.Types.val_type with
+          match type_mutable_head ~through_arrows:true mt ~unit ~scope:prefix vd.Types.val_type with
           | Some (c, head) ->
             add ~prefix ~name:(Ident.name ident) ~kindword:"val" head
               (Printf.sprintf "val %s : %s exposes %s" (Ident.name ident)
@@ -446,7 +473,7 @@ let scan_signature ~file (mt : mutable_types) (sg : Types.signature) =
           else
             match decl.Types.type_manifest with
             | Some ty -> (
-              match type_mutable_head mt ty with
+              match type_mutable_head mt ~unit ~scope:prefix ty with
               | Some (c, head) ->
                 add ~prefix ~name:(Ident.name ident) ~kindword:"type" head
                   (Printf.sprintf "type %s = %s exposes %s" (Ident.name ident)
@@ -534,14 +561,16 @@ let scan ?(mli_exempt = []) ~roots () =
         u.u_structure = None || not (String.starts_with ~prefix:"Dune__exe" u.u_modname))
       (read_units roots)
   in
-  let structures = List.filter_map (fun u -> u.u_structure) units in
-  let mt = collect_mutable_types structures in
+  let mt =
+    collect_mutable_types
+      (List.filter_map (fun u -> Option.map (fun s -> (u.u_modname, s)) u.u_structure) units)
+  in
   let impl_findings =
     List.concat_map
       (fun u ->
         match u.u_structure with
         | Some str when not (List.mem u.u_file mli_exempt) ->
-          scan_bindings ~file:u.u_file mt str @ scan_banned ~file:u.u_file str
+          scan_bindings ~file:u.u_file ~unit:u.u_modname mt str @ scan_banned ~file:u.u_file str
         | Some str ->
           (* Signature-only exemptions (lint/mli.allow) still get the
              banned-construct scan; only the mutable-binding inventory
@@ -555,7 +584,7 @@ let scan ?(mli_exempt = []) ~roots () =
       (fun u ->
         match u.u_signature with
         | Some sg when List.mem (Filename.basename u.u_file) read_path_basenames ->
-          scan_signature ~file:u.u_file mt sg
+          scan_signature ~file:u.u_file ~unit:u.u_modname mt sg
         | _ -> [])
       units
   in

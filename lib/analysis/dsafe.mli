@@ -39,8 +39,9 @@ type mclass =
   | Condition_var
   | Captured_state  (** mutable cell captured by a returned closure *)
   | Named_mutable of string
-      (** a locally-declared record type with mutable fields, by its
-          dotted type name *)
+      (** a record type with mutable fields declared in a scanned
+          unit: its path inside the unit when the binding is in the
+          same unit, else the path the binding's type spells *)
 
 (** What a finding reports. *)
 type kind =

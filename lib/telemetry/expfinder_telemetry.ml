@@ -1428,40 +1428,22 @@ end
 (* Process gauges                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* statm counts pages, and the kernel page size is not universally
-   4 KiB (arm64 kernels commonly run 16K or 64K pages).  OCaml's stdlib
-   has no sysconf binding, so ask getconf once, eagerly at load — an
-   immutable int thereafter, so no lazy-force race to justify — with
-   4096 as the fallback when that fails. *)
-let page_size =
-  match
-    let ic = Unix.open_process_in "getconf PAGESIZE 2>/dev/null" in
-    Fun.protect
-      ~finally:(fun () -> ignore (Unix.close_process_in ic : Unix.process_status))
-      (fun () -> input_line ic)
-  with
-  | exception _ -> 4096
-  | line -> (
-    match int_of_string_opt (String.trim line) with
-    | Some n when n > 0 -> n
-    | Some _ | None -> 4096)
-
-(* Linux exposes resident pages in /proc/self/statm; elsewhere (or in a
-   locked-down container) the read fails and rss is reported as 0 rather
-   than an error — observability must not crash the service. *)
+(* Linux reports the resident set in /proc/self/status as [VmRSS], in
+   kB whatever the page size; elsewhere (or in a locked-down container)
+   the read fails and rss is reported as 0 rather than an error —
+   observability must not crash the service. *)
 let rss_bytes () =
-  match
-    let ic = open_in "/proc/self/statm" in
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> input_line ic)
-  with
-  | exception _ -> 0
-  | line -> (
-    match String.split_on_char ' ' line with
-    | _ :: resident :: _ -> (
-      match int_of_string_opt resident with
-      | Some pages -> pages * page_size
-      | None -> 0)
-    | _ -> 0)
+  try
+    In_channel.with_open_text "/proc/self/status" (fun ic ->
+        let rec scan () =
+          match In_channel.input_line ic with
+          | None -> 0
+          | Some line -> (
+            try Scanf.sscanf line "VmRSS: %d kB" (fun kb -> kb * 1024)
+            with Scanf.Scan_failure _ | Failure _ | End_of_file -> scan ())
+        in
+        scan ())
+  with Sys_error _ -> 0
 
 let process_stats () =
   Gcpause.poll ();
@@ -1484,154 +1466,108 @@ let process_stats () =
   stats
 
 (* ------------------------------------------------------------------ *)
-(* Sliding windows                                                      *)
+(* Time-bucket store                                                    *)
 (* ------------------------------------------------------------------ *)
 
-module Window = struct
-  let seconds = 60
+(* The store itself; [Timeseries] below is the store plus its sampler,
+   which reads {!Window}. *)
+module Store = struct
+  let schema_version = 1
 
-  (* One bucket per wall-clock second, in a ring of [seconds] buckets
-     indexed by [sec mod seconds].  A bucket is lazily reclaimed the
-     first time its slot is written in a later second; reading skips any
-     bucket whose stamp has fallen out of the window.  Latencies land in
-     the same log-scale bucket layout as {!Histogram}, so merged-window
-     percentiles share its resolution (~9% relative error) and its
-     exact-min/max clamping. *)
-  (* The stamp is the bucket's synchronisation point for the lock-free
-     readers: they load it atomically to decide whether the bucket is
-     inside the window, and the writer parks it at -1 across a reclaim
-     so a reader never merges a half-reset bucket as current.  Writers
-     are no longer single-threaded — any worker domain in the serving
-     pool may observe into any op-class window — so the payload fields
-     are serialized by the per-window mutex below.  Readers still skip
-     the lock: a read torn against an in-flight observation moves a
-     count by at most one, which the scrape path tolerates. *)
+  (* Rate series hold per-tick deltas of a cumulative source (GC
+     collections, registry counters); Level series hold instantaneous
+     readings (qps, latency quantiles, rss).  The distinction matters on
+     downsampling: a coarse slot's [sum] is the honest aggregate of a
+     rate, while its [last]/[vmin]/[vmax] describe a level. *)
+  type kind = Rate | Level
+
+  let kind_name = function Rate -> "rate" | Level -> "level"
+
   (* A second's latency counts over the {!Histogram} layout, kept only
      for the run of bucket indices the second has seen: [counts.(i - lo)]
      is bucket [i].  A second's latencies span a few dozen of the 560
      buckets, so a full row per second would be mostly zeros.  Grown by
      swapping the record whole, so a lock-free reader that loads it once
      sees an offset that fits its array. *)
-  type hist = { lo : int; counts : int array }
+  type bins = { lo : int; counts : int array }
 
-  let no_hist = { lo = 0; counts = [||] }
+  let no_bins = { lo = 0; counts = [||] }
 
-  type bucket = {
-    sec : int Atomic.t;  (* unix second this bucket holds; -1 = empty *)
-    mutable bcount : int;
-    mutable berrors : int;
-    mutable bsum : float;
-    mutable bmin : float;
-    mutable bmax : float;
-    mutable bhist : hist;
+  (* Apart from the slot's ints, so the floats are stored unboxed and a
+     write never allocates. *)
+  type values = {
+    mutable sum : float;
+    mutable vmin : float;
+    mutable vmax : float;
+    mutable last : float;
   }
 
-  (* The window's in-window count and p99 as of [at_sec], taken when the
-     lifetime count was [at_total]: what {!slow} compares a finished
-     request against. *)
-  type memo = { at_sec : int; at_total : int; m_count : int; m_p99 : float }
-
-  let no_memo = { at_sec = min_int; at_total = 0; m_count = 0; m_p99 = nan }
-
-  type t = {
-    wname : string;
-    ring : bucket array;
-    (* Lifetime totals, never reclaimed with the ring: the timeseries
-       sampler differentiates them into per-tick request/error rates,
-       reading from its own thread — hence atomic. *)
-    total_count : int Atomic.t;
-    total_errors : int Atomic.t;
-    (* OpenMetrics-style exemplars: one recent trace id per latency
-       bucket (the {!Histogram} log-bucket layout), so a scraped
-       percentile can be chased down to a concrete stored trace.  Same
-       mutex-serialized writer discipline as the bucket payload fields;
-       a torn read pairs a trace id with a neighbouring observation's
-       value, which is harmless for a drill-down hint. *)
-    ex_trace : string array;
-    ex_ms : float array;
-    ex_unix : float array;
-    (* An immutable record swapped whole, so readers never see a count
-       from one refresh paired with another's p99. *)
-    memo : memo Atomic.t;
-    (* Serializes writers ({!observe}/{!reset}).  Readers stay
-       lock-free, synchronised only through the bucket stamps. *)
-    wm : Mutex.t;
+  (* Everything recorded in one [res_s]-second interval of one series.
+     [id], the interval's [sec / res_s], is the slot's stamp and never
+     changes: a write that lands in a later interval publishes a fresh
+     slot at the index instead of zeroing this one in place.  So a
+     reader that loads a slot once and finds the id it wants never
+     merges a half-reset slot, and needs no lock.  A read that overlaps
+     a write into the same slot can miss that one observation, which
+     the scrape path tolerates. *)
+  type slot = {
+    id : int;
+    mutable count : int;
+    mutable errors : int;
+    v : values;
+    mutable bins : bins;  (* a request series' 1 s tier only *)
   }
 
-  let fresh_bucket () =
+  let fresh_slot id =
     {
-      sec = Atomic.make (-1);
-      bcount = 0;
-      berrors = 0;
-      bsum = 0.0;
-      bmin = 0.0;
-      bmax = 0.0;
-      bhist = no_hist;
+      id;
+      count = 0;
+      errors = 0;
+      v = { sum = 0.0; vmin = 0.0; vmax = 0.0; last = 0.0 };
+      bins = no_bins;
     }
 
-  let create wname =
-    {
-      wname;
-      ring = Array.init seconds (fun _ -> fresh_bucket ());
-      total_count = Atomic.make 0;
-      total_errors = Atomic.make 0;
-      ex_trace = Array.make Histogram.nbuckets "";
-      ex_ms = Array.make Histogram.nbuckets 0.0;
-      ex_unix = Array.make Histogram.nbuckets 0.0;
-      memo = Atomic.make no_memo;
-      wm = Mutex.create ();
-    }
+  (* [ring.(id mod slots)] holds interval [id], or an older one that
+     readers skip. *)
+  type tier = { res_s : int; ring : slot array }
 
-  let reset t =
-    Mutex.lock t.wm;
-    Atomic.set t.total_count 0;
-    Atomic.set t.total_errors 0;
-    Array.fill t.ex_trace 0 Histogram.nbuckets "";
-    Array.fill t.ex_ms 0 Histogram.nbuckets 0.0;
-    Array.fill t.ex_unix 0 Histogram.nbuckets 0.0;
-    Array.iter
-      (fun b ->
-        Atomic.set b.sec (-1);
-        b.bcount <- 0;
-        b.berrors <- 0;
-        b.bsum <- 0.0;
-        b.bmin <- 0.0;
-        b.bmax <- 0.0;
-        b.bhist <- no_hist)
-      t.ring;
-    Atomic.set t.memo no_memo;
-    Mutex.unlock t.wm
+  (* About 2 minutes, 1 hour and 12 hours of retention. *)
+  let resolutions = [ (1, 120); (10, 360); (60, 720) ]
 
-  let wall_seconds () = now_us () /. 1e6
+  (* One tier per resolution, finest first.  Every write feeds all of
+     them, so the coarse tiers are exact downsamples of the fine one. *)
+  type series = tier array
 
-  let observe t ?(error = false) ?now ?trace ms =
-    let now = match now with Some n -> n | None -> wall_seconds () in
-    let sec = int_of_float now in
-    Mutex.lock t.wm;
-    let b = t.ring.(sec mod seconds) in
-    if Atomic.get b.sec <> sec then begin
-      (* Writers are serialized by [wm], so the reclaim needs no CAS;
-         the stamp choreography is for the lock-free readers: park the
-         stamp at -1, zero the payload, then publish, so a reader never
-         merges a half-reset bucket as current. *)
-      Atomic.set b.sec (-1);
-      b.bcount <- 0;
-      b.berrors <- 0;
-      b.bsum <- 0.0;
-      b.bmin <- 0.0;
-      b.bmax <- 0.0;
-      Array.fill b.bhist.counts 0 (Array.length b.bhist.counts) 0;
-      Atomic.set b.sec sec
-    end;
-    if b.bcount = 0 || ms < b.bmin then b.bmin <- ms;
-    if b.bcount = 0 || ms > b.bmax then b.bmax <- ms;
-    b.bcount <- b.bcount + 1;
-    if error then b.berrors <- b.berrors + 1;
-    b.bsum <- b.bsum +. ms;
-    Atomic.incr t.total_count;
-    if error then Atomic.incr t.total_errors;
-    let i = Histogram.bucket_of ms in
-    let h = b.bhist in
+  let make_series () =
+    (* A placeholder no write touches: its id matches no interval. *)
+    let empty = fresh_slot (-1) in
+    Array.of_list
+      (List.map (fun (res_s, slots) -> { res_s; ring = Array.make slots empty }) resolutions)
+
+  (* The one slot reclaim: the slot of [sec] in [tier], published fresh
+     when its index still holds another interval.  The caller
+     serializes the writers of the series. *)
+  let slot_at tier sec =
+    let id = sec / tier.res_s in
+    let i = id mod Array.length tier.ring in
+    let s = tier.ring.(i) in
+    if s.id = id then s
+    else begin
+      let s = fresh_slot id in
+      tier.ring.(i) <- s;
+      s
+    end
+
+  let add s x =
+    let v = s.v in
+    if s.count = 0 || x < v.vmin then v.vmin <- x;
+    if s.count = 0 || x > v.vmax then v.vmax <- x;
+    v.sum <- v.sum +. x;
+    v.last <- x;
+    s.count <- s.count + 1
+
+  let bin s i =
+    let h = s.bins in
     let len = Array.length h.counts in
     let h =
       if i >= h.lo && i < h.lo + len then h
@@ -1641,20 +1577,290 @@ module Window = struct
         let counts = Array.make (hi - lo) 0 in
         if len > 0 then Array.blit h.counts 0 counts (h.lo - lo) len;
         let h = { lo; counts } in
-        b.bhist <- h;
+        s.bins <- h;
         h
       end
     in
-    h.counts.(i - h.lo) <- h.counts.(i - h.lo) + 1;
+    h.counts.(i - h.lo) <- h.counts.(i - h.lo) + 1
+
+  (* The last [ceil (seconds / res_s)] slots of [tier] up to [now], the
+     current one included, that hold data, newest first.  Every reader
+     selects its window this way, so a 60 s summary and the 60 s of
+     points agree slot for slot. *)
+  let window_slots tier ~now ~seconds =
+    let cur = int_of_float now / tier.res_s in
+    let n = Stdlib.min (Array.length tier.ring) ((seconds + tier.res_s - 1) / tier.res_s) in
+    let acc = ref [] in
+    for k = n - 1 downto 0 do
+      let id = cur - k in
+      if id >= 0 then begin
+        let s = tier.ring.(id mod Array.length tier.ring) in
+        if s.id = id && s.count > 0 then acc := s :: !acc
+      end
+    done;
+    !acc
+
+  (* The window's in-window count and p99 as of [at_sec], taken when the
+     lifetime count was [at_total]: what {!Window.slow} compares a
+     finished request against. *)
+  type memo = { at_sec : int; at_total : int; m_count : int; m_p99 : float }
+
+  let no_memo = { at_sec = min_int; at_total = 0; m_count = 0; m_p99 = nan }
+
+  (* One op class's request series: each slot counts the requests and
+     errors of its interval and keeps their latencies.  Writers are
+     serialized by [wm], so any worker domain may finish a request of
+     any op class; readers never take it. *)
+  type requests = {
+    op : string;
+    rseries : series;
+    (* Lifetime totals, which outlive the tiers. *)
+    total_count : int Atomic.t;
+    total_errors : int Atomic.t;
+    (* OpenMetrics-style exemplars: one recent trace id per latency
+       bucket (the {!Histogram} layout), so a scraped percentile can be
+       chased down to a concrete stored trace.  Written under [wm]; a
+       torn read pairs a trace id with a neighbouring observation's
+       value, which is harmless for a drill-down hint. *)
+    ex_trace : string array;
+    ex_ms : float array;
+    ex_unix : float array;
+    (* An immutable record swapped whole, so readers never see a count
+       from one refresh paired with another's p99. *)
+    memo : memo Atomic.t;
+    wm : Mutex.t;
+  }
+
+  type entry = Sampled of kind * series | Requests of requests
+
+  module Names = Map.Make (String)
+
+  type t = {
+    (* Every series by name, with its registration rank.  An immutable
+       map swapped whole on registration: readers take one
+       [Atomic.get], and a registration that loses a race retries on the
+       winner's map.  A request series is filed as [req.<op>]. *)
+    registry : (int * entry) Names.t Atomic.t;
+    (* Sampler state: last value of each cumulative source, for rates. *)
+    prev : (string, float) Hashtbl.t;
+  }
+
+  let create () = { registry = Atomic.make Names.empty; prev = Hashtbl.create 32 }
+
+  let rec register t name make =
+    let m = Atomic.get t.registry in
+    match Names.find_opt name m with
+    | Some (_, e) -> e
+    | None ->
+      let e = make () in
+      if Atomic.compare_and_set t.registry m (Names.add name (Names.cardinal m, e) m) then e
+      else register t name make
+
+  let requests t op =
+    match
+      register t ("req." ^ op) (fun () ->
+          Requests
+            {
+              op;
+              rseries = make_series ();
+              total_count = Atomic.make 0;
+              total_errors = Atomic.make 0;
+              ex_trace = Array.make Histogram.nbuckets "";
+              ex_ms = Array.make Histogram.nbuckets 0.0;
+              ex_unix = Array.make Histogram.nbuckets 0.0;
+              memo = Atomic.make no_memo;
+              wm = Mutex.create ();
+            })
+    with
+    | Requests r -> r
+    | Sampled _ -> invalid_arg ("Telemetry.Timeseries.requests: req." ^ op ^ " is sampled")
+
+  (* The request series, sorted by op. *)
+  let all_requests t =
+    Names.fold
+      (fun _ (_, e) acc -> match e with Requests r -> (r.op, r) :: acc | Sampled _ -> acc)
+      (Atomic.get t.registry) []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+  let now_or now = match now with Some n -> n | None -> now_us () /. 1e6
+
+  (* The sampler's write.  One thread samples a store, so the writes of
+     a sampled series need no lock. *)
+  let record ?now t kind name x =
+    if Float.is_finite x then begin
+      let sec = int_of_float (now_or now) in
+      match register t name (fun () -> Sampled (kind, make_series ())) with
+      | Sampled (_, series) -> Array.iter (fun tier -> add (slot_at tier sec) x) series
+      | Requests _ -> invalid_arg ("Telemetry.Timeseries.record: " ^ name ^ " is a request series")
+    end
+
+  (* The request path's write: one finished request of [ms]
+     milliseconds. *)
+  let observe r ?(error = false) ?now ?trace ms =
+    let now = now_or now in
+    let sec = int_of_float now in
+    let i = Histogram.bucket_of ms in
+    Mutex.lock r.wm;
+    for k = 0 to Array.length r.rseries - 1 do
+      let s = slot_at r.rseries.(k) sec in
+      add s ms;
+      if error then s.errors <- s.errors + 1;
+      if k = 0 then bin s i
+    done;
+    Atomic.incr r.total_count;
+    if error then Atomic.incr r.total_errors;
     (match trace with
     | Some tid when tid <> "" ->
-      t.ex_trace.(i) <- tid;
-      t.ex_ms.(i) <- ms;
-      t.ex_unix.(i) <- now
+      r.ex_trace.(i) <- tid;
+      r.ex_ms.(i) <- ms;
+      r.ex_unix.(i) <- now
     | Some _ | None -> ());
-    Mutex.unlock t.wm
+    Mutex.unlock r.wm
 
-  let totals t = (Atomic.get t.total_count, Atomic.get t.total_errors)
+  let reset r =
+    Mutex.lock r.wm;
+    let empty = fresh_slot (-1) in
+    Array.iter (fun tier -> Array.fill tier.ring 0 (Array.length tier.ring) empty) r.rseries;
+    Atomic.set r.total_count 0;
+    Atomic.set r.total_errors 0;
+    Array.fill r.ex_trace 0 Histogram.nbuckets "";
+    Array.fill r.ex_ms 0 Histogram.nbuckets 0.0;
+    Array.fill r.ex_unix 0 Histogram.nbuckets 0.0;
+    Atomic.set r.memo no_memo;
+    Mutex.unlock r.wm
+
+  type point = {
+    t_unix : int; (* slot start, unix seconds *)
+    res_s : int;
+    n : int; (* samples merged into the slot *)
+    sum : float;
+    vmin : float;
+    vmax : float;
+    last : float;
+  }
+
+  (* A sampled slot reads as itself; a request series reads as two rate
+     series, [req.<op>] and [err.<op>], each slot one exact count. *)
+  let sampled_point (tier : tier) s =
+    let v = s.v in
+    {
+      t_unix = s.id * tier.res_s;
+      res_s = tier.res_s;
+      n = s.count;
+      sum = v.sum;
+      vmin = v.vmin;
+      vmax = v.vmax;
+      last = v.last;
+    }
+
+  let count_point count (tier : tier) s =
+    let x = float_of_int (count s) in
+    { t_unix = s.id * tier.res_s; res_s = tier.res_s; n = 1; sum = x; vmin = x; vmax = x; last = x }
+
+  (* Every series as readers see it, in registration order: name, kind,
+     tiers and how one slot reads. *)
+  let views t =
+    Names.fold (fun name (rank, e) acc -> (rank, name, e) :: acc) (Atomic.get t.registry) []
+    |> List.sort compare
+    |> List.concat_map (fun (_, name, e) ->
+           match e with
+           | Sampled (kind, series) -> [ (name, kind, series, sampled_point) ]
+           | Requests r ->
+             [
+               (name, Rate, r.rseries, count_point (fun s -> s.count));
+               ("err." ^ r.op, Rate, r.rseries, count_point (fun s -> s.errors));
+             ])
+
+  (* Finest tier whose span covers [seconds]; the coarsest one when none
+     does. *)
+  let tier_for (series : series) ~seconds =
+    let last = Array.length series - 1 in
+    let rec pick i =
+      if i >= last then series.(last)
+      else if series.(i).res_s * Array.length series.(i).ring >= seconds then series.(i)
+      else pick (i + 1)
+    in
+    pick 0
+
+  let points ?now t ~seconds name =
+    match List.find_opt (fun (n, _, _, _) -> n = name) (views t) with
+    | None -> []
+    | Some (_, _, series, point) ->
+      let tier = tier_for series ~seconds in
+      List.rev_map (point tier) (window_slots tier ~now:(now_or now) ~seconds)
+
+  let window_sum ?now t ~seconds name =
+    List.fold_left (fun acc p -> acc +. p.sum) 0.0 (points ?now t ~seconds name)
+
+  let point_json p =
+    Json.Arr
+      [
+        Json.Int p.t_unix;
+        Json.Float p.last;
+        Json.Float p.sum;
+        Json.Float p.vmin;
+        Json.Float p.vmax;
+        Json.Int p.n;
+      ]
+
+  let to_json ?now ?(max_points = max_int) t =
+    let nowf = now_or now in
+    let views = views t in
+    let tier_json i (res_s, slots) =
+      Json.Obj
+        [
+          ("res_s", Json.Int res_s);
+          ("slots", Json.Int slots);
+          ("span_s", Json.Int (res_s * slots));
+          ( "series",
+            Json.Obj
+              (List.filter_map
+                 (fun (name, _, (series : series), point) ->
+                   let tier = series.(i) in
+                   match window_slots tier ~now:nowf ~seconds:(res_s * slots) with
+                   | [] -> None
+                   | newest_first ->
+                     Some
+                       ( name,
+                         Json.Arr
+                           (List.filteri (fun k _ -> k < max_points) newest_first
+                           |> List.rev_map (fun s -> point_json (point tier s))) ))
+                 views) );
+        ]
+    in
+    Json.Obj
+      [
+        ("v", Json.Int schema_version);
+        ("now_unix", Json.Float nowf);
+        ( "series_kinds",
+          Json.Obj (List.map (fun (name, kind, _, _) -> (name, Json.Str (kind_name kind))) views) );
+        ("point", Json.Str "[t_unix,last,sum,min,max,count]");
+        ("resolutions", Json.Arr (List.mapi tier_json resolutions));
+      ]
+
+  (* The process-wide store behind /timeseries.json, the sampler, the
+     SLO evaluator and the op-class windows. *)
+  let shared = create ()
+end
+
+(* ------------------------------------------------------------------ *)
+(* Sliding windows                                                      *)
+(* ------------------------------------------------------------------ *)
+
+module Window = struct
+  (* A window is an op class's request series in {!Store.shared},
+     read over its last 60 one-second slots. *)
+  type t = Store.requests
+
+  let seconds = 60
+
+  let get name = Store.requests Store.shared name
+
+  let all () = Store.all_requests Store.shared
+
+  let reset = Store.reset
+
+  let totals (w : t) = (Atomic.get w.total_count, Atomic.get w.total_errors)
 
   type exemplar = {
     ex_le : float;  (** upper bound of the latency bucket, in ms *)
@@ -1663,16 +1869,16 @@ module Window = struct
     ex_ts_unix : float;
   }
 
-  let exemplars t =
+  let exemplars (w : t) =
     let acc = ref [] in
     for i = Histogram.nbuckets - 1 downto 0 do
-      if t.ex_trace.(i) <> "" then
+      if w.ex_trace.(i) <> "" then
         acc :=
           {
             ex_le = Histogram.upper_bound i;
-            ex_trace_id = t.ex_trace.(i);
-            ex_value_ms = t.ex_ms.(i);
-            ex_ts_unix = t.ex_unix.(i);
+            ex_trace_id = w.ex_trace.(i);
+            ex_value_ms = w.ex_ms.(i);
+            ex_ts_unix = w.ex_unix.(i);
           }
           :: !acc
     done;
@@ -1700,25 +1906,25 @@ module Window = struct
     max_ms : float;
   }
 
-  let summary ?now t =
-    let now = match now with Some n -> n | None -> wall_seconds () in
-    let now_sec = int_of_float now in
+  (* Merges the 1 s tier's slots of the window; latencies share the
+     {!Histogram} layout, so merged percentiles keep its resolution
+     (~9% relative error) and its exact-min/max clamping. *)
+  let summary ?now (w : t) =
+    let now = Store.now_or now in
     let merged = Array.make Histogram.nbuckets 0 in
     let count = ref 0 and errors = ref 0 and sum = ref 0.0 in
     let mn = ref 0.0 and mx = ref 0.0 in
-    Array.iter
-      (fun b ->
-        let bsec = Atomic.get b.sec in
-        if bsec > now_sec - seconds && bsec <= now_sec && b.bcount > 0 then begin
-          if !count = 0 || b.bmin < !mn then mn := b.bmin;
-          if !count = 0 || b.bmax > !mx then mx := b.bmax;
-          count := !count + b.bcount;
-          errors := !errors + b.berrors;
-          sum := !sum +. b.bsum;
-          let h = b.bhist in
-          Array.iteri (fun j c -> merged.(h.lo + j) <- merged.(h.lo + j) + c) h.counts
-        end)
-      t.ring;
+    List.iter
+      (fun (s : Store.slot) ->
+        let v = s.v in
+        if !count = 0 || v.vmin < !mn then mn := v.vmin;
+        if !count = 0 || v.vmax > !mx then mx := v.vmax;
+        count := !count + s.count;
+        errors := !errors + s.errors;
+        sum := !sum +. v.sum;
+        let h = s.bins in
+        Array.iteri (fun j c -> merged.(h.lo + j) <- merged.(h.lo + j) + c) h.counts)
+      (Store.window_slots w.rseries.(0) ~now ~seconds);
     let n = !count in
     let pct p =
       if n = 0 then nan
@@ -1745,21 +1951,21 @@ module Window = struct
      count has at least doubled since the memo was taken, so a window
      that fills up within one second does not keep its empty verdict.
      Concurrent refreshes race harmlessly: each stores a whole memo. *)
-  let memo ?now t =
-    let now = match now with Some n -> n | None -> wall_seconds () in
+  let memo ?now (w : t) =
+    let now = Store.now_or now in
     let sec = int_of_float now in
-    let m = Atomic.get t.memo in
-    let total = Atomic.get t.total_count in
+    let m = Atomic.get w.memo in
+    let total = Atomic.get w.total_count in
     if m.at_sec = sec && (total <= m.at_total || total < 2 * m.at_total) then m
     else begin
-      let s = summary ~now t in
-      let m = { at_sec = sec; at_total = total; m_count = s.count; m_p99 = s.p99 } in
-      Atomic.set t.memo m;
+      let s = summary ~now w in
+      let m = { Store.at_sec = sec; at_total = total; m_count = s.count; m_p99 = s.p99 } in
+      Atomic.set w.memo m;
       m
     end
 
-  let recent_p99 ?now t =
-    let m = memo ?now t in
+  let recent_p99 ?now w =
+    let m = memo ?now w in
     (m.m_count, m.m_p99)
 
   (* The p99 means something only once the window has seen this many
@@ -1768,8 +1974,8 @@ module Window = struct
 
   (* The one rule for a slow request: it reached the p99 of a window
      that already holds [min_count_for_p99] requests. *)
-  let slow t ms =
-    let m = memo t in
+  let slow w ms =
+    let m = memo w in
     m.m_count >= min_count_for_p99 && ms >= m.m_p99
 
   let summary_json s =
@@ -1790,10 +1996,10 @@ module Window = struct
   (* Full window document for /stats.json: the summary fields plus the
      window's current exemplars.  [summary_of_json] below ignores the
      extra member, so older clients keep parsing it. *)
-  let to_json ?now t =
-    match summary_json (summary ?now t) with
+  let to_json ?now w =
+    match summary_json (summary ?now w) with
     | Json.Obj fields ->
-      Json.Obj (fields @ [ ("exemplars", Json.Arr (List.map exemplar_json (exemplars t))) ])
+      Json.Obj (fields @ [ ("exemplars", Json.Arr (List.map exemplar_json (exemplars w))) ])
     | j -> j
 
   (* Read the numbers back out of a summary dump (a postmortem's window
@@ -1828,33 +2034,6 @@ module Window = struct
         "%d request(s) in %ds: %.2f qps, errors %d (%.1f%%), p50 %.3f ms, p95 %.3f ms, p99 \
          %.3f ms, max %.3f ms"
         s.count s.window_s s.qps s.errors (100.0 *. s.error_rate) s.p50 s.p95 s.p99 s.max_ms
-
-  (* Registry of operation-class windows (query/batch/update), mirroring
-     the metrics registry: [get] creates on first use, the exporters
-     enumerate with [all].  Windows record unconditionally — live SLOs
-     must not depend on the telemetry flag. *)
-  let windows : (string, t) Hashtbl.t = Hashtbl.create 8
-
-  (* Same story as {!Metrics.registry}: the handler creates windows
-     lazily while the sampler enumerates them every tick, and a Hashtbl
-     resize under a concurrent fold is a crash.  Lock the registry, not
-     the windows themselves. *)
-  let windows_mutex = Mutex.create ()
-
-  let get name =
-    Mutex.protect windows_mutex (fun () ->
-        match Hashtbl.find_opt windows name with
-        | Some w -> w
-        | None ->
-          let w = create name in
-          Hashtbl.replace windows name w;
-          w)
-
-  let all () =
-    Mutex.protect windows_mutex (fun () ->
-        Hashtbl.fold (fun name w acc -> (name, w) :: acc) windows [])
-    |> List.sort compare
-
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1887,8 +2066,8 @@ module Tracestore = struct
   (* Of unremarkable traces, keep one in this many. *)
   let head_rate = 10
 
-  (* Unlike the windows (single writer per op class) the store is
-     written by every op class and read by the HTTP handler, so the
+  (* Unlike a request series (one writer mutex per op class) the store
+     is written by every op class and read by the HTTP handler, so the
      whole state — ring, cursor, arrival counter — sits behind one
      mutex.  Store operations are rare (sampled admissions) and tiny
      (a record write), so contention is immaterial. *)
@@ -2339,8 +2518,8 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Request = struct
-  (* The op-class windows exist from startup, so the exporters list all
-     three before the first request. *)
+  (* The op classes' request series exist from startup, so the
+     exporters list all three before the first request. *)
   let w_query = Window.get "query"
 
   let w_batch = Window.get "batch"
@@ -2367,7 +2546,7 @@ module Request = struct
         ~op:(Qlog.kind_name kind) ~query ~duration_ms ~error:failed ~slow ?root ()
     in
     Option.iter Profile.record root;
-    Window.observe w ~error:failed ~now:ts_unix
+    Store.observe w ~error:failed ~now:ts_unix
       ?trace:(if kept then Some trace.trace_id else None)
       duration_ms;
     (* The digest and the payload are only materialised for a log sink:
@@ -2397,253 +2576,24 @@ module Request = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Time series retention                                                *)
+(* Time series sampling and captures                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The time-bucket store as the rest of the program sees it, with the
+   periodic sampler and the persisted captures: the sampler records the
+   windows' summaries, so it comes after {!Window}. *)
 module Timeseries = struct
-  let schema_version = 1
-
-  (* Rate series hold per-tick deltas of a cumulative source (requests,
-     errors, GC collections); Level series hold instantaneous readings
-     (qps, latency quantiles, rss).  The distinction matters on
-     downsampling: a coarse slot's [sum] is the honest aggregate of a
-     rate, while its [last]/[vmin]/[vmax] describe a level. *)
-  type kind = Rate | Level
-
-  let kind_name = function Rate -> "rate" | Level -> "level"
-
-  type series = {
-    skind : kind;
-    scount : int array;
-    ssum : float array;
-    smin : float array;
-    smax : float array;
-    slast : float array;
-  }
-
-  (* One ring per resolution.  [stamp.(i)] holds the slot id
-     (sec / res_s) currently stored at index i, so wrap-around
-     invalidation is a single integer compare and stale slots are simply
-     skipped on read; every record feeds all rings, which makes the
-     coarse resolutions exact downsamples of the fine one. *)
-  type ring = {
-    res_s : int;
-    slots : int;
-    stamp : int array;
-    sdata : (string, series) Hashtbl.t;
-  }
-
-  (* The sampler thread writes while the HTTP handlers and the
-     postmortem writer read, and a write may register a series (a
-     Hashtbl resize under a concurrent read can lose a name the reader
-     then fails to find).  So [record] and every reader take [lock];
-     [prev] is the sampler's own. *)
-  type t = {
-    rings : ring array; (* ascending res_s *)
-    mutable rev_names : string list; (* registration order, reversed *)
-    kinds : (string, kind) Hashtbl.t;
-    (* Sampler state: last value of each cumulative source, for rates. *)
-    prev : (string, float) Hashtbl.t;
-    lock : Mutex.t;
-  }
-
-  (* About 2 minutes, 1 hour and 12 hours of retention. *)
-  let resolutions = [ (1, 120); (10, 360); (60, 720) ]
-
-  let create () =
-    let ring_of (res_s, slots) =
-      { res_s; slots; stamp = Array.make slots (-1); sdata = Hashtbl.create 32 }
-    in
-    {
-      rings = Array.of_list (List.map ring_of resolutions);
-      rev_names = [];
-      kinds = Hashtbl.create 32;
-      prev = Hashtbl.create 32;
-      lock = Mutex.create ();
-    }
-
-  let names t = List.rev t.rev_names
-
-  let series_for t ring name kind =
-    match Hashtbl.find_opt ring.sdata name with
-    | Some s -> s
-    | None ->
-      if not (Hashtbl.mem t.kinds name) then begin
-        Hashtbl.replace t.kinds name kind;
-        t.rev_names <- name :: t.rev_names
-      end;
-      let n = ring.slots in
-      let s =
-        {
-          skind = kind;
-          scount = Array.make n 0;
-          ssum = Array.make n 0.0;
-          smin = Array.make n 0.0;
-          smax = Array.make n 0.0;
-          slast = Array.make n 0.0;
-        }
-      in
-      Hashtbl.add ring.sdata name s;
-      s
-
-  let record ?now t kind name v =
-    if Float.is_finite v then begin
-      let sec = int_of_float (match now with Some n -> n | None -> Window.wall_seconds ()) in
-      Mutex.protect t.lock @@ fun () ->
-      Array.iter
-        (fun ring ->
-          let slot = sec / ring.res_s in
-          let idx = slot mod ring.slots in
-          if ring.stamp.(idx) <> slot then begin
-            (* The slot id moved on: reclaim this index in every series
-               of the ring before the first write of the new slot. *)
-            ring.stamp.(idx) <- slot;
-            Hashtbl.iter
-              (fun _ s ->
-                s.scount.(idx) <- 0;
-                s.ssum.(idx) <- 0.0;
-                s.smin.(idx) <- 0.0;
-                s.smax.(idx) <- 0.0;
-                s.slast.(idx) <- 0.0)
-              ring.sdata
-          end;
-          let s = series_for t ring name kind in
-          if s.scount.(idx) = 0 || v < s.smin.(idx) then s.smin.(idx) <- v;
-          if s.scount.(idx) = 0 || v > s.smax.(idx) then s.smax.(idx) <- v;
-          s.scount.(idx) <- s.scount.(idx) + 1;
-          s.ssum.(idx) <- s.ssum.(idx) +. v;
-          s.slast.(idx) <- v)
-        t.rings
-    end
-
-  type point = {
-    t_unix : int; (* slot start, unix seconds *)
-    res_s : int;
-    n : int; (* samples merged into the slot *)
-    sum : float;
-    vmin : float;
-    vmax : float;
-    last : float;
-  }
-
-  let now_or now = match now with Some n -> n | None -> Window.wall_seconds ()
-
-  (* All valid points of [name] in [ring], oldest first.  Callers hold
-     the lock. *)
-  let ring_points ~now (ring : ring) name =
-    let sec = int_of_float now in
-    let cur = sec / ring.res_s in
-    match Hashtbl.find_opt ring.sdata name with
-    | None -> []
-    | Some s ->
-      let pts = ref [] in
-      for k = 0 to ring.slots - 1 do
-        let slot = cur - k in
-        if slot >= 0 then begin
-          let idx = slot mod ring.slots in
-          if ring.stamp.(idx) = slot && s.scount.(idx) > 0 then
-            pts :=
-              {
-                t_unix = slot * ring.res_s;
-                res_s = ring.res_s;
-                n = s.scount.(idx);
-                sum = s.ssum.(idx);
-                vmin = s.smin.(idx);
-                vmax = s.smax.(idx);
-                last = s.slast.(idx);
-              }
-              :: !pts
-        end
-      done;
-      !pts
-
-  (* Finest ring whose span covers [seconds]; the coarsest one when none
-     does. *)
-  let ring_for t ~seconds =
-    let rec pick i =
-      if i >= Array.length t.rings - 1 then t.rings.(Array.length t.rings - 1)
-      else if t.rings.(i).res_s * t.rings.(i).slots >= seconds then t.rings.(i)
-      else pick (i + 1)
-    in
-    pick 0
-
-  let points_unlocked ~now t ~seconds name =
-    let sec = int_of_float now in
-    List.filter
-      (fun p -> p.t_unix + p.res_s > sec - seconds)
-      (ring_points ~now (ring_for t ~seconds) name)
-
-  let points ?now t ~seconds name =
-    let now = now_or now in
-    Mutex.protect t.lock (fun () -> points_unlocked ~now t ~seconds name)
-
-  let window_sum ?now t ~seconds name =
-    let now = now_or now in
-    Mutex.protect t.lock (fun () ->
-        List.fold_left (fun acc p -> acc +. p.sum) 0.0 (points_unlocked ~now t ~seconds name))
-
-  let point_json p =
-    Json.Arr
-      [
-        Json.Int p.t_unix;
-        Json.Float p.last;
-        Json.Float p.sum;
-        Json.Float p.vmin;
-        Json.Float p.vmax;
-        Json.Int p.n;
-      ]
-
-  (* The last [n] elements of [l], in one length pass and one drop. *)
-  let take_last n l =
-    let rec drop k l = if k <= 0 then l else drop (k - 1) (List.tl l) in
-    drop (List.length l - n) l
-
-  let to_json ?now ?(max_points = max_int) t =
-    let nowf = now_or now in
-    Mutex.protect t.lock @@ fun () ->
-    let names = names t in
-    let ring_json (ring : ring) =
-      Json.Obj
-        [
-          ("res_s", Json.Int ring.res_s);
-          ("slots", Json.Int ring.slots);
-          ("span_s", Json.Int (ring.res_s * ring.slots));
-          ( "series",
-            Json.Obj
-              (List.filter_map
-                 (fun name ->
-                   match ring_points ~now:nowf ring name with
-                   | [] -> None
-                   | pts ->
-                     Some (name, Json.Arr (List.map point_json (take_last max_points pts))))
-                 names) );
-        ]
-    in
-    Json.Obj
-      [
-        ("v", Json.Int schema_version);
-        ("now_unix", Json.Float nowf);
-        ( "series_kinds",
-          Json.Obj
-            (List.map
-               (fun n -> (n, Json.Str (kind_name (Hashtbl.find t.kinds n))))
-               names) );
-        ("point", Json.Str "[t_unix,last,sum,min,max,count]");
-        ("resolutions", Json.Arr (Array.to_list (Array.map ring_json t.rings)));
-      ]
-
-  (* ---- the shared instance and the periodic sampler ---- *)
-
-  let shared = create ()
+  include Store
 
   let sink_t = Jsonl_sink.create ~label:"timeseries log" (Sys.getenv_opt "EXPFINDER_TIMESERIES")
 
-  let known t name = Mutex.protect t.lock (fun () -> Hashtbl.mem t.kinds name)
+  let known t name = Names.mem name (Atomic.get t.registry)
 
-  (* One sampler tick: pull every live source (op-class windows, process
-     gauges, registry counters) into [t] and
+  (* One sampler tick: pull every live source (the summaries of [t]'s
+     request series, process gauges, registry counters) into [t] and
      append the tick to the JSONL sink.  Returns what was recorded so
-     callers (tests, the sink line) see one consistent snapshot. *)
+     callers (tests, the sink line) see one consistent snapshot.  The
+     request and error counts are not sampled: requests write them. *)
   let sample ?now ?(persist = true) t =
     let nowf = now_or now in
     let out = ref [] in
@@ -2676,11 +2626,8 @@ module Timeseries = struct
           put Level ("win." ^ op ^ ".p50_ms") s.Window.p50;
           put Level ("win." ^ op ^ ".p95_ms") s.Window.p95;
           put Level ("win." ^ op ^ ".p99_ms") s.Window.p99
-        end;
-        let total, errors = Window.totals w in
-        cum ("req." ^ op) (float_of_int total);
-        cum ("err." ^ op) (float_of_int errors))
-      (Window.all ());
+        end)
+      (all_requests t);
     List.iter
       (fun (name, v) ->
         let v = float_of_int v in
@@ -2783,9 +2730,9 @@ module Slo = struct
   (* Multi-window burn-rate alerting in the SRE-workbook shape: an
      objective fires only when both a fast window (5 m, high burn) and a
      slow window (1 h, lower burn) agree the error budget is being spent
-     too fast.  Both windows are evaluated from the {!Timeseries} rings,
-     so alerting shares retention with /timeseries.json and costs no
-     extra collection.  The windows and burn thresholds are the
+     too fast.  Both windows read the op's request series (its 10 s
+     tier), so alerting counts the very requests /timeseries.json and
+     the windows count, and costs no extra collection.  The windows and burn thresholds are the
      workbook's, fixed for every objective. *)
   let fast_s = 300
 
@@ -2840,7 +2787,8 @@ module Slo = struct
 
   let alerts () = Atomic.get active
 
-  (* Fraction of the window's requests that errored. *)
+  (* Fraction of the window's requests that errored, from the request
+     series' [req.<op>] and [err.<op>] views. *)
   let bad_fraction ~now ts op ~seconds =
     let req = Timeseries.window_sum ~now ts ~seconds ("req." ^ op) in
     let err = Timeseries.window_sum ~now ts ~seconds ("err." ^ op) in
@@ -2901,13 +2849,13 @@ module Slo = struct
     end
 
   let evaluate ?now ?(ts = Timeseries.shared) () =
-    let now = match now with Some n -> n | None -> Window.wall_seconds () in
+    let now = Timeseries.now_or now in
     let alerts = Atomic.get active in
     List.iter (evaluate_one ~now ts) alerts;
     alerts
 
   let to_json ?now () =
-    let now = match now with Some n -> n | None -> Window.wall_seconds () in
+    let now = Timeseries.now_or now in
     Json.Obj
       [
         ("v", Json.Int 1);

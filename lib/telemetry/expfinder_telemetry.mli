@@ -418,8 +418,8 @@ end
 (** {1 Process gauges} *)
 
 val process_stats : unit -> (string * int) list
-(** Sample the process: resident set size in bytes (0 where
-    [/proc/self/statm] is unavailable), major-heap words, cumulative
+(** Sample the process: resident set size in bytes ([VmRSS] of
+    [/proc/self/status]; 0 where that is unavailable), major-heap words, cumulative
     minor/major allocated words, GC minor/major collection counts
     ({!Gc.quick_stat}), cumulative and max GC pause microseconds
     ({!Gcpause}), the process start time and the uptime in seconds.
@@ -430,42 +430,28 @@ val process_stats : unit -> (string * int) list
 
 (** {1 Sliding windows}
 
-    Bucketed sliding-window aggregation for the serving path: a ring of
-    per-second buckets over the last 60 seconds, yielding live QPS, error
-    rate and latency percentiles per operation class.  Like every
-    metric cell, windows record unconditionally.  Latency samples use
-    the same log-scale buckets as {!Histogram} (~9% relative
-    resolution, exact min/max clamping). *)
+    An op class's window is its request series in the shared
+    {!Timeseries} store, read over the last 60 one-second slots: live
+    QPS, error rate and latency percentiles per operation class.
+    {!Timeseries.observe} writes it; everything here reads it without a
+    lock.  Like every metric cell, windows record unconditionally.
+    Latency samples use the same log-scale buckets as {!Histogram} (~9%
+    relative resolution, exact min/max clamping). *)
 
 module Window : sig
   type t
-
-  val observe : t -> ?error:bool -> ?now:float -> ?trace:string -> float -> unit
-  (** [observe w ms] records one request of [ms] milliseconds in the
-      bucket of the current second.  [?now] (unix seconds) pins the
-      clock for tests.  [?trace] (a non-empty trace id) additionally
-      installs the request as the exemplar of its latency bucket —
-      callers should only pass ids of traces admitted to the
-      {!Tracestore}, so every advertised exemplar resolves.
-      Does not allocate without [?trace].
-
-      Writers are serialized by a per-window mutex, so any worker
-      domain of the serving pool may observe into any op-class window;
-      bucket stamps and the lifetime totals are atomic, so a concurrent
-      {!summary}/{!totals} reader (the sampler, the SLO evaluator)
-      stays lock-free and never merges a half-reclaimed bucket or
-      reads a torn total. *)
+  (** One op class's request series. *)
 
   val totals : t -> int * int
-  (** Lifetime [(requests, errors)] since creation (or {!reset}) —
-      cumulative counters that outlive the ring, differentiated by the
-      timeseries sampler into per-tick rates. *)
+  (** Lifetime [(requests, errors)] since creation (or {!reset}), which
+      outlive the series' tiers. *)
 
   val reset : t -> unit
-  (** Zero the ring, the lifetime totals and the exemplars, and drop
-      the memoised {!recent_p99}. *)
+  (** Empty every tier of the series, zero the lifetime totals and the
+      exemplars, and drop the memoised {!recent_p99}.  Takes the
+      series' writer mutex. *)
 
-  (** A merged view of the buckets still inside the window. *)
+  (** The last 60 one-second slots, merged. *)
   type summary = {
     window_s : int;
     count : int;
@@ -489,7 +475,7 @@ module Window : sig
       second gets a fresh figure.  Right after a refresh it equals
       [(summary w).count] and [(summary w).p99].  This is what {!slow}
       compares a finished request against, so the verdict costs one
-      atomic read instead of merging the whole ring. *)
+      atomic read instead of merging 60 slots. *)
 
   val slow : t -> float -> bool
   (** [slow w ms]: the one rule for a slow request.  True when [w]
@@ -521,16 +507,15 @@ module Window : sig
       (the [/stats.json] per-window document; {!summary_of_json}
       ignores the extra member). *)
 
-  (** {2 Registry} — operation-class windows (query/batch/update),
-      created on first use by the engine and enumerated by the
-      exporters.  Mutex-protected, same contract as the metrics
-      registry. *)
+  (** {2 The op classes} — the request series of {!Timeseries.shared}
+      (query/batch/update, registered at startup), enumerated by the
+      exporters. *)
 
   val get : string -> t
-  (** The registered window under that name, created on first use. *)
+  (** [Timeseries.requests Timeseries.shared name]. *)
 
   val all : unit -> (string * t) list
-  (** Sorted by name. *)
+  (** Every request series of {!Timeseries.shared}, sorted by op. *)
 
 end
 
@@ -730,15 +715,22 @@ end
 
 (** {1 Time series retention}
 
-    Bounded-memory, multi-resolution retention: every recorded value
-    feeds one ring per resolution (1s x 120 / 10s x 360 / 60s x 720,
-    about 2 minutes / 1 hour / 12 hours), so the coarse
-    rings are exact downsamples of the fine one and reads never
-    allocate beyond the returned points.  {!Timeseries.sample} is the
-    periodic collector driven by the server's sampler thread; it pulls
-    the op-class windows, {!process_stats} and the counter registry
-    into the shared instance and appends one JSONL tick to the
-    [EXPFINDER_TIMESERIES] sink (rotated at 64 MiB as in {!Qlog}). *)
+    The one time-bucket store.  Every series keeps one tier per
+    resolution (1s x 120 / 10s x 360 / 60s x 720, about 2 minutes / 1
+    hour / 12 hours) and every write feeds all three, so the coarse
+    tiers are exact downsamples of the fine one.  A slot is stamped with
+    the interval it holds; a write into a later interval publishes a
+    fresh slot instead of resetting the old one, so readers
+    ({!points}, {!to_json}, the {!Window} summaries, {!Slo.evaluate})
+    take no lock and never merge a half-reset slot.
+
+    Two kinds of writer: {!sample}, the periodic collector driven by the
+    server's sampler thread, which pulls the windows' summaries,
+    {!process_stats} and the counter registry into sampled series and
+    appends one JSONL tick to the [EXPFINDER_TIMESERIES] sink (rotated
+    at 64 MiB as in {!Qlog}); and {!observe}, which every finished
+    request calls on its op class's request series.  A request series
+    reads as two rate series, [req.<op>] and [err.<op>]. *)
 
 module Timeseries : sig
   type kind =
@@ -748,23 +740,37 @@ module Timeseries : sig
   type t
 
   val create : unit -> t
-  (** A fresh, empty store.  One mutex guards it: {!record} and every
-      reader take it, so the sampler thread may write while the HTTP
-      handlers read. *)
+  (** A fresh, empty store.  The series registry is an immutable map
+      published through an [Atomic]: registering a series never blocks a
+      reader. *)
 
   val shared : t
-  (** The process-wide instance behind [/timeseries.json], the sampler
-      and postmortems. *)
+  (** The process-wide instance behind [/timeseries.json], the sampler,
+      the windows, the SLO evaluator and postmortems. *)
+
+  val requests : t -> string -> Window.t
+  (** The request series of an op class, registered (as [req.<op>]) on
+      first use. *)
+
+  val observe : Window.t -> ?error:bool -> ?now:float -> ?trace:string -> float -> unit
+  (** [observe w ms] records one finished request of [ms] milliseconds
+      in every tier of [w], under [w]'s own writer mutex, so any worker
+      domain may observe into any op class.  [?now] (unix seconds) pins
+      the clock for tests.  [?trace] (a non-empty trace id) also
+      installs the request as the exemplar of its latency bucket —
+      callers should only pass ids of traces admitted to the
+      {!Tracestore}, so every advertised exemplar resolves. *)
 
   val record : ?now:float -> t -> kind -> string -> float -> unit
-  (** Record one value into every ring ([?now] pins the clock for
-      tests; non-finite values are dropped). *)
+  (** Record one value of a sampled series into every tier ([?now] pins
+      the clock for tests; non-finite values are dropped).  One thread
+      writes a store's sampled series. *)
 
   (** One retained slot of one series. *)
   type point = {
     t_unix : int;  (** slot start, unix seconds *)
     res_s : int;
-    n : int;  (** samples merged into the slot *)
+    n : int;  (** samples merged into the slot; 1 for [req.]/[err.] *)
     sum : float;
     vmin : float;
     vmax : float;
@@ -772,8 +778,9 @@ module Timeseries : sig
   }
 
   val points : ?now:float -> t -> seconds:int -> string -> point list
-  (** The series' points over the trailing [seconds], oldest first,
-      from the finest ring that spans the range. *)
+  (** The series' points over the trailing [seconds] (the last
+      [ceil (seconds / res_s)] slots, the current one included), oldest
+      first, from the finest tier that spans the range. *)
 
   val sample : ?now:float -> ?persist:bool -> t -> (string * float) list
   (** One sampler tick: collect every live source into [t] and (unless
@@ -803,7 +810,8 @@ end
 
 (** {1 SLO burn-rate alerts}
 
-    Availability objectives evaluated from the {!Timeseries} rings with
+    Availability objectives evaluated from the op classes' request
+    series in {!Timeseries} (their 10 s tier) with
     multi-window burn-rate rules (SRE-workbook shape): an alert fires
     only while {e both} the fast window (5 m) and the slow window (1 h)
     burn error budget faster than their thresholds (14.4 / 6.0), and
@@ -838,7 +846,7 @@ module Slo : sig
       ["update"]. *)
 
   val evaluate : ?now:float -> ?ts:Timeseries.t -> unit -> alert list
-  (** Recompute every alert from the timeseries rings (default
+  (** Recompute every alert from the request series of [?ts] (default
       {!Timeseries.shared}; [?now] pins the clock).  State transitions
       are appended to the query log as [alert] events. *)
 

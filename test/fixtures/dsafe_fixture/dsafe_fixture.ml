@@ -29,6 +29,13 @@ let mk () = { slot = 1; tag = "via-fn" }
 
 let via_fn = mk ()
 
+(* another unit's mutable record, minted by that unit's helper *)
+let foreign = Cell.make ()
+
+(* another unit's immutable [t]: not mutable state, although [Cell.t]
+   is a mutable [t] too *)
+let plain = Plain.make ()
+
 (* lazy block *)
 let page = lazy (Sys.getenv_opt "HOME")
 

@@ -62,6 +62,19 @@ let test_no_false_positives () =
       | _ -> ())
     [ ":mk"; ":casted"; ":seeded"; ":unmarshal" ]
 
+(* A record type is keyed by the unit that declares it: a binding of
+   another unit's mutable record is flagged, and a binding of another
+   unit's immutable [t] is not, although some unit declares a mutable
+   [t]. *)
+let test_mutable_types_keyed_by_unit () =
+  let findings = scan_fixture () in
+  (match find_by_suffix findings ":foreign" with
+  | Some { Dsafe.kind = Dsafe.Mutable_binding (Dsafe.Named_mutable _); _ } -> ()
+  | Some _ -> Alcotest.fail ":foreign is not classified by its mutable type"
+  | None -> Alcotest.fail "another unit's mutable record is not flagged");
+  Alcotest.(check bool) "another unit's immutable t is not flagged" true
+    (find_by_suffix findings ":plain" = None)
+
 (* Read through the JSON report, which flags every finding. *)
 let test_intrinsically_guarded () =
   let findings = scan_fixture () in
@@ -339,6 +352,8 @@ let () =
         [
           Alcotest.test_case "detects every hazard class" `Quick test_detects_every_class;
           Alcotest.test_case "functions are not inventoried" `Quick test_no_false_positives;
+          Alcotest.test_case "mutable types keyed by their unit" `Quick
+            test_mutable_types_keyed_by_unit;
           Alcotest.test_case "atomic/mutex intrinsically guarded" `Quick
             test_intrinsically_guarded;
         ] );

@@ -782,7 +782,7 @@ let test_window_sliding () =
   let t0 = 1000.0 in
   (* One request per second for 60 seconds fills the whole ring. *)
   for i = 0 to 59 do
-    Window.observe w ~now:(t0 +. float_of_int i) 10.0
+    Timeseries.observe w ~now:(t0 +. float_of_int i) 10.0
   done;
   let s = Window.summary ~now:(t0 +. 59.0) w in
   Alcotest.(check int) "full window count" 60 s.Window.count;
@@ -798,7 +798,7 @@ let test_window_sliding () =
   Alcotest.(check (float 1e-9)) "empty qps" 0.0 s.Window.qps;
   Alcotest.(check bool) "empty p95 is nan" true (Float.is_nan s.Window.p95);
   (* Writing a slot in a later second reclaims it instead of merging. *)
-  Window.observe w ~now:(t0 +. 120.0) 5.0;
+  Timeseries.observe w ~now:(t0 +. 120.0) 5.0;
   let s = Window.summary ~now:(t0 +. 120.0) w in
   Alcotest.(check int) "reclaimed slot holds one sample" 1 s.Window.count;
   Alcotest.(check (float 1e-9)) "max of the survivor" 5.0 s.Window.max_ms
@@ -807,7 +807,7 @@ let test_window_percentiles_and_errors () =
   let w = Window.get "t.win.pct" in
   let now = 5000.0 in
   for i = 1 to 100 do
-    Window.observe w ~now ~error:(i mod 10 = 0) (float_of_int i)
+    Timeseries.observe w ~now ~error:(i mod 10 = 0) (float_of_int i)
   done;
   let s = Window.summary ~now w in
   Alcotest.(check int) "count" 100 s.Window.count;
@@ -833,7 +833,7 @@ let test_window_ranges_match_histogram () =
   let r = Random.State.make [| 17 |] in
   for i = 0 to 599 do
     let ms = Float.exp (Random.State.float r 12.0 -. 6.0) in
-    Window.observe w ~now:(7000.0 +. float_of_int (i / 200)) ms;
+    Timeseries.observe w ~now:(7000.0 +. float_of_int (i / 200)) ms;
     Histogram.observe h ms
   done;
   let s = Window.summary ~now:7002.0 w in
@@ -846,8 +846,8 @@ let test_window_ranges_match_histogram () =
 let test_window_summary_json_roundtrip () =
   let w = Window.get "t.win.json" in
   let now = 6000.0 in
-  Window.observe w ~now 1.5;
-  Window.observe w ~now ~error:true 3.0;
+  Timeseries.observe w ~now 1.5;
+  Timeseries.observe w ~now ~error:true 3.0;
   let s = Window.summary ~now w in
   (match Window.summary_of_json (Window.to_json ~now w) with
   | None -> Alcotest.fail "summary_json did not parse back"
@@ -1170,9 +1170,10 @@ let test_timeseries_capture_load_report () =
 
 (* The sampler thread writes the shared store while HTTP handlers
    render it: fresh series names registered under a concurrent
-   [to_json] must neither raise nor go missing.  Without the store's
-   lock a render that overlaps a table resize raises [Not_found] in
-   about one round of three, so the test runs 20 rounds. *)
+   [to_json] must neither raise nor go missing, and renders that run
+   back to back must not hold the writer up.  The registry is swapped
+   whole on each registration and readers take no lock, so the test
+   runs 20 rounds of renders with no pause between them. *)
 let test_timeseries_concurrent_render () =
   let module T = Timeseries in
   let now = 4_000_000.0 in
@@ -1189,9 +1190,7 @@ let test_timeseries_concurrent_render () =
     let renders = ref 0 in
     while not (Atomic.get done_) do
       ignore (T.to_json ~now ~max_points:1 ts : Json.t);
-      incr renders;
-      (* Back to back, the renders would starve the writer of the lock. *)
-      Unix.sleepf 1e-4
+      incr renders
     done;
     Domain.join writer;
     Alcotest.(check bool) "rendered while recording" true (!renders > 0);
@@ -1228,25 +1227,28 @@ let base_slo = 3_000_000.0
 let test_slo_fire_and_clear () =
   let module T = Timeseries in
   let ts = T.create () in
+  let w = T.requests ts "query" in
   Slo.set_objectives [ Slo.availability ~op:"query" ~target:0.99 () ];
+  (* 10 requests a second, [errors] of them failing. *)
   let traffic ~from ~until ~errors =
     for i = from to until do
       let now = base_slo +. float_of_int i in
-      T.record ~now ts T.Rate "req.query" 10.0;
-      T.record ~now ts T.Rate "err.query" errors
+      for k = 1 to 10 do
+        T.observe w ~error:(k <= errors) ~now 1.0
+      done
     done
   in
   Fun.protect
     ~finally:(fun () -> Slo.set_objectives [])
     (fun () ->
       (* Healthy traffic: 10 req/s, no errors. *)
-      traffic ~from:0 ~until:299 ~errors:0.0;
+      traffic ~from:0 ~until:299 ~errors:0;
       (match Slo.evaluate ~now:(base_slo +. 299.0) ~ts () with
       | [ a ] -> Alcotest.(check bool) "healthy run passes" true (a.Slo.state = Slo.Passing)
       | _ -> Alcotest.fail "one objective, one alert");
       (* Outage: every request errors for 100 s, a third of the fast
          window and a quarter of the slow one. *)
-      traffic ~from:300 ~until:399 ~errors:10.0;
+      traffic ~from:300 ~until:399 ~errors:10;
       (match Slo.evaluate ~now:(base_slo +. 399.0) ~ts () with
       | [ a ] ->
         Alcotest.(check bool) "outage fires" true (a.Slo.state = Slo.Firing);
@@ -1261,7 +1263,7 @@ let test_slo_fire_and_clear () =
       | _ -> Alcotest.fail "alerts document shape");
       (* Recovery: a healthy fast window clears the alert even while the
          slow window still remembers the outage (multi-window rule). *)
-      traffic ~from:400 ~until:719 ~errors:0.0;
+      traffic ~from:400 ~until:719 ~errors:0;
       match Slo.evaluate ~now:(base_slo +. 719.0) ~ts () with
       | [ a ] ->
         Alcotest.(check bool) "recovery clears" true (a.Slo.state = Slo.Passing);
@@ -1365,10 +1367,12 @@ let test_prometheus_alert_gauges () =
     ~finally:(fun () -> Slo.set_objectives [])
     (fun () ->
       let base = 5_000_000.0 in
+      let w = T.requests ts "query" in
       for i = 0 to 8 do
         let now = base +. float_of_int i in
-        T.record ~now ts T.Rate "req.query" 10.0;
-        T.record ~now ts T.Rate "err.query" 10.0
+        for _ = 1 to 10 do
+          T.observe w ~error:true ~now 1.0
+        done
       done;
       ignore (Slo.evaluate ~now:(base +. 8.0) ~ts () : Slo.alert list);
       let body = Prometheus.render () in
@@ -1465,16 +1469,64 @@ let test_window_totals () =
   let w = Window.get "t.totals" in
   Alcotest.(check (pair int int)) "fresh totals" (0, 0) (Window.totals w);
   let now = 6_000_000.0 in
-  Window.observe w ~now 1.0;
-  Window.observe w ~error:true ~now 2.0;
+  Timeseries.observe w ~now 1.0;
+  Timeseries.observe w ~error:true ~now 2.0;
   (* Lifetime totals must survive the ring sliding past the
      observations — that is what the sampler differentiates. *)
-  Window.observe w ~now:(now +. 100.0) 3.0;
+  Timeseries.observe w ~now:(now +. 100.0) 3.0;
   Alcotest.(check (pair int int)) "totals outlive the ring" (3, 1) (Window.totals w);
   let s = Window.summary ~now:(now +. 100.0) w in
   Alcotest.(check int) "ring forgot the old requests" 1 s.Window.count;
   Window.reset w;
   Alcotest.(check (pair int int)) "reset zeroes totals" (0, 0) (Window.totals w)
+
+(* One set of books: the 60 s summary, the [req.query]/[err.query]
+   points and the counts the SLO evaluator reads for its 300 s window
+   all come from the query request series, so at one pinned clock they
+   agree exactly. *)
+let test_signals_agree () =
+  let w = Window.get "query" in
+  Window.reset w;
+  Slo.set_objectives [ Slo.availability ~op:"query" ~target:0.99 () ];
+  Fun.protect
+    ~finally:(fun () ->
+      Slo.set_objectives [];
+      Window.reset w;
+      Tracestore.clear ();
+      Recorder.clear ())
+    (fun () ->
+      let served = 37 and failing = 5 in
+      for i = 1 to served do
+        Request.finish ~kind:Qlog.Query ~trace:(Trace.make ()) ~query:"q" ~strategy:"direct"
+          ~duration_ms:(0.1 *. float_of_int i) ~counters:[] ~pairs:1
+          ?error:(if i mod 7 = 0 then Some "boom" else None)
+          ~graph_id:0 ~epoch:0 ()
+      done;
+      let now = Unix.gettimeofday () in
+      let s = Window.summary ~now w in
+      Alcotest.(check int) "summary counts every request" served s.Window.count;
+      Alcotest.(check int) "summary counts every error" failing s.Window.errors;
+      let sum ~seconds name =
+        int_of_float
+          (List.fold_left
+             (fun acc p -> acc +. p.Timeseries.sum)
+             0.0
+             (Timeseries.points ~now Timeseries.shared ~seconds name))
+      in
+      Alcotest.(check int) "req.query points = summary count" s.Window.count
+        (sum ~seconds:60 "req.query");
+      Alcotest.(check int) "err.query points = summary errors" s.Window.errors
+        (sum ~seconds:60 "err.query");
+      (* The fast window is 300 s, read from the 10 s tier. *)
+      let req = sum ~seconds:300 "req.query" and err = sum ~seconds:300 "err.query" in
+      Alcotest.(check int) "SLO fast-window requests = summary count" s.Window.count req;
+      Alcotest.(check int) "SLO fast-window errors = summary errors" s.Window.errors err;
+      match Slo.evaluate ~now () with
+      | [ a ] ->
+        Alcotest.(check (float 0.0)) "SLO bad fraction = errors / requests"
+          (float_of_int s.Window.errors /. float_of_int s.Window.count)
+          a.Slo.bad_fast
+      | _ -> Alcotest.fail "one objective, one alert")
 
 (* --- histogram percentile bounds (property) ----------------------------- *)
 
@@ -1767,7 +1819,7 @@ let test_tracestore_admission () =
   (* Slow-path admission: warm the op window past the p99 minimum, then
      offer something slower than everything seen so far. *)
   for _ = 1 to 30 do
-    Window.observe w 1.0
+    Timeseries.observe w 1.0
   done;
   let slow_ctx = Trace.make () in
   Alcotest.(check bool) "p99-exceeding request tail-admitted" true
@@ -1784,7 +1836,7 @@ let test_memo_reset_drops_verdict () =
   let w = Window.get "t.memo.reset" in
   let now = 7000.0 in
   for _ = 1 to 30 do
-    Window.observe w ~now 1.0
+    Timeseries.observe w ~now 1.0
   done;
   let count, _ = Window.recent_p99 ~now w in
   Alcotest.(check int) "memo taken over 30 requests" 30 count;
@@ -1797,7 +1849,7 @@ let test_memo_reset_drops_verdict () =
   let op = "tstore-memo-reset" in
   let w = Window.get op in
   for _ = 1 to 30 do
-    Window.observe w 1.0
+    Timeseries.observe w 1.0
   done;
   let offer () =
     let ctx = Trace.make () in
@@ -1821,19 +1873,19 @@ let test_memo_refreshes_when_count_doubles () =
   Alcotest.(check bool) "empty window has no p99" true (Float.is_nan p99);
   (* Grow past the admission minimum (20) within the same second. *)
   for _ = 1 to 30 do
-    Window.observe w ~now 2.0
+    Timeseries.observe w ~now 2.0
   done;
   let count, p99 = Window.recent_p99 ~now w in
   Alcotest.(check int) "grown from empty: fresh count" 30 count;
   Alcotest.(check bool) "grown from empty: a p99" false (Float.is_nan p99);
   for _ = 1 to 29 do
-    Window.observe w ~now 2.0
+    Timeseries.observe w ~now 2.0
   done;
   Alcotest.(check int) "59 < 2 x 30: memo kept within the second" 30
     (fst (Window.recent_p99 ~now w));
-  Window.observe w ~now 2.0;
+  Timeseries.observe w ~now 2.0;
   Alcotest.(check int) "60 = 2 x 30: refreshed" 60 (fst (Window.recent_p99 ~now w));
-  Window.observe w ~now 2.0;
+  Timeseries.observe w ~now 2.0;
   Alcotest.(check int) "kept again" 60 (fst (Window.recent_p99 ~now w));
   Alcotest.(check int) "next second: refreshed" 61
     (fst (Window.recent_p99 ~now:(now +. 1.0) w))
@@ -1842,7 +1894,7 @@ let test_memo_equals_summary_after_refresh () =
   let w = Window.get "t.memo.summary" in
   let t0 = 9000.0 in
   for i = 1 to 100 do
-    Window.observe w ~now:(t0 +. float_of_int (i mod 7)) (float_of_int i)
+    Timeseries.observe w ~now:(t0 +. float_of_int (i mod 7)) (float_of_int i)
   done;
   List.iter
     (fun now ->
@@ -1886,11 +1938,11 @@ let test_tracestore_find_and_roundtrip () =
 
 let test_window_exemplars () =
   let w = Window.get "exemplar-test" in
-  Window.observe w 1.0;
+  Timeseries.observe w 1.0;
   Alcotest.(check int) "untraced observations leave no exemplar" 0
     (List.length (exemplars w));
-  Window.observe w ~trace:"cafe0123cafe0123cafe0123cafe0123" 1.0;
-  Window.observe w ~trace:"beef4567beef4567beef4567beef4567" 100.0;
+  Timeseries.observe w ~trace:"cafe0123cafe0123cafe0123cafe0123" 1.0;
+  Timeseries.observe w ~trace:"beef4567beef4567beef4567beef4567" 100.0;
   let exs = exemplars w in
   Alcotest.(check int) "one exemplar per touched bucket" 2 (List.length exs);
   let ids = List.map (fun e -> e.Window.ex_trace_id) exs in
@@ -1904,7 +1956,7 @@ let test_window_exemplars () =
     exs;
   (* A later traced observation in the same bucket replaces the
      exemplar; reset drops them all. *)
-  Window.observe w ~trace:"feed8901feed8901feed8901feed8901" 1.0;
+  Timeseries.observe w ~trace:"feed8901feed8901feed8901feed8901" 1.0;
   let ids = List.map (fun e -> e.Window.ex_trace_id) (exemplars w) in
   Alcotest.(check bool) "same-bucket exemplar replaced" true
     (List.mem "feed8901feed8901feed8901feed8901" ids
@@ -1921,7 +1973,7 @@ let test_window_exemplars () =
 
 let test_prometheus_exemplar_lines () =
   let w = Window.get "promex" in
-  Window.observe w ~trace:"0123456789abcdef0123456789abcdef" 3.0;
+  Timeseries.observe w ~trace:"0123456789abcdef0123456789abcdef" 3.0;
   let text = Prometheus.render () in
   let has_line needle =
     let rec go i =
@@ -2076,6 +2128,7 @@ let () =
             test_window_percentiles_and_errors;
           Alcotest.test_case "summary JSON roundtrip" `Quick test_window_summary_json_roundtrip;
           Alcotest.test_case "lifetime totals" `Quick test_window_totals;
+          Alcotest.test_case "summary, points and SLO agree" `Quick test_signals_agree;
         ] );
       ( "qlog",
         [
