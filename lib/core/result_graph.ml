@@ -7,115 +7,97 @@ type t = {
   fwd : adjacency;
   bwd : adjacency;
   node_of_index : int array;
-  index_table : (int, int) Hashtbl.t;
+  index : int array; (* data node -> compact index, -1 when not in Gr *)
   pnodes_of : int list array; (* per compact index *)
 }
 
-(* Stable counting sort of the edge list [(rows.(e), cols.(e), ws.(e))]
-   by row: row [i]'s edges keep their list order. *)
-let group n rows cols ws =
+(* The reverse arrays: a counting sort of the forward edges by target,
+   so each reverse row lists its sources in ascending compact index. *)
+let transpose n a =
   let offsets = Array.make (n + 1) 0 in
-  Array.iter (fun r -> offsets.(r + 1) <- offsets.(r + 1) + 1) rows;
+  Array.iter (fun j -> offsets.(j + 1) <- offsets.(j + 1) + 1) a.targets;
   for i = 1 to n do
     offsets.(i) <- offsets.(i) + offsets.(i - 1)
   done;
   let fill = Array.sub offsets 0 n in
-  let m = Array.length rows in
-  let targets = Array.make m 0 and weights = Array.make m 0 in
-  for e = 0 to m - 1 do
-    let r = rows.(e) in
-    let p = fill.(r) in
-    targets.(p) <- cols.(e);
-    weights.(p) <- ws.(e);
-    fill.(r) <- p + 1
+  let targets = Array.make (Array.length a.targets) 0 in
+  let weights = Array.make (Array.length a.targets) 0 in
+  for i = 0 to n - 1 do
+    for p = a.offsets.(i) to a.offsets.(i + 1) - 1 do
+      let j = a.targets.(p) in
+      targets.(fill.(j)) <- i;
+      weights.(fill.(j)) <- a.weights.(p);
+      fill.(j) <- fill.(j) + 1
+    done
   done;
   { offsets; targets; weights }
 
-(* One edge per (row, target) pair, at its first position, with the
-   minimum weight.  Compacts in place: [slot.(j)] is where target [j]
-   was last written, which lies inside the current row iff it is at or
-   after the row's first output position. *)
-let dedup n a =
-  let slot = Array.make n (-1) in
-  let offsets = Array.make (n + 1) 0 in
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    let row = !k in
-    for p = a.offsets.(i) to a.offsets.(i + 1) - 1 do
-      let j = a.targets.(p) and d = a.weights.(p) in
-      let q = slot.(j) in
-      if q >= row then begin
-        if d < a.weights.(q) then a.weights.(q) <- d
-      end
-      else begin
-        slot.(j) <- !k;
-        a.targets.(!k) <- j;
-        a.weights.(!k) <- d;
-        incr k
-      end
-    done;
-    offsets.(i + 1) <- !k
-  done;
-  { offsets; targets = Array.sub a.targets 0 !k; weights = Array.sub a.weights 0 !k }
-
-let transpose n a =
-  let rows = Array.make (Array.length a.targets) 0 in
-  for i = 0 to n - 1 do
-    Array.fill rows a.offsets.(i) (a.offsets.(i + 1) - a.offsets.(i)) i
-  done;
-  group n a.targets rows a.weights
-
+(* One BFS per matched node [v], at the largest bound among the
+   out-edges of its pattern nodes, keeps a hit [w] at distance [d] when
+   some such edge [(u,u',k)] has [d <= k] and [w] matches [u'].  The BFS
+   reports each node once, at its shortest distance, so row [v] comes
+   out whole, each pair once with its minimum weight, and the rows are
+   appended to the forward arrays in compact index order: no sort, no
+   dedup pass. *)
 let build pattern g m =
   let psize = Pattern.size pattern in
-  (* Collect matched data nodes into a compact index space. *)
-  let index_table = Hashtbl.create 64 in
+  (* Compact indices in order of first appearance, pattern node by
+     pattern node. *)
+  let index = Array.make (Match_relation.graph_size m) (-1) in
   let order = Vec.create ~dummy:(-1) () in
   for u = 0 to psize - 1 do
-    List.iter
+    Bitset.iter
       (fun v ->
-        if not (Hashtbl.mem index_table v) then begin
-          Hashtbl.add index_table v (Vec.length order);
+        if index.(v) < 0 then begin
+          index.(v) <- Vec.length order;
           Vec.push order v
         end)
-      (Match_relation.matches m u)
+      (Match_relation.matches_set m u)
   done;
   let node_of_index = Vec.to_array order in
   let count = Array.length node_of_index in
   let pnodes_of = Array.make (max count 1) [] in
   for u = psize - 1 downto 0 do
-    List.iter
-      (fun v ->
-        let i = Hashtbl.find index_table v in
-        pnodes_of.(i) <- u :: pnodes_of.(i))
-      (Match_relation.matches m u)
+    Bitset.iter
+      (fun v -> pnodes_of.(index.(v)) <- u :: pnodes_of.(index.(v)))
+      (Match_relation.matches_set m u)
   done;
-  let srcs = Vec.create ~dummy:0 () and dsts = Vec.create ~dummy:0 () in
-  let ws = Vec.create ~dummy:0 () in
+  let bound = function
+    | Pattern.Bounded k -> k
+    | Pattern.Unbounded -> Distance.eccentricity_bound g
+  in
+  (* Per pattern node: its out-edges as (bound, matches of the target). *)
+  let out =
+    Array.init psize (fun u ->
+        List.map
+          (fun (u', b) -> (bound b, Match_relation.matches_set m u'))
+          (Pattern.out_edges pattern u))
+  in
+  let offsets = Array.make (count + 1) 0 in
+  let targets = Vec.create ~dummy:0 () and weights = Vec.create ~dummy:0 () in
   let scratch = Distance.make_scratch g in
-  List.iter
-    (fun (u, u', b) ->
-      let k = match b with Pattern.Bounded k -> k | Pattern.Unbounded -> Distance.eccentricity_bound g in
-      let targets = Match_relation.matches_set m u' in
-      List.iter
-        (fun v ->
-          let vi = Hashtbl.find index_table v in
-          Distance.ball scratch g v k (fun w d ->
-              if Bitset.mem targets w then begin
-                Vec.push srcs vi;
-                Vec.push dsts (Hashtbl.find index_table w);
-                Vec.push ws d
-              end))
-        (Match_relation.matches m u))
-    (Pattern.edges pattern);
-  let fwd = dedup count (group count (Vec.to_array srcs) (Vec.to_array dsts) (Vec.to_array ws)) in
-  let bwd = transpose count fwd in
-  { fwd; bwd; node_of_index; index_table; pnodes_of }
+  for i = 0 to count - 1 do
+    let edges = List.concat_map (fun u -> out.(u)) pnodes_of.(i) in
+    if edges <> [] then begin
+      let radius = List.fold_left (fun r (k, _) -> max r k) 0 edges in
+      Distance.ball scratch g node_of_index.(i) radius (fun w d ->
+          let j = index.(w) in
+          if j >= 0 && List.exists (fun (k, sim) -> d <= k && Bitset.mem sim w) edges then begin
+            Vec.push targets j;
+            Vec.push weights d
+          end)
+    end;
+    offsets.(i + 1) <- Vec.length targets
+  done;
+  let fwd = { offsets; targets = Vec.to_array targets; weights = Vec.to_array weights } in
+  { fwd; bwd = transpose count fwd; node_of_index; index; pnodes_of }
 
 let node_count t = Array.length t.node_of_index
 
 let edge_count t = Array.length t.fwd.targets
 
-let index_of t v = Hashtbl.find_opt t.index_table v
+let index_of t v =
+  if v >= 0 && v < Array.length t.index && t.index.(v) >= 0 then Some t.index.(v) else None
 
 let forward t = t.fwd
 
@@ -132,6 +114,25 @@ let iter_index_edges t f =
     iter_row t.fwd i (f i)
   done
 
+(* A node's ["name"] attribute, or ["#id"]. *)
+let display g v =
+  match Attrs.find (Snapshot.attrs g v) "name" with
+  | Some (Attr.String s) -> s
+  | _ -> Printf.sprintf "#%d" v
+
+(* The body of a DOT double-quoted string: quotes and backslashes
+   escaped, newlines written as [\n]. *)
+let dot_escape s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
 let to_dot ?(name = "Gr") ?(highlight = []) pattern g t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);
@@ -143,15 +144,12 @@ let to_dot ?(name = "Gr") ?(highlight = []) pattern g t =
       let roles =
         String.concat "," (List.map (Pattern.name pattern) t.pnodes_of.(i))
       in
-      let display =
-        match Attrs.find (Snapshot.attrs g v) "name" with
-        | Some (Attr.String s) -> s
-        | _ -> Printf.sprintf "#%d" v
-      in
       let style = if Hashtbl.mem hl v then ", style=filled, fillcolor=red" else "" in
       Buffer.add_string buf
-        (Printf.sprintf "  r%d [label=\"%s\\n(%s:%s)\"%s];\n" i display roles
-           (Label.to_string (Snapshot.label g v)) style))
+        (Printf.sprintf "  r%d [label=\"%s\\n(%s:%s)\"%s];\n" i (dot_escape (display g v))
+           (dot_escape roles)
+           (dot_escape (Label.to_string (Snapshot.label g v)))
+           style))
     t.node_of_index;
   iter_index_edges t (fun i j d ->
       Buffer.add_string buf (Printf.sprintf "  r%d -> r%d [label=\"%d\"];\n" i j d));
@@ -232,18 +230,13 @@ let drill_down pattern g t u =
   Array.iteri
     (fun i v ->
       if List.mem u t.pnodes_of.(i) then begin
-        let display =
-          match Attrs.find (Snapshot.attrs g v) "name" with
-          | Some (Attr.String s) -> s
-          | Some _ | None -> Printf.sprintf "#%d" v
-        in
         let out_edges = ref [] and in_edges = ref [] in
         iter_row t.fwd i (fun j d -> out_edges := (t.node_of_index.(j), d) :: !out_edges);
         iter_row t.bwd i (fun j d -> in_edges := (t.node_of_index.(j), d) :: !in_edges);
         details :=
           {
             data_node = v;
-            display;
+            display = display g v;
             roles = t.pnodes_of.(i);
             out_edges = List.sort compare !out_edges;
             in_edges = List.sort compare !in_edges;

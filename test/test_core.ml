@@ -361,6 +361,38 @@ let test_result_graph_roles () =
   let dot = Result_graph.to_dot q g ~highlight:[ Expfinder_workload.Collab.bob ] gr in
   Alcotest.(check bool) "dot nonempty" true (String.length dot > 40)
 
+let test_result_graph_dot_escapes () =
+  (* Names, roles and labels may hold any character; the DOT text must
+     still parse: every quote inside a label escaped, one statement a
+     line. *)
+  let la = Label.of_string "A\"x" and lb = Label.of_string "B" in
+  let name s i = if i = 0 then Attrs.of_list [ ("name", Attr.String s) ] else Attrs.empty in
+  let g =
+    Snapshot.of_digraph
+      (Testkit.of_edges ~attrs:(name "O\"Brien\\\nJr") ~labels:[| la; lb |] [ (0, 1) ])
+  in
+  let node name label = { Pattern.name; label = Some label; pred = Predicate.always } in
+  let q =
+    Pattern.make_exn
+      ~nodes:[| node "R\"1" la; node "R2" lb |]
+      ~edges:[ (0, 1, Pattern.Bounded 1) ]
+      ~output:0
+  in
+  let dot = Result_graph.to_dot q g (Result_graph.build q g (Bounded_sim.run q g)) in
+  let lines = String.split_on_char '\n' dot in
+  Alcotest.(check bool) "escaped label" true
+    (List.mem {|  r0 [label="O\"Brien\\\nJr\n(R\"1:A\"x)"];|} lines);
+  (* Outside escapes, each line opens and closes its quotes. *)
+  List.iter
+    (fun line ->
+      let quotes = ref 0 and i = ref 0 in
+      while !i < String.length line do
+        (match line.[!i] with '\\' -> incr i | '"' -> incr quotes | _ -> ());
+        incr i
+      done;
+      if !quotes mod 2 <> 0 then Alcotest.failf "unbalanced quotes: %s" line)
+    lines
+
 let test_rank_isolated_node_infinite () =
   (* A pattern with one node: result graph has no edges, every rank is
      infinite, and top-k falls back to node-id order. *)
@@ -408,6 +440,104 @@ let prop_result_graph_weights_within_bounds seed =
   let gr = Result_graph.build pattern g m in
   let max_bound = Option.value ~default:1 (Pattern.max_bound pattern) in
   List.for_all (fun (_, _, d) -> d >= 1 && d <= max_bound) (snd (gr_edges m gr))
+
+(* Shortest nonempty path length from [v] to [w] by a plain BFS, [-1]
+   when [w] is unreachable. *)
+let pair_dist g v w =
+  let dist = Array.make (Snapshot.node_count g) (-1) in
+  let queue = Queue.create () in
+  let visit d x =
+    if dist.(x) < 0 then begin
+      dist.(x) <- d;
+      Queue.add x queue
+    end
+  in
+  Snapshot.iter_succ g v (visit 1);
+  while not (Queue.is_empty queue) do
+    let x = Queue.pop queue in
+    Snapshot.iter_succ g x (visit (dist.(x) + 1))
+  done;
+  dist.(w)
+
+(* One random instance of [result graph = definition]: bounded and [*]
+   edges, on labels shared by several pattern nodes. *)
+let result_graph_instance seed =
+  let rng = Prng.create seed in
+  let g = Snapshot.of_digraph (random_graph rng) in
+  let pattern = random_pattern rng ~simulation:false ~unbounded:true in
+  let m = Bounded_sim.run pattern g in
+  (pattern, g, m, Result_graph.build pattern g m)
+
+(* Gr from the paper's definition: the matched nodes, and one edge
+   [(v, w, dist v w)] per pair with [0 < dist <= k] for some pattern edge
+   [(u, u', k)], [v ∈ sim(u)], [w ∈ sim(u')]. *)
+let result_graph_reference pattern g m =
+  let nodes = List.sort_uniq compare (List.map snd (Match_relation.pairs m)) in
+  let witnessed v w d =
+    List.exists
+      (fun (u, u', b) ->
+        Match_relation.mem m u v && Match_relation.mem m u' w
+        && match b with Pattern.Bounded k -> d <= k | Pattern.Unbounded -> true)
+      (Pattern.edges pattern)
+  in
+  let edges =
+    List.concat_map
+      (fun v ->
+        List.filter_map
+          (fun w ->
+            let d = pair_dist g v w in
+            if d > 0 && witnessed v w d then Some (v, w, d) else None)
+          nodes)
+      nodes
+  in
+  (nodes, edges)
+
+let prop_result_graph_definition seed =
+  let pattern, g, m, gr = result_graph_instance seed in
+  let nodes, edges = result_graph_reference pattern g m in
+  let in_gr =
+    List.filter
+      (fun v -> Result_graph.index_of gr v <> None)
+      (List.init (Snapshot.node_count g) Fun.id)
+  in
+  let _, got_edges = gr_edges m gr in
+  let of_index = Array.make (Result_graph.node_count gr) (-1) in
+  List.iter (fun v -> of_index.(Option.get (Result_graph.index_of gr v)) <- v) in_gr;
+  let bwd = Result_graph.backward gr in
+  let reversed =
+    List.concat
+      (List.init (Result_graph.node_count gr) (fun i ->
+           List.init
+             (bwd.offsets.(i + 1) - bwd.offsets.(i))
+             (fun p ->
+               let p = bwd.offsets.(i) + p in
+               (of_index.(bwd.targets.(p)), of_index.(i), bwd.weights.(p)))))
+  in
+  in_gr = nodes
+  && List.sort compare got_edges = edges
+  && List.sort compare reversed = edges
+
+let test_result_graph_definition_covers () =
+  (* The seeds [result graph = definition] draws from reach every case
+     it is meant to pin down. *)
+  let unbounded = ref 0 and beyond = ref 0 and roles = ref 0 and cycles = ref 0 in
+  for seed = 1 to 300 do
+    let pattern, _, m, gr = result_graph_instance seed in
+    let _, edges = gr_edges m gr in
+    let nroles v = List.length (List.filter (fun (_, v') -> v' = v) (Match_relation.pairs m)) in
+    if edges <> [] && Pattern.has_unbounded_edge pattern then incr unbounded;
+    if List.exists (fun (_, _, d) -> d > 3) edges then incr beyond;
+    if List.exists (fun (v, _, _) -> nroles v > 1) edges then incr roles;
+    if List.exists (fun (v, w, _) -> v = w) edges then incr cycles
+  done;
+  List.iter
+    (fun (what, n) -> if n = 0 then Alcotest.failf "no instance with %s" what)
+    [
+      ("a * edge", !unbounded);
+      ("an edge longer than every bound", !beyond);
+      ("a node of several roles", !roles);
+      ("a self edge", !cycles);
+    ]
 
 let test_result_graph_duplicate_pair () =
   (* Both pattern edges A->B (bound 1) and A->B' (bound 2) are witnessed
@@ -779,6 +909,8 @@ let qcheck_cases =
       (fun s -> prop_relaxing_bounds_grows_matches (s + 1));
     QCheck.Test.make ~count:60 ~name:"result-graph weights within bounds" QCheck.small_int
       (fun s -> prop_result_graph_weights_within_bounds (s + 1));
+    QCheck.Test.make ~count:300 ~name:"result graph = definition"
+      QCheck.(int_range 1 1_000_000) prop_result_graph_definition;
     (* Wide seeds: a tie at the K-th rank decided by id shows up in
        about one instance in forty. *)
     QCheck.Test.make ~count:500 ~name:"top_k/rank_of = Bellman-Ford reference"
@@ -809,6 +941,9 @@ let () =
           Alcotest.test_case "roles" `Quick test_result_graph_roles;
           Alcotest.test_case "duplicate pair keeps min weight" `Quick
             test_result_graph_duplicate_pair;
+          Alcotest.test_case "definition property covers its cases" `Quick
+            test_result_graph_definition_covers;
+          Alcotest.test_case "dot escapes labels" `Quick test_result_graph_dot_escapes;
         ] );
       ( "ranking",
         [

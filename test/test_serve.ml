@@ -1188,10 +1188,25 @@ let golden_e2e exe () =
             | Ok doc -> doc
             | Error e -> Alcotest.failf "%s does not parse: %s" path e
           in
-          (* Wait for a sampler tick that saw the requests. *)
+          (* Wait for a sampler tick that saw the requests.  The sampler
+             ticks once at start, before any request, so "win.update.qps"
+             is there at once; only a tick after the update reads a
+             positive rate. *)
+          let ticked () =
+            let ts = doc "/timeseries.json" in
+            match Option.bind (Json.member "resolutions" ts) Json.list_opt with
+            | Some (finest :: _) -> (
+              match Option.bind (Json.member "series" finest) (Json.member "win.update.qps") with
+              | Some (Json.Arr points) ->
+                List.exists
+                  (function Json.Arr (_ :: Json.Float qps :: _) -> qps > 0.0 | _ -> false)
+                  points
+              | _ -> false)
+            | _ -> false
+          in
           let rec wait_tick attempts =
             if attempts = 0 then Alcotest.fail "sampler did not tick within 10s"
-            else if not (contains (get "/timeseries.json") "\"req.update\"") then begin
+            else if not (ticked ()) then begin
               Unix.sleepf 0.1;
               wait_tick (attempts - 1)
             end
